@@ -21,7 +21,9 @@
 //!
 //! Figures are emitted as CSV under `results/` (plus a textual summary on
 //! stdout); tables are printed in the paper's layout. Use `--quick` for a
-//! fast smoke run (shorter horizons).
+//! fast smoke run (shorter horizons). Figs 4–9 and tables IV–VI are views
+//! of one CPU-comparison sweep per Power-Up Delay, computed once per
+//! process however many of them a command line names.
 //!
 //! Execution is resolved once and threaded through every experiment:
 //!
@@ -137,10 +139,13 @@ use des::Workload;
 use sim_runtime::{
     ChaosConfig, Exec, FaultPolicy, ServiceClient, ServiceConfig, ServiceHandle, StoppingRule,
 };
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
 use wsn::experiments::ablations::{
     erlang_ablation, memory_ablation, seed_ablation, trigger_ablation,
 };
-use wsn::experiments::cpu_comparison::{run_cpu_comparison, CpuComparisonConfig};
+use wsn::experiments::cpu_comparison::{run_cpu_comparison, CpuComparison, CpuComparisonConfig};
 use wsn::experiments::node_energy::{run_node_sweep, NodeSweepConfig};
 use wsn::experiments::simple_system::{run_simple_system, run_table_x};
 use wsn::report::{
@@ -1198,8 +1203,25 @@ fn cpu_cfg(opts: &Opts) -> CpuComparisonConfig {
     }
 }
 
+/// The CPU-comparison sweep for one Power-Up Delay, run at most once per
+/// process. `opts` is fixed for the process and the sweep is seeded, so
+/// the PUD is the only input that varies: every later fig4–9/table4–6
+/// view of the same PUD renders from the first result.
+fn cpu_comparison(opts: &Opts, pud: f64) -> Rc<CpuComparison> {
+    thread_local! {
+        static SWEEPS: RefCell<HashMap<u64, Rc<CpuComparison>>> = RefCell::default();
+    }
+    SWEEPS.with(|sweeps| {
+        let mut sweeps = sweeps.borrow_mut();
+        let sweep = sweeps.entry(pud.to_bits()).or_insert_with(|| {
+            Rc::new(run_cpu_comparison(pud, &fig4_9_pdt_grid(), &cpu_cfg(opts)))
+        });
+        Rc::clone(sweep)
+    })
+}
+
 fn cpu_figs(opts: &Opts, pud: f64, states: bool) {
-    let c = run_cpu_comparison(pud, &fig4_9_pdt_grid(), &cpu_cfg(opts));
+    let c = cpu_comparison(opts, pud);
     let (kind, csv) = if states {
         ("states", render_state_csv(&c))
     } else {
@@ -1241,7 +1263,7 @@ fn cpu_figs(opts: &Opts, pud: f64, states: bool) {
 }
 
 fn delta_table(opts: &Opts, pud: f64, title: &str) {
-    let c = run_cpu_comparison(pud, &fig4_9_pdt_grid(), &cpu_cfg(opts));
+    let c = cpu_comparison(opts, pud);
     print!("{}", render_delta_table(title, &c.delta_table()));
     println!();
 }

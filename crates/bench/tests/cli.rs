@@ -1,7 +1,8 @@
 //! CLI contract tests for the `repro` binary: conflicting executor flags
 //! are an explicit error, environment-derived conflicts resolve by the
-//! documented precedence with a warning, and the service verbs validate
-//! their arguments before touching the network.
+//! documented precedence with a warning, the service verbs validate
+//! their arguments before touching the network, and targets that share a
+//! sweep render the same bytes in one process as in separate ones.
 
 use std::process::Command;
 
@@ -299,4 +300,85 @@ fn unreachable_service_fails_fast_with_a_clear_error() {
     let (code, _out, err) = run(repro().args(["stats", "--service", "127.0.0.1:1"]));
     assert_eq!(code, 1);
     assert!(err.contains("cannot reach service"), "{err}");
+}
+
+/// A fresh, empty working directory for one `repro` run.
+fn fresh_cwd(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("repro-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Every file under `dir/results`, by name.
+fn results(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir.join("results"))
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn cpu_comparison_targets_share_sweeps_without_changing_bytes() {
+    // Interleaved PUDs and views: a sweep served for the wrong PUD, or a
+    // view rendered twice, shows up as a byte difference.
+    let targets = [
+        "fig4", "fig7", "fig5", "fig8", "fig6", "fig9", "table4", "table5", "table6",
+    ];
+    let flags = ["--quick", "--threads", "2"];
+    let together = fresh_cwd("shared-sweeps");
+    let out = repro()
+        .current_dir(&together)
+        .args(flags)
+        .args(targets)
+        .output()
+        .expect("repro runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut separate_stdout = Vec::new();
+    let mut separate_results = std::collections::BTreeMap::new();
+    for (i, target) in targets.iter().enumerate() {
+        let cwd = fresh_cwd(&format!("separate-sweeps-{i}"));
+        let one = repro()
+            .current_dir(&cwd)
+            .args(flags)
+            .arg(target)
+            .output()
+            .expect("repro runs");
+        assert!(
+            one.status.success(),
+            "{target}: {}",
+            String::from_utf8_lossy(&one.stderr)
+        );
+        separate_stdout.extend_from_slice(&one.stdout);
+        if cwd.join("results").exists() {
+            separate_results.extend(results(&cwd));
+        }
+        let _ = std::fs::remove_dir_all(&cwd);
+    }
+    assert!(
+        out.stdout == separate_stdout,
+        "one process printed\n{}\nnine printed\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&separate_stdout)
+    );
+    let shared_results = results(&together);
+    assert_eq!(
+        shared_results.len(),
+        6,
+        "fig4–9 each write one CSV: {:?}",
+        shared_results.keys()
+    );
+    assert!(
+        shared_results == separate_results,
+        "results/ differ between one and nine processes"
+    );
+    let _ = std::fs::remove_dir_all(&together);
 }

@@ -32,6 +32,11 @@ impl WireError {
 /// must not look like a multi-gigabyte allocation request.
 pub const MAX_FRAME_LEN: usize = 256 << 20;
 
+/// The most [`read_frame`] reserves before any body bytes arrive. Larger
+/// bodies grow the buffer only as bytes are actually read, so a bare
+/// length prefix cannot make a reader reserve [`MAX_FRAME_LEN`].
+const FRAME_PREALLOC: usize = 64 << 10;
+
 // --- writers (infallible; append to a Vec) -------------------------------
 
 /// Append a `u8`.
@@ -194,6 +199,9 @@ pub fn write_frame(w: &mut dyn Write, body: &[u8]) -> io::Result<()> {
 
 /// Read one length-prefixed frame. `Ok(None)` on clean EOF **before** the
 /// length prefix; EOF mid-frame is an error (a peer died mid-write).
+///
+/// The body is read incrementally: a frame of up to 64 KiB costs one
+/// exact allocation, and a longer one grows only with the bytes received.
 pub fn read_frame(r: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     let mut filled = 0;
@@ -216,8 +224,14 @@ pub fn read_frame(r: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"),
         ));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(len.min(FRAME_PREALLOC));
+    Read::take(r, len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "EOF inside frame body",
+        ));
+    }
     Ok(Some(body))
 }
 
@@ -303,6 +317,65 @@ mod tests {
         let huge = (u32::MAX - 1).to_le_bytes();
         let mut r = &huge[..];
         assert!(read_frame(&mut r).is_err());
+    }
+
+    /// Serves `data` at most `chunk` bytes per call and records the
+    /// largest buffer any read asked it to fill.
+    struct ChunkedReader<'a> {
+        data: &'a [u8],
+        chunk: usize,
+        max_request: usize,
+    }
+
+    impl Read for ChunkedReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.max_request = self.max_request.max(buf.len());
+            let n = buf.len().min(self.chunk).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn multi_chunk_frames_round_trip() {
+        // Bodies below, at and above the preallocation, each delivered
+        // in many short reads.
+        for len in [1000, FRAME_PREALLOC, 3 * FRAME_PREALLOC + 17] {
+            let body: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let mut stream = Vec::new();
+            write_frame(&mut stream, &body).unwrap();
+            let mut r = ChunkedReader {
+                data: &stream,
+                chunk: 4093,
+                max_request: 0,
+            };
+            let back = read_frame(&mut r).unwrap().unwrap();
+            assert_eq!(back, body, "len {len}");
+            if len <= FRAME_PREALLOC {
+                // One exact allocation: the buffer never grew.
+                assert_eq!(back.capacity(), len);
+            }
+            assert!(read_frame(&mut r).unwrap().is_none());
+        }
+    }
+
+    #[test]
+    fn huge_declared_length_then_eof_errors_without_reserving_it() {
+        let mut stream = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(b"only a few body bytes");
+        let mut r = ChunkedReader {
+            data: &stream,
+            chunk: usize::MAX,
+            max_request: 0,
+        };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            r.max_request <= FRAME_PREALLOC,
+            "a read asked for {} bytes",
+            r.max_request
+        );
     }
 
     #[test]
