@@ -4,9 +4,9 @@
 //! wall-clock (the paper laments TimeNET taking "an hour to stabilize";
 //! these benches document how far from that we are).
 //!
-//! Every net is benchmarked on both engines — `engine/*` runs the
-//! incremental core, `engine_reference/*` the seed's non-incremental core
-//! (`Simulator::run_reference`) — from one binary, so before/after numbers
+//! Every net is benchmarked on both engines — `engine/*` runs the lowered
+//! production engine, `engine_reference/*` the seed's non-incremental
+//! core (`Simulator::run_reference`) — from one binary, so before/after numbers
 //! share codegen flags and machine conditions. The differential test suite
 //! proves the trajectories are bit-identical, so any delta is pure engine
 //! overhead. NOTE: on drifting shared-CPU hosts prefer the paired

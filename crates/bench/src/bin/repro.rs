@@ -50,11 +50,6 @@
 //!   up to `N` contiguous same-point replications and advances them
 //!   together through the batched engine. Purely a throughput knob —
 //!   results are byte-identical at every width.
-//! * `--engine interp|lowered` (exported as `REPRO_ENGINE`, so worker
-//!   subprocesses inherit it; default `lowered`) — which stepping engine
-//!   `Simulator`/`BatchSimulator` use: the compiled micro-op programs or
-//!   the incremental interpreter. Another pure throughput knob: outputs
-//!   are byte-identical on either engine (CI diffs the artifacts).
 //! * `--profile` (exported as `REPRO_PROFILE=1`, so worker subprocesses
 //!   inherit it) — arm the per-transition engine profiler: firing counts
 //!   and attributed nanoseconds per transition, printed as a table on
@@ -303,13 +298,7 @@ fn main() {
                 _ => flag_err("--batch", "a positive replication count (1 = scalar)"),
             },
             // Exported via the environment rather than plumbed through
-            // `Opts` so shard/worker subprocesses inherit the selection.
-            "--engine" => match it.next().map(|v| v.as_str()) {
-                Some(v @ ("interp" | "lowered")) => std::env::set_var("REPRO_ENGINE", v),
-                _ => flag_err("--engine", "interp or lowered"),
-            },
-            // Environment-exported like --engine, so shard/worker
-            // subprocesses profile too.
+            // `Opts` so shard/worker subprocesses profile too.
             "--profile" => std::env::set_var("REPRO_PROFILE", "1"),
             "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => threads = Some(n),
@@ -384,7 +373,7 @@ fn main() {
 
     if targets.is_empty() {
         eprintln!(
-            "usage: repro [--quick] [--threads N] [--shards N] [--hosts a:p,b:p] [--service a:p] [--batch N] [--engine interp|lowered] [--profile] [--retry N] [--io-timeout SECS] [--pool on|off] [--fixed-reps] <target>...   (try: repro all)\n       repro serve --listen a:p [--http a:p] | repro submit|status|fetch|watch|cancel|trace|stats|stop --service a:p ... | repro cache gc [--cache-dir DIR] [--budget BYTES]"
+            "usage: repro [--quick] [--threads N] [--shards N] [--hosts a:p,b:p] [--service a:p] [--batch N] [--profile] [--retry N] [--io-timeout SECS] [--pool on|off] [--fixed-reps] <target>...   (try: repro all)\n       repro serve --listen a:p [--http a:p] | repro submit|status|fetch|watch|cancel|trace|stats|stop --service a:p ... | repro cache gc [--cache-dir DIR] [--budget BYTES]"
         );
         std::process::exit(2);
     }
@@ -710,10 +699,6 @@ fn serve_mode(args: &[String]) {
                 _ => flag_err("--batch", "a positive replication count (1 = scalar)"),
             },
             // Environment-exported so shard/worker subprocesses inherit it.
-            "--engine" => match it.next().map(|v| v.as_str()) {
-                Some(v @ ("interp" | "lowered")) => std::env::set_var("REPRO_ENGINE", v),
-                _ => flag_err("--engine", "interp or lowered"),
-            },
             "--profile" => std::env::set_var("REPRO_PROFILE", "1"),
             "--fallback" => fallback = true,
             other => {
@@ -730,7 +715,7 @@ fn serve_mode(args: &[String]) {
         std::process::exit(2);
     }
     let Some(addr) = listen else {
-        eprintln!("usage: repro serve --listen ADDR [--http ADDR] [--threads N] [--shards N | --hosts a:p,b:p] [--batch N] [--engine interp|lowered] [--profile] [--queue-capacity N] [--dispatchers N] [--mem-cache N] [--cache-dir DIR | --no-disk-cache] [--cache-budget BYTES] [--retry N] [--io-timeout SECS] [--pool on|off] [--fallback]");
+        eprintln!("usage: repro serve --listen ADDR [--http ADDR] [--threads N] [--shards N | --hosts a:p,b:p] [--batch N] [--profile] [--queue-capacity N] [--dispatchers N] [--mem-cache N] [--cache-dir DIR | --no-disk-cache] [--cache-budget BYTES] [--retry N] [--io-timeout SECS] [--pool on|off] [--fallback]");
         std::process::exit(2);
     };
     let threads = threads

@@ -18,7 +18,6 @@ fn repro() -> Command {
         .env_remove("REPRO_IO_TIMEOUT")
         .env_remove("REPRO_POOL")
         .env_remove("REPRO_BATCH")
-        .env_remove("REPRO_ENGINE")
         .env_remove("REPRO_CHAOS_SEED");
     cmd
 }
@@ -180,26 +179,6 @@ fn fault_flags_reject_garbage_values() {
         run(repro().args(["serve", "--listen", "127.0.0.1:0", "--cache-budget", "lots"]));
     assert_eq!(code, 2);
     assert!(err.contains("--cache-budget needs"), "{err}");
-}
-
-#[test]
-fn engine_flag_accepts_both_engines_and_rejects_garbage() {
-    // Both engine names are accepted in run mode.
-    for engine in ["interp", "lowered"] {
-        let (code, _out, err) = run(repro().args(["--engine", engine]).arg("params"));
-        assert_eq!(code, 0, "--engine {engine}: {err}");
-    }
-    // Anything else (or a missing value) is a usage error.
-    for flags in [vec!["--engine", "bogus"], vec!["--engine"]] {
-        let (code, _out, err) = run(repro().args(&flags).arg("params"));
-        assert_eq!(code, 2, "flags {flags:?} must be rejected: {err}");
-        assert!(err.contains("--engine needs interp or lowered"), "{err}");
-    }
-    // Serve mode validates the same way.
-    let (code, _out, err) =
-        run(repro().args(["serve", "--listen", "127.0.0.1:0", "--engine", "fast"]));
-    assert_eq!(code, 2);
-    assert!(err.contains("--engine needs interp or lowered"), "{err}");
 }
 
 #[test]

@@ -87,9 +87,7 @@ pub mod prelude {
         run_replications, run_replications_adaptive, run_replications_batched,
         run_replications_parallel, AdaptiveSummary, ReplicationSummary,
     };
-    pub use crate::sim::{
-        BatchSimulator, EngineKind, RewardId, RewardSpec, SimConfig, SimOutput, Simulator,
-    };
+    pub use crate::sim::{RewardId, RewardSpec, SimConfig, SimOutput, Simulator};
     pub use crate::stats::{ConfidenceLevel, Welford};
     pub use crate::timing::{MemoryPolicy, Timing};
     pub use crate::token::{Color, ColorFilter};

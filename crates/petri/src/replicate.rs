@@ -97,14 +97,14 @@ pub fn run_replications_parallel(
     })
 }
 
-/// Run `replications` independent simulations on the **batched SoA engine**
-/// ([`crate::sim::BatchSimulator`]), `batch` lanes at a time.
+/// Run `replications` independent simulations through
+/// [`Simulator::run_batch`], `batch` lanes at a time.
 ///
 /// Replication `i` uses seed `SimRng::child_seed(base_seed, i)` and the
 /// per-replication outputs fold into the summary in replication-index
 /// order, so the result is **bit-identical** to [`run_replications`] at any
-/// batch width — the batch engine only changes how fast the same
-/// trajectories are produced. On error, the lowest-index failure is
+/// batch width — batching only changes how fast the same trajectories are
+/// produced. On error, the lowest-index failure is
 /// returned, exactly like the sequential loop.
 pub fn run_replications_batched(
     sim: &Simulator<'_>,
@@ -113,7 +113,6 @@ pub fn run_replications_batched(
     batch: usize,
 ) -> Result<ReplicationSummary, SimError> {
     let batch = batch.max(1) as u64;
-    let batcher = crate::sim::BatchSimulator::new(sim);
     let mut rewards = vec![Welford::new(); sim.reward_count()];
     let mut seeds: Vec<u64> = Vec::with_capacity(batch as usize);
     let mut i = 0u64;
@@ -121,7 +120,7 @@ pub fn run_replications_batched(
         let n = batch.min(replications - i);
         seeds.clear();
         seeds.extend((i..i + n).map(|j| crate::rng::SimRng::child_seed(base_seed, j)));
-        for out in batcher.run(&seeds) {
+        for out in sim.run_batch(&seeds) {
             let out = out?;
             for (w, &x) in rewards.iter_mut().zip(out.rewards.iter()) {
                 w.push(x);

@@ -1,52 +1,44 @@
-//! The simulation engine: enabling, scheduling, firing, reward integration.
+//! The [`Simulator`]: configuration, compiled net structure, and the run
+//! entry points.
 //!
-//! This is the *incremental* engine. All static structure is compiled once
-//! per [`Simulator`] (see `CompiledSim`), and the per-event work is driven
-//! by incrementally maintained dynamic state:
+//! A `Simulator` compiles its net once into a `CompiledSim` — the static
+//! tables every run shares — and hands runs to the lowered engine
+//! ([`super::lowered`]), which executes the net's micro-op program
+//! ([`super::lower`]). [`Simulator::run`] is the one-lane case of
+//! [`Simulator::run_batch`]; both go through the same `LoweredEngine` call.
 //!
-//! * **Enabling** is tracked as a per-transition *unsatisfied-condition
-//!   counter*. Every input arc, inhibitor arc, and guard is flattened into
-//!   a condition record indexed (CSR adjacency) by the places it reads;
-//!   when a firing moves tokens, only the conditions watching the touched
-//!   places are re-evaluated, and a transition's enabled bit flips exactly
-//!   when its counter crosses zero. `is_enabled` full rescans survive only
-//!   as `debug_assert!` cross-checks.
-//! * **Immediate selection** reads an incrementally maintained
-//!   enabled-immediates index instead of rescanning every immediate
-//!   transition per vanishing-loop iteration.
-//! * **Guards** and predicate rewards run as flat postfix programs
-//!   ([`crate::expr`]'s `CompiledExpr`) over the marking's dense count
-//!   vector — no tree walking mid-simulation.
-//! * **Firing** of fully-uncolored transitions follows a precompiled dense
-//!   plan: straight `u32` add/sub on the count vector, with no color
-//!   filters, consumed-token bookkeeping, or color-expression evaluation.
-//! * **Scheduling re-checks** after a firing walk a per-transition list
-//!   precompiled from the dependency index (the traversal is static), in
-//!   exactly the reference engine's order — the order determines which
-//!   transition consumes which RNG draw.
-//! * **Reward counters** are bumped through a per-transition dispatch index
-//!   built once per run, not a per-firing scan over all accumulators.
-//! * **The event queue** is a flat 4-ary min-heap over `(time, tid, gen)`
-//!   with O(1) lazy cancellation via generation counters (cancellation is
-//!   far more frequent than firing in conflict-heavy nets, so O(log n)
-//!   eager removal loses).
+//! `CompiledSim` flattens the net into dense, index-addressed tables:
 //!
-//! The original engine is preserved verbatim in [`super::reference`];
-//! [`Simulator::run_reference`] runs it. Both engines consume the RNG in
-//! exactly the same order, so trajectories are **bit-identical** — the
-//! differential test suite (`tests/differential.rs`) proves it per commit.
+//! * **Enabling conditions.** Every input arc, inhibitor arc, and guard
+//!   becomes a condition record, indexed (CSR adjacency) by the places it
+//!   reads, so a firing re-evaluates only the conditions watching the
+//!   places it touched. Filters on provably-uncolored places fold at
+//!   compile time.
+//! * **Guards** compile to flat postfix programs ([`crate::expr`]'s
+//!   `CompiledExpr`) over the marking's dense count vector.
+//! * **Dense firing plans** for fully-uncolored transitions: straight `u32`
+//!   add/sub on the count vector, with no color bookkeeping.
+//! * **Re-check lists**: per fired transition, the timed transitions to
+//!   re-schedule, in exactly the reference engine's traversal order — the
+//!   order determines which transition consumes which RNG draw.
+//! * **Timing scalars** per transition, split from the cold `Transition`
+//!   fields.
+//!
+//! The seed's non-incremental engine is preserved in [`super::reference`]
+//! as the executable specification; [`Simulator::run_reference`] runs it.
+//! Both engines consume the RNG in exactly the same order, so trajectories
+//! are **bit-identical** — the differential suites prove it per commit,
+//! and debug builds shadow the first run of every simulator with it.
 
 use super::rewards::{RewardId, RewardSpec, RewardSpecError};
-use super::trace::{TraceBuffer, TraceEvent};
+use super::trace::TraceEvent;
 use crate::error::SimError;
 use crate::expr::CompiledExpr;
 use crate::ids::{PlaceId, TransitionId};
 use crate::marking::Marking;
 use crate::net::Net;
-use crate::rng::SimRng;
 use crate::timing::{MemoryPolicy, Timing};
 use crate::token::{Color, ColorFilter};
-use crate::transition::Transition;
 
 /// Run-independent simulation configuration.
 #[derive(Debug, Clone)]
@@ -161,8 +153,9 @@ impl Csr {
     }
 }
 
-/// Timing discriminant, split out so the hot loop never matches on the full
-/// [`Timing`] enum through the [`Transition`] struct (and its cold fields).
+/// Timing discriminant, split out so the lowering pass never matches on the
+/// full [`Timing`] enum through the `Transition` struct (and its cold
+/// fields).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum TimingKind {
     Immediate,
@@ -172,9 +165,9 @@ pub(super) enum TimingKind {
     Erlang,
 }
 
-/// Dense per-transition scheduling scalars: everything `recheck_timed` and
-/// `fire_immediates` need, packed away from the cold `Transition` fields
-/// (name strings, arc vectors).
+/// Dense per-transition scheduling scalars: everything the re-check ops and
+/// immediate conflict resolution need, packed away from the cold
+/// `Transition` fields (name strings, arc vectors).
 #[derive(Debug, Clone)]
 pub(super) struct TransHot {
     pub(super) kind: TimingKind,
@@ -208,25 +201,6 @@ impl TransHot {
             a,
             b,
             k,
-        }
-    }
-
-    /// Sample a firing delay; must draw from the RNG exactly as
-    /// [`Timing::sample_delay`] does (the reference engine relies on it).
-    #[inline]
-    pub(super) fn sample_delay(&self, rng: &mut SimRng) -> f64 {
-        match self.kind {
-            TimingKind::Immediate => 0.0,
-            TimingKind::Deterministic => self.a,
-            TimingKind::Exponential => rng.exp(self.a),
-            TimingKind::Uniform => rng.uniform(self.a, self.b),
-            TimingKind::Erlang => {
-                let mut total = 0.0;
-                for _ in 0..self.k {
-                    total += rng.exp(self.a);
-                }
-                total
-            }
         }
     }
 }
@@ -553,59 +527,8 @@ impl CompiledSim {
 }
 
 // ---------------------------------------------------------------------------
-// Lazily invalidated event heap
-// ---------------------------------------------------------------------------
-
-/// One pending firing. Entries are never removed on cancellation — the
-/// per-transition generation counter marks them stale, and the main loop
-/// discards stale entries as they surface. Min-order on `(time, tid, gen)`:
-/// ties at the same instant fire in definition order.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct HeapEntry {
-    pub(super) time: f64,
-    pub(super) tid: u32,
-    pub(super) gen: u64,
-}
-
-#[inline]
-pub(super) fn heap_less(a: &HeapEntry, b: &HeapEntry) -> bool {
-    match a.time.total_cmp(&b.time) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => (a.tid, a.gen) < (b.tid, b.gen),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Simulator
 // ---------------------------------------------------------------------------
-
-/// Which execution engine [`Simulator::run`] (and the batched runners)
-/// dispatch to. The trajectory is bit-identical either way — the choice
-/// only affects speed — which the differential suites prove on every CI
-/// run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The incremental interpreter (`Engine` / `BatchEngine`): walks the
-    /// compiled net's CSR tables per event, matching on distribution kind
-    /// and memory policy as it goes.
-    Interp,
-    /// The lowered engine: executes a flat per-net micro-op program with
-    /// monomorphized samplers and a feature-specialized hot loop (see
-    /// [`super::lower`]). The default.
-    Lowered,
-}
-
-impl EngineKind {
-    /// Resolve the process-wide default: the `REPRO_ENGINE` environment
-    /// variable (`interp` | `lowered`) if set, else [`EngineKind::Lowered`].
-    pub fn from_env() -> Self {
-        match std::env::var("REPRO_ENGINE").as_deref() {
-            Ok("interp") => EngineKind::Interp,
-            _ => EngineKind::Lowered,
-        }
-    }
-}
 
 /// A configured, reusable simulator for one net.
 ///
@@ -626,13 +549,12 @@ pub struct Simulator<'a> {
     /// `t`; built here so runs share it instead of rebuilding per seed.
     pub(super) firing_hooks: Vec<Vec<u32>>,
     pub(super) compiled: CompiledSim,
-    pub(super) engine: EngineKind,
     /// Lazily-built lowered program (net × rewards × config), shared by
     /// every run and every batch lane. Invalidated when a reward is added.
     pub(super) lowered: std::sync::OnceLock<super::lower::LoweredNet>,
-    /// Debug builds shadow the first lowered run per simulator with the
-    /// interpreter and assert identical output (cheap, once-per-net oracle
-    /// on top of the differential suites).
+    /// Debug builds shadow the first run per simulator with the reference
+    /// engine and assert identical output (cheap, once-per-net oracle on
+    /// top of the differential suites).
     #[allow(dead_code)]
     pub(super) shadow_once: std::sync::OnceLock<()>,
 }
@@ -648,21 +570,9 @@ impl<'a> Simulator<'a> {
             pred_progs: Vec::new(),
             firing_hooks,
             compiled: CompiledSim::build(net),
-            engine: EngineKind::from_env(),
             lowered: std::sync::OnceLock::new(),
             shadow_once: std::sync::OnceLock::new(),
         }
-    }
-
-    /// Select the execution engine for subsequent runs (builder style).
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The engine [`Simulator::run`] currently dispatches to.
-    pub fn engine(&self) -> EngineKind {
-        self.engine
     }
 
     /// The lowered program for this simulator, building it on first use.
@@ -723,40 +633,16 @@ impl<'a> Simulator<'a> {
         &self.cfg
     }
 
-    /// Execute one independent run with the given seed, on the engine
-    /// selected by [`Simulator::with_engine`] (default: lowered).
+    /// Execute one independent run with the given seed: the one-lane case
+    /// of [`Simulator::run_batch`].
     pub fn run(&self, seed: u64) -> Result<SimOutput, SimError> {
-        let out = match self.engine {
-            EngineKind::Interp => self.run_interp(seed),
-            EngineKind::Lowered => self.run_lowered(seed),
-        };
-        // Telemetry only (run counts and event throughput); recording
-        // happens after the run and never touches seeding or results.
-        if let Ok(o) = &out {
-            let events = o.total_firings();
-            let tele = sim_runtime::telemetry();
-            tele.counter("engine_runs_total").inc();
-            tele.counter("engine_events_total").add(events);
-            tele.histogram("engine_run_events").record(events);
-        }
-        out
-    }
-
-    /// Execute one run on the **incremental interpreter**, regardless of
-    /// the configured engine. Kept as a differential oracle and A/B
-    /// baseline; same seed ⇒ bit-identical output to [`Simulator::run`].
-    pub fn run_interp(&self, seed: u64) -> Result<SimOutput, SimError> {
-        Engine::new(self, seed).run()
-    }
-
-    /// Execute one run on the **lowered engine**, regardless of the
-    /// configured engine. Same seed ⇒ bit-identical output to
-    /// [`Simulator::run_interp`] and [`Simulator::run_reference`].
-    pub fn run_lowered(&self, seed: u64) -> Result<SimOutput, SimError> {
-        let out = super::lowered::run_single(self, seed);
+        let out = self
+            .run_batch_with_horizons(&[seed], &[self.cfg.end_time])
+            .pop()
+            .expect("one lane in, one result out");
         #[cfg(debug_assertions)]
         if self.shadow_once.set(()).is_ok() {
-            super::lowered::debug_assert_outputs_eq(&out, &self.run_interp(seed));
+            super::lowered::debug_assert_outputs_eq(&out, &self.run_reference(seed));
         }
         out
     }
@@ -769,682 +655,49 @@ impl<'a> Simulator<'a> {
         super::reference::ReferenceEngine::new(self.net, &self.cfg, &self.rewards, seed).run()
     }
 
-    /// Execute `seeds.len()` independent replications together on the
-    /// **batched engine** (see [`super::batch::BatchSimulator`]): one
-    /// structure-of-arrays pass that amortizes the compiled net across the
-    /// batch. Each returned entry is bit-identical to `self.run(seed)` for
-    /// the seed at the same index.
+    /// Execute `seeds.len()` independent replications together, all at the
+    /// configured horizon: one structure-of-arrays pass that amortizes the
+    /// compiled net across the batch. Each returned entry is bit-identical
+    /// to `self.run(seed)` for the seed at the same index.
     pub fn run_batch(&self, seeds: &[u64]) -> Vec<Result<SimOutput, SimError>> {
-        super::batch::BatchSimulator::new(self).run(seeds)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Engine internals
-// ---------------------------------------------------------------------------
-
-/// Per-reward accumulator. Counter rewards are bumped through the
-/// per-transition `firing_hooks` dispatch index, never by scanning.
-#[derive(Debug, Clone)]
-pub(super) enum RewardAcc {
-    /// Integral of token count over observed time.
-    PlaceTokens { place: PlaceId, integral: f64 },
-    /// Integral of the indicator over observed time; the program lives in
-    /// `Engine::pred_progs`.
-    Predicate { prog: usize, integral: f64 },
-    /// Post-warmup firing counter, reported as rate.
-    Throughput { count: u64 },
-    /// Post-warmup firing counter, reported raw.
-    FiringCount { count: u64 },
-}
-
-pub(super) const NOT_QUEUED: u32 = u32::MAX;
-
-// Per-transition scheduling state byte: lets the post-firing re-check loop
-// skip settled transitions on a single byte compare.
-/// Transition is enabled (unsatisfied-condition counter is zero).
-pub(super) const ST_ENABLED: u8 = 0b001;
-/// Transition has a pending event in the heap.
-pub(super) const ST_SCHEDULED: u8 = 0b010;
-/// Transition has the Resample memory policy (static).
-pub(super) const ST_RESAMPLE: u8 = 0b100;
-
-struct Engine<'a> {
-    net: &'a Net,
-    cfg: &'a SimConfig,
-    /// `cfg.max_tokens_per_place` clamped below the u32 count ceiling.
-    max_tokens: usize,
-    cs: &'a CompiledSim,
-    pred_progs: &'a [Option<CompiledExpr>],
-    rng: SimRng,
-    now: f64,
-    marking: Marking,
-    heap: Vec<HeapEntry>,
-    /// Pending firing time per transition; NaN = unscheduled.
-    fire_at: Vec<f64>,
-    /// Generation counter per transition; a heap entry is valid iff its gen
-    /// matches. u64 like the reference engine's: wrap-around is
-    /// unreachable, so a stale entry can never be revived.
-    gen: Vec<u64>,
-    /// Frozen remaining delay (RaceAge policy only); NaN = none.
-    remaining: Vec<f64>,
-    /// Packed (enabled, scheduled, resample) bits per transition; the
-    /// re-check fast path reads only this.
-    sched_state: Vec<u8>,
-    /// Current truth of each flattened condition.
-    cond_true: Vec<bool>,
-    /// Firing epoch at which each condition was last re-evaluated; dedups
-    /// conditions (guards especially) watching several touched places.
-    cond_epoch: Vec<u64>,
-    epoch: u64,
-    /// Per-transition count of false conditions; 0 ⇔ enabled.
-    unsat: Vec<u32>,
-    /// Enabled immediate transitions (unordered; `imm_pos` locates members).
-    enabled_imm: Vec<u32>,
-    imm_pos: Vec<u32>,
-    firing_counts: Vec<u64>,
-    accs: Vec<RewardAcc>,
-    /// `firing_hooks[t]` = indices of counter accumulators watching `t`
-    /// (borrowed from the simulator; identical across runs).
-    firing_hooks: &'a [Vec<u32>],
-    /// Scratch stack for compiled guard/predicate programs.
-    guard_scratch: Vec<i64>,
-    /// Scratch: colors consumed by the current firing, grouped by arc.
-    consumed: Vec<Color>,
-    consumed_offsets: Vec<usize>,
-    /// Scratch for immediate conflict resolution.
-    candidates: Vec<u32>,
-    weights: Vec<f64>,
-    trace: TraceBuffer,
-    zero_time_firings: u64,
-}
-
-impl<'a> Engine<'a> {
-    fn new(sim: &'a Simulator<'a>, seed: u64) -> Self {
-        let net = sim.net;
-        let cs = &sim.compiled;
-        let nt = net.num_transitions();
-        let accs: Vec<RewardAcc> = sim
-            .rewards
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| match spec {
-                RewardSpec::PlaceTokens(p) => RewardAcc::PlaceTokens {
-                    place: *p,
-                    integral: 0.0,
-                },
-                RewardSpec::Predicate(_) => RewardAcc::Predicate {
-                    prog: i,
-                    integral: 0.0,
-                },
-                RewardSpec::Throughput(_) => RewardAcc::Throughput { count: 0 },
-                RewardSpec::FiringCount(_) => RewardAcc::FiringCount { count: 0 },
-            })
-            .collect();
-        let pred_stack = sim
-            .pred_progs
-            .iter()
-            .flatten()
-            .map(|p| p.stack_needed())
-            .max()
-            .unwrap_or(0);
-        let mut engine = Engine {
-            net,
-            cfg: &sim.cfg,
-            max_tokens: effective_token_limit(&sim.cfg),
-            cs,
-            pred_progs: &sim.pred_progs,
-            rng: SimRng::seed_from_u64(seed),
-            now: 0.0,
-            marking: net.initial_marking(),
-            heap: Vec::with_capacity(nt * 2),
-            fire_at: vec![f64::NAN; nt],
-            gen: vec![0; nt],
-            remaining: vec![f64::NAN; nt],
-            sched_state: {
-                let mut st = vec![0u8; nt];
-                for (ti, h) in cs.hot.iter().enumerate() {
-                    if h.kind != TimingKind::Immediate && h.memory == MemoryPolicy::Resample {
-                        st[ti] = ST_RESAMPLE;
-                    }
-                }
-                st
-            },
-            cond_true: vec![false; cs.conds.len()],
-            cond_epoch: vec![0; cs.conds.len()],
-            epoch: 0,
-            unsat: vec![0; nt],
-            enabled_imm: Vec::with_capacity(cs.immediates.len()),
-            imm_pos: vec![NOT_QUEUED; nt],
-            firing_counts: vec![0; nt],
-            accs,
-            firing_hooks: &sim.firing_hooks,
-            guard_scratch: Vec::with_capacity(cs.guard_stack.max(pred_stack)),
-            consumed: Vec::with_capacity(8),
-            consumed_offsets: Vec::with_capacity(8),
-            candidates: Vec::with_capacity(4),
-            weights: Vec::with_capacity(4),
-            trace: TraceBuffer::new(sim.cfg.trace_capacity),
-            zero_time_firings: 0,
-        };
-        engine.init_conditions();
-        engine
+        let horizons = vec![self.cfg.end_time; seeds.len()];
+        self.run_batch_with_horizons(seeds, &horizons)
     }
 
-    // ---- incremental enabling ----
-
-    /// Evaluate every condition from scratch and build the enabled sets
-    /// (start of run only).
-    fn init_conditions(&mut self) {
-        let cs = self.cs;
-        self.unsat.copy_from_slice(&cs.base_unsat);
-        for (ci, cond) in cs.conds.iter().enumerate() {
-            let t = cs.eval_cond(&self.marking, &mut self.guard_scratch, cond);
-            self.cond_true[ci] = t;
-            if !t {
-                self.unsat[cond.tid as usize] += 1;
-            }
+    /// Run one replication per seed with a **per-lane horizon**: lane `i`
+    /// behaves exactly as [`Simulator::run`] would with `cfg.end_time`
+    /// replaced by `end_times[i]` (shorter lanes retire mid-batch without
+    /// disturbing the rest).
+    ///
+    /// Every run passes through here — [`Simulator::run`] is the one-lane
+    /// case — so this is the one site that records engine telemetry (run
+    /// counts and per-run event totals), after the runs so it never touches
+    /// seeding or results.
+    ///
+    /// Panics if the two slices differ in length.
+    pub fn run_batch_with_horizons(
+        &self,
+        seeds: &[u64],
+        end_times: &[f64],
+    ) -> Vec<Result<SimOutput, SimError>> {
+        assert_eq!(seeds.len(), end_times.len(), "one horizon per seed");
+        if seeds.is_empty() {
+            return Vec::new();
         }
-        for ti in 0..self.unsat.len() {
-            if self.unsat[ti] == 0 {
-                self.sched_state[ti] |= ST_ENABLED;
-            }
+        let out = super::lowered::LoweredEngine::new(self, seeds, end_times).run_all();
+        let tele = sim_runtime::telemetry();
+        let per_run = tele.histogram("engine_run_events");
+        let mut runs = 0u64;
+        let mut events = 0u64;
+        for o in out.iter().flatten() {
+            let e = o.total_firings();
+            per_run.record(e);
+            runs += 1;
+            events += e;
         }
-        for &tid in &cs.immediates {
-            if self.unsat[tid.index()] == 0 {
-                self.imm_insert(tid.0);
-            }
-        }
-    }
-
-    /// Re-evaluate the conditions watching place `p`, flipping enabled bits
-    /// where the truth value changed.
-    fn refresh_place(&mut self, p: u32) {
-        let cs = self.cs;
-        for &ci in cs.place_conds.row(p as usize) {
-            if self.cond_epoch[ci as usize] == self.epoch {
-                continue;
-            }
-            self.cond_epoch[ci as usize] = self.epoch;
-            let cond = &cs.conds[ci as usize];
-            let now_true = cs.eval_cond(&self.marking, &mut self.guard_scratch, cond);
-            if now_true == self.cond_true[ci as usize] {
-                continue;
-            }
-            self.cond_true[ci as usize] = now_true;
-            let ti = cond.tid as usize;
-            let is_imm = cs.hot[ti].kind == TimingKind::Immediate;
-            if now_true {
-                self.unsat[ti] -= 1;
-                if self.unsat[ti] == 0 {
-                    self.sched_state[ti] |= ST_ENABLED;
-                    if is_imm {
-                        self.imm_insert(cond.tid);
-                    }
-                }
-            } else {
-                if self.unsat[ti] == 0 {
-                    self.sched_state[ti] &= !ST_ENABLED;
-                    if is_imm {
-                        self.imm_remove(cond.tid);
-                    }
-                }
-                self.unsat[ti] += 1;
-            }
-        }
-    }
-
-    #[inline]
-    fn imm_insert(&mut self, tid: u32) {
-        debug_assert_eq!(self.imm_pos[tid as usize], NOT_QUEUED);
-        self.imm_pos[tid as usize] = self.enabled_imm.len() as u32;
-        self.enabled_imm.push(tid);
-    }
-
-    #[inline]
-    fn imm_remove(&mut self, tid: u32) {
-        let i = self.imm_pos[tid as usize];
-        debug_assert_ne!(i, NOT_QUEUED);
-        self.imm_pos[tid as usize] = NOT_QUEUED;
-        self.enabled_imm.swap_remove(i as usize);
-        if let Some(&moved) = self.enabled_imm.get(i as usize) {
-            self.imm_pos[moved as usize] = i;
-        }
-    }
-
-    /// The retired full-rescan enabling check, kept as the `debug_assert!`
-    /// oracle for the incremental counters.
-    #[cfg(debug_assertions)]
-    fn is_enabled_slow(&self, t: &Transition) -> bool {
-        t.inputs
-            .iter()
-            .all(|a| self.marking.count_matching(a.place, &a.filter) >= a.multiplicity as usize)
-            && t.inhibitors
-                .iter()
-                .all(|a| self.marking.count_matching(a.place, &a.filter) < a.threshold as usize)
-            && t.guard.as_ref().is_none_or(|g| g.eval_bool(&self.marking))
-    }
-
-    #[cfg(debug_assertions)]
-    fn assert_enabled_consistent(&self, tid: TransitionId) {
-        let slow = self.is_enabled_slow(self.net.transition(tid));
-        debug_assert_eq!(
-            self.unsat[tid.index()] == 0,
-            slow,
-            "incremental enabled bit diverged from rescan for {:?}",
-            self.net.transition(tid).name
-        );
-    }
-
-    #[cfg(not(debug_assertions))]
-    #[inline]
-    fn assert_enabled_consistent(&self, _tid: TransitionId) {}
-
-    // ---- event heap (lazy invalidation) ----
-
-    #[inline]
-    fn heap_push(&mut self, e: HeapEntry) {
-        // 4-ary min-heap, hole-based sift-up: half the depth of a binary
-        // heap and one element move per level instead of a swap.
-        let mut i = self.heap.len();
-        self.heap.push(e);
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if heap_less(&e, &self.heap[parent]) {
-                self.heap[i] = self.heap[parent];
-                i = parent;
-            } else {
-                break;
-            }
-        }
-        self.heap[i] = e;
-    }
-
-    fn heap_pop(&mut self) -> Option<HeapEntry> {
-        let top = *self.heap.first()?;
-        let last = self.heap.pop().expect("non-empty");
-        let n = self.heap.len();
-        if n == 0 {
-            return Some(top);
-        }
-        // Sift the displaced last element down from the root (hole method).
-        let mut i = 0;
-        loop {
-            let c0 = 4 * i + 1;
-            if c0 >= n {
-                break;
-            }
-            let mut smallest = c0;
-            let cend = (c0 + 4).min(n);
-            for c in c0 + 1..cend {
-                if heap_less(&self.heap[c], &self.heap[smallest]) {
-                    smallest = c;
-                }
-            }
-            if heap_less(&self.heap[smallest], &last) {
-                self.heap[i] = self.heap[smallest];
-                i = smallest;
-            } else {
-                break;
-            }
-        }
-        self.heap[i] = last;
-        Some(top)
-    }
-
-    // ---- scheduling ----
-
-    fn schedule(&mut self, tid: usize, at: f64) {
-        self.gen[tid] += 1;
-        self.fire_at[tid] = at;
-        self.sched_state[tid] |= ST_SCHEDULED;
-        self.heap_push(HeapEntry {
-            time: at,
-            tid: tid as u32,
-            gen: self.gen[tid],
-        });
-    }
-
-    /// O(1) cancellation: bump the generation so the heap entry dies stale.
-    fn cancel(&mut self, tid: usize) -> f64 {
-        debug_assert!(!self.fire_at[tid].is_nan());
-        self.gen[tid] += 1;
-        self.sched_state[tid] &= !ST_SCHEDULED;
-        let at = self.fire_at[tid];
-        self.fire_at[tid] = f64::NAN;
-        at
-    }
-
-    /// Bring one timed transition's schedule in line with its enabling
-    /// status.
-    fn recheck_timed(&mut self, tid: TransitionId) {
-        self.assert_enabled_consistent(tid);
-        let ti = tid.index();
-        let hot = &self.cs.hot[ti];
-        debug_assert!(hot.kind != TimingKind::Immediate);
-        let state = self.sched_state[ti];
-        let enabled = state & ST_ENABLED != 0;
-        let scheduled = state & ST_SCHEDULED != 0;
-        debug_assert_eq!(enabled, self.unsat[ti] == 0);
-        debug_assert_eq!(scheduled, !self.fire_at[ti].is_nan());
-        match (enabled, scheduled) {
-            (true, false) => {
-                let delay = if hot.memory == MemoryPolicy::RaceAge && !self.remaining[ti].is_nan() {
-                    let r = self.remaining[ti];
-                    self.remaining[ti] = f64::NAN;
-                    r
-                } else {
-                    hot.sample_delay(&mut self.rng)
-                };
-                self.schedule(ti, self.now + delay);
-            }
-            (true, true) => {
-                if hot.memory == MemoryPolicy::Resample {
-                    self.cancel(ti);
-                    let delay = hot.sample_delay(&mut self.rng);
-                    self.schedule(ti, self.now + delay);
-                }
-                // RaceEnable / RaceAge: clock keeps running.
-            }
-            (false, true) => {
-                let fire_at = self.cancel(ti);
-                if hot.memory == MemoryPolicy::RaceAge {
-                    self.remaining[ti] = (fire_at - self.now).max(0.0);
-                }
-            }
-            (false, false) => {}
-        }
-    }
-
-    /// Re-schedule every timed transition whose enabling may have changed
-    /// after `fired` moved tokens, walking the precompiled list (reference
-    /// traversal order — it determines which transition consumes which RNG
-    /// draw).
-    fn update_schedules_after(&mut self, fired: TransitionId) {
-        // Copy the `&CompiledSim` out of `self` so iterating its rows does
-        // not conflict with the `&mut self` calls below (zero-cost: the
-        // reference is Copy and outlives the engine's own borrow).
-        let cs = self.cs;
-        for &tid in cs.recheck_timed.row(fired.index()) {
-            // Settled states need no action: enabled-and-scheduled without
-            // Resample, or disabled-and-unscheduled. One byte decides.
-            let s = self.sched_state[tid as usize];
-            if s == ST_ENABLED | ST_SCHEDULED || s & (ST_ENABLED | ST_SCHEDULED) == 0 {
-                self.assert_enabled_consistent(TransitionId(tid));
-                continue;
-            }
-            self.recheck_timed(TransitionId(tid));
-        }
-    }
-
-    // ---- firing ----
-
-    fn fire(&mut self, tid: TransitionId) -> Result<(), SimError> {
-        let ti = tid.index();
-        // Copy the `&CompiledSim` out of `self` (see update_schedules_after).
-        let cs = self.cs;
-        if let Some(plan) = &cs.plans[ti] {
-            // Dense path: pure count-vector arithmetic.
-            let (i0, i1) = plan.ins;
-            let (o0, o1) = plan.outs;
-            for &(p, m) in &cs.plan_dat[i0 as usize..i1 as usize] {
-                self.marking.sub_plain(p, m);
-            }
-            for &(p, m) in &cs.plan_dat[o0 as usize..o1 as usize] {
-                let c = self.marking.add_plain(p, m);
-                if c as usize > self.max_tokens {
-                    return Err(SimError::TokenOverflow {
-                        place: p as usize,
-                        time: self.now,
-                        limit: self.cfg.max_tokens_per_place,
-                    });
-                }
-            }
-        } else {
-            let net = self.net;
-            let t: &Transition = &net.transitions()[ti];
-            self.consumed.clear();
-            self.consumed_offsets.clear();
-            for arc in &t.inputs {
-                self.consumed_offsets.push(self.consumed.len());
-                for _ in 0..arc.multiplicity {
-                    let c = self
-                        .marking
-                        .withdraw(arc.place, &arc.filter)
-                        .expect("transition fired while not enabled");
-                    self.consumed.push(c);
-                }
-            }
-            for arc in &t.outputs {
-                for _ in 0..arc.multiplicity {
-                    let c = arc
-                        .color
-                        .eval(&self.consumed, &self.consumed_offsets, &mut self.rng);
-                    self.marking.deposit(arc.place, c);
-                }
-                if self.marking.count(arc.place) > self.max_tokens {
-                    return Err(SimError::TokenOverflow {
-                        place: arc.place.index(),
-                        time: self.now,
-                        limit: self.cfg.max_tokens_per_place,
-                    });
-                }
-            }
-        }
-        // Incremental enabling maintenance: only conditions watching the
-        // places this transition touches are re-evaluated (each at most
-        // once, via the epoch stamp).
-        self.epoch += 1;
-        for &p in cs.touched.row(ti) {
-            self.refresh_place(p);
-        }
-        self.firing_counts[ti] += 1;
-        if self.cfg.trace_capacity > 0 {
-            self.trace.record(self.now, tid);
-        }
-        if self.now >= self.cfg.warmup && !self.firing_hooks[ti].is_empty() {
-            // Dispatch index: no scan over unrelated accumulators.
-            for hi in 0..self.firing_hooks[ti].len() {
-                let ai = self.firing_hooks[ti][hi] as usize;
-                match &mut self.accs[ai] {
-                    RewardAcc::Throughput { count } | RewardAcc::FiringCount { count } => {
-                        *count += 1
-                    }
-                    _ => unreachable!("firing hook points at a counter reward"),
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fire enabled immediates (highest priority first, weighted conflicts)
-    /// until none remain enabled — reading the incrementally maintained
-    /// enabled-immediates index, not rescanning every immediate.
-    fn fire_immediates(&mut self) -> Result<(), SimError> {
-        loop {
-            #[cfg(debug_assertions)]
-            self.assert_imm_index_consistent();
-            if self.enabled_imm.is_empty() {
-                break;
-            }
-            // Highest priority wins; collect the tied set.
-            self.candidates.clear();
-            let mut best_pri = 0u8;
-            for i in 0..self.enabled_imm.len() {
-                let tid = self.enabled_imm[i];
-                let pri = self.cs.hot[tid as usize].priority;
-                if self.candidates.is_empty() || pri > best_pri {
-                    best_pri = pri;
-                    self.candidates.clear();
-                    self.candidates.push(tid);
-                } else if pri == best_pri {
-                    self.candidates.push(tid);
-                }
-            }
-            // The index is unordered; conflict resolution must see the
-            // candidates in definition order (reference semantics).
-            self.candidates.sort_unstable();
-            let chosen = if self.candidates.len() == 1 {
-                self.candidates[0]
-            } else {
-                self.weights.clear();
-                for i in 0..self.candidates.len() {
-                    self.weights
-                        .push(self.cs.hot[self.candidates[i] as usize].weight);
-                }
-                self.candidates[self.rng.weighted_choice(&self.weights)]
-            };
-            let chosen = TransitionId(chosen);
-            self.fire(chosen)?;
-            self.update_schedules_after(chosen);
-            self.bump_zero_time_counter()?;
-        }
-        Ok(())
-    }
-
-    /// Cross-check the enabled-immediates index against full rescans.
-    #[cfg(debug_assertions)]
-    fn assert_imm_index_consistent(&self) {
-        for &tid in &self.cs.immediates {
-            let in_index = self.imm_pos[tid.index()] != NOT_QUEUED;
-            let enabled = self.is_enabled_slow(self.net.transition(tid));
-            debug_assert_eq!(
-                in_index,
-                enabled,
-                "enabled-immediates index diverged for {:?}",
-                self.net.transition(tid).name
-            );
-        }
-    }
-
-    #[inline]
-    fn bump_zero_time_counter(&mut self) -> Result<(), SimError> {
-        self.zero_time_firings += 1;
-        if self.zero_time_firings > self.cfg.max_zero_time_firings {
-            return Err(SimError::ImmediateLivelock {
-                time: self.now,
-                limit: self.cfg.max_zero_time_firings,
-            });
-        }
-        Ok(())
-    }
-
-    // ---- reward integration ----
-
-    /// Integrate time-based rewards over `[self.now, until)`, clipping to
-    /// the warm-up boundary.
-    fn integrate_rewards(&mut self, until: f64) {
-        if self.accs.is_empty() {
-            return;
-        }
-        let from = self.now.max(self.cfg.warmup);
-        let dt = until - from;
-        if dt <= 0.0 {
-            return;
-        }
-        for acc in &mut self.accs {
-            match acc {
-                RewardAcc::PlaceTokens { place, integral } => {
-                    *integral += self.marking.count(*place) as f64 * dt;
-                }
-                RewardAcc::Predicate { prog, integral } => {
-                    let prog = self.pred_progs[*prog]
-                        .as_ref()
-                        .expect("predicate reward has a compiled program");
-                    if prog.eval_bool(&self.marking, &mut self.guard_scratch) {
-                        *integral += dt;
-                    }
-                }
-                RewardAcc::Throughput { .. } | RewardAcc::FiringCount { .. } => {}
-            }
-        }
-    }
-
-    // ---- main loop ----
-
-    fn run(mut self) -> Result<SimOutput, SimError> {
-        // Initial scheduling pass over all transitions.
-        for tid in self.net.transition_ids() {
-            if self.cs.hot[tid.index()].kind != TimingKind::Immediate {
-                self.recheck_timed(tid);
-            }
-        }
-        self.fire_immediates()?;
-
-        loop {
-            // Surface the next *valid* entry (stale ones die here).
-            let next = loop {
-                match self.heap.first() {
-                    None => break None,
-                    Some(e) => {
-                        if e.gen == self.gen[e.tid as usize] {
-                            break Some(*e);
-                        }
-                        self.heap_pop();
-                    }
-                }
-            };
-
-            match next {
-                Some(e) if e.time < self.cfg.end_time => {
-                    self.heap_pop();
-                    let tid = TransitionId(e.tid);
-                    self.integrate_rewards(e.time);
-                    if e.time > self.now {
-                        self.zero_time_firings = 0;
-                    }
-                    self.now = e.time;
-                    // Consume the schedule entry.
-                    self.fire_at[e.tid as usize] = f64::NAN;
-                    self.sched_state[e.tid as usize] &= !ST_SCHEDULED;
-                    self.gen[e.tid as usize] += 1;
-                    self.fire(tid)?;
-                    self.bump_zero_time_counter()?;
-                    self.update_schedules_after(tid);
-                    self.fire_immediates()?;
-                }
-                _ => {
-                    // No more events before the horizon: integrate the tail
-                    // and stop.
-                    self.integrate_rewards(self.cfg.end_time);
-                    self.now = self.cfg.end_time;
-                    break;
-                }
-            }
-        }
-
-        let observed = (self.cfg.end_time - self.cfg.warmup).max(0.0);
-        let rewards = self
-            .accs
-            .iter()
-            .map(|acc| match acc {
-                RewardAcc::PlaceTokens { integral, .. } | RewardAcc::Predicate { integral, .. } => {
-                    if observed > 0.0 {
-                        integral / observed
-                    } else {
-                        0.0
-                    }
-                }
-                RewardAcc::Throughput { count } => {
-                    if observed > 0.0 {
-                        *count as f64 / observed
-                    } else {
-                        0.0
-                    }
-                }
-                RewardAcc::FiringCount { count } => *count as f64,
-            })
-            .collect();
-
-        Ok(SimOutput {
-            end_time: self.cfg.end_time,
-            observed_time: observed,
-            rewards,
-            firing_counts: self.firing_counts,
-            final_marking: self.marking,
-            trace_dropped: self.trace.dropped,
-            trace: self.trace.into_events(),
-        })
+        tele.counter("engine_runs_total").add(runs);
+        tele.counter("engine_events_total").add(events);
+        out
     }
 }
 
@@ -1964,5 +1217,90 @@ mod tests {
         // and can never elapse.
         assert_eq!(out_m.final_marking.count(out), 0);
         assert_eq!(out_m.final_marking.count(p), 1);
+    }
+
+    fn mm1(rho: f64) -> Net {
+        let mut b = NetBuilder::new("mm1");
+        let q = b.place("q").build();
+        b.transition("arrive", Timing::exponential(rho))
+            .output(q, 1)
+            .build();
+        b.transition("serve", Timing::exponential(1.0))
+            .input(q, 1)
+            .build();
+        b.build().unwrap()
+    }
+
+    fn assert_same(a: &SimOutput, b: &SimOutput) {
+        assert_eq!(a.rewards, b.rewards);
+        assert_eq!(a.firing_counts, b.firing_counts);
+        assert_eq!(a.final_marking, b.final_marking);
+        assert_eq!(a.trace, b.trace);
+        assert_eq!(a.trace_dropped, b.trace_dropped);
+        assert_eq!(a.observed_time, b.observed_time);
+    }
+
+    #[test]
+    fn batch_matches_scalar_per_seed() {
+        let net = mm1(0.8);
+        let mut sim = Simulator::new(&net, SimConfig::for_horizon(200.0).with_trace(32));
+        let q = PlaceId::from_index(0);
+        sim.reward_place(q);
+        let seeds: Vec<u64> = (0..17).map(|i| 1000 + i).collect();
+        let batched = sim.run_batch(&seeds);
+        for (i, &seed) in seeds.iter().enumerate() {
+            let scalar = sim.run(seed).unwrap();
+            let b = batched[i].as_ref().unwrap();
+            assert_same(b, &scalar);
+        }
+    }
+
+    #[test]
+    fn per_lane_horizons_retire_mid_batch() {
+        let net = mm1(0.9);
+        let mut sim = Simulator::new(&net, SimConfig::for_horizon(100.0));
+        let q = PlaceId::from_index(0);
+        sim.reward_place(q);
+        let seeds = [7u64, 8, 9, 10];
+        let horizons = [25.0, 400.0, 3.0, 100.0];
+        let batched = sim.run_batch_with_horizons(&seeds, &horizons);
+        for (i, (&seed, &h)) in seeds.iter().zip(&horizons).enumerate() {
+            let mut cfg = sim.config().clone();
+            cfg.end_time = h;
+            let mut oracle = Simulator::new(&net, cfg);
+            oracle.reward_place(q);
+            let scalar = oracle.run(seed).unwrap();
+            assert_same(batched[i].as_ref().unwrap(), &scalar);
+        }
+    }
+
+    #[test]
+    fn an_erroring_lane_does_not_disturb_the_others() {
+        // Lane horizons long enough that the open generator overflows the
+        // tiny token bound in every lane *except* the short one.
+        let net = mm1(5.0);
+        let mut cfg = SimConfig::for_horizon(10_000.0);
+        cfg.max_tokens_per_place = 50;
+        let sim = Simulator::new(&net, cfg);
+        let seeds = [1u64, 2, 3];
+        let horizons = [10_000.0, 1.0, 10_000.0];
+        let batched = sim.run_batch_with_horizons(&seeds, &horizons);
+        for (i, (&seed, &h)) in seeds.iter().zip(&horizons).enumerate() {
+            let mut cfg = sim.config().clone();
+            cfg.end_time = h;
+            let oracle = Simulator::new(&net, cfg);
+            match (oracle.run(seed), &batched[i]) {
+                (Ok(a), Ok(b)) => assert_same(b, &a),
+                (Err(a), Err(b)) => assert_eq!(&a, b),
+                (a, b) => panic!("lane {i}: scalar {a:?} vs batched {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn empty_batch_is_fine() {
+        let net = mm1(0.5);
+        let sim = Simulator::new(&net, SimConfig::for_horizon(10.0));
+        assert!(sim.run_batch(&[]).is_empty());
     }
 }

@@ -1,37 +1,38 @@
 //! The lowering pass: compile one (net × rewards) into a flat micro-op
 //! program that the lowered engine ([`super::lowered`]) executes directly.
 //!
-//! The incremental interpreter ([`super::engine`]) still walks the compiled
-//! net per event: it matches on the distribution kind and memory policy of
-//! every re-scheduled transition, chases `Option<DensePlan>` and CSR
-//! indirections, and re-dispatches on condition kinds that are invariant
-//! for a given net. This module runs all of those decisions **once per
+//! The input is the simulator's `CompiledSim` ([`super::engine`]): dense
+//! condition tables, CSR indices, optional dense firing plans, and
+//! per-transition timing scalars. Walking those tables per event would
+//! mean matching on the distribution kind and memory policy of every
+//! re-scheduled transition, chasing `Option<DensePlan>` and CSR
+//! indirections, and re-dispatching on condition kinds that are invariant
+//! for a given net. This module makes all of those decisions **once per
 //! simulator** and serializes the result into one contiguous `u32` arena:
 //!
 //! * Each transition gets a **fire section** — SUB/ADD count ops (or one
 //!   generic-fire op for colored transitions) followed by inline condition
 //!   re-evaluation ops (place, threshold, and watching transition baked
-//!   into the op stream; the `cond_epoch` dedup machinery is replaced by a
-//!   precomputed first-touch-order row) and counter-reward hook ops.
+//!   into the op stream, in a precomputed first-touch order that visits
+//!   each condition once) and counter-reward hook ops.
 //! * Each transition gets a **recheck section** — one op per timed
 //!   transition whose clock may need attention after the firing, with the
 //!   *(memory policy × distribution kind)* pair monomorphized into the
 //!   opcode itself and the distribution parameters inlined as immediate
-//!   words. The per-event `match` on `TimingKind`/`MemoryPolicy`
-//!   disappears; an exponential RaceEnable re-check is a single opcode.
-//! * A **startup program** replays the interpreter's initial scheduling
-//!   pass (every timed transition re-checked in definition order).
+//!   words. An exponential RaceEnable re-check is a single opcode.
+//! * A **startup program** replays the reference engine's initial
+//!   scheduling pass (every timed transition re-checked in definition
+//!   order).
 //! * Time-based rewards become a flat integration program over dense
 //!   accumulator stripes; counter rewards become hook ops.
 //!
-//! The program encodes *what the interpreter would do*, in the exact same
+//! The program encodes *what the reference engine does*, in the exact same
 //! order, drawing from the RNG at the exact same points — the lowered
-//! engine's outputs are bit-identical to the interpreter's and the
-//! reference engine's, which `tests/lowered_differential.rs` proves on
-//! every variant. Feature specialization (scan-vs-heap scheduling,
-//! colored-vs-count-only firing) is selected once per net and baked into
-//! const-generic instantiations of the hot loop, so the per-event path has
-//! no dynamic dispatch left.
+//! engine's outputs are bit-identical to the reference engine's, which
+//! `tests/lowered_differential.rs` proves on every variant. Feature
+//! specialization (scan-vs-heap scheduling, colored-vs-count-only firing)
+//! is selected once per net and baked into const-generic instantiations of
+//! the hot loop, so the per-event path has no dynamic dispatch left.
 
 use super::engine::{
     CompiledSim, Simulator, TimingKind, COND_GUARD, COND_INHIB_ANY, COND_INHIB_FILTERED,
@@ -77,7 +78,7 @@ fn count_cmp_threshold(prog: &CompiledExpr) -> Option<(u32, bool, u32)> {
 }
 
 /// Transition-count ceiling for the scan scheduler (scalar and batched
-/// lowered runs, and the interpreter's batch engine). Below it, the next
+/// runs alike). Below it, the next
 /// event is found by scanning the lane's contiguous `fire_at` stripe (at
 /// 32 transitions the stripe is 256 bytes — four cache lines); above it,
 /// per-lane lazy-deletion 4-ary heaps take over.
@@ -428,7 +429,7 @@ impl LoweredNet {
             sec.push(ops.len() as u32);
         }
 
-        // Startup program: the interpreter's initial pass re-checks every
+        // Startup program: the reference engine's initial pass re-checks every
         // timed transition in definition order.
         let mut init_ops = Vec::new();
         for t2 in 0..nt {

@@ -1,20 +1,20 @@
-//! Direct-threaded execution of lowered stepping programs.
+//! Direct-threaded execution of lowered stepping programs — the production
+//! engine.
 //!
-//! [`LoweredEngine`] is the default executor behind both `Simulator::run`
-//! (one lane) and `BatchSimulator::run` (many lanes): every lane advances
-//! to completion in [`Lane::run`], a single fused loop that executes the
-//! net's [`LoweredNet`] micro-op program. The scalar and batched hot paths
-//! are therefore *the same code* — there is no separate scalar firing
-//! logic to keep in sync (the interpreter survives as the differential
-//! oracle and A/B baseline, not as a second production path).
+//! [`LoweredEngine`] is the one executor behind every `Simulator` run:
+//! `Simulator::run` is its one-lane case and `Simulator::run_batch` its
+//! many-lane case. Every lane advances to completion in [`Lane::run`], a
+//! single fused loop that executes the net's [`LoweredNet`] micro-op
+//! program, so the scalar and batched hot paths are *the same code*.
 //!
-//! Two levers distinguish this from the interpreter's batch engine:
+//! Two levers make it fast:
 //!
-//! * **Per-lane local slices.** Lane state is carved out of the SoA arenas
-//!   once per lane into a [`Lane`] of `&mut [..]` slices of length
-//!   `nt`/`nc`, so the hot loop indexes `fire_at[ti]` instead of
-//!   `self.fire_at[l * nt + ti]` — no per-access base+offset arithmetic,
-//!   and the slice lengths give the optimizer bounds it can hoist.
+//! * **Per-lane local slices.** Per-lane state lives in structure-of-arrays
+//!   arenas of `lanes × stride`; each lane's stripes are carved out once
+//!   into a [`Lane`] of `&mut [..]` slices of length `nt`/`nc`, so the hot
+//!   loop indexes `fire_at[ti]` instead of `self.fire_at[l * nt + ti]` — no
+//!   per-access base+offset arithmetic, and the slice lengths give the
+//!   optimizer bounds it can hoist.
 //! * **Monomorphized ops.** The per-event work is a walk over flat op
 //!   words with parameters inline; distribution sampling, memory-policy
 //!   handling, scan-vs-heap scheduling and colored-vs-dense firing are all
@@ -24,19 +24,20 @@
 //!
 //! # Determinism
 //!
-//! The op program replays the interpreter's exact operation sequence: same
-//! RNG draw order, same comparison order, same error precedence, same
-//! event order (the scan scheduler's min-`(fire_at, tid)` is provably the
-//! heap's valid-pop order). Outputs are **bit-identical** to
-//! `Simulator::run_interp` and `run_reference` at every batch width —
+//! Lanes never interact: each owns its RNG, marking, schedule, counters and
+//! accumulators, and the shared scratch buffers are used by one lane at a
+//! time. The op program replays the reference engine's exact operation
+//! sequence: same RNG draw order, same comparison order, same error
+//! precedence, same event order (the scan scheduler's min-`(fire_at, tid)`
+//! is provably the heap's valid-pop order). Outputs are therefore
+//! **bit-identical** to `Simulator::run_reference` at every batch width —
 //! `tests/lowered_differential.rs` and the CI repro byte-comparison prove
-//! it, and debug builds additionally shadow the first lowered run per
-//! simulator with the interpreter plus cross-check the incremental
-//! enabling state against full rescans on every visited transition.
+//! it, and debug builds additionally shadow the first run per simulator
+//! with the reference engine plus cross-check the incremental enabling
+//! state against full rescans on every visited transition.
 
 use super::engine::{
-    effective_token_limit, heap_less, CompiledSim, HeapEntry, SimConfig, SimOutput, Simulator,
-    TimingKind, NOT_QUEUED, ST_ENABLED, ST_RESAMPLE, ST_SCHEDULED,
+    effective_token_limit, CompiledSim, SimConfig, SimOutput, Simulator, TimingKind,
 };
 use super::lower::{
     dec_f64, IntegOp, LoweredNet, LoweredReward, CNT_INV, HDR_GENERIC, MOV_ADD, OP_C_FGE, OP_C_FLT,
@@ -54,21 +55,13 @@ use crate::rng::SimRng;
 use crate::timing::MemoryPolicy;
 use crate::token::Color;
 
-/// Run one replication on the lowered engine (the scalar entry point).
-pub(super) fn run_single(sim: &Simulator<'_>, seed: u64) -> Result<SimOutput, SimError> {
-    LoweredEngine::new(sim, &[seed], &[sim.cfg.end_time])
-        .run_all()
-        .pop()
-        .expect("one lane in, one result out")
-}
-
 /// Assert two engine results are bit-identical (debug oracle).
 #[cfg(debug_assertions)]
 pub(super) fn debug_assert_outputs_eq(
     lowered: &Result<SimOutput, SimError>,
-    interp: &Result<SimOutput, SimError>,
+    reference: &Result<SimOutput, SimError>,
 ) {
-    match (lowered, interp) {
+    match (lowered, reference) {
         (Ok(a), Ok(b)) => {
             debug_assert_eq!(a.rewards, b.rewards, "lowered rewards diverged");
             debug_assert_eq!(a.firing_counts, b.firing_counts, "firing counts diverged");
@@ -78,13 +71,44 @@ pub(super) fn debug_assert_outputs_eq(
             debug_assert_eq!(a.observed_time, b.observed_time);
         }
         (Err(a), Err(b)) => debug_assert_eq!(a, b, "lowered error diverged"),
-        (a, b) => panic!("lowered engine diverged from the interpreter: {a:?} vs {b:?}"),
+        (a, b) => panic!("lowered engine diverged from the reference engine: {a:?} vs {b:?}"),
     }
 }
 
 // ---------------------------------------------------------------------------
 // 4-ary lazy-deletion heap (free functions over one lane's heap)
 // ---------------------------------------------------------------------------
+
+/// One pending firing. Entries are never removed on cancellation — the
+/// per-transition generation counter marks them stale, and the main loop
+/// discards stale entries as they surface. Min-order on `(time, tid, gen)`:
+/// ties at the same instant fire in definition order.
+#[derive(Debug, Clone, Copy)]
+struct HeapEntry {
+    time: f64,
+    tid: u32,
+    gen: u64,
+}
+
+#[inline]
+fn heap_less(a: &HeapEntry, b: &HeapEntry) -> bool {
+    match a.time.total_cmp(&b.time) {
+        std::cmp::Ordering::Less => true,
+        std::cmp::Ordering::Greater => false,
+        std::cmp::Ordering::Equal => (a.tid, a.gen) < (b.tid, b.gen),
+    }
+}
+
+const NOT_QUEUED: u32 = u32::MAX;
+
+// Per-transition scheduling state byte: lets the post-firing re-check ops
+// skip settled transitions on a single byte compare.
+/// Transition is enabled (unsatisfied-condition counter is zero).
+const ST_ENABLED: u8 = 0b001;
+/// Transition has a pending event.
+const ST_SCHEDULED: u8 = 0b010;
+/// Transition has the Resample memory policy (static).
+const ST_RESAMPLE: u8 = 0b100;
 
 #[inline]
 fn heap_push(heap: &mut Vec<HeapEntry>, e: HeapEntry) {
@@ -207,7 +231,7 @@ struct Lane<'x> {
 }
 
 impl<'x> Lane<'x> {
-    // ---- debug oracles: the interpreter's rescan cross-checks ----
+    // ---- debug oracles: full-rescan cross-checks ----
 
     #[cfg(debug_assertions)]
     fn oracle_sched(&self, sh: &Shared<'_>, t2: usize) {
@@ -507,7 +531,7 @@ impl<'x> Lane<'x> {
 
     /// The generic colored firing path (withdraw per input arc, evaluate
     /// color expressions, deposit per output arc) — byte-for-byte the
-    /// interpreter's, including error precedence.
+    /// reference engine's, including error precedence.
     fn fire_generic(&mut self, sh: &Shared<'_>, ti: usize) -> Result<(), SimError> {
         let t = &sh.net.transitions()[ti];
         self.consumed.clear();
@@ -693,7 +717,7 @@ impl<'x> Lane<'x> {
     // ---- rewards / livelock ----
 
     /// Integrate time-based rewards over `[now, until)`, clipped to the
-    /// warm-up boundary (the interpreter's `integrate_rewards`).
+    /// warm-up boundary.
     #[inline(always)]
     fn integrate(&mut self, sh: &Shared<'_>, until: f64) {
         if sh.integ.is_empty() {
@@ -750,7 +774,7 @@ impl<'x> Lane<'x> {
     // ---- immediate cascade ----
 
     /// Fire enabled immediates until none remain (highest priority first,
-    /// weighted conflicts, definition order on ties — the interpreter's
+    /// weighted conflicts, definition order on ties — the reference engine's
     /// `fire_immediates`, with fire → recheck → zero-bump order).
     #[inline(always)]
     fn immediates<const SCAN: bool, const GEN: bool>(
@@ -797,7 +821,7 @@ impl<'x> Lane<'x> {
 
     // ---- lane lifecycle ----
 
-    /// The interpreter's pre-loop work: run the startup recheck program
+    /// The pre-loop work: run the startup recheck program
     /// (initial scheduling pass), then the time-zero immediate cascade.
     fn start<const SCAN: bool, const GEN: bool>(
         &mut self,
@@ -817,7 +841,7 @@ impl<'x> Lane<'x> {
         loop {
             let next = self.next_event::<SCAN>();
             match next {
-                // `time < end` (not `>=`) mirrors the interpreter's
+                // `time < end` (not `>=`) mirrors the reference engine's
                 // `e.time < cfg.end_time` guard, including a NaN horizon.
                 Some((time, tid)) if time < end => {
                     let ti = tid as usize;
@@ -830,7 +854,7 @@ impl<'x> Lane<'x> {
                         self.zero = 0;
                     }
                     self.now = time;
-                    // Consume the schedule entry, then the interpreter's
+                    // Consume the schedule entry, then the reference engine's
                     // fire → zero-bump → recheck → immediates order.
                     self.fire_at[ti] = f64::INFINITY;
                     self.sched_state[ti] &= !ST_SCHEDULED;
@@ -864,7 +888,8 @@ fn is_enabled_slow(marking: &Marking, t: &crate::transition::Transition) -> bool
         && t.guard.as_ref().is_none_or(|g| g.eval_bool(marking))
 }
 
-/// Erlang-k delay: sum of k exponential draws (the interpreter's order).
+/// Erlang-k delay: sum of k exponential draws (the reference engine's
+/// order).
 #[inline(always)]
 fn erlang(rng: &mut SimRng, rate: f64, k: u32) -> f64 {
     let mut total = 0.0;
@@ -990,7 +1015,7 @@ impl<'e> LoweredEngine<'e> {
     }
 
     /// Evaluate every condition from scratch and build the enabled sets
-    /// (start of run only; identical to the interpreter's).
+    /// (start of run only).
     fn init_conditions(&mut self, l: usize) {
         let cs = self.cs;
         let tb = l * self.nt;
@@ -1192,13 +1217,13 @@ mod tests {
     }
 
     #[test]
-    fn lowered_matches_interpreter_on_mm1() {
+    fn lowered_matches_reference_on_mm1() {
         let net = mm1(0.8);
         let mut sim = Simulator::new(&net, SimConfig::for_horizon(300.0).with_trace(16));
         sim.reward_place(crate::ids::PlaceId::from_index(0));
         for seed in 0..20u64 {
-            let a = sim.run_lowered(seed).unwrap();
-            let b = sim.run_interp(seed).unwrap();
+            let a = sim.run(seed).unwrap();
+            let b = sim.run_reference(seed).unwrap();
             assert_eq!(a.rewards, b.rewards);
             assert_eq!(a.firing_counts, b.firing_counts);
             assert_eq!(a.final_marking, b.final_marking);
@@ -1215,7 +1240,7 @@ mod tests {
         let ends = vec![sim.config().end_time; seeds.len()];
         let batched = LoweredEngine::new(&sim, &seeds, &ends).run_all();
         for (i, &seed) in seeds.iter().enumerate() {
-            let scalar = sim.run_lowered(seed).unwrap();
+            let scalar = sim.run(seed).unwrap();
             let b = batched[i].as_ref().unwrap();
             assert_eq!(b.rewards, scalar.rewards);
             assert_eq!(b.firing_counts, scalar.firing_counts);
@@ -1224,7 +1249,7 @@ mod tests {
     }
 
     #[test]
-    fn lowered_errors_match_the_interpreter() {
+    fn lowered_errors_match_the_reference() {
         // An open generator against a tiny token bound: both engines must
         // report the same overflow at the same time.
         let net = mm1(5.0);
@@ -1232,7 +1257,7 @@ mod tests {
         cfg.max_tokens_per_place = 40;
         let sim = Simulator::new(&net, cfg);
         for seed in 0..10u64 {
-            match (sim.run_lowered(seed), sim.run_interp(seed)) {
+            match (sim.run(seed), sim.run_reference(seed)) {
                 (Err(a), Err(b)) => assert_eq!(a, b),
                 (a, b) => panic!("expected overflow from both engines: {a:?} vs {b:?}"),
             }

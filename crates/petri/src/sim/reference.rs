@@ -7,11 +7,14 @@
 //! linear scan per firing; the event heap uses lazy invalidation with
 //! generation counters.
 //!
-//! The optimized engine in [`super::engine`] must produce **bit-identical
-//! trajectories** (same seeds → same firing counts, rewards, and final
-//! marking): `Simulator::run_reference` exposes this path so differential
-//! tests and benchmarks can prove and price that equivalence. Keep the
-//! semantics here frozen — fix bugs in both engines or not at all.
+//! It is the one semantic oracle. The production engine
+//! ([`super::lowered`], behind `Simulator::run` and `Simulator::run_batch`)
+//! must produce **bit-identical trajectories** (same seeds → same firing
+//! counts, rewards, traces, final marking, and errors):
+//! `Simulator::run_reference` exposes this path so differential tests,
+//! the debug-build shadow run and benchmarks can prove and price that
+//! equivalence. Keep the semantics here frozen — fix bugs in both engines
+//! or not at all.
 
 use super::engine::{SimConfig, SimOutput};
 use super::rewards::RewardSpec;
@@ -90,7 +93,7 @@ pub(crate) struct ReferenceEngine<'a> {
     net: &'a Net,
     cfg: &'a SimConfig,
     /// `cfg.max_tokens_per_place` clamped below the u32 count ceiling
-    /// (shared with the incremental engine so both fail identically).
+    /// (shared with the lowered engine so both fail identically).
     max_tokens: usize,
     rng: SimRng,
     now: f64,

@@ -1,13 +1,14 @@
-//! Differential tests for the batched SoA engine: `BatchSimulator` must
-//! reproduce the scalar engine (`Simulator::run`) **bit for bit** — per
-//! replication, at every batch width — across every feature the engine
-//! supports: uncolored and colored nets, guards, inhibitors, priorities and
-//! weights, all three memory policies, traces, warm-up windows, and lanes
-//! that retire mid-batch (per-lane horizons and per-lane errors).
+//! Differential tests for batched execution: `Simulator::run_batch` (and
+//! its per-lane-horizon variant) must reproduce the reference engine
+//! (`Simulator::run_reference`) **bit for bit** — per replication, at every
+//! batch width — across every feature the engine supports: uncolored and
+//! colored nets, guards, inhibitors, priorities and weights, all three
+//! memory policies, traces, warm-up windows, and lanes that retire
+//! mid-batch (per-lane horizons and per-lane errors).
 //!
-//! Lanes never interact and each consumes its RNG exactly as the scalar
-//! engine does, so any divergence is a real indexing/striping bug in the
-//! batch machinery, not floating-point noise — hence `assert_eq` on `f64`
+//! Lanes never interact and each consumes its RNG exactly as a scalar run
+//! does, so any divergence is a real indexing/striping bug in the batch
+//! machinery, not floating-point noise — hence `assert_eq` on `f64`
 //! values, not tolerances.
 
 use petri_core::arc::ColorExpr;
@@ -36,28 +37,24 @@ fn assert_same_output(a: &SimOutput, b: &SimOutput, label: &str, seed: u64, widt
     assert_eq!(a.observed_time, b.observed_time, "{ctx}: observed_time");
 }
 
-/// Run the scalar engine once per seed, then every batch width over the
-/// same seeds — on both the interpreter's batch engine and the default
-/// (lowered) path — and require bit-identical per-replication results.
+/// Run the reference engine once per seed, then every batch width over the
+/// same seeds, and require bit-identical per-replication results.
 fn assert_batch_identical(sim: &Simulator<'_>, label: &str) {
     let seeds: Vec<u64> = SEEDS.collect();
-    let scalar: Vec<_> = seeds.iter().map(|&s| sim.run(s)).collect();
-    let batcher = BatchSimulator::new(sim);
+    let scalar: Vec<_> = seeds.iter().map(|&s| sim.run_reference(s)).collect();
     for &w in &WIDTHS {
         for (ci, chunk) in seeds.chunks(w).enumerate() {
-            for batched in [batcher.run(chunk), batcher.run_interp(chunk)] {
-                for (j, res) in batched.iter().enumerate() {
-                    let i = ci * w + j;
-                    match (&scalar[i], res) {
-                        (Ok(a), Ok(b)) => assert_same_output(a, b, label, seeds[i], w),
-                        (Err(a), Err(b)) => {
-                            assert_eq!(a, b, "{label} seed {} width {w}: errors diverged", seeds[i])
-                        }
-                        (a, b) => panic!(
-                            "{label} seed {} width {w}: scalar {a:?} vs batched {b:?}",
-                            seeds[i]
-                        ),
+            for (j, res) in sim.run_batch(chunk).iter().enumerate() {
+                let i = ci * w + j;
+                match (&scalar[i], res) {
+                    (Ok(a), Ok(b)) => assert_same_output(a, b, label, seeds[i], w),
+                    (Err(a), Err(b)) => {
+                        assert_eq!(a, b, "{label} seed {} width {w}: errors diverged", seeds[i])
                     }
+                    (a, b) => panic!(
+                        "{label} seed {} width {w}: reference {a:?} vs batched {b:?}",
+                        seeds[i]
+                    ),
                 }
             }
         }
@@ -256,7 +253,7 @@ fn tandem_rewards(net: &Net, sim: &mut Simulator<'_>) {
     sim.reward_place(net.place_by_name("p1").unwrap());
 }
 
-// --- per-net batch-vs-scalar identity at every width ---
+// --- per-net batch-vs-reference identity at every width ---
 
 #[test]
 fn batch_differential_mm1() {
@@ -314,7 +311,7 @@ fn batch_differential_tandem_batching() {
     assert_batch_identical(&sim, "tandem-batching");
 }
 
-/// A 40-stage tandem line: with more than 32 transitions the batch engine
+/// A 40-stage tandem line: with more than 32 transitions the engine
 /// falls back from the stripe-scan scheduler to the per-lane lazy-deletion
 /// heaps, so this net keeps the heap path under differential coverage.
 #[test]
@@ -344,7 +341,8 @@ fn batch_differential_wide_net_heap_scheduler() {
 }
 
 // --- mid-batch retirement: lanes with different horizons, and lanes that
-// --- error, must each match the scalar engine run to that lane's horizon.
+// --- error, must each match the reference engine run to that lane's
+// --- horizon.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -358,13 +356,13 @@ proptest! {
         let mut sim = Simulator::new(&net, SimConfig::for_horizon(250.0).with_warmup(5.0));
         dvs_rewards(&net, &mut sim);
         let seeds: Vec<u64> = (0..horizons.len() as u64).map(|i| seed0 + i).collect();
-        let batched = BatchSimulator::new(&sim).run_with_horizons(&seeds, &horizons);
+        let batched = sim.run_batch_with_horizons(&seeds, &horizons);
         for (i, (&seed, &h)) in seeds.iter().zip(&horizons).enumerate() {
             let mut cfg = sim.config().clone();
             cfg.end_time = h;
             let mut oracle = Simulator::new(&net, cfg);
             dvs_rewards(&net, &mut oracle);
-            let scalar = oracle.run(seed).unwrap();
+            let scalar = oracle.run_reference(seed).unwrap();
             let b = batched[i].as_ref().unwrap();
             prop_assert_eq!(&b.firing_counts, &scalar.firing_counts);
             prop_assert_eq!(&b.rewards, &scalar.rewards);
@@ -383,13 +381,13 @@ proptest! {
             let mut sim = Simulator::new(&net, SimConfig::for_horizon(300.0));
             memory_rewards(&net, &mut sim);
             let seeds: Vec<u64> = (0..horizons.len() as u64).map(|i| seed0 + 31 * i).collect();
-            let batched = BatchSimulator::new(&sim).run_with_horizons(&seeds, &horizons);
+            let batched = sim.run_batch_with_horizons(&seeds, &horizons);
             for (i, (&seed, &h)) in seeds.iter().zip(&horizons).enumerate() {
                 let mut cfg = sim.config().clone();
                 cfg.end_time = h;
                 let mut oracle = Simulator::new(&net, cfg);
                 memory_rewards(&net, &mut oracle);
-                let scalar = oracle.run(seed).unwrap();
+                let scalar = oracle.run_reference(seed).unwrap();
                 let b = batched[i].as_ref().unwrap();
                 prop_assert_eq!(&b.firing_counts, &scalar.firing_counts);
                 prop_assert_eq!(&b.rewards, &scalar.rewards);
@@ -399,7 +397,7 @@ proptest! {
     }
 }
 
-/// A lane that trips `TokenOverflow` retires with exactly the scalar error
+/// A lane that trips `TokenOverflow` retires with exactly the reference error
 /// while its batchmates run to their horizons undisturbed.
 #[test]
 fn erroring_lanes_match_scalar_errors() {
@@ -418,15 +416,15 @@ fn erroring_lanes_match_scalar_errors() {
     // Long lanes overflow; the 0.5 s lane finishes cleanly first.
     let seeds = [3u64, 4, 5, 6];
     let horizons = [10_000.0, 0.5, 10_000.0, 0.5];
-    let batched = BatchSimulator::new(&sim).run_with_horizons(&seeds, &horizons);
+    let batched = sim.run_batch_with_horizons(&seeds, &horizons);
     for (i, (&seed, &h)) in seeds.iter().zip(&horizons).enumerate() {
         let mut cfg = sim.config().clone();
         cfg.end_time = h;
         let oracle = Simulator::new(&net, cfg);
-        match (oracle.run(seed), &batched[i]) {
+        match (oracle.run_reference(seed), &batched[i]) {
             (Ok(a), Ok(b)) => assert_same_output(&a, b, "boom", seed, 4),
             (Err(a), Err(b)) => assert_eq!(&a, b, "lane {i}: errors diverged"),
-            (a, b) => panic!("lane {i}: scalar {a:?} vs batched {b:?}"),
+            (a, b) => panic!("lane {i}: reference {a:?} vs batched {b:?}"),
         }
     }
     // The long lanes really did overflow (the test is not vacuous).

@@ -163,7 +163,7 @@ pub trait PortableJob: Sync {
     /// The default loops over [`PortableJob::run_slot`], so every job is
     /// batchable by construction. Jobs backed by a simulator override this
     /// to advance all lanes through one compiled model (see
-    /// `petri_core::sim::BatchSimulator`); because each lane consumes its
+    /// `petri_core::sim::Simulator::run_batch`); because each lane consumes its
     /// own RNG stream exactly as the scalar path would, an override **must
     /// not change result bytes** — backends rely on that to keep any batch
     /// width byte-identical to width 1.
@@ -371,8 +371,8 @@ impl TaskManifest {
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let kind = r.get_str()?.to_string();
         let payload = r.get_bytes()?.to_vec();
-        let nsegs = r.get_u32()? as usize;
-        let mut segments = Vec::with_capacity(nsegs.min(1 << 20));
+        let nsegs = r.get_count(24, "segment list")?;
+        let mut segments = Vec::with_capacity(nsegs);
         for _ in 0..nsegs {
             let point = r.get_u64()? as usize;
             let base_rep = r.get_u64()?;
@@ -383,8 +383,8 @@ impl TaskManifest {
                 count,
             });
         }
-        let nseeds = r.get_u32()? as usize;
-        let mut seeds = Vec::with_capacity(nseeds.min(1 << 20));
+        let nseeds = r.get_count(8, "seed list")?;
+        let mut seeds = Vec::with_capacity(nseeds);
         for _ in 0..nseeds {
             seeds.push(r.get_u64()?);
         }
@@ -1441,6 +1441,33 @@ pub(crate) mod tests {
         let back = TaskManifest::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(m, back);
+    }
+
+    /// A short frame declaring `u32::MAX` segments or seeds is rejected
+    /// before any allocation sized from the declared count.
+    #[test]
+    fn manifest_decode_rejects_counts_that_overrun_the_buffer() {
+        let decode = |buf: &[u8]| TaskManifest::decode(&mut Reader::new(buf)).unwrap_err();
+        let mut buf = Vec::new();
+        wire::put_str(&mut buf, "test-mul");
+        wire::put_bytes(&mut buf, &[]);
+        let prefix = buf.clone();
+        wire::put_u32(&mut buf, u32::MAX);
+        let err = decode(&buf);
+        assert!(
+            err.0.contains("segment list of 4294967295 overruns buffer"),
+            "{err}"
+        );
+
+        let mut buf = prefix;
+        wire::put_u32(&mut buf, 0);
+        wire::put_u32(&mut buf, u32::MAX);
+        wire::put_u64(&mut buf, 7);
+        let err = decode(&buf);
+        assert!(
+            err.0.contains("seed list of 4294967295 overruns buffer"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -93,8 +93,9 @@ pub fn encode_blob(slots: &[Vec<u8>]) -> Vec<u8> {
 /// Decode a blob back into per-slot result bytes.
 pub fn decode_blob(blob: &[u8]) -> Result<Vec<Vec<u8>>, WireError> {
     let mut r = Reader::new(blob);
-    let n = r.get_u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    // Each slot is at least its 4-byte length prefix.
+    let n = r.get_count(4, "slot list")?;
+    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(r.get_bytes()?.to_vec());
     }
@@ -548,6 +549,20 @@ mod tests {
         );
         // Truncated blob is an error, not a partial decode.
         assert!(decode_blob(&blob[..blob.len() - 1]).is_err());
+    }
+
+    /// A short blob declaring `u32::MAX` slots is rejected before any
+    /// allocation sized from the declared count.
+    #[test]
+    fn blob_decode_rejects_slot_counts_that_overrun_the_buffer() {
+        let mut blob = Vec::new();
+        wire::put_u32(&mut blob, u32::MAX);
+        wire::put_bytes(&mut blob, &[1, 2, 3]);
+        let err = decode_blob(&blob).unwrap_err();
+        assert!(
+            err.0.contains("slot list of 4294967295 overruns buffer"),
+            "{err}"
+        );
     }
 
     #[test]

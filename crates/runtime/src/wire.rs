@@ -156,12 +156,22 @@ impl<'a> Reader<'a> {
             .map_err(|_| WireError::new("string field is not UTF-8"))
     }
 
+    /// Read a `u32` element count for a sequence whose elements each
+    /// encode to at least `min_item_bytes`, rejecting a count the rest of
+    /// the buffer cannot possibly hold. Decoders size their allocations
+    /// from the returned count, so a short hostile frame cannot make them
+    /// reserve memory for elements it does not carry.
+    pub fn get_count(&mut self, min_item_bytes: usize, what: &str) -> Result<usize, WireError> {
+        let n = self.get_u32()? as usize;
+        if self.remaining() < n.saturating_mul(min_item_bytes) {
+            return Err(WireError::new(format!("{what} of {n} overruns buffer")));
+        }
+        Ok(n)
+    }
+
     /// Read a length-prefixed `f64` vector.
     pub fn get_f64s(&mut self) -> Result<Vec<f64>, WireError> {
-        let n = self.get_u32()? as usize;
-        if self.remaining() < n.saturating_mul(8) {
-            return Err(WireError::new(format!("f64 vector of {n} overruns buffer")));
-        }
+        let n = self.get_count(8, "f64 vector")?;
         (0..n).map(|_| self.get_f64()).collect()
     }
 }

@@ -264,12 +264,11 @@ pub fn simulate_cpu_model(params: &CpuModelParams, horizon: f64, seed: u64) -> C
 }
 
 /// Simulate the CPU net once per seed in `seeds`, advancing all
-/// replications together through [`BatchSimulator`].
+/// replications together through [`Simulator::run_batch`].
 ///
-/// Bit-identical to calling [`simulate_cpu_model`] once per seed — the
-/// batched engine interleaves lanes without letting them interact — but
-/// builds the net and compiles the reward set once, and overlaps the
-/// lanes' serial sampling/heap dependency chains.
+/// Bit-identical to calling [`simulate_cpu_model`] once per seed — lanes
+/// never interact — but builds the net and compiles the reward set once
+/// for the whole batch.
 pub fn simulate_cpu_model_batch(
     params: &CpuModelParams,
     horizon: f64,
@@ -284,8 +283,7 @@ pub fn simulate_cpu_model_batch(
     let r_queue = sim.reward_place(model.places.buffer);
     let r_wakeups = sim.reward_firings(model.transitions.t1);
     let r_served = sim.reward_firings(model.transitions.service);
-    BatchSimulator::new(&sim)
-        .run(seeds)
+    sim.run_batch(seeds)
         .into_iter()
         .map(|out| {
             let out = out.expect("CPU net cannot livelock or overflow");

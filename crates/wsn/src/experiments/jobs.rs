@@ -475,8 +475,7 @@ impl PortableJob for SeedAblationJob {
         let model = crate::cpu_model::build_cpu_model(&self.params);
         let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(self.horizon));
         let r_standby = sim.reward_place(model.places.stand_by);
-        BatchSimulator::new(&sim)
-            .run(seeds)
+        sim.run_batch(seeds)
             .into_iter()
             .map(|out| {
                 let out = out.map_err(|e| e.to_string())?;
