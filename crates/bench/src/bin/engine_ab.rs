@@ -1,7 +1,8 @@
 //! Paired A/B measurement of the production (lowered) engine on the shared
 //! [`bench::ab`] harness: adjacent interleaved blocks, alternating order,
 //! median of per-pair ratios — robust to the drift of noisy shared-CPU
-//! hosts. Writes `BENCH_engine.json`-ready numbers to stdout.
+//! hosts. Prints one line per measurement and, with `--out FILE`, writes
+//! the results as the JSON document committed as `BENCH_engine.json`.
 //!
 //! Two arms per net:
 //! * `scalar` — `Simulator::run` against the reference engine
@@ -17,10 +18,12 @@
 //!
 //! The nets: mm1, tandem lines of 4/16/64 stages, the paper's fig. 3 CPU
 //! net, and the paper's node SCPN under closed and open workloads (colored
-//! DVS jobs — the expensive transitions of the nets the paper runs).
+//! DVS jobs) with the full reward set `wsn::simulate_node_model` registers
+//! — place averages, radio-state predicates and firing counters — so the
+//! per-time-step reward integration is priced too.
 //!
 //! ```text
-//! cargo run --release -p bench --bin engine_ab [pairs_per_case]
+//! cargo run --release -p bench --bin engine_ab [pairs_per_case] [--out FILE]
 //! ```
 
 use des::{NodeSimParams, Workload};
@@ -115,10 +118,26 @@ fn events(sim: &Simulator<'_>, runs: u64) -> u64 {
         .sum()
 }
 
+/// One measured arm: the median ns/event of the baseline and of the
+/// variant, and the median paired speedup of the variant.
+struct Arm {
+    base_ns: f64,
+    ns: f64,
+    speedup: f64,
+}
+
+/// Both arms of one net: scalar lowered vs reference, then batched vs
+/// scalar lowered per width.
+struct NetResult {
+    label: String,
+    scalar: Arm,
+    batch: Vec<(usize, Arm)>,
+}
+
 /// Both arms for one net: scalar lowered vs reference over
 /// `scalar_runs`-replication blocks, then batched vs scalar lowered at
 /// every width over [`BATCH_REPS`]-replication blocks.
-fn measure(label: &str, sim: &Simulator<'_>, scalar_runs: u64, pairs: usize) {
+fn measure(label: &str, sim: &Simulator<'_>, scalar_runs: u64, pairs: usize) -> NetResult {
     // Pair `p` of a `runs`-replication sweep starts at this seed, so every
     // block runs fresh seeds and both variants of a pair run the same ones.
     let seed0 = |runs: u64, p: usize| (p as u64) * runs + 1;
@@ -128,56 +147,144 @@ fn measure(label: &str, sim: &Simulator<'_>, scalar_runs: u64, pairs: usize) {
         |p| time_scalar(seed0(scalar_runs, p), scalar_runs, |s| sim.run(s)),
         |p| time_scalar(seed0(scalar_runs, p), scalar_runs, |s| sim.run_reference(s)),
     );
+    let scalar = Arm {
+        base_ns: stats.b_ns / ev,
+        ns: stats.a_ns / ev,
+        speedup: stats.speedup,
+    };
     println!(
         "{label:<16} scalar   : reference {:7.1} ns/event  lowered {:7.1} ns/event  \
          median paired speedup {:5.2}x",
-        stats.b_ns / ev,
-        stats.a_ns / ev,
-        stats.speedup,
+        scalar.base_ns, scalar.ns, scalar.speedup,
     );
     let ev = events(sim, BATCH_REPS) as f64;
+    let mut batch = Vec::new();
     for width in WIDTHS {
         let stats = bench::ab::run_paired(
             pairs,
             |p| time_batched(sim, seed0(BATCH_REPS, p), BATCH_REPS, width),
             |p| time_scalar(seed0(BATCH_REPS, p), BATCH_REPS, |s| sim.run(s)),
         );
+        let arm = Arm {
+            base_ns: stats.b_ns / ev,
+            ns: stats.a_ns / ev,
+            speedup: stats.speedup,
+        };
         println!(
             "{label:<16} batch {width:>2} : scalar    {:7.1} ns/event  batched {:7.1} ns/event  \
              median paired speedup {:5.2}x",
-            stats.b_ns / ev,
-            stats.a_ns / ev,
-            stats.speedup,
+            arm.base_ns, arm.ns, arm.speedup,
         );
+        batch.push((width, arm));
+    }
+    NetResult {
+        label: label.to_string(),
+        scalar,
+        batch,
     }
 }
 
+/// The host's CPU model and logical CPU count, for the JSON's `host` field.
+fn host() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, m)| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown CPU".to_string());
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("{model}, {cpus} logical CPUs")
+}
+
+/// Render the results as the `BENCH_engine.json` document.
+fn render_json(results: &[NetResult], pairs: usize) -> String {
+    let arm = |a: &Arm, base: &str, variant: &str| {
+        format!(
+            "{{ \"{base}_ns_per_event\": {:.1}, \"{variant}_ns_per_event\": {:.1}, \"speedup\": {:.2} }}",
+            a.base_ns, a.ns, a.speedup
+        )
+    };
+    let rows = |f: &dyn Fn(&NetResult) -> String| {
+        results
+            .iter()
+            .map(|r| format!("    \"{}\": {}", r.label, f(r)))
+            .collect::<Vec<_>>()
+            .join(",\n")
+    };
+    let scalar = rows(&|r| arm(&r.scalar, "reference", "lowered"));
+    let batch = rows(&|r| {
+        let widths: Vec<String> = r
+            .batch
+            .iter()
+            .map(|(w, a)| format!("      \"width_{w}\": {}", arm(a, "scalar", "batched")))
+            .collect();
+        format!("{{\n{}\n    }}", widths.join(",\n"))
+    });
+    format!(
+        r#"{{
+  "what": "Event throughput of the lowered engine (sim/lower.rs + sim/lowered.rs, the one production engine behind Simulator::run and Simulator::run_batch). `scalar`: Simulator::run against the reference engine (Simulator::run_reference, the frozen seed algorithm and the semantic oracle). `batch`: Simulator::run_batch at widths 1/4/16/64 against a loop of scalar runs over the same 64 replications. Node nets register the full reward set of wsn::simulate_node_model.",
+  "command": "cargo run --release -p bench --bin engine_ab -- {pairs} --out BENCH_engine.json",
+  "host": "{host}",
+  "methodology": "Paired A/B on the shared bench::ab harness: adjacent interleaved blocks, alternating order, {pairs} pairs per case; ns/event are median block times over the firings of the block, speedup is the median of per-pair ratios. Every pair's two blocks run the same seeds and must agree on a checksum of every firing count and reward bit pattern, so each row compares byte-identical work.",
+  "scalar": {{
+{scalar}
+  }},
+  "batch": {{
+{batch}
+  }}
+}}
+"#,
+        host = host(),
+    )
+}
+
 fn main() {
-    let pairs: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(11);
+    let mut pairs: usize = 11;
+    let mut out: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--out" => match args.next() {
+                Some(path) => out = Some(path),
+                None => {
+                    eprintln!("--out needs a file path");
+                    std::process::exit(2);
+                }
+            },
+            n => match n.parse() {
+                Ok(n) if n >= 1 => pairs = n,
+                _ => {
+                    eprintln!("usage: engine_ab [pairs_per_case] [--out FILE]");
+                    std::process::exit(2);
+                }
+            },
+        }
+    }
     println!(
         "paired A/B, {pairs} pairs per case (median of adjacent-block ratios; \
          same seeds, full-output checksums)"
     );
 
+    let mut results = Vec::new();
     let net = mm1_net();
     let mut sim = Simulator::new(&net, SimConfig::for_horizon(2_000.0));
     sim.reward_place(PlaceId::from_index(0));
-    measure("mm1/2k_seconds", &sim, 8, pairs);
+    results.push(measure("mm1/2k_seconds", &sim, 8, pairs));
 
     for (n, horizon) in [(4usize, 1_000.0), (16, 250.0), (64, 60.0)] {
         let net = tandem_net(n);
         let mut sim = Simulator::new(&net, SimConfig::for_horizon(horizon));
         sim.reward_place(PlaceId::from_index(0));
-        measure(&format!("tandem/{n}"), &sim, 4, pairs);
+        results.push(measure(&format!("tandem/{n}"), &sim, 4, pairs));
     }
 
     let model = wsn::build_cpu_model(&wsn::CpuModelParams::paper_defaults(0.1, 0.3));
     let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(1_000.0));
     sim.reward_place(model.places.buffer);
-    measure("fig3_cpu_1000s", &sim, 6, pairs);
+    results.push(measure("fig3_cpu_1000s", &sim, 6, pairs));
 
     for (label, workload) in [
         ("node_closed_300s", Workload::Closed { interval: 1.0 }),
@@ -187,10 +294,15 @@ fn main() {
         params.horizon = 300.0;
         let model = wsn::build_node_model(&params);
         let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(params.horizon));
-        let p = &model.places;
-        for place in [p.cpu_sleep, p.cpu_wake, p.cpu_idle, p.cpu_active] {
-            sim.reward_place(place);
+        model.register_rewards(&mut sim);
+        results.push(measure(label, &sim, 2, pairs));
+    }
+
+    if let Some(path) = out {
+        if let Err(e) = std::fs::write(&path, render_json(&results, pairs)) {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
         }
-        measure(label, &sim, 2, pairs);
+        println!("wrote {path}");
     }
 }

@@ -20,10 +20,15 @@ use crate::arc::{ColorExpr, InhibitorArc, InputArc, OutputArc};
 use crate::error::BuildError;
 use crate::expr::{Expr, ExprKind};
 use crate::ids::{PlaceId, TransitionId};
+use crate::marking::MarkingLayout;
 use crate::net::{Net, Place};
 use crate::timing::{MemoryPolicy, Timing};
 use crate::token::{Color, ColorFilter};
 use crate::transition::Transition;
+
+/// Largest color domain a colored place keeps per-color counts for; larger
+/// domains leave the place with its FIFO bag alone.
+const MAX_COLOR_SLOTS: usize = 16;
 
 /// Builder for a [`Net`]. Add places, then transitions, then call
 /// [`NetBuilder::build`] to validate.
@@ -248,13 +253,74 @@ impl NetBuilder {
             }
         }
 
+        // Only colored places keep color slots, so uncolored nets skip the
+        // domain pass.
+        let slots = if colored.contains(&true) {
+            self.color_domains()
+        } else {
+            Vec::new()
+        };
+
         Ok(Net {
             name: self.name,
             places: self.places,
             transitions: self.transitions,
             affected_by,
-            colored: colored.into(),
+            layout: MarkingLayout::new(colored, &slots).into(),
         })
+    }
+
+    /// Color domains: per place, a superset of the colors it can ever hold,
+    /// seeded with the colors its `Eq`-filtered input arcs ask for (so a
+    /// structurally dead withdrawal still names a slot). Sources are the
+    /// same as the colored-place fixpoint's; a Transfer passes on its input
+    /// place's whole domain. A domain larger than [`MAX_COLOR_SLOTS`] is
+    /// emptied: that place keeps its FIFO bag alone.
+    fn color_domains(&self) -> Vec<Vec<Color>> {
+        let mut domain: Vec<Vec<Color>> = self.places.iter().map(|p| p.initial.clone()).collect();
+        for t in &self.transitions {
+            for a in &t.inputs {
+                if let ColorFilter::Eq(c) = a.filter {
+                    domain[a.place.index()].push(c);
+                }
+            }
+        }
+        for d in &mut domain {
+            d.sort_unstable();
+            d.dedup();
+        }
+        let mut incoming: Vec<Color> = Vec::new();
+        loop {
+            let mut changed = false;
+            for t in &self.transitions {
+                for a in &t.outputs {
+                    incoming.clear();
+                    match &a.color {
+                        ColorExpr::Const(c) => incoming.push(*c),
+                        ColorExpr::Choice(pairs) => incoming.extend(pairs.iter().map(|(c, _)| *c)),
+                        ColorExpr::Transfer { arc_index } => {
+                            incoming.extend_from_slice(&domain[t.inputs[*arc_index].place.index()])
+                        }
+                    }
+                    let d = &mut domain[a.place.index()];
+                    for &c in &incoming {
+                        if let Err(at) = d.binary_search(&c) {
+                            d.insert(at, c);
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        for d in &mut domain {
+            if d.len() > MAX_COLOR_SLOTS {
+                d.clear();
+            }
+        }
+        domain
     }
 }
 
@@ -605,6 +671,62 @@ mod tests {
         );
         assert!(net.place_may_hold_colors(chosen), "Choice produces color");
         assert!(!net.place_may_hold_colors(plain), "plain stays count-only");
+    }
+
+    #[test]
+    fn color_domains_become_slots() {
+        use crate::net::ColorCountAt;
+        // `buf` receives Const 2 and Choice {1, 3}, and an Eq(5) input asks
+        // for a color nothing deposits; `stage` inherits buf's domain via
+        // Transfer; `wide` gets more colors than the slot cap.
+        let mut b = NetBuilder::new("domains");
+        let buf = b.place("buf").build();
+        let stage = b.place("stage").build();
+        let wide = b.place("wide").build();
+        let plain = b.place("plain").tokens(1).build();
+        b.transition("gen", Timing::exponential(1.0))
+            .output_colored(buf, 1, ColorExpr::Const(Color(2)))
+            .output_colored(
+                buf,
+                1,
+                ColorExpr::Choice(vec![(Color(3), 1.0), (Color(1), 1.0)]),
+            )
+            .build();
+        b.transition("dead", Timing::exponential(1.0))
+            .input_filtered(buf, 1, ColorFilter::Eq(Color(5)))
+            .build();
+        b.transition("move", Timing::immediate())
+            .input(buf, 1)
+            .output_colored(stage, 1, ColorExpr::Transfer { arc_index: 0 })
+            .build();
+        let many: Vec<(Color, f64)> = (1..=MAX_COLOR_SLOTS as u32 + 1)
+            .map(|c| (Color(c), 1.0))
+            .collect();
+        b.transition("spray", Timing::exponential(1.0))
+            .input(plain, 1)
+            .output(plain, 1)
+            .output_colored(wide, 1, ColorExpr::Choice(many))
+            .build();
+        let net = b.build().unwrap();
+        let colors = |cs: &[u32]| cs.iter().map(|&c| Color(c)).collect::<Vec<_>>();
+        assert_eq!(net.slot_colors(buf), colors(&[1, 2, 3, 5]));
+        assert_eq!(net.slot_colors(stage), colors(&[1, 2, 3, 5]));
+        assert!(net.slot_colors(wide).is_empty(), "over the cap: bag only");
+        assert!(net.slot_colors(plain).is_empty(), "count-only place");
+        assert!(matches!(
+            net.color_count_at(buf, Color(3)),
+            ColorCountAt::Dense(i) if i as usize >= net.num_places()
+        ));
+        assert_eq!(net.color_count_at(buf, Color(9)), ColorCountAt::AlwaysZero);
+        assert_eq!(net.color_count_at(wide, Color(1)), ColorCountAt::Bag);
+        assert_eq!(
+            net.color_count_at(plain, Color::NONE),
+            ColorCountAt::Dense(plain.index() as u32)
+        );
+        assert_eq!(
+            net.color_count_at(plain, Color(1)),
+            ColorCountAt::AlwaysZero
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     #[inline]
-    fn apply(self, a: i64, b: i64) -> bool {
+    pub(crate) fn apply(self, a: i64, b: i64) -> bool {
         match self {
             CmpOp::Eq => a == b,
             CmpOp::Ne => a != b,
@@ -418,6 +418,16 @@ impl CompiledExpr {
     pub(crate) fn as_count_cmp(&self) -> Option<(u32, CmpOp, i64)> {
         match self.ops.as_slice() {
             [ExprOp::Count(p), ExprOp::ConstI(v), ExprOp::Cmp(op)] => Some((*p, *op, *v)),
+            _ => None,
+        }
+    }
+
+    /// The same for a bare `count_color(place, color) cmp constant`.
+    pub(crate) fn as_color_count_cmp(&self) -> Option<(u32, Color, CmpOp, i64)> {
+        match self.ops.as_slice() {
+            [ExprOp::CountColor(p, c), ExprOp::ConstI(v), ExprOp::Cmp(op)] => {
+                Some((*p, *c, *op, *v))
+            }
             _ => None,
         }
     }

@@ -10,6 +10,11 @@
 //! that vector, which is what makes the simulator's enabling checks and the
 //! reachability explorer's hashing cheap.
 //!
+//! A colored place with a small finite color domain also keeps one dense
+//! count per (place, color) pair — a *color slot* — appended to the same
+//! count vector, so the simulator reads "tokens of color `c` in `p`" as one
+//! load instead of a FIFO scan. The bag stays the source of token order.
+//!
 //! The simulator mutates a single marking in place; analysis code clones
 //! markings to explore the reachability graph. FIFO order within a colored
 //! place is a simulation artifact and must not distinguish states, so the
@@ -19,15 +24,97 @@ use crate::ids::PlaceId;
 use crate::token::{Color, ColorFilter, TokenBag};
 use std::sync::Arc;
 
+/// Storage layout shared by every marking of one net (refcounted, never
+/// mutated after construction): which places materialize a color bag, and
+/// which (place, color) pairs keep a color slot beside it.
+#[derive(Debug)]
+pub(crate) struct MarkingLayout {
+    /// `colored[p]`: place `p` materializes a color bag.
+    colored: Vec<bool>,
+    /// Place `p`'s slots are `slot_off[p]..slot_off[p + 1]`.
+    slot_off: Vec<u32>,
+    /// Color counted by each slot; slot `k` lives at count index `np + k`.
+    slot_color: Vec<Color>,
+    /// Place owning each slot.
+    slot_place: Vec<u32>,
+}
+
+impl MarkingLayout {
+    /// A layout with the given bag mask and, per place, the colors that get
+    /// a slot (ignored for places whose mask entry is `false`).
+    pub(crate) fn new(colored: Vec<bool>, slots: &[Vec<Color>]) -> Self {
+        let mut slot_off = Vec::with_capacity(colored.len() + 1);
+        let mut slot_color = Vec::new();
+        let mut slot_place = Vec::new();
+        slot_off.push(0);
+        for (p, &is_colored) in colored.iter().enumerate() {
+            if is_colored {
+                for &c in slots.get(p).map_or(&[][..], Vec::as_slice) {
+                    slot_color.push(c);
+                    slot_place.push(p as u32);
+                }
+            }
+            slot_off.push(slot_color.len() as u32);
+        }
+        MarkingLayout {
+            colored,
+            slot_off,
+            slot_color,
+            slot_place,
+        }
+    }
+
+    /// A layout with the given bag mask and no color slots.
+    pub(crate) fn masked(colored: Vec<bool>) -> Self {
+        MarkingLayout::new(colored, &[])
+    }
+
+    /// Number of places.
+    #[inline]
+    pub(crate) fn num_places(&self) -> usize {
+        self.colored.len()
+    }
+
+    /// Does place `p` materialize a color bag?
+    #[inline]
+    pub(crate) fn is_colored(&self, p: usize) -> bool {
+        self.colored[p]
+    }
+
+    /// The colors with a slot in place `p` (empty for count-only places and
+    /// for colored places whose domain was too large to slot).
+    #[inline]
+    pub(crate) fn slot_colors(&self, p: usize) -> &[Color] {
+        &self.slot_color[self.slot_off[p] as usize..self.slot_off[p + 1] as usize]
+    }
+
+    /// Count index of the slot for color `c` in place `p`, if it has one.
+    #[inline]
+    pub(crate) fn slot(&self, p: usize, c: Color) -> Option<u32> {
+        let lo = self.slot_off[p] as usize;
+        self.slot_colors(p)
+            .iter()
+            .position(|&x| x == c)
+            .map(|k| (self.colored.len() + lo + k) as u32)
+    }
+
+    /// The (place, color) pair a slot's count index stands for.
+    #[inline]
+    fn slot_owner(&self, slot: u32) -> (usize, Color) {
+        let k = slot as usize - self.colored.len();
+        (self.slot_place[k] as usize, self.slot_color[k])
+    }
+}
+
 /// The token distribution over all places of a net.
 #[derive(Debug, Clone)]
 pub struct Marking {
-    /// Total tokens per place — the single source of truth for counts.
+    /// Total tokens per place — the single source of truth for counts —
+    /// followed by one count per color slot.
     counts: Vec<u32>,
-    /// Which places materialize a color bag. Shared between all markings of
-    /// one net (refcounted, never mutated after construction).
-    colored: Arc<[bool]>,
-    /// FIFO color bags; maintained only for places with `colored[p]`, empty
+    /// Bag mask and color slots, shared between all markings of one net.
+    layout: Arc<MarkingLayout>,
+    /// FIFO color bags; maintained only for colored places, empty
     /// otherwise (their tokens are implicitly all [`Color::NONE`]).
     bags: Vec<TokenBag>,
     /// Number of non-[`Color::NONE`] tokens currently present, maintained on
@@ -39,19 +126,18 @@ pub struct Marking {
 
 impl Marking {
     /// A marking with `n` empty places, all of which may hold colors (the
-    /// fully general layout; nets build masked markings via
+    /// fully general layout; nets build their own layout via
     /// [`crate::net::Net::initial_marking`]).
     pub fn empty(n: usize) -> Self {
-        Marking::empty_masked(vec![true; n].into())
+        Marking::with_layout(MarkingLayout::masked(vec![true; n]).into())
     }
 
-    /// A marking with one empty place per mask entry; places whose mask is
-    /// `false` are stored count-only.
-    pub(crate) fn empty_masked(colored: Arc<[bool]>) -> Self {
-        let n = colored.len();
+    /// A marking with one empty place per layout entry.
+    pub(crate) fn with_layout(layout: Arc<MarkingLayout>) -> Self {
+        let n = layout.num_places();
         Marking {
-            counts: vec![0; n],
-            colored,
+            counts: vec![0; n + layout.slot_color.len()],
+            layout,
             bags: vec![TokenBag::new(); n],
             colored_tokens: 0,
         }
@@ -72,7 +158,7 @@ impl Marking {
     /// Number of places.
     #[inline]
     pub fn num_places(&self) -> usize {
-        self.counts.len()
+        self.layout.num_places()
     }
 
     /// Total tokens in place `p`.
@@ -81,10 +167,11 @@ impl Marking {
         self.counts[p.index()] as usize
     }
 
-    /// Total tokens in place `p` as the raw dense count (engine hot path).
+    /// One entry of the dense count vector: a place total, or a color
+    /// slot's count (engine hot path).
     #[inline]
-    pub(crate) fn count_raw(&self, p: u32) -> u32 {
-        self.counts[p as usize]
+    pub(crate) fn count_raw(&self, i: u32) -> u32 {
+        self.counts[i as usize]
     }
 
     /// The dense count vector (engine and compiled-guard hot path).
@@ -97,8 +184,11 @@ impl Marking {
     #[inline]
     pub fn count_color(&self, p: PlaceId, c: Color) -> usize {
         let i = p.index();
-        if self.colored[i] {
-            self.bags[i].count_color(c)
+        if self.layout.is_colored(i) {
+            match self.layout.slot(i, c) {
+                Some(s) => self.counts[s as usize] as usize,
+                None => self.bags[i].count_color(c),
+            }
         } else if c == Color::NONE {
             self.counts[i] as usize
         } else {
@@ -112,7 +202,7 @@ impl Marking {
         let i = p.index();
         match filter {
             ColorFilter::Any => self.counts[i] as usize,
-            _ if self.colored[i] => self.bags[i].count_matching(filter),
+            _ if self.layout.is_colored(i) => self.bags[i].count_matching(filter),
             _ if filter.matches(Color::NONE) => self.counts[i] as usize,
             _ => 0,
         }
@@ -129,9 +219,12 @@ impl Marking {
         // engines' (clamped) token limit, so overflow surfaces as
         // SimError::TokenOverflow instead of a silent wrap.
         self.counts[i] = self.counts[i].saturating_add(1);
-        if self.colored[i] {
+        if self.layout.is_colored(i) {
             self.colored_tokens += (c != Color::NONE) as u32;
             self.bags[i].push(c);
+            if let Some(s) = self.layout.slot(i, c) {
+                self.counts[s as usize] = self.counts[s as usize].saturating_add(1);
+            }
         } else {
             debug_assert_eq!(
                 c,
@@ -146,11 +239,14 @@ impl Marking {
     #[inline]
     pub fn withdraw(&mut self, p: PlaceId, filter: &ColorFilter) -> Option<Color> {
         let i = p.index();
-        if self.colored[i] {
+        if self.layout.is_colored(i) {
             let taken = self.bags[i].take_matching(filter);
             if let Some(c) = taken {
                 self.counts[i] -= 1;
                 self.colored_tokens -= (c != Color::NONE) as u32;
+                if let Some(s) = self.layout.slot(i, c) {
+                    self.counts[s as usize] -= 1;
+                }
             }
             taken
         } else if self.counts[i] > 0 && filter.matches(Color::NONE) {
@@ -165,7 +261,7 @@ impl Marking {
     /// path; the caller guarantees the place is count-only).
     #[inline]
     pub(crate) fn add_plain(&mut self, p: u32, n: u32) -> u32 {
-        debug_assert!(!self.colored[p as usize]);
+        debug_assert!(!self.layout.is_colored(p as usize));
         let c = &mut self.counts[p as usize];
         // Saturating for the same reason as `deposit`.
         *c = c.saturating_add(n);
@@ -176,16 +272,52 @@ impl Marking {
     /// path; the caller guarantees enabledness, i.e. `count >= n`).
     #[inline]
     pub(crate) fn sub_plain(&mut self, p: u32, n: u32) {
-        debug_assert!(!self.colored[p as usize]);
+        debug_assert!(!self.layout.is_colored(p as usize));
         debug_assert!(self.counts[p as usize] >= n);
         self.counts[p as usize] -= n;
+    }
+
+    /// Withdraw the `n` oldest tokens of a color slot's color from its place
+    /// (engine fast path; the caller guarantees the slot holds `n`).
+    #[inline]
+    pub(crate) fn withdraw_slot(&mut self, slot: u32, n: u32) {
+        let (p, c) = self.layout.slot_owner(slot);
+        debug_assert!(self.counts[slot as usize] >= n);
+        let filter = ColorFilter::Eq(c);
+        for _ in 0..n {
+            let taken = self.bags[p].take_matching(&filter);
+            debug_assert_eq!(taken, Some(c));
+        }
+        self.counts[p] -= n;
+        self.counts[slot as usize] -= n;
+        if c != Color::NONE {
+            self.colored_tokens -= n;
+        }
+    }
+
+    /// Deposit `n` tokens of a color slot's color into its place (engine
+    /// fast path), returning the place and its new total count.
+    #[inline]
+    pub(crate) fn deposit_slot(&mut self, slot: u32, n: u32) -> (usize, u32) {
+        let (p, c) = self.layout.slot_owner(slot);
+        for _ in 0..n {
+            self.bags[p].push(c);
+        }
+        // Saturating for the same reason as `deposit`.
+        self.counts[slot as usize] = self.counts[slot as usize].saturating_add(n);
+        if c != Color::NONE {
+            self.colored_tokens += n;
+        }
+        let total = &mut self.counts[p];
+        *total = total.saturating_add(n);
+        (p, *total)
     }
 
     /// Iterate the colors currently in place `p` (FIFO order; count-only
     /// places yield `Color::NONE` `count` times).
     pub fn colors(&self, p: PlaceId) -> impl Iterator<Item = Color> + '_ {
         let i = p.index();
-        let (bag_iter, plain) = if self.colored[i] {
+        let (bag_iter, plain) = if self.layout.is_colored(i) {
             (Some(self.bags[i].iter()), 0)
         } else {
             (None, self.counts[i] as usize)
@@ -196,9 +328,15 @@ impl Marking {
             .chain(std::iter::repeat_n(Color::NONE, plain))
     }
 
+    /// The per-place totals (the count vector without its color slots).
+    #[inline]
+    fn place_counts(&self) -> &[u32] {
+        &self.counts[..self.num_places()]
+    }
+
     /// Total tokens across all places.
     pub fn total_tokens(&self) -> usize {
-        self.counts.iter().map(|&c| c as usize).sum()
+        self.place_counts().iter().map(|&c| c as usize).sum()
     }
 
     /// A canonical, order-independent key identifying this marking.
@@ -214,14 +352,15 @@ impl Marking {
     /// markings that differ only in FIFO order within a place map to the
     /// same key.
     pub fn canonical_key(&self) -> Vec<u32> {
+        let counts = self.place_counts();
         if self.colored_tokens == 0 {
-            return self.counts.clone();
+            return counts.to_vec();
         }
-        let mut key = Vec::with_capacity(self.colored_tokens as usize + 2 * self.counts.len());
+        let mut key = Vec::with_capacity(self.colored_tokens as usize + 2 * counts.len());
         let mut scratch: Vec<u32> = Vec::new();
-        for i in 0..self.counts.len() {
-            key.push(self.counts[i]);
-            if self.colored[i] {
+        for (i, &n) in counts.iter().enumerate() {
+            key.push(n);
+            if self.layout.is_colored(i) {
                 scratch.clear();
                 scratch.extend(
                     self.bags[i]
@@ -240,7 +379,7 @@ impl Marking {
     /// Vector of per-place token counts (ignores colors). Handy for
     /// invariant checking and display.
     pub fn count_vector(&self) -> Vec<usize> {
-        self.counts.iter().map(|&c| c as usize).collect()
+        self.place_counts().iter().map(|&c| c as usize).collect()
     }
 }
 
@@ -251,11 +390,13 @@ impl PartialEq for Marking {
         // order) agree. A count-only place holds `count` implicit
         // `Color::NONE` tokens, so against a materialized bag it is equal
         // exactly when that bag is all-NONE of the same length.
-        if self.counts != other.counts {
+        // Color slots are derived from the bags, so only the place totals
+        // take part.
+        if self.place_counts() != other.place_counts() {
             return false;
         }
-        for i in 0..self.counts.len() {
-            let equal = match (self.colored[i], other.colored[i]) {
+        for i in 0..self.num_places() {
+            let equal = match (self.layout.is_colored(i), other.layout.is_colored(i)) {
                 (true, true) => self.bags[i] == other.bags[i],
                 (false, false) => true,
                 (true, false) => self.bags[i].iter().all(|c| c == Color::NONE),
@@ -285,6 +426,10 @@ mod tests {
         PlaceId::from_index(i)
     }
 
+    fn masked(mask: &[bool]) -> Marking {
+        Marking::with_layout(MarkingLayout::masked(mask.to_vec()).into())
+    }
+
     #[test]
     fn empty_marking() {
         let m = Marking::empty(3);
@@ -310,8 +455,7 @@ mod tests {
 
     #[test]
     fn count_only_places_behave_like_plain_bags() {
-        let mask: Arc<[bool]> = vec![false, true].into();
-        let mut m = Marking::empty_masked(mask);
+        let mut m = masked(&[false, true]);
         m.deposit(p(0), Color::NONE);
         m.deposit(p(0), Color::NONE);
         m.deposit(p(1), Color(3));
@@ -350,8 +494,7 @@ mod tests {
 
     #[test]
     fn canonical_key_dense_for_uncolored() {
-        let mask: Arc<[bool]> = vec![false, false, false].into();
-        let mut m = Marking::empty_masked(mask);
+        let mut m = masked(&[false, false, false]);
         m.deposit(p(1), Color::NONE);
         m.deposit(p(1), Color::NONE);
         // The uncolored key IS the count vector: no sentinels, no sorting.
@@ -360,8 +503,7 @@ mod tests {
 
     #[test]
     fn colors_iterator_covers_both_layouts() {
-        let mask: Arc<[bool]> = vec![false, true].into();
-        let mut m = Marking::empty_masked(mask);
+        let mut m = masked(&[false, true]);
         m.deposit(p(0), Color::NONE);
         m.deposit(p(0), Color::NONE);
         m.deposit(p(1), Color(7));
@@ -374,8 +516,7 @@ mod tests {
     #[test]
     fn canonical_key_is_layout_independent() {
         // Same token content, different storage layouts: identical keys.
-        let mask: Arc<[bool]> = vec![false, true].into();
-        let mut dense = Marking::empty_masked(mask);
+        let mut dense = masked(&[false, true]);
         dense.deposit(p(0), Color::NONE);
         dense.deposit(p(1), Color(4));
         let mut general = Marking::empty(2);
@@ -409,10 +550,43 @@ mod tests {
     }
 
     #[test]
+    fn color_slots_track_per_color_counts() {
+        // Place 0 is count-only; place 1 is colored with slots for 1 and 2.
+        let layout = MarkingLayout::new(vec![false, true], &[vec![], vec![Color(1), Color(2)]]);
+        let s1 = layout.slot(1, Color(1)).unwrap();
+        let s2 = layout.slot(1, Color(2)).unwrap();
+        assert_eq!((s1, s2), (2, 3), "slots follow the place totals");
+        assert_eq!(layout.slot(1, Color(3)), None);
+        assert_eq!(layout.slot(0, Color::NONE), None);
+        let mut m = Marking::with_layout(layout.into());
+        m.deposit(p(1), Color(2));
+        m.deposit(p(1), Color(1));
+        m.deposit(p(1), Color(2));
+        assert_eq!((m.count_raw(s1), m.count_raw(s2)), (1, 2));
+        assert_eq!(m.count_color(p(1), Color(2)), 2);
+        // The slot fast paths keep bag, totals and slots in step, FIFO-oldest
+        // first.
+        m.withdraw_slot(s2, 1);
+        assert_eq!(m.colors(p(1)).collect::<Vec<_>>(), [Color(1), Color(2)]);
+        assert_eq!(m.deposit_slot(s1, 2), (1, 4));
+        assert_eq!((m.count_raw(s1), m.count_raw(s2)), (3, 1));
+        assert_eq!(m.withdraw(p(1), &ColorFilter::Any), Some(Color(1)));
+        assert_eq!((m.count(p(1)), m.count_raw(s1)), (3, 2));
+        // Slots are derived state: they never enter equality or the key.
+        let mut general = Marking::empty(2);
+        for c in m.colors(p(1)) {
+            general.deposit(p(1), c);
+        }
+        assert_eq!(m, general);
+        assert_eq!(m.canonical_key(), general.canonical_key());
+        assert_eq!(m.count_vector(), vec![0, 3]);
+        assert_eq!(m.total_tokens(), 3);
+    }
+
+    #[test]
     fn equality_is_layout_independent() {
         // Same token content in different storage layouts compares equal.
-        let mask: Arc<[bool]> = vec![false, true].into();
-        let mut dense = Marking::empty_masked(mask);
+        let mut dense = masked(&[false, true]);
         dense.deposit(p(0), Color::NONE);
         dense.deposit(p(0), Color::NONE);
         dense.deposit(p(1), Color(3));

@@ -5,7 +5,7 @@
 //! replication harness in [`crate::replicate`] relies on `Net: Sync`.
 
 use crate::ids::{PlaceId, TransitionId};
-use crate::marking::Marking;
+use crate::marking::{Marking, MarkingLayout};
 use crate::token::Color;
 use crate::transition::Transition;
 use std::sync::Arc;
@@ -30,10 +30,23 @@ pub struct Net {
     /// the token count of place `p` changes (inputs, inhibitors, or guard
     /// references). Built once; drives incremental enabling re-checks.
     pub(crate) affected_by: Vec<Vec<TransitionId>>,
-    /// Color-flow result: `colored[p]` iff place `p` can ever hold a
-    /// non-[`Color::NONE`] token. Count-only places get the dense O(1)
-    /// marking layout (see [`crate::marking`]).
-    pub(crate) colored: Arc<[bool]>,
+    /// Color-flow result: which places can ever hold a non-[`Color::NONE`]
+    /// token (count-only places get the dense O(1) marking layout), and the
+    /// color slots of the colored ones (see [`crate::marking`]).
+    pub(crate) layout: Arc<MarkingLayout>,
+}
+
+/// Where a marking of some net keeps the count of one color in one place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ColorCountAt {
+    /// At this index of the marking's dense count vector (the place total
+    /// of a count-only place for [`Color::NONE`], or a color slot).
+    Dense(u32),
+    /// Nowhere: the color-flow analysis proves the place never holds it.
+    AlwaysZero,
+    /// Only in the place's FIFO bag (its color domain was too large to
+    /// slot).
+    Bag,
 }
 
 impl Net {
@@ -90,7 +103,7 @@ impl Net {
     /// The initial marking, laid out per the net's color-flow analysis:
     /// places that can never hold colors are stored count-only.
     pub fn initial_marking(&self) -> Marking {
-        let mut m = Marking::empty_masked(Arc::clone(&self.colored));
+        let mut m = Marking::with_layout(Arc::clone(&self.layout));
         for (i, p) in self.places.iter().enumerate() {
             let pid = PlaceId::from_index(i);
             for &c in &p.initial {
@@ -104,7 +117,31 @@ impl Net {
     /// build-time color-flow fixpoint.)
     #[inline]
     pub fn place_may_hold_colors(&self, p: PlaceId) -> bool {
-        self.colored[p.index()]
+        self.layout.is_colored(p.index())
+    }
+
+    /// Where this net's markings keep the count of color `c` in place `p`.
+    pub(crate) fn color_count_at(&self, p: PlaceId, c: Color) -> ColorCountAt {
+        let i = p.index();
+        if !self.layout.is_colored(i) {
+            return if c == Color::NONE {
+                ColorCountAt::Dense(i as u32)
+            } else {
+                ColorCountAt::AlwaysZero
+            };
+        }
+        match self.layout.slot(i, c) {
+            Some(s) => ColorCountAt::Dense(s),
+            // A slotted place's slots cover its whole color domain.
+            None if !self.layout.slot_colors(i).is_empty() => ColorCountAt::AlwaysZero,
+            None => ColorCountAt::Bag,
+        }
+    }
+
+    /// The colors place `p` keeps a dense count for (empty for count-only
+    /// places and for colored places with too large a domain).
+    pub(crate) fn slot_colors(&self, p: PlaceId) -> &[Color] {
+        self.layout.slot_colors(p.index())
     }
 
     /// Transitions whose enabling may be affected by a token-count change in

@@ -10,14 +10,18 @@
 //! `CompiledSim` flattens the net into dense, index-addressed tables:
 //!
 //! * **Enabling conditions.** Every input arc, inhibitor arc, and guard
-//!   becomes a condition record, indexed (CSR adjacency) by the places it
-//!   reads, so a firing re-evaluates only the conditions watching the
-//!   places it touched. Filters on provably-uncolored places fold at
-//!   compile time.
-//! * **Guards** compile to flat postfix programs ([`crate::expr`]'s
+//!   conjunct becomes a condition record, indexed (CSR adjacency) by the
+//!   places it reads, so a firing re-evaluates only the conditions
+//!   watching the places it touched. Filters on provably-uncolored places
+//!   fold at compile time; a filter that can select only one color of a
+//!   slotted colored place becomes a threshold on that color's count.
+//! * **Guards** are split at their top-level `And`s, and each conjunct
+//!   compiles to a flat postfix program ([`crate::expr`]'s
 //!   `CompiledExpr`) over the marking's dense count vector.
-//! * **Dense firing plans** for fully-uncolored transitions: straight `u32`
-//!   add/sub on the count vector, with no color bookkeeping.
+//! * **Count firing plans** for every transition whose arcs each withdraw
+//!   from or deposit into one entry of the count vector (a place, or a
+//!   color slot) without an RNG draw: straight `u32` add/sub, plus the bag
+//!   update for color slots.
 //! * **Re-check lists**: per fired transition, the timed transitions to
 //!   re-schedule, in exactly the reference engine's traversal order — the
 //!   order determines which transition consumes which RNG draw.
@@ -32,13 +36,15 @@
 
 use super::rewards::{RewardId, RewardSpec, RewardSpecError};
 use super::trace::TraceEvent;
+use crate::arc::ColorExpr;
 use crate::error::SimError;
-use crate::expr::CompiledExpr;
+use crate::expr::{CompiledExpr, Expr};
 use crate::ids::{PlaceId, TransitionId};
 use crate::marking::Marking;
-use crate::net::Net;
+use crate::net::{ColorCountAt, Net};
 use crate::timing::{MemoryPolicy, Timing};
 use crate::token::{Color, ColorFilter};
+use crate::transition::Transition;
 
 /// Run-independent simulation configuration.
 #[derive(Debug, Clone)]
@@ -220,7 +226,8 @@ pub(super) const COND_GUARD: u8 = 4;
 pub(super) struct Cond {
     pub(super) tid: u32,
     pub(super) kind: u8,
-    /// Watched place (arc conditions; unused for guards).
+    /// Watched count index (arc conditions; unused for guards): a place
+    /// total, or a color slot for a filter that selects one color.
     pub(super) place: u32,
     /// Required token count (inputs) / inhibition threshold (inhibitors).
     pub(super) need: u32,
@@ -228,16 +235,101 @@ pub(super) struct Cond {
     pub(super) aux: u32,
 }
 
-/// Precompiled dense firing plan: valid when every input arc consumes
-/// color-blind from a count-only place and every output arc deposits plain
-/// tokens into one (and no Choice arc would need an RNG draw). Firing is
-/// then pure `u32` arithmetic on the count vector.
+/// Precompiled count firing plan: every input arc withdraws from one entry
+/// of the marking's dense count vector and every output arc deposits into
+/// one, with no RNG draw. Entries below the place count are count-only
+/// places (plain `u32` arithmetic); entries at or above it are color slots
+/// (the slot's color is withdrawn from or appended to the place's FIFO bag
+/// as well).
 #[derive(Debug, Clone, Copy)]
 pub(super) struct DensePlan {
-    /// Range of (place, multiplicity) input entries in `plan_dat`.
+    /// Range of (count index, multiplicity) input entries in `plan_dat`.
     pub(super) ins: (u32, u32),
-    /// Range of (place, multiplicity) output entries in `plan_dat`.
+    /// Range of (count index, multiplicity) output entries in `plan_dat`.
     pub(super) outs: (u32, u32),
+}
+
+/// Collect the top-level conjuncts of `e` (`e` itself unless it is an
+/// `And`), left to right.
+fn split_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+    match e {
+        Expr::And(a, b) => {
+            split_conjuncts(a, out);
+            split_conjuncts(b, out);
+        }
+        _ => out.push(e),
+    }
+}
+
+/// The one color `filter` can select in colored place `p`: the `Eq`
+/// filter's color, or the only slotted color the filter matches (a place's
+/// slots cover its whole color domain).
+fn single_color(net: &Net, p: PlaceId, filter: &ColorFilter) -> Option<Color> {
+    if let ColorFilter::Eq(c) = filter {
+        return Some(*c);
+    }
+    let mut matching = net.slot_colors(p).iter().filter(|&&c| filter.matches(c));
+    match (matching.next(), matching.next()) {
+        (Some(&c), None) => Some(c),
+        _ => None,
+    }
+}
+
+/// Where the count of tokens matching `filter` in colored place `p` lives,
+/// when a single color slot holds all of them (or none can exist).
+fn filtered_count_at(net: &Net, p: PlaceId, filter: &ColorFilter) -> Option<ColorCountAt> {
+    single_color(net, p, filter).map(|c| net.color_count_at(p, c))
+}
+
+/// The color a transition's input arc withdraws, when it is known at
+/// compile time: plain for a count-only place whose filter admits plain
+/// tokens, the [`single_color`] for a colored place.
+fn withdrawn_color(net: &Net, a: &crate::arc::InputArc) -> Option<Color> {
+    if net.place_may_hold_colors(a.place) {
+        single_color(net, a.place, &a.filter)
+    } else {
+        a.filter.matches(Color::NONE).then_some(Color::NONE)
+    }
+}
+
+/// Append a transition's count firing plan — (count index, multiplicity)
+/// pairs in arc order — to `plan_dat`, when every arc resolves to one
+/// dense count: input arcs with a [`withdrawn_color`] that has a count,
+/// and output colors that are constant, a one-entry `Choice` (which draws
+/// no RNG), or a `Transfer` from such an input. Anything else fires
+/// through the generic path, and `plan_dat` is left as it was.
+fn count_plan(net: &Net, t: &Transition, plan_dat: &mut Vec<(u32, u32)>) -> Option<DensePlan> {
+    let start = plan_dat.len();
+    let at = |p: PlaceId, c: Option<Color>| match net.color_count_at(p, c?) {
+        ColorCountAt::Dense(i) => Some(i),
+        _ => None,
+    };
+    let mut resolve = || {
+        for a in &t.inputs {
+            plan_dat.push((at(a.place, withdrawn_color(net, a))?, a.multiplicity));
+        }
+        let outs_start = plan_dat.len() as u32;
+        for a in &t.outputs {
+            let c = match &a.color {
+                ColorExpr::Const(c) => Some(*c),
+                ColorExpr::Choice(pairs) if pairs.len() == 1 => Some(pairs[0].0),
+                // A real Choice consumes an RNG draw; keep the generic
+                // path so the stream stays aligned.
+                ColorExpr::Choice(_) => None,
+                ColorExpr::Transfer { arc_index } => withdrawn_color(net, &t.inputs[*arc_index]),
+            };
+            plan_dat.push((at(a.place, c)?, a.multiplicity));
+        }
+        Some(DensePlan {
+            ins: (start as u32, outs_start),
+            outs: (outs_start, plan_dat.len() as u32),
+        })
+    };
+    let plan = resolve();
+    if plan.is_none() {
+        plan_dat.truncate(start);
+    }
+    plan
 }
 
 /// Everything the engine precomputes per [`Simulator`] — shared, immutable,
@@ -283,6 +375,7 @@ impl CompiledSim {
         let mut plan_dat: Vec<(u32, u32)> = Vec::new();
         let mut guard_stack = 0usize;
         let mut guard_places: Vec<PlaceId> = Vec::new();
+        let mut conjuncts: Vec<&Expr> = Vec::new();
 
         for (ti, t) in net.transitions().iter().enumerate() {
             let tid = ti as u32;
@@ -300,16 +393,28 @@ impl CompiledSim {
                         need: arc.multiplicity,
                         aux: 0,
                     }),
-                    (f, true) => {
-                        filters.push(f.clone());
-                        Some(Cond {
+                    (f, true) => match filtered_count_at(net, arc.place, f) {
+                        // One color slot holds every token the filter can
+                        // match: a plain threshold on that count.
+                        Some(ColorCountAt::Dense(i)) => Some(Cond {
                             tid,
-                            kind: COND_INPUT_FILTERED,
-                            place: p as u32,
+                            kind: COND_INPUT_ANY,
+                            place: i,
                             need: arc.multiplicity,
-                            aux: (filters.len() - 1) as u32,
-                        })
-                    }
+                            aux: 0,
+                        }),
+                        Some(ColorCountAt::AlwaysZero) => None,
+                        _ => {
+                            filters.push(f.clone());
+                            Some(Cond {
+                                tid,
+                                kind: COND_INPUT_FILTERED,
+                                place: p as u32,
+                                need: arc.multiplicity,
+                                aux: (filters.len() - 1) as u32,
+                            })
+                        }
+                    },
                     (f, false) if f.matches(Color::NONE) => Some(Cond {
                         tid,
                         kind: COND_INPUT_ANY,
@@ -341,16 +446,26 @@ impl CompiledSim {
                         need: inh.threshold,
                         aux: 0,
                     }),
-                    (f, true) => {
-                        filters.push(f.clone());
-                        Some(Cond {
+                    (f, true) => match filtered_count_at(net, inh.place, f) {
+                        Some(ColorCountAt::Dense(i)) => Some(Cond {
                             tid,
-                            kind: COND_INHIB_FILTERED,
-                            place: p as u32,
+                            kind: COND_INHIB_ANY,
+                            place: i,
                             need: inh.threshold,
-                            aux: (filters.len() - 1) as u32,
-                        })
-                    }
+                            aux: 0,
+                        }),
+                        Some(ColorCountAt::AlwaysZero) => None,
+                        _ => {
+                            filters.push(f.clone());
+                            Some(Cond {
+                                tid,
+                                kind: COND_INHIB_FILTERED,
+                                place: p as u32,
+                                need: inh.threshold,
+                                aux: (filters.len() - 1) as u32,
+                            })
+                        }
+                    },
                     (f, false) if f.matches(Color::NONE) => Some(Cond {
                         tid,
                         kind: COND_INHIB_ANY,
@@ -367,24 +482,32 @@ impl CompiledSim {
                 }
             }
 
+            // A guard's top-level conjuncts become separate conditions,
+            // each watching only its own places: the unsat counter ANDs
+            // them, and a conjunct of the form `count cmp const` lowers to
+            // a plain count threshold.
             if let Some(g) = &t.guard {
-                let prog = CompiledExpr::compile(g);
-                guard_stack = guard_stack.max(prog.stack_needed());
-                guards.push(prog);
-                guard_places.clear();
-                g.collect_places(&mut guard_places);
-                guard_places.sort_unstable();
-                guard_places.dedup();
-                for gp in &guard_places {
-                    place_cond_rows[gp.index()].push(conds.len() as u32);
+                conjuncts.clear();
+                split_conjuncts(g, &mut conjuncts);
+                for conj in &conjuncts {
+                    let prog = CompiledExpr::compile(conj);
+                    guard_stack = guard_stack.max(prog.stack_needed());
+                    guards.push(prog);
+                    guard_places.clear();
+                    conj.collect_places(&mut guard_places);
+                    guard_places.sort_unstable();
+                    guard_places.dedup();
+                    for gp in &guard_places {
+                        place_cond_rows[gp.index()].push(conds.len() as u32);
+                    }
+                    conds.push(Cond {
+                        tid,
+                        kind: COND_GUARD,
+                        place: 0,
+                        need: 0,
+                        aux: (guards.len() - 1) as u32,
+                    });
                 }
-                conds.push(Cond {
-                    tid,
-                    kind: COND_GUARD,
-                    place: 0,
-                    need: 0,
-                    aux: (guards.len() - 1) as u32,
-                });
             }
 
             // --- touched places (inputs then outputs, dedup) ---
@@ -402,45 +525,8 @@ impl CompiledSim {
             }
             touched_rows.push(tp);
 
-            // --- dense firing plan ---
-            let dense_ok = t
-                .inputs
-                .iter()
-                .all(|a| !net.place_may_hold_colors(a.place) && a.filter.matches(Color::NONE))
-                && t.outputs.iter().all(|a| {
-                    !net.place_may_hold_colors(a.place)
-                        && match &a.color {
-                            crate::arc::ColorExpr::Const(c) => *c == Color::NONE,
-                            // Transfer from a count-only place always moves a
-                            // plain token and draws no RNG.
-                            crate::arc::ColorExpr::Transfer { arc_index } => {
-                                !net.place_may_hold_colors(t.inputs[*arc_index].place)
-                            }
-                            // Choice may consume an RNG draw; keep the
-                            // general path so the stream stays aligned.
-                            crate::arc::ColorExpr::Choice(_) => false,
-                        }
-                });
-            if dense_ok {
-                let ins_start = plan_dat.len() as u32;
-                plan_dat.extend(
-                    t.inputs
-                        .iter()
-                        .map(|a| (a.place.index() as u32, a.multiplicity)),
-                );
-                let outs_start = plan_dat.len() as u32;
-                plan_dat.extend(
-                    t.outputs
-                        .iter()
-                        .map(|a| (a.place.index() as u32, a.multiplicity)),
-                );
-                plans.push(Some(DensePlan {
-                    ins: (ins_start, outs_start),
-                    outs: (outs_start, plan_dat.len() as u32),
-                }));
-            } else {
-                plans.push(None);
-            }
+            // --- count firing plan ---
+            plans.push(count_plan(net, t, &mut plan_dat));
         }
 
         // --- static re-check lists, in the reference engine's order ---

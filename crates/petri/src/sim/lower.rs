@@ -10,8 +10,9 @@
 //! for a given net. This module makes all of those decisions **once per
 //! simulator** and serializes the result into one contiguous `u32` arena:
 //!
-//! * Each transition gets a **fire section** — SUB/ADD count ops (or one
-//!   generic-fire op for colored transitions) followed by inline condition
+//! * Each transition gets a **fire section** — SUB/ADD count ops on places
+//!   and color slots (or one generic-fire op for transitions that need an
+//!   RNG draw or a multi-color filter) followed by inline condition
 //!   re-evaluation ops (place, threshold, and watching transition baked
 //!   into the op stream, in a precomputed first-touch order that visits
 //!   each condition once) and counter-reward hook ops.
@@ -24,7 +25,8 @@
 //!   scheduling pass (every timed transition re-checked in definition
 //!   order).
 //! * Time-based rewards become a flat integration program over dense
-//!   accumulator stripes; counter rewards become hook ops.
+//!   accumulator stripes (single comparisons and "any place non-empty"
+//!   predicates read counts directly); counter rewards become hook ops.
 //!
 //! The program encodes *what the reference engine does*, in the exact same
 //! order, drawing from the RNG at the exact same points — the lowered
@@ -39,18 +41,34 @@ use super::engine::{
     COND_INPUT_ANY, COND_INPUT_FILTERED,
 };
 use super::rewards::RewardSpec;
-use crate::expr::{CmpOp, CompiledExpr};
+use crate::expr::{CmpOp, CompiledExpr, Expr};
+use crate::ids::PlaceId;
+use crate::net::{ColorCountAt, Net};
 use crate::timing::MemoryPolicy;
 
-/// Reduce a bare `count(place) cmp constant` program to an equivalent
-/// count threshold: the boolean is `(count >= need) ^ lt` — i.e. `count >=
-/// need` when `lt` is false, `count < need` when true. Counts are `u32`,
-/// so every comparison against an in-range constant has such a form
+/// Reduce a bare `count(place) cmp constant` program — or a
+/// `count_color(place, color) cmp constant` one whose color count is dense
+/// — to an equivalent threshold on one entry of the marking's count
+/// vector: the boolean is `(count >= need) ^ lt` — i.e. `count >= need`
+/// when `lt` is false, `count < need` when true. Counts are `u32`, so
+/// every comparison against an in-range constant has such a form
 /// (including the always-true/always-false degenerate ends); only `==` /
 /// `!=` against a nonzero constant does not.
-fn count_cmp_threshold(prog: &CompiledExpr) -> Option<(u32, bool, u32)> {
+fn count_cmp_threshold(net: &Net, prog: &CompiledExpr) -> Option<(u32, bool, u32)> {
     const MAX: i64 = u32::MAX as i64;
-    let (p, op, v) = prog.as_count_cmp()?;
+    let (p, op, v) = match prog.as_count_cmp() {
+        Some(cmp) => cmp,
+        None => {
+            let (p, c, op, v) = prog.as_color_count_cmp()?;
+            match net.color_count_at(PlaceId(p), c) {
+                ColorCountAt::Dense(i) => (i, op, v),
+                // The count is always zero: a constant, written as the
+                // always-true `count >= 0` or always-false `count < 0`.
+                ColorCountAt::AlwaysZero => return Some((p, !op.apply(0, v), 0)),
+                ColorCountAt::Bag => return None,
+            }
+        }
+    };
     let (lt, need) = match op {
         // `count >= v` / `count > v`: v at or below zero is always true
         // (GE with need 0), past the count ceiling never true (LT 0).
@@ -77,6 +95,40 @@ fn count_cmp_threshold(prog: &CompiledExpr) -> Option<(u32, bool, u32)> {
     Some((p, lt, need as u32))
 }
 
+/// If predicate `e` is an `Or` of `(sum of counts) > 0` / `>= 1` terms,
+/// push the dense count indices it reads into `out` and return true: the
+/// predicate then holds exactly when one of them is non-zero (counts are
+/// never negative). Color counts the color-flow analysis proves zero drop
+/// out; a color count kept only in a bag rejects the shape.
+fn any_nonempty(net: &Net, e: &Expr, out: &mut Vec<u32>) -> bool {
+    match e {
+        Expr::Or(a, b) => any_nonempty(net, a, out) && any_nonempty(net, b, out),
+        Expr::Cmp(sum, CmpOp::Gt, k) if **k == Expr::Const(0) => count_sum(net, sum, out),
+        Expr::Cmp(sum, CmpOp::Ge, k) if **k == Expr::Const(1) => count_sum(net, sum, out),
+        _ => false,
+    }
+}
+
+/// Push the count indices of a sum of counts (see [`any_nonempty`]).
+fn count_sum(net: &Net, e: &Expr, out: &mut Vec<u32>) -> bool {
+    match e {
+        Expr::Add(a, b) => count_sum(net, a, out) && count_sum(net, b, out),
+        Expr::Count(p, None) => {
+            out.push(p.index() as u32);
+            true
+        }
+        Expr::Count(p, Some(c)) => match net.color_count_at(*p, *c) {
+            ColorCountAt::Dense(i) => {
+                out.push(i);
+                true
+            }
+            ColorCountAt::AlwaysZero => true,
+            ColorCountAt::Bag => false,
+        },
+        _ => false,
+    }
+}
+
 /// Transition-count ceiling for the scan scheduler (scalar and batched
 /// runs alike). Below it, the next
 /// event is found by scanning the lane's contiguous `fire_at` stripe (at
@@ -98,11 +150,15 @@ pub(super) const SCAN_MAX_TRANSITIONS: usize = 32;
 // *is* the monomorphized (policy × kind) pair.
 
 /// Fire header: bits 0–15 = token-move count, bits 16–30 = count-condition
-/// record count, bit 31 = generic colored fire (one trailing tid word).
+/// record count, bit 31 = generic fire (one trailing tid word).
 pub(super) const HDR_GENERIC: u32 = 1 << 31;
 /// Token-move place word, bit 31: add (with overflow check) instead of
 /// subtract.
 pub(super) const MOV_ADD: u32 = 1 << 31;
+/// Token-move place word, bit 30: the index is a color slot, so the move
+/// also withdraws the slot's color from (or appends it to) the place's
+/// FIFO bag.
+pub(super) const MOV_COLOR: u32 = 1 << 30;
 /// Count-condition place word, bit 31: the condition is `count < need`
 /// instead of `count >= need`. Record layout: `[place|inv, need, ci, tid|flags]`.
 pub(super) const CNT_INV: u32 = 1 << 31;
@@ -193,12 +249,22 @@ pub(super) enum IntegOp {
     /// `acc_f[acc] += dt` when `(count(place) >= need) ^ lt` holds (a
     /// `count cmp const` predicate lowered to its threshold form).
     PredCnt {
-        /// Watched place (raw index).
+        /// Watched count index (a place, or a color slot).
         place: u32,
         /// Threshold (see [`count_cmp_threshold`]).
         need: u32,
         /// Invert the comparison (`count < need`).
         lt: bool,
+        /// Target slot in the lane's `f64` accumulator stripe.
+        acc: u32,
+    },
+    /// `acc_f[acc] += dt` when any of the counts `any_places[lo..hi]` is
+    /// non-zero (an "any place non-empty" predicate, see [`any_nonempty`]).
+    AnyNonEmpty {
+        /// Start of the watched count indices in the side table.
+        lo: u32,
+        /// End of the watched count indices in the side table.
+        hi: u32,
         /// Target slot in the lane's `f64` accumulator stripe.
         acc: u32,
     },
@@ -244,12 +310,14 @@ pub(crate) struct LoweredNet {
     pub(super) init_ops: Vec<u32>,
     /// Scan scheduling selected (`nt <= SCAN_MAX_TRANSITIONS`).
     pub(super) scan: bool,
-    /// Colored/generic features present (generic fire, filtered
-    /// conditions, or guards) — selects the hot-loop variant that carries
-    /// the slow paths.
+    /// Colored/generic features present (color-slot moves, generic fire,
+    /// filtered conditions, or guard programs) — selects the hot-loop
+    /// variant that carries the slow paths.
     pub(super) colored: bool,
     /// Reward integration program (time-based rewards only).
     pub(super) integ: Vec<IntegOp>,
+    /// Count indices watched by [`IntegOp::AnyNonEmpty`] ops.
+    pub(super) any_places: Vec<u32>,
     /// Stride of the per-lane `f64` accumulator stripe.
     pub(super) n_integ: usize,
     /// Stride of the per-lane counter accumulator stripe.
@@ -267,11 +335,14 @@ impl LoweredNet {
         let nc = cs.conds.len();
         let np = net.num_places();
         assert!(nc < (1 << 24), "condition index must fit a 24-bit op arg");
+        // With at most 16 color slots per place, this also keeps every
+        // count index clear of the move flag bits.
         assert!(np < (1 << 24), "place index must fit a 24-bit op arg");
         assert!(nt < (1 << 24), "transition index must fit a 24-bit op arg");
 
         // --- rewards: dense accumulator slots + finalize mapping ---
         let mut integ = Vec::new();
+        let mut any_places = Vec::new();
         let mut reward_map = Vec::with_capacity(sim.rewards.len());
         let mut counter_idx = vec![u32::MAX; sim.rewards.len()];
         let (mut n_integ, mut n_count) = (0u32, 0u32);
@@ -285,21 +356,30 @@ impl LoweredNet {
                     reward_map.push(LoweredReward::Integral(n_integ));
                     n_integ += 1;
                 }
-                RewardSpec::Predicate(_) => {
+                RewardSpec::Predicate(e) => {
                     let prog = sim.pred_progs[i]
                         .as_ref()
                         .expect("predicate reward has a compiled program");
-                    integ.push(match count_cmp_threshold(prog) {
+                    let lo = any_places.len();
+                    integ.push(match count_cmp_threshold(net, prog) {
                         Some((place, lt, need)) => IntegOp::PredCnt {
                             place,
                             need,
                             lt,
                             acc: n_integ,
                         },
-                        None => IntegOp::Pred {
-                            prog: i as u32,
+                        None if any_nonempty(net, e, &mut any_places) => IntegOp::AnyNonEmpty {
+                            lo: lo as u32,
+                            hi: any_places.len() as u32,
                             acc: n_integ,
                         },
+                        None => {
+                            any_places.truncate(lo);
+                            IntegOp::Pred {
+                                prog: i as u32,
+                                acc: n_integ,
+                            }
+                        }
                     });
                     reward_map.push(LoweredReward::Integral(n_integ));
                     n_integ += 1;
@@ -336,15 +416,20 @@ impl LoweredNet {
             let mut n_mov = 0u32;
             match &cs.plans[ti] {
                 Some(plan) => {
-                    let (i0, i1) = plan.ins;
-                    for &(p, m) in &cs.plan_dat[i0 as usize..i1 as usize] {
-                        ops.extend([p, m]);
+                    // Count indices past the places are color slots.
+                    let mut mov = |ops: &mut Vec<u32>, i: u32, m: u32, add: u32| {
+                        let slot = if i as usize >= np { MOV_COLOR } else { 0 };
+                        colored |= slot != 0;
+                        ops.extend([i | slot | add, m]);
                         n_mov += 1;
+                    };
+                    let (i0, i1) = plan.ins;
+                    for &(i, m) in &cs.plan_dat[i0 as usize..i1 as usize] {
+                        mov(&mut ops, i, m, 0);
                     }
                     let (o0, o1) = plan.outs;
-                    for &(p, m) in &cs.plan_dat[o0 as usize..o1 as usize] {
-                        ops.extend([p | MOV_ADD, m]);
-                        n_mov += 1;
+                    for &(i, m) in &cs.plan_dat[o0 as usize..o1 as usize] {
+                        mov(&mut ops, i, m, MOV_ADD);
                     }
                 }
                 None => {
@@ -401,7 +486,7 @@ impl LoweredNet {
                         // structurally complex guards keep the compiled
                         // postfix program (and force the slow-path
                         // hot-loop variant).
-                        match count_cmp_threshold(&cs.guards[cond.aux as usize]) {
+                        match count_cmp_threshold(net, &cs.guards[cond.aux as usize]) {
                             Some((p, inv, need)) => cnt_rec(&mut ops, p, inv, need),
                             None => {
                                 colored = true;
@@ -445,6 +530,7 @@ impl LoweredNet {
             scan: nt <= SCAN_MAX_TRANSITIONS,
             colored,
             integ,
+            any_places,
             n_integ: n_integ as usize,
             n_count: n_count as usize,
             reward_map,
@@ -488,9 +574,236 @@ fn emit_recheck(ops: &mut Vec<u32>, cs: &CompiledSim, t2: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arc::ColorExpr;
     use crate::builder::NetBuilder;
     use crate::sim::SimConfig;
     use crate::timing::Timing;
+    use crate::token::{Color, ColorFilter};
+
+    /// Every fire-section op of `lw` that leaves the dense count path
+    /// (generic fires and tail ops other than counter hooks), by
+    /// transition, plus the number of color-slot moves.
+    fn slow_paths(lw: &LoweredNet) -> (Vec<(usize, &'static str)>, usize) {
+        let mut slow = Vec::new();
+        let mut color_moves = 0;
+        for ti in 0..(lw.sec.len() - 1) / 2 {
+            let ops = &lw.ops[lw.sec[2 * ti] as usize..lw.sec[2 * ti + 1] as usize];
+            let hdr = ops[0];
+            let mut pc = 1;
+            if hdr & HDR_GENERIC != 0 {
+                slow.push((ti, "HDR_GENERIC"));
+                pc += 1;
+            }
+            let n_mov = (hdr & 0xffff) as usize;
+            color_moves += ops[pc..pc + 2 * n_mov]
+                .chunks_exact(2)
+                .filter(|m| m[0] & MOV_COLOR != 0)
+                .count();
+            pc += 2 * n_mov + 4 * ((hdr >> 16) & 0x7fff) as usize;
+            while pc < ops.len() {
+                let (name, len) = match ops[pc] & 0xff {
+                    OP_HOOK => ("", 1),
+                    OP_C_FGE => ("OP_C_FGE", 5),
+                    OP_C_FLT => ("OP_C_FLT", 5),
+                    OP_C_GUARD => ("OP_C_GUARD", 3),
+                    op => panic!("unknown tail op {op}"),
+                };
+                if !name.is_empty() {
+                    slow.push((ti, name));
+                }
+                pc += len;
+            }
+        }
+        (slow, color_moves)
+    }
+
+    /// The paper's Fig. 12 node SCPN in miniature, with every shape the
+    /// node model uses: colored `Const` job deposits into `Buffer`,
+    /// `Eq`-filtered DVS withdrawals (including levels no transition ever
+    /// deposits), the conjunctive `cpu_done` guard, `count cmp const`
+    /// guards on the colored buffer, and the node model's reward set.
+    #[test]
+    fn node_scpn_shapes_lower_to_dense_count_ops() {
+        use crate::expr::Expr;
+        let mut b = NetBuilder::new("node-shapes");
+        let wait = b.place("Wait").tokens(1).build();
+        let rx_start = b.place("RxStart").build();
+        let rx_data = b.place("RxData").build();
+        let rx_handle = b.place("RxHandle").build();
+        let comp_handle = b.place("CompHandle").build();
+        let tx_start = b.place("TxStart").build();
+        let tx_handle = b.place("TxHandle").build();
+        let buffer = b.place("Buffer").build();
+        let cpu_sleep = b.place("Cpu_Sleep").tokens(1).build();
+        let cpu_wake = b.place("Cpu_Wake").build();
+        let cpu_idle = b.place("Cpu_Idle").build();
+        let cpu_active = b.place("Cpu_Active").build();
+        let (comm, comp) = (Color(2), Color(4));
+        let cpu_done = || {
+            Expr::count(buffer)
+                .eq_c(0)
+                .and(Expr::count(cpu_idle).gt_c(0))
+        };
+        let cycle_start = b
+            .transition("T0", Timing::deterministic(1.0))
+            .input(wait, 1)
+            .output(rx_start, 1)
+            .build();
+        b.transition("Listen_R", Timing::deterministic(0.01))
+            .input(rx_start, 1)
+            .output(rx_data, 1)
+            .build();
+        b.transition("Transmitting_Receiving_R", Timing::deterministic(0.005))
+            .input(rx_data, 1)
+            .output(rx_handle, 1)
+            .output_colored(buffer, 1, ColorExpr::Const(comm))
+            .build();
+        b.transition("T17", Timing::immediate_pri(1))
+            .input(rx_handle, 1)
+            .output(comp_handle, 1)
+            .output_colored(buffer, 1, ColorExpr::Const(comp))
+            .guard(cpu_done())
+            .build();
+        let comp_done = b
+            .transition("T19", Timing::immediate_pri(1))
+            .input(comp_handle, 1)
+            .output(tx_start, 1)
+            .guard(cpu_done())
+            .build();
+        b.transition("Transmitting_Receiving_T", Timing::deterministic(0.015))
+            .input(tx_start, 1)
+            .output(tx_handle, 1)
+            .output_colored(buffer, 1, ColorExpr::Const(comm))
+            .build();
+        b.transition("Wait_Begin", Timing::immediate_pri(1))
+            .input(tx_handle, 1)
+            .output(wait, 1)
+            .guard(cpu_done())
+            .build();
+        let cpu_wakeup = b
+            .transition("Cpu_T1", Timing::immediate_pri(4))
+            .input(cpu_sleep, 1)
+            .output(cpu_wake, 1)
+            .guard(Expr::count(buffer).gt_c(0))
+            .build();
+        b.transition("Power_Up_Delay", Timing::deterministic(0.002))
+            .input(cpu_wake, 1)
+            .output(cpu_idle, 1)
+            .build();
+        b.transition("Cpu_T5", Timing::immediate_pri(2))
+            .input(cpu_idle, 1)
+            .output(cpu_active, 1)
+            .guard(Expr::count(buffer).gt_c(0))
+            .build();
+        b.transition("Cpu_T6", Timing::immediate_pri(3))
+            .input(cpu_active, 1)
+            .output(cpu_idle, 1)
+            .guard(Expr::count(buffer).eq_c(0))
+            .build();
+        for level in [1, 2, 3, 4] {
+            b.transition(format!("DVS_{level}"), Timing::deterministic(0.003))
+                .input(cpu_active, 1)
+                .input_filtered(buffer, 1, ColorFilter::Eq(Color(level)))
+                .output(cpu_active, 1)
+                .build();
+        }
+        b.transition("Power_Down_Threshold", Timing::deterministic(0.1))
+            .input(cpu_idle, 1)
+            .output(cpu_sleep, 1)
+            .build();
+        let net = b.build().unwrap();
+        let mut sim = Simulator::new(&net, SimConfig::for_horizon(50.0).with_trace(64));
+        for p in [cpu_sleep, cpu_wake, cpu_idle, cpu_active] {
+            sim.reward_place(p);
+        }
+        sim.reward_predicate(Expr::count(wait).gt_c(0)).unwrap();
+        sim.reward_predicate(
+            Expr::count(rx_start)
+                .gt_c(0)
+                .or(Expr::count(tx_start).gt_c(0)),
+        )
+        .unwrap();
+        sim.reward_predicate(
+            Expr::count(rx_data)
+                .add(Expr::count(rx_handle))
+                .add(Expr::count(tx_handle))
+                .gt_c(0),
+        )
+        .unwrap();
+        sim.reward_predicate(Expr::count(comp_handle).gt_c(0))
+            .unwrap();
+        for t in [cycle_start, comp_done, cpu_wakeup] {
+            sim.reward_firings(t);
+        }
+
+        let lw = LoweredNet::build(&sim);
+        let (slow, color_moves) = slow_paths(&lw);
+        assert!(slow.is_empty(), "slow-path ops left: {slow:?}");
+        // Three Const deposits and four Eq withdrawals on `Buffer`.
+        assert_eq!(color_moves, 7);
+        assert!(lw.colored, "color-slot moves need the colored variant");
+        assert!(
+            !lw.integ.iter().any(|op| matches!(op, IntegOp::Pred { .. })),
+            "{:?}",
+            lw.integ
+        );
+        assert_eq!(
+            lw.integ
+                .iter()
+                .filter(|op| matches!(op, IntegOp::AnyNonEmpty { .. }))
+                .count(),
+            2
+        );
+        // And the dense program still runs the reference engine's
+        // trajectory.
+        for seed in 0..4 {
+            let (a, b) = (sim.run(seed).unwrap(), sim.run_reference(seed).unwrap());
+            assert_eq!(a.rewards, b.rewards);
+            assert_eq!(a.firing_counts, b.firing_counts);
+            assert_eq!(a.final_marking, b.final_marking);
+            assert_eq!(a.trace, b.trace);
+        }
+    }
+
+    /// The shapes that must stay on the generic path still do: a real
+    /// `Choice` deposit (it draws from the RNG), an `In` filter over two
+    /// colors, a `!=` comparison against a nonzero constant, and a
+    /// predicate that is not an "any place non-empty" shape.
+    #[test]
+    fn rng_and_multi_color_shapes_stay_generic() {
+        use crate::expr::Expr;
+        let mut b = NetBuilder::new("generic");
+        let src = b.place("src").build();
+        let sink = b.place("sink").build();
+        b.transition("gen", Timing::exponential(1.0))
+            .output_colored(
+                src,
+                1,
+                ColorExpr::Choice(vec![(Color(1), 1.0), (Color(2), 1.0)]),
+            )
+            .build();
+        b.transition("take", Timing::exponential(2.0))
+            .input_filtered(src, 1, ColorFilter::In(vec![Color(1), Color(2)]))
+            .output(sink, 1)
+            .guard(Expr::count(sink).ne(Expr::constant(3)))
+            .build();
+        b.transition("drain", Timing::exponential(3.0))
+            .input(sink, 1)
+            .build();
+        let net = b.build().unwrap();
+        let mut sim = Simulator::new(&net, SimConfig::for_horizon(20.0));
+        sim.reward_predicate(Expr::count(src).add(Expr::count(sink)).gt_c(1))
+            .unwrap();
+        let lw = LoweredNet::build(&sim);
+        let (slow, _) = slow_paths(&lw);
+        for want in ["HDR_GENERIC", "OP_C_FGE", "OP_C_GUARD"] {
+            assert!(
+                slow.iter().any(|&(_, s)| s == want),
+                "{want} missing: {slow:?}"
+            );
+        }
+        assert!(matches!(lw.integ[..], [IntegOp::Pred { .. }]));
+    }
 
     #[test]
     fn f64_immediates_round_trip() {

@@ -40,9 +40,9 @@ use super::engine::{
     effective_token_limit, CompiledSim, SimConfig, SimOutput, Simulator, TimingKind,
 };
 use super::lower::{
-    dec_f64, IntegOp, LoweredNet, LoweredReward, CNT_INV, HDR_GENERIC, MOV_ADD, OP_C_FGE, OP_C_FLT,
-    OP_C_GUARD, OP_HOOK, OP_RA_DET, OP_RA_ERL, OP_RA_EXP, OP_RA_UNI, OP_RE_DET, OP_RE_ERL,
-    OP_RE_EXP, OP_RE_UNI, OP_RS_DET, OP_RS_ERL, OP_RS_EXP, OP_RS_UNI, RECHECK_STRIDE,
+    dec_f64, IntegOp, LoweredNet, LoweredReward, CNT_INV, HDR_GENERIC, MOV_ADD, MOV_COLOR,
+    OP_C_FGE, OP_C_FLT, OP_C_GUARD, OP_HOOK, OP_RA_DET, OP_RA_ERL, OP_RA_EXP, OP_RA_UNI, OP_RE_DET,
+    OP_RE_ERL, OP_RE_EXP, OP_RE_UNI, OP_RS_DET, OP_RS_ERL, OP_RS_EXP, OP_RS_UNI, RECHECK_STRIDE,
     TID_IMMEDIATE,
 };
 use super::trace::TraceBuffer;
@@ -173,6 +173,8 @@ struct Shared<'x> {
     init_ops: &'x [u32],
     /// Reward integration program.
     integ: &'x [IntegOp],
+    /// Count indices watched by [`IntegOp::AnyNonEmpty`] ops.
+    any_places: &'x [u32],
     /// The dominant "one time-averaged place count" reward shape,
     /// pre-matched so per-event integration is a single multiply-add.
     integ1: Option<(u32, u32)>,
@@ -184,7 +186,8 @@ struct Shared<'x> {
     warmup: f64,
     max_zero: u64,
     trace_on: bool,
-    /// `REPRO_PROFILE` armed: wrap every fire section in a clock read.
+    /// `REPRO_PROFILE` armed: wrap every fire section and every reward
+    /// integration step in a clock read.
     profile_on: bool,
 }
 
@@ -208,6 +211,9 @@ struct Lane<'x> {
     now: f64,
     zero: u64,
     imm_len: u32,
+    /// Reward integration steps and nanoseconds timed by the profiler.
+    integ_steps: u64,
+    integ_ns: u64,
     marking: &'x mut Marking,
     heap: &'x mut Vec<HeapEntry>,
     fire_at: &'x mut [f64],
@@ -386,9 +392,18 @@ impl<'x> Lane<'x> {
     // ---- fire section execution ----
 
     /// One token move: plain subtract, or plain add with the overflow
-    /// check (the only error a dense fire can raise).
+    /// check (the only error a dense fire can raise). `GEN` instantiations
+    /// also carry color-slot moves.
     #[inline(always)]
-    fn exec_mov(&mut self, sh: &Shared<'_>, pw: u32, m: u32) -> Result<(), SimError> {
+    fn exec_mov<const GEN: bool>(
+        &mut self,
+        sh: &Shared<'_>,
+        pw: u32,
+        m: u32,
+    ) -> Result<(), SimError> {
+        if GEN && pw & MOV_COLOR != 0 {
+            return self.exec_color_mov(sh, pw, m);
+        }
         if pw & MOV_ADD == 0 {
             self.marking.sub_plain(pw, m);
         } else {
@@ -397,6 +412,27 @@ impl<'x> Lane<'x> {
             if c as usize > sh.max_tokens {
                 return Err(SimError::TokenOverflow {
                     place: p as usize,
+                    time: self.now,
+                    limit: sh.cfg.max_tokens_per_place,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// One color-slot move: withdraw the slot's color from its place's bag
+    /// (FIFO-oldest first, as the reference engine's filtered withdraw
+    /// does), or append it with the per-arc overflow check.
+    #[inline(always)]
+    fn exec_color_mov(&mut self, sh: &Shared<'_>, pw: u32, m: u32) -> Result<(), SimError> {
+        let slot = pw & !(MOV_ADD | MOV_COLOR);
+        if pw & MOV_ADD == 0 {
+            self.marking.withdraw_slot(slot, m);
+        } else {
+            let (place, c) = self.marking.deposit_slot(slot, m);
+            if c as usize > sh.max_tokens {
+                return Err(SimError::TokenOverflow {
+                    place,
                     time: self.now,
                     limit: sh.cfg.max_tokens_per_place,
                 });
@@ -451,9 +487,10 @@ impl<'x> Lane<'x> {
     ) -> Result<(), SimError> {
         let hdr = ops[0];
         // The dominant tiny shape — one move, one count condition, no
-        // tail — runs fully unrolled, skipping the segment iterators.
-        if !GEN && hdr == 0x0001_0001 && ops.len() == 7 {
-            self.exec_mov(sh, ops[1], ops[2])?;
+        // tail — runs fully unrolled, skipping the segment iterators (the
+        // header test already excludes generic fires).
+        if hdr == 0x0001_0001 && ops.len() == 7 {
+            self.exec_mov::<GEN>(sh, ops[1], ops[2])?;
             self.exec_cnt(ops[3], ops[4], ops[5] as usize, ops[6]);
             self.firing_counts[ti] += 1;
             if sh.trace_on {
@@ -470,7 +507,7 @@ impl<'x> Lane<'x> {
         }
         debug_assert!(GEN || hdr & HDR_GENERIC == 0);
         for mov in ops[pos..pos + 2 * n_mov].chunks_exact(2) {
-            self.exec_mov(sh, mov[0], mov[1])?;
+            self.exec_mov::<GEN>(sh, mov[0], mov[1])?;
         }
         pos += 2 * n_mov;
         for rec in ops[pos..pos + 4 * n_cnt].chunks_exact(4) {
@@ -717,12 +754,24 @@ impl<'x> Lane<'x> {
     // ---- rewards / livelock ----
 
     /// Integrate time-based rewards over `[now, until)`, clipped to the
-    /// warm-up boundary.
+    /// warm-up boundary, attributing the step's wall time to the lane's
+    /// integration counters when the profiler is armed.
     #[inline(always)]
     fn integrate(&mut self, sh: &Shared<'_>, until: f64) {
         if sh.integ.is_empty() {
             return;
         }
+        if !sh.profile_on {
+            return self.integrate_inner(sh, until);
+        }
+        let t0 = std::time::Instant::now();
+        self.integrate_inner(sh, until);
+        self.integ_steps += 1;
+        self.integ_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    #[inline(always)]
+    fn integrate_inner(&mut self, sh: &Shared<'_>, until: f64) {
         let from = self.now.max(sh.warmup);
         let dt = until - from;
         if dt <= 0.0 {
@@ -744,6 +793,15 @@ impl<'x> Lane<'x> {
                     acc,
                 } => {
                     if (self.marking.count_raw(place) >= need) != lt {
+                        self.acc_f[acc as usize] += dt;
+                    }
+                }
+                IntegOp::AnyNonEmpty { lo, hi, acc } => {
+                    let counts = self.marking.counts();
+                    if sh.any_places[lo as usize..hi as usize]
+                        .iter()
+                        .any(|&i| counts[i as usize] != 0)
+                    {
                         self.acc_f[acc as usize] += dt;
                     }
                 }
@@ -936,6 +994,8 @@ pub(super) struct LoweredEngine<'e> {
     acc_f: Vec<f64>,
     acc_c: Vec<u64>,
     profile_ns: Vec<u64>,
+    /// Per lane: profiled reward integration (steps, nanoseconds).
+    profile_integ: Vec<(u64, u64)>,
     traces: Vec<TraceBuffer>,
     guard_scratch: Vec<i64>,
     consumed: Vec<Color>,
@@ -999,6 +1059,7 @@ impl<'e> LoweredEngine<'e> {
             acc_f: vec![0.0; lanes * lw.n_integ],
             acc_c: vec![0; lanes * lw.n_count],
             profile_ns: vec![0; lanes * nt],
+            profile_integ: vec![(0, 0); lanes],
             traces: (0..lanes)
                 .map(|_| TraceBuffer::new(sim.cfg.trace_capacity))
                 .collect(),
@@ -1071,6 +1132,7 @@ impl<'e> LoweredEngine<'e> {
             sec: &self.lw.sec,
             init_ops: &self.lw.init_ops,
             integ: &self.lw.integ,
+            any_places: &self.lw.any_places,
             integ1: match self.lw.integ.as_slice() {
                 [IntegOp::Place { place, acc }] => Some((*place, *acc)),
                 _ => None,
@@ -1113,6 +1175,8 @@ impl<'e> LoweredEngine<'e> {
             now: self.now[l],
             zero: self.zero[l],
             imm_len: self.imm_len[l],
+            integ_steps: 0,
+            integ_ns: 0,
             marking: &mut self.markings[l],
             heap: &mut self.heaps[l],
             fire_at: &mut self.fire_at[tb..tb + nt],
@@ -1142,6 +1206,7 @@ impl<'e> LoweredEngine<'e> {
         self.now[l] = lane.now;
         self.zero[l] = lane.zero;
         self.imm_len[l] = lane.imm_len;
+        self.profile_integ[l] = (lane.integ_steps, lane.integ_ns);
         res
     }
 
@@ -1157,6 +1222,8 @@ impl<'e> LoweredEngine<'e> {
                     self.profile_ns[tb + ti],
                 );
             }
+            let (steps, ns) = self.profile_integ[l];
+            super::profile::record(super::profile::INTEGRATION_ROW, steps, ns);
         }
         let end = self.end_time[l];
         let observed = (end - self.cfg.warmup).max(0.0);

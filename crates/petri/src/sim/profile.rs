@@ -1,22 +1,29 @@
 //! Per-transition engine profiler for the lowered engine.
 //!
 //! Armed by `REPRO_PROFILE=1` (or `on`/`true`), the lowered engine wraps
-//! every fire-section execution in a monotonic-clock measurement and, when
-//! a lane retires, folds its per-transition firing counts and attributed
-//! nanoseconds into this process-global table keyed by transition name.
+//! every fire-section execution and every reward integration step in a
+//! monotonic-clock measurement and, when a lane retires, folds its
+//! per-transition firing counts and attributed nanoseconds into this
+//! process-global table keyed by transition name. Integration lands in one
+//! extra row, [`INTEGRATION_ROW`], whose "firings" are integration steps.
 //! Disarmed (the default) the hot loop takes the branch-predicted
 //! `profile_on == false` path and never touches a clock.
 //!
 //! The profiler is **observably inert**: it reads wall time and counters
 //! the engine already maintains, never the RNG or any simulation state, so
 //! armed and disarmed runs produce byte-identical artifacts (asserted by
-//! the CI `--profile` smoke). Attributed time is the fire-section body
-//! only — scheduling, rechecks and reward integration are deliberately
-//! outside the measurement so the table answers "which transition's firing
-//! logic is hot", not "where does all wall time go".
+//! the CI `--profile` smoke). Attributed time is the fire-section body and
+//! the integration step — scheduling and rechecks stay outside the
+//! measurement, so the table answers "which transition's firing logic,
+//! or the per-time-step reward work, is hot", not "where does all wall
+//! time go".
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
+
+/// Name of the row that collects reward integration time (parenthesized so
+/// it cannot collide with a transition name in the paper's nets).
+pub const INTEGRATION_ROW: &str = "(reward integration)";
 
 /// Whether `REPRO_PROFILE` arms the profiler for this process (computed
 /// once; workers inherit the variable through the environment).

@@ -481,3 +481,320 @@ proptest! {
         assert_identical_on(&sim, "random net", &seeds);
     }
 }
+
+// --- random guard trees, predicate rewards and colored nets ----------------
+
+/// SplitMix64 step: expression trees are grown from one drawn seed, so a
+/// failing case reproduces from its printed inputs.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn below(state: &mut u64, n: u64) -> u64 {
+    splitmix(state) % n
+}
+
+/// A count term: a place total, or (with `colors > 0`) sometimes the count
+/// of one color `0..colors` in it.
+fn rand_count(g: &mut u64, places: &[PlaceId], colors: u32) -> Expr {
+    let p = places[below(g, places.len() as u64) as usize];
+    if colors > 0 && below(g, 2) == 0 {
+        Expr::count_color(p, Color(below(g, colors as u64) as u32))
+    } else {
+        Expr::count(p)
+    }
+}
+
+/// `count cmp k` or `count + count cmp k` with every comparison operator
+/// and `k` in `0..4` — so `==`/`!=` against nonzero constants (which have
+/// no threshold form) come up as often as the reducible shapes.
+fn rand_cmp(g: &mut u64, places: &[PlaceId], colors: u32) -> Expr {
+    let mut lhs = rand_count(g, places, colors);
+    if below(g, 3) == 0 {
+        lhs = lhs.add(rand_count(g, places, colors));
+    }
+    let k = Expr::constant(below(g, 4) as i64);
+    match below(g, 6) {
+        0 => lhs.eq(k),
+        1 => lhs.ne(k),
+        2 => lhs.lt(k),
+        3 => lhs.le(k),
+        4 => lhs.gt(k),
+        _ => lhs.ge(k),
+    }
+}
+
+/// A random `And`/`Or`/`Not` tree of comparisons, at most `depth` deep.
+fn rand_guard(g: &mut u64, places: &[PlaceId], colors: u32, depth: u32) -> Expr {
+    let pick = if depth == 0 { 0 } else { below(g, 5) };
+    match pick {
+        0 | 1 => rand_cmp(g, places, colors),
+        2 => rand_guard(g, places, colors, depth - 1).and(rand_guard(g, places, colors, depth - 1)),
+        3 => rand_guard(g, places, colors, depth - 1).or(rand_guard(g, places, colors, depth - 1)),
+        _ => rand_guard(g, places, colors, depth - 1).not(),
+    }
+}
+
+/// An "any place non-empty" predicate: an `Or` of one to three sums of
+/// one to three counts, each compared `> 0` or `>= 1`.
+fn rand_any_nonempty(g: &mut u64, places: &[PlaceId], colors: u32) -> Expr {
+    let mut any: Option<Expr> = None;
+    for _ in 0..1 + below(g, 3) {
+        let mut sum = rand_count(g, places, colors);
+        for _ in 0..below(g, 3) {
+            sum = sum.add(rand_count(g, places, colors));
+        }
+        let term = if below(g, 2) == 0 {
+            sum.gt_c(0)
+        } else {
+            sum.ge_c(1)
+        };
+        any = Some(match any {
+            Some(e) => e.or(term),
+            None => term,
+        });
+    }
+    any.expect("at least one term")
+}
+
+/// Register the predicate rewards the lowering pass specializes (single
+/// comparisons, "any place non-empty" shapes) next to arbitrary trees that
+/// stay on the program path.
+fn add_random_predicates(sim: &mut Simulator<'_>, g: &mut u64, places: &[PlaceId], colors: u32) {
+    sim.reward_predicate(rand_any_nonempty(g, places, colors))
+        .unwrap();
+    sim.reward_predicate(rand_any_nonempty(g, places, colors))
+        .unwrap();
+    sim.reward_predicate(rand_cmp(g, places, colors)).unwrap();
+    sim.reward_predicate(rand_guard(g, places, colors, 3))
+        .unwrap();
+}
+
+fn random_timing(t: &RandTransition) -> (Timing, MemoryPolicy) {
+    let timing = match t.timing {
+        0 => Timing::exponential(t.rate),
+        1 => Timing::deterministic(t.lo),
+        2 => Timing::uniform(t.lo, t.lo + t.span),
+        3 => Timing::erlang(t.k, t.rate),
+        _ => Timing::Immediate {
+            priority: t.priority,
+            weight: t.weight,
+        },
+    };
+    let policy = match t.policy {
+        0 => MemoryPolicy::RaceEnable,
+        1 => MemoryPolicy::RaceAge,
+        _ => MemoryPolicy::Resample,
+    };
+    (timing, policy)
+}
+
+/// A small-net config whose livelock and overflow limits keep the debug
+/// build fast while still exercising both error outcomes.
+fn random_config(warmup: bool) -> SimConfig {
+    let mut cfg = SimConfig::for_horizon(25.0);
+    if warmup {
+        cfg = cfg.with_warmup(5.0);
+    }
+    cfg.max_tokens_per_place = 200;
+    cfg.max_zero_time_firings = 5_000;
+    cfg
+}
+
+/// One random colored transition: a base uncolored description plus the
+/// color filter of its input and inhibitor arcs, the color expression of
+/// its output arc, and an optional guard-tree seed.
+#[derive(Debug, Clone)]
+struct RandColored {
+    base: RandTransition,
+    /// (kind: 0 Any / 1 Eq / 2 In / 3 Ne, color a, color b).
+    in_filter: (u8, u32, u32),
+    /// (kind: 0 plain / 1 Const / 2 Choice / 3 one-entry Choice /
+    /// 4 Transfer / 5 Choice over more colors than a place slots, a, b).
+    out_color: (u8, u32, u32),
+    /// Same encoding as `in_filter`.
+    inh_filter: (u8, u32, u32),
+    guard_seed: Option<u64>,
+}
+
+fn arb_colored(places: usize) -> impl Strategy<Value = RandColored> {
+    (
+        arb_transition(places),
+        (0u8..4, 0u32..4, 0u32..4),
+        (0u8..6, 0u32..4, 0u32..4),
+        (0u8..4, 0u32..4, 0u32..4),
+        proptest::option::of(0u64..u64::MAX),
+    )
+        .prop_map(
+            |(base, in_filter, out_color, inh_filter, guard_seed)| RandColored {
+                base,
+                in_filter,
+                out_color,
+                inh_filter,
+                guard_seed,
+            },
+        )
+}
+
+fn filter_of((kind, a, b): (u8, u32, u32)) -> ColorFilter {
+    match kind {
+        0 => ColorFilter::Any,
+        1 => ColorFilter::Eq(Color(a)),
+        2 => ColorFilter::In(vec![Color(a), Color(b)]),
+        _ => ColorFilter::Ne(Color(a)),
+    }
+}
+
+fn color_expr_of((kind, a, b): (u8, u32, u32)) -> ColorExpr {
+    match kind {
+        0 => ColorExpr::Const(Color::NONE),
+        1 => ColorExpr::Const(Color(a)),
+        2 => ColorExpr::Choice(vec![(Color(a), 1.0), (Color(b), 2.0)]),
+        3 => ColorExpr::Choice(vec![(Color(a), 1.0)]),
+        4 => ColorExpr::Transfer { arc_index: 0 },
+        _ => ColorExpr::Choice((1..=20).map(|c| (Color(c), 1.0)).collect()),
+    }
+}
+
+fn build_colored_net(
+    tokens: &[u32],
+    init_colors: &[u32],
+    transitions: &[RandColored],
+) -> (Net, Vec<PlaceId>) {
+    let mut b = NetBuilder::new("random-colored");
+    let places: Vec<_> = tokens
+        .iter()
+        .zip(init_colors)
+        .enumerate()
+        .map(|(i, (&n, &c))| {
+            let mut pb = b.place(format!("p{i}"));
+            for _ in 0..n {
+                pb = pb.token_colored(Color(c));
+            }
+            pb.build()
+        })
+        .collect();
+    // A colored job source keeps colors flowing into the first place.
+    b.transition("feed", Timing::exponential(1.0))
+        .output_colored(
+            places[0],
+            1,
+            ColorExpr::Choice(vec![(Color(1), 1.0), (Color(2), 1.0), (Color(3), 1.0)]),
+        )
+        .build();
+    for (i, t) in transitions.iter().enumerate() {
+        let (timing, policy) = random_timing(&t.base);
+        let mut tb = b
+            .transition(format!("t{i}"), timing)
+            .input_filtered(
+                places[t.base.input.0],
+                t.base.input.1,
+                filter_of(t.in_filter),
+            )
+            .memory(policy);
+        if let Some((p, m)) = t.base.output {
+            tb = tb.output_colored(places[p], m, color_expr_of(t.out_color));
+        }
+        if let Some((p, th)) = t.base.inhibitor {
+            tb = tb.inhibitor_filtered(places[p], th, filter_of(t.inh_filter));
+        }
+        if let Some(seed) = t.guard_seed {
+            let mut g = seed;
+            tb = tb.guard(rand_guard(&mut g, &places, 4, 2));
+        }
+        tb.build();
+    }
+    (b.build().unwrap(), places)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random uncolored nets whose guards are random `And`/`Or`/`Not`
+    /// trees (split into per-conjunct conditions, reducible conjuncts
+    /// lowered to count thresholds) and whose predicate rewards mix
+    /// "any place non-empty" shapes with arbitrary trees: lowered, scalar
+    /// and batched at widths {1, 2, 8, 33}, must match the reference
+    /// engine bit for bit, errors included.
+    #[test]
+    fn random_guard_trees_and_predicates_agree(
+        tokens in proptest::collection::vec(0u32..4, 2..5),
+        transitions in proptest::collection::vec(arb_transition(2), 2..6),
+        guard_seeds in proptest::collection::vec(proptest::option::of(0u64..u64::MAX), 6),
+        pred_seed in 0u64..u64::MAX,
+        warmup in 0u8..2,
+        seed in 0u64..10_000,
+    ) {
+        let mut b = NetBuilder::new("random-guards");
+        let places: Vec<_> = tokens
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| b.place(format!("p{i}")).tokens(n as usize).build())
+            .collect();
+        let np = places.len();
+        for (i, (t, gs)) in transitions.iter().zip(&guard_seeds).enumerate() {
+            let (timing, policy) = random_timing(t);
+            let mut tb = b
+                .transition(format!("t{i}"), timing)
+                .input(places[t.input.0 % np], t.input.1)
+                .memory(policy);
+            if let Some((p, m)) = t.output {
+                tb = tb.output(places[p % np], m);
+            }
+            if let Some((p, th)) = t.inhibitor {
+                tb = tb.inhibitor(places[p % np], th);
+            }
+            if let Some(seed) = gs {
+                let mut g = *seed;
+                tb = tb.guard(rand_guard(&mut g, &places, 0, 3));
+            }
+            tb.build();
+        }
+        let net = b.build().unwrap();
+        let mut sim = Simulator::new(&net, random_config(warmup == 1));
+        sim.reward_place(places[0]);
+        let mut g = pred_seed;
+        add_random_predicates(&mut sim, &mut g, &places, 0);
+        let seeds: Vec<u64> = (seed..seed + 33).collect();
+        assert_identical_on(&sim, "random guards", &seeds);
+    }
+
+    /// Random colored nets: `Const`/`Choice`/one-entry-`Choice`/`Transfer`
+    /// deposits (plus a Choice wide enough to leave a place without color
+    /// slots), `Any`/`Eq`/`In`/`Ne` input and inhibitor filters, and guard
+    /// trees and predicates over `count_color` — every shape the lowering
+    /// pass moves onto per-color counts, next to the ones it must leave on
+    /// the generic path, checked against the reference engine at widths
+    /// {1, 2, 8, 33}.
+    #[test]
+    fn random_colored_nets_agree(
+        tokens in proptest::collection::vec(0u32..3, 2..5),
+        init_colors in proptest::collection::vec(0u32..4, 4),
+        transitions in proptest::collection::vec(arb_colored(2), 2..6),
+        pred_seed in 0u64..u64::MAX,
+        warmup in 0u8..2,
+        seed in 0u64..10_000,
+    ) {
+        let np = tokens.len();
+        let transitions: Vec<RandColored> = transitions
+            .into_iter()
+            .map(|mut t| {
+                t.base.input.0 %= np;
+                if let Some(o) = &mut t.base.output { o.0 %= np; }
+                if let Some(i) = &mut t.base.inhibitor { i.0 %= np; }
+                t
+            })
+            .collect();
+        let (net, places) = build_colored_net(&tokens, &init_colors[..np], &transitions);
+        let mut sim = Simulator::new(&net, random_config(warmup == 1));
+        sim.reward_place(places[0]);
+        let mut g = pred_seed;
+        add_random_predicates(&mut sim, &mut g, &places, 4);
+        let seeds: Vec<u64> = (seed..seed + 33).collect();
+        assert_identical_on(&sim, "random colored net", &seeds);
+    }
+}

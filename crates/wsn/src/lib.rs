@@ -32,7 +32,7 @@ pub use cpu_model::{
 };
 pub use imote2::{run_paper_rig, table_x_comparison, Imote2Measurement, Imote2RigConfig};
 pub use metrics::{DeltaEnergyTable, DiffStats};
-pub use node::{build_node_model, simulate_node_model, NodeModel, NodePetriResult};
+pub use node::{build_node_model, simulate_node_model, NodeModel, NodePetriResult, NodeRewards};
 pub use simple_node::{
     analytic_probabilities, build_simple_node, simulate_simple_node, SimpleNodeParams,
     SimpleNodeProbabilities,

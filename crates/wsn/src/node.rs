@@ -377,66 +377,86 @@ impl NodePetriResult {
     }
 }
 
+/// Reward ids of the Fig. 14/15 measures on one simulator, from
+/// [`NodeModel::register_rewards`].
+#[derive(Debug, Clone, Copy)]
+pub struct NodeRewards {
+    /// CPU `[sleep, wakeup, idle, active]` place averages.
+    cpu: [RewardId; 4],
+    /// Radio `[sleep, wakeup, idle, active]` stage predicates.
+    radio: [RewardId; 4],
+    cpu_wakeups: RewardId,
+    cycles_started: RewardId,
+    comp_done: RewardId,
+    cycles_done: RewardId,
+}
+
+impl NodeModel {
+    /// Register every Fig. 14/15 measure on `sim` (a simulator of this
+    /// model's net): the four CPU state places, the four radio state
+    /// predicates over the stage places, and the wake-up and cycle
+    /// counters.
+    pub fn register_rewards(&self, sim: &mut Simulator<'_>) -> NodeRewards {
+        let p = &self.places;
+        // CPU state fractions: one token-average per power-state place.
+        let cpu = [p.cpu_sleep, p.cpu_wake, p.cpu_idle, p.cpu_active].map(|q| sim.reward_place(q));
+
+        // Radio state fractions: predicates over the stage places.
+        let r_radio_sleep = sim
+            .reward_predicate(Expr::count(p.wait).gt_c(0))
+            .expect("valid predicate");
+        let r_radio_wake = sim
+            .reward_predicate(
+                Expr::count(p.rx_start)
+                    .gt_c(0)
+                    .or(Expr::count(p.tx_start).gt_c(0)),
+            )
+            .expect("valid predicate");
+        let active_expr = Expr::count(p.rx_listen)
+            .add(Expr::count(p.rx_data))
+            .add(Expr::count(p.rx_handle))
+            .add(Expr::count(p.tx_listen))
+            .add(Expr::count(p.tx_data))
+            .add(Expr::count(p.tx_handle))
+            .gt_c(0);
+        let r_radio_active = sim.reward_predicate(active_expr).expect("valid predicate");
+        let r_radio_idle = sim
+            .reward_predicate(Expr::count(p.comp_handle).gt_c(0))
+            .expect("valid predicate");
+
+        let t = &self.transitions;
+        NodeRewards {
+            cpu,
+            radio: [r_radio_sleep, r_radio_wake, r_radio_idle, r_radio_active],
+            cpu_wakeups: sim.reward_firings(t.cpu_wakeup),
+            cycles_started: sim.reward_firings(t.cycle_start),
+            comp_done: sim.reward_firings(t.comp_done),
+            cycles_done: sim.reward_firings(t.cycle_done),
+        }
+    }
+}
+
+impl NodeRewards {
+    /// Read the measures out of one run over `horizon` seconds.
+    pub fn result(&self, out: &SimOutput, horizon: f64) -> NodePetriResult {
+        NodePetriResult {
+            cpu_probabilities: self.cpu.map(|r| out.reward(r)),
+            radio_probabilities: self.radio.map(|r| out.reward(r)),
+            cpu_wakeups: out.reward(self.cpu_wakeups),
+            radio_wakeups: out.reward(self.cycles_started) + out.reward(self.comp_done),
+            cycles_completed: out.reward(self.cycles_done),
+            horizon,
+        }
+    }
+}
+
 /// Simulate the node SCPN and collect all Fig. 14/15 measures.
 pub fn simulate_node_model(params: &NodeSimParams, seed: u64) -> NodePetriResult {
     let model = build_node_model(params);
-    let p = &model.places;
     let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(params.horizon));
-
-    // CPU state fractions: one token-average per power-state place.
-    let r_cpu_sleep = sim.reward_place(p.cpu_sleep);
-    let r_cpu_wake = sim.reward_place(p.cpu_wake);
-    let r_cpu_idle = sim.reward_place(p.cpu_idle);
-    let r_cpu_active = sim.reward_place(p.cpu_active);
-
-    // Radio state fractions: predicates over the stage places.
-    let r_radio_sleep = sim
-        .reward_predicate(Expr::count(p.wait).gt_c(0))
-        .expect("valid predicate");
-    let r_radio_wake = sim
-        .reward_predicate(
-            Expr::count(p.rx_start)
-                .gt_c(0)
-                .or(Expr::count(p.tx_start).gt_c(0)),
-        )
-        .expect("valid predicate");
-    let active_expr = Expr::count(p.rx_listen)
-        .add(Expr::count(p.rx_data))
-        .add(Expr::count(p.rx_handle))
-        .add(Expr::count(p.tx_listen))
-        .add(Expr::count(p.tx_data))
-        .add(Expr::count(p.tx_handle))
-        .gt_c(0);
-    let r_radio_active = sim.reward_predicate(active_expr).expect("valid predicate");
-    let r_radio_idle = sim
-        .reward_predicate(Expr::count(p.comp_handle).gt_c(0))
-        .expect("valid predicate");
-
-    let r_cpu_wakeups = sim.reward_firings(model.transitions.cpu_wakeup);
-    let r_cycles_started = sim.reward_firings(model.transitions.cycle_start);
-    let r_comp_done = sim.reward_firings(model.transitions.comp_done);
-    let r_cycles_done = sim.reward_firings(model.transitions.cycle_done);
-
+    let rewards = model.register_rewards(&mut sim);
     let out = sim.run(seed).expect("node net cannot livelock or overflow");
-
-    NodePetriResult {
-        cpu_probabilities: [
-            out.reward(r_cpu_sleep),
-            out.reward(r_cpu_wake),
-            out.reward(r_cpu_idle),
-            out.reward(r_cpu_active),
-        ],
-        radio_probabilities: [
-            out.reward(r_radio_sleep),
-            out.reward(r_radio_wake),
-            out.reward(r_radio_idle),
-            out.reward(r_radio_active),
-        ],
-        cpu_wakeups: out.reward(r_cpu_wakeups),
-        radio_wakeups: out.reward(r_cycles_started) + out.reward(r_comp_done),
-        cycles_completed: out.reward(r_cycles_done),
-        horizon: params.horizon,
-    }
+    rewards.result(&out, params.horizon)
 }
 
 #[cfg(test)]
