@@ -25,6 +25,22 @@ pub struct AbStats {
     pub speedup: f64,
 }
 
+/// The host's CPU model and logical CPU count, for a BENCH file's `host`
+/// field.
+pub fn host() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, m)| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown CPU".to_string());
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("{model}, {cpus} logical CPUs")
+}
+
 /// Median of `v` by total order (upper median). Panics on an empty sample.
 pub fn median(v: &mut [f64]) -> f64 {
     assert!(!v.is_empty(), "median of an empty sample");

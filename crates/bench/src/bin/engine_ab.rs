@@ -184,21 +184,6 @@ fn measure(label: &str, sim: &Simulator<'_>, scalar_runs: u64, pairs: usize) -> 
     }
 }
 
-/// The host's CPU model and logical CPU count, for the JSON's `host` field.
-fn host() -> String {
-    let model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find_map(|l| l.strip_prefix("model name"))
-                .and_then(|l| l.split_once(':'))
-                .map(|(_, m)| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown CPU".to_string());
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    format!("{model}, {cpus} logical CPUs")
-}
-
 /// Render the results as the `BENCH_engine.json` document.
 fn render_json(results: &[NetResult], pairs: usize) -> String {
     let arm = |a: &Arm, base: &str, variant: &str| {
@@ -237,7 +222,7 @@ fn render_json(results: &[NetResult], pairs: usize) -> String {
   }}
 }}
 "#,
-        host = host(),
+        host = bench::ab::host(),
     )
 }
 

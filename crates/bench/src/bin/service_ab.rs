@@ -45,8 +45,11 @@
 //! own construction), so phases report their own activity rather than
 //! the accumulated total.
 //!
+//! Prints the results as JSON; `--out FILE` also writes them to FILE (the
+//! committed `BENCH_service.json`) once every bound holds.
+//!
 //! ```text
-//! cargo run --release -p bench --bin service_ab [--pairs K]
+//! cargo run --release -p bench --bin service_ab [--pairs K] [--out FILE]
 //! ```
 
 use bench::remote::LocalService;
@@ -113,6 +116,7 @@ fn percentile(v: &mut [f64], q: f64) -> f64 {
 
 fn main() {
     let mut pairs = 9usize;
+    let mut out: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -124,8 +128,16 @@ fn main() {
                     std::process::exit(2);
                 }
             },
+            "--out" => match it.next() {
+                Some(path) => out = Some(path.clone()),
+                None => {
+                    eprintln!("--out needs a file path");
+                    std::process::exit(2);
+                }
+            },
             other => {
                 eprintln!("unknown arg: {other}");
+                eprintln!("usage: service_ab [--pairs K] [--out FILE]");
                 std::process::exit(2);
             }
         }
@@ -457,75 +469,94 @@ fn main() {
     let tr_off_med = median(&mut tr_off_ms);
     let trace_pct = (median(&mut tr_ratios) - 1.0) * 100.0;
 
-    println!("{{");
-    println!(
+    // The JSON document: printed on stdout, and written to `--out FILE`
+    // once every bound below holds.
+    let mut json = String::new();
+    macro_rules! emit {
+        ($($arg:tt)*) => {{
+            json.push_str(&format!($($arg)*));
+            json.push('\n');
+        }};
+    }
+    emit!("{{");
+    emit!("  \"what\": \"The experiment service daemon (`repro serve`) on loopback: cache hits, submission throughput, the warm vs cold worker fleet through the worker backend, latency under offered load, and the telemetry and trace overheads.\",");
+    emit!("  \"command\": \"cargo run --release -p bench --bin service_ab -- --pairs {pairs} --out BENCH_service.json\",");
+    emit!("  \"host\": \"{}\",", bench::ab::host());
+    emit!(
         "  \"workload\": \"fig14 --quick: {tasks}-point closed node sweep, {HORIZON} s horizon, 1 replication/point\","
     );
-    println!("  \"byte_identity\": \"in-process == served fresh == served cache-hit, asserted on raw slot bytes before timing\",");
-    println!("  \"cache\": {{");
-    println!("    \"pairs\": {pairs},");
-    println!("    \"cold_submit_fetch_ms\": {cold:.2},");
-    println!("    \"warm_submit_fetch_ms\": {warm:.2},");
-    println!("    \"cache_hit_speedup\": {speedup:.1},");
-    println!(
+    emit!("  \"byte_identity\": \"in-process == served fresh == served cache-hit, asserted on raw slot bytes before timing\",");
+    emit!("  \"cache\": {{");
+    emit!("    \"pairs\": {pairs},");
+    emit!("    \"cold_submit_fetch_ms\": {cold:.2},");
+    emit!("    \"warm_submit_fetch_ms\": {warm:.2},");
+    emit!("    \"cache_hit_speedup\": {speedup:.1},");
+    emit!(
         "    \"client_fleet_delta\": {{ \"reconnects\": {}, \"fallbacks\": {} }}",
-        cache_fleet.reconnects, cache_fleet.fallbacks
+        cache_fleet.reconnects,
+        cache_fleet.fallbacks
     );
-    println!("  }},");
-    println!("  \"submission_throughput\": {{");
-    println!("    \"jobs\": {n_jobs},");
-    println!("    \"sequential_jobs_per_s\": {sequential_jobs_per_s:.0},");
-    println!("    \"pipelined_jobs_per_s\": {pipelined_jobs_per_s:.0}");
-    println!("  }},");
-    println!("  \"fleet\": {{");
-    println!("    \"flood_jobs\": {n_flood},");
-    println!("    \"cold_spawn_p50_ms\": {cold_p50:.2},");
-    println!("    \"cold_spawn_p99_ms\": {cold_p99:.2},");
-    println!("    \"warm_pool_p50_ms\": {warm_p50:.2},");
-    println!("    \"warm_pool_p99_ms\": {warm_p99:.2},");
-    println!("    \"warm_pool_p50_speedup\": {:.1},", cold_p50 / warm_p50);
-    println!(
+    emit!("  }},");
+    emit!("  \"submission_throughput\": {{");
+    emit!("    \"jobs\": {n_jobs},");
+    emit!("    \"sequential_jobs_per_s\": {sequential_jobs_per_s:.0},");
+    emit!("    \"pipelined_jobs_per_s\": {pipelined_jobs_per_s:.0}");
+    emit!("  }},");
+    emit!("  \"fleet\": {{");
+    emit!("    \"flood_jobs\": {n_flood},");
+    emit!("    \"cold_spawn_p50_ms\": {cold_p50:.2},");
+    emit!("    \"cold_spawn_p99_ms\": {cold_p99:.2},");
+    emit!("    \"warm_pool_p50_ms\": {warm_p50:.2},");
+    emit!("    \"warm_pool_p99_ms\": {warm_p99:.2},");
+    emit!("    \"warm_pool_p50_speedup\": {:.1},", cold_p50 / warm_p50);
+    emit!(
         "    \"cold_phase_stats\": {{ \"executed\": {}, \"restarts\": {}, \"fallbacks\": {} }},",
-        cold_stats.executed, cold_stats.restarts, cold_stats.fallbacks
+        cold_stats.executed,
+        cold_stats.restarts,
+        cold_stats.fallbacks
     );
-    println!(
+    emit!(
         "    \"warm_phase_stats\": {{ \"executed\": {}, \"restarts\": {}, \"fallbacks\": {} }}",
-        warm_stats.executed, warm_stats.restarts, warm_stats.fallbacks
+        warm_stats.executed,
+        warm_stats.restarts,
+        warm_stats.fallbacks
     );
-    println!("  }},");
-    println!("  \"rate_sweep\": {{");
-    println!("    \"jobs_per_rate\": {n_rate},");
-    println!("    \"capacity_estimate_jobs_per_s\": {capacity_jobs_per_s:.1},");
-    println!("    \"points\": [");
+    emit!("  }},");
+    emit!("  \"rate_sweep\": {{");
+    emit!("    \"jobs_per_rate\": {n_rate},");
+    emit!("    \"capacity_estimate_jobs_per_s\": {capacity_jobs_per_s:.1},");
+    emit!("    \"points\": [");
     for (i, p) in rate_points.iter().enumerate() {
         let comma = if i + 1 < rate_points.len() { "," } else { "" };
-        println!(
+        emit!(
             "      {{ \"offered_jobs_per_s\": {:.1}, \"achieved_jobs_per_s\": {:.1}, \"p50_ms\": {:.2}, \"p99_ms\": {:.2} }}{comma}",
             p.offered, p.achieved, p.p50_ms, p.p99_ms
         );
     }
-    println!("    ]");
-    println!("  }},");
-    println!("  \"telemetry\": {{");
-    println!("    \"paired_sweeps\": {sweeps},");
-    println!("    \"on_p50_ms\": {on_med:.2},");
-    println!("    \"off_p50_ms\": {off_med:.2},");
-    println!("    \"overhead_pct\": {telemetry_pct:.2},");
-    println!("    \"estimator\": \"median per-pair on/off time ratio, arms adjacent in time with alternating order\",");
-    println!("    \"byte_identity\": \"telemetry on == telemetry off, asserted on raw slot bytes before timing\"");
-    println!("  }},");
-    println!("  \"trace\": {{");
-    println!("    \"paired_sweeps\": {sweeps},");
-    println!("    \"on_p50_ms\": {tr_on_med:.2},");
-    println!("    \"off_p50_ms\": {tr_off_med:.2},");
-    println!("    \"overhead_pct\": {trace_pct:.2},");
-    println!("    \"estimator\": \"median per-pair on/off time ratio, arms adjacent in time with alternating order\",");
-    println!("    \"byte_identity\": \"trace on == trace off, asserted on raw slot bytes before timing\"");
-    println!("  }},");
-    println!(
-        "  \"note\": \"cold = submit+fetch of a fresh manifest (daemon simulates the sweep); warm = identical resubmission answered from the content-addressed cache; throughput jobs are trivial 1-slot manifests, so the figure is the protocol+queue floor, not simulation speed; fleet = the same flood through a --shards 1 daemon with the worker pool off (fresh subprocess per dispatch) vs on (workers stay warm); rate_sweep = paced submissions against the warm fleet at fractions of the closed-loop capacity estimate, per-job sojourn anchored to the wall-clock schedule so slip past capacity accumulates as queueing delay; 1-CPU container — daemon and client share the core\""
+    emit!("    ]");
+    emit!("  }},");
+    emit!("  \"telemetry\": {{");
+    emit!("    \"paired_sweeps\": {sweeps},");
+    emit!("    \"on_p50_ms\": {on_med:.2},");
+    emit!("    \"off_p50_ms\": {off_med:.2},");
+    emit!("    \"overhead_pct\": {telemetry_pct:.2},");
+    emit!("    \"estimator\": \"median per-pair on/off time ratio, arms adjacent in time with alternating order\",");
+    emit!("    \"byte_identity\": \"telemetry on == telemetry off, asserted on raw slot bytes before timing\"");
+    emit!("  }},");
+    emit!("  \"trace\": {{");
+    emit!("    \"paired_sweeps\": {sweeps},");
+    emit!("    \"on_p50_ms\": {tr_on_med:.2},");
+    emit!("    \"off_p50_ms\": {tr_off_med:.2},");
+    emit!("    \"overhead_pct\": {trace_pct:.2},");
+    emit!("    \"estimator\": \"median per-pair on/off time ratio, arms adjacent in time with alternating order\",");
+    emit!("    \"byte_identity\": \"trace on == trace off, asserted on raw slot bytes before timing\"");
+    emit!("  }},");
+    emit!(
+        "  \"note\": \"cold = submit+fetch of a fresh manifest (daemon simulates the sweep); warm = identical resubmission answered from the content-addressed cache; throughput jobs are trivial 1-slot manifests, so the figure is the protocol+queue floor, not simulation speed; fleet = the same flood through a --shards 1 daemon with the worker pool off (fresh subprocess per dispatch) vs on (workers stay warm); rate_sweep = paced submissions against the warm fleet at fractions of the closed-loop capacity estimate, per-job sojourn anchored to the wall-clock schedule so slip past capacity accumulates as queueing delay; daemon, workers and client share the host's CPUs\""
     );
-    println!("}}");
+    emit!("}}");
+
+    print!("{json}");
 
     assert!(
         speedup >= MIN_HIT_SPEEDUP,
@@ -551,4 +582,11 @@ fn main() {
     );
     eprintln!("trace overhead {trace_pct:.2}% < {MAX_TRACE_PCT}%: ok");
     let _ = std::fs::remove_dir_all(&cache_dir);
+    if let Some(path) = &out {
+        if let Err(e) = std::fs::write(path, &json) {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
+        }
+        eprintln!("wrote {path}");
+    }
 }

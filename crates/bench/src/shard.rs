@@ -1,7 +1,7 @@
 //! Worker-side wiring for the sharded executor, plus self-test jobs.
 //!
 //! The `repro` binary doubles as the worker subprocess of
-//! `sim_runtime::ShardedBackend` (`repro --worker`): this module builds its
+//! `sim_runtime::WorkerBackend` (`repro --worker`): this module builds its
 //! [`JobRegistry`] — every portable experiment job from `wsn` plus a few
 //! self-test jobs the shard-determinism and error-propagation suites need
 //! (a plain uncolored M/M/1 net, deliberate task failures, and a

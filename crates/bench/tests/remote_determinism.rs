@@ -1,4 +1,4 @@
-//! Acceptance suite for the remote TCP executor: `RemoteBackend` must be
+//! Acceptance suite for the remote TCP executor: the worker backend over TCP must be
 //! **byte-identical** to the in-process backend for every portable job and
 //! every experiment driver at hosts ∈ {1, 2, 4} × threads ∈ {1, 2} over
 //! loopback, peer failures must propagate with lowest-flat-index-wins

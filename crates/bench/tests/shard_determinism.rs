@@ -1,4 +1,4 @@
-//! Acceptance suite for the sharded executor: `ShardedBackend` must be
+//! Acceptance suite for the sharded executor: the worker backend over pipes must be
 //! **byte-identical** to the in-process backend for every portable job and
 //! every experiment driver at shards ∈ {1, 2, 4} × threads ∈ {1, 2}, and
 //! worker failures must propagate with lowest-flat-index-wins semantics

@@ -2,8 +2,8 @@
 //! that run them.
 //!
 //! Closure grids ([`crate::Runner::grid`]) are bound to one address space.
-//! To spread the same flat task stream over worker **subprocesses** (and,
-//! eventually, remote hosts), a grid must be *described as data*:
+//! To spread the same flat task stream over worker **subprocesses** and
+//! remote hosts, a grid must be *described as data*:
 //!
 //! * a [`PortableJob`] is the task family — a named, self-encoding recipe
 //!   that turns `(point, replication, seed)` into an encoded result;
@@ -13,30 +13,21 @@
 //! * an [`ExecBackend`] executes a manifest and hands back per-slot result
 //!   bytes in flat-index order.
 //!
-//! Two backends ship today: [`InProcessBackend`] (the scoped thread pool —
-//! the same scheduling core behind `Runner::grid`) and [`ShardedBackend`],
-//! which partitions the manifest into contiguous shards, spawns one worker
-//! subprocess per shard (`<exe> --worker`, speaking length-prefixed frames
-//! over stdin/stdout — see [`crate::worker`]), and gathers per-slot
-//! results. Because every fold downstream consumes slots in flat-index
-//! order, **any shard count × thread count yields byte-identical
-//! results**. `ExecBackend::run_segments` is deliberately the single seam
-//! where an async or remote-host backend would plug in.
+//! Three backends ship today: [`InProcessBackend`] (the scoped thread
+//! pool — the same scheduling core behind `Runner::grid`),
+//! [`WorkerBackend`] (contiguous manifest chunks over framed links to
+//! `<exe> --worker` subprocesses on pipes or `<exe> --worker --listen`
+//! peers over TCP — see [`crate::fleet::backend`]) and the service
+//! client ([`crate::service::ServiceBackend`]). Because every fold
+//! downstream consumes slots in flat-index order, **any link count ×
+//! thread count yields byte-identical results**.
 
-use crate::fleet::chaos::{ChaosConfig, FaultInjector};
-use crate::fleet::pool::pool;
-use crate::fleet::{fleet_stats, FaultPolicy, FleetStats};
-use crate::grid::{run_segments_core, GridPlan, Progress, ProgressFn, Segment};
-use crate::remote::protocol::{
-    collect_results, drain_chunk, encode_manifest_request, encode_shutdown_request,
-    first_undelivered, keep_lowest_error, undelivered_remainder, ChunkSink, Drained,
-};
-use crate::remote::transport::{FrameTransport as _, PipeTransport};
+use crate::fleet::backend::{Connector, WorkerBackend};
+use crate::fleet::chaos::ChaosConfig;
+use crate::fleet::FaultPolicy;
+use crate::grid::{run_segments_core, GridPlan, ProgressFn, Segment};
 use crate::wire::{self, Reader, WireError};
 use std::collections::BTreeMap;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Protocol version byte carried by every manifest request frame.
 /// Version 2 introduced tagged requests (manifest vs graceful shutdown)
@@ -235,7 +226,7 @@ impl JobRegistry {
 /// A fully serialized description of one grid run: which job, which
 /// contiguous flat-index segments, and the seed of every slot.
 ///
-/// The manifest is the unit the sharded backend partitions and ships to
+/// The manifest is the unit the worker backend partitions and ships to
 /// workers; its compact encoding is hand-rolled (see [`crate::wire`])
 /// because the offline build's `serde` is a no-op shim.
 #[derive(Debug, Clone, PartialEq)]
@@ -512,7 +503,7 @@ impl ExecBackend for InProcessBackend {
     }
 }
 
-// --- sharded backend -----------------------------------------------------
+// --- worker protocol ---------------------------------------------------
 
 /// Frame tags of the worker protocol.
 pub(crate) mod frame {
@@ -551,475 +542,6 @@ pub(crate) mod frame {
     pub const SPANS: u8 = b'T';
 }
 
-/// The multi-process backend: contiguous manifest shards fanned out to
-/// worker subprocesses.
-///
-/// Each worker is spawned as `worker_cmd` (default: the current executable
-/// with a single `--worker` argument), receives one length-prefixed request
-/// frame on stdin — protocol version, thread count, and its sub-manifest —
-/// and answers on stdout with one `R` frame per slot, terminated by `D`
-/// (or `E` carrying its lowest-flat-index task error). stderr passes
-/// through for diagnostics. Gather re-assembles shard results in flat-index
-/// order, so the downstream fold is byte-identical to [`InProcessBackend`]
-/// at any shard count; on failure the lowest-global-flat-index error wins,
-/// whether it arrived in-band (`E`) or as a dead worker.
-#[derive(Debug, Clone)]
-pub struct ShardedBackend {
-    /// Worker subprocesses to partition the manifest across.
-    pub shards: usize,
-    /// Worker threads *per subprocess* (total parallelism is
-    /// `shards × worker_threads`).
-    pub worker_threads: usize,
-    /// Batch width shipped in each manifest request: workers hand
-    /// contiguous same-point slot runs of this size to
-    /// [`PortableJob::run_batch`]. 1 = slot-at-a-time.
-    pub batch: usize,
-    /// Override of the worker command line; `None` spawns
-    /// `current_exe --worker`.
-    pub worker_cmd: Option<Vec<String>>,
-    /// Unified fault policy: retry budget, backoff, and the opt-in
-    /// shrink-to-zero in-process fallback.
-    pub fault: FaultPolicy,
-    /// Keep workers warm in the process-global
-    /// [`WorkerPool`](crate::fleet::pool::WorkerPool) across dispatches
-    /// (checkout/return instead of spawn-per-dispatch). On by default;
-    /// `false` restores the legacy cold spawn-per-shard path.
-    pub pool: bool,
-    /// Deterministic frame-fault injection on the worker pipes (chaos
-    /// testing); `None` is a passthrough.
-    pub chaos: Option<ChaosConfig>,
-}
-
-impl ShardedBackend {
-    /// A sharded backend re-entering the current executable with
-    /// `--worker`.
-    pub fn new(shards: usize, worker_threads: usize) -> Self {
-        ShardedBackend {
-            shards: shards.max(1),
-            worker_threads: worker_threads.max(1),
-            batch: 1,
-            worker_cmd: None,
-            fault: FaultPolicy::default(),
-            pool: true,
-            chaos: None,
-        }
-    }
-
-    /// Set the batch width workers run contiguous same-point slots at
-    /// (clamped to ≥ 1); result bytes are identical at any width.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
-    }
-
-    /// Use an explicit worker command line (argv; must speak the worker
-    /// protocol on stdin/stdout).
-    pub fn with_worker_cmd(mut self, cmd: Vec<String>) -> Self {
-        assert!(!cmd.is_empty(), "worker command must have an argv[0]");
-        self.worker_cmd = Some(cmd);
-        self
-    }
-
-    /// Replace the fault policy.
-    pub fn with_fault(mut self, fault: FaultPolicy) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Enable or disable the warm worker pool.
-    pub fn with_pool(mut self, pool: bool) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// Arm (or disarm) deterministic chaos injection.
-    pub fn with_chaos(mut self, chaos: Option<ChaosConfig>) -> Self {
-        self.chaos = chaos;
-        self
-    }
-
-    fn resolve_cmd(&self) -> Result<Vec<String>, ExecError> {
-        if let Some(cmd) = &self.worker_cmd {
-            return Ok(cmd.clone());
-        }
-        let exe = std::env::current_exe()
-            .map_err(|e| ExecError::Protocol(format!("cannot resolve current_exe: {e}")))?;
-        Ok(vec![exe.to_string_lossy().into_owned(), "--worker".into()])
-    }
-
-    /// Drive one worker subprocess through one shard, draining its
-    /// responses into the manifest-wide `results` table.
-    #[allow(clippy::too_many_arguments)]
-    fn run_shard(
-        &self,
-        cmd: &[String],
-        start: usize,
-        chunk: &TaskManifest,
-        results: &[OnceLock<Vec<u8>>],
-        completed: &AtomicUsize,
-        grand_total: usize,
-        progress: Option<&ProgressFn>,
-    ) -> Result<(), ExecError> {
-        let spawn_err = |e: std::io::Error| ExecError::Worker {
-            flat_index: start,
-            message: format!("failed to spawn worker {:?}: {e}", cmd[0]),
-        };
-        let mut child: Child = Command::new(&cmd[0])
-            .args(&cmd[1..])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .map_err(spawn_err)?;
-
-        let died = |child: &mut Child, context: String| {
-            // Kill before waiting: a worker that is still alive (e.g. one
-            // that wrote garbage frames and is now blocked writing into
-            // the pipe we stopped draining) must not hang the gather.
-            let _ = child.kill();
-            let status = child
-                .wait()
-                .map(|s| s.to_string())
-                .unwrap_or_else(|e| format!("unwaitable: {e}"));
-            ExecError::Worker {
-                flat_index: start,
-                message: format!("{context} (worker {status})"),
-            }
-        };
-
-        // Ship the manifest request plus the graceful-shutdown frame, then
-        // close stdin: the worker executes the manifest, answers, reads the
-        // shutdown frame and exits 0 on its own — no EOF guessing, no kill
-        // on the happy path. Closing the write half also means a worker
-        // stuck mid-read sees EOF instead of deadlocking us.
-        let mut transport = PipeTransport::new(
-            child.stdin.take().expect("stdin piped"),
-            child.stdout.take().expect("stdout piped"),
-        );
-        let request = encode_manifest_request(
-            self.worker_threads,
-            self.batch,
-            chunk,
-            crate::trace::current(),
-        );
-        let shipped = transport
-            .send(&request)
-            .and_then(|_| transport.send(&encode_shutdown_request()))
-            .and_then(|_| transport.flush());
-        if let Err(e) = shipped {
-            return Err(died(&mut child, format!("request write failed: {e}")));
-        }
-        transport.close_write();
-
-        let slots = chunk.slots();
-        let global_flat: Vec<usize> = (start..start + slots.len()).collect();
-        let mut delivered = vec![false; slots.len()];
-        let outcome = drain_chunk(
-            &mut transport,
-            ChunkSink {
-                slots: &slots,
-                global_flat: &global_flat,
-                results,
-                delivered: &mut delivered,
-                completed,
-                grand_total,
-                progress,
-            },
-        );
-        match outcome {
-            Drained::Complete => {
-                let status = child.wait().map_err(|e| ExecError::Worker {
-                    flat_index: start,
-                    message: format!("worker unwaitable: {e}"),
-                })?;
-                if !status.success() {
-                    return Err(ExecError::Worker {
-                        flat_index: start,
-                        message: format!("worker exited after DONE without success ({status})"),
-                    });
-                }
-                Ok(())
-            }
-            Drained::TaskError(e) => {
-                // In-band failure: the worker is healthy and exits on the
-                // shutdown frame already in its pipe.
-                let _ = child.wait();
-                Err(e)
-            }
-            Drained::Broken(context) => {
-                let flat = first_undelivered(&global_flat, &delivered).unwrap_or(start);
-                let mut err = died(&mut child, context);
-                if let ExecError::Worker { flat_index, .. } = &mut err {
-                    *flat_index = flat;
-                }
-                Err(err)
-            }
-        }
-    }
-
-    /// The supervised (pooled) shard path: check a warm worker out of
-    /// the process-global pool, dispatch the chunk, and return the
-    /// worker for the next dispatch. A worker that breaks mid-chunk is
-    /// discarded and the undelivered remainder re-dispatched onto a
-    /// fresh checkout, with the policy's capped backoff between
-    /// attempts; once the retry budget is spent the remainder either
-    /// degrades to in-process execution (`fault.fallback`) or surfaces
-    /// as [`ExecError::Worker`]. Retries cannot change result bytes —
-    /// slots are seeded pure functions and delivered slots are never
-    /// re-run.
-    #[allow(clippy::too_many_arguments)]
-    fn run_shard_supervised(
-        &self,
-        job: &dyn PortableJob,
-        cmd: &[String],
-        start: usize,
-        chunk: &TaskManifest,
-        results: &[OnceLock<Vec<u8>>],
-        completed: &AtomicUsize,
-        grand_total: usize,
-        progress: Option<&ProgressFn>,
-    ) -> Result<(), ExecError> {
-        let mut pending_manifest = chunk.clone();
-        let mut pending_flat: Vec<usize> = (start..start + chunk.total_slots()).collect();
-        let mut last_failure = String::from("no dispatch attempted");
-        let attempts = self.fault.retry_budget + 1;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(self.fault.backoff_delay(attempt - 1, start as u64));
-            }
-            let tr = crate::trace::tracer();
-            let checkout_started = tr.start();
-            let mut worker = match pool().checkout_worker(cmd) {
-                Ok(w) => w,
-                Err(e) => {
-                    last_failure = format!("failed to spawn worker {:?}: {e}", cmd[0]);
-                    continue;
-                }
-            };
-            tr.record(
-                crate::trace::current(),
-                crate::trace::name::POOL_CHECKOUT,
-                crate::trace::cat::FLEET,
-                start as u64,
-                checkout_started,
-            );
-            let slots = pending_manifest.slots();
-            let mut delivered = vec![false; slots.len()];
-            let outcome = {
-                let mut transport = FaultInjector::new(worker.transport(), self.chaos);
-                let request = encode_manifest_request(
-                    self.worker_threads,
-                    self.batch,
-                    &pending_manifest,
-                    crate::trace::current(),
-                );
-                match transport.send(&request).and_then(|_| transport.flush()) {
-                    Err(e) => Drained::Broken(format!("request write failed: {e}")),
-                    Ok(()) => drain_chunk(
-                        &mut transport,
-                        ChunkSink {
-                            slots: &slots,
-                            global_flat: &pending_flat,
-                            results,
-                            delivered: &mut delivered,
-                            completed,
-                            grand_total,
-                            progress,
-                        },
-                    ),
-                }
-            };
-            match outcome {
-                Drained::Complete => {
-                    pool().return_worker(cmd, worker);
-                    return Ok(());
-                }
-                Drained::TaskError(e) => {
-                    // Deterministic in-band failure: the worker is
-                    // healthy and a retry would fail identically.
-                    pool().return_worker(cmd, worker);
-                    return Err(e);
-                }
-                Drained::Broken(context) => {
-                    worker.discard();
-                    match undelivered_remainder(&pending_manifest, &pending_flat, &delivered) {
-                        // Every slot landed before the break (e.g. the
-                        // worker died after its last R but before D).
-                        None => return Ok(()),
-                        Some((m, flat)) => {
-                            last_failure = context;
-                            if attempt + 1 < attempts {
-                                FleetStats::bump(&fleet_stats().restarts);
-                                eprintln!(
-                                    "[fleet] shard worker died mid-chunk ({last_failure}); \
-                                     restarting and re-dispatching {} slot(s) \
-                                     (attempt {} of {attempts})",
-                                    flat.len(),
-                                    attempt + 2,
-                                );
-                            }
-                            pending_manifest = m;
-                            pending_flat = flat;
-                        }
-                    }
-                }
-            }
-        }
-        if self.fault.fallback {
-            eprintln!(
-                "[fleet] shard fleet exhausted after {attempts} attempt(s) ({last_failure}); \
-                 degrading: running {} slot(s) in-process",
-                pending_flat.len(),
-            );
-            FleetStats::bump(&fleet_stats().fallbacks);
-            return run_slots_in_process(
-                job,
-                &pending_manifest,
-                &pending_flat,
-                results,
-                completed,
-                grand_total,
-                progress,
-            );
-        }
-        Err(ExecError::Worker {
-            flat_index: pending_flat.first().copied().unwrap_or(start),
-            message: format!(
-                "{last_failure} ({} slot(s) undelivered after {attempts} dispatch attempt(s))",
-                pending_flat.len(),
-            ),
-        })
-    }
-}
-
-/// Run a (sub-)manifest's slots sequentially in this process, landing
-/// results in the global gather table — the shrink-to-zero degradation
-/// path shared by the sharded and remote backends. Sequential execution
-/// in flat order means the first task failure is the remainder's
-/// lowest-index failure, preserving the deterministic error-selection
-/// contract.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_slots_in_process(
-    job: &dyn PortableJob,
-    manifest: &TaskManifest,
-    global_flat: &[usize],
-    results: &[OnceLock<Vec<u8>>],
-    completed: &AtomicUsize,
-    grand_total: usize,
-    progress: Option<&ProgressFn>,
-) -> Result<(), ExecError> {
-    for (local, &(point, rep, seed)) in manifest.slots().iter().enumerate() {
-        let flat = global_flat[local];
-        match job.run_slot(point, rep, seed) {
-            Ok(bytes) => {
-                if results[flat].set(bytes).is_err() {
-                    return Err(ExecError::Protocol(format!(
-                        "fallback slot {flat} delivered twice"
-                    )));
-                }
-                let done_now = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(cb) = progress {
-                    cb(Progress {
-                        point,
-                        replication: rep,
-                        completed: done_now,
-                        total: grand_total,
-                    });
-                }
-            }
-            Err(message) => {
-                return Err(ExecError::Task {
-                    flat_index: flat,
-                    point,
-                    replication: rep,
-                    message,
-                })
-            }
-        }
-    }
-    Ok(())
-}
-
-impl ExecBackend for ShardedBackend {
-    fn run_segments(
-        &self,
-        job: &dyn PortableJob,
-        manifest: &TaskManifest,
-        progress: Option<&ProgressFn>,
-    ) -> Result<Vec<Vec<u8>>, ExecError> {
-        manifest.validate()?;
-        let total = manifest.total_slots();
-        if total == 0 {
-            return Ok(Vec::new());
-        }
-        let cmd = self.resolve_cmd()?;
-        let chunks = manifest.split(self.shards);
-        let results: Vec<OnceLock<Vec<u8>>> = (0..total).map(|_| OnceLock::new()).collect();
-        let completed = AtomicUsize::new(0);
-
-        // One drain thread per shard: workers stream concurrently, so a
-        // full pipe on shard k can never stall the gather of shard j.
-        //
-        // Deliberately NO cross-shard cancellation on first error: there is
-        // no global claim order across processes, so killing sibling
-        // workers could discard a *lower*-flat-index failure that had not
-        // been reported yet, making the surfaced error timing-dependent.
-        // Letting every shard drain keeps the lowest-index-wins selection
-        // below deterministic — the same contract as `Runner::try_grid` —
-        // at the cost of finishing in-flight shards on the error path.
-        let outcomes: Vec<Result<(), ExecError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|(start, chunk)| {
-                    let cmd = &cmd;
-                    let completed = &completed;
-                    let results = &results;
-                    scope.spawn(move || {
-                        if self.pool {
-                            self.run_shard_supervised(
-                                job, cmd, *start, chunk, results, completed, total, progress,
-                            )
-                        } else {
-                            self.run_shard(cmd, *start, chunk, results, completed, total, progress)
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard drain thread never panics"))
-                .collect()
-        });
-
-        let mut first_error: Option<ExecError> = None;
-        for outcome in outcomes {
-            if let Err(e) = outcome {
-                keep_lowest_error(&mut first_error, e);
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        // Every shard drained clean, so every slot landed; concatenating
-        // the table in flat order IS the in-process slot order.
-        collect_results(results)
-    }
-
-    fn label(&self) -> String {
-        if self.batch > 1 {
-            format!(
-                "sharded(shards={}, threads/worker={}, batch={})",
-                self.shards, self.worker_threads, self.batch
-            )
-        } else {
-            format!(
-                "sharded(shards={}, threads/worker={})",
-                self.shards, self.worker_threads
-            )
-        }
-    }
-}
-
 // --- execution configuration --------------------------------------------
 
 /// Which backend a [`Runner`](crate::Runner) dispatches portable jobs to.
@@ -1027,22 +549,8 @@ impl ExecBackend for ShardedBackend {
 pub(crate) enum BackendSel {
     /// Scoped thread pool in this process.
     InProcess,
-    /// Worker subprocesses; `worker_cmd: None` re-enters
-    /// `current_exe --worker`.
-    Sharded {
-        shards: usize,
-        worker_cmd: Option<Vec<String>>,
-        fault: FaultPolicy,
-        pool: bool,
-        chaos: Option<ChaosConfig>,
-    },
-    /// Remote TCP peers (`<exe> --worker --listen <addr>`).
-    Remote {
-        hosts: Vec<String>,
-        fault: FaultPolicy,
-        pool: bool,
-        chaos: Option<ChaosConfig>,
-    },
+    /// Worker subprocesses or remote TCP peers.
+    Workers(WorkerBackend),
     /// An experiment service daemon (`<exe> serve --listen <addr>`):
     /// dispatches become submit + fetch against its job queue and
     /// content-addressed result cache.
@@ -1120,15 +628,8 @@ impl Exec {
     /// threads each.
     pub fn sharded(threads: usize, shards: usize) -> Self {
         Exec {
-            threads: threads.max(1),
             shards: shards.max(1),
-            worker_cmd: None,
-            hosts: Vec::new(),
-            service: None,
-            fault: FaultPolicy::default(),
-            pool: true,
-            chaos: None,
-            batch: 1,
+            ..Exec::in_process(threads)
         }
     }
 
@@ -1141,15 +642,8 @@ impl Exec {
             "remote execution needs at least one host"
         );
         Exec {
-            threads: threads.max(1),
-            shards: 0,
-            worker_cmd: None,
             hosts,
-            service: None,
-            fault: FaultPolicy::default(),
-            pool: true,
-            chaos: None,
-            batch: 1,
+            ..Exec::in_process(threads)
         }
     }
 
@@ -1161,15 +655,8 @@ impl Exec {
     pub fn service(threads: usize, addr: String) -> Self {
         assert!(!addr.is_empty(), "service execution needs a daemon address");
         Exec {
-            threads: threads.max(1),
-            shards: 0,
-            worker_cmd: None,
-            hosts: Vec::new(),
             service: Some(addr),
-            fault: FaultPolicy::default(),
-            pool: true,
-            chaos: None,
-            batch: 1,
+            ..Exec::in_process(threads)
         }
     }
 
@@ -1228,21 +715,22 @@ impl Exec {
         r.batch = self.batch.max(1);
         if let Some(addr) = &self.service {
             r.backend = BackendSel::Service { addr: addr.clone() };
-        } else if !self.hosts.is_empty() {
-            r.backend = BackendSel::Remote {
-                hosts: self.hosts.clone(),
-                fault: self.fault,
+        } else if self.is_remote() || self.is_sharded() {
+            let connector = if self.is_remote() {
+                Connector::Tcp {
+                    hosts: self.hosts.clone(),
+                }
+            } else {
+                Connector::Pipes {
+                    links: self.shards,
+                    cmd: self.worker_cmd.clone(),
+                }
+            };
+            r.backend = BackendSel::Workers(WorkerBackend {
                 pool: self.pool,
                 chaos: self.chaos,
-            };
-        } else if self.shards >= 1 {
-            r.backend = BackendSel::Sharded {
-                shards: self.shards,
-                worker_cmd: self.worker_cmd.clone(),
-                fault: self.fault,
-                pool: self.pool,
-                chaos: self.chaos,
-            };
+                ..WorkerBackend::new(connector, self.threads).with_fault(self.fault)
+            });
         }
         r
     }
@@ -1280,35 +768,11 @@ impl crate::Runner {
             BackendSel::InProcess => {
                 Box::new(InProcessBackend::new(self.threads).with_batch(self.batch))
             }
-            BackendSel::Sharded {
-                shards,
-                worker_cmd,
-                fault,
-                pool,
-                chaos,
-            } => {
-                let mut b = ShardedBackend::new(*shards, self.threads)
-                    .with_batch(self.batch)
-                    .with_fault(*fault)
-                    .with_pool(*pool)
-                    .with_chaos(*chaos);
-                if let Some(cmd) = worker_cmd {
-                    b = b.with_worker_cmd(cmd.clone());
-                }
-                Box::new(b)
-            }
-            BackendSel::Remote {
-                hosts,
-                fault,
-                pool,
-                chaos,
-            } => Box::new(
-                crate::remote::RemoteBackend::new(hosts.clone(), self.threads)
-                    .with_batch(self.batch)
-                    .with_fault(*fault)
-                    .with_pool(*pool)
-                    .with_chaos(*chaos),
-            ),
+            BackendSel::Workers(w) => Box::new(WorkerBackend {
+                worker_threads: self.threads,
+                batch: self.batch,
+                ..w.clone()
+            }),
             BackendSel::Service { addr } => Box::new(crate::service::client::ServiceBackend::new(
                 addr.clone(),
                 self.threads,
@@ -1623,8 +1087,19 @@ pub(crate) mod tests {
         let s = Exec::sharded(2, 4);
         assert!(s.is_sharded());
         assert!(s.label().contains("shards=4"));
-        // Runner built from a sharded Exec dispatches to ShardedBackend.
+        // Runner built from a sharded Exec dispatches to pipe workers.
         assert!(s.runner().backend_impl().label().contains("sharded"));
+    }
+
+    /// A worker backend over `links` pipe workers spawned from `cmd`.
+    fn pipes(links: usize, cmd: Vec<String>) -> WorkerBackend {
+        WorkerBackend::new(
+            Connector::Pipes {
+                links,
+                cmd: Some(cmd),
+            },
+            1,
+        )
     }
 
     #[test]
@@ -1633,7 +1108,7 @@ pub(crate) mod tests {
         // shard fails, and the lowest flat index (0) is reported.
         let job = MulJob { factor: 1 };
         let m = manifest_for(&[4, 4]);
-        let backend = ShardedBackend::new(2, 1).with_worker_cmd(vec!["/bin/false".into()]);
+        let backend = pipes(2, vec!["/bin/false".into()]);
         let err = backend.run_segments(&job, &m, None).unwrap_err();
         match err {
             ExecError::Worker { flat_index, .. } => assert_eq!(flat_index, 0),
@@ -1648,11 +1123,14 @@ pub(crate) mod tests {
         // instead of blocking in wait() behind a process that never exits.
         let job = MulJob { factor: 1 };
         let m = manifest_for(&[2]);
-        let backend = ShardedBackend::new(1, 1).with_worker_cmd(vec![
-            "/bin/sh".into(),
-            "-c".into(),
-            r"printf '\377\377\377\377'; exec sleep 600".into(),
-        ]);
+        let backend = pipes(
+            1,
+            vec![
+                "/bin/sh".into(),
+                "-c".into(),
+                r"printf '\377\377\377\377'; exec sleep 600".into(),
+            ],
+        );
         let t0 = std::time::Instant::now();
         let err = backend.run_segments(&job, &m, None).unwrap_err();
         assert!(matches!(err, ExecError::Worker { .. }), "{err:?}");
@@ -1666,8 +1144,7 @@ pub(crate) mod tests {
     fn sharded_backend_reports_unspawnable_worker() {
         let job = MulJob { factor: 1 };
         let m = manifest_for(&[2]);
-        let backend =
-            ShardedBackend::new(1, 1).with_worker_cmd(vec!["/nonexistent/worker-binary".into()]);
+        let backend = pipes(1, vec!["/nonexistent/worker-binary".into()]);
         let err = backend.run_segments(&job, &m, None).unwrap_err();
         assert!(matches!(err, ExecError::Worker { .. }), "{err:?}");
     }

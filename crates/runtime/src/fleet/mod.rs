@@ -1,18 +1,16 @@
-//! The supervised execution fleet: warm worker/peer pools, a unified
-//! fault policy, and a deterministic chaos harness.
+//! The supervised execution fleet: the worker backend, its warm link
+//! pool, a unified fault policy, and a deterministic chaos harness.
 //!
-//! PRs 3–5 grew three distribution tiers (shard subprocesses, remote TCP
-//! peers, the service daemon) that all treated their fleets as
-//! disposable: every dispatch spawned/connected from scratch, retry and
-//! timeout knobs were hard-coded per backend, and a fleet that lost its
-//! last member failed the job outright. This module centralises the
-//! missing machinery:
-//!
+//! * [`backend`] — [`WorkerBackend`](backend::WorkerBackend), the one
+//!   backend for worker subprocesses and remote TCP peers: a work queue of
+//!   manifest chunks drained by one thread per link, with broken links'
+//!   remainders re-queued for the survivors. A small
+//!   [`Connector`](backend::Connector) is all that differs per tier.
 //! * [`pool`] — a process-global [`WorkerPool`](pool::WorkerPool) that
-//!   keeps `repro --worker` subprocesses and remote TCP connections warm
-//!   across dispatches (checkout/return semantics, health probes on
-//!   checkout, max-dispatch recycling), so a flood of small service jobs
-//!   reuses one fleet instead of respawning it per job.
+//!   keeps links warm across dispatches on one shelf per endpoint
+//!   (checkout/checkin, health probes on checkout, max-dispatch
+//!   recycling), so a flood of small service jobs reuses one fleet
+//!   instead of respawning it per job.
 //! * [`FaultPolicy`] + [`supervisor`] — one configurable retry budget /
 //!   IO timeout / exponential-backoff-with-jitter policy shared by every
 //!   tier, plus a quarantine table for repeat offenders and the opt-in
@@ -31,6 +29,7 @@
 //! index; the lowest-flat-index error wins) to keep every recovery path
 //! bit-identical to a fault-free run.
 
+pub mod backend;
 pub mod chaos;
 pub mod pool;
 pub mod supervisor;
@@ -41,18 +40,16 @@ use std::time::Duration;
 
 /// Unified fault-handling policy shared by every execution tier.
 ///
-/// Replaces the per-backend hard-coded defaults (the remote backend's
-/// retry budget of 2 and 15 s IO timeout; the sharded backend's
-/// no-retry behaviour). Backoff between retries is exponential with
+/// Backoff between retries is exponential with
 /// deterministic jitter drawn from a seeded [`FleetRng`] — same
 /// construction as `petri-core`'s `SimRng` (xoshiro256++ seeded via
 /// SplitMix64), reimplemented here because `petri-core` depends on this
 /// crate, not the other way around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
-    /// Read/write timeout on remote sockets; `None` disables timeouts
-    /// (pipes to shard subprocesses have no read timeout either way —
-    /// worker death is detected as EOF).
+    /// Read/write timeout on TCP links; `None` disables timeouts (pipe
+    /// links have no timeout either way — worker death is detected as
+    /// EOF).
     pub io_timeout: Option<Duration>,
     /// How many times a failed dispatch (worker crash, dead peer,
     /// unspawnable subprocess) is retried before giving up.

@@ -1,89 +1,189 @@
-//! The process-global warm pool of worker subprocesses and remote peer
-//! connections.
+//! Worker links and the process-global warm pool that keeps them.
 //!
-//! Every execution tier used to treat its fleet as disposable: the
-//! sharded backend spawned a fresh `repro --worker` subprocess per shard
-//! per dispatch, and the remote backend reconnected to every peer per
-//! dispatch — ruinous for the service tier, where a flood of small jobs
-//! re-paid the whole fleet-startup cost on each one. The pool gives
-//! both tiers checkout/return semantics over long-lived members:
+//! A [`Link`] is one framed connection to a worker: a `--worker`
+//! subprocess on pipes, or a `--worker --listen` peer over TCP. Its
+//! [`Endpoint`] says how to open one; everything after that — dispatch,
+//! liveness checks, recycling — is the same for both.
 //!
-//! * **checkout** pops an idle member and health-checks it (`try_wait`
-//!   for subprocesses, a socket liveness probe for TCP peers); dead or
-//!   over-age members are discarded and the next candidate tried. A
-//!   miss spawns/connects cold.
-//! * **return** parks a healthy member for the next dispatch, unless
-//!   the recycling policy retires it (served [`MAX_DISPATCHES`], or the
-//!   idle shelf for its key is full).
+//! The pool keeps idle links on one shelf per endpoint:
+//!
+//! * **checkout** pops an idle link and health-checks it (`try_wait` for
+//!   a subprocess, a socket liveness probe for a peer); dead or over-age
+//!   links are discarded and the next candidate tried. A miss returns
+//!   `None` and the caller opens a link cold.
+//! * **checkin** parks a healthy link for the next dispatch, unless the
+//!   recycling policy retires it (served [`MAX_DISPATCHES`], or the
+//!   endpoint's shelf is full).
 //!
 //! The pool is process-global (a `OnceLock` singleton) because the
 //! service constructs a fresh `ExecBackend` per dispatch — per-backend
-//! pools would never be warm. Pooled workers need no teardown hook: a
-//! worker idles blocked in `recv` on its stdin pipe, so parent exit
+//! pools would never be warm. Pooled subprocesses need no teardown hook:
+//! a worker idles blocked in `recv` on its stdin pipe, so parent exit
 //! closes the pipe, the serve loop sees EOF, and the worker exits 0.
 
 use super::{fleet_stats, FleetStats};
-use crate::remote::probe_live;
-use crate::remote::transport::{PipeTransport, TcpTransport};
+use crate::remote::protocol::encode_shutdown_request;
+use crate::remote::transport::{probe_live, FrameTransport, PipeTransport, TcpTransport};
 use std::collections::HashMap;
 use std::io;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// A pooled member is retired after serving this many dispatches
+/// A pooled link is retired after serving this many dispatches
 /// (max-lifetime recycling bounds leaked state in long-lived workers).
 pub const MAX_DISPATCHES: u64 = 256;
 
-/// Idle members older than this are discarded on checkout instead of
-/// being health-probed and reused.
+/// Idle links older than this are discarded on checkout instead of being
+/// health-probed and reused.
 pub const MAX_IDLE_AGE: Duration = Duration::from_secs(300);
 
-/// At most this many idle members are parked per key; surplus returns
-/// are discarded.
+/// At most this many idle links are parked per endpoint; surplus
+/// checkins are discarded.
 pub const MAX_IDLE_PER_KEY: usize = 8;
 
-/// A warm `--worker` subprocess checked out of (or destined for) the
-/// pool.
-pub struct PooledWorker {
-    child: Child,
-    transport: PipeTransport,
-    /// Dispatches this worker has served so far.
+/// Where a link goes, and the key its idle links are shelved under.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Endpoint {
+    /// A worker subprocess spawned from this argv, spoken to over its
+    /// stdin/stdout pipes.
+    Pipe(Vec<String>),
+    /// A `--worker --listen` peer at `host:port`.
+    Tcp(String),
+}
+
+impl Endpoint {
+    /// Open a fresh link: spawn the worker subprocess, or connect to the
+    /// peer (bounded by `connect_timeout`) and liveness-probe it.
+    pub fn open(&self, connect_timeout: Duration) -> io::Result<Link> {
+        let conn = match self {
+            Endpoint::Pipe(cmd) => {
+                let (exe, args) = cmd.split_first().ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::InvalidInput, "empty worker command")
+                })?;
+                let mut child = Command::new(exe)
+                    .args(args)
+                    .stdin(Stdio::piped())
+                    .stdout(Stdio::piped())
+                    .stderr(Stdio::inherit())
+                    .spawn()?;
+                let stdin = child.stdin.take().expect("piped stdin");
+                let stdout = child.stdout.take().expect("piped stdout");
+                FleetStats::bump(&fleet_stats().spawned);
+                Conn::Pipe(child, PipeTransport::new(stdin, stdout))
+            }
+            Endpoint::Tcp(host) => {
+                let addr = host.to_socket_addrs()?.next().ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::NotFound, "resolves to no address")
+                })?;
+                let t = TcpTransport::new(TcpStream::connect_timeout(&addr, connect_timeout)?);
+                if !probe_live(t.stream()) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::ConnectionAborted,
+                        "dead right after connect",
+                    ));
+                }
+                Conn::Tcp(t)
+            }
+        };
+        Ok(Link {
+            conn,
+            dispatches: 0,
+            parked_at: Instant::now(),
+        })
+    }
+}
+
+impl std::fmt::Display for Endpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Endpoint::Pipe(cmd) => write!(f, "worker {:?}", cmd.first().map_or("", String::as_str)),
+            Endpoint::Tcp(host) => write!(f, "peer {host}"),
+        }
+    }
+}
+
+enum Conn {
+    Pipe(Child, PipeTransport),
+    Tcp(TcpTransport),
+}
+
+/// One live framed connection to a worker.
+pub struct Link {
+    conn: Conn,
+    /// Dispatches this link has served so far.
     pub dispatches: u64,
     parked_at: Instant,
 }
 
-impl PooledWorker {
-    /// The duplex pipe transport to the worker.
-    pub fn transport(&mut self) -> &mut PipeTransport {
-        &mut self.transport
+impl Link {
+    /// The framed transport to the worker.
+    pub fn transport(&mut self) -> &mut dyn FrameTransport {
+        match &mut self.conn {
+            Conn::Pipe(_, t) => t,
+            Conn::Tcp(t) => t,
+        }
     }
 
-    /// Kill the subprocess and reap it. Killing is safe even when the
-    /// worker already exited on its own (the wait below reaps either
-    /// way); the pipes close on drop.
-    pub fn discard(mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
+    /// Bound every blocking read and write on a TCP link (a peer that
+    /// goes silent past it counts as dead); pipe links have no timeout —
+    /// a dead subprocess shows up as EOF.
+    pub fn set_io_timeout(&self, timeout: Option<Duration>) {
+        if let Conn::Tcp(t) = &self.conn {
+            let _ = t.set_read_timeout(timeout);
+            let _ = t.set_write_timeout(timeout);
+        }
     }
 
-    fn is_alive(&mut self) -> bool {
-        matches!(self.child.try_wait(), Ok(None))
+    /// Whether the worker is still there: the subprocess has not exited,
+    /// or the peer's socket probes live.
+    pub fn is_alive(&mut self) -> bool {
+        match &mut self.conn {
+            Conn::Pipe(child, _) => matches!(child.try_wait(), Ok(None)),
+            Conn::Tcp(t) => probe_live(t.stream()),
+        }
+    }
+
+    /// Drop the link after a failure: a subprocess is killed and reaped
+    /// (killing one that already exited is harmless), a socket closes.
+    pub fn discard(self) {
+        if let Conn::Pipe(mut child, _) = self.conn {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+
+    /// End a healthy link instead of parking it. A subprocess gets the
+    /// shutdown frame and its stdin closed, and must then exit 0; a TCP
+    /// link just closes, because the shutdown frame would stop the
+    /// listening worker for every other client.
+    pub fn close(self) -> io::Result<()> {
+        let Conn::Pipe(mut child, mut t) = self.conn else {
+            return Ok(());
+        };
+        let sent = t.send(&encode_shutdown_request()).and_then(|_| t.flush());
+        t.close_write();
+        if let Err(e) = sent {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Err(e);
+        }
+        let status = child.wait()?;
+        if status.success() {
+            Ok(())
+        } else {
+            Err(io::Error::other(format!(
+                "worker exited without success ({status})"
+            )))
+        }
     }
 }
 
-struct IdlePeer {
-    transport: TcpTransport,
-    dispatches: u64,
-    parked_at: Instant,
-}
-
-/// The warm pool. Worker shelves are keyed by the spawn command line;
-/// peer shelves by `host:port`.
+/// The warm pool: one shelf of idle links per endpoint.
 #[derive(Default)]
 pub struct WorkerPool {
-    workers: Mutex<HashMap<String, Vec<PooledWorker>>>,
-    peers: Mutex<HashMap<String, Vec<IdlePeer>>>,
+    idle: Mutex<HashMap<Endpoint, Vec<Link>>>,
 }
 
 /// The process-global pool.
@@ -92,150 +192,59 @@ pub fn pool() -> &'static WorkerPool {
     POOL.get_or_init(WorkerPool::default)
 }
 
-fn worker_key(cmd: &[String]) -> String {
-    cmd.join("\u{1f}")
-}
-
-fn spawn_worker(cmd: &[String]) -> io::Result<PooledWorker> {
-    let (exe, args) = cmd
-        .split_first()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "empty worker command"))?;
-    let mut child = Command::new(exe)
-        .args(args)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()?;
-    let stdin = child.stdin.take().expect("piped stdin");
-    let stdout = child.stdout.take().expect("piped stdout");
-    FleetStats::bump(&fleet_stats().spawned);
-    Ok(PooledWorker {
-        child,
-        transport: PipeTransport::new(stdin, stdout),
-        dispatches: 0,
-        parked_at: Instant::now(),
-    })
-}
-
 impl WorkerPool {
-    /// Check out a warm worker for `cmd`, or spawn one cold. Idle
-    /// members that died, aged out, or hit the dispatch cap are
-    /// discarded along the way.
-    pub fn checkout_worker(&self, cmd: &[String]) -> io::Result<PooledWorker> {
-        let key = worker_key(cmd);
+    /// Check out a warm, health-checked link to `ep`. `None` means no
+    /// healthy idle link: the caller opens one cold. Idle links that
+    /// died, aged out, or hit the dispatch cap are discarded on the way.
+    pub fn checkout(&self, ep: &Endpoint) -> Option<Link> {
         loop {
-            let candidate = {
-                let mut shelves = self.workers.lock().unwrap();
-                shelves.get_mut(&key).and_then(Vec::pop)
-            };
-            let Some(mut w) = candidate else { break };
-            let stale = w.parked_at.elapsed() > MAX_IDLE_AGE || w.dispatches >= MAX_DISPATCHES;
-            if stale {
+            let mut link = self.idle.lock().unwrap().get_mut(ep).and_then(Vec::pop)?;
+            if link.parked_at.elapsed() > MAX_IDLE_AGE || link.dispatches >= MAX_DISPATCHES {
                 FleetStats::bump(&fleet_stats().recycled);
-                w.discard();
+                link.discard();
                 continue;
             }
-            if !w.is_alive() {
-                w.discard();
+            if !link.is_alive() {
+                link.discard();
                 continue;
             }
             FleetStats::bump(&fleet_stats().pool_hits);
-            return Ok(w);
+            return Some(link);
         }
-        spawn_worker(cmd)
     }
 
-    /// Park a healthy worker for the next dispatch (or retire it if the
+    /// Park a healthy link after a dispatch (or retire it if the
     /// recycling policy says so).
-    pub fn return_worker(&self, cmd: &[String], mut w: PooledWorker) {
-        w.dispatches += 1;
-        w.parked_at = Instant::now();
-        if w.dispatches >= MAX_DISPATCHES {
-            FleetStats::bump(&fleet_stats().recycled);
-            w.discard();
-            return;
-        }
-        let key = worker_key(cmd);
-        let mut shelves = self.workers.lock().unwrap();
-        let shelf = shelves.entry(key).or_default();
-        if shelf.len() >= MAX_IDLE_PER_KEY {
-            drop(shelves);
-            FleetStats::bump(&fleet_stats().recycled);
-            w.discard();
-        } else {
-            shelf.push(w);
-        }
-    }
-
-    /// Check out a warm, liveness-probed connection to `addr`. `None`
-    /// means no healthy idle connection — the caller connects cold (and
-    /// should count a reconnect if it was replacing a dead one).
-    pub fn checkout_peer(&self, addr: &str) -> Option<(TcpTransport, u64)> {
-        loop {
-            let candidate = {
-                let mut shelves = self.peers.lock().unwrap();
-                shelves.get_mut(addr).and_then(Vec::pop)
-            };
-            let p = candidate?;
-            if p.parked_at.elapsed() > MAX_IDLE_AGE || p.dispatches >= MAX_DISPATCHES {
-                FleetStats::bump(&fleet_stats().recycled);
-                continue;
+    pub fn checkin(&self, ep: &Endpoint, mut link: Link) {
+        link.dispatches += 1;
+        link.parked_at = Instant::now();
+        if link.dispatches < MAX_DISPATCHES {
+            let mut shelves = self.idle.lock().unwrap();
+            let shelf = shelves.entry(ep.clone()).or_default();
+            if shelf.len() < MAX_IDLE_PER_KEY {
+                shelf.push(link);
+                return;
             }
-            if !probe_live(p.transport.stream()) {
-                // The peer closed (or died) while the connection idled.
-                continue;
-            }
-            FleetStats::bump(&fleet_stats().pool_hits);
-            return Some((p.transport, p.dispatches));
         }
+        FleetStats::bump(&fleet_stats().recycled);
+        link.discard();
     }
 
-    /// Park a healthy peer connection. `dispatches` counts the jobs
-    /// this connection has served (pass the value from checkout + 1).
-    pub fn return_peer(&self, addr: &str, transport: TcpTransport, dispatches: u64) {
-        if dispatches >= MAX_DISPATCHES {
-            FleetStats::bump(&fleet_stats().recycled);
-            return;
-        }
-        let mut shelves = self.peers.lock().unwrap();
-        let shelf = shelves.entry(addr.to_string()).or_default();
-        if shelf.len() >= MAX_IDLE_PER_KEY {
-            FleetStats::bump(&fleet_stats().recycled);
-        } else {
-            shelf.push(IdlePeer {
-                transport,
-                dispatches,
-                parked_at: Instant::now(),
-            });
-        }
-    }
-
-    /// Discard every pooled member (tests; also useful before fork-like
-    /// operations). Workers are killed and reaped; peer connections
-    /// drop closed.
+    /// Discard every idle link (tests; also useful before fork-like
+    /// operations). Subprocesses are killed and reaped; sockets close.
     pub fn drain(&self) {
-        let workers: Vec<PooledWorker> = {
-            let mut shelves = self.workers.lock().unwrap();
+        let links: Vec<Link> = {
+            let mut shelves = self.idle.lock().unwrap();
             shelves.drain().flat_map(|(_, v)| v).collect()
         };
-        for w in workers {
-            w.discard();
+        for link in links {
+            link.discard();
         }
-        self.peers.lock().unwrap().clear();
     }
 
-    /// Number of idle members parked for `cmd` (tests/diagnostics).
-    pub fn idle_workers(&self, cmd: &[String]) -> usize {
-        self.workers
-            .lock()
-            .unwrap()
-            .get(&worker_key(cmd))
-            .map_or(0, Vec::len)
-    }
-
-    /// Number of idle connections parked for `addr` (tests/diagnostics).
-    pub fn idle_peers(&self, addr: &str) -> usize {
-        self.peers.lock().unwrap().get(addr).map_or(0, Vec::len)
+    /// Number of idle links parked for `ep` (tests/diagnostics).
+    pub fn idle(&self, ep: &Endpoint) -> usize {
+        self.idle.lock().unwrap().get(ep).map_or(0, Vec::len)
     }
 }
 
@@ -244,19 +253,32 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    fn cat_cmd() -> Vec<String> {
-        vec!["/bin/cat".into()]
+    fn cat_cmd() -> Endpoint {
+        Endpoint::Pipe(vec!["/bin/cat".into()])
+    }
+
+    const T: Duration = Duration::from_secs(5);
+
+    fn child(link: &mut Link) -> &mut Child {
+        match &mut link.conn {
+            Conn::Pipe(child, _) => child,
+            Conn::Tcp(_) => panic!("not a pipe link"),
+        }
     }
 
     #[test]
     fn checkout_return_reuses_the_same_subprocess() {
         let pool = WorkerPool::default();
-        let w = pool.checkout_worker(&cat_cmd()).unwrap();
-        let pid = w.child.id();
-        pool.return_worker(&cat_cmd(), w);
-        assert_eq!(pool.idle_workers(&cat_cmd()), 1);
-        let w2 = pool.checkout_worker(&cat_cmd()).unwrap();
-        assert_eq!(w2.child.id(), pid, "warm checkout must reuse the member");
+        let mut w = cat_cmd().open(T).unwrap();
+        let pid = child(&mut w).id();
+        pool.checkin(&cat_cmd(), w);
+        assert_eq!(pool.idle(&cat_cmd()), 1);
+        let mut w2 = pool.checkout(&cat_cmd()).unwrap();
+        assert_eq!(
+            child(&mut w2).id(),
+            pid,
+            "warm checkout must reuse the member"
+        );
         assert_eq!(w2.dispatches, 1);
         w2.discard();
         pool.drain();
@@ -265,13 +287,18 @@ mod tests {
     #[test]
     fn dead_idle_workers_are_skipped_on_checkout() {
         let pool = WorkerPool::default();
-        let mut dead = pool.checkout_worker(&cat_cmd()).unwrap();
-        let _ = dead.child.kill();
-        let _ = dead.child.wait();
-        let dead_pid = dead.child.id();
-        pool.return_worker(&cat_cmd(), dead);
-        let fresh = pool.checkout_worker(&cat_cmd()).unwrap();
-        assert_ne!(fresh.child.id(), dead_pid, "dead member must be discarded");
+        let mut dead = cat_cmd().open(T).unwrap();
+        let _ = child(&mut dead).kill();
+        let _ = child(&mut dead).wait();
+        let dead_pid = child(&mut dead).id();
+        pool.checkin(&cat_cmd(), dead);
+        let fresh = pool.checkout(&cat_cmd()).or_else(|| cat_cmd().open(T).ok());
+        let mut fresh = fresh.unwrap();
+        assert_ne!(
+            child(&mut fresh).id(),
+            dead_pid,
+            "dead member must be discarded"
+        );
         fresh.discard();
         pool.drain();
     }
@@ -279,11 +306,11 @@ mod tests {
     #[test]
     fn dispatch_cap_retires_members() {
         let pool = WorkerPool::default();
-        let mut w = pool.checkout_worker(&cat_cmd()).unwrap();
+        let mut w = cat_cmd().open(T).unwrap();
         w.dispatches = MAX_DISPATCHES - 1;
-        pool.return_worker(&cat_cmd(), w);
+        pool.checkin(&cat_cmd(), w);
         assert_eq!(
-            pool.idle_workers(&cat_cmd()),
+            pool.idle(&cat_cmd()),
             0,
             "member at the dispatch cap is retired, not parked"
         );
@@ -294,12 +321,12 @@ mod tests {
     fn idle_shelf_is_bounded() {
         let pool = WorkerPool::default();
         let members: Vec<_> = (0..MAX_IDLE_PER_KEY + 2)
-            .map(|_| pool.checkout_worker(&cat_cmd()).unwrap())
+            .map(|_| cat_cmd().open(T).unwrap())
             .collect();
         for w in members {
-            pool.return_worker(&cat_cmd(), w);
+            pool.checkin(&cat_cmd(), w);
         }
-        assert_eq!(pool.idle_workers(&cat_cmd()), MAX_IDLE_PER_KEY);
+        assert_eq!(pool.idle(&cat_cmd()), MAX_IDLE_PER_KEY);
         pool.drain();
     }
 
@@ -317,21 +344,21 @@ mod tests {
             addr2
         });
         let pool = WorkerPool::default();
-        assert!(pool.checkout_peer(&addr).is_none(), "cold pool misses");
-        let t = TcpTransport::new(std::net::TcpStream::connect(&addr).unwrap());
-        pool.return_peer(&addr, t, 1);
-        assert_eq!(pool.idle_peers(&addr), 1);
-        let (live, dispatches) = pool.checkout_peer(&addr).expect("live idle peer");
-        assert_eq!(dispatches, 1);
+        let ep = Endpoint::Tcp(addr.clone());
+        assert!(pool.checkout(&ep).is_none(), "cold pool misses");
+        pool.checkin(&ep, ep.open(T).unwrap());
+        assert_eq!(pool.idle(&ep), 1);
+        let live = pool.checkout(&ep).expect("live idle peer");
+        assert_eq!(live.dispatches, 1);
         drop(live);
         // Park a connection, then close the server side: the probe must
         // reject it on the next checkout.
-        let t = TcpTransport::new(std::net::TcpStream::connect(&addr).unwrap());
+        let t = ep.open(T).unwrap();
         let _ = server.join().unwrap();
         accepted.lock().unwrap().clear(); // server-side FIN on both
-        pool.return_peer(&addr, t, 1);
+        pool.checkin(&ep, t);
         assert!(
-            pool.checkout_peer(&addr).is_none(),
+            pool.checkout(&ep).is_none(),
             "dead idle peer must be probed out"
         );
     }

@@ -22,8 +22,9 @@
 //!
 //! The scoped thread pool here is *one backend* of the executor seam: the
 //! same claim/fold discipline runs behind [`crate::exec::ExecBackend`], so
-//! portable jobs can also be spread over worker subprocesses (see
-//! [`crate::exec::ShardedBackend`]) with bit-identical results.
+//! portable jobs can also be spread over worker subprocesses and remote
+//! peers (see [`crate::fleet::backend::WorkerBackend`]) with bit-identical
+//! results.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -473,7 +474,7 @@ where
 /// this address space. Portable jobs ([`Runner::run_job`],
 /// [`Runner::run_adaptive_job`]) go through whichever
 /// [`crate::exec::ExecBackend`] the runner was configured with, including
-/// the multi-process [`crate::exec::ShardedBackend`].
+/// the multi-process [`crate::fleet::backend::WorkerBackend`].
 pub struct Runner {
     pub(crate) threads: usize,
     /// Batch width for portable-job dispatch (contiguous same-point slots

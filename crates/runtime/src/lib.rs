@@ -20,17 +20,17 @@
 //! * [`exec`] — the **executor backend seam**: grids described as
 //!   serializable [`exec::TaskManifest`]s over [`exec::PortableJob`]s,
 //!   executed by an [`exec::ExecBackend`]. The scoped thread pool is one
-//!   backend ([`exec::InProcessBackend`]); [`exec::ShardedBackend`]
-//!   partitions the manifest across worker subprocesses
-//!   (`<exe> --worker`, see [`worker`]) with **byte-identical** gathers at
-//!   any shard × thread count.
-//! * [`remote`] — the same seam **across machines**:
-//!   [`remote::RemoteBackend`] dispatches manifests to
-//!   `<exe> --worker --listen <addr>` TCP peers (one drain thread per
-//!   peer, re-dispatch of a dead peer's undelivered slots, byte-identical
-//!   gather), over the [`remote::FrameTransport`] trait shared with the
-//!   pipe and stdio endpoints; [`remote::AsyncBackend`] overlaps I/O-bound
-//!   work without an async runtime.
+//!   backend ([`exec::InProcessBackend`]); [`fleet::backend::WorkerBackend`]
+//!   is the other: one work queue that partitions the manifest across
+//!   worker links, with **byte-identical** gathers at any link × thread
+//!   count. Its connector is the only per-tier code: spawn
+//!   `<exe> --worker` subprocesses on pipes (see [`worker`]), or connect
+//!   to `<exe> --worker --listen <addr>` TCP peers on other machines.
+//!   A broken link's undelivered slots go back on the queue for the
+//!   surviving links.
+//! * [`remote`] — the framed transports under both connectors (the
+//!   [`remote::FrameTransport`] trait over pipes, stdio and TCP), the
+//!   shared response drain, and the TCP worker mode.
 //! * [`service`] — the **experiment service daemon** over the same seam:
 //!   a bounded job queue and scheduler dispatching onto any backend, a
 //!   two-tier content-addressed result cache (in-memory LRU over a disk
@@ -40,10 +40,11 @@
 //!   submit/status/fetch/cancel protocol, and
 //!   [`service::ServiceBackend`], which routes any driver's dispatches
 //!   through a daemon (`Exec::service`).
-//! * [`fleet`] — the **supervised fleet layer** shared by the sharded,
-//!   remote and service tiers: a process-global warm pool of worker
-//!   subprocesses and peer connections (checkout/return, health probes,
-//!   max-lifetime recycling), a unified [`fleet::FaultPolicy`] (retry
+//! * [`fleet`] — the **supervised fleet layer** behind the worker
+//!   backend and the service tier: the backend itself, a process-global
+//!   warm pool of worker links keyed by endpoint (checkout/checkin,
+//!   health probes, max-lifetime recycling), a unified
+//!   [`fleet::FaultPolicy`] (retry
 //!   budget, IO timeout, exponential backoff with seeded jitter,
 //!   quarantine of repeat offenders, opt-in shrink-to-zero in-process
 //!   fallback) and a deterministic chaos harness
@@ -82,12 +83,12 @@ pub mod wire;
 pub mod worker;
 
 pub use exec::{
-    Exec, ExecBackend, ExecError, InProcessBackend, JobRegistry, PortableJob, ShardedBackend,
-    TaskManifest,
+    Exec, ExecBackend, ExecError, InProcessBackend, JobRegistry, PortableJob, TaskManifest,
 };
+pub use fleet::backend::{Connector, WorkerBackend};
 pub use fleet::{chaos::ChaosConfig, fleet_stats, FaultPolicy, FleetSnapshot, FleetStats};
 pub use grid::{default_threads, env_threads, Progress, Runner, Segment};
-pub use remote::{AsyncBackend, FrameTransport, RemoteBackend};
+pub use remote::FrameTransport;
 pub use service::{
     Disposition, JobId, JobProgress, JobState, Service, ServiceBackend, ServiceClient,
     ServiceConfig, ServiceError, ServiceHandle, ServiceStats,

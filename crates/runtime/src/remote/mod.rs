@@ -1,36 +1,27 @@
-//! The remote TCP execution subsystem: multi-host backends on the
-//! [`ExecBackend`](crate::exec::ExecBackend) seam.
+//! The transports and the framed worker protocol, and the TCP worker
+//! mode.
 //!
 //! The frame protocol and per-slot seed manifests of [`crate::exec`]
 //! already carry everything a worker needs; this module adds the
-//! transports that carry them **off the machine**:
+//! transports that carry them between processes and **off the machine**:
 //!
 //! * [`transport::FrameTransport`] — the one framed-channel trait behind
-//!   the worker serve loop and both parent-side drains (stdio pipes and
-//!   TCP), deduplicating the frame read/write code the endpoints used to
-//!   inline;
+//!   the worker serve loop and the parent-side drain (stdio pipes and
+//!   TCP), plus [`probe_live`], the nonblocking-`peek` liveness probe for
+//!   TCP peers;
+//! * `protocol` — request framing and the one response drain that turns
+//!   a worker's frame stream back into ordered slot results;
 //! * [`serve_listener`] — the TCP worker mode (`<exe> --worker --listen
 //!   <addr>`): accept connections, serve manifest requests per connection,
-//!   exit on an explicit shutdown frame;
-//! * [`RemoteBackend`] — `ExecBackend` over N TCP peers: contiguous
-//!   manifest chunks, one drain thread per peer, byte-identical
-//!   flat-index gather, and re-dispatch of a dead peer's undelivered
-//!   slots to the survivors (slots are seeded and pure, so retry cannot
-//!   change an output byte);
-//! * [`AsyncBackend`] / [`probe_live`] — std-only I/O overlap (no tokio in
-//!   the offline vendor tree) and nonblocking-`peek` liveness probes,
-//!   used for the remote backend's concurrent connects and its
-//!   pre-dispatch peer heartbeat.
+//!   exit on an explicit shutdown frame.
+//!
+//! The parent side — one [`WorkerBackend`](crate::fleet::backend::WorkerBackend)
+//! for pipe workers and TCP peers alike — lives in [`crate::fleet`].
 
-pub mod async_backend;
 pub(crate) mod protocol;
 pub mod transport;
 
-mod backend;
-
-pub use async_backend::{probe_live, AsyncBackend};
-pub use backend::RemoteBackend;
-pub use transport::{FrameTransport, PipeTransport, StdioTransport, TcpTransport};
+pub use transport::{probe_live, FrameTransport, PipeTransport, StdioTransport, TcpTransport};
 
 use crate::exec::JobRegistry;
 use crate::wire::WireError;
@@ -110,6 +101,8 @@ mod tests {
     use super::*;
     use crate::exec::tests::{decode_mul, MulJob};
     use crate::exec::{ExecBackend, ExecError, InProcessBackend, PortableJob, TaskManifest};
+    use crate::fleet::backend::{Connector, WorkerBackend};
+    use crate::fleet::FaultPolicy;
     use crate::grid::Segment;
     use crate::wire;
     use std::net::TcpStream;
@@ -160,6 +153,11 @@ mod tests {
         t.flush().unwrap();
     }
 
+    /// A worker backend over TCP peers at `hosts`.
+    fn tcp(hosts: Vec<String>, threads: usize) -> WorkerBackend {
+        WorkerBackend::new(Connector::Tcp { hosts }, threads)
+    }
+
     fn mul_manifest(reps: &[u64]) -> TaskManifest {
         let job = MulJob { factor: 3 };
         let segments = reps
@@ -184,7 +182,7 @@ mod tests {
         for peers in [1usize, 2, 4] {
             let workers: Vec<_> = (0..peers).map(|_| spawn_worker()).collect();
             let hosts: Vec<String> = workers.iter().map(|(a, _)| a.clone()).collect();
-            let backend = RemoteBackend::new(hosts.clone(), 2);
+            let backend = tcp(hosts.clone(), 2);
             let out = backend.run_segments(&job, &m, None).unwrap();
             assert_eq!(baseline, out, "peers={peers}");
             assert!(backend.label().contains("remote"));
@@ -203,7 +201,7 @@ mod tests {
         // Factor must match `mul_manifest`'s payload: the remote side
         // re-decodes the job from the manifest, the local side uses ours.
         let job = MulJob { factor: 3 };
-        let backend = RemoteBackend::new(vec![addr.clone()], 1);
+        let backend = tcp(vec![addr.clone()], 1);
         for reps in [[2u64, 1], [1, 3]] {
             let m = mul_manifest(&reps);
             let expect = InProcessBackend::new(1)
@@ -252,7 +250,7 @@ mod tests {
         let baseline = InProcessBackend::new(1)
             .run_segments(&job, &m, None)
             .unwrap();
-        let backend = RemoteBackend::new(vec![sab_addr, good_addr.clone()], 1);
+        let backend = tcp(vec![sab_addr, good_addr.clone()], 1);
         let out = backend.run_segments(&job, &m, None).unwrap();
         assert_eq!(baseline, out);
         sab.join().unwrap();
@@ -301,8 +299,8 @@ mod tests {
         let baseline = InProcessBackend::new(1)
             .run_segments(&job, &m, None)
             .unwrap();
-        let backend = RemoteBackend::new(vec![sab_addr, good_addr.clone()], 1)
-            .with_io_timeout(Some(Duration::from_millis(1500)));
+        let backend = tcp(vec![sab_addr, good_addr.clone()], 1)
+            .with_fault(FaultPolicy::default().with_io_timeout(Some(Duration::from_millis(1500))));
         let t0 = std::time::Instant::now();
         let out = backend.run_segments(&job, &m, None).unwrap();
         assert_eq!(baseline, out);
@@ -331,7 +329,7 @@ mod tests {
         });
         let job = MulJob { factor: 1 };
         let m = mul_manifest(&[3]);
-        let backend = RemoteBackend::new(vec![addr], 1).with_retry_budget(1);
+        let backend = tcp(vec![addr], 1).with_fault(FaultPolicy::default().with_retry_budget(1));
         let err = backend.run_segments(&job, &m, None).unwrap_err();
         match err {
             ExecError::Worker { flat_index, .. } => assert_eq!(flat_index, 0),
@@ -345,9 +343,11 @@ mod tests {
         let job = MulJob { factor: 1 };
         let m = mul_manifest(&[2]);
         // Loopback port 1: nothing listens there, connect is refused.
-        let mut backend = RemoteBackend::new(vec!["127.0.0.1:1".into()], 1)
-            .with_retry_budget(0)
-            .with_io_timeout(None);
+        let mut backend = tcp(vec!["127.0.0.1:1".into()], 1).with_fault(
+            FaultPolicy::default()
+                .with_retry_budget(0)
+                .with_io_timeout(None),
+        );
         backend.connect_timeout = Duration::from_millis(500);
         let err = backend.run_segments(&job, &m, None).unwrap_err();
         assert!(matches!(err, ExecError::Protocol(_)), "{err:?}");
@@ -429,7 +429,7 @@ mod tests {
             ],
             &|_, _| 0,
         );
-        let backend = RemoteBackend::new(vec![addr.clone()], 2);
+        let backend = tcp(vec![addr.clone()], 2);
         let err = backend.run_segments(&job, &m, None).unwrap_err();
         match err {
             ExecError::Task {

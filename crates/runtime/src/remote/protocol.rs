@@ -2,10 +2,10 @@
 //!
 //! Request framing (manifest dispatch, graceful shutdown) and the response
 //! drain — the loop that turns a worker's `R`/`E`/`D` frame stream back
-//! into ordered slot results — live here once, shared by
-//! [`crate::exec::ShardedBackend`] (pipes) and
-//! [`crate::remote::RemoteBackend`] (TCP). Before this module both
-//! endpoints inlined their own copy of the frame loop.
+//! into ordered slot results — live here once, behind
+//! [`crate::fleet::backend::WorkerBackend`] for pipe workers and TCP peers
+//! alike. The drain reads untrusted bytes, so it classifies every
+//! malformed stream as [`Drained::Broken`] instead of panicking.
 
 use crate::exec::{frame, ExecError, TaskManifest, WIRE_VERSION};
 use crate::grid::{Progress, ProgressFn, Segment};
@@ -262,20 +262,9 @@ pub(crate) fn undelivered_remainder(
     ))
 }
 
-/// First undelivered slot's global flat index, if any — the attribution
-/// point for a worker that died owing part of its chunk.
-pub(crate) fn first_undelivered(global_flat: &[usize], delivered: &[bool]) -> Option<usize> {
-    delivered
-        .iter()
-        .zip(global_flat)
-        .filter(|(d, _)| !**d)
-        .map(|(_, &g)| g)
-        .min()
-}
-
 /// Keep whichever error has the lower attributed flat index — the
-/// deterministic cross-chunk selection both multi-worker backends share
-/// (matching `Runner::try_grid`).
+/// deterministic cross-chunk selection of the worker backend (matching
+/// `Runner::try_grid`).
 pub(crate) fn keep_lowest_error(slot: &mut Option<ExecError>, e: ExecError) {
     match slot {
         Some(cur) if cur.flat_index() <= e.flat_index() => {}
@@ -298,4 +287,130 @@ pub(crate) fn collect_results(results: Vec<OnceLock<Vec<u8>>>) -> Result<Vec<Vec
             })
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::remote::transport::MemTransport;
+    use proptest::prelude::*;
+
+    /// Chunk-local slots per fuzzed chunk.
+    const SLOTS: usize = 4;
+
+    /// One frame body of a hostile response stream, chosen by `kind`:
+    /// well-formed `R`/`E`/`D`/`H`/`P`/`T` frames with slot indices and
+    /// counts that may be out of range or repeated, unknown tags, and
+    /// truncated bodies.
+    fn body(kind: u8, slot: u64, extra: u64) -> Vec<u8> {
+        let mut b = Vec::new();
+        match kind % 9 {
+            0 | 1 => {
+                wire::put_u8(&mut b, frame::RESULT);
+                wire::put_u64(&mut b, slot % (SLOTS as u64 + 2));
+                wire::put_bytes(&mut b, &extra.to_le_bytes());
+            }
+            2 => {
+                wire::put_u8(&mut b, frame::ERROR);
+                wire::put_u64(&mut b, slot % (SLOTS as u64 + 2));
+                wire::put_str(&mut b, "refused");
+            }
+            3 => {
+                wire::put_u8(&mut b, frame::DONE);
+                wire::put_u64(&mut b, extra % (SLOTS as u64 + 2));
+            }
+            4 => wire::put_u8(&mut b, frame::HEARTBEAT),
+            5 => {
+                wire::put_u8(&mut b, frame::PROGRESS);
+                wire::put_u64(&mut b, slot);
+                wire::put_u64(&mut b, extra);
+            }
+            6 => {
+                wire::put_u8(&mut b, frame::SPANS);
+                wire::put_u32(&mut b, (extra % 3) as u32);
+            }
+            7 => b.extend_from_slice(&extra.to_le_bytes()[..(slot % 9) as usize]),
+            _ => {
+                let mut whole = body(slot as u8 % 7, slot, extra);
+                whole.truncate((extra as usize) % whole.len());
+                b = whole;
+            }
+        }
+        b
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The shared response drain faces worker and network bytes: on
+        /// any frame stream, cut at any offset, it must not panic, must
+        /// fill only the chunk's own result cells and each at most once,
+        /// must keep `delivered` in step with the filled cells and the
+        /// progress ticks, and may report `Complete` only when every slot
+        /// landed.
+        #[test]
+        fn drain_chunk_survives_hostile_frame_streams(
+            frames in proptest::collection::vec((0u8..255, 0u64..64, 0u64..1 << 40), 0..16)
+        ) {
+            // Kinds from 200 up are the honest worker's next frame
+            // (`R` for each slot in turn, then `D`), so some streams
+            // complete despite the hostile frames between them.
+            let mut stream = Vec::new();
+            let mut honest = 0u64;
+            for &(kind, slot, extra) in &frames {
+                let frame = if kind < 200 {
+                    body(kind, slot, extra)
+                } else if honest < SLOTS as u64 {
+                    honest += 1;
+                    body(0, honest - 1, extra)
+                } else {
+                    body(3, 0, SLOTS as u64)
+                };
+                wire::write_frame(&mut stream, &frame).unwrap();
+            }
+            let slots: Vec<(usize, u64, u64)> = (0..SLOTS).map(|i| (i, 0, 0)).collect();
+            // Scatter the chunk over a wider table: cells outside the
+            // chunk must never be written.
+            let global_flat: Vec<usize> = (0..SLOTS).map(|i| 2 * i + 1).collect();
+            for cut in 0..=stream.len() {
+                let results: Vec<OnceLock<Vec<u8>>> =
+                    (0..2 * SLOTS + 2).map(|_| OnceLock::new()).collect();
+                let mut delivered = vec![false; SLOTS];
+                let completed = AtomicUsize::new(0);
+                let ticks = std::sync::Arc::new(AtomicUsize::new(0));
+                let counter = ticks.clone();
+                let progress = move |_: Progress| {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                };
+                let outcome = drain_chunk(
+                    &mut MemTransport::new(stream[..cut].to_vec()),
+                    ChunkSink {
+                        slots: &slots,
+                        global_flat: &global_flat,
+                        results: &results,
+                        delivered: &mut delivered,
+                        completed: &completed,
+                        grand_total: results.len(),
+                        progress: Some(&progress),
+                    },
+                );
+                let filled: Vec<bool> = results.iter().map(|c| c.get().is_some()).collect();
+                for (local, &global) in global_flat.iter().enumerate() {
+                    prop_assert_eq!(delivered[local], filled[global]);
+                }
+                let landed = delivered.iter().filter(|d| **d).count();
+                prop_assert_eq!(filled.iter().filter(|f| **f).count(), landed);
+                prop_assert_eq!(completed.load(Ordering::Relaxed), landed);
+                prop_assert_eq!(ticks.load(Ordering::Relaxed), landed);
+                match outcome {
+                    Drained::Complete => prop_assert_eq!(landed, SLOTS),
+                    Drained::TaskError(ExecError::Task { flat_index, .. }) => {
+                        prop_assert!(global_flat.contains(&flat_index), "{}", flat_index)
+                    }
+                    Drained::TaskError(e) => prop_assert!(false, "non-task error {e:?}"),
+                    Drained::Broken(_) => {}
+                }
+            }
+        }
+    }
 }

@@ -8,9 +8,8 @@
 //!
 //! * `submit` / `queue-wait` / `dispatch` — the service daemon
 //!   ([`crate::service`]);
-//! * `pool-checkout` — the fleet layer checking a warm worker or peer
-//!   out of the pool ([`crate::exec::ShardedBackend`],
-//!   [`crate::remote::RemoteBackend`]);
+//! * `pool-checkout` — the worker backend opening a link, warm from the
+//!   pool or cold ([`crate::fleet::backend::WorkerBackend`]);
 //! * `slot` — one replication slot executing on the grid
 //!   ([`crate::grid`]), in-process or inside a worker;
 //! * `engine-run` — one simulation engine run inside a slot (recorded by

@@ -90,9 +90,8 @@ pub fn serve(
 }
 
 /// How often an executing worker streams a liveness/progress tick (`P`
-/// frame). Remote parents set their read timeout to a comfortable
-/// multiple of this (see
-/// [`RemoteBackend::io_timeout`](crate::remote::RemoteBackend)), so a
+/// frame). Parents set their TCP read timeout to a comfortable multiple
+/// of this (see [`FaultPolicy::io_timeout`](crate::fleet::FaultPolicy)), so a
 /// silently vanished peer is detected without ever mistaking a slow slot
 /// for a dead one.
 pub(crate) const HEARTBEAT_INTERVAL: std::time::Duration = std::time::Duration::from_millis(500);
