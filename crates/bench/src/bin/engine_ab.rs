@@ -4,17 +4,14 @@
 //! hosts. Prints one line per measurement and, with `--out FILE`, writes
 //! the results as the JSON document committed as `BENCH_engine.json`.
 //!
-//! Two arms per net:
-//! * `scalar` — `Simulator::run` against the reference engine
-//!   (`Simulator::run_reference`, the frozen seed core);
-//! * `batch W` — `Simulator::run_batch` at widths {1, 4, 16, 64} against a
-//!   loop of scalar `Simulator::run` calls over the same replications.
+//! One arm per net: `Simulator::run` against the reference engine
+//! (`Simulator::run_reference`, the frozen seed core).
 //!
 //! Every block runs the same replication set on the same seeds and
 //! checksums the *full* per-replication output (per-transition firing
 //! counts and reward bit patterns), so the harness itself asserts the
-//! variants are byte-identical, not just that they fired the same number
-//! of events.
+//! two engines are byte-identical, not just that they fired the same
+//! number of events.
 //!
 //! The nets: mm1, tandem lines of 4/16/64 stages, the paper's fig. 3 CPU
 //! net, and the paper's node SCPN under closed and open workloads (colored
@@ -29,13 +26,6 @@
 use des::{NodeSimParams, Workload};
 use petri_core::prelude::*;
 use std::time::Instant;
-
-/// Replications per batched-arm block — divisible by every measured width.
-const BATCH_REPS: u64 = 64;
-
-/// Batch widths to sweep (1 = the batched call at width one, isolating the
-/// per-call overhead from the batching win).
-const WIDTHS: [usize; 4] = [1, 4, 16, 64];
 
 fn mm1_net() -> Net {
     let mut b = NetBuilder::new("mm1");
@@ -96,20 +86,6 @@ fn time_scalar(
     (t0.elapsed().as_nanos() as f64, h)
 }
 
-/// One batched block: the same `runs` replications on the same seeds,
-/// advanced `width` lanes at a time.
-fn time_batched(sim: &Simulator<'_>, seed0: u64, runs: u64, width: usize) -> (f64, u64) {
-    let seeds: Vec<u64> = (0..runs).map(|i| seed0 + i).collect();
-    let t0 = Instant::now();
-    let mut h = FNV_OFFSET;
-    for chunk in seeds.chunks(width) {
-        for out in sim.run_batch(chunk) {
-            h = fold_output(h, &out.unwrap());
-        }
-    }
-    (t0.elapsed().as_nanos() as f64, h)
-}
-
 /// Firings of `runs` replications from seed 1 — the ns/event denominator
 /// (identical for every variant, which the checksums enforce).
 fn events(sim: &Simulator<'_>, runs: u64) -> u64 {
@@ -118,107 +94,60 @@ fn events(sim: &Simulator<'_>, runs: u64) -> u64 {
         .sum()
 }
 
-/// One measured arm: the median ns/event of the baseline and of the
-/// variant, and the median paired speedup of the variant.
-struct Arm {
-    base_ns: f64,
-    ns: f64,
+/// One net's measurement: the median ns/event of the reference and of the
+/// lowered engine, and the median paired speedup of the lowered engine.
+struct NetResult {
+    label: String,
+    reference_ns: f64,
+    lowered_ns: f64,
     speedup: f64,
 }
 
-/// Both arms of one net: scalar lowered vs reference, then batched vs
-/// scalar lowered per width.
-struct NetResult {
-    label: String,
-    scalar: Arm,
-    batch: Vec<(usize, Arm)>,
-}
-
-/// Both arms for one net: scalar lowered vs reference over
-/// `scalar_runs`-replication blocks, then batched vs scalar lowered at
-/// every width over [`BATCH_REPS`]-replication blocks.
-fn measure(label: &str, sim: &Simulator<'_>, scalar_runs: u64, pairs: usize) -> NetResult {
-    // Pair `p` of a `runs`-replication sweep starts at this seed, so every
-    // block runs fresh seeds and both variants of a pair run the same ones.
-    let seed0 = |runs: u64, p: usize| (p as u64) * runs + 1;
-    let ev = events(sim, scalar_runs) as f64;
+/// Lowered vs reference over `runs`-replication blocks.
+fn measure(label: &str, sim: &Simulator<'_>, runs: u64, pairs: usize) -> NetResult {
+    // Pair `p` starts at this seed, so every block runs fresh seeds and
+    // both engines of a pair run the same ones.
+    let seed0 = |p: usize| (p as u64) * runs + 1;
+    let ev = events(sim, runs) as f64;
     let stats = bench::ab::run_paired(
         pairs,
-        |p| time_scalar(seed0(scalar_runs, p), scalar_runs, |s| sim.run(s)),
-        |p| time_scalar(seed0(scalar_runs, p), scalar_runs, |s| sim.run_reference(s)),
+        |p| time_scalar(seed0(p), runs, |s| sim.run(s)),
+        |p| time_scalar(seed0(p), runs, |s| sim.run_reference(s)),
     );
-    let scalar = Arm {
-        base_ns: stats.b_ns / ev,
-        ns: stats.a_ns / ev,
+    let r = NetResult {
+        label: label.to_string(),
+        reference_ns: stats.b_ns / ev,
+        lowered_ns: stats.a_ns / ev,
         speedup: stats.speedup,
     };
     println!(
-        "{label:<16} scalar   : reference {:7.1} ns/event  lowered {:7.1} ns/event  \
+        "{label:<16} reference {:7.1} ns/event  lowered {:7.1} ns/event  \
          median paired speedup {:5.2}x",
-        scalar.base_ns, scalar.ns, scalar.speedup,
+        r.reference_ns, r.lowered_ns, r.speedup,
     );
-    let ev = events(sim, BATCH_REPS) as f64;
-    let mut batch = Vec::new();
-    for width in WIDTHS {
-        let stats = bench::ab::run_paired(
-            pairs,
-            |p| time_batched(sim, seed0(BATCH_REPS, p), BATCH_REPS, width),
-            |p| time_scalar(seed0(BATCH_REPS, p), BATCH_REPS, |s| sim.run(s)),
-        );
-        let arm = Arm {
-            base_ns: stats.b_ns / ev,
-            ns: stats.a_ns / ev,
-            speedup: stats.speedup,
-        };
-        println!(
-            "{label:<16} batch {width:>2} : scalar    {:7.1} ns/event  batched {:7.1} ns/event  \
-             median paired speedup {:5.2}x",
-            arm.base_ns, arm.ns, arm.speedup,
-        );
-        batch.push((width, arm));
-    }
-    NetResult {
-        label: label.to_string(),
-        scalar,
-        batch,
-    }
+    r
 }
 
 /// Render the results as the `BENCH_engine.json` document.
 fn render_json(results: &[NetResult], pairs: usize) -> String {
-    let arm = |a: &Arm, base: &str, variant: &str| {
-        format!(
-            "{{ \"{base}_ns_per_event\": {:.1}, \"{variant}_ns_per_event\": {:.1}, \"speedup\": {:.2} }}",
-            a.base_ns, a.ns, a.speedup
-        )
-    };
-    let rows = |f: &dyn Fn(&NetResult) -> String| {
-        results
-            .iter()
-            .map(|r| format!("    \"{}\": {}", r.label, f(r)))
-            .collect::<Vec<_>>()
-            .join(",\n")
-    };
-    let scalar = rows(&|r| arm(&r.scalar, "reference", "lowered"));
-    let batch = rows(&|r| {
-        let widths: Vec<String> = r
-            .batch
-            .iter()
-            .map(|(w, a)| format!("      \"width_{w}\": {}", arm(a, "scalar", "batched")))
-            .collect();
-        format!("{{\n{}\n    }}", widths.join(",\n"))
-    });
+    let scalar = results
+        .iter()
+        .map(|r| {
+            format!(
+                "    \"{}\": {{ \"reference_ns_per_event\": {:.1}, \"lowered_ns_per_event\": {:.1}, \"speedup\": {:.2} }}",
+                r.label, r.reference_ns, r.lowered_ns, r.speedup
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
     format!(
         r#"{{
-  "what": "Event throughput of the lowered engine (sim/lower.rs + sim/lowered.rs, the one production engine behind Simulator::run and Simulator::run_batch). `scalar`: Simulator::run against the reference engine (Simulator::run_reference, the frozen seed algorithm and the semantic oracle). `batch`: Simulator::run_batch at widths 1/4/16/64 against a loop of scalar runs over the same 64 replications. Node nets register the full reward set of wsn::simulate_node_model.",
+  "what": "Event throughput of the lowered engine (sim/lower.rs + sim/lowered.rs, the one production engine behind Simulator::run). `scalar`: Simulator::run against the reference engine (Simulator::run_reference, the frozen seed algorithm and the semantic oracle). Node nets register the full reward set of wsn::simulate_node_model.",
   "command": "cargo run --release -p bench --bin engine_ab -- {pairs} --out BENCH_engine.json",
   "host": "{host}",
   "methodology": "Paired A/B on the shared bench::ab harness: adjacent interleaved blocks, alternating order, {pairs} pairs per case; ns/event are median block times over the firings of the block, speedup is the median of per-pair ratios. Every pair's two blocks run the same seeds and must agree on a checksum of every firing count and reward bit pattern, so each row compares byte-identical work.",
   "scalar": {{
 {scalar}
-  }},
-  "batch": {{
-{batch}
   }}
 }}
 "#,

@@ -45,11 +45,6 @@
 //!   Giving more than one of `--shards`/`--hosts`/`--service` explicitly
 //!   is an error; when one comes from the environment instead, precedence
 //!   is `service > hosts > shards` (warned on stderr).
-//! * `--batch N` (falling back to `REPRO_BATCH`, falling back to 1 =
-//!   scalar) — cross-replication batch width: each worker claims runs of
-//!   up to `N` contiguous same-point replications and advances them
-//!   together through the batched engine. Purely a throughput knob —
-//!   results are byte-identical at every width.
 //! * `--profile` (exported as `REPRO_PROFILE=1`, so worker subprocesses
 //!   inherit it) — arm the per-transition engine profiler: firing counts
 //!   and attributed nanoseconds per transition, printed as a table on
@@ -171,10 +166,6 @@ struct Opts {
     fault: FaultPolicy,
     /// Warm worker/peer pooling (`--pool` > `REPRO_POOL` > on).
     pool: bool,
-    /// Cross-replication batch width (`--batch` > `REPRO_BATCH` > 1 =
-    /// scalar). Purely a throughput knob: results are byte-identical at
-    /// every width.
-    batch: usize,
     /// Deterministic chaos injection, armed from `REPRO_CHAOS_*`.
     chaos: Option<ChaosConfig>,
 }
@@ -194,7 +185,6 @@ impl Opts {
         base.with_fault(self.fault)
             .with_pool(self.pool)
             .with_chaos(self.chaos)
-            .with_batch(self.batch)
     }
 
     /// The one adaptive replication budget shared by every stochastic
@@ -274,7 +264,6 @@ fn main() {
     let mut retry: Option<usize> = None;
     let mut io_timeout: Option<f64> = None;
     let mut pool: Option<bool> = None;
-    let mut batch: Option<usize> = None;
     let mut targets: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -292,10 +281,6 @@ fn main() {
             "--pool" => match it.next().and_then(|v| parse_on_off(v)) {
                 Some(b) => pool = Some(b),
                 _ => flag_err("--pool", "on or off"),
-            },
-            "--batch" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => batch = Some(n),
-                _ => flag_err("--batch", "a positive replication count (1 = scalar)"),
             },
             // Exported via the environment rather than plumbed through
             // `Opts` so shard/worker subprocesses profile too.
@@ -357,7 +342,6 @@ fn main() {
         .unwrap_or_else(sim_runtime::default_threads);
     let (shards, hosts, service) = resolve_executor(shards, hosts, service, true);
     let (fault, pool, chaos) = resolve_fault(retry, io_timeout, pool);
-    let batch = resolve_batch(batch);
     let opts = Opts {
         quick,
         threads,
@@ -367,13 +351,12 @@ fn main() {
         fixed_reps,
         fault,
         pool,
-        batch,
         chaos,
     };
 
     if targets.is_empty() {
         eprintln!(
-            "usage: repro [--quick] [--threads N] [--shards N] [--hosts a:p,b:p] [--service a:p] [--batch N] [--profile] [--retry N] [--io-timeout SECS] [--pool on|off] [--fixed-reps] <target>...   (try: repro all)\n       repro serve --listen a:p [--http a:p] | repro submit|status|fetch|watch|cancel|trace|stats|stop --service a:p ... | repro cache gc [--cache-dir DIR] [--budget BYTES]"
+            "usage: repro [--quick] [--threads N] [--shards N] [--hosts a:p,b:p] [--service a:p] [--profile] [--retry N] [--io-timeout SECS] [--pool on|off] [--fixed-reps] <target>...   (try: repro all)\n       repro serve --listen a:p [--http a:p] | repro submit|status|fetch|watch|cancel|trace|stats|stop --service a:p ... | repro cache gc [--cache-dir DIR] [--budget BYTES]"
         );
         std::process::exit(2);
     }
@@ -555,19 +538,6 @@ fn resolve_fault(
     (fault, pool, chaos)
 }
 
-/// Resolve the cross-replication batch width: `--batch` > `REPRO_BATCH` >
-/// 1 (scalar), with an explicit flag winning over a differing environment
-/// value with a warning. Zero or unparseable environment values are
-/// ignored, the same leniency as the other knobs.
-fn resolve_batch(batch: Option<usize>) -> usize {
-    pick_knob(
-        "REPRO_BATCH",
-        batch,
-        env_knob::<usize>("REPRO_BATCH").filter(|n| *n >= 1),
-        1,
-    )
-}
-
 /// One fault knob: flag > environment > default, warning when an explicit
 /// flag overrides a differing environment value.
 fn pick_knob<T: PartialEq + Copy + std::fmt::Display>(
@@ -636,7 +606,6 @@ fn serve_mode(args: &[String]) {
     let mut retry: Option<usize> = None;
     let mut io_timeout: Option<f64> = None;
     let mut pool_flag: Option<bool> = None;
-    let mut batch: Option<usize> = None;
     let mut fallback = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -694,10 +663,6 @@ fn serve_mode(args: &[String]) {
                 Some(b) => pool_flag = Some(b),
                 _ => flag_err("--pool", "on or off"),
             },
-            "--batch" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => batch = Some(n),
-                _ => flag_err("--batch", "a positive replication count (1 = scalar)"),
-            },
             // Environment-exported so shard/worker subprocesses inherit it.
             "--profile" => std::env::set_var("REPRO_PROFILE", "1"),
             "--fallback" => fallback = true,
@@ -715,7 +680,7 @@ fn serve_mode(args: &[String]) {
         std::process::exit(2);
     }
     let Some(addr) = listen else {
-        eprintln!("usage: repro serve --listen ADDR [--http ADDR] [--threads N] [--shards N | --hosts a:p,b:p] [--batch N] [--profile] [--queue-capacity N] [--dispatchers N] [--mem-cache N] [--cache-dir DIR | --no-disk-cache] [--cache-budget BYTES] [--retry N] [--io-timeout SECS] [--pool on|off] [--fallback]");
+        eprintln!("usage: repro serve --listen ADDR [--http ADDR] [--threads N] [--shards N | --hosts a:p,b:p] [--profile] [--queue-capacity N] [--dispatchers N] [--mem-cache N] [--cache-dir DIR | --no-disk-cache] [--cache-budget BYTES] [--retry N] [--io-timeout SECS] [--pool on|off] [--fallback]");
         std::process::exit(2);
     };
     let threads = threads
@@ -723,7 +688,6 @@ fn serve_mode(args: &[String]) {
         .unwrap_or_else(sim_runtime::default_threads);
     let (shards, hosts, _) = resolve_executor(shards, hosts, None, false);
     let (mut fault, pool, chaos) = resolve_fault(retry, io_timeout, pool_flag);
-    let batch = resolve_batch(batch);
     if fallback {
         fault.fallback = true;
     }
@@ -734,11 +698,7 @@ fn serve_mode(args: &[String]) {
     } else {
         Exec::in_process(threads)
     };
-    let exec = exec
-        .with_fault(fault)
-        .with_pool(pool)
-        .with_chaos(chaos)
-        .with_batch(batch);
+    let exec = exec.with_fault(fault).with_pool(pool).with_chaos(chaos);
     eprintln!(
         "[serve] backend: {}; queue capacity {queue_capacity}; {dispatchers} dispatcher(s); \
          mem cache {mem_cache} entries; disk cache {}{}",

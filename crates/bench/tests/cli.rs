@@ -17,7 +17,6 @@ fn repro() -> Command {
         .env_remove("REPRO_RETRY")
         .env_remove("REPRO_IO_TIMEOUT")
         .env_remove("REPRO_POOL")
-        .env_remove("REPRO_BATCH")
         .env_remove("REPRO_CHAOS_SEED");
     cmd
 }
@@ -166,9 +165,6 @@ fn fault_flags_reject_garbage_values() {
         (vec!["--io-timeout", "-1"], "--io-timeout needs"),
         (vec!["--io-timeout", "soon"], "--io-timeout needs"),
         (vec!["--pool", "maybe"], "--pool needs"),
-        (vec!["--batch", "0"], "--batch needs"),
-        (vec!["--batch", "wide"], "--batch needs"),
-        (vec!["--batch"], "--batch needs"),
     ] {
         let (code, _out, err) = run(repro().args(&flags).arg("params"));
         assert_eq!(code, 2, "flags {flags:?} must be rejected: {err}");
@@ -204,46 +200,6 @@ fn fault_env_vars_apply_and_flags_override_with_a_warning() {
         .arg("params"));
     assert_eq!(code, 0, "{err}");
     assert!(!err.contains("overridden"), "{err}");
-}
-
-#[test]
-fn batch_knob_resolves_flag_over_env_and_shows_in_the_label() {
-    // Environment alone applies silently and shows up in the executor
-    // label.
-    let (code, _out, err) = run(repro().env("REPRO_BATCH", "8").arg("params"));
-    assert_eq!(code, 0, "{err}");
-    assert!(!err.contains("warning: REPRO_BATCH"), "{err}");
-    assert!(err.contains("batch=8"), "{err}");
-    // A differing explicit flag wins, loudly.
-    let (code, _out, err) = run(repro()
-        .env("REPRO_BATCH", "8")
-        .args(["--batch", "4"])
-        .arg("params"));
-    assert_eq!(code, 0, "{err}");
-    assert!(
-        err.contains("REPRO_BATCH=8 overridden by explicit flag (4)"),
-        "{err}"
-    );
-    assert!(err.contains("batch=4"), "{err}");
-    // The default (scalar) keeps the label untouched.
-    let (code, _out, err) = run(repro().arg("params"));
-    assert_eq!(code, 0, "{err}");
-    assert!(!err.contains("batch="), "{err}");
-    // Serve mode accepts the same knob and announces it.
-    use std::io::{BufRead, BufReader};
-    let mut child = repro()
-        .args(["serve", "--listen", "127.0.0.1:0", "--batch", "6"])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("daemon spawns");
-    let mut line = String::new();
-    BufReader::new(child.stderr.take().unwrap())
-        .read_line(&mut line)
-        .unwrap();
-    let _ = child.kill();
-    let _ = child.wait();
-    assert!(line.contains("batch=6"), "{line}");
 }
 
 #[test]

@@ -84,8 +84,8 @@ pub mod prelude {
     pub use crate::ids::{PlaceId, TransitionId};
     pub use crate::net::Net;
     pub use crate::replicate::{
-        run_replications, run_replications_adaptive, run_replications_batched,
-        run_replications_parallel, AdaptiveSummary, ReplicationSummary,
+        run_replications, run_replications_adaptive, run_replications_parallel, AdaptiveSummary,
+        ReplicationSummary,
     };
     pub use crate::sim::{RewardId, RewardSpec, SimConfig, SimOutput, Simulator};
     pub use crate::stats::{ConfidenceLevel, Welford};

@@ -97,43 +97,6 @@ pub fn run_replications_parallel(
     })
 }
 
-/// Run `replications` independent simulations through
-/// [`Simulator::run_batch`], `batch` lanes at a time.
-///
-/// Replication `i` uses seed `SimRng::child_seed(base_seed, i)` and the
-/// per-replication outputs fold into the summary in replication-index
-/// order, so the result is **bit-identical** to [`run_replications`] at any
-/// batch width — batching only changes how fast the same trajectories are
-/// produced. On error, the lowest-index failure is
-/// returned, exactly like the sequential loop.
-pub fn run_replications_batched(
-    sim: &Simulator<'_>,
-    base_seed: u64,
-    replications: u64,
-    batch: usize,
-) -> Result<ReplicationSummary, SimError> {
-    let batch = batch.max(1) as u64;
-    let mut rewards = vec![Welford::new(); sim.reward_count()];
-    let mut seeds: Vec<u64> = Vec::with_capacity(batch as usize);
-    let mut i = 0u64;
-    while i < replications {
-        let n = batch.min(replications - i);
-        seeds.clear();
-        seeds.extend((i..i + n).map(|j| crate::rng::SimRng::child_seed(base_seed, j)));
-        for out in sim.run_batch(&seeds) {
-            let out = out?;
-            for (w, &x) in rewards.iter_mut().zip(out.rewards.iter()) {
-                w.push(x);
-            }
-        }
-        i += n;
-    }
-    Ok(ReplicationSummary {
-        rewards,
-        replications,
-    })
-}
-
 /// Result of [`run_replications_adaptive`]: a summary plus how the
 /// stopping rule fared.
 #[derive(Debug, Clone)]
@@ -230,18 +193,6 @@ mod tests {
             // the merged moments are the same bits at any thread count.
             assert_eq!(seq.replications, par.replications);
             assert_eq!(seq.rewards[r.index()], par.rewards[r.index()]);
-        }
-    }
-
-    #[test]
-    fn batched_bit_identical_to_sequential() {
-        let net = mm1_net();
-        let (sim, r) = mm1_sim(&net);
-        let seq = run_replications(&sim, 11, 13).unwrap();
-        for batch in [1, 2, 4, 5, 13, 64] {
-            let bat = run_replications_batched(&sim, 11, 13, batch).unwrap();
-            assert_eq!(seq.replications, bat.replications);
-            assert_eq!(seq.rewards[r.index()], bat.rewards[r.index()]);
         }
     }
 

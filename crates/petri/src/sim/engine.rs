@@ -4,8 +4,8 @@
 //! A `Simulator` compiles its net once into a `CompiledSim` — the static
 //! tables every run shares — and hands runs to the lowered engine
 //! ([`super::lowered`]), which executes the net's micro-op program
-//! ([`super::lower`]). [`Simulator::run`] is the one-lane case of
-//! [`Simulator::run_batch`]; both go through the same `LoweredEngine` call.
+//! ([`super::lower`]). [`Simulator::run`] is the one entry point: each call
+//! builds one `LoweredEngine` and runs one replication on it.
 //!
 //! `CompiledSim` flattens the net into dense, index-addressed tables:
 //!
@@ -636,7 +636,7 @@ pub struct Simulator<'a> {
     pub(super) firing_hooks: Vec<Vec<u32>>,
     pub(super) compiled: CompiledSim,
     /// Lazily-built lowered program (net × rewards × config), shared by
-    /// every run and every batch lane. Invalidated when a reward is added.
+    /// every run. Invalidated when a reward is added.
     pub(super) lowered: std::sync::OnceLock<super::lower::LoweredNet>,
     /// Debug builds shadow the first run per simulator with the reference
     /// engine and assert identical output (cheap, once-per-net oracle on
@@ -719,13 +719,23 @@ impl<'a> Simulator<'a> {
         &self.cfg
     }
 
-    /// Execute one independent run with the given seed: the one-lane case
-    /// of [`Simulator::run_batch`].
+    /// Execute one independent run with the given seed on the lowered
+    /// engine.
+    ///
+    /// This is the one site that records engine telemetry (run counts and
+    /// per-run event totals), after the run so it never touches seeding or
+    /// results.
     pub fn run(&self, seed: u64) -> Result<SimOutput, SimError> {
-        let out = self
-            .run_batch_with_horizons(&[seed], &[self.cfg.end_time])
-            .pop()
-            .expect("one lane in, one result out");
+        let out = super::lowered::LoweredEngine::new(self, seed).run();
+        let events = out.as_ref().map_or(0, |o| o.total_firings());
+        let tele = sim_runtime::telemetry();
+        let per_run = tele.histogram("engine_run_events");
+        if out.is_ok() {
+            per_run.record(events);
+        }
+        tele.counter("engine_runs_total")
+            .add(u64::from(out.is_ok()));
+        tele.counter("engine_events_total").add(events);
         #[cfg(debug_assertions)]
         if self.shadow_once.set(()).is_ok() {
             super::lowered::debug_assert_outputs_eq(&out, &self.run_reference(seed));
@@ -739,51 +749,6 @@ impl<'a> Simulator<'a> {
     /// [`Simulator::run`]; used by differential tests and benchmarks.
     pub fn run_reference(&self, seed: u64) -> Result<SimOutput, SimError> {
         super::reference::ReferenceEngine::new(self.net, &self.cfg, &self.rewards, seed).run()
-    }
-
-    /// Execute `seeds.len()` independent replications together, all at the
-    /// configured horizon: one structure-of-arrays pass that amortizes the
-    /// compiled net across the batch. Each returned entry is bit-identical
-    /// to `self.run(seed)` for the seed at the same index.
-    pub fn run_batch(&self, seeds: &[u64]) -> Vec<Result<SimOutput, SimError>> {
-        let horizons = vec![self.cfg.end_time; seeds.len()];
-        self.run_batch_with_horizons(seeds, &horizons)
-    }
-
-    /// Run one replication per seed with a **per-lane horizon**: lane `i`
-    /// behaves exactly as [`Simulator::run`] would with `cfg.end_time`
-    /// replaced by `end_times[i]` (shorter lanes retire mid-batch without
-    /// disturbing the rest).
-    ///
-    /// Every run passes through here — [`Simulator::run`] is the one-lane
-    /// case — so this is the one site that records engine telemetry (run
-    /// counts and per-run event totals), after the runs so it never touches
-    /// seeding or results.
-    ///
-    /// Panics if the two slices differ in length.
-    pub fn run_batch_with_horizons(
-        &self,
-        seeds: &[u64],
-        end_times: &[f64],
-    ) -> Vec<Result<SimOutput, SimError>> {
-        assert_eq!(seeds.len(), end_times.len(), "one horizon per seed");
-        if seeds.is_empty() {
-            return Vec::new();
-        }
-        let out = super::lowered::LoweredEngine::new(self, seeds, end_times).run_all();
-        let tele = sim_runtime::telemetry();
-        let per_run = tele.histogram("engine_run_events");
-        let mut runs = 0u64;
-        let mut events = 0u64;
-        for o in out.iter().flatten() {
-            let e = o.total_firings();
-            per_run.record(e);
-            runs += 1;
-            events += e;
-        }
-        tele.counter("engine_runs_total").add(runs);
-        tele.counter("engine_events_total").add(events);
-        out
     }
 }
 
@@ -1305,88 +1270,30 @@ mod tests {
         assert_eq!(out_m.final_marking.count(p), 1);
     }
 
-    fn mm1(rho: f64) -> Net {
+    /// Replications of one net that stop at different horizons each match
+    /// the reference engine run to the same horizon: a run retires at its
+    /// own end time, mid-way between events, whatever its neighbours do.
+    #[test]
+    fn per_lane_horizons_retire_mid_batch() {
         let mut b = NetBuilder::new("mm1");
         let q = b.place("q").build();
-        b.transition("arrive", Timing::exponential(rho))
+        b.transition("arrive", Timing::exponential(0.9))
             .output(q, 1)
             .build();
         b.transition("serve", Timing::exponential(1.0))
             .input(q, 1)
             .build();
-        b.build().unwrap()
-    }
-
-    fn assert_same(a: &SimOutput, b: &SimOutput) {
-        assert_eq!(a.rewards, b.rewards);
-        assert_eq!(a.firing_counts, b.firing_counts);
-        assert_eq!(a.final_marking, b.final_marking);
-        assert_eq!(a.trace, b.trace);
-        assert_eq!(a.trace_dropped, b.trace_dropped);
-        assert_eq!(a.observed_time, b.observed_time);
-    }
-
-    #[test]
-    fn batch_matches_scalar_per_seed() {
-        let net = mm1(0.8);
-        let mut sim = Simulator::new(&net, SimConfig::for_horizon(200.0).with_trace(32));
-        let q = PlaceId::from_index(0);
-        sim.reward_place(q);
-        let seeds: Vec<u64> = (0..17).map(|i| 1000 + i).collect();
-        let batched = sim.run_batch(&seeds);
-        for (i, &seed) in seeds.iter().enumerate() {
-            let scalar = sim.run(seed).unwrap();
-            let b = batched[i].as_ref().unwrap();
-            assert_same(b, &scalar);
+        let net = b.build().unwrap();
+        for (seed, h) in [(7u64, 25.0), (8, 400.0), (9, 3.0), (10, 100.0)] {
+            let mut sim = Simulator::new(&net, SimConfig::for_horizon(h));
+            sim.reward_place(q);
+            let out = sim.run(seed).unwrap();
+            let reference = sim.run_reference(seed).unwrap();
+            assert_eq!(out.rewards, reference.rewards);
+            assert_eq!(out.firing_counts, reference.firing_counts);
+            assert_eq!(out.final_marking, reference.final_marking);
+            assert_eq!(out.observed_time, reference.observed_time);
+            assert_eq!(out.observed_time, h);
         }
-    }
-
-    #[test]
-    fn per_lane_horizons_retire_mid_batch() {
-        let net = mm1(0.9);
-        let mut sim = Simulator::new(&net, SimConfig::for_horizon(100.0));
-        let q = PlaceId::from_index(0);
-        sim.reward_place(q);
-        let seeds = [7u64, 8, 9, 10];
-        let horizons = [25.0, 400.0, 3.0, 100.0];
-        let batched = sim.run_batch_with_horizons(&seeds, &horizons);
-        for (i, (&seed, &h)) in seeds.iter().zip(&horizons).enumerate() {
-            let mut cfg = sim.config().clone();
-            cfg.end_time = h;
-            let mut oracle = Simulator::new(&net, cfg);
-            oracle.reward_place(q);
-            let scalar = oracle.run(seed).unwrap();
-            assert_same(batched[i].as_ref().unwrap(), &scalar);
-        }
-    }
-
-    #[test]
-    fn an_erroring_lane_does_not_disturb_the_others() {
-        // Lane horizons long enough that the open generator overflows the
-        // tiny token bound in every lane *except* the short one.
-        let net = mm1(5.0);
-        let mut cfg = SimConfig::for_horizon(10_000.0);
-        cfg.max_tokens_per_place = 50;
-        let sim = Simulator::new(&net, cfg);
-        let seeds = [1u64, 2, 3];
-        let horizons = [10_000.0, 1.0, 10_000.0];
-        let batched = sim.run_batch_with_horizons(&seeds, &horizons);
-        for (i, (&seed, &h)) in seeds.iter().zip(&horizons).enumerate() {
-            let mut cfg = sim.config().clone();
-            cfg.end_time = h;
-            let oracle = Simulator::new(&net, cfg);
-            match (oracle.run(seed), &batched[i]) {
-                (Ok(a), Ok(b)) => assert_same(b, &a),
-                (Err(a), Err(b)) => assert_eq!(&a, b),
-                (a, b) => panic!("lane {i}: scalar {a:?} vs batched {b:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_fine() {
-        let net = mm1(0.5);
-        let sim = Simulator::new(&net, SimConfig::for_horizon(10.0));
-        assert!(sim.run_batch(&[]).is_empty());
     }
 }

@@ -129,11 +129,10 @@ fn count_sum(net: &Net, e: &Expr, out: &mut Vec<u32>) -> bool {
     }
 }
 
-/// Transition-count ceiling for the scan scheduler (scalar and batched
-/// runs alike). Below it, the next
-/// event is found by scanning the lane's contiguous `fire_at` stripe (at
-/// 32 transitions the stripe is 256 bytes — four cache lines); above it,
-/// per-lane lazy-deletion 4-ary heaps take over.
+/// Transition-count ceiling for the scan scheduler. Below it, the next
+/// event is found by scanning the run's contiguous `fire_at` slice (at
+/// 32 transitions the slice is 256 bytes — four cache lines); above it, a
+/// lazy-deletion 4-ary heap takes over.
 pub(super) const SCAN_MAX_TRANSITIONS: usize = 32;
 
 // ---------------------------------------------------------------------------
@@ -243,7 +242,7 @@ pub(super) enum IntegOp {
     Place {
         /// Watched place (raw index).
         place: u32,
-        /// Target slot in the lane's `f64` accumulator stripe.
+        /// Target slot in the run's `f64` accumulators.
         acc: u32,
     },
     /// `acc_f[acc] += dt` when `(count(place) >= need) ^ lt` holds (a
@@ -255,7 +254,7 @@ pub(super) enum IntegOp {
         need: u32,
         /// Invert the comparison (`count < need`).
         lt: bool,
-        /// Target slot in the lane's `f64` accumulator stripe.
+        /// Target slot in the run's `f64` accumulators.
         acc: u32,
     },
     /// `acc_f[acc] += dt` when any of the counts `any_places[lo..hi]` is
@@ -265,14 +264,14 @@ pub(super) enum IntegOp {
         lo: u32,
         /// End of the watched count indices in the side table.
         hi: u32,
-        /// Target slot in the lane's `f64` accumulator stripe.
+        /// Target slot in the run's `f64` accumulators.
         acc: u32,
     },
     /// `acc_f[acc] += dt` when predicate `prog` holds.
     Pred {
         /// Index into the simulator's compiled predicate programs.
         prog: u32,
-        /// Target slot in the lane's `f64` accumulator stripe.
+        /// Target slot in the run's `f64` accumulators.
         acc: u32,
     },
 }
@@ -318,9 +317,9 @@ pub(crate) struct LoweredNet {
     pub(super) integ: Vec<IntegOp>,
     /// Count indices watched by [`IntegOp::AnyNonEmpty`] ops.
     pub(super) any_places: Vec<u32>,
-    /// Stride of the per-lane `f64` accumulator stripe.
+    /// Number of `f64` accumulators per run.
     pub(super) n_integ: usize,
-    /// Stride of the per-lane counter accumulator stripe.
+    /// Number of counter accumulators per run.
     pub(super) n_count: usize,
     /// Per-reward finalize mapping, in registration order.
     pub(super) reward_map: Vec<LoweredReward>,

@@ -1,36 +1,31 @@
 //! Direct-threaded execution of lowered stepping programs — the production
 //! engine.
 //!
-//! [`LoweredEngine`] is the one executor behind every `Simulator` run:
-//! `Simulator::run` is its one-lane case and `Simulator::run_batch` its
-//! many-lane case. Every lane advances to completion in [`Lane::run`], a
-//! single fused loop that executes the net's [`LoweredNet`] micro-op
-//! program, so the scalar and batched hot paths are *the same code*.
+//! [`LoweredEngine`] runs one replication: `Simulator::run` builds one per
+//! seed and advances it to its horizon in [`Hot::run`], a single fused
+//! loop that executes the net's [`LoweredNet`] micro-op program.
 //!
 //! Two levers make it fast:
 //!
-//! * **Per-lane local slices.** Per-lane state lives in structure-of-arrays
-//!   arenas of `lanes × stride`; each lane's stripes are carved out once
-//!   into a [`Lane`] of `&mut [..]` slices of length `nt`/`nc`, so the hot
-//!   loop indexes `fire_at[ti]` instead of `self.fire_at[l * nt + ti]` — no
-//!   per-access base+offset arithmetic, and the slice lengths give the
-//!   optimizer bounds it can hoist.
+//! * **Local slices.** The run's state is carved once into a [`Hot`] of
+//!   `&mut [..]` slices of length `nt`/`nc`, so the hot loop indexes
+//!   `fire_at[ti]` through a local slice whose length gives the optimizer
+//!   bounds it can hoist.
 //! * **Monomorphized ops.** The per-event work is a walk over flat op
 //!   words with parameters inline; distribution sampling, memory-policy
 //!   handling, scan-vs-heap scheduling and colored-vs-dense firing are all
-//!   resolved per net, not per event ([`Lane::run`] is instantiated per
+//!   resolved per net, not per event ([`Hot::run`] is instantiated per
 //!   `(SCAN, GEN)` const-generic pair, selected once in
-//!   [`LoweredEngine::run_all`]).
+//!   [`LoweredEngine::run`]).
 //!
 //! # Determinism
 //!
-//! Lanes never interact: each owns its RNG, marking, schedule, counters and
-//! accumulators, and the shared scratch buffers are used by one lane at a
-//! time. The op program replays the reference engine's exact operation
+//! Each run owns its RNG, marking, schedule, counters and accumulators.
+//! The op program replays the reference engine's exact operation
 //! sequence: same RNG draw order, same comparison order, same error
 //! precedence, same event order (the scan scheduler's min-`(fire_at, tid)`
 //! is provably the heap's valid-pop order). Outputs are therefore
-//! **bit-identical** to `Simulator::run_reference` at every batch width —
+//! **bit-identical** to `Simulator::run_reference` —
 //! `tests/lowered_differential.rs` and the CI repro byte-comparison prove
 //! it, and debug builds additionally shadow the first run per simulator
 //! with the reference engine plus cross-check the incremental enabling
@@ -76,7 +71,7 @@ pub(super) fn debug_assert_outputs_eq(
 }
 
 // ---------------------------------------------------------------------------
-// 4-ary lazy-deletion heap (free functions over one lane's heap)
+// 4-ary lazy-deletion heap (free functions over the run's heap)
 // ---------------------------------------------------------------------------
 
 /// One pending firing. Entries are never removed on cancellation — the
@@ -158,10 +153,10 @@ fn heap_pop(heap: &mut Vec<HeapEntry>) -> Option<HeapEntry> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared (immutable) context + one lane's mutable state
+// Shared (immutable) context + the run's mutable state
 // ---------------------------------------------------------------------------
 
-/// Immutable per-run context shared by all lanes, flattened so the hot
+/// Immutable per-run context, flattened so the hot
 /// loop reads program slices and config scalars without chasing
 /// `LoweredNet`/`SimConfig` pointers per event.
 struct Shared<'x> {
@@ -202,11 +197,10 @@ impl<'x> Shared<'x> {
     }
 }
 
-/// One lane's state, carved out of the engine's SoA arenas as local
-/// slices: the whole hot loop runs against these (plus the clock, RNG and
-/// zero-time counter held by value) and scalars are written back when the
-/// lane retires.
-struct Lane<'x> {
+/// The run's state, carved out of the engine's arenas as local slices:
+/// the whole hot loop runs against these (plus the clock, RNG and
+/// zero-time counter held by value).
+struct Hot<'x> {
     rng: SimRng,
     now: f64,
     zero: u64,
@@ -236,7 +230,7 @@ struct Lane<'x> {
     weights: &'x mut Vec<f64>,
 }
 
-impl<'x> Lane<'x> {
+impl<'x> Hot<'x> {
     // ---- debug oracles: full-rescan cross-checks ----
 
     #[cfg(debug_assertions)]
@@ -363,7 +357,7 @@ impl<'x> Lane<'x> {
             // test — one plain `<` per slot. Strict `<` keeps the lowest
             // tid on ties, matching the heap's `(time, tid)` order (no
             // reachable schedule time is NaN or -0.0, so `<` agrees with
-            // `total_cmp` here). An all-idle lane surfaces `(inf, 0)`,
+            // `total_cmp` here). An all-idle run surfaces `(inf, 0)`,
             // which the caller's `time < end` guard retires.
             let mut best_t = f64::INFINITY;
             let mut best_ti = 0u32;
@@ -454,10 +448,10 @@ impl<'x> Lane<'x> {
 
     /// Execute transition `ti`'s fire section, attributing its wall time
     /// when the profiler is armed. The disarmed path is a single
-    /// well-predicted branch in front of [`Lane::exec_fire_inner`]; the
+    /// well-predicted branch in front of [`Hot::exec_fire_inner`]; the
     /// armed path reads the monotonic clock twice and folds the delta
-    /// into the lane's per-transition nanosecond stripe (flushed to
-    /// [`super::profile`] when the lane retires).
+    /// into the run's per-transition nanosecond counters (flushed to
+    /// [`super::profile`] when the run finishes).
     #[inline(always)]
     fn exec_fire<const GEN: bool>(
         &mut self,
@@ -754,7 +748,7 @@ impl<'x> Lane<'x> {
     // ---- rewards / livelock ----
 
     /// Integrate time-based rewards over `[now, until)`, clipped to the
-    /// warm-up boundary, attributing the step's wall time to the lane's
+    /// warm-up boundary, attributing the step's wall time to the run's
     /// integration counters when the profiler is armed.
     #[inline(always)]
     fn integrate(&mut self, sh: &Shared<'_>, until: f64) {
@@ -877,7 +871,7 @@ impl<'x> Lane<'x> {
         }
     }
 
-    // ---- lane lifecycle ----
+    // ---- run lifecycle ----
 
     /// The pre-loop work: run the startup recheck program
     /// (initial scheduling pass), then the time-zero immediate cascade.
@@ -889,7 +883,7 @@ impl<'x> Lane<'x> {
         self.immediates::<SCAN, GEN>(sh)
     }
 
-    /// Drive this lane from post-`start` state to its horizon: the whole
+    /// Drive the run from post-`start` state to its horizon: the whole
     /// main loop, fused, one instantiation per (scan, colored) pair.
     fn run<const SCAN: bool, const GEN: bool>(
         &mut self,
@@ -958,12 +952,12 @@ fn erlang(rng: &mut SimRng, rate: f64, k: u32) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// The batched lowered engine
+// The lowered engine
 // ---------------------------------------------------------------------------
 
-/// All per-batch state for the lowered engine. Stride-`nt` arenas are
-/// indexed `l * nt + ti`, stride-`nc` arenas `l * nc + ci`; each lane's
-/// stripes are sliced into a [`Lane`] while it runs.
+/// One replication's state for the lowered engine: per-transition arenas
+/// of length `nt`, per-condition arenas of length `nc`, sliced into a
+/// [`Hot`] while the run executes.
 pub(super) struct LoweredEngine<'e> {
     lw: &'e LoweredNet,
     cs: &'e CompiledSim,
@@ -971,16 +965,9 @@ pub(super) struct LoweredEngine<'e> {
     cfg: &'e SimConfig,
     pred_progs: &'e [Option<CompiledExpr>],
     max_tokens: usize,
-    lanes: usize,
-    nt: usize,
-    nc: usize,
-    ni: usize,
-    end_time: Vec<f64>,
-    rng: Vec<SimRng>,
-    now: Vec<f64>,
-    zero: Vec<u64>,
-    markings: Vec<Marking>,
-    heaps: Vec<Vec<HeapEntry>>,
+    seed: u64,
+    marking: Marking,
+    heap: Vec<HeapEntry>,
     fire_at: Vec<f64>,
     gen: Vec<u64>,
     remaining: Vec<f64>,
@@ -988,15 +975,13 @@ pub(super) struct LoweredEngine<'e> {
     cond_true: Vec<bool>,
     unsat: Vec<u32>,
     enabled_imm: Vec<u32>,
-    imm_len: Vec<u32>,
+    imm_len: u32,
     imm_pos: Vec<u32>,
     firing_counts: Vec<u64>,
     acc_f: Vec<f64>,
     acc_c: Vec<u64>,
     profile_ns: Vec<u64>,
-    /// Per lane: profiled reward integration (steps, nanoseconds).
-    profile_integ: Vec<(u64, u64)>,
-    traces: Vec<TraceBuffer>,
+    trace: TraceBuffer,
     guard_scratch: Vec<i64>,
     consumed: Vec<Color>,
     consumed_offsets: Vec<usize>,
@@ -1005,15 +990,11 @@ pub(super) struct LoweredEngine<'e> {
 }
 
 impl<'e> LoweredEngine<'e> {
-    pub(super) fn new(sim: &'e Simulator<'_>, seeds: &[u64], end_times: &[f64]) -> Self {
-        assert_eq!(seeds.len(), end_times.len(), "one horizon per seed");
+    pub(super) fn new(sim: &'e Simulator<'_>, seed: u64) -> Self {
         let net = sim.net;
         let cs = &sim.compiled;
         let lw = sim.lowered_net();
-        let lanes = seeds.len();
         let nt = net.num_transitions();
-        let nc = cs.conds.len();
-        let ni = cs.immediates.len();
         let pred_stack = sim
             .pred_progs
             .iter()
@@ -1021,10 +1002,10 @@ impl<'e> LoweredEngine<'e> {
             .map(|p| p.stack_needed())
             .max()
             .unwrap_or(0);
-        let mut st_template = vec![0u8; nt];
+        let mut sched_state = vec![0u8; nt];
         for (ti, h) in cs.hot.iter().enumerate() {
             if h.kind != TimingKind::Immediate && h.memory == MemoryPolicy::Resample {
-                st_template[ti] = ST_RESAMPLE;
+                sched_state[ti] = ST_RESAMPLE;
             }
         }
         let mut eng = LoweredEngine {
@@ -1034,99 +1015,74 @@ impl<'e> LoweredEngine<'e> {
             cfg: &sim.cfg,
             pred_progs: &sim.pred_progs,
             max_tokens: effective_token_limit(&sim.cfg),
-            lanes,
-            nt,
-            nc,
-            ni,
-            end_time: end_times.to_vec(),
-            rng: seeds.iter().map(|&s| SimRng::seed_from_u64(s)).collect(),
-            now: vec![0.0; lanes],
-            zero: vec![0; lanes],
-            markings: (0..lanes).map(|_| net.initial_marking()).collect(),
-            heaps: (0..lanes)
-                .map(|_| Vec::with_capacity(if lw.scan { 0 } else { nt * 2 }))
-                .collect(),
-            fire_at: vec![f64::INFINITY; lanes * nt],
-            gen: vec![0; lanes * nt],
-            remaining: vec![f64::NAN; lanes * nt],
-            sched_state: st_template.repeat(lanes),
-            cond_true: vec![false; lanes * nc],
-            unsat: vec![0; lanes * nt],
-            enabled_imm: vec![0; lanes * ni],
-            imm_len: vec![0; lanes],
-            imm_pos: vec![NOT_QUEUED; lanes * nt],
-            firing_counts: vec![0; lanes * nt],
-            acc_f: vec![0.0; lanes * lw.n_integ],
-            acc_c: vec![0; lanes * lw.n_count],
-            profile_ns: vec![0; lanes * nt],
-            profile_integ: vec![(0, 0); lanes],
-            traces: (0..lanes)
-                .map(|_| TraceBuffer::new(sim.cfg.trace_capacity))
-                .collect(),
+            seed,
+            marking: net.initial_marking(),
+            heap: Vec::with_capacity(if lw.scan { 0 } else { nt * 2 }),
+            fire_at: vec![f64::INFINITY; nt],
+            gen: vec![0; nt],
+            remaining: vec![f64::NAN; nt],
+            sched_state,
+            cond_true: vec![false; cs.conds.len()],
+            unsat: cs.base_unsat.clone(),
+            enabled_imm: vec![0; cs.immediates.len()],
+            imm_len: 0,
+            imm_pos: vec![NOT_QUEUED; nt],
+            firing_counts: vec![0; nt],
+            acc_f: vec![0.0; lw.n_integ],
+            acc_c: vec![0; lw.n_count],
+            profile_ns: vec![0; nt],
+            trace: TraceBuffer::new(sim.cfg.trace_capacity),
             guard_scratch: Vec::with_capacity(cs.guard_stack.max(pred_stack)),
             consumed: Vec::with_capacity(8),
             consumed_offsets: Vec::with_capacity(8),
             candidates: Vec::with_capacity(4),
             weights: Vec::with_capacity(4),
         };
-        for l in 0..lanes {
-            eng.init_conditions(l);
-        }
+        eng.init_conditions();
         eng
     }
 
     /// Evaluate every condition from scratch and build the enabled sets
     /// (start of run only).
-    fn init_conditions(&mut self, l: usize) {
+    fn init_conditions(&mut self) {
         let cs = self.cs;
-        let tb = l * self.nt;
-        let cb = l * self.nc;
-        let ib = l * self.ni;
-        self.unsat[tb..tb + self.nt].copy_from_slice(&cs.base_unsat);
         for (ci, cond) in cs.conds.iter().enumerate() {
-            let t = cs.eval_cond(&self.markings[l], &mut self.guard_scratch, cond);
-            self.cond_true[cb + ci] = t;
+            let t = cs.eval_cond(&self.marking, &mut self.guard_scratch, cond);
+            self.cond_true[ci] = t;
             if !t {
-                self.unsat[tb + cond.tid as usize] += 1;
+                self.unsat[cond.tid as usize] += 1;
             }
         }
-        for ti in 0..self.nt {
-            if self.unsat[tb + ti] == 0 {
-                self.sched_state[tb + ti] |= ST_ENABLED;
+        for (st, &unsat) in self.sched_state.iter_mut().zip(&self.unsat) {
+            if unsat == 0 {
+                *st |= ST_ENABLED;
             }
         }
         for &tid in &cs.immediates {
-            if self.unsat[tb + tid.index()] == 0 {
-                let len = self.imm_len[l];
-                self.imm_pos[tb + tid.index()] = len;
-                self.enabled_imm[ib + len as usize] = tid.0;
-                self.imm_len[l] = len + 1;
+            if self.unsat[tid.index()] == 0 {
+                self.imm_pos[tid.index()] = self.imm_len;
+                self.enabled_imm[self.imm_len as usize] = tid.0;
+                self.imm_len += 1;
             }
         }
     }
 
-    /// Run every lane to completion on the variant selected by the
-    /// program's feature flags, and collect per-lane results.
-    pub(super) fn run_all(mut self) -> Vec<Result<SimOutput, SimError>> {
-        let mut out: Vec<Option<Result<SimOutput, SimError>>> =
-            (0..self.lanes).map(|_| None).collect();
+    /// Run the replication to its horizon on the variant selected by the
+    /// program's feature flags.
+    pub(super) fn run(self) -> Result<SimOutput, SimError> {
         match (self.lw.scan, self.lw.colored) {
-            (true, false) => self.drive::<true, false>(&mut out),
-            (true, true) => self.drive::<true, true>(&mut out),
-            (false, false) => self.drive::<false, false>(&mut out),
-            (false, true) => self.drive::<false, true>(&mut out),
+            (true, false) => self.drive::<true, false>(),
+            (true, true) => self.drive::<true, true>(),
+            (false, false) => self.drive::<false, false>(),
+            (false, true) => self.drive::<false, true>(),
         }
-        out.into_iter()
-            .map(|o| o.expect("every lane terminates"))
-            .collect()
     }
 
-    fn drive<const SCAN: bool, const GEN: bool>(
-        &mut self,
-        out: &mut [Option<Result<SimOutput, SimError>>],
-    ) {
+    /// Slice the arenas into a [`Hot`] and drive it to completion (start
+    /// + main loop).
+    fn drive<const SCAN: bool, const GEN: bool>(mut self) -> Result<SimOutput, SimError> {
         // Copy the shared references out of `self` so the context does not
-        // conflict with the per-lane `&mut self` below.
+        // conflict with the mutable borrows below.
         let sh = Shared {
             ops: &self.lw.ops,
             sec: &self.lw.sec,
@@ -1147,119 +1103,72 @@ impl<'e> LoweredEngine<'e> {
             trace_on: self.cfg.trace_capacity > 0,
             profile_on: super::profile::armed(),
         };
-        // `run_lane` borrows all of `self` mutably, so iterating `out`
-        // with `iter_mut` can't work here.
-        #[allow(clippy::needless_range_loop)]
-        for l in 0..self.lanes {
-            let res = self.run_lane::<SCAN, GEN>(&sh, l);
-            out[l] = Some(match res {
-                Ok(()) => Ok(self.finalize(l)),
-                Err(e) => Err(e),
-            });
-        }
-    }
-
-    /// Slice lane `l`'s stripes out of the arenas and drive it to
-    /// completion (start + main loop), writing the scalars back.
-    fn run_lane<const SCAN: bool, const GEN: bool>(
-        &mut self,
-        sh: &Shared<'_>,
-        l: usize,
-    ) -> Result<(), SimError> {
-        let (nt, nc, ni) = (self.nt, self.nc, self.ni);
-        let (tb, cb, ib) = (l * nt, l * nc, l * ni);
-        let (nf, nk) = (self.lw.n_integ, self.lw.n_count);
-        let end = self.end_time[l];
-        let mut lane = Lane {
-            rng: self.rng[l].clone(),
-            now: self.now[l],
-            zero: self.zero[l],
-            imm_len: self.imm_len[l],
+        let mut hot = Hot {
+            rng: SimRng::seed_from_u64(self.seed),
+            now: 0.0,
+            zero: 0,
+            imm_len: self.imm_len,
             integ_steps: 0,
             integ_ns: 0,
-            marking: &mut self.markings[l],
-            heap: &mut self.heaps[l],
-            fire_at: &mut self.fire_at[tb..tb + nt],
-            gen: &mut self.gen[tb..tb + nt],
-            remaining: &mut self.remaining[tb..tb + nt],
-            sched_state: &mut self.sched_state[tb..tb + nt],
-            cond_true: &mut self.cond_true[cb..cb + nc],
-            unsat: &mut self.unsat[tb..tb + nt],
-            enabled_imm: &mut self.enabled_imm[ib..ib + ni],
-            imm_pos: &mut self.imm_pos[tb..tb + nt],
-            firing_counts: &mut self.firing_counts[tb..tb + nt],
-            acc_f: &mut self.acc_f[l * nf..(l + 1) * nf],
-            acc_c: &mut self.acc_c[l * nk..(l + 1) * nk],
-            profile_ns: &mut self.profile_ns[tb..tb + nt],
-            trace: &mut self.traces[l],
+            marking: &mut self.marking,
+            heap: &mut self.heap,
+            fire_at: &mut self.fire_at,
+            gen: &mut self.gen,
+            remaining: &mut self.remaining,
+            sched_state: &mut self.sched_state,
+            cond_true: &mut self.cond_true,
+            unsat: &mut self.unsat,
+            enabled_imm: &mut self.enabled_imm,
+            imm_pos: &mut self.imm_pos,
+            firing_counts: &mut self.firing_counts,
+            acc_f: &mut self.acc_f,
+            acc_c: &mut self.acc_c,
+            profile_ns: &mut self.profile_ns,
+            trace: &mut self.trace,
             guard_scratch: &mut self.guard_scratch,
             consumed: &mut self.consumed,
             consumed_offsets: &mut self.consumed_offsets,
             candidates: &mut self.candidates,
             weights: &mut self.weights,
         };
-        let res = match lane.start::<SCAN, GEN>(sh) {
-            Ok(()) => lane.run::<SCAN, GEN>(sh, end),
-            Err(e) => Err(e),
-        };
-        self.rng[l] = lane.rng;
-        self.now[l] = lane.now;
-        self.zero[l] = lane.zero;
-        self.imm_len[l] = lane.imm_len;
-        self.profile_integ[l] = (lane.integ_steps, lane.integ_ns);
-        res
+        hot.start::<SCAN, GEN>(&sh)?;
+        hot.run::<SCAN, GEN>(&sh, self.cfg.end_time)?;
+        let integ = (hot.integ_steps, hot.integ_ns);
+        Ok(self.finalize(integ))
     }
 
-    fn finalize(&mut self, l: usize) -> SimOutput {
-        let tb = l * self.nt;
+    /// Package the finished run's output; `integ` is the profiled reward
+    /// integration (steps, nanoseconds).
+    fn finalize(self, integ: (u64, u64)) -> SimOutput {
         if super::profile::armed() {
-            // Flush this lane's profile stripe into the process-global
-            // table before the counts are moved into the output.
+            // Flush the run's profile counters into the process-global
+            // table.
             for (ti, t) in self.net.transitions().iter().enumerate() {
-                super::profile::record(
-                    &t.name,
-                    self.firing_counts[tb + ti],
-                    self.profile_ns[tb + ti],
-                );
+                super::profile::record(&t.name, self.firing_counts[ti], self.profile_ns[ti]);
             }
-            let (steps, ns) = self.profile_integ[l];
-            super::profile::record(super::profile::INTEGRATION_ROW, steps, ns);
+            super::profile::record(super::profile::INTEGRATION_ROW, integ.0, integ.1);
         }
-        let end = self.end_time[l];
+        let end = self.cfg.end_time;
         let observed = (end - self.cfg.warmup).max(0.0);
-        let fb = l * self.lw.n_integ;
-        let kb = l * self.lw.n_count;
+        let per_time = |x: f64| if observed > 0.0 { x / observed } else { 0.0 };
         let rewards = self
             .lw
             .reward_map
             .iter()
             .map(|rm| match *rm {
-                LoweredReward::Integral(i) => {
-                    if observed > 0.0 {
-                        self.acc_f[fb + i as usize] / observed
-                    } else {
-                        0.0
-                    }
-                }
-                LoweredReward::Rate(i) => {
-                    if observed > 0.0 {
-                        self.acc_c[kb + i as usize] as f64 / observed
-                    } else {
-                        0.0
-                    }
-                }
-                LoweredReward::Count(i) => self.acc_c[kb + i as usize] as f64,
+                LoweredReward::Integral(i) => per_time(self.acc_f[i as usize]),
+                LoweredReward::Rate(i) => per_time(self.acc_c[i as usize] as f64),
+                LoweredReward::Count(i) => self.acc_c[i as usize] as f64,
             })
             .collect();
-        let trace = std::mem::take(&mut self.traces[l]);
         SimOutput {
             end_time: end,
             observed_time: observed,
             rewards,
-            firing_counts: self.firing_counts[tb..tb + self.nt].to_vec(),
-            final_marking: self.markings[l].clone(),
-            trace_dropped: trace.dropped,
-            trace: trace.into_events(),
+            firing_counts: self.firing_counts,
+            final_marking: self.marking,
+            trace_dropped: self.trace.dropped,
+            trace: self.trace.into_events(),
         }
     }
 }
@@ -1295,23 +1204,6 @@ mod tests {
             assert_eq!(a.firing_counts, b.firing_counts);
             assert_eq!(a.final_marking, b.final_marking);
             assert_eq!(a.trace, b.trace);
-        }
-    }
-
-    #[test]
-    fn lowered_batch_matches_lowered_scalar() {
-        let net = mm1(0.9);
-        let mut sim = Simulator::new(&net, SimConfig::for_horizon(150.0));
-        sim.reward_place(crate::ids::PlaceId::from_index(0));
-        let seeds: Vec<u64> = (0..9).collect();
-        let ends = vec![sim.config().end_time; seeds.len()];
-        let batched = LoweredEngine::new(&sim, &seeds, &ends).run_all();
-        for (i, &seed) in seeds.iter().enumerate() {
-            let scalar = sim.run(seed).unwrap();
-            let b = batched[i].as_ref().unwrap();
-            assert_eq!(b.rewards, scalar.rewards);
-            assert_eq!(b.firing_counts, scalar.firing_counts);
-            assert_eq!(b.final_marking, scalar.final_marking);
         }
     }
 

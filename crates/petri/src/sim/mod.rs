@@ -2,14 +2,12 @@
 //!
 //! The public entry point is [`Simulator`]: configure it once (net, horizon,
 //! rewards), then call [`Simulator::run`] with as many seeds as you need —
-//! each run is an independent, reproducible trajectory — or
-//! [`Simulator::run_batch`] to advance many seeds together in one
-//! structure-of-arrays pass. `Simulator` is `Sync`, so [`crate::replicate`]
-//! fans runs out across threads.
+//! each run is one independent, reproducible replication. `Simulator` is
+//! `Sync`, so [`crate::replicate`] fans runs out across threads.
 //!
 //! Two engines implement the semantics below. The **lowered engine**
 //! (`lower.rs` compiles each net to a micro-op program, `lowered.rs`
-//! executes it) serves every run. The **reference engine**
+//! executes it, one replication per engine) serves every run. The **reference engine**
 //! (`reference.rs`, [`Simulator::run_reference`]) is the seed's
 //! non-incremental core, kept frozen as the oracle the lowered engine must
 //! match bit for bit.

@@ -2,7 +2,7 @@
 //!
 //! Armed by `REPRO_PROFILE=1` (or `on`/`true`), the lowered engine wraps
 //! every fire-section execution and every reward integration step in a
-//! monotonic-clock measurement and, when a lane retires, folds its
+//! monotonic-clock measurement and, when a run finishes, folds its
 //! per-transition firing counts and attributed nanoseconds into this
 //! process-global table keyed by transition name. Integration lands in one
 //! extra row, [`INTEGRATION_ROW`], whose "firings" are integration steps.
@@ -54,7 +54,7 @@ fn table() -> &'static Mutex<BTreeMap<String, (u64, u64)>> {
     TABLE.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
-/// Fold one retired lane's counts into the global table. Zero-work rows
+/// Fold one finished run's counts into the global table. Zero-work rows
 /// are skipped so nets with many never-enabled transitions stay readable.
 pub fn record(transition: &str, firings: u64, ns: u64) {
     if firings == 0 && ns == 0 {

@@ -8,7 +8,7 @@
 //! generation counters.
 //!
 //! It is the one semantic oracle. The production engine
-//! ([`super::lowered`], behind `Simulator::run` and `Simulator::run_batch`)
+//! ([`super::lowered`], behind `Simulator::run`)
 //! must produce **bit-identical trajectories** (same seeds → same firing
 //! counts, rewards, traces, final marking, and errors):
 //! `Simulator::run_reference` exposes this path so differential tests,

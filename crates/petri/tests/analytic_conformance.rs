@@ -20,7 +20,7 @@ use petri_core::rng::SimRng;
 
 /// Generator seeds: one random net each.
 const NET_SEEDS: std::ops::Range<u64> = 1..13;
-/// Independent replications per net (one batched call).
+/// Independent replications per net.
 const REPLICATIONS: u64 = 10;
 const HORIZON: f64 = 1_000.0;
 const WARMUP: f64 = 50.0;
@@ -107,13 +107,11 @@ fn lowered_engine_matches_ctmc_steady_state_on_random_closed_nets() {
         let exact = analytic_means(&net);
         let mut sim = Simulator::new(&net, SimConfig::for_horizon(HORIZON).with_warmup(WARMUP));
         let rewards: Vec<_> = net.place_ids().map(|p| sim.reward_place(p)).collect();
-        let seeds: Vec<u64> = (0..REPLICATIONS)
-            .map(|r| SimRng::child_seed(seed, r))
-            .collect();
-        let runs: Vec<SimOutput> = sim
-            .run_batch(&seeds)
-            .into_iter()
-            .map(|r| r.expect("closed net runs cleanly"))
+        let runs: Vec<SimOutput> = (0..REPLICATIONS)
+            .map(|r| {
+                sim.run(SimRng::child_seed(seed, r))
+                    .expect("closed net runs cleanly")
+            })
             .collect();
         for (i, (&id, &want)) in rewards.iter().zip(&exact).enumerate() {
             let mut w = Welford::new();

@@ -1,28 +1,25 @@
-//! Differential tests for batched execution: `Simulator::run_batch` (and
-//! its per-lane-horizon variant) must reproduce the reference engine
-//! (`Simulator::run_reference`) **bit for bit** — per replication, at every
-//! batch width — across every feature the engine supports: uncolored and
-//! colored nets, guards, inhibitors, priorities and weights, all three
-//! memory policies, traces, warm-up windows, and lanes that retire
-//! mid-batch (per-lane horizons and per-lane errors).
+//! Differential tests over a batch of replications: every seed of a
+//! replication set, and every horizon a run may stop at, must give from
+//! `Simulator::run` (one replication per lowered engine) exactly what the
+//! reference engine (`Simulator::run_reference`) gives — **bit for bit** —
+//! across uncolored and colored nets, guards, inhibitors, priorities and
+//! weights, all three memory policies, traces, warm-up windows, the
+//! heap-scheduler fallback, runs that stop mid-way between events, and
+//! runs that end in an error.
 //!
-//! Lanes never interact and each consumes its RNG exactly as a scalar run
-//! does, so any divergence is a real indexing/striping bug in the batch
-//! machinery, not floating-point noise — hence `assert_eq` on `f64`
-//! values, not tolerances.
+//! Replications never interact and each consumes its RNG exactly as the
+//! reference does, so any divergence is a real bug, not floating-point
+//! noise — hence `assert_eq` on `f64` values, not tolerances.
 
 use petri_core::arc::ColorExpr;
 use petri_core::prelude::*;
 use petri_core::sim::RewardSpec;
 use proptest::prelude::*;
 
-/// The batch widths every net is checked at (1 = degenerate batch, primes
-/// and non-divisors of the seed count to exercise ragged tail chunks).
-const WIDTHS: [usize; 5] = [1, 2, 3, 8, 33];
 const SEEDS: std::ops::Range<u64> = 0..33;
 
-fn assert_same_output(a: &SimOutput, b: &SimOutput, label: &str, seed: u64, width: usize) {
-    let ctx = format!("{label} seed {seed} width {width}");
+fn assert_same_output(a: &SimOutput, b: &SimOutput, label: &str, seed: u64) {
+    let ctx = format!("{label} seed {seed}");
     assert_eq!(
         a.firing_counts, b.firing_counts,
         "{ctx}: firing counts diverged"
@@ -37,31 +34,19 @@ fn assert_same_output(a: &SimOutput, b: &SimOutput, label: &str, seed: u64, widt
     assert_eq!(a.observed_time, b.observed_time, "{ctx}: observed_time");
 }
 
-/// Run the reference engine once per seed, then every batch width over the
-/// same seeds, and require bit-identical per-replication results.
+/// Run every seed of the batch on the lowered engine and on the reference
+/// engine, and require bit-identical per-replication results.
 fn assert_batch_identical(sim: &Simulator<'_>, label: &str) {
-    let seeds: Vec<u64> = SEEDS.collect();
-    let scalar: Vec<_> = seeds.iter().map(|&s| sim.run_reference(s)).collect();
-    for &w in &WIDTHS {
-        for (ci, chunk) in seeds.chunks(w).enumerate() {
-            for (j, res) in sim.run_batch(chunk).iter().enumerate() {
-                let i = ci * w + j;
-                match (&scalar[i], res) {
-                    (Ok(a), Ok(b)) => assert_same_output(a, b, label, seeds[i], w),
-                    (Err(a), Err(b)) => {
-                        assert_eq!(a, b, "{label} seed {} width {w}: errors diverged", seeds[i])
-                    }
-                    (a, b) => panic!(
-                        "{label} seed {} width {w}: reference {a:?} vs batched {b:?}",
-                        seeds[i]
-                    ),
-                }
-            }
+    for seed in SEEDS {
+        match (sim.run_reference(seed), sim.run(seed)) {
+            (Ok(a), Ok(b)) => assert_same_output(&a, &b, label, seed),
+            (Err(a), Err(b)) => assert_eq!(a, b, "{label} seed {seed}: errors diverged"),
+            (a, b) => panic!("{label} seed {seed}: reference {a:?} vs lowered {b:?}"),
         }
     }
 }
 
-// --- the seven differential nets (same shapes as tests/differential.rs) ---
+// --- the differential nets (same shapes as tests/differential.rs) ---
 
 fn mm1_net() -> Net {
     let mut b = NetBuilder::new("mm1");
@@ -226,34 +211,7 @@ fn conflicts_rewards(net: &Net, sim: &mut Simulator<'_>) {
     sim.reward_place(net.place_by_name("z").unwrap());
 }
 
-fn tandem_net() -> Net {
-    let mut b = NetBuilder::new("tandem");
-    let p0 = b.place("p0").build();
-    let p1 = b.place("p1").build();
-    let p2 = b.place("p2").build();
-    b.transition("source", Timing::exponential(2.0))
-        .output(p0, 1)
-        .build();
-    b.transition("batch", Timing::deterministic(0.4))
-        .input(p0, 3)
-        .output(p1, 3)
-        .build();
-    b.transition("step", Timing::exponential(3.0))
-        .input(p1, 1)
-        .output(p2, 1)
-        .build();
-    b.transition("sink", Timing::exponential(2.5))
-        .input(p2, 1)
-        .build();
-    b.build().unwrap()
-}
-
-fn tandem_rewards(net: &Net, sim: &mut Simulator<'_>) {
-    sim.reward_place(net.place_by_name("p0").unwrap());
-    sim.reward_place(net.place_by_name("p1").unwrap());
-}
-
-// --- per-net batch-vs-reference identity at every width ---
+// --- per-net lowered-vs-reference identity over the seed batch ---
 
 #[test]
 fn batch_differential_mm1() {
@@ -303,17 +261,9 @@ fn batch_differential_immediate_conflicts() {
     assert_batch_identical(&sim, "immediate-conflicts");
 }
 
-#[test]
-fn batch_differential_tandem_batching() {
-    let net = tandem_net();
-    let mut sim = Simulator::new(&net, SimConfig::for_horizon(300.0));
-    tandem_rewards(&net, &mut sim);
-    assert_batch_identical(&sim, "tandem-batching");
-}
-
 /// A 40-stage tandem line: with more than 32 transitions the engine
-/// falls back from the stripe-scan scheduler to the per-lane lazy-deletion
-/// heaps, so this net keeps the heap path under differential coverage.
+/// falls back from the stripe-scan scheduler to the lazy-deletion heap,
+/// so this net keeps the heap path under differential coverage.
 #[test]
 fn batch_differential_wide_net_heap_scheduler() {
     const STAGES: usize = 40;
@@ -340,9 +290,9 @@ fn batch_differential_wide_net_heap_scheduler() {
     assert_batch_identical(&sim, "wide-tandem-heap");
 }
 
-// --- mid-batch retirement: lanes with different horizons, and lanes that
-// --- error, must each match the reference engine run to that lane's
-// --- horizon.
+// --- runs that stop at their own horizon, mid-way between events, and
+// --- runs that end in an error, must each match the reference engine run
+// --- to that horizon.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -353,21 +303,16 @@ proptest! {
         seed0 in 0u64..1_000,
     ) {
         let net = dvs_net();
-        let mut sim = Simulator::new(&net, SimConfig::for_horizon(250.0).with_warmup(5.0));
-        dvs_rewards(&net, &mut sim);
-        let seeds: Vec<u64> = (0..horizons.len() as u64).map(|i| seed0 + i).collect();
-        let batched = sim.run_batch_with_horizons(&seeds, &horizons);
-        for (i, (&seed, &h)) in seeds.iter().zip(&horizons).enumerate() {
-            let mut cfg = sim.config().clone();
-            cfg.end_time = h;
-            let mut oracle = Simulator::new(&net, cfg);
-            dvs_rewards(&net, &mut oracle);
-            let scalar = oracle.run_reference(seed).unwrap();
-            let b = batched[i].as_ref().unwrap();
-            prop_assert_eq!(&b.firing_counts, &scalar.firing_counts);
-            prop_assert_eq!(&b.rewards, &scalar.rewards);
-            prop_assert_eq!(&b.final_marking, &scalar.final_marking);
-            prop_assert_eq!(b.observed_time, scalar.observed_time);
+        for (i, &h) in horizons.iter().enumerate() {
+            let seed = seed0 + i as u64;
+            let mut sim = Simulator::new(&net, SimConfig::for_horizon(h).with_warmup(5.0));
+            dvs_rewards(&net, &mut sim);
+            let scalar = sim.run_reference(seed).unwrap();
+            let lowered = sim.run(seed).unwrap();
+            prop_assert_eq!(&lowered.firing_counts, &scalar.firing_counts);
+            prop_assert_eq!(&lowered.rewards, &scalar.rewards);
+            prop_assert_eq!(&lowered.final_marking, &scalar.final_marking);
+            prop_assert_eq!(lowered.observed_time, scalar.observed_time);
         }
     }
 
@@ -378,27 +323,22 @@ proptest! {
     ) {
         for policy in [MemoryPolicy::RaceEnable, MemoryPolicy::RaceAge, MemoryPolicy::Resample] {
             let net = memory_policy_net(policy);
-            let mut sim = Simulator::new(&net, SimConfig::for_horizon(300.0));
-            memory_rewards(&net, &mut sim);
-            let seeds: Vec<u64> = (0..horizons.len() as u64).map(|i| seed0 + 31 * i).collect();
-            let batched = sim.run_batch_with_horizons(&seeds, &horizons);
-            for (i, (&seed, &h)) in seeds.iter().zip(&horizons).enumerate() {
-                let mut cfg = sim.config().clone();
-                cfg.end_time = h;
-                let mut oracle = Simulator::new(&net, cfg);
-                memory_rewards(&net, &mut oracle);
-                let scalar = oracle.run_reference(seed).unwrap();
-                let b = batched[i].as_ref().unwrap();
-                prop_assert_eq!(&b.firing_counts, &scalar.firing_counts);
-                prop_assert_eq!(&b.rewards, &scalar.rewards);
-                prop_assert_eq!(&b.final_marking, &scalar.final_marking);
+            for (i, &h) in horizons.iter().enumerate() {
+                let seed = seed0 + 31 * i as u64;
+                let mut sim = Simulator::new(&net, SimConfig::for_horizon(h));
+                memory_rewards(&net, &mut sim);
+                let scalar = sim.run_reference(seed).unwrap();
+                let lowered = sim.run(seed).unwrap();
+                prop_assert_eq!(&lowered.firing_counts, &scalar.firing_counts);
+                prop_assert_eq!(&lowered.rewards, &scalar.rewards);
+                prop_assert_eq!(&lowered.final_marking, &scalar.final_marking);
             }
         }
     }
 }
 
-/// A lane that trips `TokenOverflow` retires with exactly the reference error
-/// while its batchmates run to their horizons undisturbed.
+/// A run that trips `TokenOverflow` fails with exactly the reference error,
+/// and short runs of the same net still finish cleanly and match.
 #[test]
 fn erroring_lanes_match_scalar_errors() {
     let mut b = NetBuilder::new("boom");
@@ -410,23 +350,23 @@ fn erroring_lanes_match_scalar_errors() {
         .input(q, 1)
         .build();
     let net = b.build().unwrap();
-    let mut cfg = SimConfig::for_horizon(10_000.0);
-    cfg.max_tokens_per_place = 40;
-    let sim = Simulator::new(&net, cfg);
-    // Long lanes overflow; the 0.5 s lane finishes cleanly first.
-    let seeds = [3u64, 4, 5, 6];
-    let horizons = [10_000.0, 0.5, 10_000.0, 0.5];
-    let batched = sim.run_batch_with_horizons(&seeds, &horizons);
-    for (i, (&seed, &h)) in seeds.iter().zip(&horizons).enumerate() {
-        let mut cfg = sim.config().clone();
-        cfg.end_time = h;
-        let oracle = Simulator::new(&net, cfg);
-        match (oracle.run_reference(seed), &batched[i]) {
-            (Ok(a), Ok(b)) => assert_same_output(&a, b, "boom", seed, 4),
-            (Err(a), Err(b)) => assert_eq!(&a, b, "lane {i}: errors diverged"),
-            (a, b) => panic!("lane {i}: reference {a:?} vs batched {b:?}"),
+    // Long runs overflow; the 0.5 s runs finish cleanly.
+    let runs = [(3u64, 10_000.0), (4, 0.5), (5, 10_000.0), (6, 0.5)];
+    let mut lowered = Vec::new();
+    for (seed, h) in runs {
+        let mut cfg = SimConfig::for_horizon(h);
+        cfg.max_tokens_per_place = 40;
+        let sim = Simulator::new(&net, cfg);
+        let out = sim.run(seed);
+        match (sim.run_reference(seed), &out) {
+            (Ok(a), Ok(b)) => assert_same_output(&a, b, "boom", seed),
+            (Err(a), Err(b)) => assert_eq!(&a, b, "seed {seed}: errors diverged"),
+            (a, b) => panic!("seed {seed}: reference {a:?} vs lowered {b:?}"),
         }
+        lowered.push(out);
     }
-    // The long lanes really did overflow (the test is not vacuous).
-    assert!(matches!(batched[0], Err(SimError::TokenOverflow { .. })));
+    // The long runs really did overflow and the short ones did not (the
+    // test is not vacuous).
+    assert!(matches!(lowered[0], Err(SimError::TokenOverflow { .. })));
+    assert!(lowered[1].is_ok());
 }

@@ -1,12 +1,13 @@
 //! Differential tests for the lowered micro-op engine: the one executor
-//! behind `Simulator::run` and `Simulator::run_batch` must reproduce the
-//! reference engine (`run_reference`) **bit for bit** — identical firing
-//! counts, reward values, final markings, traces, and errors — for every
-//! seed, at every batch width, across every feature the compiler lowers:
-//! uncolored and colored nets, reducible and program-fallback guards,
-//! inhibitors, immediate priorities and weights, all three memory
-//! policies, the >32-transition heap-scheduler fallback, traces, and
-//! warm-up windows.
+//! behind `Simulator::run` must reproduce the reference engine
+//! (`run_reference`) **bit for bit** — identical firing counts, reward
+//! values, final markings, traces, and errors — for every seed, across
+//! every feature the compiler lowers: uncolored and colored nets,
+//! reducible and program-fallback guards, inhibitors, immediate priorities
+//! and weights, multi-token arcs, all three memory policies, the
+//! heap-scheduler fallback for nets of over 32 transitions, traces, and
+//! warm-up windows. Runs stopped at arbitrary horizons and runs that end
+//! in an error are checked in `batch_differential.rs`.
 //!
 //! Both engines share one RNG and are written to consume draws in the same
 //! order, so any divergence is a real bug in the lowering pass or the
@@ -18,9 +19,6 @@ use petri_core::prelude::*;
 use petri_core::sim::RewardSpec;
 use proptest::prelude::*;
 
-/// Batch widths every net is checked at (1 = degenerate batch, 2/8 split
-/// the seed set unevenly, 33 runs everything in one ragged chunk).
-const WIDTHS: [usize; 4] = [1, 2, 8, 33];
 const SEEDS: std::ops::Range<u64> = 0..25;
 
 fn assert_same_output(a: &SimOutput, b: &SimOutput, ctx: &str) {
@@ -46,23 +44,13 @@ fn assert_same_result(a: &Result<SimOutput, SimError>, b: &Result<SimOutput, Sim
     }
 }
 
-/// The full cross-engine check on `seeds`: scalar lowered vs the reference
-/// engine on every seed, then the batched path at every width against the
-/// reference results.
+/// The full cross-engine check on `seeds`: the lowered engine vs the
+/// reference engine on every seed.
 fn assert_identical_on(sim: &Simulator<'_>, label: &str, seeds: &[u64]) {
-    let reference: Vec<_> = seeds.iter().map(|&s| sim.run_reference(s)).collect();
-    for (&seed, reference) in seeds.iter().zip(&reference) {
+    for &seed in seeds {
         let lowered = sim.run(seed);
-        assert_same_result(&lowered, reference, &format!("{label} seed {seed} scalar"));
-    }
-    for &w in &WIDTHS {
-        for (ci, chunk) in seeds.chunks(w).enumerate() {
-            for (j, res) in sim.run_batch(chunk).iter().enumerate() {
-                let i = ci * w + j;
-                let ctx = format!("{label} seed {} width {w}", seeds[i]);
-                assert_same_result(res, &reference[i], &ctx);
-            }
-        }
+        let reference = sim.run_reference(seed);
+        assert_same_result(&lowered, &reference, &format!("{label} seed {seed}"));
     }
 }
 
@@ -271,6 +259,35 @@ fn lowered_differential_immediate_conflicts() {
     assert_lowered_identical(&sim, "immediate-conflicts");
 }
 
+/// Multi-token arcs: a deterministic mover that needs and emits three
+/// tokens, between exponential stages.
+#[test]
+fn lowered_differential_tandem_multi_token_arcs() {
+    let mut b = NetBuilder::new("tandem");
+    let p0 = b.place("p0").build();
+    let p1 = b.place("p1").build();
+    let p2 = b.place("p2").build();
+    b.transition("source", Timing::exponential(2.0))
+        .output(p0, 1)
+        .build();
+    b.transition("batch", Timing::deterministic(0.4))
+        .input(p0, 3)
+        .output(p1, 3)
+        .build();
+    b.transition("step", Timing::exponential(3.0))
+        .input(p1, 1)
+        .output(p2, 1)
+        .build();
+    b.transition("sink", Timing::exponential(2.5))
+        .input(p2, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(300.0));
+    sim.reward_place(p0);
+    sim.reward_place(p1);
+    assert_lowered_identical(&sim, "tandem-multi-token");
+}
+
 /// A 40-stage tandem line: more than 32 transitions, so the lowered
 /// engine falls back from the stripe scan to the lazy-deletion heap —
 /// this keeps the heap instantiation under differential coverage.
@@ -445,8 +462,8 @@ fn build_random_net(tokens: &[u32], transitions: &[RandTransition]) -> Net {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random small nets: the lowered engine, scalar and batched at widths
-    /// {1, 2, 8, 33}, must agree bit-for-bit with the reference engine on
+    /// Random small nets: the lowered engine must agree bit-for-bit with
+    /// the reference engine on
     /// the outcome, whether that outcome is a clean run, an immediate
     /// livelock, or a token overflow.
     #[test]
@@ -717,9 +734,9 @@ proptest! {
     /// Random uncolored nets whose guards are random `And`/`Or`/`Not`
     /// trees (split into per-conjunct conditions, reducible conjuncts
     /// lowered to count thresholds) and whose predicate rewards mix
-    /// "any place non-empty" shapes with arbitrary trees: lowered, scalar
-    /// and batched at widths {1, 2, 8, 33}, must match the reference
-    /// engine bit for bit, errors included.
+    /// "any place non-empty" shapes with arbitrary trees: the lowered
+    /// engine must match the reference engine bit for bit, errors
+    /// included.
     #[test]
     fn random_guard_trees_and_predicates_agree(
         tokens in proptest::collection::vec(0u32..4, 2..5),
@@ -768,8 +785,7 @@ proptest! {
     /// slots), `Any`/`Eq`/`In`/`Ne` input and inhibitor filters, and guard
     /// trees and predicates over `count_color` — every shape the lowering
     /// pass moves onto per-color counts, next to the ones it must leave on
-    /// the generic path, checked against the reference engine at widths
-    /// {1, 2, 8, 33}.
+    /// the generic path, checked against the reference engine.
     #[test]
     fn random_colored_nets_agree(
         tokens in proptest::collection::vec(0u32..3, 2..5),

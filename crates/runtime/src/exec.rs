@@ -32,17 +32,19 @@ use std::collections::BTreeMap;
 /// Protocol version byte carried by every manifest request frame.
 /// Version 2 introduced tagged requests (manifest vs graceful shutdown)
 /// and multi-manifest serve loops for the remote TCP subsystem; version 3
-/// added the batch-width field, so workers can run contiguous same-point
-/// slots on the batched SoA engine; version 4 upgraded the liveness
+/// added a batch-width field, so workers could run contiguous same-point
+/// slots on a batched engine; version 4 upgraded the liveness
 /// heartbeat to a progress frame (`P`: delivered/total slot counts), so
 /// parents can render live per-chunk progress without extra round trips;
 /// version 5 added the trace context (`u64` trace ID) to the manifest
 /// request and the advisory span-batch response frame (`T`), so worker
-/// spans fold back into the parent's job trace.
+/// spans fold back into the parent's job trace; version 6 dropped the
+/// batch-width field again, since every slot now runs one replication on
+/// one engine.
 /// (Bumping the version also rotates the service cache's key space —
 /// cached result bytes are identical across versions, but entries written
 /// by older binaries describe an older protocol.)
-pub const WIRE_VERSION: u8 = 5;
+pub const WIRE_VERSION: u8 = 6;
 
 // --- errors --------------------------------------------------------------
 
@@ -147,17 +149,12 @@ pub trait PortableJob: Sync {
     /// entry from the manifest's seed table.
     fn run_slot(&self, point: usize, replication: u64, seed: u64) -> Result<Vec<u8>, String>;
 
-    /// Run a batch of contiguous same-point slots — replication
-    /// `base_rep + i` with `seeds[i]` — returning one result per slot in
-    /// replication order.
+    /// Run contiguous same-point slots — replication `base_rep + i` with
+    /// `seeds[i]` — returning one result per slot in replication order.
     ///
-    /// The default loops over [`PortableJob::run_slot`], so every job is
-    /// batchable by construction. Jobs backed by a simulator override this
-    /// to advance all lanes through one compiled model (see
-    /// `petri_core::sim::Simulator::run_batch`); because each lane consumes its
-    /// own RNG stream exactly as the scalar path would, an override **must
-    /// not change result bytes** — backends rely on that to keep any batch
-    /// width byte-identical to width 1.
+    /// A plain loop over [`PortableJob::run_slot`]. No backend calls it:
+    /// every backend runs one slot at a time. It remains so decorators
+    /// that wrap a job can time a run of slots as one unit.
     fn run_batch(
         &self,
         point: usize,
@@ -280,9 +277,15 @@ impl TaskManifest {
             .collect()
     }
 
-    /// Fail unless the seed table covers every slot exactly.
+    /// Fail unless the seed table covers every slot exactly (a decoded
+    /// manifest's segment counts come off the wire, so their sum is
+    /// checked for overflow).
     pub fn validate(&self) -> Result<(), WireError> {
-        let total = self.total_slots();
+        let total = self
+            .segments
+            .iter()
+            .try_fold(0usize, |sum, s| sum.checked_add(s.count))
+            .ok_or_else(|| WireError::new("manifest slot count overflows"))?;
         if self.seeds.len() != total {
             return Err(WireError::new(format!(
                 "manifest has {total} slot(s) but {} seed(s)",
@@ -421,9 +424,6 @@ pub trait ExecBackend {
 pub struct InProcessBackend {
     /// Worker threads to schedule onto.
     pub threads: usize,
-    /// Contiguous same-point slots handed to [`PortableJob::run_batch`]
-    /// per claim; 1 = the classic slot-at-a-time path.
-    pub batch: usize,
 }
 
 impl InProcessBackend {
@@ -431,16 +431,7 @@ impl InProcessBackend {
     pub fn new(threads: usize) -> Self {
         InProcessBackend {
             threads: threads.max(1),
-            batch: 1,
         }
-    }
-
-    /// Set the batch width (clamped to ≥ 1). Result bytes are identical at
-    /// any width; batching only changes how many lanes each claim advances
-    /// together.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
     }
 }
 
@@ -463,30 +454,13 @@ impl ExecBackend for InProcessBackend {
                 message,
             }
         };
-        let per_segment = if self.batch > 1 {
-            crate::grid::run_segments_core_batched(
-                self.threads,
-                self.batch,
-                progress,
-                &manifest.segments,
-                &|flat_base, point, base_rep, count| {
-                    job.run_batch(
-                        point,
-                        base_rep,
-                        &manifest.seeds[flat_base..flat_base + count],
-                    )
-                },
-            )
-            .map_err(|(flat, message)| task_err(flat, message))?
-        } else {
-            run_segments_core(
-                self.threads,
-                progress,
-                &manifest.segments,
-                &|flat, point, rep| job.run_slot(point, rep, manifest.seeds[flat]),
-            )
-            .map_err(|(flat, message)| task_err(flat, message))?
-        };
+        let per_segment = run_segments_core(
+            self.threads,
+            progress,
+            &manifest.segments,
+            &|flat, point, rep| job.run_slot(point, rep, manifest.seeds[flat]),
+        )
+        .map_err(|(flat, message)| task_err(flat, message))?;
         // Concatenating per-segment results in segment order IS flat order.
         Ok(per_segment
             .into_iter()
@@ -495,11 +469,7 @@ impl ExecBackend for InProcessBackend {
     }
 
     fn label(&self) -> String {
-        if self.batch > 1 {
-            format!("in-process(threads={}, batch={})", self.threads, self.batch)
-        } else {
-            format!("in-process(threads={})", self.threads)
-        }
+        format!("in-process(threads={})", self.threads)
     }
 }
 
@@ -508,7 +478,8 @@ impl ExecBackend for InProcessBackend {
 /// Frame tags of the worker protocol.
 pub(crate) mod frame {
     // Requests (parent → worker).
-    /// Run a manifest: version `u8`, worker-thread count `u32`, manifest.
+    /// Run a manifest: version `u8`, worker-thread count `u32`, trace ID
+    /// `u64`, manifest.
     pub const MANIFEST: u8 = b'M';
     /// Graceful shutdown: end the serve loop (and, for a listening
     /// worker, the process) instead of relying on EOF or a kill.
@@ -595,11 +566,6 @@ pub struct Exec {
     pub pool: bool,
     /// Deterministic chaos injection on worker links (testing only).
     pub chaos: Option<ChaosConfig>,
-    /// Batch width: contiguous same-point slots each claim advances
-    /// together on the batched SoA engine (`PortableJob::run_batch`).
-    /// 1 = the classic slot-at-a-time path; result bytes are identical
-    /// at any width, so this is purely a throughput knob.
-    pub batch: usize,
 }
 
 impl Default for Exec {
@@ -620,7 +586,6 @@ impl Exec {
             fault: FaultPolicy::default(),
             pool: true,
             chaos: None,
-            batch: 1,
         }
     }
 
@@ -686,14 +651,6 @@ impl Exec {
         self
     }
 
-    /// Set the batch width (clamped to ≥ 1): how many contiguous
-    /// same-point replications each claim advances together on the batched
-    /// SoA engine. Results are byte-identical at any width.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
-    }
-
     /// Whether portable jobs run in worker subprocesses.
     pub fn is_sharded(&self) -> bool {
         self.shards >= 1
@@ -712,7 +669,6 @@ impl Exec {
     /// A [`Runner`](crate::Runner) on this configuration.
     pub fn runner(&self) -> crate::Runner {
         let mut r = crate::Runner::new(self.threads);
-        r.batch = self.batch.max(1);
         if let Some(addr) = &self.service {
             r.backend = BackendSel::Service { addr: addr.clone() };
         } else if self.is_remote() || self.is_sharded() {
@@ -737,26 +693,18 @@ impl Exec {
 
     /// Short description for logs.
     pub fn label(&self) -> String {
-        let batch = if self.batch > 1 {
-            format!(", batch={}", self.batch)
-        } else {
-            String::new()
-        };
         if let Some(addr) = &self.service {
-            format!("service(addr={addr}, threads={}{batch})", self.threads)
+            format!("service(addr={addr}, threads={})", self.threads)
         } else if !self.hosts.is_empty() {
             format!(
-                "remote(hosts={}, threads={}{batch})",
+                "remote(hosts={}, threads={})",
                 self.hosts.len(),
                 self.threads
             )
         } else if self.shards >= 1 {
-            format!(
-                "sharded(shards={}, threads={}{batch})",
-                self.shards, self.threads
-            )
+            format!("sharded(shards={}, threads={})", self.shards, self.threads)
         } else {
-            format!("in-process(threads={}{batch})", self.threads)
+            format!("in-process(threads={})", self.threads)
         }
     }
 }
@@ -765,12 +713,9 @@ impl crate::Runner {
     /// The backend this runner dispatches portable jobs to.
     pub(crate) fn backend_impl(&self) -> Box<dyn ExecBackend> {
         match &self.backend {
-            BackendSel::InProcess => {
-                Box::new(InProcessBackend::new(self.threads).with_batch(self.batch))
-            }
+            BackendSel::InProcess => Box::new(InProcessBackend::new(self.threads)),
             BackendSel::Workers(w) => Box::new(WorkerBackend {
                 worker_threads: self.threads,
-                batch: self.batch,
                 ..w.clone()
             }),
             BackendSel::Service { addr } => Box::new(crate::service::client::ServiceBackend::new(
@@ -867,10 +812,11 @@ pub(crate) mod tests {
         }
         fn run_slot(&self, point: usize, rep: u64, seed: u64) -> Result<Vec<u8>, String> {
             let mut out = Vec::new();
-            wire::put_u64(
-                &mut out,
-                self.factor * (point as u64 + 1) * 1000 + rep + seed,
-            );
+            // Wrapping, so hostile manifests in the fuzz tests cannot make
+            // the job itself panic.
+            let v = self.factor.wrapping_mul((point as u64).wrapping_add(1));
+            let v = v.wrapping_mul(1000);
+            wire::put_u64(&mut out, v.wrapping_add(rep).wrapping_add(seed));
             Ok(out)
         }
     }
@@ -932,6 +878,68 @@ pub(crate) mod tests {
             err.0.contains("seed list of 4294967295 overruns buffer"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn manifest_decode_rejects_overflowing_slot_counts() {
+        let m = TaskManifest {
+            kind: "test-mul".into(),
+            payload: Vec::new(),
+            segments: vec![
+                Segment {
+                    point: 0,
+                    base_rep: 0,
+                    count: usize::MAX,
+                };
+                2
+            ],
+            seeds: vec![1],
+        };
+        let mut buf = Vec::new();
+        m.encode_into(&mut buf);
+        let err = TaskManifest::decode(&mut Reader::new(&buf)).unwrap_err();
+        assert!(err.0.contains("overflows"), "{err}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// `TaskManifest::decode` reads parent and network bytes: random
+        /// bytes, and valid encodings with bytes overwritten, decode or
+        /// fail without panicking, and whatever decodes re-encodes to
+        /// exactly the bytes it consumed. Valid encodings round-trip, and
+        /// every truncation of one is an error.
+        #[test]
+        fn manifest_decode_survives_hostile_bytes(
+            noise in proptest::collection::vec(0u8..255, 0..96),
+            reps in proptest::collection::vec(0u64..5, 0..5),
+            flips in proptest::collection::vec((0usize..4096, 0u8..255), 1..4),
+            cut in 0usize..4096,
+        ) {
+            let m = manifest_for(&reps);
+            let mut buf = Vec::new();
+            m.encode_into(&mut buf);
+            let mut r = Reader::new(&buf);
+            proptest::prop_assert_eq!(TaskManifest::decode(&mut r).unwrap(), m);
+            proptest::prop_assert!(r.finish().is_ok());
+            let cut = cut % buf.len();
+            proptest::prop_assert!(TaskManifest::decode(&mut Reader::new(&buf[..cut])).is_err());
+
+            let mut flipped = buf.clone();
+            for &(at, byte) in &flips {
+                let n = flipped.len();
+                flipped[at % n] = byte;
+            }
+            for bytes in [&noise[..], &flipped[..]] {
+                let mut r = Reader::new(bytes);
+                if let Ok(m) = TaskManifest::decode(&mut r) {
+                    let used = bytes.len() - r.remaining();
+                    let mut again = Vec::new();
+                    m.encode_into(&mut again);
+                    proptest::prop_assert_eq!(&again[..], &bytes[..used]);
+                }
+            }
+        }
     }
 
     #[test]

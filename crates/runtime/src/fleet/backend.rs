@@ -134,10 +134,6 @@ pub struct WorkerBackend {
     pub connector: Connector,
     /// Worker threads *per link*, carried in every request frame.
     pub worker_threads: usize,
-    /// Batch width carried in every request frame: workers hand
-    /// contiguous same-point slot runs of this size to
-    /// [`PortableJob::run_batch`]. 1 = slot-at-a-time.
-    pub batch: usize,
     /// Per-peer TCP connect timeout (pipe links ignore it).
     pub connect_timeout: Duration,
     /// Unified fault policy: chunk retry budget, the silent-peer IO
@@ -158,7 +154,6 @@ impl WorkerBackend {
         WorkerBackend {
             connector,
             worker_threads: worker_threads.max(1),
-            batch: 1,
             connect_timeout: Duration::from_secs(10),
             fault: FaultPolicy::default(),
             pool: true,
@@ -244,7 +239,6 @@ impl WorkerBackend {
         let mut t = FaultInjector::new(link.transport(), self.chaos);
         let request = encode_manifest_request(
             self.worker_threads,
-            self.batch,
             &chunk.manifest,
             crate::trace::current(),
         );
@@ -424,9 +418,7 @@ impl WorkerBackend {
         }
         eprintln!("[fleet] no worker fleet available ({why}); degrading: running the whole dispatch in-process");
         FleetStats::bump(&fleet_stats().fallbacks);
-        InProcessBackend::new(self.worker_threads)
-            .with_batch(self.batch)
-            .run_segments(job, manifest, progress)
+        InProcessBackend::new(self.worker_threads).run_segments(job, manifest, progress)
     }
 }
 
@@ -595,13 +587,8 @@ impl ExecBackend for WorkerBackend {
             Connector::Pipes { links, .. } => ("sharded(shards", *links, "worker"),
             Connector::Tcp { hosts } => ("remote(hosts", hosts.len(), "peer"),
         };
-        let batch = if self.batch > 1 {
-            format!(", batch={}", self.batch)
-        } else {
-            String::new()
-        };
         let threads = self.worker_threads;
-        format!("{tier}={links}, threads/{per}={threads}{batch})")
+        format!("{tier}={links}, threads/{per}={threads})")
     }
 }
 

@@ -354,7 +354,7 @@ mod tests {
         // Park a connection, then close the server side: the probe must
         // reject it on the next checkout.
         let t = ep.open(T).unwrap();
-        let _ = server.join().unwrap();
+        let _ = crate::remote::transport::join_within(server);
         accepted.lock().unwrap().clear(); // server-side FIN on both
         pool.checkin(&ep, t);
         assert!(

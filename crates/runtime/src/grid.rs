@@ -286,181 +286,6 @@ where
     Ok(out)
 }
 
-/// Execute `segments` as one flat stream of **batch runs** over a scoped
-/// thread pool: workers claim up to `batch` contiguous same-point slots at
-/// a time and hand the whole run to `task` in one call.
-///
-/// `task` receives `(flat_base, point, base_rep, count)` and must return
-/// one `Result` per slot, in replication order. Results land in the same
-/// per-segment, replication-ordered shape as [`run_segments_core`]; on
-/// failure the lowest-flat-index error across every executed run is
-/// returned. Batch runs never straddle a segment boundary, so a task that
-/// folds its run through a batched engine (one compiled net, `count`
-/// lanes) sees exactly one sweep point per call.
-pub(crate) fn run_segments_core_batched<R, E, F>(
-    threads: usize,
-    batch: usize,
-    progress: Option<&ProgressFn>,
-    segments: &[Segment],
-    task: &F,
-) -> Result<SegmentResults<R>, (usize, E)>
-where
-    R: Send + Sync,
-    E: Send,
-    F: Fn(usize, usize, u64, usize) -> Vec<Result<R, E>> + Sync,
-{
-    let plan = GridPlan::new(segments);
-    let total = plan.total();
-    if total == 0 {
-        return Ok(segments.iter().map(|&s| (s, Vec::new())).collect());
-    }
-    let batch = batch.max(1);
-
-    // Pre-plan the claim units: each is up to `batch` contiguous slots of
-    // one segment. Claim order is run order, so coverage (and the
-    // error-selection candidates) are deterministic at any thread count.
-    struct Run {
-        flat_base: usize,
-        point: usize,
-        base_rep: u64,
-        count: usize,
-    }
-    let mut runs = Vec::new();
-    let mut flat = 0usize;
-    for seg in segments {
-        let mut offset = 0usize;
-        while offset < seg.count {
-            let count = batch.min(seg.count - offset);
-            runs.push(Run {
-                flat_base: flat + offset,
-                point: seg.point,
-                base_rep: seg.base_rep + offset as u64,
-                count,
-            });
-            offset += count;
-        }
-        flat += seg.count;
-    }
-
-    let threads = threads.max(1).min(runs.len());
-    let next = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let cancelled = AtomicBool::new(false);
-    let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
-    let slots: Vec<OnceLock<R>> = (0..total).map(|_| OnceLock::new()).collect();
-
-    // One claim per batch run (covering `count` slots); the run's wall
-    // time goes in its own histogram since a run spans many slots.
-    let tele = crate::telemetry::telemetry();
-    let claims = tele.counter("grid_tasks_claimed_total");
-    let batch_wall = tele.histogram("grid_batch_wall_ns");
-    // One `slot` span per batch run (flat = the run's first slot), same
-    // ambient-trace resolution as the scalar path.
-    let tr = crate::trace::tracer();
-    let trace = crate::trace::current();
-
-    let consume_run = |run: &Run| -> Result<(), (usize, E)> {
-        claims.add(run.count as u64);
-        let span = tr.start();
-        let started = Instant::now();
-        let out = task(run.flat_base, run.point, run.base_rep, run.count);
-        batch_wall.record_duration(started.elapsed());
-        tr.record(
-            trace,
-            crate::trace::name::SLOT,
-            crate::trace::cat::GRID,
-            run.flat_base as u64,
-            span,
-        );
-        debug_assert_eq!(out.len(), run.count, "batch task must fill every lane");
-        let mut first: Option<(usize, E)> = None;
-        for (lane, res) in out.into_iter().enumerate() {
-            match res {
-                Ok(r) => {
-                    let _ = slots[run.flat_base + lane].set(r);
-                    if let Some(cb) = progress {
-                        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                        cb(Progress {
-                            point: run.point,
-                            replication: run.base_rep + lane as u64,
-                            completed: done,
-                            total,
-                        });
-                    }
-                }
-                Err(e) => {
-                    // Lanes are in flat order, so the first Err seen is
-                    // the run's lowest-flat-index failure.
-                    if first.is_none() {
-                        first = Some((run.flat_base + lane, e));
-                    }
-                }
-            }
-        }
-        match first {
-            None => Ok(()),
-            Some(err) => Err(err),
-        }
-    };
-
-    if threads == 1 {
-        // Sequential fast path: runs execute in flat order, so the first
-        // failing run's lowest lane IS the global lowest-index error.
-        let mut result = Ok(());
-        for run in &runs {
-            if let Err(e) = consume_run(run) {
-                result = Err(e);
-                break;
-            }
-        }
-        result?;
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    if cancelled.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= runs.len() {
-                        break;
-                    }
-                    if let Err((flat, e)) = consume_run(&runs[i]) {
-                        let mut guard = first_error.lock().expect("error mutex never poisoned");
-                        match &*guard {
-                            Some((j, _)) if *j <= flat => {}
-                            _ => *guard = Some((flat, e)),
-                        }
-                        drop(guard);
-                        cancelled.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                });
-            }
-        });
-        if let Some(err) = first_error
-            .into_inner()
-            .expect("error mutex never poisoned")
-        {
-            return Err(err);
-        }
-    }
-
-    let mut iter = slots.into_iter();
-    let out = segments
-        .iter()
-        .map(|&seg| {
-            let results: Vec<R> = iter
-                .by_ref()
-                .take(seg.count)
-                .map(|s| s.into_inner().expect("every slot filled"))
-                .collect();
-            (seg, results)
-        })
-        .collect();
-    Ok(out)
-}
-
 /// The shared executor: a worker-thread count, a backend selection, and an
 /// optional progress callback.
 ///
@@ -477,9 +302,6 @@ where
 /// the multi-process [`crate::fleet::backend::WorkerBackend`].
 pub struct Runner {
     pub(crate) threads: usize,
-    /// Batch width for portable-job dispatch (contiguous same-point slots
-    /// per `PortableJob::run_batch` call); closure grids ignore it.
-    pub(crate) batch: usize,
     pub(crate) backend: crate::exec::BackendSel,
     pub(crate) progress: Option<Box<ProgressFn>>,
 }
@@ -500,19 +322,9 @@ impl Runner {
     pub fn new(threads: usize) -> Self {
         Runner {
             threads: threads.max(1),
-            batch: 1,
             backend: crate::exec::BackendSel::InProcess,
             progress: None,
         }
-    }
-
-    /// Set the portable-job batch width (clamped to ≥ 1): backends hand
-    /// each worker claim up to this many contiguous same-point slots in
-    /// one [`crate::exec::PortableJob::run_batch`] call. Results are
-    /// byte-identical at any width.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
     }
 
     /// A runner with one worker per available core.
@@ -788,120 +600,6 @@ mod tests {
                 // Sequential claim order guarantees the lowest index.
                 assert_eq!(err.0, 2);
             }
-        }
-    }
-
-    #[test]
-    fn batched_core_matches_scalar_core_at_any_width() {
-        let segs = [
-            Segment {
-                point: 0,
-                base_rep: 0,
-                count: 5,
-            },
-            Segment {
-                point: 2,
-                base_rep: 10,
-                count: 7,
-            },
-            Segment {
-                point: 1,
-                base_rep: 0,
-                count: 0,
-            },
-            Segment {
-                point: 3,
-                base_rep: 1,
-                count: 3,
-            },
-        ];
-        let scalar = run_segments_core::<u64, String, _>(1, None, &segs, &|flat, point, rep| {
-            Ok((flat as u64) << 32 | (point as u64) << 16 | rep)
-        })
-        .unwrap();
-        for batch in [1usize, 2, 3, 8, 64] {
-            for threads in [1usize, 4] {
-                let batched = run_segments_core_batched::<u64, String, _>(
-                    threads,
-                    batch,
-                    None,
-                    &segs,
-                    &|flat_base, point, base_rep, count| {
-                        (0..count)
-                            .map(|i| {
-                                Ok(((flat_base + i) as u64) << 32
-                                    | (point as u64) << 16
-                                    | (base_rep + i as u64))
-                            })
-                            .collect()
-                    },
-                )
-                .unwrap();
-                assert_eq!(scalar, batched, "batch={batch} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_core_runs_stay_within_one_point() {
-        let segs = [
-            Segment {
-                point: 0,
-                base_rep: 0,
-                count: 3,
-            },
-            Segment {
-                point: 1,
-                base_rep: 0,
-                count: 4,
-            },
-        ];
-        // Width 5 > either segment: every run must still be single-point.
-        let out = run_segments_core_batched::<(usize, u64), String, _>(
-            1,
-            5,
-            None,
-            &segs,
-            &|_flat, point, base_rep, count| {
-                assert!(count <= 4);
-                (0..count)
-                    .map(|i| Ok((point, base_rep + i as u64)))
-                    .collect()
-            },
-        )
-        .unwrap();
-        assert_eq!(out[0].1, vec![(0, 0), (0, 1), (0, 2)]);
-        assert_eq!(out[1].1, vec![(1, 0), (1, 1), (1, 2), (1, 3)]);
-    }
-
-    #[test]
-    fn batched_core_reports_lowest_lane_error() {
-        let segs = [Segment {
-            point: 0,
-            base_rep: 0,
-            count: 10,
-        }];
-        for threads in [1usize, 4] {
-            let err = run_segments_core_batched::<u64, &str, _>(
-                threads,
-                4,
-                None,
-                &segs,
-                &|flat_base, _point, _base_rep, count| {
-                    (0..count)
-                        .map(|i| {
-                            let flat = flat_base + i;
-                            if flat == 6 || flat == 7 {
-                                Err("boom")
-                            } else {
-                                Ok(flat as u64)
-                            }
-                        })
-                        .collect()
-                },
-            )
-            .unwrap_err();
-            assert_eq!(err, (6, "boom"), "threads={threads}");
         }
     }
 

@@ -104,9 +104,12 @@ mod tests {
     use crate::fleet::backend::{Connector, WorkerBackend};
     use crate::fleet::FaultPolicy;
     use crate::grid::Segment;
+    use crate::remote::transport::join_within;
     use crate::wire;
-    use std::net::TcpStream;
-    use std::time::Duration;
+    use std::net::{Shutdown, TcpStream};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     fn registry() -> JobRegistry {
         let mut reg = JobRegistry::new();
@@ -114,37 +117,62 @@ mod tests {
         reg
     }
 
-    /// Spawn an in-process TCP worker on an ephemeral loopback port;
-    /// returns its address. Mirrors `serve_listener`: each connection is
-    /// served on its own thread (the backend's warm pool keeps
-    /// connections open across dispatches, so a sequential accept loop
-    /// would never see the shutdown connection), and the accept loop
-    /// returns once any connection delivers the shutdown frame.
-    fn spawn_worker() -> (String, std::thread::JoinHandle<()>) {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    /// An in-process TCP worker serving jobs from its own registry.
+    struct Peer {
+        addr: String,
+        /// Connections accepted so far.
+        accepted: Arc<AtomicUsize>,
+        handle: std::thread::JoinHandle<()>,
+    }
+
+    /// Spawn a peer listening on `addr` (port 0 = ephemeral). Mirrors
+    /// `serve_listener`: each connection is served on its own thread (the
+    /// backend's warm pool keeps connections open across dispatches, so a
+    /// sequential accept loop would never see the shutdown connection),
+    /// and the accept loop returns once any connection delivers the
+    /// shutdown frame. Before returning it shuts down every stream it
+    /// accepted, so a link parked in the pool fails its liveness probe
+    /// instead of outliving the peer.
+    fn spawn_peer(addr: &str, reg: fn() -> JobRegistry) -> Peer {
+        let listener = TcpListener::bind(addr).unwrap();
         let local = listener.local_addr().unwrap();
-        let addr = local.to_string();
+        let accepted = Arc::new(AtomicUsize::new(0));
+        let count = accepted.clone();
         let handle = std::thread::spawn(move || {
             let shutdown = Arc::new(AtomicBool::new(false));
+            let mut streams = Vec::new();
             loop {
                 let (stream, _) = listener.accept().unwrap();
+                count.fetch_add(1, Ordering::SeqCst);
                 if shutdown.load(Ordering::SeqCst) {
-                    return;
+                    break;
                 }
+                streams.push(stream.try_clone().unwrap());
                 let shutdown = shutdown.clone();
                 std::thread::spawn(move || {
                     let mut t = TcpTransport::new(stream);
-                    if let Ok(ServeOutcome::Shutdown) = serve(&registry(), &mut t) {
+                    if let Ok(ServeOutcome::Shutdown) = serve(&reg(), &mut t) {
                         shutdown.store(true, Ordering::SeqCst);
                         // Unblock the accept loop so it observes the flag.
                         let _ = TcpStream::connect(local);
                     }
                 });
             }
+            for stream in streams {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
         });
-        (addr, handle)
+        Peer {
+            addr: local.to_string(),
+            accepted,
+            handle,
+        }
+    }
+
+    /// A `test-mul` peer on an ephemeral loopback port.
+    fn spawn_worker() -> (String, std::thread::JoinHandle<()>) {
+        let peer = spawn_peer("127.0.0.1:0", registry);
+        (peer.addr, peer.handle)
     }
 
     fn shutdown_peer(addr: &str) {
@@ -188,7 +216,7 @@ mod tests {
             assert!(backend.label().contains("remote"));
             for (addr, handle) in workers {
                 shutdown_peer(&addr);
-                handle.join().unwrap();
+                join_within(handle);
             }
         }
     }
@@ -210,7 +238,7 @@ mod tests {
             assert_eq!(backend.run_segments(&job, &m, None).unwrap(), expect);
         }
         shutdown_peer(&addr);
-        handle.join().unwrap();
+        join_within(handle);
     }
 
     #[test]
@@ -230,7 +258,6 @@ mod tests {
             assert_eq!(r.get_u8().unwrap(), crate::exec::frame::MANIFEST);
             let _version = r.get_u8().unwrap();
             let _threads = r.get_u32().unwrap();
-            let _batch = r.get_u32().unwrap();
             let _trace = r.get_u64().unwrap();
             let m = TaskManifest::decode(&mut r).unwrap();
             let job = MulJob { factor: 3 };
@@ -253,9 +280,9 @@ mod tests {
         let backend = tcp(vec![sab_addr, good_addr.clone()], 1);
         let out = backend.run_segments(&job, &m, None).unwrap();
         assert_eq!(baseline, out);
-        sab.join().unwrap();
+        join_within(sab);
         shutdown_peer(&good_addr);
-        good_handle.join().unwrap();
+        join_within(good_handle);
     }
 
     #[test]
@@ -277,7 +304,6 @@ mod tests {
             assert_eq!(r.get_u8().unwrap(), crate::exec::frame::MANIFEST);
             let _version = r.get_u8().unwrap();
             let _threads = r.get_u32().unwrap();
-            let _batch = r.get_u32().unwrap();
             let _trace = r.get_u64().unwrap();
             let m = TaskManifest::decode(&mut r).unwrap();
             let job = MulJob { factor: 3 };
@@ -310,7 +336,7 @@ mod tests {
             t0.elapsed()
         );
         shutdown_peer(&good_addr);
-        good_handle.join().unwrap();
+        join_within(good_handle);
     }
 
     #[test]
@@ -335,7 +361,7 @@ mod tests {
             ExecError::Worker { flat_index, .. } => assert_eq!(flat_index, 0),
             other => panic!("unexpected error {other:?}"),
         }
-        handle.join().unwrap();
+        join_within(handle);
     }
 
     #[test]
@@ -371,42 +397,18 @@ mod tests {
                 }
             }
         }
-        // Worker-side registry including the failing job. Per-connection
-        // serve threads, as in `spawn_worker`: the warm pool keeps the
-        // dispatch connection open, so the shutdown frame arrives on a
-        // second connection.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let local = listener.local_addr().unwrap();
-        let addr = local.to_string();
-        let handle = std::thread::spawn(move || {
-            use std::sync::atomic::{AtomicBool, Ordering};
-            use std::sync::Arc;
-            fn reg() -> JobRegistry {
-                let mut reg = JobRegistry::new();
-                reg.register("test-fail-from", |p| {
-                    let mut r = wire::Reader::new(p);
-                    let from = r.get_u64()? as usize;
-                    r.finish()?;
-                    Ok(Box::new(FailFrom(from)))
-                });
-                reg
-            }
-            let shutdown = Arc::new(AtomicBool::new(false));
-            loop {
-                let (stream, _) = listener.accept().unwrap();
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let shutdown = shutdown.clone();
-                std::thread::spawn(move || {
-                    let mut t = TcpTransport::new(stream);
-                    if let Ok(ServeOutcome::Shutdown) = serve(&reg(), &mut t) {
-                        shutdown.store(true, Ordering::SeqCst);
-                        let _ = TcpStream::connect(local);
-                    }
-                });
-            }
-        });
+        // Worker-side registry including the failing job.
+        fn reg() -> JobRegistry {
+            let mut reg = JobRegistry::new();
+            reg.register("test-fail-from", |p| {
+                let mut r = wire::Reader::new(p);
+                let from = r.get_u64()? as usize;
+                r.finish()?;
+                Ok(Box::new(FailFrom(from)))
+            });
+            reg
+        }
+        let Peer { addr, handle, .. } = spawn_peer("127.0.0.1:0", reg);
         let job = FailFrom(1);
         let m = TaskManifest::for_job(
             &job,
@@ -441,6 +443,37 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
         shutdown_peer(&addr);
-        handle.join().unwrap();
+        join_within(handle);
+    }
+
+    #[test]
+    fn parked_link_to_a_stopped_peer_is_not_reused_on_its_rebound_port() {
+        // Peer A serves one dispatch, so the warm pool parks its link,
+        // then stops.
+        let job = MulJob { factor: 3 };
+        let m = mul_manifest(&[2, 1]);
+        let expect = InProcessBackend::new(1)
+            .run_segments(&job, &m, None)
+            .unwrap();
+        let a = spawn_peer("127.0.0.1:0", registry);
+        let out = tcp(vec![a.addr.clone()], 1).run_segments(&job, &m, None);
+        assert_eq!(out.unwrap(), expect);
+        shutdown_peer(&a.addr);
+        join_within(a.handle);
+        // Peer B binds A's exact address. A new backend dispatching there
+        // must reach B, not A's parked link.
+        let b = spawn_peer(&a.addr, registry);
+        let out = tcp(vec![b.addr.clone()], 1).run_segments(&job, &m, None);
+        assert_eq!(out.unwrap(), expect);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while b.accepted.load(Ordering::SeqCst) == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "peer B accepted no connection: the dispatch ran on peer A's parked link"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        shutdown_peer(&b.addr);
+        join_within(b.handle);
     }
 }

@@ -15,11 +15,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Encode a manifest-dispatch request: tag, protocol version, worker
-/// thread count, batch width, trace ID (wire version 5; `0` = no job
-/// trace context), then the manifest itself.
+/// thread count, trace ID (`0` = no job trace context), then the manifest
+/// itself.
 pub(crate) fn encode_manifest_request(
     threads: usize,
-    batch: usize,
     manifest: &TaskManifest,
     trace: u64,
 ) -> Vec<u8> {
@@ -27,7 +26,6 @@ pub(crate) fn encode_manifest_request(
     wire::put_u8(&mut body, frame::MANIFEST);
     wire::put_u8(&mut body, WIRE_VERSION);
     wire::put_u32(&mut body, threads as u32);
-    wire::put_u32(&mut body, batch.max(1) as u32);
     wire::put_u64(&mut body, trace);
     manifest.encode_into(&mut body);
     body

@@ -272,6 +272,21 @@ impl MemTransport {
     }
 }
 
+/// Join a test peer's thread, failing the test instead of hanging it if
+/// the thread is still running after 60 s.
+#[cfg(test)]
+pub(crate) fn join_within<T>(handle: std::thread::JoinHandle<T>) -> T {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while !handle.is_finished() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "peer thread still running after 60 s"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    handle.join().expect("peer thread panicked")
+}
+
 #[cfg(test)]
 impl FrameTransport for MemTransport {
     fn send(&mut self, body: &[u8]) -> io::Result<()> {
@@ -327,7 +342,7 @@ mod tests {
         t.flush().unwrap();
         assert_eq!(t.recv().unwrap().unwrap(), b"ping");
         assert!(t.recv().unwrap().is_none());
-        server.join().unwrap();
+        join_within(server);
     }
 
     #[test]

@@ -382,7 +382,7 @@ mod tests {
     ) {
         let mut c = ServiceClient::connect(&addr.to_string(), Duration::from_secs(5)).unwrap();
         c.shutdown().unwrap();
-        server.join().unwrap();
+        crate::remote::transport::join_within(server);
         handle.stop();
     }
 

@@ -490,7 +490,7 @@ mod tests {
         // Stop + poke unblocks the accept loop.
         service.stop();
         let _ = TcpStream::connect(addr);
-        gateway.join().unwrap();
+        crate::remote::transport::join_within(gateway);
         handle.stop();
     }
 
@@ -524,7 +524,7 @@ mod tests {
 
         service.stop();
         let _ = TcpStream::connect(addr);
-        gateway.join().unwrap();
+        crate::remote::transport::join_within(gateway);
         handle.stop();
     }
 
@@ -596,7 +596,7 @@ mod tests {
 
         service.stop();
         let _ = TcpStream::connect(addr);
-        gateway.join().unwrap();
+        crate::remote::transport::join_within(gateway);
         handle.stop();
     }
 

@@ -1235,7 +1235,7 @@ mod tests {
         assert_eq!(client.fetch(job2).unwrap(), vec![vec![9u8]]);
 
         client.shutdown().unwrap();
-        server.join().unwrap();
+        crate::remote::transport::join_within(server);
         handle.stop();
     }
 
@@ -1276,7 +1276,7 @@ mod tests {
         // Give the waiter time to park on the condvar.
         std::thread::sleep(std::time::Duration::from_millis(50));
         svc.stop();
-        let outcome = waiter.join().unwrap().unwrap();
+        let outcome = crate::remote::transport::join_within(waiter).unwrap();
         let Fetched::Failed(e) = outcome else {
             panic!("queued job must fail once the service stops");
         };
@@ -1451,7 +1451,7 @@ mod tests {
             ServiceResponse::decode(&t.recv().unwrap().unwrap()).unwrap(),
             ServiceResponse::Ok
         );
-        server.join().unwrap();
+        crate::remote::transport::join_within(server);
         handle.stop();
     }
 
@@ -1487,7 +1487,7 @@ mod tests {
         t.send(&ServiceRequest::Shutdown.encode()).unwrap();
         t.flush().unwrap();
         let _ = t.recv();
-        server.join().unwrap();
+        crate::remote::transport::join_within(server);
         handle.stop();
     }
 

@@ -67,8 +67,7 @@ pub mod name {
     /// Checking a warm worker subprocess or peer connection out of the
     /// fleet pool (includes cold spawn/connect + health probe).
     pub const POOL_CHECKOUT: &str = "pool-checkout";
-    /// One replication slot (or contiguous slot batch) executing on the
-    /// grid.
+    /// One replication slot executing on the grid.
     pub const SLOT: &str = "slot";
     /// One simulation engine run inside a slot.
     pub const ENGINE_RUN: &str = "engine-run";

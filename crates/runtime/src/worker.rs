@@ -2,8 +2,9 @@
 //! [`FrameTransport`](crate::remote::FrameTransport).
 //!
 //! A worker serves **manifest requests** from its transport in a loop: each
-//! `M` request frame carries the protocol version, a worker-thread count,
-//! and a [`TaskManifest`]; the worker decodes the job through its
+//! `M` request frame carries the protocol version, a worker-thread count
+//! (clamped to this host's core count), a trace ID and a
+//! [`TaskManifest`]; the worker decodes the job through its
 //! [`JobRegistry`], executes the manifest on the in-process scheduling
 //! core, and answers with one `R` frame **per completed slot, as it
 //! completes** (so the parent's progress callback ticks live and the worker
@@ -19,7 +20,7 @@
 //! stderr in both.
 
 use crate::exec::{frame, JobRegistry, TaskManifest, WIRE_VERSION};
-use crate::grid::{run_segments_core, run_segments_core_batched};
+use crate::grid::{default_threads, run_segments_core};
 use crate::remote::transport::{FrameTransport, StdioTransport};
 use crate::wire::{self, Reader, WireError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,12 +74,15 @@ pub fn serve(
                         "protocol version {version} (worker speaks {WIRE_VERSION})"
                     )));
                 }
-                let threads = (r.get_u32()? as usize).max(1);
-                let batch = (r.get_u32()? as usize).max(1);
+                // The requested thread count comes off the wire, so it is
+                // clamped to this host's cores: a hostile frame must not
+                // spawn one OS thread per slot. Result bytes are identical
+                // at any thread count.
+                let threads = (r.get_u32()? as usize).clamp(1, default_threads());
                 let trace = r.get_u64()?;
                 let manifest = TaskManifest::decode(&mut r)?;
                 r.finish()?;
-                serve_manifest(registry, threads, batch, trace, &manifest, transport)?;
+                serve_manifest(registry, threads, trace, &manifest, transport)?;
             }
             tag => {
                 return Err(WireError::new(format!(
@@ -97,13 +101,12 @@ pub fn serve(
 pub(crate) const HEARTBEAT_INTERVAL: std::time::Duration = std::time::Duration::from_millis(500);
 
 /// Execute one manifest and stream its response frames. `trace` is the
-/// parent's trace ID (wire version 5; `0` = untraced): it becomes the
+/// parent's trace ID (`0` = untraced): it becomes the
 /// ambient trace context for the run, and the spans recorded under it
 /// ship back in one advisory `T` frame ahead of the terminal `D`/`E`.
 fn serve_manifest(
     registry: &JobRegistry,
     threads: usize,
-    batch: usize,
     trace: u64,
     manifest: &TaskManifest,
     transport: &mut dyn FrameTransport,
@@ -182,41 +185,13 @@ fn serve_manifest(
             delivered.fetch_add(1, Ordering::Relaxed);
             Ok(())
         };
-        let outcome = if batch > 1 {
-            // Batched execution: each claim advances a run of contiguous
-            // same-point slots through `PortableJob::run_batch` (the SoA
-            // engine for simulator jobs), then streams the per-lane `R`
-            // frames in replication order. Result bytes are identical to
-            // the slot-at-a-time path — batching is a throughput knob.
-            run_segments_core_batched(
-                threads,
-                batch,
-                None,
-                &manifest.segments,
-                &|flat_base, point, base_rep, count| {
-                    for lane in 0..count {
-                        chaos_check(flat_base + lane);
-                    }
-                    let seeds = &manifest.seeds[flat_base..flat_base + count];
-                    job.run_batch(point, base_rep, seeds)
-                        .into_iter()
-                        .enumerate()
-                        .map(|(lane, res)| match res {
-                            Ok(bytes) => send_result(flat_base + lane, &bytes),
-                            Err(message) => Err(SlotFailure::Task(message)),
-                        })
-                        .collect()
-                },
-            )
-        } else {
-            run_segments_core(threads, None, &manifest.segments, &|flat, point, rep| {
-                chaos_check(flat);
-                match job.run_slot(point, rep, manifest.seeds[flat]) {
-                    Ok(bytes) => send_result(flat, &bytes),
-                    Err(message) => Err(SlotFailure::Task(message)),
-                }
-            })
-        };
+        let outcome = run_segments_core(threads, None, &manifest.segments, &|flat, point, rep| {
+            chaos_check(flat);
+            match job.run_slot(point, rep, manifest.seeds[flat]) {
+                Ok(bytes) => send_result(flat, &bytes),
+                Err(message) => Err(SlotFailure::Task(message)),
+            }
+        });
         *finished.lock().expect("heartbeat mutex never poisoned") = true;
         finished_cv.notify_all();
         outcome
@@ -283,14 +258,10 @@ mod tests {
     }
 
     fn manifest_request(threads: usize, manifest: &TaskManifest) -> Vec<u8> {
-        batched_manifest_request(threads, 1, manifest)
-    }
-
-    fn batched_manifest_request(threads: usize, batch: usize, manifest: &TaskManifest) -> Vec<u8> {
         let mut framed = Vec::new();
         wire::write_frame(
             &mut framed,
-            &crate::remote::protocol::encode_manifest_request(threads, batch, manifest, 0),
+            &crate::remote::protocol::encode_manifest_request(threads, manifest, 0),
         )
         .unwrap();
         framed
@@ -354,39 +325,6 @@ mod tests {
         assert!(done);
         let seen: Vec<Vec<u8>> = seen.into_iter().map(|s| s.unwrap()).collect();
         assert_eq!(seen, expect);
-    }
-
-    #[test]
-    fn batched_serve_is_byte_identical_to_scalar_serve() {
-        // The same manifest served at every batch width must deliver the
-        // same slot bytes — only frame interleaving may differ, and with
-        // one thread not even that.
-        let m = mul_manifest(&[3, 5, 2]);
-        let collect = |batch: usize| {
-            let mut t = MemTransport::new(batched_manifest_request(1, batch, &m));
-            assert_eq!(serve(&registry(), &mut t).unwrap(), ServeOutcome::Eof);
-            let mut seen = vec![None; m.total_slots()];
-            let mut stream = &t.output[..];
-            while let Some(body) = wire::read_frame(&mut stream).unwrap() {
-                let mut r = Reader::new(&body);
-                match r.get_u8().unwrap() {
-                    frame::RESULT => {
-                        let local = r.get_u64().unwrap() as usize;
-                        seen[local] = Some(r.get_bytes().unwrap().to_vec());
-                    }
-                    frame::DONE => assert_eq!(r.get_u64().unwrap(), m.total_slots() as u64),
-                    frame::HEARTBEAT | frame::PROGRESS | frame::SPANS => {}
-                    tag => panic!("unexpected tag {tag}"),
-                }
-            }
-            seen.into_iter()
-                .map(|s| s.unwrap())
-                .collect::<Vec<Vec<u8>>>()
-        };
-        let scalar = collect(1);
-        for batch in [2usize, 4, 64] {
-            assert_eq!(scalar, collect(batch), "batch={batch}");
-        }
     }
 
     #[test]
@@ -474,6 +412,87 @@ mod tests {
     }
 
     #[test]
+    fn serve_clamps_requested_threads_to_host_cores() {
+        // Every thread that runs a slot records its id; a request for 64
+        // threads over 64 slots may still use only this host's cores.
+        static SEEN: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
+        struct Spy;
+        impl PortableJob for Spy {
+            fn kind(&self) -> &'static str {
+                "test-spy"
+            }
+            fn encode_payload(&self, _buf: &mut Vec<u8>) {}
+            fn run_slot(&self, _point: usize, _rep: u64, _seed: u64) -> Result<Vec<u8>, String> {
+                let id = std::thread::current().id();
+                let mut seen = SEEN.lock().unwrap();
+                if !seen.contains(&id) {
+                    seen.push(id);
+                }
+                drop(seen);
+                // Long enough that every spawned thread claims a slot.
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                Ok(Vec::new())
+            }
+        }
+        let mut reg = JobRegistry::new();
+        reg.register("test-spy", |_| Ok(Box::new(Spy)));
+        let m = TaskManifest::for_job(
+            &Spy,
+            vec![Segment {
+                point: 0,
+                base_rep: 0,
+                count: 64,
+            }],
+            &|_, r| r,
+        );
+        let mut t = MemTransport::new(manifest_request(64, &m));
+        assert_eq!(serve(&reg, &mut t).unwrap(), ServeOutcome::Eof);
+        let distinct = SEEN.lock().unwrap().len();
+        assert!(
+            (1..=default_threads()).contains(&distinct),
+            "{distinct} slot threads on a {}-core host",
+            default_threads()
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The serve loop reads parent and network bytes. A manifest
+        /// request with bytes overwritten, or an `M` frame with a random
+        /// body, must end in `Ok` or an error, never a panic; a request
+        /// frame cut short must end in an error.
+        #[test]
+        fn serve_survives_hostile_request_frames(
+            reps in proptest::collection::vec(0u64..4, 0..4),
+            threads in 0usize..100_000,
+            flips in proptest::collection::vec((0usize..4096, 0u8..255), 0..4),
+            noise in proptest::collection::vec(0u8..255, 0..64),
+            cut in 0usize..4096,
+        ) {
+            let mut body = crate::remote::protocol::encode_manifest_request(
+                threads,
+                &mul_manifest(&reps),
+                0,
+            );
+            for &(at, byte) in &flips {
+                let n = body.len();
+                body[at % n] = byte;
+            }
+            let mut random = vec![frame::MANIFEST, WIRE_VERSION];
+            random.extend(&noise);
+            for body in [body, random] {
+                let mut framed = Vec::new();
+                wire::write_frame(&mut framed, &body).unwrap();
+                let _ = serve(&registry(), &mut MemTransport::new(framed.clone()));
+                let cut = 1 + cut % (framed.len() - 1);
+                framed.truncate(cut);
+                proptest::prop_assert!(serve(&registry(), &mut MemTransport::new(framed)).is_err());
+            }
+        }
+    }
+
+    #[test]
     fn serve_rejects_unknown_kind_bad_version_and_bad_tag() {
         let m = mul_manifest(&[1]);
         // Unknown job kind.
@@ -486,7 +505,7 @@ mod tests {
         wire::put_u8(&mut body, frame::MANIFEST);
         wire::put_u8(&mut body, WIRE_VERSION + 1);
         wire::put_u32(&mut body, 1);
-        wire::put_u32(&mut body, 1);
+        wire::put_u64(&mut body, 0);
         m.encode_into(&mut body);
         let mut framed = Vec::new();
         wire::write_frame(&mut framed, &body).unwrap();

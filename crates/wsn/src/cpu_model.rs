@@ -263,45 +263,6 @@ pub fn simulate_cpu_model(params: &CpuModelParams, horizon: f64, seed: u64) -> C
     }
 }
 
-/// Simulate the CPU net once per seed in `seeds`, advancing all
-/// replications together through [`Simulator::run_batch`].
-///
-/// Bit-identical to calling [`simulate_cpu_model`] once per seed — lanes
-/// never interact — but builds the net and compiles the reward set once
-/// for the whole batch.
-pub fn simulate_cpu_model_batch(
-    params: &CpuModelParams,
-    horizon: f64,
-    seeds: &[u64],
-) -> Vec<CpuPetriResult> {
-    let model = build_cpu_model(params);
-    let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(horizon));
-    let r_standby = sim.reward_place(model.places.stand_by);
-    let r_powerup = sim.reward_place(model.places.powering_up);
-    let r_idle = sim.reward_place(model.places.idle);
-    let r_active = sim.reward_place(model.places.active);
-    let r_queue = sim.reward_place(model.places.buffer);
-    let r_wakeups = sim.reward_firings(model.transitions.t1);
-    let r_served = sim.reward_firings(model.transitions.service);
-    sim.run_batch(seeds)
-        .into_iter()
-        .map(|out| {
-            let out = out.expect("CPU net cannot livelock or overflow");
-            CpuPetriResult {
-                probabilities: [
-                    out.reward(r_standby),
-                    out.reward(r_powerup),
-                    out.reward(r_idle),
-                    out.reward(r_active),
-                ],
-                wakeups: out.reward(r_wakeups),
-                jobs_served: out.reward(r_served),
-                mean_queue: out.reward(r_queue),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,21 +270,6 @@ mod tests {
 
     fn params(t: f64, d: f64) -> CpuModelParams {
         CpuModelParams::paper_defaults(t, d)
-    }
-
-    #[test]
-    fn batch_matches_scalar_per_seed() {
-        let p = params(0.1, 0.3);
-        let seeds: Vec<u64> = (0..9).collect();
-        let batched = simulate_cpu_model_batch(&p, 500.0, &seeds);
-        assert_eq!(batched.len(), seeds.len());
-        for (lane, (&seed, b)) in seeds.iter().zip(&batched).enumerate() {
-            let s = simulate_cpu_model(&p, 500.0, seed);
-            assert_eq!(b.probabilities, s.probabilities, "lane {lane}");
-            assert_eq!(b.wakeups, s.wakeups, "lane {lane}");
-            assert_eq!(b.jobs_served, s.jobs_served, "lane {lane}");
-            assert_eq!(b.mean_queue, s.mean_queue, "lane {lane}");
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Binaries that want to serve as workers register every decoder here via
 //! [`register`].
 
-use crate::cpu_model::{simulate_cpu_model, simulate_cpu_model_batch, CpuModelParams};
+use crate::cpu_model::{simulate_cpu_model, CpuModelParams};
 use crate::node::simulate_node_model;
 use des::{simulate_cpu, simulate_node, CpuSimParams, NodeSimParams, Workload};
 use energy::{CC2420_RADIO, PXA271_CPU};
@@ -190,59 +190,6 @@ impl PortableJob for CpuComparisonJob {
         let mut bytes = Vec::with_capacity(10 * 8 + 4);
         wire::put_f64s(&mut bytes, &out.to_obs());
         Ok(bytes)
-    }
-
-    fn run_batch(
-        &self,
-        point: usize,
-        base_rep: u64,
-        seeds: &[u64],
-    ) -> Vec<Result<Vec<u8>, String>> {
-        let pdt = match self.grid.get(point) {
-            Some(&pdt) => pdt,
-            None => {
-                let e = format!("point {point} outside the {}-point grid", self.grid.len());
-                return seeds.iter().map(|_| Err(e.clone())).collect();
-            }
-        };
-        // The Petri half of every lane shares one compiled net; the DES
-        // half stays scalar (its engine has no batched entry). Seeds are
-        // derived exactly as `run_slot` derives them, so bytes match.
-        let petri_seeds: Vec<u64> = (0..seeds.len() as u64)
-            .map(|i| petri_core::rng::SimRng::child_seed(self.seed ^ 0xA5A5, base_rep + i))
-            .collect();
-        let petri_params = CpuModelParams {
-            lambda: self.lambda,
-            mu: self.mu,
-            power_down_threshold: pdt,
-            power_up_delay: self.power_up_delay,
-        };
-        let petri = simulate_cpu_model_batch(&petri_params, self.horizon, &petri_seeds);
-        seeds
-            .iter()
-            .zip(petri)
-            .map(|(&seed, petri_r)| {
-                let sim_r = simulate_cpu(
-                    &CpuSimParams {
-                        lambda: self.lambda,
-                        mu: self.mu,
-                        power_down_threshold: pdt,
-                        power_up_delay: self.power_up_delay,
-                        horizon: self.horizon,
-                    },
-                    seed,
-                );
-                let out = RepOutput {
-                    sim_probs: sim_r.probabilities(),
-                    sim_energy_j: sim_r.energy(&PXA271_CPU).joules(),
-                    petri_probs: petri_r.probabilities,
-                    petri_energy_j: petri_r.energy(&PXA271_CPU, self.horizon).joules(),
-                };
-                let mut bytes = Vec::with_capacity(10 * 8 + 4);
-                wire::put_f64s(&mut bytes, &out.to_obs());
-                Ok(bytes)
-            })
-            .collect()
     }
 }
 
@@ -464,27 +411,6 @@ impl PortableJob for SeedAblationJob {
         wire::put_f64s(&mut bytes, &[out.reward(r_standby)]);
         Ok(bytes)
     }
-
-    fn run_batch(
-        &self,
-        _point: usize,
-        _base_rep: u64,
-        seeds: &[u64],
-    ) -> Vec<Result<Vec<u8>, String>> {
-        use petri_core::prelude::*;
-        let model = crate::cpu_model::build_cpu_model(&self.params);
-        let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(self.horizon));
-        let r_standby = sim.reward_place(model.places.stand_by);
-        sim.run_batch(seeds)
-            .into_iter()
-            .map(|out| {
-                let out = out.map_err(|e| e.to_string())?;
-                let mut bytes = Vec::with_capacity(12);
-                wire::put_f64s(&mut bytes, &[out.reward(r_standby)]);
-                Ok(bytes)
-            })
-            .collect()
-    }
 }
 
 /// Decode one slot's observation vector, mapping wire errors to the
@@ -551,54 +477,6 @@ mod tests {
         };
         assert_eq!(RepOutput::from_obs(&out.to_obs()).unwrap(), out);
         assert!(RepOutput::from_obs(&[1.0; 9]).is_err());
-    }
-
-    #[test]
-    fn batch_overrides_match_scalar_slot_bytes() {
-        let jobs: Vec<Box<dyn PortableJob>> = vec![
-            Box::new(CpuComparisonJob {
-                lambda: 1.0,
-                mu: 10.0,
-                horizon: 120.0,
-                power_up_delay: 0.3,
-                seed: 0x5EED,
-                grid: vec![0.001, 0.5],
-            }),
-            Box::new(SeedAblationJob {
-                params: CpuModelParams::paper_defaults(0.3, 0.3),
-                horizon: 100.0,
-            }),
-        ];
-        for job in &jobs {
-            let seeds: Vec<u64> = (100..107).collect();
-            let base_rep = 2u64;
-            let batched = job.run_batch(0, base_rep, &seeds);
-            assert_eq!(batched.len(), seeds.len());
-            for (i, (&seed, got)) in seeds.iter().zip(&batched).enumerate() {
-                let want = job.run_slot(0, base_rep + i as u64, seed).unwrap();
-                assert_eq!(
-                    got.as_ref().unwrap(),
-                    &want,
-                    "{} lane {i} diverged from scalar",
-                    job.kind()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_override_reports_out_of_range_point_per_lane() {
-        let job = CpuComparisonJob {
-            lambda: 1.0,
-            mu: 10.0,
-            horizon: 50.0,
-            power_up_delay: 0.3,
-            seed: 1,
-            grid: vec![0.1],
-        };
-        let out = job.run_batch(7, 0, &[1, 2, 3]);
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|r| r.is_err()));
     }
 
     #[test]
