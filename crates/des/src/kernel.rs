@@ -1,8 +1,16 @@
 //! Generic discrete-event simulation kernel: a time-ordered event queue
-//! with stable tie-breaking and O(log n) lazy cancellation.
+//! with stable tie-breaking and eager cancellation.
+//!
+//! `schedule_*` and `pop` are O(log n) binary-heap operations with no
+//! cancellation bookkeeping at all: `cancel` removes its entry from the
+//! heap at once, in O(n). The simulators in this crate keep a handful of
+//! events pending and cancel at most one power-down timer per arrival, so
+//! one short linear pass per cancel is cheaper than a lazy-deletion set
+//! consulted on every pop. Cancelling an event that already fired (or was
+//! already cancelled) finds nothing and leaves no trace.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Handle to a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,7 +53,6 @@ impl<E> PartialOrd for Entry<E> {
 /// simultaneous-event semantics explicit and runs reproducible.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    cancelled: HashSet<u64>,
     seq: u64,
     now: f64,
 }
@@ -55,7 +62,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             seq: 0,
             now: 0.0,
         }
@@ -109,50 +115,34 @@ impl<E> EventQueue<E> {
         self.schedule_at_pri(self.now + delay, priority, payload)
     }
 
-    /// Cancel a previously scheduled event. Cancelling an already-fired or
+    /// Cancel a previously scheduled event, removing it from the queue
+    /// (O(n) in pending events). Cancelling an already-fired or
     /// already-cancelled event is a no-op.
     pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id.0);
+        self.heap.retain(|e| e.seq != id.0);
     }
 
-    /// Pop the next live event, advancing the clock to its timestamp.
+    /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            debug_assert!(entry.time >= self.now, "time went backwards");
-            self.now = entry.time;
-            return Some((entry.time, entry.payload));
-        }
-        None
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.time >= self.now, "time went backwards");
+        self.now = entry.time;
+        Some((entry.time, entry.payload))
     }
 
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<f64> {
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(entry.time);
-        }
-        None
+    /// Timestamp of the next event without popping it.
+    pub fn peek_time(&self) -> Option<f64> {
+        self.heap.peek().map(|e| e.time)
     }
 
-    /// Number of live events still pending (linear scan; diagnostics only).
+    /// Number of events still pending.
     pub fn pending(&self) -> usize {
-        self.heap
-            .iter()
-            .filter(|e| !self.cancelled.contains(&e.seq))
-            .count()
+        self.heap.len()
     }
 
     /// True if nothing is scheduled.
-    pub fn is_empty(&mut self) -> bool {
-        self.peek_time().is_none()
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 }
 
@@ -204,9 +194,17 @@ mod tests {
         let mut q = EventQueue::new();
         let a = q.schedule_at(1.0, "a");
         assert_eq!(q.pop(), Some((1.0, "a")));
+        let b = q.schedule_at(2.0, "b");
         q.cancel(a); // already fired
-        q.schedule_at(2.0, "b");
-        assert_eq!(q.pop(), Some((2.0, "b")));
+        assert_eq!(q.pending(), 1);
+        q.cancel(b);
+        q.cancel(b); // already cancelled
+
+        // No residue: the queue holds nothing but what is still pending.
+        assert_eq!(q.heap.len(), 0);
+        q.schedule_at(3.0, "c");
+        assert_eq!(q.heap.len(), 1);
+        assert_eq!(q.pop(), Some((3.0, "c")));
     }
 
     #[test]
@@ -270,5 +268,80 @@ mod tests {
         assert_eq!(q.pending(), 1);
         q.cancel(a);
         assert!(q.is_empty());
+    }
+
+    /// A naive model of the queue: a flat list of live entries, popped by
+    /// a linear minimum over `(time, priority, seq)`.
+    #[derive(Default)]
+    struct NaiveQueue {
+        live: Vec<(f64, u8, u64)>,
+        seq: u64,
+        now: f64,
+    }
+
+    impl NaiveQueue {
+        fn schedule(&mut self, time: f64, priority: u8) -> u64 {
+            self.live.push((time, priority, self.seq));
+            self.seq += 1;
+            self.seq - 1
+        }
+        fn cancel(&mut self, seq: u64) {
+            self.live.retain(|e| e.2 != seq);
+        }
+        fn next(&self) -> Option<usize> {
+            (0..self.live.len()).min_by(|&a, &b| {
+                let (x, y) = (self.live[a], self.live[b]);
+                x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2))
+            })
+        }
+        fn peek_time(&self) -> Option<f64> {
+            self.next().map(|i| self.live[i].0)
+        }
+        fn pop(&mut self) -> Option<(f64, u64)> {
+            let e = self.live.remove(self.next()?);
+            self.now = e.0;
+            Some((e.0, e.2))
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random schedule/cancel/peek/pop sequences — few distinct
+        /// delays and priorities, so exact ties are common, and cancels
+        /// aimed at pending, fired and cancelled events alike — pop in
+        /// the same order as the naive model and agree on `pending()`.
+        #[test]
+        fn queue_matches_naive_model(
+            ops in proptest::collection::vec((0u8..5, 0u8..3, 0u8..3, 0usize..64), 1..80)
+        ) {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut model = NaiveQueue::default();
+            let mut ids: Vec<EventId> = Vec::new();
+            for (kind, delay, priority, pick) in ops {
+                match kind {
+                    0 | 1 => {
+                        let time = model.now + f64::from(delay) * 0.5;
+                        let seq = model.schedule(time, priority);
+                        ids.push(q.schedule_at_pri(time, priority, seq));
+                    }
+                    2 => {
+                        if !ids.is_empty() {
+                            let id = ids[pick % ids.len()];
+                            q.cancel(id);
+                            model.cancel(id.0);
+                        }
+                    }
+                    3 => proptest::prop_assert_eq!(q.peek_time(), model.peek_time()),
+                    _ => proptest::prop_assert_eq!(q.pop(), model.pop()),
+                }
+                proptest::prop_assert_eq!(q.pending(), model.live.len());
+                proptest::prop_assert_eq!(q.now(), model.now);
+            }
+            while let Some(e) = model.pop() {
+                proptest::prop_assert_eq!(q.pop(), Some(e));
+            }
+            proptest::prop_assert!(q.is_empty());
+        }
     }
 }

@@ -24,9 +24,10 @@
 //! * A **startup program** replays the reference engine's initial
 //!   scheduling pass (every timed transition re-checked in definition
 //!   order).
-//! * Time-based rewards become a flat integration program over dense
-//!   accumulator stripes (single comparisons and "any place non-empty"
-//!   predicates read counts directly); counter rewards become hook ops.
+//! * Time-based rewards become a flat `(place, accumulator)` table for
+//!   time-averaged token counts plus a short integration program for
+//!   predicates (single comparisons and "any place non-empty" predicates
+//!   read counts directly); counter rewards become hook ops.
 //!
 //! The program encodes *what the reference engine does*, in the exact same
 //! order, drawing from the RNG at the exact same points — the lowered
@@ -130,9 +131,9 @@ fn count_sum(net: &Net, e: &Expr, out: &mut Vec<u32>) -> bool {
 }
 
 /// Transition-count ceiling for the scan scheduler. Below it, the next
-/// event is found by scanning the run's contiguous `fire_at` slice (at
-/// 32 transitions the slice is 256 bytes — four cache lines); above it, a
-/// lazy-deletion 4-ary heap takes over.
+/// event is found by scanning the clocks of the timed transitions in the
+/// run's `fire_at` vector (at 32 transitions the vector is 256 bytes —
+/// four cache lines); above it, a lazy-deletion 4-ary heap takes over.
 pub(super) const SCAN_MAX_TRANSITIONS: usize = 32;
 
 // ---------------------------------------------------------------------------
@@ -235,16 +236,11 @@ pub(super) fn dec_f64(ops: &[u32], i: usize) -> f64 {
 // Reward lowering
 // ---------------------------------------------------------------------------
 
-/// One step of the reward integration program, run per time advance.
+/// One predicate step of the reward integration program, run per time
+/// advance (time-averaged token counts live in
+/// [`LoweredNet::integ_places`] instead).
 #[derive(Debug, Clone, Copy)]
 pub(super) enum IntegOp {
-    /// `acc_f[acc] += count(place) * dt`.
-    Place {
-        /// Watched place (raw index).
-        place: u32,
-        /// Target slot in the run's `f64` accumulators.
-        acc: u32,
-    },
     /// `acc_f[acc] += dt` when `(count(place) >= need) ^ lt` holds (a
     /// `count cmp const` predicate lowered to its threshold form).
     PredCnt {
@@ -309,11 +305,17 @@ pub(crate) struct LoweredNet {
     pub(super) init_ops: Vec<u32>,
     /// Scan scheduling selected (`nt <= SCAN_MAX_TRANSITIONS`).
     pub(super) scan: bool,
+    /// Timed transitions in ascending tid order: the only clocks the scan
+    /// scheduler reads (an immediate's clock is always `+inf`).
+    pub(super) timed: Vec<u32>,
     /// Colored/generic features present (color-slot moves, generic fire,
     /// filtered conditions, or guard programs) — selects the hot-loop
     /// variant that carries the slow paths.
     pub(super) colored: bool,
-    /// Reward integration program (time-based rewards only).
+    /// Time-averaged token-count rewards, `acc_f[acc] += count(place) *
+    /// dt` per `(place, acc)` pair.
+    pub(super) integ_places: Vec<(u32, u32)>,
+    /// The remaining (predicate) reward integration program.
     pub(super) integ: Vec<IntegOp>,
     /// Count indices watched by [`IntegOp::AnyNonEmpty`] ops.
     pub(super) any_places: Vec<u32>,
@@ -340,6 +342,7 @@ impl LoweredNet {
         assert!(nt < (1 << 24), "transition index must fit a 24-bit op arg");
 
         // --- rewards: dense accumulator slots + finalize mapping ---
+        let mut integ_places = Vec::new();
         let mut integ = Vec::new();
         let mut any_places = Vec::new();
         let mut reward_map = Vec::with_capacity(sim.rewards.len());
@@ -348,10 +351,7 @@ impl LoweredNet {
         for (i, spec) in sim.rewards.iter().enumerate() {
             match spec {
                 RewardSpec::PlaceTokens(p) => {
-                    integ.push(IntegOp::Place {
-                        place: p.index() as u32,
-                        acc: n_integ,
-                    });
+                    integ_places.push((p.index() as u32, n_integ));
                     reward_map.push(LoweredReward::Integral(n_integ));
                     n_integ += 1;
                 }
@@ -515,11 +515,12 @@ impl LoweredNet {
 
         // Startup program: the reference engine's initial pass re-checks every
         // timed transition in definition order.
+        let timed: Vec<u32> = (0..nt as u32)
+            .filter(|&t2| cs.hot[t2 as usize].kind != TimingKind::Immediate)
+            .collect();
         let mut init_ops = Vec::new();
-        for t2 in 0..nt {
-            if cs.hot[t2].kind != TimingKind::Immediate {
-                emit_recheck(&mut init_ops, cs, t2 as u32);
-            }
+        for &t2 in &timed {
+            emit_recheck(&mut init_ops, cs, t2);
         }
 
         LoweredNet {
@@ -527,7 +528,9 @@ impl LoweredNet {
             sec,
             init_ops,
             scan: nt <= SCAN_MAX_TRANSITIONS,
+            timed,
             colored,
+            integ_places,
             integ,
             any_places,
             n_integ: n_integ as usize,
@@ -834,6 +837,9 @@ mod tests {
         assert!(lw.scan);
         assert!(!lw.colored);
         assert_eq!(lw.n_integ, 1);
+        assert_eq!(lw.integ_places, [(0, 0)]);
+        assert!(lw.integ.is_empty());
+        assert_eq!(lw.timed, [0, 1]);
         assert_eq!(lw.n_count, 0);
         // Two exponential RaceEnable transitions: the startup program is
         // two stride-padded OP_RE_EXP records with inline rates.

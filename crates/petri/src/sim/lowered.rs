@@ -5,19 +5,31 @@
 //! seed and advances it to its horizon in [`Hot::run`], a single fused
 //! loop that executes the net's [`LoweredNet`] micro-op program.
 //!
-//! Two levers make it fast:
+//! What makes it fast:
 //!
-//! * **Local slices.** The run's state is carved once into a [`Hot`] of
-//!   `&mut [..]` slices of length `nt`/`nc`, so the hot loop indexes
-//!   `fire_at[ti]` through a local slice whose length gives the optimizer
-//!   bounds it can hoist.
+//! * **Owned inline state.** [`Hot`] owns every per-run vector (the
+//!   marking and its dense count vector included), so the hot loop reaches
+//!   each one through the single `&mut self` pointer, with no second
+//!   indirection and no aliasing the optimizer has to assume.
 //! * **Monomorphized ops.** The per-event work is a walk over flat op
 //!   words with parameters inline; distribution sampling, memory-policy
 //!   handling, scan-vs-heap scheduling and colored-vs-dense firing are all
 //!   resolved per net, not per event ([`Hot::run`] is instantiated per
 //!   `(SCAN, GEN)` const-generic pair, selected once in
 //!   [`LoweredEngine::run`]).
-//!
+//! * **A timed-only scan.** Small nets find the next event by scanning the
+//!   clocks of their timed transitions only (an immediate's clock is
+//!   always `+inf`), in ascending tid order, with a select-based minimum
+//!   and no data-dependent branch.
+//! * **A one-candidate immediate path.** When exactly one immediate is
+//!   enabled, the cascade fires it outright; the priority pass, the
+//!   conflict set and the weighted RNG draw run only when two or more are
+//!   enabled.
+//! * **A tight reward loop.** Time-averaged place rewards integrate in one
+//!   multiply-add loop over `(place, accumulator)` pairs; only predicate
+//!   rewards go through the dispatched integration program. Every reward
+//!   owns its accumulator, so the split keeps each sum's addition order.
+
 //! # Determinism
 //!
 //! Each run owns its RNG, marking, schedule, counters and accumulators.
@@ -166,13 +178,15 @@ struct Shared<'x> {
     sec: &'x [u32],
     /// Startup recheck program.
     init_ops: &'x [u32],
-    /// Reward integration program.
+    /// Timed transitions in ascending tid order (the scan scheduler's
+    /// candidates).
+    timed: &'x [u32],
+    /// Time-averaged token-count rewards as `(place, acc)` pairs.
+    integ_places: &'x [(u32, u32)],
+    /// Predicate reward integration program.
     integ: &'x [IntegOp],
     /// Count indices watched by [`IntegOp::AnyNonEmpty`] ops.
     any_places: &'x [u32],
-    /// The dominant "one time-averaged place count" reward shape,
-    /// pre-matched so per-event integration is a single multiply-add.
-    integ1: Option<(u32, u32)>,
     cs: &'x CompiledSim,
     net: &'x Net,
     cfg: &'x SimConfig,
@@ -184,6 +198,9 @@ struct Shared<'x> {
     /// `REPRO_PROFILE` armed: wrap every fire section and every reward
     /// integration step in a clock read.
     profile_on: bool,
+    /// Calibrated clock-pair cost subtracted from every profiled sample
+    /// (zero when disarmed).
+    timer_ns: u64,
 }
 
 impl<'x> Shared<'x> {
@@ -197,10 +214,12 @@ impl<'x> Shared<'x> {
     }
 }
 
-/// The run's state, carved out of the engine's arenas as local slices:
-/// the whole hot loop runs against these (plus the clock, RNG and
-/// zero-time counter held by value).
-struct Hot<'x> {
+/// One replication's mutable state: per-transition arenas of length
+/// `nt`, per-condition arenas of length `nc`, the marking, the schedule,
+/// the counters and accumulators. Every vector is owned inline, so the
+/// hot loop reaches each one (the marking's count vector included)
+/// through a single pointer held by `&mut self`.
+struct Hot {
     rng: SimRng,
     now: f64,
     zero: u64,
@@ -208,29 +227,29 @@ struct Hot<'x> {
     /// Reward integration steps and nanoseconds timed by the profiler.
     integ_steps: u64,
     integ_ns: u64,
-    marking: &'x mut Marking,
-    heap: &'x mut Vec<HeapEntry>,
-    fire_at: &'x mut [f64],
-    gen: &'x mut [u64],
-    remaining: &'x mut [f64],
-    sched_state: &'x mut [u8],
-    cond_true: &'x mut [bool],
-    unsat: &'x mut [u32],
-    enabled_imm: &'x mut [u32],
-    imm_pos: &'x mut [u32],
-    firing_counts: &'x mut [u64],
-    acc_f: &'x mut [f64],
-    acc_c: &'x mut [u64],
-    profile_ns: &'x mut [u64],
-    trace: &'x mut TraceBuffer,
-    guard_scratch: &'x mut Vec<i64>,
-    consumed: &'x mut Vec<Color>,
-    consumed_offsets: &'x mut Vec<usize>,
-    candidates: &'x mut Vec<u32>,
-    weights: &'x mut Vec<f64>,
+    marking: Marking,
+    heap: Vec<HeapEntry>,
+    fire_at: Vec<f64>,
+    gen: Vec<u64>,
+    remaining: Vec<f64>,
+    sched_state: Vec<u8>,
+    cond_true: Vec<bool>,
+    unsat: Vec<u32>,
+    enabled_imm: Vec<u32>,
+    imm_pos: Vec<u32>,
+    firing_counts: Vec<u64>,
+    acc_f: Vec<f64>,
+    acc_c: Vec<u64>,
+    profile_ns: Vec<u64>,
+    trace: TraceBuffer,
+    guard_scratch: Vec<i64>,
+    consumed: Vec<Color>,
+    consumed_offsets: Vec<usize>,
+    candidates: Vec<u32>,
+    weights: Vec<f64>,
 }
 
-impl<'x> Hot<'x> {
+impl Hot {
     // ---- debug oracles: full-rescan cross-checks ----
 
     #[cfg(debug_assertions)]
@@ -238,7 +257,7 @@ impl<'x> Hot<'x> {
         let t = sh.net.transition(TransitionId(t2 as u32));
         debug_assert_eq!(
             self.unsat[t2] == 0,
-            is_enabled_slow(self.marking, t),
+            is_enabled_slow(&self.marking, t),
             "lowered enabled bit diverged from rescan for {:?}",
             t.name
         );
@@ -255,7 +274,7 @@ impl<'x> Hot<'x> {
     fn oracle_imm_index(&self, sh: &Shared<'_>) {
         for &tid in &sh.cs.immediates {
             let in_index = self.imm_pos[tid.index()] != NOT_QUEUED;
-            let enabled = is_enabled_slow(self.marking, sh.net.transition(tid));
+            let enabled = is_enabled_slow(&self.marking, sh.net.transition(tid));
             debug_assert_eq!(
                 in_index,
                 enabled,
@@ -332,7 +351,7 @@ impl<'x> Hot<'x> {
                 tid: ti as u32,
                 gen: self.gen[ti],
             };
-            heap_push(self.heap, e);
+            heap_push(&mut self.heap, e);
         }
     }
 
@@ -348,24 +367,28 @@ impl<'x> Hot<'x> {
         at
     }
 
-    /// Next event: scan the stripe (small nets) or surface the next valid
-    /// heap entry (stale entries die here). Neither consumes the event.
+    /// Next event: scan the timed clocks (small nets) or surface the next
+    /// valid heap entry (stale entries die here). Neither consumes the
+    /// event.
     #[inline(always)]
-    fn next_event<const SCAN: bool>(&mut self) -> Option<(f64, u32)> {
+    fn next_event<const SCAN: bool>(&mut self, sh: &Shared<'_>) -> Option<(f64, u32)> {
         if SCAN {
-            // Unscheduled clocks hold +inf, so the scan needs no sentinel
-            // test — one plain `<` per slot. Strict `<` keeps the lowest
-            // tid on ties, matching the heap's `(time, tid)` order (no
+            // Only timed transitions are read: an immediate's clock is
+            // always +inf. Unscheduled clocks hold +inf too, so the scan
+            // needs no sentinel test, and the min is two selects on one
+            // `<` per clock, with no data-dependent branch. Walking `timed`
+            // in ascending tid order with strict `<` keeps the lowest tid
+            // on ties, matching the heap's `(time, tid)` order (no
             // reachable schedule time is NaN or -0.0, so `<` agrees with
             // `total_cmp` here). An all-idle run surfaces `(inf, 0)`,
             // which the caller's `time < end` guard retires.
             let mut best_t = f64::INFINITY;
             let mut best_ti = 0u32;
-            for (ti, &at) in self.fire_at.iter().enumerate() {
-                if at < best_t {
-                    best_t = at;
-                    best_ti = ti as u32;
-                }
+            for &ti in sh.timed {
+                let at = self.fire_at[ti as usize];
+                let earlier = at < best_t;
+                best_t = if earlier { at } else { best_t };
+                best_ti = if earlier { ti } else { best_ti };
             }
             Some((best_t, best_ti))
         } else {
@@ -376,7 +399,7 @@ impl<'x> Hot<'x> {
                         if e.gen == self.gen[e.tid as usize] {
                             break Some((e.time, e.tid));
                         }
-                        heap_pop(self.heap);
+                        heap_pop(&mut self.heap);
                     }
                 }
             }
@@ -449,8 +472,9 @@ impl<'x> Hot<'x> {
     /// Execute transition `ti`'s fire section, attributing its wall time
     /// when the profiler is armed. The disarmed path is a single
     /// well-predicted branch in front of [`Hot::exec_fire_inner`]; the
-    /// armed path reads the monotonic clock twice and folds the delta
-    /// into the run's per-transition nanosecond counters (flushed to
+    /// armed path reads the monotonic clock twice and folds the delta,
+    /// less the calibrated timer cost, into the run's per-transition
+    /// nanosecond counters (flushed to
     /// [`super::profile`] when the run finishes).
     #[inline(always)]
     fn exec_fire<const GEN: bool>(
@@ -464,7 +488,7 @@ impl<'x> Hot<'x> {
         }
         let t0 = std::time::Instant::now();
         let res = self.exec_fire_inner::<GEN>(sh, ti, ops);
-        self.profile_ns[ti] += t0.elapsed().as_nanos() as u64;
+        self.profile_ns[ti] += super::profile::sample_ns(t0, sh.timer_ns);
         res
     }
 
@@ -542,7 +566,7 @@ impl<'x> Hot<'x> {
                 }
                 OP_C_GUARD if GEN => {
                     let prog = &sh.cs.guards[ops[pc + 1] as usize];
-                    let now_true = prog.eval_bool(self.marking, self.guard_scratch);
+                    let now_true = prog.eval_bool(&self.marking, &mut self.guard_scratch);
                     let (ci, tf) = ((w >> 8) as usize, ops[pc + 2]);
                     pc += 3;
                     if now_true != self.cond_true[ci] {
@@ -752,7 +776,7 @@ impl<'x> Hot<'x> {
     /// integration counters when the profiler is armed.
     #[inline(always)]
     fn integrate(&mut self, sh: &Shared<'_>, until: f64) {
-        if sh.integ.is_empty() {
+        if sh.integ_places.is_empty() && sh.integ.is_empty() {
             return;
         }
         if !sh.profile_on {
@@ -761,7 +785,7 @@ impl<'x> Hot<'x> {
         let t0 = std::time::Instant::now();
         self.integrate_inner(sh, until);
         self.integ_steps += 1;
-        self.integ_ns += t0.elapsed().as_nanos() as u64;
+        self.integ_ns += super::profile::sample_ns(t0, sh.timer_ns);
     }
 
     #[inline(always)]
@@ -771,15 +795,14 @@ impl<'x> Hot<'x> {
         if dt <= 0.0 {
             return;
         }
-        if let Some((place, acc)) = sh.integ1 {
-            self.acc_f[acc as usize] += self.marking.count_raw(place) as f64 * dt;
-            return;
+        // Every reward owns its accumulator, so running the place table
+        // before the predicate program keeps each sum's addition order.
+        let counts = self.marking.counts();
+        for &(place, acc) in sh.integ_places {
+            self.acc_f[acc as usize] += counts[place as usize] as f64 * dt;
         }
         for op in sh.integ {
             match *op {
-                IntegOp::Place { place, acc } => {
-                    self.acc_f[acc as usize] += self.marking.count_raw(place) as f64 * dt;
-                }
                 IntegOp::PredCnt {
                     place,
                     need,
@@ -803,7 +826,7 @@ impl<'x> Hot<'x> {
                     let prog = sh.pred_progs[prog as usize]
                         .as_ref()
                         .expect("predicate reward has a compiled program");
-                    if prog.eval_bool(self.marking, self.guard_scratch) {
+                    if prog.eval_bool(&self.marking, &mut self.guard_scratch) {
                         self.acc_f[acc as usize] += dt;
                     }
                 }
@@ -835,33 +858,12 @@ impl<'x> Hot<'x> {
     ) -> Result<(), SimError> {
         loop {
             self.oracle_imm_index(sh);
-            let len = self.imm_len as usize;
-            if len == 0 {
-                return Ok(());
-            }
-            self.candidates.clear();
-            let mut best_pri = 0u8;
-            for i in 0..len {
-                let tid = self.enabled_imm[i];
-                let pri = sh.cs.hot[tid as usize].priority;
-                if self.candidates.is_empty() || pri > best_pri {
-                    best_pri = pri;
-                    self.candidates.clear();
-                    self.candidates.push(tid);
-                } else if pri == best_pri {
-                    self.candidates.push(tid);
-                }
-            }
-            self.candidates.sort_unstable();
-            let chosen = if self.candidates.len() == 1 {
-                self.candidates[0]
-            } else {
-                self.weights.clear();
-                for i in 0..self.candidates.len() {
-                    self.weights
-                        .push(sh.cs.hot[self.candidates[i] as usize].weight);
-                }
-                self.candidates[self.rng.weighted_choice(&self.weights[..])]
+            let chosen = match self.imm_len {
+                0 => return Ok(()),
+                // A lone enabled immediate fires outright: no priority
+                // pass, no conflict set, no RNG draw.
+                1 => self.enabled_imm[0],
+                _ => self.choose_immediate(sh),
             };
             let ti = chosen as usize;
             let (f0, f1, r1) = sh.sections(ti);
@@ -871,7 +873,58 @@ impl<'x> Hot<'x> {
         }
     }
 
+    /// Pick the next immediate among several enabled ones: the highest
+    /// priority wins; equal-priority conflicts are resolved by weight,
+    /// drawing from the RNG only when at least two candidates remain.
+    fn choose_immediate(&mut self, sh: &Shared<'_>) -> u32 {
+        self.candidates.clear();
+        let mut best_pri = 0u8;
+        for i in 0..self.imm_len as usize {
+            let tid = self.enabled_imm[i];
+            let pri = sh.cs.hot[tid as usize].priority;
+            if self.candidates.is_empty() || pri > best_pri {
+                best_pri = pri;
+                self.candidates.clear();
+                self.candidates.push(tid);
+            } else if pri == best_pri {
+                self.candidates.push(tid);
+            }
+        }
+        if self.candidates.len() == 1 {
+            return self.candidates[0];
+        }
+        self.candidates.sort_unstable();
+        self.weights.clear();
+        for i in 0..self.candidates.len() {
+            self.weights
+                .push(sh.cs.hot[self.candidates[i] as usize].weight);
+        }
+        self.candidates[self.rng.weighted_choice(&self.weights[..])]
+    }
+
     // ---- run lifecycle ----
+
+    /// Evaluate every condition from scratch and build the enabled sets
+    /// (start of run only).
+    fn init_conditions(&mut self, cs: &CompiledSim) {
+        for (ci, cond) in cs.conds.iter().enumerate() {
+            let t = cs.eval_cond(&self.marking, &mut self.guard_scratch, cond);
+            self.cond_true[ci] = t;
+            if !t {
+                self.unsat[cond.tid as usize] += 1;
+            }
+        }
+        for (st, &unsat) in self.sched_state.iter_mut().zip(&self.unsat) {
+            if unsat == 0 {
+                *st |= ST_ENABLED;
+            }
+        }
+        for &tid in &cs.immediates {
+            if self.unsat[tid.index()] == 0 {
+                self.imm_insert(tid.0);
+            }
+        }
+    }
 
     /// The pre-loop work: run the startup recheck program
     /// (initial scheduling pass), then the time-zero immediate cascade.
@@ -891,14 +944,14 @@ impl<'x> Hot<'x> {
         end: f64,
     ) -> Result<(), SimError> {
         loop {
-            let next = self.next_event::<SCAN>();
+            let next = self.next_event::<SCAN>(sh);
             match next {
                 // `time < end` (not `>=`) mirrors the reference engine's
                 // `e.time < cfg.end_time` guard, including a NaN horizon.
                 Some((time, tid)) if time < end => {
                     let ti = tid as usize;
                     if !SCAN {
-                        heap_pop(self.heap);
+                        heap_pop(&mut self.heap);
                         self.gen[ti] += 1;
                     }
                     self.integrate(sh, time);
@@ -955,9 +1008,8 @@ fn erlang(rng: &mut SimRng, rate: f64, k: u32) -> f64 {
 // The lowered engine
 // ---------------------------------------------------------------------------
 
-/// One replication's state for the lowered engine: per-transition arenas
-/// of length `nt`, per-condition arenas of length `nc`, sliced into a
-/// [`Hot`] while the run executes.
+/// One replication of the lowered engine: the net's program and
+/// configuration, plus the run's [`Hot`] state.
 pub(super) struct LoweredEngine<'e> {
     lw: &'e LoweredNet,
     cs: &'e CompiledSim,
@@ -965,28 +1017,7 @@ pub(super) struct LoweredEngine<'e> {
     cfg: &'e SimConfig,
     pred_progs: &'e [Option<CompiledExpr>],
     max_tokens: usize,
-    seed: u64,
-    marking: Marking,
-    heap: Vec<HeapEntry>,
-    fire_at: Vec<f64>,
-    gen: Vec<u64>,
-    remaining: Vec<f64>,
-    sched_state: Vec<u8>,
-    cond_true: Vec<bool>,
-    unsat: Vec<u32>,
-    enabled_imm: Vec<u32>,
-    imm_len: u32,
-    imm_pos: Vec<u32>,
-    firing_counts: Vec<u64>,
-    acc_f: Vec<f64>,
-    acc_c: Vec<u64>,
-    profile_ns: Vec<u64>,
-    trace: TraceBuffer,
-    guard_scratch: Vec<i64>,
-    consumed: Vec<Color>,
-    consumed_offsets: Vec<usize>,
-    candidates: Vec<u32>,
-    weights: Vec<f64>,
+    hot: Hot,
 }
 
 impl<'e> LoweredEngine<'e> {
@@ -1008,14 +1039,13 @@ impl<'e> LoweredEngine<'e> {
                 sched_state[ti] = ST_RESAMPLE;
             }
         }
-        let mut eng = LoweredEngine {
-            lw,
-            cs,
-            net,
-            cfg: &sim.cfg,
-            pred_progs: &sim.pred_progs,
-            max_tokens: effective_token_limit(&sim.cfg),
-            seed,
+        let mut hot = Hot {
+            rng: SimRng::seed_from_u64(seed),
+            now: 0.0,
+            zero: 0,
+            imm_len: 0,
+            integ_steps: 0,
+            integ_ns: 0,
             marking: net.initial_marking(),
             heap: Vec::with_capacity(if lw.scan { 0 } else { nt * 2 }),
             fire_at: vec![f64::INFINITY; nt],
@@ -1025,7 +1055,6 @@ impl<'e> LoweredEngine<'e> {
             cond_true: vec![false; cs.conds.len()],
             unsat: cs.base_unsat.clone(),
             enabled_imm: vec![0; cs.immediates.len()],
-            imm_len: 0,
             imm_pos: vec![NOT_QUEUED; nt],
             firing_counts: vec![0; nt],
             acc_f: vec![0.0; lw.n_integ],
@@ -1038,32 +1067,15 @@ impl<'e> LoweredEngine<'e> {
             candidates: Vec::with_capacity(4),
             weights: Vec::with_capacity(4),
         };
-        eng.init_conditions();
-        eng
-    }
-
-    /// Evaluate every condition from scratch and build the enabled sets
-    /// (start of run only).
-    fn init_conditions(&mut self) {
-        let cs = self.cs;
-        for (ci, cond) in cs.conds.iter().enumerate() {
-            let t = cs.eval_cond(&self.marking, &mut self.guard_scratch, cond);
-            self.cond_true[ci] = t;
-            if !t {
-                self.unsat[cond.tid as usize] += 1;
-            }
-        }
-        for (st, &unsat) in self.sched_state.iter_mut().zip(&self.unsat) {
-            if unsat == 0 {
-                *st |= ST_ENABLED;
-            }
-        }
-        for &tid in &cs.immediates {
-            if self.unsat[tid.index()] == 0 {
-                self.imm_pos[tid.index()] = self.imm_len;
-                self.enabled_imm[self.imm_len as usize] = tid.0;
-                self.imm_len += 1;
-            }
+        hot.init_conditions(cs);
+        LoweredEngine {
+            lw,
+            cs,
+            net,
+            cfg: &sim.cfg,
+            pred_progs: &sim.pred_progs,
+            max_tokens: effective_token_limit(&sim.cfg),
+            hot,
         }
     }
 
@@ -1078,21 +1090,17 @@ impl<'e> LoweredEngine<'e> {
         }
     }
 
-    /// Slice the arenas into a [`Hot`] and drive it to completion (start
-    /// + main loop).
+    /// Drive the run to completion (start + main loop).
     fn drive<const SCAN: bool, const GEN: bool>(mut self) -> Result<SimOutput, SimError> {
-        // Copy the shared references out of `self` so the context does not
-        // conflict with the mutable borrows below.
+        let profile_on = super::profile::armed();
         let sh = Shared {
             ops: &self.lw.ops,
             sec: &self.lw.sec,
             init_ops: &self.lw.init_ops,
+            timed: &self.lw.timed,
+            integ_places: &self.lw.integ_places,
             integ: &self.lw.integ,
             any_places: &self.lw.any_places,
-            integ1: match self.lw.integ.as_slice() {
-                [IntegOp::Place { place, acc }] => Some((*place, *acc)),
-                _ => None,
-            },
             cs: self.cs,
             net: self.net,
             cfg: self.cfg,
@@ -1101,52 +1109,32 @@ impl<'e> LoweredEngine<'e> {
             warmup: self.cfg.warmup,
             max_zero: self.cfg.max_zero_time_firings,
             trace_on: self.cfg.trace_capacity > 0,
-            profile_on: super::profile::armed(),
+            profile_on,
+            timer_ns: if profile_on {
+                super::profile::timer_cost_ns()
+            } else {
+                0
+            },
         };
-        let mut hot = Hot {
-            rng: SimRng::seed_from_u64(self.seed),
-            now: 0.0,
-            zero: 0,
-            imm_len: self.imm_len,
-            integ_steps: 0,
-            integ_ns: 0,
-            marking: &mut self.marking,
-            heap: &mut self.heap,
-            fire_at: &mut self.fire_at,
-            gen: &mut self.gen,
-            remaining: &mut self.remaining,
-            sched_state: &mut self.sched_state,
-            cond_true: &mut self.cond_true,
-            unsat: &mut self.unsat,
-            enabled_imm: &mut self.enabled_imm,
-            imm_pos: &mut self.imm_pos,
-            firing_counts: &mut self.firing_counts,
-            acc_f: &mut self.acc_f,
-            acc_c: &mut self.acc_c,
-            profile_ns: &mut self.profile_ns,
-            trace: &mut self.trace,
-            guard_scratch: &mut self.guard_scratch,
-            consumed: &mut self.consumed,
-            consumed_offsets: &mut self.consumed_offsets,
-            candidates: &mut self.candidates,
-            weights: &mut self.weights,
-        };
-        hot.start::<SCAN, GEN>(&sh)?;
-        hot.run::<SCAN, GEN>(&sh, self.cfg.end_time)?;
-        let integ = (hot.integ_steps, hot.integ_ns);
-        Ok(self.finalize(integ))
+        self.hot.start::<SCAN, GEN>(&sh)?;
+        self.hot.run::<SCAN, GEN>(&sh, self.cfg.end_time)?;
+        Ok(self.finalize())
     }
 
-    /// Package the finished run's output; `integ` is the profiled reward
-    /// integration (steps, nanoseconds).
-    fn finalize(self, integ: (u64, u64)) -> SimOutput {
+    /// Package the finished run's output.
+    fn finalize(self) -> SimOutput {
+        let hot = self.hot;
         if super::profile::armed() {
             // Flush the run's profile counters into the process-global
             // table.
             for (ti, t) in self.net.transitions().iter().enumerate() {
-                super::profile::record(&t.name, self.firing_counts[ti], self.profile_ns[ti]);
+                super::profile::record(&t.name, hot.firing_counts[ti], hot.profile_ns[ti]);
             }
-            super::profile::record(super::profile::INTEGRATION_ROW, integ.0, integ.1);
+            super::profile::record(
+                super::profile::INTEGRATION_ROW,
+                hot.integ_steps,
+                hot.integ_ns,
+            );
         }
         let end = self.cfg.end_time;
         let observed = (end - self.cfg.warmup).max(0.0);
@@ -1156,19 +1144,19 @@ impl<'e> LoweredEngine<'e> {
             .reward_map
             .iter()
             .map(|rm| match *rm {
-                LoweredReward::Integral(i) => per_time(self.acc_f[i as usize]),
-                LoweredReward::Rate(i) => per_time(self.acc_c[i as usize] as f64),
-                LoweredReward::Count(i) => self.acc_c[i as usize] as f64,
+                LoweredReward::Integral(i) => per_time(hot.acc_f[i as usize]),
+                LoweredReward::Rate(i) => per_time(hot.acc_c[i as usize] as f64),
+                LoweredReward::Count(i) => hot.acc_c[i as usize] as f64,
             })
             .collect();
         SimOutput {
             end_time: end,
             observed_time: observed,
             rewards,
-            firing_counts: self.firing_counts,
-            final_marking: self.marking,
-            trace_dropped: self.trace.dropped,
-            trace: self.trace.into_events(),
+            firing_counts: hot.firing_counts,
+            final_marking: hot.marking,
+            trace_dropped: hot.trace.dropped,
+            trace: hot.trace.into_events(),
         }
     }
 }

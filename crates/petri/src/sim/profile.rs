@@ -9,6 +9,13 @@
 //! Disarmed (the default) the hot loop takes the branch-predicted
 //! `profile_on == false` path and never touches a clock.
 //!
+//! Each sample brackets its work with one `Instant::now()` pair, and on
+//! the engine's short sections the pair itself costs about as much as the
+//! work. So the first armed run calibrates that cost once (the median
+//! of 1001 back-to-back pairs around no work) and every sample subtracts
+//! it, saturating at zero. [`render_table`] names the method and the
+//! subtracted cost.
+//!
 //! The profiler is **observably inert**: it reads wall time and counters
 //! the engine already maintains, never the RNG or any simulation state, so
 //! armed and disarmed runs produce byte-identical artifacts (asserted by
@@ -20,6 +27,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 /// Name of the row that collects reward integration time (parenthesized so
 /// it cannot collide with a transition name in the paper's nets).
@@ -37,6 +45,34 @@ pub fn armed() -> bool {
     })
 }
 
+/// Number of empty clock pairs timed by [`timer_cost_ns`].
+const CALIBRATION_PAIRS: usize = 1001;
+
+/// Calibrated cost, in nanoseconds, of one profiler sample's clock pair
+/// (`Instant::now()` then `elapsed()`) around no work: the median of
+/// [`CALIBRATION_PAIRS`] such pairs, measured once per process.
+pub(crate) fn timer_cost_ns() -> u64 {
+    static COST: OnceLock<u64> = OnceLock::new();
+    *COST.get_or_init(|| {
+        let mut pairs: Vec<u64> = (0..CALIBRATION_PAIRS)
+            .map(|_| {
+                let t0 = Instant::now();
+                std::hint::black_box(());
+                t0.elapsed().as_nanos() as u64
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs[CALIBRATION_PAIRS / 2]
+    })
+}
+
+/// One sample's attributed time: the clock pair's reading started at
+/// `t0`, less the calibrated timer cost (never below zero).
+#[inline]
+pub(crate) fn sample_ns(t0: Instant, timer_ns: u64) -> u64 {
+    (t0.elapsed().as_nanos() as u64).saturating_sub(timer_ns)
+}
+
 /// One transition's aggregated profile.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileRow {
@@ -45,7 +81,8 @@ pub struct ProfileRow {
     pub transition: String,
     /// Total firings attributed to this transition.
     pub firings: u64,
-    /// Total nanoseconds spent in this transition's fire section.
+    /// Total nanoseconds spent in this transition's fire section, net of
+    /// the calibrated timer cost.
     pub ns: u64,
 }
 
@@ -90,7 +127,8 @@ pub fn reset() {
     table().lock().expect("profile table poisoned").clear();
 }
 
-/// Render a snapshot as an aligned text table.
+/// Render a snapshot as an aligned text table. The header line names the
+/// timer-cost correction the samples carry.
 pub fn render_table(rows: &[ProfileRow]) -> String {
     if rows.is_empty() {
         return "engine profile: no transitions fired\n".to_string();
@@ -103,8 +141,13 @@ pub fn render_table(rows: &[ProfileRow]) -> String {
         .max("transition".len());
     let mut out = String::new();
     out.push_str(&format!(
-        "{:name_w$}  {:>12}  {:>14}  {:>10}\n",
-        "transition", "firings", "total_ns", "ns/firing"
+        "{:name_w$}  {:>12}  {:>14}  {:>10}  (net of {} ns timer cost per sample: median of {} empty clock pairs)\n",
+        "transition",
+        "firings",
+        "total_ns",
+        "ns/firing",
+        timer_cost_ns(),
+        CALIBRATION_PAIRS
     ));
     for r in rows {
         let per = r.ns.checked_div(r.firings).unwrap_or(0);
@@ -146,8 +189,24 @@ mod tests {
         let txt = render_table(&rows);
         assert!(txt.contains("transition"));
         assert!(txt.contains("ns/firing"));
+        assert!(txt
+            .lines()
+            .next()
+            .unwrap()
+            .contains("timer cost per sample"));
         assert!(txt.contains("arrive"));
         assert!(txt.lines().nth(1).unwrap().trim_end().ends_with("25"));
         assert_eq!(render_table(&[]), "engine profile: no transitions fired\n");
+    }
+
+    #[test]
+    fn timer_cost_is_calibrated_once_and_subtracted_saturating() {
+        let cost = timer_cost_ns();
+        assert_eq!(timer_cost_ns(), cost);
+        // A sample can never go negative, however large the subtrahend.
+        assert_eq!(sample_ns(Instant::now(), u64::MAX), 0);
+        let t0 = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert!(sample_ns(t0, 0) >= 2_000_000);
     }
 }

@@ -351,6 +351,207 @@ fn lowered_differential_token_overflow_errors() {
     );
 }
 
+// --- fast paths of the scan scheduler, the immediate cascade and the ------
+// --- reward loop ------------------------------------------------------------
+
+/// The scan scheduler reads only the timed transitions, in ascending tid
+/// order. Here timed transitions sit between immediates in tid order, and
+/// their deterministic delays tie at every whole and half instant, so the
+/// lowest-tid tie rule decides the firing order at each tie.
+#[test]
+fn lowered_differential_scan_ties_between_interleaved_immediates() {
+    let mut b = NetBuilder::new("interleaved-ties");
+    let clk_a = b.place("clk_a").tokens(1).build();
+    let clk_b = b.place("clk_b").tokens(1).build();
+    let clk_c = b.place("clk_c").tokens(1).build();
+    let x = b.place("x").build();
+    let y = b.place("y").build();
+    let z = b.place("z").build();
+    let sink = b.place("sink").build();
+    let imm_x = b
+        .transition("imm_x", Timing::immediate())
+        .input(x, 1)
+        .output(y, 1)
+        .build();
+    let tick_a = b
+        .transition("tick_a", Timing::deterministic(1.0))
+        .input(clk_a, 1)
+        .output(clk_a, 1)
+        .output(x, 1)
+        .build();
+    let imm_y = b
+        .transition("imm_y", Timing::immediate_pri(2))
+        .input(y, 1)
+        .output(z, 1)
+        .build();
+    let tick_b = b
+        .transition("tick_b", Timing::deterministic(1.0))
+        .input(clk_b, 1)
+        .output(clk_b, 1)
+        .output(y, 1)
+        .build();
+    b.transition("imm_z", Timing::immediate())
+        .input(z, 2)
+        .output(sink, 1)
+        .build();
+    let tick_c = b
+        .transition("tick_c", Timing::deterministic(0.5))
+        .input(clk_c, 1)
+        .output(clk_c, 1)
+        .output(z, 1)
+        .build();
+    b.transition("drain", Timing::exponential(3.0))
+        .input(sink, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(40.0).with_trace(4096));
+    sim.reward_place(z);
+    sim.reward_place(sink);
+    assert_lowered_identical(&sim, "interleaved-ties");
+
+    // The tie rule itself: at every whole instant the three ticks fire in
+    // tid order, each followed by the immediates it enables.
+    let out = sim.run(0).unwrap();
+    assert_eq!(out.trace_dropped, 0);
+    let ticks: Vec<_> = out
+        .trace
+        .iter()
+        .filter(|e| e.time == 1.0 && [tick_a, tick_b, tick_c].contains(&e.transition))
+        .map(|e| e.transition)
+        .collect();
+    assert_eq!(ticks, [tick_a, tick_b, tick_c]);
+    let at_one: Vec<_> = out
+        .trace
+        .iter()
+        .filter(|e| e.time == 1.0)
+        .map(|e| e.transition)
+        .collect();
+    assert_eq!(&at_one[..3], [tick_a, imm_x, imm_y]);
+}
+
+/// The cascade alternates between exactly one enabled immediate (fired
+/// without an RNG draw) and two equal-priority ones (one weighted draw).
+/// An extra or missing draw in either case would shift every later
+/// exponential delay, so the differential check sees it.
+#[test]
+fn lowered_differential_one_and_several_enabled_immediates() {
+    let mut b = NetBuilder::new("one-then-several");
+    let src = b.place("src").build();
+    let one = b.place("one").tokens(1).build();
+    let many = b.place("many").build();
+    let done = b.place("done").build();
+    let px = b.place("px").build();
+    let py = b.place("py").build();
+    b.transition("gen", Timing::exponential(2.0))
+        .output(src, 1)
+        .build();
+    let solo = b
+        .transition("solo", Timing::immediate())
+        .input(src, 1)
+        .input(one, 1)
+        .output(done, 1)
+        .output(many, 1)
+        .build();
+    let pick_x = b
+        .transition("pick_x", Timing::immediate())
+        .input(src, 1)
+        .input(many, 1)
+        .output(px, 1)
+        .output(one, 1)
+        .build();
+    let pick_y = b
+        .transition(
+            "pick_y",
+            Timing::Immediate {
+                priority: 1,
+                weight: 3.0,
+            },
+        )
+        .input(src, 1)
+        .input(many, 1)
+        .output(py, 1)
+        .output(one, 1)
+        .build();
+    for (name, p) in [("drain_done", done), ("drain_x", px), ("drain_y", py)] {
+        b.transition(name, Timing::exponential(5.0))
+            .input(p, 1)
+            .build();
+    }
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(300.0).with_trace(64));
+    sim.reward_place(px);
+    sim.reward_place(py);
+    assert_lowered_identical(&sim, "one-then-several");
+
+    // Both cases really occur, and they alternate.
+    let out = sim.run(3).unwrap();
+    let fired = |t: TransitionId| out.firing_counts[t.index()];
+    let (n_solo, n_x, n_y) = (fired(solo), fired(pick_x), fired(pick_y));
+    assert!(n_x > 0 && n_y > 0, "no weighted conflict was resolved");
+    assert!(n_solo.abs_diff(n_x + n_y) <= 1, "{n_solo} vs {n_x} + {n_y}");
+}
+
+/// Every reward shape, registered interleaved: place averages between
+/// threshold predicates, "any place non-empty" predicates, general
+/// predicate programs and firing counters. The lowered engine integrates
+/// place averages in one loop ahead of the predicate program, so each
+/// reward must still be reported at its registration index.
+#[test]
+fn lowered_differential_interleaved_reward_shapes() {
+    let mut b = NetBuilder::new("reward-shapes");
+    let a = b.place("a").build();
+    let c = b.place("c").build();
+    let d = b.place("d").build();
+    let gen = b
+        .transition("gen", Timing::exponential(2.0))
+        .output(a, 1)
+        .build();
+    b.transition("move", Timing::exponential(1.5))
+        .input(a, 1)
+        .output(c, 1)
+        .build();
+    b.transition("split", Timing::uniform(0.1, 0.9))
+        .input(c, 1)
+        .output(d, 2)
+        .build();
+    let drain = b
+        .transition("drain", Timing::exponential(4.0))
+        .input(d, 1)
+        .build();
+    let net = b.build().unwrap();
+    let specs = vec![
+        RewardSpec::PlaceTokens(c),
+        RewardSpec::Predicate(Expr::count(a).gt_c(1)),
+        RewardSpec::Throughput(gen),
+        RewardSpec::PlaceTokens(a),
+        RewardSpec::Predicate(Expr::count(a).gt_c(0).or(Expr::count(d).gt_c(0))),
+        RewardSpec::Predicate(Expr::count(a).add(Expr::count(c)).gt_c(2)),
+        RewardSpec::PlaceTokens(d),
+        RewardSpec::FiringCount(drain),
+        RewardSpec::Predicate(Expr::count(d).lt_c(3)),
+        RewardSpec::PlaceTokens(a),
+    ];
+    let cfg = SimConfig::for_horizon(150.0).with_warmup(10.0);
+    let mut sim = Simulator::new(&net, cfg.clone());
+    for spec in &specs {
+        sim.reward(spec.clone()).unwrap();
+    }
+    assert_lowered_identical(&sim, "reward-shapes");
+
+    // Each reported value is the one its spec yields when registered
+    // alone.
+    for seed in 0..5 {
+        let all = sim.run(seed).unwrap().rewards;
+        assert_eq!(all.len(), specs.len());
+        for (i, spec) in specs.iter().enumerate() {
+            let mut alone = Simulator::new(&net, cfg.clone());
+            alone.reward(spec.clone()).unwrap();
+            let want = alone.run(seed).unwrap().rewards[0];
+            assert_eq!(all[i].to_bits(), want.to_bits(), "reward {i} ({spec:?})");
+        }
+    }
+}
+
 // --- randomized cross-engine agreement -------------------------------------
 
 /// One random uncolored transition description.
