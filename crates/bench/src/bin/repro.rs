@@ -104,18 +104,15 @@
 //!                                #   corrupt entries, evict LRU over budget
 //! ```
 //!
-//! Telemetry: every tier records counters/gauges/histograms into the
-//! process-wide registry (`sim_runtime::telemetry`), exposed as Prometheus
-//! text on the gateway's `GET /metrics`. Set `REPRO_TELEMETRY=off` to
-//! disable recording entirely; artifacts are byte-identical either way.
-//!
-//! Tracing: every tier also records causal spans (submit, queue-wait,
-//! dispatch, pool-checkout, slot, engine-run) into the process-wide ring
-//! (`sim_runtime::trace`), with worker subprocesses shipping their spans
-//! back in an advisory frame. Fetch a job's trace with `repro trace` or
-//! `GET /jobs/<id>/trace`; failing jobs dump their last spans to a flight
-//! record file. Set `REPRO_TRACE=off` to disable; artifacts are
-//! byte-identical either way.
+//! Instrumentation: every tier records into one layer
+//! (`sim_runtime::obs`). Ending a span (submit, queue-wait, dispatch,
+//! pool-checkout, slot, engine-run) feeds its histogram and, under a job
+//! trace, the process-wide span ring; worker subprocesses ship their spans
+//! back in an advisory frame. The gateway's `GET /metrics` renders the
+//! histograms as Prometheus text; fetch a job's trace with `repro trace`
+//! or `GET /jobs/<id>/trace`; failing jobs dump their last spans to a
+//! flight record file. Set `REPRO_TELEMETRY=off` to silence all of it;
+//! artifacts are byte-identical either way.
 //!
 //! `repro --worker [--listen ADDR]` is not a user-facing mode: it serves
 //! task-manifest frames against the job registry

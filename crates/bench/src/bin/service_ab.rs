@@ -3,7 +3,7 @@
 //! deterministic replication per point), against a real `repro serve`
 //! process on loopback.
 //!
-//! Seven measurements:
+//! Six measurements:
 //!
 //! 1. **Byte identity** (asserted before any timing): the served gather —
 //!    fresh *and* cache-hit — must reproduce the in-process slot bytes
@@ -30,14 +30,13 @@
 //!    *schedule* (not the possibly-late actual submission), so queueing
 //!    delay accumulates in the measure once the offered rate crosses
 //!    capacity instead of being absorbed by coordinated omission.
-//! 6. **Telemetry overhead**: paired daemons with `REPRO_TELEMETRY` on
-//!    vs off running the same cold sweep (interleaved, alternating
+//! 6. **Instrumentation overhead**: paired daemons with
+//!    `REPRO_TELEMETRY` on vs off — the one switch over histograms and
+//!    spans — running the same cold sweep (interleaved, alternating
 //!    order), byte identity asserted, then the median-of-pairs on/off
-//!    time ratio. The registry's whole point is to be observably inert:
-//!    the binary asserts the overhead stays under [`MAX_TELEMETRY_PCT`].
-//! 7. **Trace overhead**: the same paired protocol with `REPRO_TRACE` on
-//!    vs off — the span ring records on every submit/dispatch/slot, so it
-//!    gets its own inertness gate under [`MAX_TRACE_PCT`].
+//!    time ratio. Instrumentation's whole point is to be observably
+//!    inert: the binary asserts the overhead stays under
+//!    [`MAX_TELEMETRY_PCT`].
 //!
 //! Fleet counters are process-global and monotone; every per-phase fleet
 //! number below is a [`FleetSnapshot::delta_since`] against the phase
@@ -69,16 +68,11 @@ const SEED: u64 = 0xF14;
 /// re-simulating the sweep.
 const MIN_HIT_SPEEDUP: f64 = 2.0;
 
-/// Maximum accepted telemetry-on vs telemetry-off overhead, in percent of
-/// the cold submit+fetch time. Recording is a handful of relaxed atomics
-/// per engine run / grid slot / protocol verb, so it must vanish next to
-/// the simulation itself.
+/// Maximum accepted recording-on vs recording-off overhead, in percent
+/// of the cold submit+fetch time. Recording is a handful of relaxed
+/// atomics per engine run / grid slot / protocol verb plus one ring push
+/// per traced span, so it must vanish next to the simulation itself.
 const MAX_TELEMETRY_PCT: f64 = 2.0;
-
-/// Maximum accepted trace-on vs trace-off overhead, in percent of the
-/// cold submit+fetch time. A span is one ring-buffer push off the result
-/// path, so like telemetry it must vanish next to the simulation.
-const MAX_TRACE_PCT: f64 = 2.0;
 
 fn job() -> NodeSweepJob {
     NodeSweepJob {
@@ -372,10 +366,10 @@ fn main() {
         });
     }
 
-    // Telemetry overhead: paired daemons with recording enabled vs
-    // disabled, caches off so every sweep is a genuine cold simulation.
-    // Byte identity is asserted before any timing — the registry must be
-    // observably inert, not just cheap.
+    // Instrumentation overhead: paired daemons with recording (histograms
+    // and spans) enabled vs disabled, caches off so every sweep is a
+    // genuine cold simulation. Byte identity is asserted before any
+    // timing — recording must be observably inert, not just cheap.
     let telemetry_daemon = |value: &str| {
         LocalService::spawn_with_env(
             &repro_bin(),
@@ -428,47 +422,6 @@ fn main() {
     let off_med = median(&mut off_ms);
     let telemetry_pct = (median(&mut ratios) - 1.0) * 100.0;
 
-    // Trace overhead: the identical paired protocol for the span tracer.
-    let trace_daemon = |value: &str| {
-        LocalService::spawn_with_env(
-            &repro_bin(),
-            &["--threads", "1", "--mem-cache", "0", "--no-disk-cache"],
-            &[("REPRO_TRACE".to_string(), value.to_string())],
-        )
-        .expect("trace daemon spawns")
-    };
-    let trace_on = trace_daemon("on");
-    let trace_off = trace_daemon("off");
-    let tron_exec = trace_on.exec(1);
-    let troff_exec = trace_off.exec(1);
-    assert_eq!(
-        run(&tron_exec, SEED ^ 0x7ACE),
-        run(&troff_exec, SEED ^ 0x7ACE),
-        "trace on/off artifacts diverged"
-    );
-    eprintln!("trace on == trace off on raw slot bytes: ok");
-    let mut tr_on_ms = Vec::new();
-    let mut tr_off_ms = Vec::new();
-    let mut tr_ratios = Vec::new();
-    for i in 0..sweeps {
-        let tag = SEED ^ (0x6000 + i);
-        let (on, off) = if i % 2 == 0 {
-            let on = timed_sweep(&tron_exec, tag);
-            (on, timed_sweep(&troff_exec, tag))
-        } else {
-            let off = timed_sweep(&troff_exec, tag);
-            (timed_sweep(&tron_exec, tag), off)
-        };
-        tr_on_ms.push(on);
-        tr_off_ms.push(off);
-        tr_ratios.push(on / off);
-    }
-    trace_on.shutdown();
-    trace_off.shutdown();
-    let tr_on_med = median(&mut tr_on_ms);
-    let tr_off_med = median(&mut tr_off_ms);
-    let trace_pct = (median(&mut tr_ratios) - 1.0) * 100.0;
-
     // The JSON document: printed on stdout, and written to `--out FILE`
     // once every bound below holds.
     let mut json = String::new();
@@ -479,7 +432,7 @@ fn main() {
         }};
     }
     emit!("{{");
-    emit!("  \"what\": \"The experiment service daemon (`repro serve`) on loopback: cache hits, submission throughput, the warm vs cold worker fleet through the worker backend, latency under offered load, and the telemetry and trace overheads.\",");
+    emit!("  \"what\": \"The experiment service daemon (`repro serve`) on loopback: cache hits, submission throughput, the warm vs cold worker fleet through the worker backend, latency under offered load, and the instrumentation overhead (`REPRO_TELEMETRY` on vs off).\",");
     emit!("  \"command\": \"cargo run --release -p bench --bin service_ab -- --pairs {pairs} --out BENCH_service.json\",");
     emit!("  \"host\": \"{}\",", bench::ab::host());
     emit!(
@@ -543,14 +496,6 @@ fn main() {
     emit!("    \"estimator\": \"median per-pair on/off time ratio, arms adjacent in time with alternating order\",");
     emit!("    \"byte_identity\": \"telemetry on == telemetry off, asserted on raw slot bytes before timing\"");
     emit!("  }},");
-    emit!("  \"trace\": {{");
-    emit!("    \"paired_sweeps\": {sweeps},");
-    emit!("    \"on_p50_ms\": {tr_on_med:.2},");
-    emit!("    \"off_p50_ms\": {tr_off_med:.2},");
-    emit!("    \"overhead_pct\": {trace_pct:.2},");
-    emit!("    \"estimator\": \"median per-pair on/off time ratio, arms adjacent in time with alternating order\",");
-    emit!("    \"byte_identity\": \"trace on == trace off, asserted on raw slot bytes before timing\"");
-    emit!("  }},");
     emit!(
         "  \"note\": \"cold = submit+fetch of a fresh manifest (daemon simulates the sweep); warm = identical resubmission answered from the content-addressed cache; throughput jobs are trivial 1-slot manifests, so the figure is the protocol+queue floor, not simulation speed; fleet = the same flood through a --shards 1 daemon with the worker pool off (fresh subprocess per dispatch) vs on (workers stay warm); rate_sweep = paced submissions against the warm fleet at fractions of the closed-loop capacity estimate, per-job sojourn anchored to the wall-clock schedule so slip past capacity accumulates as queueing delay; daemon, workers and client share the host's CPUs\""
     );
@@ -575,12 +520,6 @@ fn main() {
          (on {on_med:.2} ms vs off {off_med:.2} ms)"
     );
     eprintln!("telemetry overhead {telemetry_pct:.2}% < {MAX_TELEMETRY_PCT}%: ok");
-    assert!(
-        trace_pct < MAX_TRACE_PCT,
-        "trace overhead {trace_pct:.2}% exceeds the {MAX_TRACE_PCT}% ceiling \
-         (on {tr_on_med:.2} ms vs off {tr_off_med:.2} ms)"
-    );
-    eprintln!("trace overhead {trace_pct:.2}% < {MAX_TRACE_PCT}%: ok");
     let _ = std::fs::remove_dir_all(&cache_dir);
     if let Some(path) = &out {
         if let Err(e) = std::fs::write(path, &json) {

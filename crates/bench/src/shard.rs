@@ -91,7 +91,7 @@ impl PortableJob for Mm1ReplicationJob {
             .mu_grid
             .get(point)
             .ok_or_else(|| format!("point {point} outside the {}-rate grid", self.mu_grid.len()))?;
-        sim_runtime::trace::engine_run((point as u64) << 32 | rep, || {
+        sim_runtime::obs::engine_run((point as u64) << 32 | rep, || {
             let mut b = NetBuilder::new("selftest-mm1");
             let q = b.place("q").build();
             b.transition("arrive", Timing::exponential(1.0))
@@ -111,14 +111,14 @@ impl PortableJob for Mm1ReplicationJob {
             let out = sim.run(seed).map_err(|e| e.to_string())?;
             // Fold the (cumulative) engine profile into the trace as counter
             // events: value = attributed ns, aux = firings. Advisory only.
-            let tr = sim_runtime::trace::tracer();
-            if tr.is_enabled() && petri_core::sim::profile::armed() {
-                let trace = sim_runtime::trace::current();
+            let obs = sim_runtime::obs::obs();
+            if obs.is_enabled() && petri_core::sim::profile::armed() {
+                let trace = sim_runtime::obs::current();
                 for row in petri_core::sim::profile::snapshot() {
-                    tr.counter(
+                    obs.counter(
                         trace,
                         format!("profile/{}", row.transition),
-                        sim_runtime::trace::cat::ENGINE,
+                        sim_runtime::obs::cat::ENGINE,
                         row.ns,
                         row.firings,
                     );

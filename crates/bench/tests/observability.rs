@@ -1,6 +1,8 @@
-//! Observability acceptance suite: the telemetry spine and the span
-//! tracer must be **observably inert** (artifacts byte-identical with
-//! recording on or off), progress streaming must survive chaos without
+//! Observability acceptance suite: the instrumentation layer (histograms
+//! and spans behind one `REPRO_TELEMETRY` switch) must be **observably
+//! inert** (artifacts byte-identical with recording on or off), the
+//! gateway's scrape-time series must render one cache accounting even
+//! with recording off, progress streaming must survive chaos without
 //! ever lying (monotone counts ending at `done == total`, bytes
 //! unchanged), the HTTP gateway must round-trip the whole job lifecycle —
 //! submit through result bytes and the Chrome-trace export — against a
@@ -81,9 +83,9 @@ fn mm1_baseline(horizon: f64, warmup: f64, reps: u64, seed: u64) -> Vec<Vec<u8>>
         .collect()
 }
 
-/// Tentpole invariant: the telemetry registry never touches results.
-/// The same manifests produce byte-identical blobs from a daemon with
-/// recording enabled and one with it disabled — for the replication
+/// Tentpole invariant: instrumentation never touches results. The same
+/// manifests produce byte-identical blobs from a daemon with recording
+/// enabled and one with `REPRO_TELEMETRY=off` — for the replication
 /// driver and the node-sweep driver — and both match direct in-process
 /// execution.
 #[test]
@@ -142,6 +144,51 @@ fn artifacts_byte_identical_with_telemetry_on_and_off() {
         "telemetry-off sweep diverged from in-process bytes"
     );
 
+    on.shutdown();
+    off.shutdown();
+}
+
+/// The span side of the one switch: `REPRO_TELEMETRY=off` also silences
+/// the tracer. Only the enabled daemon returns a job trace with events,
+/// and the blobs stay byte-identical to each other and to direct
+/// in-process execution.
+#[test]
+fn artifacts_byte_identical_with_trace_on_and_off() {
+    let on = LocalService::spawn_with_env(
+        repro_bin(),
+        &["--threads", "1", "--no-disk-cache"],
+        &telemetry_env("on"),
+    )
+    .expect("tracing-on daemon spawns");
+    let off = LocalService::spawn_with_env(
+        repro_bin(),
+        &["--threads", "1", "--no-disk-cache"],
+        &telemetry_env("off"),
+    )
+    .expect("tracing-off daemon spawns");
+    let manifest = Mm1ReplicationJob::manifest(150.0, 15.0, 2, 0x7ACE);
+    let fetch = |svc: &LocalService| {
+        let mut client = svc.client();
+        let (job, _) = client.submit(&manifest, 1).expect("submit");
+        let blob = client.fetch_blob(job).expect("fetch");
+        (blob, client.trace(job).expect("trace verb"))
+    };
+    let (blob_on, trace_on) = fetch(&on);
+    let (blob_off, trace_off) = fetch(&off);
+    assert_eq!(blob_on, blob_off, "trace on/off blobs diverged");
+    assert_eq!(
+        decode_blob(&blob_on).expect("blob decodes"),
+        mm1_baseline(150.0, 15.0, 2, 0x7ACE),
+        "served blob diverged from direct in-process execution"
+    );
+    assert!(
+        trace_on.contains("\"name\":\"slot\""),
+        "recording on: the job's trace carries its spans: {trace_on}"
+    );
+    assert!(
+        trace_off.contains("\"spans\":0}") && !trace_off.contains("\"ph\":"),
+        "recording off: the trace is empty: {trace_off}"
+    );
     on.shutdown();
     off.shutdown();
 }
@@ -284,37 +331,85 @@ fn gateway_round_trips_submit_status_result_and_metrics() {
     svc.shutdown();
 }
 
-/// The span tracer never touches results: the same manifest produces
-/// byte-identical blobs from a daemon with tracing enabled and one with
-/// `REPRO_TRACE=off`, and both match direct in-process execution.
+/// One cache accounting, pulled at scrape time: with recording off, a
+/// miss, a disk hit and a memory hit show up in `/metrics` once per tier
+/// as the same values `/stats` reports (no `service_cache_*` twins), next
+/// to the fleet counters and the queue depth — and no histogram series.
 #[test]
-fn artifacts_byte_identical_with_trace_on_and_off() {
-    let spawn = |value: &str| {
-        LocalService::spawn_with_env(
-            repro_bin(),
-            &["--threads", "1", "--no-disk-cache"],
-            &[("REPRO_TRACE".to_string(), value.to_string())],
-        )
-        .expect("daemon spawns")
+fn metrics_pull_one_cache_accounting_with_recording_off() {
+    let cache = std::env::temp_dir().join(format!("repro-obs-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache);
+    // One memory slot: a second distinct job evicts the first from
+    // memory, so resubmitting the first is a disk hit, and resubmitting
+    // it once more (promoted by that hit) is a memory hit.
+    let svc = LocalService::spawn_with_http(
+        repro_bin(),
+        &[
+            "--threads",
+            "1",
+            "--mem-cache",
+            "1",
+            "--cache-dir",
+            cache.to_str().expect("utf-8 temp path"),
+        ],
+        &telemetry_env("off"),
+    )
+    .expect("recording-off gateway daemon spawns");
+    let gw = svc.http_addr().expect("gateway address announced");
+    let a = Mm1ReplicationJob::manifest(100.0, 10.0, 1, 0xCA1);
+    let b = Mm1ReplicationJob::manifest(100.0, 10.0, 1, 0xCA2);
+    let mut client = svc.client();
+    let mut dispositions = Vec::new();
+    for m in [&a, &b, &a, &a] {
+        let (job, disposition) = client.submit(m, 1).expect("submit");
+        client.fetch_blob(job).expect("fetch");
+        dispositions.push(disposition);
+    }
+    use sim_runtime::Disposition::{HitDisk, HitMem, Queued};
+    assert_eq!(dispositions, [Queued, Queued, HitDisk, HitMem]);
+
+    let (status, body) = http(gw, "GET", "/stats");
+    assert_eq!(status, 200);
+    let stats = String::from_utf8(body).expect("stats JSON");
+    let (status, body) = http(gw, "GET", "/metrics");
+    assert_eq!(status, 200);
+    let metrics = String::from_utf8(body).expect("metrics text");
+    let series = |name: &str| -> Vec<u64> {
+        metrics
+            .lines()
+            .filter_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .collect()
     };
-    let on = spawn("on");
-    let off = spawn("off");
-    let manifest = Mm1ReplicationJob::manifest(150.0, 15.0, 2, 0x7ACE);
-    let fetch = |svc: &LocalService| {
-        let mut client = svc.client();
-        let (job, _) = client.submit(&manifest, 1).expect("submit");
-        client.fetch_blob(job).expect("fetch")
+    let stat = |field: &str| -> u64 {
+        stats
+            .split(&format!("\"{field}\":"))
+            .nth(1)
+            .and_then(|s| s.split([',', '}']).next())
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no {field} in {stats}"))
     };
-    let blob_on = fetch(&on);
-    let blob_off = fetch(&off);
-    assert_eq!(blob_on, blob_off, "trace on/off blobs diverged");
-    assert_eq!(
-        decode_blob(&blob_on).expect("blob decodes"),
-        mm1_baseline(150.0, 15.0, 2, 0x7ACE),
-        "served blob diverged from direct in-process execution"
+    for (field, expect) in [("submitted", 4), ("hits_mem", 1), ("hits_disk", 1)] {
+        assert_eq!(stat(field), expect, "/stats {field}: {stats}");
+        assert_eq!(
+            series(&format!("service_{field}")),
+            [expect],
+            "/metrics carries service_{field} once, equal to /stats:\n{metrics}"
+        );
+    }
+    assert!(!metrics.contains("service_cache_hit"), "{metrics}");
+    assert!(!metrics.contains("service_cache_miss"), "{metrics}");
+    assert_eq!(series("service_queue_depth"), [0], "{metrics}");
+    assert!(
+        metrics.contains("# TYPE service_queue_depth gauge\n"),
+        "{metrics}"
     );
-    on.shutdown();
-    off.shutdown();
+    assert_eq!(series("fleet_spawned").len(), 1, "{metrics}");
+    assert!(
+        !metrics.contains(" histogram\n") && !metrics.contains("_bucket{"),
+        "recording off renders no histogram series:\n{metrics}"
+    );
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&cache);
 }
 
 /// `GET /jobs/<id>/trace` returns Chrome trace-event JSON for a job the

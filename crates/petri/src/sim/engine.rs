@@ -722,20 +722,15 @@ impl<'a> Simulator<'a> {
     /// Execute one independent run with the given seed on the lowered
     /// engine.
     ///
-    /// This is the one site that records engine telemetry (run counts and
-    /// per-run event totals), after the run so it never touches seeding or
-    /// results.
+    /// This is the one site that records engine metrics: each successful
+    /// run's event count goes into `engine_run_events` (whose count and
+    /// sum are the run and event totals), after the run so it never
+    /// touches seeding or results.
     pub fn run(&self, seed: u64) -> Result<SimOutput, SimError> {
         let out = super::lowered::LoweredEngine::new(self, seed).run();
-        let events = out.as_ref().map_or(0, |o| o.total_firings());
-        let tele = sim_runtime::telemetry();
-        let per_run = tele.histogram("engine_run_events");
-        if out.is_ok() {
-            per_run.record(events);
+        if let Ok(o) = &out {
+            sim_runtime::obs().record(sim_runtime::obs::Metric::EngineRunEvents, o.total_firings());
         }
-        tele.counter("engine_runs_total")
-            .add(u64::from(out.is_ok()));
-        tele.counter("engine_events_total").add(events);
         #[cfg(debug_assertions)]
         if self.shadow_once.set(()).is_ok() {
             super::lowered::debug_assert_outputs_eq(&out, &self.run_reference(seed));

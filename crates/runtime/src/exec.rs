@@ -516,7 +516,7 @@ pub(crate) mod frame {
 // --- execution configuration --------------------------------------------
 
 /// Which backend a [`Runner`](crate::Runner) dispatches portable jobs to.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) enum BackendSel {
     /// Scoped thread pool in this process.
     InProcess,
@@ -560,9 +560,9 @@ pub struct Exec {
     /// shrink-to-zero fallback) applied to the sharded and remote
     /// tiers.
     pub fault: FaultPolicy,
-    /// Keep workers/peers warm in the process-global pool across
-    /// dispatches (default `true`; `false` restores the legacy cold
-    /// per-dispatch spawn/connect path).
+    /// Keep workers/peers warm in the process default pool
+    /// ([`crate::fleet::pool::pool`]) across dispatches (default `true`;
+    /// `false` spawns/connects fresh links per dispatch).
     pub pool: bool,
     /// Deterministic chaos injection on worker links (testing only).
     pub chaos: Option<ChaosConfig>,
@@ -682,10 +682,10 @@ impl Exec {
                     cmd: self.worker_cmd.clone(),
                 }
             };
+            let pool = self.pool.then(|| crate::fleet::pool::pool().clone());
             r.backend = BackendSel::Workers(WorkerBackend {
-                pool: self.pool,
                 chaos: self.chaos,
-                ..WorkerBackend::new(connector, self.threads).with_fault(self.fault)
+                ..WorkerBackend::new(connector, self.threads, pool).with_fault(self.fault)
             });
         }
         r
@@ -732,33 +732,18 @@ impl crate::Runner {
         job: &dyn PortableJob,
         manifest: &TaskManifest,
     ) -> Result<Vec<Vec<u8>>, ExecError> {
-        // Establish the job's ambient trace context so slot/engine spans
-        // recorded deep in the grid (and shipped into worker requests)
-        // attribute to this manifest's deterministic trace ID.
-        let tr = crate::trace::tracer();
-        let trace = if tr.is_enabled() {
-            crate::trace::trace_id_of(manifest)
-        } else {
-            0
-        };
-        let _ctx = crate::trace::enter(trace);
-        let dispatch_started = tr.start();
-        let out = self
-            .backend_impl()
-            .run_segments(job, manifest, self.progress.as_deref());
-        tr.record(
-            trace,
-            crate::trace::name::DISPATCH,
-            crate::trace::cat::SERVICE,
+        // Run as the manifest's job trace, so slot/engine spans recorded
+        // deep in the grid (and shipped into worker requests) attribute
+        // to its deterministic trace ID.
+        crate::obs::dispatch(
+            || crate::obs::trace_id_of(manifest),
             0,
-            dispatch_started,
-        );
-        if let Err(e) = &out {
-            if let Some(path) = crate::trace::flight_record(trace, "dispatch", &e.to_string()) {
-                eprintln!("[trace] job failed; flight recording at {}", path.display());
-            }
-        }
-        out
+            "dispatch",
+            || {
+                self.backend_impl()
+                    .run_segments(job, manifest, self.progress.as_deref())
+            },
+        )
     }
 
     /// Run a portable `(point × replication)` grid on the configured
@@ -1099,7 +1084,8 @@ pub(crate) mod tests {
         assert!(s.runner().backend_impl().label().contains("sharded"));
     }
 
-    /// A worker backend over `links` pipe workers spawned from `cmd`.
+    /// A worker backend over `links` pipe workers spawned from `cmd`,
+    /// parking its links in a private pool.
     fn pipes(links: usize, cmd: Vec<String>) -> WorkerBackend {
         WorkerBackend::new(
             Connector::Pipes {
@@ -1107,6 +1093,7 @@ pub(crate) mod tests {
                 cmd: Some(cmd),
             },
             1,
+            Some(Default::default()),
         )
     }
 

@@ -26,16 +26,18 @@
 //! idle. TCP hosts that keep failing are quarantined (see
 //! [`crate::fleet::supervisor`]) and skipped.
 //!
-//! With `pool` on (the default), links come from and return to the
-//! process-global [`pool`](crate::fleet::pool), so back-to-back dispatches
-//! — adaptive stopping rounds, service job floods — reuse warm workers.
-//! With it off, each dispatch opens fresh links and ends each healthy one
-//! with [`Link::close`]: a pipe worker gets the shutdown frame and must
-//! exit 0.
+//! A backend is handed the [`WorkerPool`] it checks links out of and
+//! parks them in, so back-to-back dispatches — adaptive stopping rounds,
+//! service job floods — reuse warm workers. The CLI and the service hand
+//! every backend the process default ([`pool()`](crate::fleet::pool::pool));
+//! tests hand each backend a private one, so unrelated backends never
+//! share a link. Without a pool, each dispatch opens fresh links and ends
+//! each healthy one with [`Link::close`]: a pipe worker gets the shutdown
+//! frame and must exit 0.
 
 use crate::exec::{ExecBackend, ExecError, InProcessBackend, PortableJob, TaskManifest};
 use crate::fleet::chaos::{ChaosConfig, FaultInjector};
-use crate::fleet::pool::{pool, Endpoint, Link};
+use crate::fleet::pool::{Endpoint, Link, WorkerPool};
 use crate::fleet::supervisor::quarantine;
 use crate::fleet::{fleet_stats, FaultPolicy, FleetStats};
 use crate::grid::{Progress, ProgressFn};
@@ -45,7 +47,7 @@ use crate::remote::protocol::{
 };
 use crate::remote::transport::FrameTransport as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Where a [`WorkerBackend`] gets its links.
@@ -128,7 +130,7 @@ impl Connector {
 /// framed links, gathered in global flat-index order — so the fold
 /// downstream is **byte-identical** to [`InProcessBackend`] at any link
 /// × thread count. See the [module docs](self) for failure handling.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct WorkerBackend {
     /// Which links to open.
     pub connector: Connector,
@@ -140,8 +142,9 @@ pub struct WorkerBackend {
     /// timeout (executing workers heartbeat every ~500 ms), backoff, and
     /// the opt-in shrink-to-zero in-process fallback.
     pub fault: FaultPolicy,
-    /// Keep links warm in the process-global pool across dispatches.
-    pub pool: bool,
+    /// The pool links are checked out of and parked in across dispatches
+    /// (`None`: fresh links per dispatch, closed afterwards).
+    pub pool: Option<Arc<WorkerPool>>,
     /// Deterministic frame-fault injection (chaos testing); `None` is a
     /// passthrough.
     pub chaos: Option<ChaosConfig>,
@@ -149,14 +152,14 @@ pub struct WorkerBackend {
 
 impl WorkerBackend {
     /// A backend over `connector` with `worker_threads` threads per link,
-    /// the default fault policy and the warm pool on.
-    pub fn new(connector: Connector, worker_threads: usize) -> Self {
+    /// parking its links in `pool`, with the default fault policy.
+    pub fn new(connector: Connector, worker_threads: usize, pool: Option<Arc<WorkerPool>>) -> Self {
         WorkerBackend {
             connector,
             worker_threads: worker_threads.max(1),
             connect_timeout: Duration::from_secs(10),
             fault: FaultPolicy::default(),
-            pool: true,
+            pool,
             chaos: None,
         }
     }
@@ -214,10 +217,7 @@ impl WorkerBackend {
     }
 
     fn checkout(&self, ep: &Endpoint) -> Option<Link> {
-        if !self.pool {
-            return None;
-        }
-        let link = pool().checkout(ep)?;
+        let link = self.pool.as_ref()?.checkout(ep)?;
         Some(self.ready(ep, link))
     }
 
@@ -237,11 +237,8 @@ impl WorkerBackend {
         let slots = chunk.manifest.slots();
         let mut delivered = vec![false; slots.len()];
         let mut t = FaultInjector::new(link.transport(), self.chaos);
-        let request = encode_manifest_request(
-            self.worker_threads,
-            &chunk.manifest,
-            crate::trace::current(),
-        );
+        let request =
+            encode_manifest_request(self.worker_threads, &chunk.manifest, crate::obs::current());
         let outcome = match t.send(&request).and_then(|_| t.flush()) {
             Err(e) => Drained::Broken(format!("request write failed: {e}")),
             Ok(()) => drain_chunk(
@@ -263,18 +260,17 @@ impl WorkerBackend {
     /// One endpoint's drain thread: open a link, then claim and dispatch
     /// chunks until the queue is empty.
     fn drive(&self, ep: &Endpoint, salt: u64, job: &dyn PortableJob, g: &Gather<'_>) {
-        let tr = crate::trace::tracer();
-        let started = tr.start();
+        let obs = crate::obs::obs();
+        let started = obs.start(crate::obs::current());
         let mut link = match self.open(ep, salt) {
             Ok(link) => Some(link),
             Err(why) => return g.lock().open_failures.push(why),
         };
-        tr.record(
-            crate::trace::current(),
-            crate::trace::name::POOL_CHECKOUT,
-            crate::trace::cat::FLEET,
-            salt,
+        obs.end(
             started,
+            crate::obs::name::POOL_CHECKOUT,
+            crate::obs::cat::FLEET,
+            salt,
         );
         g.lock().opened += 1;
         let mut served: Option<usize> = None;
@@ -316,8 +312,8 @@ impl WorkerBackend {
             breaks += 1;
         }
         let Some(link) = link else { return };
-        if self.pool {
-            pool().checkin(ep, link);
+        if let Some(pool) = &self.pool {
+            pool.checkin(ep, link);
         } else if let Err(e) = link.close() {
             g.lock().errors.push(ExecError::Worker {
                 flat_index: served.unwrap_or(0),
@@ -596,6 +592,7 @@ impl ExecBackend for WorkerBackend {
 mod tests {
     use super::*;
     use crate::exec::{frame, tests::MulJob};
+    use crate::fleet::pool::pool;
     use crate::fleet::supervisor::QUARANTINE_THRESHOLD;
     use crate::grid::Segment;
     use crate::wire;
@@ -639,12 +636,13 @@ mod tests {
         ]
     }
 
+    /// A one-link pipe backend over a private pool.
     fn pipes(cmd: Vec<String>) -> WorkerBackend {
         let connector = Connector::Pipes {
             links: 1,
             cmd: Some(cmd),
         };
-        WorkerBackend::new(connector, 1)
+        WorkerBackend::new(connector, 1, Some(Arc::default()))
     }
 
     /// With the pool off, a dispatch leaves nothing parked for its
@@ -663,7 +661,7 @@ mod tests {
         };
         let run = |cmd| {
             WorkerBackend {
-                pool: false,
+                pool: None,
                 ..pipes(cmd)
             }
             .run_segments(&job, &m, None)
@@ -719,6 +717,7 @@ mod tests {
                 hosts: vec![host.clone()],
             },
             1,
+            Some(Arc::default()),
         );
         let err = backend.run_segments(&job, &m, None).unwrap_err();
         assert!(matches!(err, ExecError::BackendUnavailable(_)), "{err:?}");

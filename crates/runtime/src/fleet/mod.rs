@@ -131,9 +131,7 @@ impl FaultPolicy {
         let delay = Duration::from_millis(exp / 2 + jitter);
         // Every retry tier (sharded, remote, supervisor) sleeps exactly
         // what this returns, so one recording site covers them all.
-        crate::telemetry::telemetry()
-            .histogram("fleet_backoff_wait_ns")
-            .record_duration(delay);
+        crate::obs::obs().record_duration(crate::obs::Metric::FleetBackoffWait, delay);
         delay
     }
 }
@@ -301,24 +299,6 @@ impl FleetStats {
 pub fn fleet_stats() -> &'static FleetStats {
     static STATS: OnceLock<FleetStats> = OnceLock::new();
     STATS.get_or_init(FleetStats::default)
-}
-
-/// The fleet's [`MetricsSource`](crate::telemetry::MetricsSource):
-/// samples [`fleet_stats`] as `fleet_*`-prefixed counter pairs. The
-/// global [`telemetry()`](crate::telemetry::telemetry) handle registers
-/// this at init so every `/metrics` scrape carries the fleet counters
-/// from one source of truth.
-pub fn fleet_metrics_source() -> Vec<(&'static str, u64)> {
-    let s = fleet_stats().snapshot();
-    vec![
-        ("fleet_spawned", s.spawned),
-        ("fleet_pool_hits", s.pool_hits),
-        ("fleet_restarts", s.restarts),
-        ("fleet_reconnects", s.reconnects),
-        ("fleet_quarantined", s.quarantined),
-        ("fleet_fallbacks", s.fallbacks),
-        ("fleet_recycled", s.recycled),
-    ]
 }
 
 #[cfg(test)]

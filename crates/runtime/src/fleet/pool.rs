@@ -15,9 +15,12 @@
 //!   recycling policy retires it (served [`MAX_DISPATCHES`], or the
 //!   endpoint's shelf is full).
 //!
-//! The pool is process-global (a `OnceLock` singleton) because the
-//! service constructs a fresh `ExecBackend` per dispatch — per-backend
-//! pools would never be warm. Pooled subprocesses need no teardown hook:
+//! Each worker backend is handed the pool it parks links in. The CLI and
+//! the service hand every backend the process default ([`pool()`]),
+//! because the service constructs a fresh `ExecBackend` per dispatch — a
+//! pool per backend would never be warm. Tests give each backend a
+//! private pool, so a link parked by one test is never checked out by
+//! another. Pooled subprocesses need no teardown hook:
 //! a worker idles blocked in `recv` on its stdin pipe, so parent exit
 //! closes the pipe, the serve loop sees EOF, and the worker exits 0.
 
@@ -28,7 +31,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A pooled link is retired after serving this many dispatches
@@ -186,10 +189,17 @@ pub struct WorkerPool {
     idle: Mutex<HashMap<Endpoint, Vec<Link>>>,
 }
 
-/// The process-global pool.
-pub fn pool() -> &'static WorkerPool {
-    static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(WorkerPool::default)
+impl std::fmt::Debug for WorkerPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerPool").finish_non_exhaustive()
+    }
+}
+
+/// The process default pool, shared by every backend the CLI and the
+/// service construct.
+pub fn pool() -> &'static Arc<WorkerPool> {
+    static POOL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
+    POOL.get_or_init(Arc::default)
 }
 
 impl WorkerPool {

@@ -26,9 +26,9 @@
 //! peers (see [`crate::fleet::backend::WorkerBackend`]) with bit-identical
 //! results.
 
+use crate::obs::{cat::GRID, name::SLOT};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 /// Number of worker threads to use by default (one per available core, at
 /// least 1).
@@ -151,17 +151,12 @@ where
         return Ok(segments.iter().map(|&s| (s, Vec::new())).collect());
     }
 
-    // Telemetry handles are resolved once per grid, outside the claim
-    // loop; per-slot recording is then two relaxed atomic adds —
+    // The instrumentation handle and the ambient job trace are resolved
+    // once per grid; each slot then ends one span (its wall time feeds
+    // `grid_slot_wall_ns`; under a trace it also lands in the ring) —
     // observation only, never scheduling.
-    let tele = crate::telemetry::telemetry();
-    let claims = tele.counter("grid_tasks_claimed_total");
-    let slot_wall = tele.histogram("grid_slot_wall_ns");
-    // Like the metric handles, the trace context is resolved once per
-    // grid: slot spans attribute to the ambient job trace (0 = untraced,
-    // recording skipped).
-    let tr = crate::trace::tracer();
-    let trace = crate::trace::current();
+    let obs = crate::obs::obs();
+    let trace = crate::obs::current();
 
     let threads = threads.max(1).min(total);
     if threads == 1 {
@@ -174,18 +169,10 @@ where
         for (seg, results) in out.iter_mut() {
             for local in 0..seg.count {
                 let rep = seg.base_rep + local as u64;
-                claims.inc();
-                let span = tr.start();
-                let started = Instant::now();
-                results.push(task(flat, seg.point, rep).map_err(|e| (flat, e))?);
-                slot_wall.record_duration(started.elapsed());
-                tr.record(
-                    trace,
-                    crate::trace::name::SLOT,
-                    crate::trace::cat::GRID,
-                    flat as u64,
-                    span,
-                );
+                let span = obs.start(trace);
+                let outcome = task(flat, seg.point, rep);
+                obs.end(span, SLOT, GRID, flat as u64);
+                results.push(outcome.map_err(|e| (flat, e))?);
                 flat += 1;
                 if let Some(cb) = progress {
                     cb(Progress {
@@ -221,18 +208,9 @@ where
                 let (seg_idx, offset) = plan.locate(i);
                 let seg = &segments[seg_idx];
                 let rep = seg.base_rep + offset as u64;
-                claims.inc();
-                let span = tr.start();
-                let started = Instant::now();
+                let span = obs.start(trace);
                 let outcome = task(i, seg.point, rep);
-                slot_wall.record_duration(started.elapsed());
-                tr.record(
-                    trace,
-                    crate::trace::name::SLOT,
-                    crate::trace::cat::GRID,
-                    i as u64,
-                    span,
-                );
+                obs.end(span, SLOT, GRID, i as u64);
                 match outcome {
                     Ok(r) => {
                         // Each flat index is claimed exactly once, so the

@@ -52,20 +52,18 @@
 //!   under injected failure.
 //! * [`stats`] — Welford moments, Student-t confidence intervals and batch
 //!   means (re-exported by `petri_core::stats` for compatibility).
-//! * [`telemetry`] — the **metrics spine** every tier records into: a
-//!   dependency-free registry of atomic counters, gauges and log-bucketed
-//!   histograms behind one process-global [`telemetry::Telemetry`] handle
-//!   (no-op under `REPRO_TELEMETRY=off`), rendered as Prometheus text by
-//!   the HTTP gateway ([`service::http`]). Observably inert: recording
-//!   never touches scheduling, seeding or gather order, so artifacts are
-//!   byte-identical with telemetry on or off.
-//! * [`trace`] — **causal job tracing** on top of the metrics spine: a
-//!   bounded process-wide span collector with deterministic trace/span
-//!   IDs (derived from the manifest SHA-256 + flat slot index),
-//!   cross-process propagation over the worker wire protocol, Chrome
-//!   trace-event export (`repro trace`, `GET /jobs/<id>/trace`), and a
-//!   failure flight recorder. Inert under `REPRO_TRACE=off` with the
-//!   same byte-identity guarantee.
+//! * [`obs`] — the **one instrumentation layer** every tier records
+//!   into, behind one process-global [`obs::Obs`] handle and one kill
+//!   switch (`REPRO_TELEMETRY=off`). Ending a span is a site's only
+//!   recording call: it feeds the span's histogram and, under a job
+//!   trace, the bounded span ring with deterministic trace/span IDs
+//!   (derived from the manifest SHA-256 + flat slot index). Spans cross
+//!   processes over the worker wire protocol and render as Chrome
+//!   trace-event JSON (`repro trace`, `GET /jobs/<id>/trace`); histograms
+//!   render as Prometheus text on the HTTP gateway ([`service::http`]);
+//!   failing dispatches leave a flight record. Observably inert:
+//!   recording never touches scheduling, seeding or gather order, so
+//!   artifacts are byte-identical with the switch on or off.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -73,12 +71,11 @@
 pub mod exec;
 pub mod fleet;
 pub mod grid;
+pub mod obs;
 pub mod remote;
 pub mod service;
 pub mod stats;
 pub mod stopping;
-pub mod telemetry;
-pub mod trace;
 pub mod wire;
 pub mod worker;
 
@@ -88,6 +85,7 @@ pub use exec::{
 pub use fleet::backend::{Connector, WorkerBackend};
 pub use fleet::{chaos::ChaosConfig, fleet_stats, FaultPolicy, FleetSnapshot, FleetStats};
 pub use grid::{default_threads, env_threads, Progress, Runner, Segment};
+pub use obs::{obs, Obs};
 pub use remote::FrameTransport;
 pub use service::{
     Disposition, JobId, JobProgress, JobState, Service, ServiceBackend, ServiceClient,
@@ -97,5 +95,3 @@ pub use stats::{
     describe, student_t_critical, BatchMeans, ConfidenceInterval, ConfidenceLevel, Welford,
 };
 pub use stopping::{AdaptivePoint, StoppingRule};
-pub use telemetry::{telemetry, Telemetry};
-pub use trace::{tracer, Tracer};

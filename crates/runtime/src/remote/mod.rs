@@ -102,6 +102,7 @@ mod tests {
     use crate::exec::tests::{decode_mul, MulJob};
     use crate::exec::{ExecBackend, ExecError, InProcessBackend, PortableJob, TaskManifest};
     use crate::fleet::backend::{Connector, WorkerBackend};
+    use crate::fleet::pool::WorkerPool;
     use crate::fleet::FaultPolicy;
     use crate::grid::Segment;
     use crate::remote::transport::join_within;
@@ -181,9 +182,16 @@ mod tests {
         t.flush().unwrap();
     }
 
-    /// A worker backend over TCP peers at `hosts`.
+    /// A worker backend over TCP peers at `hosts`, parking its links in a
+    /// private pool: no other test's backend can check them out.
     fn tcp(hosts: Vec<String>, threads: usize) -> WorkerBackend {
-        WorkerBackend::new(Connector::Tcp { hosts }, threads)
+        tcp_in(hosts, threads, Arc::default())
+    }
+
+    /// A worker backend over TCP peers at `hosts` that parks its links in
+    /// `pool`.
+    fn tcp_in(hosts: Vec<String>, threads: usize, pool: Arc<WorkerPool>) -> WorkerBackend {
+        WorkerBackend::new(Connector::Tcp { hosts }, threads, Some(pool))
     }
 
     fn mul_manifest(reps: &[u64]) -> TaskManifest {
@@ -449,21 +457,22 @@ mod tests {
     #[test]
     fn parked_link_to_a_stopped_peer_is_not_reused_on_its_rebound_port() {
         // Peer A serves one dispatch, so the warm pool parks its link,
-        // then stops.
+        // then stops. Both backends below share that one pool.
         let job = MulJob { factor: 3 };
         let m = mul_manifest(&[2, 1]);
         let expect = InProcessBackend::new(1)
             .run_segments(&job, &m, None)
             .unwrap();
+        let pool = Arc::new(WorkerPool::default());
         let a = spawn_peer("127.0.0.1:0", registry);
-        let out = tcp(vec![a.addr.clone()], 1).run_segments(&job, &m, None);
+        let out = tcp_in(vec![a.addr.clone()], 1, pool.clone()).run_segments(&job, &m, None);
         assert_eq!(out.unwrap(), expect);
         shutdown_peer(&a.addr);
         join_within(a.handle);
         // Peer B binds A's exact address. A new backend dispatching there
         // must reach B, not A's parked link.
         let b = spawn_peer(&a.addr, registry);
-        let out = tcp(vec![b.addr.clone()], 1).run_segments(&job, &m, None);
+        let out = tcp_in(vec![b.addr.clone()], 1, pool).run_segments(&job, &m, None);
         assert_eq!(out.unwrap(), expect);
         let deadline = Instant::now() + Duration::from_secs(10);
         while b.accepted.load(Ordering::SeqCst) == 0 {

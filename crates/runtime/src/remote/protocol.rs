@@ -171,17 +171,17 @@ pub(crate) fn drain_chunk(transport: &mut dyn FrameTransport, sink: ChunkSink<'_
                     // arrive with *chunk-local* flat indices; remap them
                     // through the sink's flat table so remainder
                     // re-dispatches stay correctly attributed.
-                    let spans = crate::trace::decode_spans(&mut r)?;
+                    let spans = crate::obs::decode_spans(&mut r)?;
                     r.finish()?;
-                    let tr = crate::trace::tracer();
+                    let obs = crate::obs::obs();
                     for mut span in spans {
-                        if span.name == crate::trace::name::SLOT {
+                        if span.name == crate::obs::name::SLOT {
                             let local = span.flat as usize;
                             if let Some(&global) = sink.global_flat.get(local) {
                                 span.flat = global as u64;
                             }
                         }
-                        tr.record_span(span);
+                        obs.record_span(span);
                     }
                     Ok(None)
                 }

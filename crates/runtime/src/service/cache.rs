@@ -58,7 +58,7 @@ impl CacheKey {
         CacheKey(sha256(&buf))
     }
 
-    /// Deterministic trace ID for [`crate::trace`]: the key's first
+    /// Deterministic trace ID for [`crate::obs`]: the key's first
     /// eight bytes as a little-endian `u64`, mapped away from the
     /// reserved "no trace" value `0`. Stable across re-runs of the same
     /// manifest on the same build, so traces are directly comparable.

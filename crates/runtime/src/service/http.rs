@@ -22,9 +22,10 @@
 //! empty body, query parameters handed to the embedding binary's
 //! [`SpecParser`] (e.g. `POST /submit?spec=mm1&seed=7` in `repro`).
 //!
-//! `/metrics` renders the process-global telemetry registry (which
-//! carries the fleet counters as a registered source) plus this daemon's
-//! service counters as `extra` series. Metrics are **per-process**:
+//! `/metrics` renders the process-global histograms ([`crate::obs`]) plus
+//! series pulled at scrape time: this daemon's service counters, its
+//! queue depth and the fleet counters, which render even under
+//! `REPRO_TELEMETRY=off`. Metrics are **per-process**:
 //! engine counters recorded inside sharded worker subprocesses live in
 //! those processes, so a daemon on the in-process backend shows engine
 //! series and a sharded daemon shows the dispatch-side series only.
@@ -258,21 +259,28 @@ fn route(
             service.stats().render_json().into_bytes(),
         ),
         ("GET", "/metrics") => {
-            // The per-daemon service counters are this gateway's own and
-            // ride along as extra series; the process-global fleet
-            // counters render from the registry's source hook, so every
-            // scrape surface shares one definition of them.
-            let extra: Vec<(String, u64)> = service
-                .stats()
-                .fields()
-                .iter()
-                .map(|(name, value)| (format!("service_{name}"), *value))
-                .collect();
+            // Pulled at scrape time rather than recorded: the service
+            // counters, the queue depth and the process-global fleet
+            // counters, so they render with recording off too.
+            let counters = |prefix: &str, fields: &[(&str, u64)]| {
+                fields
+                    .iter()
+                    .map(|(name, value)| (format!("{prefix}_{name}"), "counter", *value))
+                    .collect::<Vec<_>>()
+            };
+            let mut extra = counters("service", &service.stats().fields());
+            extra.push((
+                "service_queue_depth".into(),
+                "gauge",
+                service.queue_depth() as u64,
+            ));
+            extra.extend(counters(
+                "fleet",
+                &crate::fleet::fleet_stats().snapshot().fields(),
+            ));
             HttpResponse::ok(
                 "text/plain; version=0.0.4; charset=utf-8",
-                crate::telemetry::telemetry()
-                    .render_prometheus(&extra)
-                    .into_bytes(),
+                crate::obs::obs().render_prometheus(&extra).into_bytes(),
             )
         }
         ("POST", "/submit") => {

@@ -44,6 +44,7 @@ pub use http::{serve_http, SpecParser};
 pub use protocol::{Disposition, JobId, JobProgress, JobState, ServiceStats};
 
 use crate::exec::{Exec, ExecBackend, ExecError, JobRegistry, TaskManifest};
+use crate::obs::Metric;
 use crate::remote::transport::{FrameTransport, TcpTransport};
 use crate::wire::WireError;
 use cache::{CacheKey, DiskStore, MemCache};
@@ -201,24 +202,24 @@ impl Service {
     /// answer will come from; `Err` is a request-level rejection (invalid
     /// manifest, unknown job kind, queue full).
     pub fn submit(&self, manifest: TaskManifest) -> Result<(JobId, Disposition), String> {
-        let tr = crate::trace::tracer();
-        if !tr.is_enabled() {
-            return self.submit_inner(manifest);
-        }
-        let trace = crate::trace::trace_id_of(&manifest);
-        let started = tr.start();
-        let out = self.submit_inner(manifest);
-        tr.record(
-            trace,
-            crate::trace::name::SUBMIT,
-            crate::trace::cat::SERVICE,
-            0,
+        let key = CacheKey::of_manifest(&manifest);
+        let obs = crate::obs::obs();
+        let started = obs.start(key.trace_id());
+        let out = self.submit_inner(manifest, key);
+        obs.end(
             started,
+            crate::obs::name::SUBMIT,
+            crate::obs::cat::SERVICE,
+            0,
         );
         out
     }
 
-    fn submit_inner(&self, manifest: TaskManifest) -> Result<(JobId, Disposition), String> {
+    fn submit_inner(
+        &self,
+        manifest: TaskManifest,
+        key: CacheKey,
+    ) -> Result<(JobId, Disposition), String> {
         if self.is_stopping() {
             return Err("service is stopping; submission refused".into());
         }
@@ -231,22 +232,18 @@ impl Service {
             .decode(&manifest.kind, &manifest.payload)
             .map_err(|e| format!("unserveable submission: {e}"))?;
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let key = CacheKey::of_manifest(&manifest);
 
         // Optimistic cache probes, each under only its own lock (the
         // guards are dropped before the table is touched — the global
         // lock order is table → mem, never the reverse).
-        let tele = crate::telemetry::telemetry();
         let probed = { self.mem.lock().expect("mem cache lock").get(&key) };
         if let Some(blob) = probed {
             self.stats.hits_mem.fetch_add(1, Ordering::Relaxed);
-            tele.counter("service_cache_hit_mem").inc();
             let id = self.table.lock().expect("table lock").admit_hit(key, blob);
             return Ok((id, Disposition::HitMem));
         }
         if let Some(blob) = self.disk.as_ref().and_then(|d| d.get(&key)) {
             self.stats.hits_disk.fetch_add(1, Ordering::Relaxed);
-            tele.counter("service_cache_hit_disk").inc();
             let blob = Arc::new(blob);
             self.mem
                 .lock()
@@ -255,7 +252,6 @@ impl Service {
             let id = self.table.lock().expect("table lock").admit_hit(key, blob);
             return Ok((id, Disposition::HitDisk));
         }
-        tele.counter("service_cache_miss").inc();
 
         // Slow path under the table lock. An identical job may have
         // *published* between the probes above and here (its cache fills
@@ -275,8 +271,6 @@ impl Service {
         }
         match table.admit(key, manifest) {
             Ok((id, Disposition::Queued)) => {
-                tele.gauge("service_queue_depth")
-                    .set(table.queued_len() as i64);
                 drop(table);
                 self.work.notify_one();
                 Ok((id, Disposition::Queued))
@@ -326,8 +320,8 @@ impl Service {
             .get(job)
             .map(|r| r.key)?;
         let trace = key.trace_id();
-        let spans = crate::trace::tracer().spans_for(trace);
-        Some(crate::trace::render_chrome_trace(trace, &spans))
+        let spans = crate::obs::obs().spans_for(trace);
+        Some(crate::obs::render_chrome_trace(trace, &spans))
     }
 
     /// Block until `job` is terminal; `Err` means the id is unknown (never
@@ -459,6 +453,11 @@ impl Service {
         }
     }
 
+    /// Jobs admitted but not yet claimed by a dispatcher.
+    pub fn queue_depth(&self) -> usize {
+        self.table.lock().expect("table lock").queued_len()
+    }
+
     /// Ask dispatchers (and [`ServiceHandle`] joins) to wind down. New
     /// submissions are refused, queued-job fetch waiters are woken with a
     /// typed failure, and in-flight executions finish normally.
@@ -482,9 +481,6 @@ impl Service {
                 return None;
             }
             if let Some(claimed) = table.claim() {
-                crate::telemetry::telemetry()
-                    .gauge("service_queue_depth")
-                    .set(table.queued_len() as i64);
                 return Some(claimed);
             }
             table = self.work.wait(table).expect("table lock");
@@ -761,15 +757,15 @@ fn handle_connection(
         // connection stays usable (framing is intact — only the body was
         // wrong, e.g. a version mismatch).
         let decoded = ServiceRequest::decode(&body);
-        let verb_hist = match &decoded {
-            Ok(ServiceRequest::Submit { .. }) => "service_verb_submit_ns",
-            Ok(ServiceRequest::Status(_)) => "service_verb_status_ns",
-            Ok(ServiceRequest::Fetch(_)) => "service_verb_fetch_ns",
-            Ok(ServiceRequest::Cancel(_)) => "service_verb_cancel_ns",
-            Ok(ServiceRequest::Stats) => "service_verb_stats_ns",
-            Ok(ServiceRequest::Shutdown) => "service_verb_shutdown_ns",
-            Ok(ServiceRequest::Trace(_)) => "service_verb_trace_ns",
-            Err(_) => "service_verb_invalid_ns",
+        let verb_metric = match &decoded {
+            Ok(ServiceRequest::Submit { .. }) => Metric::VerbSubmit,
+            Ok(ServiceRequest::Status(_)) => Metric::VerbStatus,
+            Ok(ServiceRequest::Fetch(_)) => Metric::VerbFetch,
+            Ok(ServiceRequest::Cancel(_)) => Metric::VerbCancel,
+            Ok(ServiceRequest::Stats) => Metric::VerbStats,
+            Ok(ServiceRequest::Shutdown) => Metric::VerbShutdown,
+            Ok(ServiceRequest::Trace(_)) => Metric::VerbTrace,
+            Err(_) => Metric::VerbInvalid,
         };
         let verb_started = std::time::Instant::now();
         let response = match decoded {
@@ -857,9 +853,7 @@ fn handle_connection(
                 return Ok(true);
             }
         };
-        crate::telemetry::telemetry()
-            .histogram(verb_hist)
-            .record_duration(verb_started.elapsed());
+        crate::obs::obs().record_duration(verb_metric, verb_started.elapsed());
         transport
             .send(&response.encode())
             .and_then(|_| transport.flush())

@@ -38,61 +38,40 @@ pub(super) fn execute(service: &Service, claimed: ClaimedJob) {
         progress,
         queue_wait,
     } = claimed;
-    let tele = crate::telemetry::telemetry();
-    tele.histogram("service_queue_wait_ns")
-        .record_duration(queue_wait);
-    let tr = crate::trace::tracer();
-    let trace = if tr.is_enabled() { key.trace_id() } else { 0 };
-    // Ambient context for the whole dispatch: backend pool checkouts and
-    // slot executions below attribute their spans to this job, and worker
-    // subprocesses receive the id on the wire.
-    let _ctx = crate::trace::enter(trace);
-    tr.record_past(
-        trace,
-        crate::trace::name::QUEUE_WAIT,
-        crate::trace::cat::SERVICE,
+    crate::obs::obs().end_past(
+        key.trace_id(),
+        crate::obs::name::QUEUE_WAIT,
+        crate::obs::cat::SERVICE,
         job.0,
-        u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX),
+        queue_wait,
     );
     progress.set_total(manifest.total_slots() as u64);
     let cell = progress.clone();
     let on_progress = move |p: crate::grid::Progress| {
         cell.record(p.completed as u64, p.point as u64, p.replication);
     };
-    let dispatch_started = tr.start();
-    let outcome = service
-        .registry()
-        .decode(&manifest.kind, &manifest.payload)
-        .map_err(crate::exec::ExecError::from)
-        .and_then(|decoded| {
+    // The dispatch runs as the job's trace: backend pool checkouts and
+    // slot executions below attribute their spans to it, worker
+    // subprocesses receive its id on the wire, and a failure leaves a
+    // flight record before the error is published unchanged.
+    let outcome = crate::obs::dispatch(
+        || key.trace_id(),
+        job.0,
+        &job.to_string(),
+        || {
+            let decoded = service
+                .registry()
+                .decode(&manifest.kind, &manifest.payload)?;
             service
                 .backend()
                 .run_segments(decoded.as_ref(), &manifest, Some(&on_progress))
-        });
-    tr.record(
-        trace,
-        crate::trace::name::DISPATCH,
-        crate::trace::cat::SERVICE,
-        job.0,
-        dispatch_started,
+        },
     );
     match outcome {
         Ok(slots) => {
             let blob = Arc::new(encode_blob(&slots));
             service.publish_done(job, key, blob);
         }
-        Err(e) => {
-            // Post-mortem for the failing job: dump its recent spans
-            // before publishing. Observation only — the error reaches the
-            // waiter byte-for-byte unchanged.
-            if let Some(path) = crate::trace::flight_record(trace, &job.to_string(), &e.to_string())
-            {
-                eprintln!(
-                    "[service] {job} failed; flight record at {}",
-                    path.display()
-                );
-            }
-            service.publish_failed(job, e);
-        }
+        Err(e) => service.publish_failed(job, e),
     }
 }

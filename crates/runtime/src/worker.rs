@@ -112,7 +112,7 @@ fn serve_manifest(
     transport: &mut dyn FrameTransport,
 ) -> Result<(), WireError> {
     let job = registry.decode(&manifest.kind, &manifest.payload)?;
-    let _trace_ctx = crate::trace::enter(trace);
+    let _trace_ctx = crate::obs::enter(trace);
 
     // Run the manifest on the shared scheduling core, streaming each
     // slot's `R` frame the moment it completes: results are never buffered
@@ -203,13 +203,13 @@ fn serve_manifest(
     // parent's drain stops at `D`/`E`). Advisory like `P`: a send failure
     // is ignored — the result path will surface a broken transport on its
     // own, and a lost batch only costs observability.
-    let tracer = crate::trace::tracer();
-    if trace != 0 && tracer.is_enabled() {
-        let spans = tracer.take_for(trace);
+    let obs = crate::obs::obs();
+    if trace != 0 && obs.is_enabled() {
+        let spans = obs.take_for(trace);
         if !spans.is_empty() {
             let mut body = Vec::new();
             wire::put_u8(&mut body, frame::SPANS);
-            body.extend(crate::trace::encode_spans(&spans));
+            body.extend(crate::obs::encode_spans(&spans));
             let _ = t.send(&body);
         }
     }
