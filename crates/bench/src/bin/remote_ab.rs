@@ -33,7 +33,8 @@
 use bench::ab::{host, median};
 use bench::remote::LocalCluster;
 use des::Workload;
-use sim_runtime::{Exec, PortableJob};
+use sim_core::PortableJob;
+use sim_runtime::Exec;
 use std::time::Instant;
 use wsn::experiments::jobs::NodeSweepJob;
 use wsn::sweep::FIG14_15_PDT_GRID;

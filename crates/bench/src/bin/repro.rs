@@ -105,7 +105,7 @@
 //! ```
 //!
 //! Instrumentation: every tier records into one layer
-//! (`sim_runtime::obs`). Ending a span (submit, queue-wait, dispatch,
+//! (`sim_core::obs`). Ending a span (submit, queue-wait, dispatch,
 //! pool-checkout, slot, engine-run) feeds its histogram and, under a job
 //! trace, the process-wide span ring; worker subprocesses ship their spans
 //! back in an advisory frame. The gateway's `GET /metrics` renders the
@@ -123,9 +123,8 @@
 
 use bench::write_artifact;
 use des::Workload;
-use sim_runtime::{
-    ChaosConfig, Exec, FaultPolicy, ServiceClient, ServiceConfig, ServiceHandle, StoppingRule,
-};
+use sim_core::StoppingRule;
+use sim_runtime::{ChaosConfig, Exec, FaultPolicy, ServiceClient, ServiceConfig, ServiceHandle};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -147,43 +146,15 @@ struct Opts {
     /// Worker threads, resolved once (`--threads` > `REPRO_THREADS` > one
     /// per core) and threaded through every experiment config.
     threads: usize,
-    /// Worker subprocesses (`--shards` > `REPRO_SHARDS` > 0 = in-process).
-    shards: usize,
-    /// Remote TCP workers (`--hosts` > `REPRO_HOSTS` > none); takes
-    /// precedence over `shards`.
-    hosts: Vec<String>,
-    /// Experiment service daemon (`--service` > `REPRO_SERVICE` > none);
-    /// takes precedence over `hosts` and `shards`.
-    service: Option<String>,
+    /// The execution backend every experiment runs on, resolved once by
+    /// [`resolve_executor`].
+    exec: Exec,
     /// Fixed replication counts for the stochastic sweeps instead of
     /// the default adaptive budgets.
     fixed_reps: bool,
-    /// Unified fault policy (`--retry`/`--io-timeout` > `REPRO_RETRY`/
-    /// `REPRO_IO_TIMEOUT` > defaults), threaded into every backend.
-    fault: FaultPolicy,
-    /// Warm worker/peer pooling (`--pool` > `REPRO_POOL` > on).
-    pool: bool,
-    /// Deterministic chaos injection, armed from `REPRO_CHAOS_*`.
-    chaos: Option<ChaosConfig>,
 }
 
 impl Opts {
-    /// The execution backend every experiment runs on.
-    fn exec(&self) -> Exec {
-        let base = if let Some(addr) = &self.service {
-            Exec::service(self.threads, addr.clone())
-        } else if !self.hosts.is_empty() {
-            Exec::remote(self.threads, self.hosts.clone())
-        } else if self.shards >= 1 {
-            Exec::sharded(self.threads, self.shards)
-        } else {
-            Exec::in_process(self.threads)
-        };
-        base.with_fault(self.fault)
-            .with_pool(self.pool)
-            .with_chaos(self.chaos)
-    }
-
     /// The one adaptive replication budget shared by every stochastic
     /// sweep — the open-workload sweeps (fig15, validate/open, watching
     /// their energy estimates) and the CPU comparison (figs 4–9 / tables
@@ -335,20 +306,14 @@ fn main() {
         std::process::exit(2);
     }
     let threads = threads
-        .or_else(|| sim_runtime::env_threads("REPRO_THREADS"))
-        .unwrap_or_else(sim_runtime::default_threads);
-    let (shards, hosts, service) = resolve_executor(shards, hosts, service, true);
-    let (fault, pool, chaos) = resolve_fault(retry, io_timeout, pool);
+        .or_else(|| sim_core::env_threads("REPRO_THREADS"))
+        .unwrap_or_else(sim_core::default_threads);
+    let fault = resolve_fault(retry, io_timeout, pool);
     let opts = Opts {
         quick,
         threads,
-        shards,
-        hosts,
-        service,
+        exec: resolve_executor(threads, shards, hosts, service, true, fault),
         fixed_reps,
-        fault,
-        pool,
-        chaos,
     };
 
     if targets.is_empty() {
@@ -357,7 +322,7 @@ fn main() {
         );
         std::process::exit(2);
     }
-    eprintln!("[repro] executor: {}", opts.exec().label());
+    eprintln!("[repro] executor: {}", opts.exec.label());
 
     for t in &targets {
         match *t {
@@ -421,18 +386,22 @@ fn parse_hosts(v: &str) -> Vec<String> {
         .collect()
 }
 
-/// Apply the environment fallbacks (`REPRO_SHARDS`/`REPRO_HOSTS`/
+/// The one backend selection, for experiment runs and the daemon alike.
+/// Applies the environment fallbacks (`REPRO_SHARDS`/`REPRO_HOSTS`/
 /// `REPRO_SERVICE`) and the documented executor precedence
-/// `service > hosts > shards`. Conflicts between *explicit* flags were
+/// `service > hosts > shards > in-process`, then the resolved
+/// `(fault, pool, chaos)` knobs. Conflicts between *explicit* flags were
 /// already rejected at parse time; a cross-source conflict (flag +
 /// environment, or environment + environment) resolves by precedence with
 /// a warning naming the loser.
 fn resolve_executor(
+    threads: usize,
     cli_shards: Option<usize>,
     cli_hosts: Option<Vec<String>>,
     cli_service: Option<String>,
     consult_service_env: bool,
-) -> (usize, Vec<String>, Option<String>) {
+    (fault, pool, chaos): (FaultPolicy, bool, Option<ChaosConfig>),
+) -> Exec {
     let shards = cli_shards
         .or_else(|| {
             std::env::var("REPRO_SHARDS")
@@ -478,13 +447,16 @@ fn resolve_executor(
             active[0]
         );
     }
-    if service.is_some() {
-        (0, Vec::new(), service)
+    let base = if let Some(addr) = service {
+        Exec::service(threads, addr)
     } else if !hosts.is_empty() {
-        (0, hosts, None)
+        Exec::remote(threads, hosts)
+    } else if shards >= 1 {
+        Exec::sharded(threads, shards)
     } else {
-        (shards, Vec::new(), None)
-    }
+        Exec::in_process(threads)
+    };
+    base.with_fault(fault).with_pool(pool).with_chaos(chaos)
 }
 
 /// Resolve the unified fault-policy knobs shared by every multi-process
@@ -681,21 +653,11 @@ fn serve_mode(args: &[String]) {
         std::process::exit(2);
     };
     let threads = threads
-        .or_else(|| sim_runtime::env_threads("REPRO_THREADS"))
-        .unwrap_or_else(sim_runtime::default_threads);
-    let (shards, hosts, _) = resolve_executor(shards, hosts, None, false);
+        .or_else(|| sim_core::env_threads("REPRO_THREADS"))
+        .unwrap_or_else(sim_core::default_threads);
     let (mut fault, pool, chaos) = resolve_fault(retry, io_timeout, pool_flag);
-    if fallback {
-        fault.fallback = true;
-    }
-    let exec = if !hosts.is_empty() {
-        Exec::remote(threads, hosts)
-    } else if shards >= 1 {
-        Exec::sharded(threads, shards)
-    } else {
-        Exec::in_process(threads)
-    };
-    let exec = exec.with_fault(fault).with_pool(pool).with_chaos(chaos);
+    fault.fallback |= fallback;
+    let exec = resolve_executor(threads, shards, hosts, None, false, (fault, pool, chaos));
     eprintln!(
         "[serve] backend: {}; queue capacity {queue_capacity}; {dispatchers} dispatcher(s); \
          mem cache {mem_cache} entries; disk cache {}{}",
@@ -1139,7 +1101,7 @@ fn run_all(opts: &Opts) {
 fn cpu_cfg(opts: &Opts) -> CpuComparisonConfig {
     CpuComparisonConfig {
         horizon: if opts.quick { 300.0 } else { 5000.0 },
-        exec: opts.exec(),
+        exec: opts.exec.runner(),
         rule: opts.adaptive_rule(),
         ..Default::default()
     }
@@ -1235,7 +1197,7 @@ fn node_fig(opts: &Opts, workload: Workload, fig: &str) {
         } else {
             1
         },
-        exec: opts.exec(),
+        exec: opts.exec.runner(),
         open_rule: opts.adaptive_rule(),
         ..Default::default()
     };
@@ -1354,7 +1316,7 @@ fn memory(opts: &Opts) {
 fn validate(opts: &Opts) {
     use wsn::experiments::validation::{render_validation_csv, run_validation};
     let horizon = if opts.quick { 200.0 } else { 900.0 };
-    let exec = opts.exec();
+    let exec = opts.exec.runner();
     let open_rule = opts.adaptive_rule();
     for (name, workload) in [
         ("closed", Workload::Closed { interval: 1.0 }),
@@ -1484,7 +1446,7 @@ fn seeds(opts: &Opts) {
         "replications", "mean standby", "CI half-width"
     );
     let params = CpuModelParams::paper_defaults(0.3, 0.3);
-    for row in seed_ablation(&params, horizon, counts, 0xCAFE, &opts.exec()) {
+    for row in seed_ablation(&params, horizon, counts, 0xCAFE, &opts.exec.runner()) {
         println!(
             "{:>14} {:>14.5} {:>16.5}",
             row.replications, row.mean_standby, row.ci_half_width

@@ -54,8 +54,9 @@
 use bench::remote::LocalService;
 use bench::shard::FailJob;
 use des::Workload;
+use sim_core::TaskManifest;
 use sim_runtime::service::protocol::{ServiceRequest, ServiceResponse};
-use sim_runtime::{Exec, TaskManifest};
+use sim_runtime::Exec;
 use std::time::Instant;
 use wsn::experiments::jobs::NodeSweepJob;
 use wsn::sweep::FIG14_15_PDT_GRID;
@@ -200,7 +201,7 @@ fn main() {
                 fail_point: 99,
                 fail_rep: 0,
             },
-            vec![sim_runtime::Segment {
+            vec![sim_core::Segment {
                 point: 0,
                 base_rep: 0,
                 count: 1,

@@ -8,8 +8,8 @@
 //! worker-killing crash job).
 
 use petri_core::prelude::*;
-use sim_runtime::wire::{self, Reader, WireError};
-use sim_runtime::{JobRegistry, PortableJob};
+use sim_core::wire::{self, Reader, WireError};
+use sim_core::{JobRegistry, PortableJob};
 
 /// The registry a `repro --worker` process serves manifests against:
 /// every wsn experiment job plus the self-test jobs below.
@@ -45,20 +45,20 @@ impl Mm1ReplicationJob {
     /// the submission arrives (`repro submit mm1`, `POST
     /// /submit?spec=mm1`), so identical parameters always land on the
     /// same cache key.
-    pub fn manifest(horizon: f64, warmup: f64, reps: u64, seed: u64) -> sim_runtime::TaskManifest {
+    pub fn manifest(horizon: f64, warmup: f64, reps: u64, seed: u64) -> sim_core::TaskManifest {
         let job = Mm1ReplicationJob {
             horizon,
             warmup,
             mu_grid: vec![2.0, 5.0, 10.0],
         };
         let segments = (0..job.mu_grid.len())
-            .map(|point| sim_runtime::Segment {
+            .map(|point| sim_core::Segment {
                 point,
                 base_rep: 0,
                 count: reps as usize,
             })
             .collect();
-        sim_runtime::TaskManifest::for_job(&job, segments, &|p, r| {
+        sim_core::TaskManifest::for_job(&job, segments, &|p, r| {
             petri_core::rng::SimRng::child_seed(seed, ((p as u64) << 32) | r)
         })
     }
@@ -91,7 +91,7 @@ impl PortableJob for Mm1ReplicationJob {
             .mu_grid
             .get(point)
             .ok_or_else(|| format!("point {point} outside the {}-rate grid", self.mu_grid.len()))?;
-        sim_runtime::obs::engine_run((point as u64) << 32 | rep, || {
+        sim_core::obs::engine_run((point as u64) << 32 | rep, || {
             let mut b = NetBuilder::new("selftest-mm1");
             let q = b.place("q").build();
             b.transition("arrive", Timing::exponential(1.0))
@@ -111,14 +111,14 @@ impl PortableJob for Mm1ReplicationJob {
             let out = sim.run(seed).map_err(|e| e.to_string())?;
             // Fold the (cumulative) engine profile into the trace as counter
             // events: value = attributed ns, aux = firings. Advisory only.
-            let obs = sim_runtime::obs::obs();
+            let obs = sim_core::obs::obs();
             if obs.is_enabled() && petri_core::sim::profile::armed() {
-                let trace = sim_runtime::obs::current();
+                let trace = sim_core::obs::current();
                 for row in petri_core::sim::profile::snapshot() {
                     obs.counter(
                         trace,
                         format!("profile/{}", row.transition),
-                        sim_runtime::obs::cat::ENGINE,
+                        sim_core::obs::cat::ENGINE,
                         row.ns,
                         row.firings,
                     );
@@ -323,7 +323,7 @@ mod tests {
         };
         // Would exit(3) if armed; unarmed it must produce normal bytes.
         let bytes = job.run_slot(0, 0, 42).unwrap();
-        assert_eq!(sim_runtime::wire::decode_f64s(&bytes).unwrap(), vec![42.0]);
+        assert_eq!(sim_core::wire::decode_f64s(&bytes).unwrap(), vec![42.0]);
         // Round-trips through the registry.
         let mut payload = Vec::new();
         job.encode_payload(&mut payload);

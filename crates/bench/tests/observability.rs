@@ -474,13 +474,12 @@ fn failing_job_leaves_a_flight_record() {
         fail_point: 0,
         fail_rep: 1,
     };
-    let segments = vec![sim_runtime::Segment {
+    let segments = vec![sim_core::Segment {
         point: 0,
         base_rep: 0,
         count: 3,
     }];
-    let manifest =
-        sim_runtime::TaskManifest::for_job(&job, segments, &|p, r| ((p as u64) << 32) | r);
+    let manifest = sim_core::TaskManifest::for_job(&job, segments, &|p, r| ((p as u64) << 32) | r);
     let mut client = svc.client();
     let (id, _) = client.submit(&manifest, 1).expect("submit");
     let err = client.fetch_blob(id).expect_err("job must fail");

@@ -17,7 +17,8 @@ use bench::remote::LocalCluster;
 use bench::shard::{EnvCrashJob, FailJob, Mm1ReplicationJob};
 use des::Workload;
 use proptest::prelude::*;
-use sim_runtime::{Exec, ExecError, StoppingRule};
+use sim_core::{ExecError, StoppingRule};
+use sim_runtime::Exec;
 use wsn::experiments::ablations::seed_ablation;
 use wsn::experiments::cpu_comparison::{run_cpu_comparison, CpuComparisonConfig};
 use wsn::experiments::node_energy::{run_node_sweep, NodeSweepConfig};
@@ -96,7 +97,7 @@ fn colored_node_sweep_driver_identical_across_hosts() {
             &NodeSweepConfig {
                 horizon: 120.0,
                 replications: 3,
-                exec,
+                exec: exec.runner(),
                 ..Default::default()
             },
         )
@@ -127,7 +128,7 @@ fn adaptive_node_sweep_identical_across_hosts() {
             &grid,
             &NodeSweepConfig {
                 horizon: 100.0,
-                exec,
+                exec: exec.runner(),
                 open_rule: Some(StoppingRule::relative(0.08).with_budget(3, 12, 3)),
                 ..Default::default()
             },
@@ -151,7 +152,7 @@ fn closed_node_sweep_driver_identical_across_hosts() {
             &grid,
             &NodeSweepConfig {
                 horizon: 120.0,
-                exec,
+                exec: exec.runner(),
                 ..Default::default()
             },
         )
@@ -176,7 +177,7 @@ fn cpu_comparison_driver_identical_across_hosts() {
             &CpuComparisonConfig {
                 horizon: 150.0,
                 replications: 2,
-                exec,
+                exec: exec.runner(),
                 ..Default::default()
             },
         )
@@ -187,7 +188,7 @@ fn cpu_comparison_driver_identical_across_hosts() {
             &grid,
             &CpuComparisonConfig {
                 horizon: 150.0,
-                exec,
+                exec: exec.runner(),
                 rule: Some(StoppingRule::relative(0.08).with_budget(2, 8, 2)),
                 ..Default::default()
             },
@@ -223,7 +224,7 @@ fn validation_driver_identical_across_hosts() {
             &grid,
             100.0,
             9,
-            &exec,
+            &exec.runner(),
             None,
         )
     };
@@ -234,7 +235,7 @@ fn validation_driver_identical_across_hosts() {
             &grid,
             100.0,
             9,
-            &exec,
+            &exec.runner(),
             Some(&rule),
         )
     };
@@ -256,7 +257,7 @@ fn validation_driver_identical_across_hosts() {
 fn seed_ablation_driver_identical_across_hosts() {
     let cluster = LocalCluster::spawn(repro_bin(), 4).expect("cluster spawns");
     let params = CpuModelParams::paper_defaults(0.3, 0.3);
-    let run = |exec: Exec| seed_ablation(&params, 150.0, &[3, 8], 0xCAFE, &exec);
+    let run = |exec: Exec| seed_ablation(&params, 150.0, &[3, 8], 0xCAFE, &exec.runner());
     let baseline = run(Exec::in_process(2));
     for hosts in HOST_GRID {
         assert_eq!(baseline, run(cluster.exec(2, hosts)), "hosts={hosts}");

@@ -17,10 +17,9 @@
 use bench::remote::LocalService;
 use bench::shard::{FailJob, Mm1ReplicationJob};
 use des::Workload;
+use sim_core::{ExecError, Runner, StoppingRule, TaskManifest};
 use sim_runtime::service::cache::decode_blob;
-use sim_runtime::{
-    Disposition, Exec, ExecError, JobState, ServiceError, StoppingRule, TaskManifest,
-};
+use sim_runtime::{Disposition, Exec, JobState, ServiceError};
 use wsn::experiments::ablations::seed_ablation;
 use wsn::experiments::cpu_comparison::{run_cpu_comparison, CpuComparisonConfig};
 use wsn::experiments::node_energy::{run_node_sweep, NodeSweepConfig};
@@ -49,7 +48,7 @@ fn mm1_manifest(horizon: f64, reps: u64, seed: u64) -> TaskManifest {
         mu_grid: vec![2.0, 5.0],
     };
     let segments = (0..job.mu_grid.len())
-        .map(|point| sim_runtime::Segment {
+        .map(|point| sim_core::Segment {
             point,
             base_rep: 0,
             count: reps as usize,
@@ -98,7 +97,7 @@ fn every_driver_served_is_identical_to_direct_execution() {
             &CpuComparisonConfig {
                 horizon: 150.0,
                 replications: 2,
-                exec,
+                exec: exec.runner(),
                 rule,
                 ..Default::default()
             },
@@ -124,7 +123,7 @@ fn every_driver_served_is_identical_to_direct_execution() {
             &NodeSweepConfig {
                 horizon: 100.0,
                 replications: reps,
-                exec,
+                exec: exec.runner(),
                 open_rule: rule,
                 ..Default::default()
             },
@@ -170,7 +169,7 @@ fn every_driver_served_is_identical_to_direct_execution() {
             &vgrid,
             100.0,
             9,
-            &Exec::in_process(2),
+            &Runner::new(2),
             None
         ),
         run_validation(
@@ -178,7 +177,7 @@ fn every_driver_served_is_identical_to_direct_execution() {
             &vgrid,
             100.0,
             9,
-            &served,
+            &served.runner(),
             None
         ),
         "closed validation diverged"
@@ -190,7 +189,7 @@ fn every_driver_served_is_identical_to_direct_execution() {
             &vgrid,
             100.0,
             9,
-            &Exec::in_process(1),
+            &Runner::new(1),
             Some(&vrule)
         ),
         run_validation(
@@ -198,7 +197,7 @@ fn every_driver_served_is_identical_to_direct_execution() {
             &vgrid,
             100.0,
             9,
-            &served,
+            &served.runner(),
             Some(&vrule)
         ),
         "adaptive validation diverged"
@@ -207,8 +206,8 @@ fn every_driver_served_is_identical_to_direct_execution() {
     // Seed ablation (prefix-folded replication grid).
     let params = CpuModelParams::paper_defaults(0.3, 0.3);
     assert_eq!(
-        seed_ablation(&params, 150.0, &[3, 8], 0xCAFE, &Exec::in_process(2)),
-        seed_ablation(&params, 150.0, &[3, 8], 0xCAFE, &served),
+        seed_ablation(&params, 150.0, &[3, 8], 0xCAFE, &Runner::new(2)),
+        seed_ablation(&params, 150.0, &[3, 8], 0xCAFE, &served.runner()),
         "seed ablation diverged"
     );
 
@@ -358,7 +357,7 @@ fn task_errors_propagate_losslessly_and_are_never_cached() {
         fail_rep: 1,
     };
     let segments = (0..3)
-        .map(|point| sim_runtime::Segment {
+        .map(|point| sim_core::Segment {
             point,
             base_rep: 0,
             count: 3,

@@ -12,7 +12,8 @@
 use bench::shard::{CrashJob, FailJob, Mm1ReplicationJob};
 use des::Workload;
 use proptest::prelude::*;
-use sim_runtime::{Exec, ExecError, StoppingRule};
+use sim_core::{ExecError, StoppingRule};
+use sim_runtime::Exec;
 use wsn::experiments::ablations::seed_ablation;
 use wsn::experiments::cpu_comparison::{run_cpu_comparison, CpuComparisonConfig};
 use wsn::experiments::node_energy::{run_node_sweep, NodeSweepConfig};
@@ -81,7 +82,7 @@ fn colored_node_sweep_driver_identical_across_shards() {
             &NodeSweepConfig {
                 horizon: 120.0,
                 replications: 3,
-                exec,
+                exec: exec.runner(),
                 ..Default::default()
             },
         )
@@ -105,7 +106,7 @@ fn adaptive_node_sweep_identical_across_shards() {
             &grid,
             &NodeSweepConfig {
                 horizon: 100.0,
-                exec,
+                exec: exec.runner(),
                 open_rule: Some(StoppingRule::relative(0.08).with_budget(3, 12, 3)),
                 ..Default::default()
             },
@@ -127,7 +128,7 @@ fn closed_node_sweep_driver_identical_across_shards() {
             &grid,
             &NodeSweepConfig {
                 horizon: 120.0,
-                exec,
+                exec: exec.runner(),
                 ..Default::default()
             },
         )
@@ -150,7 +151,7 @@ fn cpu_comparison_driver_identical_across_shards() {
             &CpuComparisonConfig {
                 horizon: 150.0,
                 replications: 2,
-                exec,
+                exec: exec.runner(),
                 ..Default::default()
             },
         )
@@ -173,7 +174,7 @@ fn validation_driver_identical_across_shards() {
             &grid,
             100.0,
             9,
-            &exec,
+            &exec.runner(),
             None,
         )
     };
@@ -184,7 +185,7 @@ fn validation_driver_identical_across_shards() {
             &grid,
             100.0,
             9,
-            &exec,
+            &exec.runner(),
             Some(&rule),
         )
     };
@@ -204,7 +205,7 @@ fn validation_driver_identical_across_shards() {
 #[test]
 fn seed_ablation_driver_identical_across_shards() {
     let params = CpuModelParams::paper_defaults(0.3, 0.3);
-    let run = |exec: Exec| seed_ablation(&params, 150.0, &[3, 8], 0xCAFE, &exec);
+    let run = |exec: Exec| seed_ablation(&params, 150.0, &[3, 8], 0xCAFE, &exec.runner());
     let baseline = run(Exec::in_process(2));
     for shards in SHARD_GRID {
         assert_eq!(baseline, run(sharded(2, shards)), "shards={shards}");

@@ -22,13 +22,14 @@
 //!
 //! The scoped thread pool here is *one backend* of the executor seam: the
 //! same claim/fold discipline runs behind [`crate::exec::ExecBackend`], so
-//! portable jobs can also be spread over worker subprocesses and remote
-//! peers (see [`crate::fleet::backend::WorkerBackend`]) with bit-identical
-//! results.
+//! portable jobs can also be spread over any backend plugged into a
+//! [`Runner`] (worker subprocesses and remote peers live in `sim-runtime`)
+//! with bit-identical results.
 
+use crate::exec::ExecBackend;
 use crate::obs::{cat::GRID, name::SLOT};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of worker threads to use by default (one per available core, at
 /// least 1).
@@ -66,8 +67,8 @@ pub struct Progress {
 ///
 /// Segments describe whole grids, the incremental rounds of the adaptive
 /// stopping rule, and — serialized inside a
-/// [`crate::exec::TaskManifest`] — the shard assignments of worker
-/// subprocesses.
+/// [`crate::exec::TaskManifest`] — the chunks a backend hands its
+/// workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
     /// Sweep-point index (global across the whole grid, even inside a
@@ -116,11 +117,12 @@ impl GridPlan {
     }
 }
 
-pub(crate) type ProgressFn = dyn Fn(Progress) + Send + Sync;
+/// A progress callback, shared by a runner and every backend it drives.
+pub type ProgressFn = dyn Fn(Progress) + Send + Sync;
 
 /// Per-segment results in replication order, as produced by
 /// [`run_segments_core`].
-pub(crate) type SegmentResults<R> = Vec<(Segment, Vec<R>)>;
+pub type SegmentResults<R> = Vec<(Segment, Vec<R>)>;
 
 /// Execute `segments` as one flat task stream over a scoped thread pool;
 /// returns each segment's results in replication order.
@@ -128,12 +130,12 @@ pub(crate) type SegmentResults<R> = Vec<(Segment, Vec<R>)>;
 /// This free function is the single in-process scheduling core: it sits
 /// under [`Runner::map`], [`Runner::try_grid`], the adaptive rounds in
 /// [`crate::stopping`], **and** [`crate::exec::InProcessBackend`] (which is
-/// how worker subprocesses of the sharded backend execute their shard).
+/// how a worker process executes its chunk of a manifest).
 ///
 /// The task receives `(flat_index, point, replication)`. On error the
 /// lowest-flat-index failure is returned together with that index, so
 /// callers (and remote gathers) can compare failures deterministically.
-pub(crate) fn run_segments_core<R, E, F>(
+pub fn run_segments_core<R, E, F>(
     threads: usize,
     progress: Option<&ProgressFn>,
     segments: &[Segment],
@@ -264,31 +266,33 @@ where
     Ok(out)
 }
 
-/// The shared executor: a worker-thread count, a backend selection, and an
-/// optional progress callback.
+/// The shared executor: a worker-thread count, an optional plugged-in
+/// backend, and an optional progress callback.
 ///
-/// `Runner` is cheap to construct; all execution state lives on the stack
-/// of each call. With the default in-process backend, worker threads are
-/// scoped (`std::thread::scope`), so borrowed tasks — closures capturing
+/// `Runner` is cheap to construct and to clone (the backend and callback
+/// are shared); all execution state lives on the stack of each call.
+/// With no backend plugged in, worker threads are scoped
+/// (`std::thread::scope`), so borrowed tasks — closures capturing
 /// `&Simulator`, slices, etc. — need no `Arc` and no `'static` bounds.
 ///
 /// Closure-based grids ([`Runner::map`], [`Runner::grid`],
 /// [`Runner::try_grid`]) always execute in-process: a closure is bound to
 /// this address space. Portable jobs ([`Runner::run_job`],
-/// [`Runner::run_adaptive_job`]) go through whichever
-/// [`crate::exec::ExecBackend`] the runner was configured with, including
-/// the multi-process [`crate::fleet::backend::WorkerBackend`].
+/// [`Runner::run_adaptive_job`]) go through the plugged-in
+/// [`ExecBackend`] (see [`Runner::with_backend`]), or the in-process
+/// backend when there is none.
+#[derive(Clone)]
 pub struct Runner {
     pub(crate) threads: usize,
-    pub(crate) backend: crate::exec::BackendSel,
-    pub(crate) progress: Option<Box<ProgressFn>>,
+    pub(crate) backend: Option<Arc<dyn ExecBackend + Send + Sync>>,
+    pub(crate) progress: Option<Arc<ProgressFn>>,
 }
 
 impl std::fmt::Debug for Runner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runner")
             .field("threads", &self.threads)
-            .field("backend", &self.backend)
+            .field("backend", &self.backend.as_ref().map(|b| b.label()))
             .field("progress", &self.progress.is_some())
             .finish()
     }
@@ -300,9 +304,15 @@ impl Runner {
     pub fn new(threads: usize) -> Self {
         Runner {
             threads: threads.max(1),
-            backend: crate::exec::BackendSel::InProcess,
+            backend: None,
             progress: None,
         }
+    }
+
+    /// Dispatch portable jobs to `backend` instead of the in-process pool.
+    pub fn with_backend(mut self, backend: Arc<dyn ExecBackend + Send + Sync>) -> Self {
+        self.backend = Some(backend);
+        self
     }
 
     /// A runner with one worker per available core.
@@ -310,8 +320,8 @@ impl Runner {
         Runner::new(default_threads())
     }
 
-    /// The worker-thread count this runner schedules onto (per process:
-    /// the sharded backend runs this many threads *in each* worker).
+    /// The worker-thread count this runner schedules onto (per process: a
+    /// worker backend runs this many threads *in each* worker).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -320,7 +330,7 @@ impl Runner {
     /// worker threads; keep it cheap and thread-safe). The grid total it
     /// reports is computed once up front when the grid is planned.
     pub fn on_progress(mut self, f: impl Fn(Progress) + Send + Sync + 'static) -> Self {
-        self.progress = Some(Box::new(f));
+        self.progress = Some(Arc::new(f));
         self
     }
 

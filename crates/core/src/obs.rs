@@ -347,7 +347,7 @@ impl Span {
             h = (h ^ *b as u64).wrapping_mul(0x100_0000_01B3);
         }
         let mut s = h ^ self.flat;
-        crate::fleet::splitmix64(&mut s)
+        crate::rng::splitmix64(&mut s)
     }
 }
 
@@ -650,9 +650,8 @@ pub fn current() -> u64 {
 
 /// Run `f` under an `engine-run` span attributed to the ambient trace.
 ///
-/// The hook job implementations (which live above the runtime — the
-/// engine crate cannot depend on it) wrap their per-slot simulation body
-/// in. `engine-run` feeds no histogram, so outside a job trace this is a
+/// The hook portable job implementations wrap their per-slot simulation
+/// body in. `engine-run` feeds no histogram, so outside a job trace this is a
 /// direct call.
 pub fn engine_run<T>(flat: u64, f: impl FnOnce() -> T) -> T {
     let (obs, trace) = (obs(), current());
@@ -670,7 +669,7 @@ pub fn engine_run<T>(flat: u64, f: impl FnOnce() -> T) -> T {
 /// recording), make it the ambient context for `run`, record the
 /// `dispatch` span, and flight-record a failure. `label` names the job
 /// in the post-mortem file and the log line.
-pub(crate) fn dispatch<T>(
+pub fn dispatch<T>(
     trace_of: impl FnOnce() -> u64,
     flat: u64,
     label: &str,
@@ -695,7 +694,7 @@ pub(crate) fn dispatch<T>(
 /// zero. Re-runs of the same manifest on the same build get the same
 /// trace ID, so their traces are directly comparable.
 pub fn trace_id_of(manifest: &crate::exec::TaskManifest) -> u64 {
-    crate::service::cache::CacheKey::of_manifest(manifest).trace_id()
+    crate::key::CacheKey::of_manifest(manifest).trace_id()
 }
 
 // --- wire encoding (worker span batches) -----------------------------------
@@ -705,7 +704,7 @@ pub fn trace_id_of(manifest: &crate::exec::TaskManifest) -> u64 {
 const MIN_SPAN_BYTES: usize = 4 + 4 + 1 + 5 * 8 + 4;
 
 /// Encode a span batch for the advisory `T` response frame.
-pub(crate) fn encode_spans(spans: &[Span]) -> Vec<u8> {
+pub fn encode_spans(spans: &[Span]) -> Vec<u8> {
     let mut body = Vec::new();
     wire::put_u32(&mut body, spans.len() as u32);
     for s in spans {
@@ -726,7 +725,7 @@ pub(crate) fn encode_spans(spans: &[Span]) -> Vec<u8> {
 /// the tag byte). The count is bounded by the bytes present and by the
 /// worker's ring; unknown categories and kinds are rejected, so every
 /// decoded batch re-encodes to the bytes it came from.
-pub(crate) fn decode_spans(r: &mut Reader<'_>) -> Result<Vec<Span>, WireError> {
+pub fn decode_spans(r: &mut Reader<'_>) -> Result<Vec<Span>, WireError> {
     const NAMES: &[&str] = &[
         name::SUBMIT,
         name::QUEUE_WAIT,

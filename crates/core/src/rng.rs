@@ -9,7 +9,10 @@
 //! seeded through SplitMix64 — the same construction the `rand` crate's
 //! `SmallRng` uses — so the build has no external dependency while keeping
 //! the statistical quality the engine's weighted choices and exponential
-//! streams rely on.
+//! streams rely on. It is the workspace's one generator: the fleet's
+//! backoff jitter and chaos schedules draw from it too (as `FleetRng`).
+//! Only the `des` crate keeps its own, on purpose: it is the independent
+//! oracle the engine is checked against.
 
 /// Simulation RNG: a seeded, reproducible generator plus distribution
 /// helpers used by the timing module.
@@ -18,8 +21,10 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
+/// One SplitMix64 step: the seed expander behind [`SimRng::seed_from_u64`],
+/// also used to mix span IDs and chaos-fault salts.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -97,6 +102,22 @@ impl SimRng {
         // Widening-multiply range reduction (Lemire); bias is < 2^-64 per
         // draw, far below anything a simulation estimate can resolve.
         (((self.next_u64() as u128) * (n as u128)) >> 64) as usize
+    }
+
+    /// Draw in `[0, n)` by plain modulo (`0` when `n == 0`). The bias is
+    /// irrelevant at backoff-jitter and chaos-fault granularity, and those
+    /// schedules are pinned to this exact reduction.
+    pub fn next_below(&mut self, n: u64) -> u64 {
+        if n == 0 {
+            0
+        } else {
+            self.next_u64() % n
+        }
+    }
+
+    /// Bernoulli draw with probability `per_mille / 1000`.
+    pub fn chance(&mut self, per_mille: u32) -> bool {
+        per_mille > 0 && self.next_below(1000) < per_mille as u64
     }
 
     /// Pick an index in `[0, weights.len())` with probability proportional to

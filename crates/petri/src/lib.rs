@@ -18,7 +18,7 @@
 //! * per-transition memory policies (race-enable / race-age / resample);
 //! * reward measures (time-average tokens, predicate probabilities,
 //!   throughputs, firing counts) integrated exactly between events;
-//! * parallel independent replications on the shared `sim_runtime`
+//! * parallel independent replications on the shared `sim_core`
 //!   executor — bit-identical results at any thread count, plus an
 //!   adaptive Student-t stopping mode ("run until the estimate settles");
 //! * analysis: bounded reachability, P-invariants, structural lints, and
@@ -68,12 +68,16 @@ pub mod ids;
 pub mod marking;
 pub mod net;
 pub mod replicate;
-pub mod rng;
 pub mod sim;
-pub mod stats;
 pub mod timing;
 pub mod token;
 pub mod transition;
+
+/// Deterministic random-number streams: the core's one generator.
+pub use sim_core::rng;
+/// Streaming moments, confidence intervals and batch means, shared with
+/// the core's adaptive stopping rule.
+pub use sim_core::stats;
 
 /// The common imports for building and simulating nets.
 pub mod prelude {
@@ -91,5 +95,5 @@ pub mod prelude {
     pub use crate::stats::{ConfidenceLevel, Welford};
     pub use crate::timing::{MemoryPolicy, Timing};
     pub use crate::token::{Color, ColorFilter};
-    pub use sim_runtime::StoppingRule;
+    pub use sim_core::StoppingRule;
 }

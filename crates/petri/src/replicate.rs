@@ -3,7 +3,7 @@
 //! Simulation of one trajectory is inherently sequential, so the honest
 //! parallelism for this workload is *across* independent replications (and,
 //! one level up, across parameter-sweep points — see `wsn::sweep`). Both
-//! levels are scheduled by the shared [`sim_runtime`] executor, which
+//! levels are scheduled by the shared [`sim_core`] executor, which
 //! flattens the `(point × replication)` grid into one work-stealing task
 //! stream; this module is the replication-level entry point over a single
 //! simulator.
@@ -11,14 +11,14 @@
 //! These entry points take closures over a **borrowed** `&Simulator`, so
 //! they always run on the executor's in-process backend (a closure cannot
 //! cross the process boundary). Experiment drivers that describe their
-//! tasks as data instead — `sim_runtime::PortableJob` — run the identical
-//! schedule on the sharded multi-process backend with byte-identical
-//! results; see `wsn::experiments::jobs`.
+//! tasks as data instead — `sim_core::PortableJob` — run the identical
+//! schedule on any plugged-in backend, multi-process ones included, with
+//! byte-identical results; see `wsn::experiments::jobs`.
 
 use crate::error::SimError;
 use crate::sim::Simulator;
 use crate::stats::{ConfidenceInterval, ConfidenceLevel, Welford};
-use sim_runtime::{Runner, StoppingRule};
+use sim_core::{Runner, StoppingRule};
 
 /// Aggregated results of `n` independent replications.
 #[derive(Debug, Clone)]
@@ -69,7 +69,7 @@ pub fn run_replications(
 /// Run `replications` independent simulations across `threads` worker
 /// threads (scoped; no detached work).
 ///
-/// Workers claim replication indices from the shared [`sim_runtime`]
+/// Workers claim replication indices from the shared [`sim_core`]
 /// executor, so load balances even when trajectories differ wildly in
 /// event count. Per-replication outputs are folded into the summary in
 /// replication-index order, so the result is **bit-identical** to

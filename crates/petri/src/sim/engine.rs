@@ -729,7 +729,7 @@ impl<'a> Simulator<'a> {
     pub fn run(&self, seed: u64) -> Result<SimOutput, SimError> {
         let out = super::lowered::LoweredEngine::new(self, seed).run();
         if let Ok(o) = &out {
-            sim_runtime::obs().record(sim_runtime::obs::Metric::EngineRunEvents, o.total_firings());
+            sim_core::obs::obs().record(sim_core::obs::Metric::EngineRunEvents, o.total_firings());
         }
         #[cfg(debug_assertions)]
         if self.shadow_once.set(()).is_ok() {

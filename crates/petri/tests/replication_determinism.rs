@@ -1,7 +1,7 @@
 //! Cross-thread-count determinism of the replication machinery: the same
 //! `(net, seed, replication count)` must produce **byte-identical**
 //! `ReplicationSummary` moments at 1, 2 and 8 worker threads — the
-//! guarantee the `sim_runtime` grid's index-ordered fold provides. Checked
+//! guarantee the `sim_core` grid's index-ordered fold provides. Checked
 //! as properties over random parameters, for an uncolored and a colored
 //! net, and for the adaptive stopping mode (replication budget included).
 

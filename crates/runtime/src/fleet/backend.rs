@@ -35,17 +35,17 @@
 //! each healthy one with [`Link::close`]: a pipe worker gets the shutdown
 //! frame and must exit 0.
 
-use crate::exec::{ExecBackend, ExecError, InProcessBackend, PortableJob, TaskManifest};
 use crate::fleet::chaos::{ChaosConfig, FaultInjector};
 use crate::fleet::pool::{Endpoint, Link, WorkerPool};
 use crate::fleet::supervisor::quarantine;
 use crate::fleet::{fleet_stats, FaultPolicy, FleetStats};
-use crate::grid::{Progress, ProgressFn};
 use crate::remote::protocol::{
     collect_results, drain_chunk, encode_manifest_request, keep_lowest_error,
     undelivered_remainder, ChunkSink, Drained,
 };
 use crate::remote::transport::FrameTransport as _;
+use sim_core::exec::{ExecBackend, ExecError, InProcessBackend, PortableJob, TaskManifest};
+use sim_core::grid::{Progress, ProgressFn};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
@@ -237,8 +237,11 @@ impl WorkerBackend {
         let slots = chunk.manifest.slots();
         let mut delivered = vec![false; slots.len()];
         let mut t = FaultInjector::new(link.transport(), self.chaos);
-        let request =
-            encode_manifest_request(self.worker_threads, &chunk.manifest, crate::obs::current());
+        let request = encode_manifest_request(
+            self.worker_threads,
+            &chunk.manifest,
+            sim_core::obs::current(),
+        );
         let outcome = match t.send(&request).and_then(|_| t.flush()) {
             Err(e) => Drained::Broken(format!("request write failed: {e}")),
             Ok(()) => drain_chunk(
@@ -260,16 +263,16 @@ impl WorkerBackend {
     /// One endpoint's drain thread: open a link, then claim and dispatch
     /// chunks until the queue is empty.
     fn drive(&self, ep: &Endpoint, salt: u64, job: &dyn PortableJob, g: &Gather<'_>) {
-        let obs = crate::obs::obs();
-        let started = obs.start(crate::obs::current());
+        let obs = sim_core::obs::obs();
+        let started = obs.start(sim_core::obs::current());
         let mut link = match self.open(ep, salt) {
             Ok(link) => Some(link),
             Err(why) => return g.lock().open_failures.push(why),
         };
         obs.end(
             started,
-            crate::obs::name::POOL_CHECKOUT,
-            crate::obs::cat::FLEET,
+            sim_core::obs::name::POOL_CHECKOUT,
+            sim_core::obs::cat::FLEET,
             salt,
         );
         g.lock().opened += 1;
@@ -594,8 +597,8 @@ mod tests {
     use crate::exec::{frame, tests::MulJob};
     use crate::fleet::pool::pool;
     use crate::fleet::supervisor::QUARANTINE_THRESHOLD;
-    use crate::grid::Segment;
-    use crate::wire;
+    use sim_core::grid::Segment;
+    use sim_core::wire;
 
     /// A `count`-slot manifest of [`MulJob`] at point 0.
     fn manifest(job: &MulJob, count: usize) -> TaskManifest {

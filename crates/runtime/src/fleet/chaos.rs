@@ -5,7 +5,7 @@
 //!
 //! * [`FaultInjector`] wraps any [`FrameTransport`] and — when armed —
 //!   drops, delays, garbles/truncates frames or kills the connection
-//!   after N frames, with every decision drawn from a [`FleetRng`]
+//!   after N frames, with every decision drawn from a [`SimRng`]
 //!   seeded from `ChaosConfig::seed` and a per-connection counter. The
 //!   same seed therefore yields the same fault schedule run-to-run.
 //!   Every injected fault is **connection-fatal or stream-corrupting,
@@ -36,8 +36,8 @@
 //! | `REPRO_CHAOS_WORKER_STALL` | per-mille chance a worker goes silent mid-slot |
 //! | `REPRO_CHAOS_WORKER_STALL_MS` | stall duration (default 1500 ms) |
 
-use super::FleetRng;
 use crate::remote::transport::FrameTransport;
+use sim_core::SimRng;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -140,7 +140,7 @@ static CONN_SEQ: AtomicU64 = AtomicU64::new(0);
 
 struct InjectorState {
     cfg: ChaosConfig,
-    rng: FleetRng,
+    rng: SimRng,
     frames: u64,
 }
 
@@ -160,7 +160,7 @@ impl<T: FrameTransport> FaultInjector<T> {
             let conn = CONN_SEQ.fetch_add(1, Ordering::Relaxed);
             InjectorState {
                 cfg,
-                rng: FleetRng::seed_from_u64(cfg.seed ^ conn.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                rng: SimRng::seed_from_u64(cfg.seed ^ conn.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                 frames: 0,
             }
         });
@@ -270,11 +270,11 @@ impl WorkerChaos {
     /// says "crash" would crash every replacement worker and the fleet
     /// could never finish. Byte-identity of results is independent of
     /// these rolls (seeded pure slots).
-    fn roll(&self, slot_seed: u64, salt: u64) -> FleetRng {
+    fn roll(&self, slot_seed: u64, salt: u64) -> SimRng {
         let mut s = self.seed ^ salt;
-        let a = super::splitmix64(&mut s);
+        let a = sim_core::rng::splitmix64(&mut s);
         let mut s2 = a ^ (std::process::id() as u64) ^ slot_seed;
-        FleetRng::seed_from_u64(super::splitmix64(&mut s2))
+        SimRng::seed_from_u64(sim_core::rng::splitmix64(&mut s2))
     }
 
     /// Should the worker exit(3) instead of delivering this slot?
@@ -320,7 +320,7 @@ pub fn worker_chaos() -> Option<&'static WorkerChaos> {
 mod tests {
     use super::*;
     use crate::remote::transport::MemTransport;
-    use crate::wire;
+    use sim_core::wire;
 
     fn staged(frames: &[&[u8]]) -> MemTransport {
         let mut buf = Vec::new();
@@ -380,7 +380,7 @@ mod tests {
         // parity: drive many frames and compare which indices fail.
         let cfg = ChaosConfig::seeded(77).with_drop(200);
         let schedule = |conn_seed: u64| -> Vec<bool> {
-            let mut rng = FleetRng::seed_from_u64(cfg.seed ^ conn_seed);
+            let mut rng = SimRng::seed_from_u64(cfg.seed ^ conn_seed);
             (0..100).map(|_| rng.chance(cfg.drop_per_mille)).collect()
         };
         assert_eq!(schedule(0), schedule(0));

@@ -40,11 +40,8 @@ use std::time::Duration;
 
 /// Unified fault-handling policy shared by every execution tier.
 ///
-/// Backoff between retries is exponential with
-/// deterministic jitter drawn from a seeded [`FleetRng`] — same
-/// construction as `petri-core`'s `SimRng` (xoshiro256++ seeded via
-/// SplitMix64), reimplemented here because `petri-core` depends on this
-/// crate, not the other way around.
+/// Backoff between retries is exponential with deterministic jitter drawn
+/// from a seeded core [`SimRng`](sim_core::SimRng).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
     /// Read/write timeout on TCP links; `None` disables timeouts (pipe
@@ -124,81 +121,22 @@ impl FaultPolicy {
         let exp = base
             .saturating_mul(1u64.checked_shl(attempt.min(32) as u32).unwrap_or(u64::MAX))
             .min(cap.max(1));
-        let mut rng = FleetRng::seed_from_u64(
+        let mut rng = sim_core::SimRng::seed_from_u64(
             self.backoff_seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ attempt as u64,
         );
         let jitter = rng.next_below(exp / 2 + 1);
         let delay = Duration::from_millis(exp / 2 + jitter);
         // Every retry tier (sharded, remote, supervisor) sleeps exactly
         // what this returns, so one recording site covers them all.
-        crate::obs::obs().record_duration(crate::obs::Metric::FleetBackoffWait, delay);
+        sim_core::obs::obs().record_duration(sim_core::obs::Metric::FleetBackoffWait, delay);
         delay
     }
 }
 
-// --- deterministic RNG ----------------------------------------------------
-
-/// SplitMix64 step: the seed expander used by both `petri-core`'s
-/// `SimRng` and this mirror.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// xoshiro256++ seeded via SplitMix64 — the fleet's deterministic RNG
-/// for backoff jitter and chaos-fault scheduling. Mirrors the
-/// construction of `petri_core::rng::SimRng` (which cannot be imported
-/// here without a dependency cycle).
-#[derive(Debug, Clone)]
-pub struct FleetRng {
-    s: [u64; 4],
-}
-
-impl FleetRng {
-    /// Expand one `u64` seed into the full generator state.
-    pub fn seed_from_u64(seed: u64) -> Self {
-        let mut sm = seed;
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
-        FleetRng { s }
-    }
-
-    /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
-        let s = &mut self.s;
-        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-        result
-    }
-
-    /// Uniform-ish draw in `[0, n)` (`0` when `n == 0`). Modulo bias is
-    /// irrelevant at jitter/chaos granularity.
-    pub fn next_below(&mut self, n: u64) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            self.next_u64() % n
-        }
-    }
-
-    /// Bernoulli draw with probability `per_mille / 1000`.
-    pub fn chance(&mut self, per_mille: u32) -> bool {
-        per_mille > 0 && self.next_below(1000) < per_mille as u64
-    }
-}
+/// The fleet's deterministic RNG for backoff jitter and chaos-fault
+/// scheduling: the core generator, under the name the frozen benchmark
+/// imports.
+pub use sim_core::rng::SimRng as FleetRng;
 
 // --- process-global degradation counters ----------------------------------
 
@@ -338,6 +276,88 @@ mod tests {
         // chance(0) never fires; chance(1000) always fires.
         assert!(!a.chance(0));
         assert!(a.chance(1000));
+    }
+
+    /// Backoff jitter and chaos schedules draw from `FleetRng`; these
+    /// streams were captured from the fleet's own xoshiro256++ before it
+    /// became the core generator, so a change to either shows up here.
+    #[test]
+    fn fleet_rng_streams_are_pinned() {
+        type Pinned = ([u64; 16], [u64; 16], [bool; 16]);
+        let (f, t) = (false, true);
+        let pinned: [(u64, Pinned); 2] = [
+            (
+                0,
+                (
+                    [
+                        0x53175d61490b23df,
+                        0x61da6f3dc380d507,
+                        0x5c0fdf91ec9a7bfc,
+                        0x02eebf8c3bbe5e1a,
+                        0x7eca04ebaf4a5eea,
+                        0x0543c37757f08d9a,
+                        0xdb7490c75ab5026e,
+                        0xd87343e6464bc959,
+                        0x4b7da0a02389f0ff,
+                        0x1300fc58c0424c16,
+                        0x5084843206c19968,
+                        0x10ea073de9aa4dfc,
+                        0x1aae554343960cc1,
+                        0x1804139f10fae720,
+                        0x10d790e7b8ac10fa,
+                        0x667d2bffdd1496f7,
+                    ],
+                    [
+                        503, 255, 180, 330, 874, 858, 806, 553, 407, 710, 720, 380, 409, 520, 418,
+                        423,
+                    ],
+                    [f, f, t, f, f, f, f, f, f, f, f, f, f, f, f, f],
+                ),
+            ),
+            (
+                FaultPolicy::default().backoff_seed,
+                (
+                    [
+                        0x2254e8f35aaa1d68,
+                        0x48791a0a024a5ee0,
+                        0x20ae71a0077e4208,
+                        0x781a0aa69b68a9f2,
+                        0x8a6bfb84f25af146,
+                        0xa25a18d83bdabc40,
+                        0x4a9a8e825ed89033,
+                        0x5a09cd373ed706e9,
+                        0x9cd839568321758a,
+                        0xec43b0ee91f8bcc9,
+                        0xb64c02276ac58dd3,
+                        0xdb887195dbced28c,
+                        0x4430629436462709,
+                        0x08b48f51560065d5,
+                        0xdb1e188127978102,
+                        0x37a224d5bc4f3b2b,
+                    ],
+                    [
+                        976, 288, 96, 2, 486, 16, 955, 905, 474, 449, 99, 612, 169, 157, 858, 835,
+                    ],
+                    [f, f, t, t, f, t, f, f, f, f, t, f, t, t, f, f],
+                ),
+            ),
+        ];
+        for (seed, (raw, below, chance)) in pinned {
+            let mut rng = FleetRng::seed_from_u64(seed);
+            assert_eq!(raw.map(|_| rng.next_u64()), raw, "next_u64, seed {seed:#x}");
+            let mut rng = FleetRng::seed_from_u64(seed);
+            assert_eq!(
+                below.map(|_| rng.next_below(1000)),
+                below,
+                "next_below, seed {seed:#x}"
+            );
+            let mut rng = FleetRng::seed_from_u64(seed);
+            assert_eq!(
+                chance.map(|_| rng.chance(250)),
+                chance,
+                "chance, seed {seed:#x}"
+            );
+        }
     }
 
     #[test]

@@ -23,9 +23,9 @@ pub mod transport;
 
 pub use transport::{probe_live, FrameTransport, PipeTransport, StdioTransport, TcpTransport};
 
-use crate::exec::JobRegistry;
-use crate::wire::WireError;
 use crate::worker::{serve, ServeOutcome};
+use sim_core::exec::JobRegistry;
+use sim_core::wire::WireError;
 use std::net::TcpListener;
 
 /// Send the graceful-shutdown frame on `transport`: the receiving worker
@@ -100,13 +100,13 @@ pub fn serve_listener(registry: std::sync::Arc<JobRegistry>, addr: &str) -> Resu
 mod tests {
     use super::*;
     use crate::exec::tests::{decode_mul, MulJob};
-    use crate::exec::{ExecBackend, ExecError, InProcessBackend, PortableJob, TaskManifest};
     use crate::fleet::backend::{Connector, WorkerBackend};
     use crate::fleet::pool::WorkerPool;
     use crate::fleet::FaultPolicy;
-    use crate::grid::Segment;
     use crate::remote::transport::join_within;
-    use crate::wire;
+    use sim_core::exec::{ExecBackend, ExecError, InProcessBackend, PortableJob, TaskManifest};
+    use sim_core::grid::Segment;
+    use sim_core::wire;
     use std::net::{Shutdown, TcpStream};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -126,7 +126,7 @@ mod tests {
         handle: std::thread::JoinHandle<()>,
     }
 
-    /// Spawn a peer listening on `addr` (port 0 = ephemeral). Mirrors
+    /// Spawn a peer accepting on `listener`. Mirrors
     /// `serve_listener`: each connection is served on its own thread (the
     /// backend's warm pool keeps connections open across dispatches, so a
     /// sequential accept loop would never see the shutdown connection),
@@ -134,8 +134,7 @@ mod tests {
     /// shutdown frame. Before returning it shuts down every stream it
     /// accepted, so a link parked in the pool fails its liveness probe
     /// instead of outliving the peer.
-    fn spawn_peer(addr: &str, reg: fn() -> JobRegistry) -> Peer {
-        let listener = TcpListener::bind(addr).unwrap();
+    fn spawn_peer(listener: TcpListener, reg: fn() -> JobRegistry) -> Peer {
         let local = listener.local_addr().unwrap();
         let accepted = Arc::new(AtomicUsize::new(0));
         let count = accepted.clone();
@@ -170,9 +169,14 @@ mod tests {
         }
     }
 
+    /// A listener on an ephemeral loopback port.
+    fn ephemeral() -> TcpListener {
+        TcpListener::bind("127.0.0.1:0").unwrap()
+    }
+
     /// A `test-mul` peer on an ephemeral loopback port.
     fn spawn_worker() -> (String, std::thread::JoinHandle<()>) {
-        let peer = spawn_peer("127.0.0.1:0", registry);
+        let peer = spawn_peer(ephemeral(), registry);
         (peer.addr, peer.handle)
     }
 
@@ -255,12 +259,17 @@ mod tests {
         // R frame, then drops the connection. Peer 1 is a real worker.
         // The gather must re-dispatch the undelivered remainder and still
         // produce the exact in-process bytes.
-        let saboteur = TcpListener::bind("127.0.0.1:0").unwrap();
+        let saboteur = ephemeral();
         let sab_addr = saboteur.local_addr().unwrap().to_string();
+        // The real worker starts serving only once the saboteur holds a
+        // chunk: until then its link waits on its own first chunk, so it
+        // cannot claim both and leave the saboteur without work.
+        let (requested, gate) = std::sync::mpsc::channel();
         let sab = std::thread::spawn(move || {
             let (stream, _) = saboteur.accept().unwrap();
             let mut t = TcpTransport::new(stream);
             let req = t.recv().unwrap().unwrap();
+            requested.send(()).unwrap();
             // Decode the manifest to answer slot 0 honestly first.
             let mut r = wire::Reader::new(&req);
             assert_eq!(r.get_u8().unwrap(), crate::exec::frame::MANIFEST);
@@ -278,7 +287,12 @@ mod tests {
             t.flush().unwrap();
             // ... then die mid-chunk.
         });
-        let (good_addr, good_handle) = spawn_worker();
+        let good = ephemeral();
+        let good_addr = good.local_addr().unwrap().to_string();
+        let good_peer = std::thread::spawn(move || {
+            gate.recv().unwrap();
+            spawn_peer(good, registry).handle
+        });
 
         let job = MulJob { factor: 3 };
         let m = mul_manifest(&[4, 4]);
@@ -289,6 +303,7 @@ mod tests {
         let out = backend.run_segments(&job, &m, None).unwrap();
         assert_eq!(baseline, out);
         join_within(sab);
+        let good_handle = join_within(good_peer);
         shutdown_peer(&good_addr);
         join_within(good_handle);
     }
@@ -416,7 +431,7 @@ mod tests {
             });
             reg
         }
-        let Peer { addr, handle, .. } = spawn_peer("127.0.0.1:0", reg);
+        let Peer { addr, handle, .. } = spawn_peer(ephemeral(), reg);
         let job = FailFrom(1);
         let m = TaskManifest::for_job(
             &job,
@@ -464,14 +479,14 @@ mod tests {
             .run_segments(&job, &m, None)
             .unwrap();
         let pool = Arc::new(WorkerPool::default());
-        let a = spawn_peer("127.0.0.1:0", registry);
+        let a = spawn_peer(ephemeral(), registry);
         let out = tcp_in(vec![a.addr.clone()], 1, pool.clone()).run_segments(&job, &m, None);
         assert_eq!(out.unwrap(), expect);
         shutdown_peer(&a.addr);
         join_within(a.handle);
         // Peer B binds A's exact address. A new backend dispatching there
         // must reach B, not A's parked link.
-        let b = spawn_peer(&a.addr, registry);
+        let b = spawn_peer(TcpListener::bind(a.addr.as_str()).unwrap(), registry);
         let out = tcp_in(vec![b.addr.clone()], 1, pool).run_segments(&job, &m, None);
         assert_eq!(out.unwrap(), expect);
         let deadline = Instant::now() + Duration::from_secs(10);

@@ -7,10 +7,11 @@
 //! alike. The drain reads untrusted bytes, so it classifies every
 //! malformed stream as [`Drained::Broken`] instead of panicking.
 
-use crate::exec::{frame, ExecError, TaskManifest, WIRE_VERSION};
-use crate::grid::{Progress, ProgressFn, Segment};
+use crate::exec::frame;
 use crate::remote::transport::FrameTransport;
-use crate::wire::{self, Reader, WireError};
+use sim_core::exec::{ExecError, TaskManifest, WIRE_VERSION};
+use sim_core::grid::{Progress, ProgressFn, Segment};
+use sim_core::wire::{self, Reader, WireError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -171,11 +172,11 @@ pub(crate) fn drain_chunk(transport: &mut dyn FrameTransport, sink: ChunkSink<'_
                     // arrive with *chunk-local* flat indices; remap them
                     // through the sink's flat table so remainder
                     // re-dispatches stay correctly attributed.
-                    let spans = crate::obs::decode_spans(&mut r)?;
+                    let spans = sim_core::obs::decode_spans(&mut r)?;
                     r.finish()?;
-                    let obs = crate::obs::obs();
+                    let obs = sim_core::obs::obs();
                     for mut span in spans {
-                        if span.name == crate::obs::name::SLOT {
+                        if span.name == sim_core::obs::name::SLOT {
                             let local = span.flat as usize;
                             if let Some(&global) = sink.global_flat.get(local) {
                                 span.flat = global as u64;

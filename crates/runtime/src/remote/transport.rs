@@ -1,7 +1,7 @@
 //! Framed transports: one trait, every byte stream the executor speaks.
 //!
 //! The worker protocol (length-prefixed request/response frames, see
-//! [`crate::wire`]) used to be read and written with code inlined at each
+//! [`sim_core::wire`]) used to be read and written with code inlined at each
 //! endpoint — the worker's stdin/stdout loop in [`crate::worker`] and the
 //! shard drain loop in [`crate::exec`]. [`FrameTransport`] is the one seam
 //! those endpoints now share, so the same serve loop and the same response
@@ -18,7 +18,7 @@
 //! threads under a mutex) but deliberately **not** `Sync`: callers decide
 //! how to serialize access.
 
-use crate::wire;
+use sim_core::wire;
 use std::io::{self, Write};
 use std::net::TcpStream;
 

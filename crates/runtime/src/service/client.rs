@@ -8,7 +8,7 @@
 //! client may pipeline several submissions before fetching any of them.
 //!
 //! [`ServiceBackend`] plugs the client into the
-//! [`ExecBackend`](crate::exec::ExecBackend) seam: a dispatch becomes
+//! [`ExecBackend`] seam: a dispatch becomes
 //! submit + fetch, so `Exec::service(threads, addr)` routes a whole
 //! experiment driver (fixed grids and adaptive rounds alike) through the
 //! daemon's queue, single-flight dedup and result cache — with bytes
@@ -18,9 +18,9 @@ use super::cache::decode_blob;
 use super::protocol::{
     Disposition, JobId, JobProgress, JobState, ServiceRequest, ServiceResponse, ServiceStats,
 };
-use crate::exec::{ExecBackend, ExecError, PortableJob, TaskManifest};
-use crate::grid::ProgressFn;
 use crate::remote::transport::{FrameTransport, TcpTransport};
+use sim_core::exec::{ExecBackend, ExecError, PortableJob, TaskManifest};
+use sim_core::grid::ProgressFn;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -296,7 +296,7 @@ impl ExecBackend for ServiceBackend {
         let slots = match progress {
             Some(cb) => {
                 let mut forward = |p: JobProgress| {
-                    cb(crate::grid::Progress {
+                    cb(sim_core::grid::Progress {
                         point: p.point as usize,
                         replication: p.replication,
                         completed: p.done as usize,
@@ -331,9 +331,10 @@ impl ExecBackend for ServiceBackend {
 mod tests {
     use super::*;
     use crate::exec::tests::{decode_mul, MulJob};
-    use crate::exec::{Exec, InProcessBackend, JobRegistry};
-    use crate::grid::Segment;
+    use crate::exec::Exec;
     use crate::service::{ServiceConfig, ServiceHandle};
+    use sim_core::exec::{InProcessBackend, JobRegistry};
+    use sim_core::grid::Segment;
     use std::sync::Arc;
 
     fn start_daemon() -> (
@@ -449,7 +450,7 @@ mod tests {
         let backend = ServiceBackend::new(addr.to_string(), 1);
         let ticks = Arc::new(std::sync::Mutex::new(Vec::new()));
         let sink = ticks.clone();
-        let cb = move |p: crate::grid::Progress| {
+        let cb = move |p: sim_core::grid::Progress| {
             sink.lock().unwrap().push((p.completed, p.total));
         };
         let out = backend.run_segments(&job_impl, &m2, Some(&cb)).unwrap();

@@ -16,13 +16,13 @@
 //! | `GET /metrics` | — | Prometheus text exposition |
 //!
 //! `POST /submit` accepts either a wire-encoded
-//! [`TaskManifest`](crate::exec::TaskManifest) as the request body
+//! [`TaskManifest`] as the request body
 //! (exactly the bytes [`TaskManifest::encode_into`] produces — how a
 //! programmatic client submits without the binary protocol), or, with an
 //! empty body, query parameters handed to the embedding binary's
 //! [`SpecParser`] (e.g. `POST /submit?spec=mm1&seed=7` in `repro`).
 //!
-//! `/metrics` renders the process-global histograms ([`crate::obs`]) plus
+//! `/metrics` renders the process-global histograms ([`sim_core::obs`]) plus
 //! series pulled at scrape time: this daemon's service counters, its
 //! queue depth and the fleet counters, which render even under
 //! `REPRO_TELEMETRY=off`. Metrics are **per-process**:
@@ -36,8 +36,8 @@
 //! gateway is observation only.
 
 use super::{Fetched, Service};
-use crate::exec::TaskManifest;
-use crate::wire::Reader;
+use sim_core::exec::TaskManifest;
+use sim_core::wire::Reader;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -280,7 +280,7 @@ fn route(
             ));
             HttpResponse::ok(
                 "text/plain; version=0.0.4; charset=utf-8",
-                crate::obs::obs().render_prometheus(&extra).into_bytes(),
+                sim_core::obs::obs().render_prometheus(&extra).into_bytes(),
             )
         }
         ("POST", "/submit") => {
@@ -373,9 +373,10 @@ fn fetch_result(service: &Service, job: super::JobId) -> HttpResponse {
 mod tests {
     use super::*;
     use crate::exec::tests::{decode_mul, MulJob};
-    use crate::exec::{Exec, JobRegistry};
-    use crate::grid::Segment;
+    use crate::exec::Exec;
     use crate::service::{ServiceConfig, ServiceHandle};
+    use sim_core::exec::JobRegistry;
+    use sim_core::grid::Segment;
 
     fn handle() -> ServiceHandle {
         let mut reg = JobRegistry::new();

@@ -3,7 +3,7 @@
 //! content-addressed result cache.
 //!
 //! Every result in this workspace is a pure function of its
-//! [`TaskManifest`](crate::exec::TaskManifest) — byte-identical across
+//! [`TaskManifest`] — byte-identical across
 //! threads, shards and hosts (PRs 1–4). This module turns that determinism
 //! into a serving layer:
 //!
@@ -14,7 +14,7 @@
 //!   in-flight requests **coalesce onto one execution** (single-flight);
 //!   everything else goes through a bounded FIFO queue to dispatcher
 //!   threads that run the job on any configured
-//!   [`ExecBackend`](crate::exec::ExecBackend) — in-process, sharded
+//!   [`ExecBackend`](sim_core::exec::ExecBackend) — in-process, sharded
 //!   subprocesses, or remote TCP hosts;
 //! * [`protocol`] — the versioned submit/status/fetch/cancel/stats codec
 //!   clients speak over a [`FrameTransport`](crate::remote::FrameTransport)
@@ -43,13 +43,16 @@ pub use client::{ServiceBackend, ServiceClient, ServiceError};
 pub use http::{serve_http, SpecParser};
 pub use protocol::{Disposition, JobId, JobProgress, JobState, ServiceStats};
 
-use crate::exec::{Exec, ExecBackend, ExecError, JobRegistry, TaskManifest};
-use crate::obs::Metric;
+use crate::exec::Exec;
 use crate::remote::transport::{FrameTransport, TcpTransport};
-use crate::wire::WireError;
-use cache::{CacheKey, DiskStore, MemCache};
+use cache::{DiskStore, MemCache};
 use protocol::{ServiceRequest, ServiceResponse};
 use queue::{ClaimedJob, JobTable};
+use sim_core::exec::{ExecError, JobRegistry, TaskManifest};
+use sim_core::key::CacheKey;
+use sim_core::obs::Metric;
+use sim_core::wire::WireError;
+use sim_core::Runner;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -129,6 +132,8 @@ pub enum Fetched {
 /// waiters).
 pub struct Service {
     cfg: ServiceConfig,
+    /// The configured backend, built once; every job dispatches on it.
+    runner: Runner,
     registry: Arc<JobRegistry>,
     table: Mutex<JobTable>,
     /// Notified when work is enqueued or the service stops.
@@ -183,6 +188,7 @@ impl Service {
             fleet_baseline: crate::fleet::fleet_stats().snapshot(),
             stopping: AtomicBool::new(false),
             registry,
+            runner: cfg.exec.runner(),
             cfg,
         }
     }
@@ -193,23 +199,18 @@ impl Service {
         &self.registry
     }
 
-    /// The backend one job dispatch runs on.
-    pub(crate) fn backend(&self) -> Box<dyn ExecBackend> {
-        self.cfg.exec.runner().backend_impl()
-    }
-
     /// Submit a manifest. Returns the job to poll/fetch plus where its
     /// answer will come from; `Err` is a request-level rejection (invalid
     /// manifest, unknown job kind, queue full).
     pub fn submit(&self, manifest: TaskManifest) -> Result<(JobId, Disposition), String> {
         let key = CacheKey::of_manifest(&manifest);
-        let obs = crate::obs::obs();
+        let obs = sim_core::obs::obs();
         let started = obs.start(key.trace_id());
         let out = self.submit_inner(manifest, key);
         obs.end(
             started,
-            crate::obs::name::SUBMIT,
-            crate::obs::cat::SERVICE,
+            sim_core::obs::name::SUBMIT,
+            sim_core::obs::cat::SERVICE,
             0,
         );
         out
@@ -320,8 +321,8 @@ impl Service {
             .get(job)
             .map(|r| r.key)?;
         let trace = key.trace_id();
-        let spans = crate::obs::obs().spans_for(trace);
-        Some(crate::obs::render_chrome_trace(trace, &spans))
+        let spans = sim_core::obs::obs().spans_for(trace);
+        Some(sim_core::obs::render_chrome_trace(trace, &spans))
     }
 
     /// Block until `job` is terminal; `Err` means the id is unknown (never
@@ -853,7 +854,7 @@ fn handle_connection(
                 return Ok(true);
             }
         };
-        crate::obs::obs().record_duration(verb_metric, verb_started.elapsed());
+        sim_core::obs::obs().record_duration(verb_metric, verb_started.elapsed());
         transport
             .send(&response.encode())
             .and_then(|_| transport.flush())
@@ -865,8 +866,8 @@ fn handle_connection(
 mod tests {
     use super::*;
     use crate::exec::tests::{decode_mul, MulJob};
-    use crate::exec::{InProcessBackend, PortableJob};
-    use crate::grid::Segment;
+    use sim_core::exec::{ExecBackend, InProcessBackend, PortableJob};
+    use sim_core::grid::Segment;
 
     fn registry() -> Arc<JobRegistry> {
         let mut reg = JobRegistry::new();
@@ -1117,14 +1118,14 @@ mod tests {
                     "test-slow"
                 }
                 fn encode_payload(&self, buf: &mut Vec<u8>) {
-                    crate::wire::put_u64(buf, self.0);
+                    sim_core::wire::put_u64(buf, self.0);
                 }
                 fn run_slot(&self, _p: usize, _r: u64, seed: u64) -> Result<Vec<u8>, String> {
                     std::thread::sleep(std::time::Duration::from_millis(self.0));
                     Ok(vec![seed as u8])
                 }
             }
-            let mut r = crate::wire::Reader::new(p);
+            let mut r = sim_core::wire::Reader::new(p);
             let ms = r.get_u64()?;
             r.finish()?;
             Ok(Box::new(Slow(ms)))
@@ -1148,7 +1149,7 @@ mod tests {
                 "test-slow"
             }
             fn encode_payload(&self, buf: &mut Vec<u8>) {
-                crate::wire::put_u64(buf, self.0);
+                sim_core::wire::put_u64(buf, self.0);
             }
             fn run_slot(&self, _p: usize, _r: u64, seed: u64) -> Result<Vec<u8>, String> {
                 Ok(vec![seed as u8])

@@ -11,8 +11,8 @@
 //! until the job reaches a terminal state; a client that wants to overlap
 //! other verbs with a long fetch uses a second connection.
 
-use crate::exec::{ExecError, TaskManifest};
-use crate::wire::{self, Reader, WireError};
+use sim_core::exec::{ExecError, TaskManifest};
+use sim_core::wire::{self, Reader, WireError};
 
 /// Protocol version carried by every request frame. Version 1 was the
 /// initial submit/status/fetch/cancel/stats/shutdown verb set; version 2
@@ -52,7 +52,7 @@ pub mod response_tag {
     pub const STATUS: u8 = b'T';
     /// Terminal result blob.
     pub const RESULT: u8 = b'R';
-    /// Terminal failure (an encoded [`ExecError`](crate::exec::ExecError)).
+    /// Terminal failure (an encoded [`ExecError`](sim_core::exec::ExecError)).
     pub const FAILED: u8 = b'E';
     /// Counter snapshot.
     pub const STATS: u8 = b'A';
@@ -639,7 +639,7 @@ pub fn decode_exec_error(r: &mut Reader<'_>) -> Result<ExecError, WireError> {
 mod tests {
     use super::*;
     use crate::exec::tests::MulJob;
-    use crate::grid::Segment;
+    use sim_core::grid::Segment;
 
     fn manifest() -> TaskManifest {
         TaskManifest::for_job(

@@ -7,9 +7,9 @@
 //! state machine unit-testable without threads: submit, claim, complete
 //! and cancel are each a single deterministic step.
 
-use super::cache::CacheKey;
 use super::protocol::{Disposition, JobId, JobProgress, JobState};
-use crate::exec::{ExecError, TaskManifest};
+use sim_core::exec::{ExecError, TaskManifest};
+use sim_core::key::CacheKey;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -354,7 +354,7 @@ impl JobTable {
 mod tests {
     use super::*;
     use crate::exec::tests::MulJob;
-    use crate::grid::Segment;
+    use sim_core::grid::Segment;
 
     fn manifest(mix: u64) -> TaskManifest {
         TaskManifest::for_job(

@@ -1,6 +1,6 @@
 //! The scheduler half of the service: dispatcher threads that claim
 //! queued jobs and execute them on the configured
-//! [`ExecBackend`](crate::exec::ExecBackend).
+//! [`ExecBackend`](sim_core::exec::ExecBackend).
 //!
 //! Dispatchers are plain threads (no async runtime in the offline vendor
 //! tree): each one blocks on the service's work condvar, claims the oldest
@@ -38,23 +38,23 @@ pub(super) fn execute(service: &Service, claimed: ClaimedJob) {
         progress,
         queue_wait,
     } = claimed;
-    crate::obs::obs().end_past(
+    sim_core::obs::obs().end_past(
         key.trace_id(),
-        crate::obs::name::QUEUE_WAIT,
-        crate::obs::cat::SERVICE,
+        sim_core::obs::name::QUEUE_WAIT,
+        sim_core::obs::cat::SERVICE,
         job.0,
         queue_wait,
     );
     progress.set_total(manifest.total_slots() as u64);
     let cell = progress.clone();
-    let on_progress = move |p: crate::grid::Progress| {
+    let on_progress = move |p: sim_core::grid::Progress| {
         cell.record(p.completed as u64, p.point as u64, p.replication);
     };
     // The dispatch runs as the job's trace: backend pool checkouts and
     // slot executions below attribute their spans to it, worker
     // subprocesses receive its id on the wire, and a failure leaves a
     // flight record before the error is published unchanged.
-    let outcome = crate::obs::dispatch(
+    let outcome = sim_core::obs::dispatch(
         || key.trace_id(),
         job.0,
         &job.to_string(),
@@ -63,8 +63,8 @@ pub(super) fn execute(service: &Service, claimed: ClaimedJob) {
                 .registry()
                 .decode(&manifest.kind, &manifest.payload)?;
             service
-                .backend()
-                .run_segments(decoded.as_ref(), &manifest, Some(&on_progress))
+                .runner
+                .run_manifest(decoded.as_ref(), &manifest, Some(&on_progress))
         },
     );
     match outcome {

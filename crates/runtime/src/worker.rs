@@ -19,10 +19,11 @@
 //! connections ([`crate::remote::serve_listener`]). Diagnostics belong on
 //! stderr in both.
 
-use crate::exec::{frame, JobRegistry, TaskManifest, WIRE_VERSION};
-use crate::grid::{default_threads, run_segments_core};
+use crate::exec::frame;
 use crate::remote::transport::{FrameTransport, StdioTransport};
-use crate::wire::{self, Reader, WireError};
+use sim_core::exec::{JobRegistry, TaskManifest, WIRE_VERSION};
+use sim_core::grid::{default_threads, run_segments_core};
+use sim_core::wire::{self, Reader, WireError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -112,7 +113,7 @@ fn serve_manifest(
     transport: &mut dyn FrameTransport,
 ) -> Result<(), WireError> {
     let job = registry.decode(&manifest.kind, &manifest.payload)?;
-    let _trace_ctx = crate::obs::enter(trace);
+    let _trace_ctx = sim_core::obs::enter(trace);
 
     // Run the manifest on the shared scheduling core, streaming each
     // slot's `R` frame the moment it completes: results are never buffered
@@ -203,13 +204,13 @@ fn serve_manifest(
     // parent's drain stops at `D`/`E`). Advisory like `P`: a send failure
     // is ignored — the result path will surface a broken transport on its
     // own, and a lost batch only costs observability.
-    let obs = crate::obs::obs();
+    let obs = sim_core::obs::obs();
     if trace != 0 && obs.is_enabled() {
         let spans = obs.take_for(trace);
         if !spans.is_empty() {
             let mut body = Vec::new();
             wire::put_u8(&mut body, frame::SPANS);
-            body.extend(crate::obs::encode_spans(&spans));
+            body.extend(sim_core::obs::encode_spans(&spans));
             let _ = t.send(&body);
         }
     }
@@ -247,9 +248,9 @@ pub fn serve_stdio(registry: &JobRegistry) -> Result<(), WireError> {
 mod tests {
     use super::*;
     use crate::exec::tests::{decode_mul, MulJob};
-    use crate::exec::{PortableJob, TaskManifest};
-    use crate::grid::Segment;
     use crate::remote::transport::MemTransport;
+    use sim_core::exec::{PortableJob, TaskManifest};
+    use sim_core::grid::Segment;
 
     fn registry() -> JobRegistry {
         let mut reg = JobRegistry::new();

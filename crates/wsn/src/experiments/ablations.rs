@@ -18,7 +18,7 @@ use markov::phase::{solve_phase_cpu, PhaseCpuConfig};
 use markov::supplementary::CpuMarkovParams;
 use petri_core::prelude::*;
 use serde::{Deserialize, Serialize};
-use sim_runtime::Exec;
+use sim_core::Runner;
 
 /// One row of the Erlang ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -138,7 +138,7 @@ pub fn seed_ablation(
     horizon: f64,
     replication_counts: &[u64],
     base_seed: u64,
-    exec: &Exec,
+    exec: &Runner,
 ) -> Vec<SeedRow> {
     let max_reps = replication_counts.iter().copied().max().unwrap_or(0);
     let job = SeedAblationJob {
@@ -146,7 +146,6 @@ pub fn seed_ablation(
         horizon,
     };
     let mut per_point = exec
-        .runner()
         .run_job(&job, &[max_reps], &|_point, i| {
             petri_core::rng::SimRng::child_seed(base_seed, i)
         })
@@ -299,7 +298,7 @@ mod tests {
     #[test]
     fn seed_ci_narrows_with_replications() {
         let params = CpuModelParams::paper_defaults(0.3, 0.3);
-        let rows = seed_ablation(&params, 500.0, &[4, 16], 7, &Exec::in_process(2));
+        let rows = seed_ablation(&params, 500.0, &[4, 16], 7, &Runner::new(2));
         assert_eq!(rows.len(), 2);
         assert!(
             rows[1].ci_half_width < rows[0].ci_half_width,

@@ -9,7 +9,7 @@ use super::jobs::{decode_obs, CpuComparisonJob, RepOutput, CPU_COMPARISON_WATCH}
 use crate::metrics::DeltaEnergyTable;
 use markov::supplementary::{CpuMarkovParams, CpuPowerRates};
 use serde::{Deserialize, Serialize};
-use sim_runtime::{Exec, StoppingRule};
+use sim_core::{Runner, StoppingRule};
 
 /// One sweep point of the comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,8 +64,9 @@ pub struct CpuComparisonConfig {
     pub replications: u32,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution backend (threads / shards / hosts) for the sweep.
-    pub exec: Exec,
+    /// Executor for the sweep: threads, plus any plugged-in backend
+    /// (worker shards, TCP hosts, a service daemon).
+    pub exec: Runner,
     /// Adaptive replication budget: when set, each threshold point runs
     /// replications until the 95 % CI of **both** stochastic energy
     /// curves settles — i.e. the stopping decision tracks whichever of
@@ -84,7 +85,7 @@ impl Default for CpuComparisonConfig {
             horizon: 1000.0,
             replications: 8,
             seed: 0x5EED,
-            exec: Exec::default(),
+            exec: Runner::with_default_threads(),
             rule: None,
         }
     }
@@ -153,7 +154,6 @@ pub fn run_cpu_comparison(
         Some(rule) => {
             let adaptive = cfg
                 .exec
-                .runner()
                 .run_adaptive_job(&job, grid.len(), rule, &CPU_COMPARISON_WATCH, &seed_of)
                 .unwrap_or_else(|e| panic!("adaptive CPU comparison failed: {e}"));
             grid.iter()
@@ -178,7 +178,6 @@ pub fn run_cpu_comparison(
             let reps_per_point = vec![reps as u64; grid.len()];
             let per_point = cfg
                 .exec
-                .runner()
                 .run_job(&job, &reps_per_point, &seed_of)
                 .unwrap_or_else(|e| panic!("CPU comparison grid failed: {e}"));
             let n = reps as f64;
@@ -252,7 +251,7 @@ mod tests {
     fn quick_cfg() -> CpuComparisonConfig {
         CpuComparisonConfig {
             horizon: 2000.0,
-            exec: Exec::in_process(2),
+            exec: Runner::new(2),
             ..Default::default()
         }
     }
@@ -340,7 +339,7 @@ mod tests {
         }
         // Bit-identical at any thread count, budget decisions included.
         let mut cfg1 = cfg.clone();
-        cfg1.exec = Exec::in_process(1);
+        cfg1.exec = Runner::new(1);
         assert_eq!(c, run_cpu_comparison(0.3, &grid, &cfg1));
     }
 

@@ -17,8 +17,8 @@ use crate::cpu_model::{simulate_cpu_model, CpuModelParams};
 use crate::node::simulate_node_model;
 use des::{simulate_cpu, simulate_node, CpuSimParams, NodeSimParams, Workload};
 use energy::{CC2420_RADIO, PXA271_CPU};
-use sim_runtime::wire::{self, Reader, WireError};
-use sim_runtime::{JobRegistry, PortableJob};
+use sim_core::wire::{self, Reader, WireError};
+use sim_core::{JobRegistry, PortableJob};
 
 /// Register every wsn experiment job; workers (e.g. `repro --worker`) call
 /// this at startup.

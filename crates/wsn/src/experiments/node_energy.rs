@@ -7,7 +7,7 @@ use crate::node::NodePetriResult;
 use des::Workload;
 use energy::{NodeBreakdown, CC2420_RADIO, PXA271_CPU};
 use serde::{Deserialize, Serialize};
-use sim_runtime::{Exec, StoppingRule};
+use sim_core::{Runner, StoppingRule};
 
 /// One sweep point: threshold, energy breakdown, and wake-up counts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -80,8 +80,8 @@ pub struct NodeSweepConfig {
     pub replications: u32,
     /// Base seed.
     pub seed: u64,
-    /// Execution backend (threads / shards).
-    pub exec: Exec,
+    /// Executor for the sweep: threads, plus any plugged-in backend.
+    pub exec: Runner,
     /// Adaptive replication budget for the *open* (stochastic) model:
     /// when set, each point runs replications until the 95 % CI of its
     /// total energy satisfies the rule instead of a fixed count. `None`
@@ -97,7 +97,7 @@ impl Default for NodeSweepConfig {
             horizon: 900.0,
             replications: 1,
             seed: 0xF14,
-            exec: Exec::default(),
+            exec: Runner::with_default_threads(),
             open_rule: None,
         }
     }
@@ -127,7 +127,6 @@ pub fn run_node_sweep(workload: Workload, grid: &[f64], cfg: &NodeSweepConfig) -
         (Workload::Open { .. }, Some(rule)) => {
             let adaptive = cfg
                 .exec
-                .runner()
                 .run_adaptive_job(
                     &job,
                     grid.len(),
@@ -163,7 +162,6 @@ pub fn run_node_sweep(workload: Workload, grid: &[f64], cfg: &NodeSweepConfig) -
             let reps_per_point = vec![reps as u64; grid.len()];
             let per_point = cfg
                 .exec
-                .runner()
                 .run_job(&job, &reps_per_point, &seed_of)
                 .unwrap_or_else(|e| panic!("node sweep grid failed: {e}"));
             grid.iter()
@@ -282,7 +280,7 @@ mod tests {
         NodeSweepConfig {
             horizon: 300.0,
             replications: 2,
-            exec: Exec::in_process(2),
+            exec: Runner::new(2),
             ..Default::default()
         }
     }
@@ -345,7 +343,7 @@ mod tests {
         // Bit-identical at any thread count, budget decisions included.
         let a = run_node_sweep(Workload::Open { rate: 1.0 }, &grid, &cfg);
         let mut cfg1 = cfg.clone();
-        cfg1.exec = Exec::in_process(1);
+        cfg1.exec = Runner::new(1);
         let b = run_node_sweep(Workload::Open { rate: 1.0 }, &grid, &cfg1);
         assert_eq!(a, b);
     }

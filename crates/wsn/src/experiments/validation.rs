@@ -13,7 +13,7 @@
 use super::jobs::{decode_obs, ValidationJob, VALIDATION_WATCH};
 use des::Workload;
 use serde::{Deserialize, Serialize};
-use sim_runtime::{Exec, StoppingRule};
+use sim_core::{Runner, StoppingRule};
 
 /// One row of the validation sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,7 +49,7 @@ pub fn run_validation(
     grid: &[f64],
     horizon: f64,
     seed: u64,
-    exec: &Exec,
+    exec: &Runner,
     rule: Option<&StoppingRule>,
 ) -> Vec<ValidationRow> {
     let job = ValidationJob {
@@ -70,7 +70,6 @@ pub fn run_validation(
     match (workload, rule) {
         (Workload::Open { .. }, Some(rule)) => {
             let adaptive = exec
-                .runner()
                 .run_adaptive_job(&job, grid.len(), rule, &VALIDATION_WATCH, &|_p, r| {
                     petri_core::rng::SimRng::child_seed(seed, r)
                 })
@@ -89,7 +88,6 @@ pub fn run_validation(
             // sweep bit for bit.
             let reps = vec![1u64; grid.len()];
             let per_point = exec
-                .runner()
                 .run_job(&job, &reps, &|_p, _r| seed)
                 .unwrap_or_else(|e| panic!("validation sweep failed: {e}"));
             grid.iter()
@@ -122,8 +120,8 @@ pub fn render_validation_csv(rows: &[ValidationRow]) -> String {
 mod tests {
     use super::*;
 
-    fn exec2() -> Exec {
-        Exec::in_process(2)
+    fn exec2() -> Runner {
+        Runner::new(2)
     }
 
     #[test]
@@ -184,7 +182,7 @@ mod tests {
             &[0.00177, 0.1],
             800.0,
             7,
-            &Exec::in_process(1),
+            &Runner::new(1),
             Some(&rule),
         );
         assert_eq!(rows, again);
@@ -197,7 +195,7 @@ mod tests {
             &[0.01],
             100.0,
             1,
-            &Exec::in_process(1),
+            &Runner::new(1),
             None,
         );
         let csv = render_validation_csv(&rows);

@@ -104,7 +104,7 @@ pub fn render_node_sweep_csv(sweep: &NodeSweep) -> String {
 /// names the metric the rule watched (for the human reader).
 pub fn render_budget_summary(
     points: impl Iterator<Item = (u64, bool)>,
-    rule: Option<&sim_runtime::StoppingRule>,
+    rule: Option<&sim_core::StoppingRule>,
     watch: &str,
 ) -> String {
     let (mut total, mut count, mut unconverged) = (0u64, 0usize, 0usize);
@@ -224,7 +224,7 @@ mod tests {
             &[0.001, 0.5],
             &CpuComparisonConfig {
                 horizon: 100.0,
-                exec: sim_runtime::Exec::in_process(1),
+                exec: sim_core::Runner::new(1),
                 ..Default::default()
             },
         )
@@ -256,7 +256,7 @@ mod tests {
             &[0.001, 0.01],
             &NodeSweepConfig {
                 horizon: 100.0,
-                exec: sim_runtime::Exec::in_process(1),
+                exec: sim_core::Runner::new(1),
                 ..Default::default()
             },
         );

@@ -3,16 +3,16 @@
 //! Every figure in the paper is a sweep over the Power-Down Threshold. A
 //! single simulation trajectory is inherently sequential, so the right
 //! parallel axes are across sweep points *and* replications — both levels
-//! are one flattened task stream on the [`sim_runtime`] executor (see
-//! `sim_runtime::Runner`), whose backend seam (`sim_runtime::exec`) runs
-//! the same stream in-process or across `repro --worker` subprocesses.
+//! are one flattened task stream on the [`sim_core::Runner`] executor,
+//! whose backend seam (`sim_core::exec`) runs the same stream in-process
+//! or on any plugged-in backend, such as `repro --worker` subprocesses.
 //! This module keeps the published PDT grids and a thin order-preserving
 //! `parallel_map` compatibility wrapper for single-level closure sweeps
 //! (closures are address-space-bound, so `parallel_map` is always
 //! in-process; the portable experiment drivers in [`crate::experiments`]
 //! shard).
 
-pub use sim_runtime::default_threads;
+pub use sim_core::default_threads;
 
 /// The PDT grid of the paper's Figs. 14/15 x-axis (seconds): clustered
 /// sample points around the 0.00177 s intra-cycle gap and the 1.00177 s
@@ -34,7 +34,7 @@ pub fn fig4_9_pdt_grid() -> Vec<f64> {
 /// Map `f` over `inputs` using `threads` worker threads; the output
 /// preserves input order. `f` must be `Sync` (called concurrently).
 ///
-/// Compatibility shim over [`sim_runtime::Runner::map`] — a one-replication-
+/// Compatibility shim over [`sim_core::Runner::map`] — a one-replication-
 /// per-point grid on the shared work-stealing executor. Sweeps that also
 /// average replications per point should schedule the whole
 /// `(point × replication)` grid instead (`Runner::grid`), as the experiment
@@ -45,7 +45,7 @@ where
     R: Send + Sync,
     F: Fn(&T) -> R + Sync,
 {
-    sim_runtime::Runner::new(threads).map(inputs, f)
+    sim_core::Runner::new(threads).map(inputs, f)
 }
 
 #[cfg(test)]

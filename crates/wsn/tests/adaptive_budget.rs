@@ -11,7 +11,7 @@
 //! stochastic point must exhaust its budget deterministically.
 
 use des::Workload;
-use sim_runtime::{Exec, StoppingRule};
+use sim_core::{Runner, StoppingRule};
 use wsn::experiments::cpu_comparison::{run_cpu_comparison, CpuComparisonConfig};
 use wsn::experiments::node_energy::{run_node_sweep, NodeSweepConfig};
 use wsn::experiments::validation::run_validation;
@@ -30,7 +30,7 @@ fn cpu_comparison_points_report_budget_exhaustion() {
         &grid,
         &CpuComparisonConfig {
             horizon: 120.0,
-            exec: Exec::in_process(2),
+            exec: Runner::new(2),
             rule: Some(impossible_rule()),
             ..Default::default()
         },
@@ -55,7 +55,7 @@ fn validation_rows_report_budget_exhaustion() {
         &[0.01, 1.0],
         100.0,
         7,
-        &Exec::in_process(1),
+        &Runner::new(1),
         Some(&rule),
     );
     for r in &rows {
@@ -69,7 +69,7 @@ fn validation_rows_report_budget_exhaustion() {
         &[0.01, 1.0],
         100.0,
         7,
-        &Exec::in_process(1),
+        &Runner::new(1),
         None,
     );
     assert!(closed.iter().all(|r| r.converged));
@@ -82,7 +82,7 @@ fn node_sweep_points_report_budget_exhaustion() {
         &[1e-9, 0.1],
         &NodeSweepConfig {
             horizon: 80.0,
-            exec: Exec::in_process(1),
+            exec: Runner::new(1),
             open_rule: Some(impossible_rule()),
             ..Default::default()
         },
@@ -101,7 +101,7 @@ fn budget_summary_renders_cap_hits_and_fixed_mode() {
         &[0.001, 1.0],
         &CpuComparisonConfig {
             horizon: 100.0,
-            exec: Exec::in_process(1),
+            exec: Runner::new(1),
             rule: Some(rule),
             ..Default::default()
         },
@@ -128,7 +128,7 @@ fn budget_summary_renders_cap_hits_and_fixed_mode() {
         &[0.001],
         &CpuComparisonConfig {
             horizon: 100.0,
-            exec: Exec::in_process(1),
+            exec: Runner::new(1),
             rule: Some(easy),
             ..Default::default()
         },

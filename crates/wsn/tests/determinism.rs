@@ -8,7 +8,7 @@
 //! `repro` worker binary.)
 
 use des::Workload;
-use sim_runtime::{Exec, StoppingRule};
+use sim_core::{Runner, StoppingRule};
 use wsn::experiments::ablations::seed_ablation;
 use wsn::experiments::cpu_comparison::{run_cpu_comparison, CpuComparisonConfig};
 use wsn::experiments::node_energy::{run_node_sweep, NodeSweepConfig};
@@ -25,7 +25,7 @@ fn cpu_comparison_identical_across_thread_counts() {
             &CpuComparisonConfig {
                 horizon: 300.0,
                 replications: 3,
-                exec: Exec::in_process(threads),
+                exec: Runner::new(threads),
                 ..Default::default()
             },
         )
@@ -47,7 +47,7 @@ fn node_sweep_identical_across_thread_counts_open() {
             &NodeSweepConfig {
                 horizon: 150.0,
                 replications: 4,
-                exec: Exec::in_process(threads),
+                exec: Runner::new(threads),
                 ..Default::default()
             },
         )
@@ -67,7 +67,7 @@ fn node_sweep_identical_across_thread_counts_closed() {
             &NodeSweepConfig {
                 horizon: 150.0,
                 replications: 1,
-                exec: Exec::in_process(threads),
+                exec: Runner::new(threads),
                 ..Default::default()
             },
         )
@@ -88,7 +88,7 @@ fn node_sweep_adaptive_identical_across_thread_counts() {
             &grid,
             &NodeSweepConfig {
                 horizon: 120.0,
-                exec: Exec::in_process(threads),
+                exec: Runner::new(threads),
                 open_rule: Some(StoppingRule::relative(0.08).with_budget(3, 18, 3)),
                 ..Default::default()
             },
@@ -108,7 +108,7 @@ fn validation_identical_across_thread_counts() {
             &grid,
             120.0,
             9,
-            &Exec::in_process(threads),
+            &Runner::new(threads),
             None,
         )
     };
@@ -127,7 +127,7 @@ fn validation_adaptive_identical_across_thread_counts() {
             &grid,
             150.0,
             9,
-            &Exec::in_process(threads),
+            &Runner::new(threads),
             Some(&rule),
         )
     };
@@ -139,7 +139,7 @@ fn validation_adaptive_identical_across_thread_counts() {
 #[test]
 fn seed_ablation_identical_across_thread_counts() {
     let params = CpuModelParams::paper_defaults(0.3, 0.3);
-    let run = |threads| seed_ablation(&params, 200.0, &[3, 9], 0xCAFE, &Exec::in_process(threads));
+    let run = |threads| seed_ablation(&params, 200.0, &[3, 9], 0xCAFE, &Runner::new(threads));
     let base = run(1);
     assert_eq!(base, run(2));
     assert_eq!(base, run(8));

@@ -18,9 +18,9 @@ fn main() {
     // the shared runtime (SWEEP_THREADS overrides the per-core default;
     // the numbers are bit-identical either way).
     let cfg = CpuComparisonConfig {
-        exec: wsn_petri::sim_runtime::Exec::in_process(
-            wsn_petri::sim_runtime::env_threads("SWEEP_THREADS")
-                .unwrap_or_else(wsn_petri::sim_runtime::default_threads),
+        exec: wsn_petri::sim_core::Runner::new(
+            wsn_petri::sim_core::env_threads("SWEEP_THREADS")
+                .unwrap_or_else(wsn_petri::sim_core::default_threads),
         ),
         ..Default::default()
     };

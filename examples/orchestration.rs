@@ -12,10 +12,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use wsn_petri::petri_core::replicate::run_replications_adaptive;
 use wsn_petri::prelude::*;
-use wsn_petri::sim_runtime::{Runner, StoppingRule};
+use wsn_petri::sim_core::{Runner, StoppingRule};
 
 fn main() {
-    let threads = wsn_petri::sim_runtime::default_threads();
+    let threads = wsn_petri::sim_core::default_threads();
     let grid = [0.05, 0.1, 0.3, 0.5, 1.0];
     let reps_per_point = vec![6u64; grid.len()];
 

@@ -14,8 +14,8 @@ fn main() {
     // The whole (threshold × replication) grid runs as one flattened task
     // stream on the shared runtime; results are bit-identical for any
     // worker count (SWEEP_THREADS overrides the one-per-core default).
-    let threads = wsn_petri::sim_runtime::env_threads("SWEEP_THREADS")
-        .unwrap_or_else(wsn_petri::sim_runtime::default_threads);
+    let threads = wsn_petri::sim_core::env_threads("SWEEP_THREADS")
+        .unwrap_or_else(wsn_petri::sim_core::default_threads);
     for (label, workload, reps) in [
         (
             "closed workload (Fig. 14)",
@@ -27,7 +27,7 @@ fn main() {
         let cfg = NodeSweepConfig {
             horizon: 900.0, // the paper's 15 minutes
             replications: reps,
-            exec: wsn_petri::sim_runtime::Exec::in_process(threads),
+            exec: wsn_petri::sim_core::Runner::new(threads),
             ..Default::default()
         };
         let sweep = run_node_sweep(workload, &FIG14_15_PDT_GRID, &cfg);

@@ -1,12 +1,13 @@
 //! # wsn-petri — Energy Modeling of Wireless Sensor Nodes Based on Petri Nets
 //!
 //! A from-scratch Rust reproduction of Shareef & Zhu (2010). This umbrella
-//! crate re-exports the five sub-crates; see the README for a guided tour
+//! crate re-exports the seven library crates; see the README for a guided tour
 //! and `examples/` for runnable entry points.
 //!
 //! | Crate | Role |
 //! |-------|------|
-//! | [`sim_runtime`] | Two-level (sweep × replication) orchestration: flattened work-stealing grid, deterministic aggregation, adaptive stopping |
+//! | [`sim_core`] | The simulation core: flattened (sweep × replication) work-stealing grid, deterministic aggregation, adaptive stopping, stats, wire codec, the executor seam, instrumentation, the RNG |
+//! | [`sim_runtime`] | Process-crossing backends plugged into the core's seam: worker subprocesses and TCP peers, the supervised fleet, the service daemon; `Exec` selects one |
 //! | [`petri_core`] | EDSPN/SCPN modeling + simulation engine (the TimeNET stand-in) |
 //! | [`markov`] | CTMC/DTMC solvers + the paper's supplementary-variable equations |
 //! | [`des`] | Discrete-event simulators (the paper's ground truth) |
@@ -34,6 +35,7 @@ pub use des;
 pub use energy;
 pub use markov;
 pub use petri_core;
+pub use sim_core;
 pub use sim_runtime;
 pub use wsn;
 
