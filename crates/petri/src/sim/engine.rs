@@ -1,32 +1,12 @@
-//! The [`Simulator`]: configuration, compiled net structure, and the run
-//! entry points.
+//! The [`Simulator`]: configuration, rewards, and the run entry points.
 //!
-//! A `Simulator` compiles its net once into a `CompiledSim` — the static
-//! tables every run shares — and hands runs to the lowered engine
-//! ([`super::lowered`]), which executes the net's micro-op program
-//! ([`super::lower`]). [`Simulator::run`] is the one entry point: each call
-//! builds one `LoweredEngine` and runs one replication on it.
-//!
-//! `CompiledSim` flattens the net into dense, index-addressed tables:
-//!
-//! * **Enabling conditions.** Every input arc, inhibitor arc, and guard
-//!   conjunct becomes a condition record, indexed (CSR adjacency) by the
-//!   places it reads, so a firing re-evaluates only the conditions
-//!   watching the places it touched. Filters on provably-uncolored places
-//!   fold at compile time; a filter that can select only one color of a
-//!   slotted colored place becomes a threshold on that color's count.
-//! * **Guards** are split at their top-level `And`s, and each conjunct
-//!   compiles to a flat postfix program ([`crate::expr`]'s
-//!   `CompiledExpr`) over the marking's dense count vector.
-//! * **Count firing plans** for every transition whose arcs each withdraw
-//!   from or deposit into one entry of the count vector (a place, or a
-//!   color slot) without an RNG draw: straight `u32` add/sub, plus the bag
-//!   update for color slots.
-//! * **Re-check lists**: per fired transition, the timed transitions to
-//!   re-schedule, in exactly the reference engine's traversal order — the
-//!   order determines which transition consumes which RNG draw.
-//! * **Timing scalars** per transition, split from the cold `Transition`
-//!   fields.
+//! A `Simulator` holds a net, its [`SimConfig`] and its reward set. On the
+//! first run it lowers them, in one pass ([`super::lower`]), to a
+//! `LoweredNet`: the micro-op program, the side tables its slow paths
+//! read, and the start state every run clones. That program is shared by
+//! every later run until a reward is added. [`Simulator::run`] is the one
+//! entry point: each call builds one `LoweredEngine` ([`super::lowered`])
+//! and runs one replication on it.
 //!
 //! The seed's non-incremental engine is preserved in [`super::reference`]
 //! as the executable specification; [`Simulator::run_reference`] runs it.
@@ -34,17 +14,14 @@
 //! are **bit-identical** — the differential suites prove it per commit,
 //! and debug builds shadow the first run of every simulator with it.
 
+use super::lower::LoweredNet;
 use super::rewards::{RewardId, RewardSpec, RewardSpecError};
 use super::trace::TraceEvent;
-use crate::arc::ColorExpr;
 use crate::error::SimError;
-use crate::expr::{CompiledExpr, Expr};
 use crate::ids::{PlaceId, TransitionId};
 use crate::marking::Marking;
-use crate::net::{ColorCountAt, Net};
-use crate::timing::{MemoryPolicy, Timing};
-use crate::token::{Color, ColorFilter};
-use crate::transition::Transition;
+use crate::net::Net;
+use std::sync::OnceLock;
 
 /// Run-independent simulation configuration.
 #[derive(Debug, Clone)]
@@ -130,558 +107,53 @@ impl SimOutput {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled static structure
-// ---------------------------------------------------------------------------
-
-/// Compressed sparse rows: `row(i)` is a contiguous `&[u32]` — one shared
-/// allocation instead of a `Vec<Vec<u32>>`'s per-row pointer chase.
-#[derive(Debug, Clone, Default)]
-pub(super) struct Csr {
-    off: Vec<u32>,
-    dat: Vec<u32>,
-}
-
-impl Csr {
-    fn from_rows(rows: &[Vec<u32>]) -> Csr {
-        let mut off = Vec::with_capacity(rows.len() + 1);
-        let mut dat = Vec::with_capacity(rows.iter().map(Vec::len).sum());
-        off.push(0);
-        for row in rows {
-            dat.extend_from_slice(row);
-            off.push(dat.len() as u32);
-        }
-        Csr { off, dat }
-    }
-
-    #[inline]
-    pub(super) fn row(&self, i: usize) -> &[u32] {
-        &self.dat[self.off[i] as usize..self.off[i + 1] as usize]
-    }
-}
-
-/// Timing discriminant, split out so the lowering pass never matches on the
-/// full [`Timing`] enum through the `Transition` struct (and its cold
-/// fields).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum TimingKind {
-    Immediate,
-    Deterministic,
-    Exponential,
-    Uniform,
-    Erlang,
-}
-
-/// Dense per-transition scheduling scalars: everything the re-check ops and
-/// immediate conflict resolution need, packed away from the cold
-/// `Transition` fields (name strings, arc vectors).
-#[derive(Debug, Clone)]
-pub(super) struct TransHot {
-    pub(super) kind: TimingKind,
-    pub(super) memory: MemoryPolicy,
-    pub(super) priority: u8,
-    pub(super) weight: f64,
-    /// Deterministic delay / exponential rate / uniform low / Erlang rate.
-    pub(super) a: f64,
-    /// Uniform high.
-    pub(super) b: f64,
-    /// Erlang stage count.
-    pub(super) k: u32,
-}
-
-impl TransHot {
-    fn from_timing(timing: &Timing, memory: MemoryPolicy) -> Self {
-        let (kind, priority, weight, a, b, k) = match *timing {
-            Timing::Immediate { priority, weight } => {
-                (TimingKind::Immediate, priority, weight, 0.0, 0.0, 0)
-            }
-            Timing::Deterministic { delay } => (TimingKind::Deterministic, 0, 0.0, delay, 0.0, 0),
-            Timing::Exponential { rate } => (TimingKind::Exponential, 0, 0.0, rate, 0.0, 0),
-            Timing::Uniform { low, high } => (TimingKind::Uniform, 0, 0.0, low, high, 0),
-            Timing::Erlang { k, rate } => (TimingKind::Erlang, 0, 0.0, rate, 0.0, k),
-        };
-        TransHot {
-            kind,
-            memory,
-            priority,
-            weight,
-            a,
-            b,
-            k,
-        }
-    }
-}
-
-// Condition kinds (SoA record, 16 bytes; filters/guards live in side
-// tables referenced through `aux`).
-pub(super) const COND_INPUT_ANY: u8 = 0;
-pub(super) const COND_INHIB_ANY: u8 = 1;
-pub(super) const COND_INPUT_FILTERED: u8 = 2;
-pub(super) const COND_INHIB_FILTERED: u8 = 3;
-pub(super) const COND_GUARD: u8 = 4;
-
-/// One elementary enabling condition. A transition is enabled iff all of
-/// its conditions hold; the engine tracks the number of currently-false
-/// conditions per transition.
-#[derive(Debug, Clone)]
-pub(super) struct Cond {
-    pub(super) tid: u32,
-    pub(super) kind: u8,
-    /// Watched count index (arc conditions; unused for guards): a place
-    /// total, or a color slot for a filter that selects one color.
-    pub(super) place: u32,
-    /// Required token count (inputs) / inhibition threshold (inhibitors).
-    pub(super) need: u32,
-    /// Index into the filter or guard side table.
-    pub(super) aux: u32,
-}
-
-/// Precompiled count firing plan: every input arc withdraws from one entry
-/// of the marking's dense count vector and every output arc deposits into
-/// one, with no RNG draw. Entries below the place count are count-only
-/// places (plain `u32` arithmetic); entries at or above it are color slots
-/// (the slot's color is withdrawn from or appended to the place's FIFO bag
-/// as well).
-#[derive(Debug, Clone, Copy)]
-pub(super) struct DensePlan {
-    /// Range of (count index, multiplicity) input entries in `plan_dat`.
-    pub(super) ins: (u32, u32),
-    /// Range of (count index, multiplicity) output entries in `plan_dat`.
-    pub(super) outs: (u32, u32),
-}
-
-/// Collect the top-level conjuncts of `e` (`e` itself unless it is an
-/// `And`), left to right.
-fn split_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    match e {
-        Expr::And(a, b) => {
-            split_conjuncts(a, out);
-            split_conjuncts(b, out);
-        }
-        _ => out.push(e),
-    }
-}
-
-/// The one color `filter` can select in colored place `p`: the `Eq`
-/// filter's color, or the only slotted color the filter matches (a place's
-/// slots cover its whole color domain).
-fn single_color(net: &Net, p: PlaceId, filter: &ColorFilter) -> Option<Color> {
-    if let ColorFilter::Eq(c) = filter {
-        return Some(*c);
-    }
-    let mut matching = net.slot_colors(p).iter().filter(|&&c| filter.matches(c));
-    match (matching.next(), matching.next()) {
-        (Some(&c), None) => Some(c),
-        _ => None,
-    }
-}
-
-/// Where the count of tokens matching `filter` in colored place `p` lives,
-/// when a single color slot holds all of them (or none can exist).
-fn filtered_count_at(net: &Net, p: PlaceId, filter: &ColorFilter) -> Option<ColorCountAt> {
-    single_color(net, p, filter).map(|c| net.color_count_at(p, c))
-}
-
-/// The color a transition's input arc withdraws, when it is known at
-/// compile time: plain for a count-only place whose filter admits plain
-/// tokens, the [`single_color`] for a colored place.
-fn withdrawn_color(net: &Net, a: &crate::arc::InputArc) -> Option<Color> {
-    if net.place_may_hold_colors(a.place) {
-        single_color(net, a.place, &a.filter)
-    } else {
-        a.filter.matches(Color::NONE).then_some(Color::NONE)
-    }
-}
-
-/// Append a transition's count firing plan — (count index, multiplicity)
-/// pairs in arc order — to `plan_dat`, when every arc resolves to one
-/// dense count: input arcs with a [`withdrawn_color`] that has a count,
-/// and output colors that are constant, a one-entry `Choice` (which draws
-/// no RNG), or a `Transfer` from such an input. Anything else fires
-/// through the generic path, and `plan_dat` is left as it was.
-fn count_plan(net: &Net, t: &Transition, plan_dat: &mut Vec<(u32, u32)>) -> Option<DensePlan> {
-    let start = plan_dat.len();
-    let at = |p: PlaceId, c: Option<Color>| match net.color_count_at(p, c?) {
-        ColorCountAt::Dense(i) => Some(i),
-        _ => None,
-    };
-    let mut resolve = || {
-        for a in &t.inputs {
-            plan_dat.push((at(a.place, withdrawn_color(net, a))?, a.multiplicity));
-        }
-        let outs_start = plan_dat.len() as u32;
-        for a in &t.outputs {
-            let c = match &a.color {
-                ColorExpr::Const(c) => Some(*c),
-                ColorExpr::Choice(pairs) if pairs.len() == 1 => Some(pairs[0].0),
-                // A real Choice consumes an RNG draw; keep the generic
-                // path so the stream stays aligned.
-                ColorExpr::Choice(_) => None,
-                ColorExpr::Transfer { arc_index } => withdrawn_color(net, &t.inputs[*arc_index]),
-            };
-            plan_dat.push((at(a.place, c)?, a.multiplicity));
-        }
-        Some(DensePlan {
-            ins: (start as u32, outs_start),
-            outs: (outs_start, plan_dat.len() as u32),
-        })
-    };
-    let plan = resolve();
-    if plan.is_none() {
-        plan_dat.truncate(start);
-    }
-    plan
-}
-
-/// Everything the engine precomputes per [`Simulator`] — shared, immutable,
-/// reused by every run.
-#[derive(Debug, Clone)]
-pub(crate) struct CompiledSim {
-    pub(super) conds: Vec<Cond>,
-    pub(super) filters: Vec<ColorFilter>,
-    pub(super) guards: Vec<CompiledExpr>,
-    /// Place → indices of conditions that read it (ascending tid).
-    pub(super) place_conds: Csr,
-    /// Conditions that folded to constant-false at compile time (an input
-    /// arc whose filter can never match an uncolored place) keep their
-    /// transition permanently disabled via this base count.
-    pub(super) base_unsat: Vec<u32>,
-    /// Transition → places whose token count changes when it fires
-    /// (inputs then outputs, deduplicated, arc order preserved).
-    pub(super) touched: Csr,
-    /// Transition → timed transitions to re-schedule after it fires, in
-    /// exactly the reference engine's traversal order (dependency index
-    /// over touched places, then self, then Resample transitions).
-    pub(super) recheck_timed: Csr,
-    pub(super) hot: Vec<TransHot>,
-    pub(super) immediates: Vec<TransitionId>,
-    pub(super) plans: Vec<Option<DensePlan>>,
-    pub(super) plan_dat: Vec<(u32, u32)>,
-    /// Scratch capacity needed by the largest guard program.
-    pub(super) guard_stack: usize,
-}
-
-impl CompiledSim {
-    fn build(net: &Net) -> Self {
-        let nt = net.num_transitions();
-        let np = net.num_places();
-        let mut conds: Vec<Cond> = Vec::new();
-        let mut filters: Vec<ColorFilter> = Vec::new();
-        let mut guards: Vec<CompiledExpr> = Vec::new();
-        let mut place_cond_rows: Vec<Vec<u32>> = vec![Vec::new(); np];
-        let mut base_unsat = vec![0u32; nt];
-        let mut touched_rows: Vec<Vec<u32>> = Vec::with_capacity(nt);
-        let mut hot = Vec::with_capacity(nt);
-        let mut plans: Vec<Option<DensePlan>> = Vec::with_capacity(nt);
-        let mut plan_dat: Vec<(u32, u32)> = Vec::new();
-        let mut guard_stack = 0usize;
-        let mut guard_places: Vec<PlaceId> = Vec::new();
-        let mut conjuncts: Vec<&Expr> = Vec::new();
-
-        for (ti, t) in net.transitions().iter().enumerate() {
-            let tid = ti as u32;
-            hot.push(TransHot::from_timing(&t.timing, t.memory));
-
-            // --- enabling conditions ---
-            for arc in &t.inputs {
-                let p = arc.place.index();
-                let colored = net.place_may_hold_colors(arc.place);
-                let cond = match (&arc.filter, colored) {
-                    (ColorFilter::Any, _) => Some(Cond {
-                        tid,
-                        kind: COND_INPUT_ANY,
-                        place: p as u32,
-                        need: arc.multiplicity,
-                        aux: 0,
-                    }),
-                    (f, true) => match filtered_count_at(net, arc.place, f) {
-                        // One color slot holds every token the filter can
-                        // match: a plain threshold on that count.
-                        Some(ColorCountAt::Dense(i)) => Some(Cond {
-                            tid,
-                            kind: COND_INPUT_ANY,
-                            place: i,
-                            need: arc.multiplicity,
-                            aux: 0,
-                        }),
-                        Some(ColorCountAt::AlwaysZero) => None,
-                        _ => {
-                            filters.push(f.clone());
-                            Some(Cond {
-                                tid,
-                                kind: COND_INPUT_FILTERED,
-                                place: p as u32,
-                                need: arc.multiplicity,
-                                aux: (filters.len() - 1) as u32,
-                            })
-                        }
-                    },
-                    (f, false) if f.matches(Color::NONE) => Some(Cond {
-                        tid,
-                        kind: COND_INPUT_ANY,
-                        place: p as u32,
-                        need: arc.multiplicity,
-                        aux: 0,
-                    }),
-                    // An uncolored place can never satisfy this filter: the
-                    // transition is structurally dead.
-                    _ => None,
-                };
-                match cond {
-                    Some(cond) => {
-                        place_cond_rows[p].push(conds.len() as u32);
-                        conds.push(cond);
-                    }
-                    None => base_unsat[ti] += 1,
-                }
-            }
-
-            for inh in &t.inhibitors {
-                let p = inh.place.index();
-                let colored = net.place_may_hold_colors(inh.place);
-                let cond = match (&inh.filter, colored) {
-                    (ColorFilter::Any, _) => Some(Cond {
-                        tid,
-                        kind: COND_INHIB_ANY,
-                        place: p as u32,
-                        need: inh.threshold,
-                        aux: 0,
-                    }),
-                    (f, true) => match filtered_count_at(net, inh.place, f) {
-                        Some(ColorCountAt::Dense(i)) => Some(Cond {
-                            tid,
-                            kind: COND_INHIB_ANY,
-                            place: i,
-                            need: inh.threshold,
-                            aux: 0,
-                        }),
-                        Some(ColorCountAt::AlwaysZero) => None,
-                        _ => {
-                            filters.push(f.clone());
-                            Some(Cond {
-                                tid,
-                                kind: COND_INHIB_FILTERED,
-                                place: p as u32,
-                                need: inh.threshold,
-                                aux: (filters.len() - 1) as u32,
-                            })
-                        }
-                    },
-                    (f, false) if f.matches(Color::NONE) => Some(Cond {
-                        tid,
-                        kind: COND_INHIB_ANY,
-                        place: p as u32,
-                        need: inh.threshold,
-                        aux: 0,
-                    }),
-                    // The filter can never match: the inhibitor never trips.
-                    _ => None,
-                };
-                if let Some(cond) = cond {
-                    place_cond_rows[p].push(conds.len() as u32);
-                    conds.push(cond);
-                }
-            }
-
-            // A guard's top-level conjuncts become separate conditions,
-            // each watching only its own places: the unsat counter ANDs
-            // them, and a conjunct of the form `count cmp const` lowers to
-            // a plain count threshold.
-            if let Some(g) = &t.guard {
-                conjuncts.clear();
-                split_conjuncts(g, &mut conjuncts);
-                for conj in &conjuncts {
-                    let prog = CompiledExpr::compile(conj);
-                    guard_stack = guard_stack.max(prog.stack_needed());
-                    guards.push(prog);
-                    guard_places.clear();
-                    conj.collect_places(&mut guard_places);
-                    guard_places.sort_unstable();
-                    guard_places.dedup();
-                    for gp in &guard_places {
-                        place_cond_rows[gp.index()].push(conds.len() as u32);
-                    }
-                    conds.push(Cond {
-                        tid,
-                        kind: COND_GUARD,
-                        place: 0,
-                        need: 0,
-                        aux: (guards.len() - 1) as u32,
-                    });
-                }
-            }
-
-            // --- touched places (inputs then outputs, dedup) ---
-            let mut tp: Vec<u32> = Vec::with_capacity(t.inputs.len() + t.outputs.len());
-            for place in t
-                .inputs
-                .iter()
-                .map(|a| a.place)
-                .chain(t.outputs.iter().map(|a| a.place))
-            {
-                let p = place.index() as u32;
-                if !tp.contains(&p) {
-                    tp.push(p);
-                }
-            }
-            touched_rows.push(tp);
-
-            // --- count firing plan ---
-            plans.push(count_plan(net, t, &mut plan_dat));
-        }
-
-        // --- static re-check lists, in the reference engine's order ---
-        let resamplers: Vec<u32> = (0..nt)
-            .filter(|&ti| {
-                hot[ti].kind != TimingKind::Immediate && hot[ti].memory == MemoryPolicy::Resample
-            })
-            .map(|ti| ti as u32)
-            .collect();
-        let mut recheck_rows: Vec<Vec<u32>> = Vec::with_capacity(nt);
-        let mut seen = vec![false; nt];
-        for (ti, t) in net.transitions().iter().enumerate() {
-            let mut row: Vec<u32> = Vec::new();
-            let mark = |row: &mut Vec<u32>, seen: &mut Vec<bool>, tid: u32| {
-                if !seen[tid as usize] {
-                    seen[tid as usize] = true;
-                    row.push(tid);
-                }
-            };
-            for place in t
-                .inputs
-                .iter()
-                .map(|a| a.place)
-                .chain(t.outputs.iter().map(|a| a.place))
-            {
-                for &tid in net.affected_by(place) {
-                    mark(&mut row, &mut seen, tid.0);
-                }
-            }
-            // The fired transition's own clock was consumed by firing.
-            mark(&mut row, &mut seen, ti as u32);
-            // Resample-policy transitions re-sample on every marking change.
-            for &r in &resamplers {
-                mark(&mut row, &mut seen, r);
-            }
-            for &tid in &row {
-                seen[tid as usize] = false;
-            }
-            // Only timed transitions are re-scheduled (the reference engine
-            // skips immediates here too, drawing no RNG), so pre-filter.
-            row.retain(|&tid| hot[tid as usize].kind != TimingKind::Immediate);
-            recheck_rows.push(row);
-        }
-
-        let immediates = net
-            .transition_ids()
-            .filter(|t| net.transition(*t).timing.is_immediate())
-            .collect();
-
-        CompiledSim {
-            conds,
-            filters,
-            guards,
-            place_conds: Csr::from_rows(&place_cond_rows),
-            base_unsat,
-            touched: Csr::from_rows(&touched_rows),
-            recheck_timed: Csr::from_rows(&recheck_rows),
-            hot,
-            immediates,
-            plans,
-            plan_dat,
-            guard_stack,
-        }
-    }
-
-    /// Evaluate one condition against a marking.
-    #[inline(always)]
-    pub(super) fn eval_cond(&self, marking: &Marking, scratch: &mut Vec<i64>, cond: &Cond) -> bool {
-        match cond.kind {
-            COND_INPUT_ANY => marking.count_raw(cond.place) >= cond.need,
-            COND_INHIB_ANY => marking.count_raw(cond.place) < cond.need,
-            COND_INPUT_FILTERED => {
-                let filter = &self.filters[cond.aux as usize];
-                marking.count_matching(PlaceId(cond.place), filter) >= cond.need as usize
-            }
-            COND_INHIB_FILTERED => {
-                let filter = &self.filters[cond.aux as usize];
-                marking.count_matching(PlaceId(cond.place), filter) < cond.need as usize
-            }
-            COND_GUARD => self.guards[cond.aux as usize].eval_bool(marking, scratch),
-            _ => unreachable!("invalid condition kind"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Simulator
 // ---------------------------------------------------------------------------
 
 /// A configured, reusable simulator for one net.
 ///
-/// Static structure (flattened enabling conditions, compiled guard
-/// programs, dense firing plans, per-transition timing scalars and re-check
-/// lists) is built once here; immutable afterwards. [`Simulator::run`]
-/// takes `&self`, so independent replications can run concurrently on
-/// multiple threads.
+/// The lowered program (net × rewards × config) is built once, on the
+/// first run, and immutable afterwards. [`Simulator::run`] takes `&self`,
+/// so independent replications can run concurrently on multiple threads.
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
     pub(super) net: &'a Net,
     pub(super) cfg: SimConfig,
     pub(super) rewards: Vec<RewardSpec>,
-    /// Compiled predicate programs, parallel to `rewards` (None for
-    /// non-predicate rewards).
-    pub(super) pred_progs: Vec<Option<CompiledExpr>>,
-    /// `firing_hooks[t]` = indices of counter rewards watching transition
-    /// `t`; built here so runs share it instead of rebuilding per seed.
-    pub(super) firing_hooks: Vec<Vec<u32>>,
-    pub(super) compiled: CompiledSim,
-    /// Lazily-built lowered program (net × rewards × config), shared by
-    /// every run. Invalidated when a reward is added.
-    pub(super) lowered: std::sync::OnceLock<super::lower::LoweredNet>,
-    /// Debug builds shadow the first run per simulator with the reference
-    /// engine and assert identical output (cheap, once-per-net oracle on
-    /// top of the differential suites).
+    /// Lazily-built lowered program, shared by every run. Invalidated when
+    /// a reward is added.
+    pub(super) lowered: OnceLock<LoweredNet>,
+    /// Debug builds check the first run per simulator against the
+    /// reference engine and its start state against a rescan (cheap,
+    /// once-per-net oracles on top of the differential suites).
     #[allow(dead_code)]
-    pub(super) shadow_once: std::sync::OnceLock<()>,
+    pub(super) shadow_once: OnceLock<()>,
 }
 
 impl<'a> Simulator<'a> {
     /// Create a simulator for `net` with the given configuration.
     pub fn new(net: &'a Net, cfg: SimConfig) -> Self {
-        let firing_hooks = vec![Vec::new(); net.num_transitions()];
         Simulator {
             net,
             cfg,
             rewards: Vec::new(),
-            pred_progs: Vec::new(),
-            firing_hooks,
-            compiled: CompiledSim::build(net),
-            lowered: std::sync::OnceLock::new(),
-            shadow_once: std::sync::OnceLock::new(),
+            lowered: OnceLock::new(),
+            shadow_once: OnceLock::new(),
         }
     }
 
     /// The lowered program for this simulator, building it on first use.
-    pub(super) fn lowered_net(&self) -> &super::lower::LoweredNet {
+    pub(super) fn lowered_net(&self) -> &LoweredNet {
         self.lowered
-            .get_or_init(|| super::lower::LoweredNet::build(self))
+            .get_or_init(|| LoweredNet::build(self.net, &self.rewards, &self.cfg))
     }
 
     /// Register a reward measure; the returned id indexes
-    /// [`SimOutput::rewards`]. Predicate expressions are compiled to flat
-    /// programs here, at setup time.
+    /// [`SimOutput::rewards`].
     pub fn reward(&mut self, spec: RewardSpec) -> Result<RewardId, RewardSpecError> {
         spec.validate(self.net)?;
-        let prog = match &spec {
-            RewardSpec::Predicate(e) => Some(CompiledExpr::compile(e)),
-            _ => None,
-        };
         let id = RewardId(self.rewards.len());
-        if let RewardSpec::Throughput(t) | RewardSpec::FiringCount(t) = &spec {
-            self.firing_hooks[t.index()].push(id.0 as u32);
-        }
         self.rewards.push(spec);
-        self.pred_progs.push(prog);
         // The lowered program bakes the reward set in; rebuild on next run.
         self.lowered.take();
         Ok(id)
@@ -727,12 +199,18 @@ impl<'a> Simulator<'a> {
     /// sum are the run and event totals), after the run so it never
     /// touches seeding or results.
     pub fn run(&self, seed: u64) -> Result<SimOutput, SimError> {
+        #[cfg(debug_assertions)]
+        let first = self.shadow_once.set(()).is_ok();
+        #[cfg(debug_assertions)]
+        if first {
+            super::lowered::debug_assert_start_state(self.lowered_net(), self.net);
+        }
         let out = super::lowered::LoweredEngine::new(self, seed).run();
         if let Ok(o) = &out {
             sim_core::obs::obs().record(sim_core::obs::Metric::EngineRunEvents, o.total_firings());
         }
         #[cfg(debug_assertions)]
-        if self.shadow_once.set(()).is_ok() {
+        if first {
             super::lowered::debug_assert_outputs_eq(&out, &self.run_reference(seed));
         }
         out
@@ -752,7 +230,7 @@ mod tests {
     use super::*;
     use crate::builder::NetBuilder;
     use crate::expr::Expr;
-    use crate::timing::Timing;
+    use crate::timing::{MemoryPolicy, Timing};
 
     /// Single deterministic transition cycling one token: P -> T(1s) -> P.
     #[test]
@@ -1265,9 +743,9 @@ mod tests {
         assert_eq!(out_m.final_marking.count(p), 1);
     }
 
-    /// Replications of one net that stop at different horizons each match
-    /// the reference engine run to the same horizon: a run retires at its
-    /// own end time, mid-way between events, whatever its neighbours do.
+    /// Runs of one net that stop at different horizons each match the
+    /// reference engine run to the same horizon: a run retires at its own
+    /// end time, mid-way between events.
     #[test]
     fn per_lane_horizons_retire_mid_batch() {
         let mut b = NetBuilder::new("mm1");

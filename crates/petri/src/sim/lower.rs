@@ -1,29 +1,37 @@
-//! The lowering pass: compile one (net × rewards) into a flat micro-op
-//! program that the lowered engine ([`super::lowered`]) executes directly.
+//! The lowering pass: the one compile step from a [`Net`] (plus its reward
+//! set and [`SimConfig`]) to the flat micro-op program that the lowered
+//! engine ([`super::lowered`]) executes directly.
 //!
-//! The input is the simulator's `CompiledSim` ([`super::engine`]): dense
-//! condition tables, CSR indices, optional dense firing plans, and
-//! per-transition timing scalars. Walking those tables per event would
-//! mean matching on the distribution kind and memory policy of every
-//! re-scheduled transition, chasing `Option<DensePlan>` and CSR
-//! indirections, and re-dispatching on condition kinds that are invariant
-//! for a given net. This module makes all of those decisions **once per
-//! simulator** and serializes the result into one contiguous `u32` arena:
+//! [`LoweredNet::build`] walks the net once. Every decision that is
+//! invariant for a given net is made here, **once per simulator**, and
+//! serialized into one contiguous `u32` arena; the intermediate tables it
+//! needs along the way (condition records, the place → condition index,
+//! count firing plans, re-check rows) are locals of the pass:
 //!
+//! * **Enabling conditions.** Every input arc, inhibitor arc and top-level
+//!   guard conjunct becomes a condition record. Filters on provably
+//!   uncolored places fold away; a filter that can select only one color
+//!   of a slotted colored place, and a guard conjunct of the form
+//!   `count cmp const`, become a threshold on one entry of the marking's
+//!   count vector.
 //! * Each transition gets a **fire section** — SUB/ADD count ops on places
 //!   and color slots (or one generic-fire op for transitions that need an
 //!   RNG draw or a multi-color filter) followed by inline condition
 //!   re-evaluation ops (place, threshold, and watching transition baked
-//!   into the op stream, in a precomputed first-touch order that visits
-//!   each condition once) and counter-reward hook ops.
+//!   into the op stream, in a first-touch order that visits each condition
+//!   once) and counter-reward hook ops.
 //! * Each transition gets a **recheck section** — one op per timed
-//!   transition whose clock may need attention after the firing, with the
-//!   *(memory policy × distribution kind)* pair monomorphized into the
-//!   opcode itself and the distribution parameters inlined as immediate
-//!   words. An exponential RaceEnable re-check is a single opcode.
+//!   transition whose clock may need attention after the firing, in
+//!   exactly the reference engine's traversal order (that order decides
+//!   which transition consumes which RNG draw), with the *(memory policy ×
+//!   distribution kind)* pair monomorphized into the opcode itself and the
+//!   distribution parameters inlined as immediate words. An exponential
+//!   RaceEnable re-check is a single opcode.
 //! * A **startup program** replays the reference engine's initial
 //!   scheduling pass (every timed transition re-checked in definition
-//!   order).
+//!   order), and the **start state** — which conditions hold, which
+//!   transitions are enabled, and the enabled immediates in tid order — is
+//!   evaluated once on the initial marking, for every run to clone.
 //! * Time-based rewards become a flat `(place, accumulator)` table for
 //!   time-averaged token counts plus a short integration program for
 //!   predicates (single comparisons and "any place non-empty" predicates
@@ -37,15 +45,15 @@
 //! is selected once per net and baked into const-generic instantiations of
 //! the hot loop, so the per-event path has no dynamic dispatch left.
 
-use super::engine::{
-    CompiledSim, Simulator, TimingKind, COND_GUARD, COND_INHIB_ANY, COND_INHIB_FILTERED,
-    COND_INPUT_ANY, COND_INPUT_FILTERED,
-};
+use super::engine::{effective_token_limit, SimConfig};
 use super::rewards::RewardSpec;
+use crate::arc::{ColorExpr, InputArc};
 use crate::expr::{CmpOp, CompiledExpr, Expr};
 use crate::ids::PlaceId;
 use crate::net::{ColorCountAt, Net};
-use crate::timing::MemoryPolicy;
+use crate::timing::{MemoryPolicy, Timing};
+use crate::token::{Color, ColorFilter};
+use crate::transition::Transition;
 
 /// Reduce a bare `count(place) cmp constant` program — or a
 /// `count_color(place, color) cmp constant` one whose color count is dense
@@ -127,6 +135,125 @@ fn count_sum(net: &Net, e: &Expr, out: &mut Vec<u32>) -> bool {
             ColorCountAt::Bag => false,
         },
         _ => false,
+    }
+}
+
+/// Collect the top-level conjuncts of `e` (`e` itself unless it is an
+/// `And`), left to right.
+fn split_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+    match e {
+        Expr::And(a, b) => {
+            split_conjuncts(a, out);
+            split_conjuncts(b, out);
+        }
+        _ => out.push(e),
+    }
+}
+
+/// The one color `filter` can select in colored place `p`: the `Eq`
+/// filter's color, or the only slotted color the filter matches (a place's
+/// slots cover its whole color domain).
+fn single_color(net: &Net, p: PlaceId, filter: &ColorFilter) -> Option<Color> {
+    if let ColorFilter::Eq(c) = filter {
+        return Some(*c);
+    }
+    let mut matching = net.slot_colors(p).iter().filter(|&&c| filter.matches(c));
+    match (matching.next(), matching.next()) {
+        (Some(&c), None) => Some(c),
+        _ => None,
+    }
+}
+
+/// The color a transition's input arc withdraws, when it is known at
+/// compile time: plain for a count-only place whose filter admits plain
+/// tokens, the [`single_color`] for a colored place.
+fn withdrawn_color(net: &Net, a: &InputArc) -> Option<Color> {
+    if net.place_may_hold_colors(a.place) {
+        single_color(net, a.place, &a.filter)
+    } else {
+        a.filter.matches(Color::NONE).then_some(Color::NONE)
+    }
+}
+
+/// Fill `plan` with a transition's count firing plan — (count index,
+/// multiplicity) pairs for its input arcs, then its output arcs, in arc
+/// order — when every arc resolves to one dense count: input arcs with a
+/// [`withdrawn_color`] that has a count, and output colors that are
+/// constant, a one-entry `Choice` (which draws no RNG), or a `Transfer`
+/// from such an input. `None` sends the transition down the generic path.
+fn count_plan(net: &Net, t: &Transition, plan: &mut Vec<(u32, u32)>) -> Option<()> {
+    plan.clear();
+    let at = |p: PlaceId, c: Option<Color>| match net.color_count_at(p, c?) {
+        ColorCountAt::Dense(i) => Some(i),
+        _ => None,
+    };
+    for a in &t.inputs {
+        plan.push((at(a.place, withdrawn_color(net, a))?, a.multiplicity));
+    }
+    for a in &t.outputs {
+        let c = match &a.color {
+            ColorExpr::Const(c) => Some(*c),
+            ColorExpr::Choice(pairs) if pairs.len() == 1 => Some(pairs[0].0),
+            // A real Choice consumes an RNG draw; keep the generic path so
+            // the stream stays aligned.
+            ColorExpr::Choice(_) => None,
+            ColorExpr::Transfer { arc_index } => withdrawn_color(net, &t.inputs[*arc_index]),
+        };
+        plan.push((at(a.place, c)?, a.multiplicity));
+    }
+    Some(())
+}
+
+/// What one enabling condition tests. A transition is enabled iff all of
+/// its conditions hold; the engine tracks the number of currently-false
+/// conditions per transition.
+enum Test {
+    /// `(count(idx) >= need) != inv` on one entry of the count vector (a
+    /// place total or a color slot): an arc, or a guard conjunct reduced
+    /// by [`count_cmp_threshold`].
+    Count { idx: u32, need: u32, inv: bool },
+    /// The same over `count_matching(place, filters[filter])`.
+    Filtered {
+        place: u32,
+        filter: u32,
+        need: u32,
+        inv: bool,
+    },
+    /// Guard conjunct program `guards[prog]`.
+    Guard(u32),
+}
+
+/// The condition an input (`inv = false`) or inhibitor (`inv = true`) arc
+/// on `place` contributes, or `None` when its filter can never match: an
+/// input arc then keeps its transition dead, an inhibitor never trips.
+fn arc_test(
+    net: &Net,
+    place: PlaceId,
+    filter: &ColorFilter,
+    need: u32,
+    inv: bool,
+    filters: &mut Vec<ColorFilter>,
+) -> Option<Test> {
+    let p = place.index() as u32;
+    match (filter, net.place_may_hold_colors(place)) {
+        (ColorFilter::Any, _) => Some(Test::Count { idx: p, need, inv }),
+        (f, true) => match single_color(net, place, f).map(|c| net.color_count_at(place, c)) {
+            // One color slot holds every token the filter can match: a
+            // plain threshold on that count.
+            Some(ColorCountAt::Dense(idx)) => Some(Test::Count { idx, need, inv }),
+            Some(ColorCountAt::AlwaysZero) => None,
+            _ => {
+                filters.push(f.clone());
+                Some(Test::Filtered {
+                    place: p,
+                    filter: (filters.len() - 1) as u32,
+                    need,
+                    inv,
+                })
+            }
+        },
+        (f, false) if f.matches(Color::NONE) => Some(Test::Count { idx: p, need, inv }),
+        _ => None,
     }
 }
 
@@ -219,6 +346,18 @@ pub(super) const TID_IMMEDIATE: u32 = 1 << 31;
 /// so the settled-skip walk needs no per-record length decoding.
 pub(super) const RECHECK_STRIDE: usize = 5;
 
+// Per-transition scheduling state byte: lets the post-firing re-check ops
+// skip settled transitions on a single byte compare.
+/// Transition is enabled (unsatisfied-condition counter is zero).
+pub(super) const ST_ENABLED: u8 = 0b001;
+/// Transition has a pending event.
+pub(super) const ST_SCHEDULED: u8 = 0b010;
+/// Transition has the Resample memory policy (static).
+pub(super) const ST_RESAMPLE: u8 = 0b100;
+
+/// `imm_pos` entry of an immediate that is not in the enabled index.
+pub(super) const NOT_QUEUED: u32 = u32::MAX;
+
 /// Split an `f64` into two immediate words (little end first).
 fn push_f64(ops: &mut Vec<u32>, x: f64) {
     let b = x.to_bits();
@@ -263,9 +402,9 @@ pub(super) enum IntegOp {
         /// Target slot in the run's `f64` accumulators.
         acc: u32,
     },
-    /// `acc_f[acc] += dt` when predicate `prog` holds.
+    /// `acc_f[acc] += dt` when predicate program `preds[prog]` holds.
     Pred {
-        /// Index into the simulator's compiled predicate programs.
+        /// Index of the reward, and of its program in [`LoweredNet::preds`].
         prog: u32,
         /// Target slot in the run's `f64` accumulators.
         acc: u32,
@@ -288,10 +427,33 @@ pub(super) enum LoweredReward {
 // The lowered program
 // ---------------------------------------------------------------------------
 
-/// A complete lowered stepping program for one (net × rewards): one
-/// contiguous op arena plus the section table, the startup program, the
-/// reward integration program, and the feature-specialization flags that
-/// select the hot-loop instantiation.
+/// The enabling state every run starts from. It depends only on the net's
+/// initial marking, so lowering evaluates it once and each run clones it.
+#[derive(Debug, Clone)]
+pub(super) struct StartState {
+    /// Truth of each condition, by condition index.
+    pub(super) cond_true: Vec<bool>,
+    /// Number of false conditions per transition (zero = enabled), plus
+    /// one per input arc whose filter can never match.
+    pub(super) unsat: Vec<u32>,
+    /// [`ST_ENABLED`] and [`ST_RESAMPLE`] bits per transition.
+    pub(super) sched_state: Vec<u8>,
+    /// The enabled-immediates index: the first `imm_len` entries are the
+    /// enabled immediates in tid order; the vector has one entry per
+    /// immediate.
+    pub(super) enabled_imm: Vec<u32>,
+    pub(super) imm_len: u32,
+    /// Position of each transition in `enabled_imm`, or [`NOT_QUEUED`].
+    pub(super) imm_pos: Vec<u32>,
+}
+
+/// A complete lowered stepping program for one (net × rewards × config):
+/// one contiguous op arena plus the section table, the startup program and
+/// start state, the reward integration program, the side tables the slow
+/// paths read, the run limits, and the feature-specialization flags that
+/// select the hot-loop instantiation. Runs read nothing else from the
+/// simulator (the generic firing path and the debug oracles read the
+/// [`Net`]).
 #[derive(Debug, Clone)]
 pub(crate) struct LoweredNet {
     /// The op arena. Transition `ti`'s fire section is
@@ -325,17 +487,44 @@ pub(crate) struct LoweredNet {
     pub(super) n_count: usize,
     /// Per-reward finalize mapping, in registration order.
     pub(super) reward_map: Vec<LoweredReward>,
+    /// Color filters of [`OP_C_FGE`] / [`OP_C_FLT`] conditions.
+    pub(super) filters: Vec<ColorFilter>,
+    /// Guard conjunct programs, one per guard condition ([`OP_C_GUARD`]).
+    pub(super) guards: Vec<CompiledExpr>,
+    /// Predicate programs by reward index, for [`IntegOp::Pred`].
+    pub(super) preds: Vec<Option<CompiledExpr>>,
+    /// `(priority, weight)` by tid, for immediate conflict resolution.
+    pub(super) imm_choice: Vec<(u8, f64)>,
+    /// Scratch stack the largest guard or predicate program needs.
+    pub(super) stack_len: usize,
+    /// The enabling state at time zero, before the startup program.
+    pub(super) start: StartState,
+    /// Rewards accumulate from this time on ([`SimConfig::warmup`]).
+    pub(super) warmup: f64,
+    /// [`SimConfig::max_zero_time_firings`].
+    pub(super) max_zero: u64,
+    /// The token bound enforced ([`effective_token_limit`]).
+    pub(super) max_tokens: usize,
+    /// The token bound reported in overflow errors
+    /// ([`SimConfig::max_tokens_per_place`]).
+    pub(super) token_limit: usize,
 }
 
 impl LoweredNet {
-    /// Lower `sim`'s compiled net and reward set into a flat program.
-    pub(crate) fn build(sim: &Simulator<'_>) -> Self {
-        let net = sim.net;
-        let cs = &sim.compiled;
+    /// Bounds of transition `ti`'s fire and recheck sections in
+    /// [`LoweredNet::ops`] — `(fire_start, fire_end, recheck_end)`,
+    /// fetched with one bounds-checked access per fired event.
+    #[inline(always)]
+    pub(super) fn sections(&self, ti: usize) -> (usize, usize, usize) {
+        let s = &self.sec[2 * ti..2 * ti + 3];
+        (s[0] as usize, s[1] as usize, s[2] as usize)
+    }
+
+    /// Lower `net`, its reward set and its run limits into a flat program.
+    pub(crate) fn build(net: &Net, rewards: &[RewardSpec], cfg: &SimConfig) -> Self {
         let nt = net.num_transitions();
-        let nc = cs.conds.len();
         let np = net.num_places();
-        assert!(nc < (1 << 24), "condition index must fit a 24-bit op arg");
+        let trans = net.transitions();
         // With at most 16 color slots per place, this also keeps every
         // count index clear of the move flag bits.
         assert!(np < (1 << 24), "place index must fit a 24-bit op arg");
@@ -345,10 +534,12 @@ impl LoweredNet {
         let mut integ_places = Vec::new();
         let mut integ = Vec::new();
         let mut any_places = Vec::new();
-        let mut reward_map = Vec::with_capacity(sim.rewards.len());
-        let mut counter_idx = vec![u32::MAX; sim.rewards.len()];
+        let mut preds = vec![None; rewards.len()];
+        let mut reward_map = Vec::with_capacity(rewards.len());
+        // Counter accumulators bumped when each transition fires.
+        let mut hooks: Vec<Vec<u32>> = vec![Vec::new(); nt];
         let (mut n_integ, mut n_count) = (0u32, 0u32);
-        for (i, spec) in sim.rewards.iter().enumerate() {
+        for (i, spec) in rewards.iter().enumerate() {
             match spec {
                 RewardSpec::PlaceTokens(p) => {
                     integ_places.push((p.index() as u32, n_integ));
@@ -356,11 +547,9 @@ impl LoweredNet {
                     n_integ += 1;
                 }
                 RewardSpec::Predicate(e) => {
-                    let prog = sim.pred_progs[i]
-                        .as_ref()
-                        .expect("predicate reward has a compiled program");
+                    let prog = CompiledExpr::compile(e);
                     let lo = any_places.len();
-                    integ.push(match count_cmp_threshold(net, prog) {
+                    integ.push(match count_cmp_threshold(net, &prog) {
                         Some((place, lt, need)) => IntegOp::PredCnt {
                             place,
                             need,
@@ -374,6 +563,7 @@ impl LoweredNet {
                         },
                         None => {
                             any_places.truncate(lo);
+                            preds[i] = Some(prog);
                             IntegOp::Pred {
                                 prog: i as u32,
                                 acc: n_integ,
@@ -383,145 +573,269 @@ impl LoweredNet {
                     reward_map.push(LoweredReward::Integral(n_integ));
                     n_integ += 1;
                 }
-                RewardSpec::Throughput(_) => {
-                    counter_idx[i] = n_count;
-                    reward_map.push(LoweredReward::Rate(n_count));
-                    n_count += 1;
-                }
-                RewardSpec::FiringCount(_) => {
-                    counter_idx[i] = n_count;
-                    reward_map.push(LoweredReward::Count(n_count));
+                RewardSpec::Throughput(t) | RewardSpec::FiringCount(t) => {
+                    hooks[t.index()].push(n_count);
+                    reward_map.push(if matches!(spec, RewardSpec::Throughput(_)) {
+                        LoweredReward::Rate(n_count)
+                    } else {
+                        LoweredReward::Count(n_count)
+                    });
                     n_count += 1;
                 }
             }
         }
         assert!(n_integ < (1 << 24) && n_count < (1 << 24));
 
+        // --- enabling conditions, indexed by the places they read ---
+        let mut conds: Vec<(u32, Test)> = Vec::new();
+        let mut filters = Vec::new();
+        let mut guards: Vec<CompiledExpr> = Vec::new();
+        let mut place_conds: Vec<Vec<u32>> = vec![Vec::new(); np];
+        let mut unsat = vec![0u32; nt];
+        let mut conjuncts: Vec<&Expr> = Vec::new();
+        let mut guard_places: Vec<PlaceId> = Vec::new();
+        for (ti, t) in trans.iter().enumerate() {
+            let tid = ti as u32;
+            let inputs = t
+                .inputs
+                .iter()
+                .map(|a| (a.place, &a.filter, a.multiplicity, false));
+            let inhibitors = t
+                .inhibitors
+                .iter()
+                .map(|a| (a.place, &a.filter, a.threshold, true));
+            for (place, filter, need, inv) in inputs.chain(inhibitors) {
+                match arc_test(net, place, filter, need, inv, &mut filters) {
+                    Some(test) => {
+                        place_conds[place.index()].push(conds.len() as u32);
+                        conds.push((tid, test));
+                    }
+                    // An input arc no token can satisfy: structurally dead.
+                    None if !inv => unsat[ti] += 1,
+                    None => {}
+                }
+            }
+            // A guard's top-level conjuncts become separate conditions,
+            // each watching only its own places: the unsat counter ANDs
+            // them, and a conjunct of the form `count cmp const` lowers to
+            // a plain count threshold.
+            if let Some(g) = &t.guard {
+                conjuncts.clear();
+                split_conjuncts(g, &mut conjuncts);
+                for conj in &conjuncts {
+                    let prog = CompiledExpr::compile(conj);
+                    let test = match count_cmp_threshold(net, &prog) {
+                        Some((idx, inv, need)) => Test::Count { idx, need, inv },
+                        None => Test::Guard(guards.len() as u32),
+                    };
+                    guards.push(prog);
+                    guard_places.clear();
+                    conj.collect_places(&mut guard_places);
+                    guard_places.sort_unstable();
+                    guard_places.dedup();
+                    for gp in &guard_places {
+                        place_conds[gp.index()].push(conds.len() as u32);
+                    }
+                    conds.push((tid, test));
+                }
+            }
+        }
+        let nc = conds.len();
+        assert!(nc < (1 << 24), "condition index must fit a 24-bit op arg");
+        let is_imm = |t: u32| trans[t as usize].timing.is_immediate();
+        let resamplers: Vec<u32> = (0..nt as u32)
+            .filter(|&t| !is_imm(t) && trans[t as usize].memory == MemoryPolicy::Resample)
+            .collect();
+
         // --- per-transition fire + recheck sections ---
         let mut ops: Vec<u32> = Vec::new();
         let mut sec: Vec<u32> = Vec::with_capacity(2 * nt + 1);
         sec.push(0);
         let mut colored = false;
-        let mut seen = vec![false; nc];
-        let mut trow: Vec<u32> = Vec::new();
+        let mut seen_cond = vec![false; nc];
+        let mut seen_t = vec![false; nt];
+        let mut plan: Vec<(u32, u32)> = Vec::new();
+        let mut touched: Vec<u32> = Vec::new();
+        let mut row: Vec<u32> = Vec::new();
         let mut tail: Vec<u32> = Vec::new();
-        for ti in 0..nt {
+        for (ti, t) in trans.iter().enumerate() {
             // Header slot (counts patched once the section is laid out).
             let hdr_at = ops.len();
             ops.push(0);
             let mut hdr = 0u32;
-            // Token movement: the dense plan inlined as flagged
+            // Token movement: the count plan inlined as flagged
             // (place, multiplicity) pairs, or one generic-fire tid word.
             let mut n_mov = 0u32;
-            match &cs.plans[ti] {
-                Some(plan) => {
+            if count_plan(net, t, &mut plan).is_some() {
+                for (k, &(i, m)) in plan.iter().enumerate() {
                     // Count indices past the places are color slots.
-                    let mut mov = |ops: &mut Vec<u32>, i: u32, m: u32, add: u32| {
-                        let slot = if i as usize >= np { MOV_COLOR } else { 0 };
-                        colored |= slot != 0;
-                        ops.extend([i | slot | add, m]);
-                        n_mov += 1;
-                    };
-                    let (i0, i1) = plan.ins;
-                    for &(i, m) in &cs.plan_dat[i0 as usize..i1 as usize] {
-                        mov(&mut ops, i, m, 0);
-                    }
-                    let (o0, o1) = plan.outs;
-                    for &(i, m) in &cs.plan_dat[o0 as usize..o1 as usize] {
-                        mov(&mut ops, i, m, MOV_ADD);
-                    }
+                    let slot = if i as usize >= np { MOV_COLOR } else { 0 };
+                    let add = if k >= t.inputs.len() { MOV_ADD } else { 0 };
+                    colored |= slot != 0;
+                    ops.extend([i | slot | add, m]);
                 }
-                None => {
-                    colored = true;
-                    hdr |= HDR_GENERIC;
-                    ops.push(ti as u32);
-                }
+                n_mov = plan.len() as u32;
+            } else {
+                colored = true;
+                hdr |= HDR_GENERIC;
+                ops.push(ti as u32);
             }
             assert!(n_mov < (1 << 16), "token moves must fit the header");
-            // Conditions whose truth can change when `ti` fires, from the
-            // precomputed first-touch row (all token moves complete before
+            // The places whose count the firing changes (inputs then
+            // outputs, first occurrence kept), and the conditions watching
+            // them in first-touch order (all token moves complete before
             // any condition re-evaluation, so the flat row is equivalent
-            // to the per-place walk + epoch dedup; conditions never draw
-            // RNG and their flips commute, so splitting them into the
-            // count segment + dispatched tail preserves bit-identity).
-            trow.clear();
-            for &p in cs.touched.row(ti) {
-                for &ci in cs.place_conds.row(p as usize) {
-                    if !seen[ci as usize] {
-                        seen[ci as usize] = true;
-                        trow.push(ci);
-                    }
+            // to a per-place walk; conditions never draw RNG and their
+            // flips commute, so splitting them into the count segment +
+            // dispatched tail preserves bit-identity).
+            touched.clear();
+            for a in t
+                .inputs
+                .iter()
+                .map(|a| a.place)
+                .chain(t.outputs.iter().map(|a| a.place))
+            {
+                let p = a.index() as u32;
+                if !touched.contains(&p) {
+                    touched.push(p);
                 }
             }
-            for &ci in &trow {
-                seen[ci as usize] = false;
+            row.clear();
+            for &p in &touched {
+                for &ci in &place_conds[p as usize] {
+                    if !seen_cond[ci as usize] {
+                        seen_cond[ci as usize] = true;
+                        row.push(ci);
+                    }
+                }
             }
             let mut n_cnt = 0u32;
             tail.clear();
-            for &ci in &trow {
-                let cond = &cs.conds[ci as usize];
-                let mut tf = cond.tid;
-                if cs.hot[cond.tid as usize].kind == TimingKind::Immediate {
-                    tf |= TID_IMMEDIATE;
-                }
-                let mut cnt_rec = |ops: &mut Vec<u32>, place: u32, inv: bool, need: u32| {
-                    ops.extend([place | if inv { CNT_INV } else { 0 }, need, ci, tf]);
-                    n_cnt += 1;
-                };
-                match cond.kind {
-                    COND_INPUT_ANY => cnt_rec(&mut ops, cond.place, false, cond.need),
-                    COND_INHIB_ANY => cnt_rec(&mut ops, cond.place, true, cond.need),
-                    COND_INPUT_FILTERED => {
+            for &ci in &row {
+                seen_cond[ci as usize] = false;
+                let (tid, test) = &conds[ci as usize];
+                let tf = *tid | if is_imm(*tid) { TID_IMMEDIATE } else { 0 };
+                match *test {
+                    Test::Count { idx, need, inv } => {
+                        ops.extend([idx | if inv { CNT_INV } else { 0 }, need, ci, tf]);
+                        n_cnt += 1;
+                    }
+                    Test::Filtered {
+                        place,
+                        filter,
+                        need,
+                        inv,
+                    } => {
                         colored = true;
-                        tail.extend([OP_C_FGE | ci << 8, cond.aux, cond.place, cond.need, tf]);
+                        let op = if inv { OP_C_FLT } else { OP_C_FGE };
+                        tail.extend([op | ci << 8, filter, place, need, tf]);
                     }
-                    COND_INHIB_FILTERED => {
+                    // Only structurally complex guards keep the compiled
+                    // postfix program (and force the slow-path hot-loop
+                    // variant).
+                    Test::Guard(prog) => {
                         colored = true;
-                        tail.extend([OP_C_FLT | ci << 8, cond.aux, cond.place, cond.need, tf]);
+                        tail.extend([OP_C_GUARD | ci << 8, prog, tf]);
                     }
-                    COND_GUARD => {
-                        // A `count(p) cmp const` guard lowers to the same
-                        // threshold record as a plain arc condition; only
-                        // structurally complex guards keep the compiled
-                        // postfix program (and force the slow-path
-                        // hot-loop variant).
-                        match count_cmp_threshold(net, &cs.guards[cond.aux as usize]) {
-                            Some((p, inv, need)) => cnt_rec(&mut ops, p, inv, need),
-                            None => {
-                                colored = true;
-                                tail.extend([OP_C_GUARD | ci << 8, cond.aux, tf]);
-                            }
-                        }
-                    }
-                    _ => unreachable!("invalid condition kind"),
                 }
             }
             assert!(n_cnt < (1 << 15), "count conditions must fit the header");
             ops.extend_from_slice(&tail);
             // Counter-reward hooks (post-warmup increments).
-            for &ri in &sim.firing_hooks[ti] {
-                ops.push(OP_HOOK | counter_idx[ri as usize] << 8);
-            }
+            ops.extend(hooks[ti].iter().map(|&c| OP_HOOK | c << 8));
             ops[hdr_at] = hdr | n_mov | n_cnt << 16;
             sec.push(ops.len() as u32);
 
-            // Recheck section: monomorphized (policy × kind) ops over the
-            // compiled recheck row (reference traversal order).
-            for &t2 in cs.recheck_timed.row(ti) {
-                emit_recheck(&mut ops, cs, t2);
+            // Recheck section, in the reference engine's order: the
+            // transitions watching each place an arc touches, then the
+            // fired transition itself (its clock was consumed by firing),
+            // then every Resample transition (they re-sample on every
+            // marking change), each once. Only timed transitions are
+            // re-scheduled: the reference engine skips immediates here
+            // too, drawing no RNG.
+            row.clear();
+            let arc_places = t
+                .inputs
+                .iter()
+                .map(|a| a.place)
+                .chain(t.outputs.iter().map(|a| a.place));
+            let watchers = arc_places.flat_map(|p| net.affected_by(p).iter().map(|t2| t2.0));
+            for t2 in watchers
+                .chain([ti as u32])
+                .chain(resamplers.iter().copied())
+            {
+                if !seen_t[t2 as usize] {
+                    seen_t[t2 as usize] = true;
+                    row.push(t2);
+                }
+            }
+            for &t2 in &row {
+                seen_t[t2 as usize] = false;
+                if !is_imm(t2) {
+                    emit_recheck(&mut ops, &trans[t2 as usize], t2);
+                }
             }
             sec.push(ops.len() as u32);
         }
 
-        // Startup program: the reference engine's initial pass re-checks every
-        // timed transition in definition order.
-        let timed: Vec<u32> = (0..nt as u32)
-            .filter(|&t2| cs.hot[t2 as usize].kind != TimingKind::Immediate)
-            .collect();
+        // Startup program: the reference engine's initial pass re-checks
+        // every timed transition in definition order.
+        let timed: Vec<u32> = (0..nt as u32).filter(|&t| !is_imm(t)).collect();
         let mut init_ops = Vec::new();
         for &t2 in &timed {
-            emit_recheck(&mut init_ops, cs, t2);
+            emit_recheck(&mut init_ops, &trans[t2 as usize], t2);
         }
+
+        // --- start state: every condition on the initial marking ---
+        let stack_len = guards
+            .iter()
+            .chain(preds.iter().flatten())
+            .map(CompiledExpr::stack_needed)
+            .max()
+            .unwrap_or(0);
+        let marking = net.initial_marking();
+        let mut stack = Vec::with_capacity(stack_len);
+        let cond_true: Vec<bool> = conds
+            .iter()
+            .map(|(tid, test)| {
+                let holds = match *test {
+                    Test::Count { idx, need, inv } => (marking.count_raw(idx) >= need) != inv,
+                    Test::Filtered {
+                        place,
+                        filter,
+                        need,
+                        inv,
+                    } => {
+                        let n = marking.count_matching(PlaceId(place), &filters[filter as usize]);
+                        (n >= need as usize) != inv
+                    }
+                    Test::Guard(prog) => guards[prog as usize].eval_bool(&marking, &mut stack),
+                };
+                unsat[*tid as usize] += !holds as u32;
+                holds
+            })
+            .collect();
+        let mut sched_state = vec![0u8; nt];
+        let mut enabled_imm = Vec::new();
+        let mut imm_pos = vec![NOT_QUEUED; nt];
+        let mut imm_choice = vec![(0u8, 0.0f64); nt];
+        for (ti, t) in trans.iter().enumerate() {
+            let enabled = unsat[ti] == 0;
+            if let Timing::Immediate { priority, weight } = t.timing {
+                imm_choice[ti] = (priority, weight);
+                if enabled {
+                    imm_pos[ti] = enabled_imm.len() as u32;
+                    enabled_imm.push(ti as u32);
+                }
+            } else if t.memory == MemoryPolicy::Resample {
+                sched_state[ti] = ST_RESAMPLE;
+            }
+            if enabled {
+                sched_state[ti] |= ST_ENABLED;
+            }
+        }
+        let imm_len = enabled_imm.len() as u32;
+        enabled_imm.resize(trans.iter().filter(|t| t.timing.is_immediate()).count(), 0);
 
         LoweredNet {
             ops,
@@ -536,39 +850,57 @@ impl LoweredNet {
             n_integ: n_integ as usize,
             n_count: n_count as usize,
             reward_map,
+            filters,
+            guards,
+            preds,
+            imm_choice,
+            stack_len,
+            start: StartState {
+                cond_true,
+                unsat,
+                sched_state,
+                enabled_imm,
+                imm_len,
+                imm_pos,
+            },
+            warmup: cfg.warmup,
+            max_zero: cfg.max_zero_time_firings,
+            max_tokens: effective_token_limit(cfg),
+            token_limit: cfg.max_tokens_per_place,
         }
     }
 }
 
-/// Emit the monomorphized re-check record for timed transition `t2`,
-/// padded to [`RECHECK_STRIDE`] words.
-fn emit_recheck(ops: &mut Vec<u32>, cs: &CompiledSim, t2: u32) {
-    let hot = &cs.hot[t2 as usize];
-    let kind = match hot.kind {
-        TimingKind::Exponential => 0,
-        TimingKind::Deterministic => 1,
-        TimingKind::Uniform => 2,
-        TimingKind::Erlang => 3,
-        TimingKind::Immediate => unreachable!("immediates are never re-checked"),
-    };
-    let policy = match hot.memory {
+/// Emit the monomorphized re-check record for timed transition `t2`
+/// (`t`), padded to [`RECHECK_STRIDE`] words.
+fn emit_recheck(ops: &mut Vec<u32>, t: &Transition, t2: u32) {
+    let policy = match t.memory {
         MemoryPolicy::RaceEnable => 0,
         MemoryPolicy::RaceAge => 1,
         MemoryPolicy::Resample => 2,
     };
+    let op = |kind: u32| (OP_RE_EXP + 4 * policy + kind) | t2 << 8;
     let start = ops.len();
-    ops.push((OP_RE_EXP + 4 * policy + kind) | t2 << 8);
-    match hot.kind {
-        TimingKind::Exponential | TimingKind::Deterministic => push_f64(ops, hot.a),
-        TimingKind::Uniform => {
-            push_f64(ops, hot.a);
-            push_f64(ops, hot.b);
+    match t.timing {
+        Timing::Exponential { rate } => {
+            ops.push(op(0));
+            push_f64(ops, rate);
         }
-        TimingKind::Erlang => {
-            push_f64(ops, hot.a);
-            ops.push(hot.k);
+        Timing::Deterministic { delay } => {
+            ops.push(op(1));
+            push_f64(ops, delay);
         }
-        TimingKind::Immediate => unreachable!(),
+        Timing::Uniform { low, high } => {
+            ops.push(op(2));
+            push_f64(ops, low);
+            push_f64(ops, high);
+        }
+        Timing::Erlang { k, rate } => {
+            ops.push(op(3));
+            push_f64(ops, rate);
+            ops.push(k);
+        }
+        Timing::Immediate { .. } => unreachable!("immediates are never re-checked"),
     }
     ops.resize(start + RECHECK_STRIDE, 0);
 }
@@ -578,9 +910,8 @@ mod tests {
     use super::*;
     use crate::arc::ColorExpr;
     use crate::builder::NetBuilder;
-    use crate::sim::SimConfig;
-    use crate::timing::Timing;
-    use crate::token::{Color, ColorFilter};
+    use crate::expr::Expr;
+    use crate::sim::Simulator;
 
     /// Every fire-section op of `lw` that leaves the dense count path
     /// (generic fires and tail ops other than counter hooks), by
@@ -619,14 +950,24 @@ mod tests {
         (slow, color_moves)
     }
 
+    /// A test net and the rewards registered on it, in order.
+    type NetCase = (Net, Vec<RewardSpec>);
+
+    /// A simulator for `net` with `rewards` registered in order.
+    fn sim_with<'n>(net: &'n Net, cfg: SimConfig, rewards: &[RewardSpec]) -> Simulator<'n> {
+        let mut sim = Simulator::new(net, cfg);
+        for r in rewards {
+            sim.reward(r.clone()).unwrap();
+        }
+        sim
+    }
+
     /// The paper's Fig. 12 node SCPN in miniature, with every shape the
     /// node model uses: colored `Const` job deposits into `Buffer`,
     /// `Eq`-filtered DVS withdrawals (including levels no transition ever
     /// deposits), the conjunctive `cpu_done` guard, `count cmp const`
     /// guards on the colored buffer, and the node model's reward set.
-    #[test]
-    fn node_scpn_shapes_lower_to_dense_count_ops() {
-        use crate::expr::Expr;
+    fn node_shapes() -> NetCase {
         let mut b = NetBuilder::new("node-shapes");
         let wait = b.place("Wait").tokens(1).build();
         let rx_start = b.place("RxStart").build();
@@ -714,32 +1055,239 @@ mod tests {
             .output(cpu_sleep, 1)
             .build();
         let net = b.build().unwrap();
-        let mut sim = Simulator::new(&net, SimConfig::for_horizon(50.0).with_trace(64));
-        for p in [cpu_sleep, cpu_wake, cpu_idle, cpu_active] {
-            sim.reward_place(p);
-        }
-        sim.reward_predicate(Expr::count(wait).gt_c(0)).unwrap();
-        sim.reward_predicate(
-            Expr::count(rx_start)
-                .gt_c(0)
-                .or(Expr::count(tx_start).gt_c(0)),
-        )
-        .unwrap();
-        sim.reward_predicate(
-            Expr::count(rx_data)
-                .add(Expr::count(rx_handle))
-                .add(Expr::count(tx_handle))
-                .gt_c(0),
-        )
-        .unwrap();
-        sim.reward_predicate(Expr::count(comp_handle).gt_c(0))
-            .unwrap();
-        for t in [cycle_start, comp_done, cpu_wakeup] {
-            sim.reward_firings(t);
-        }
+        let mut rewards: Vec<RewardSpec> = [cpu_sleep, cpu_wake, cpu_idle, cpu_active]
+            .map(RewardSpec::PlaceTokens)
+            .into();
+        rewards.extend(
+            [
+                Expr::count(wait).gt_c(0),
+                Expr::count(rx_start)
+                    .gt_c(0)
+                    .or(Expr::count(tx_start).gt_c(0)),
+                Expr::count(rx_data)
+                    .add(Expr::count(rx_handle))
+                    .add(Expr::count(tx_handle))
+                    .gt_c(0),
+                Expr::count(comp_handle).gt_c(0),
+            ]
+            .map(RewardSpec::Predicate),
+        );
+        rewards.extend([cycle_start, comp_done, cpu_wakeup].map(RewardSpec::FiringCount));
+        (net, rewards)
+    }
 
-        let lw = LoweredNet::build(&sim);
-        let (slow, color_moves) = slow_paths(&lw);
+    /// The shapes that must stay on the generic path: a real `Choice`
+    /// deposit (it draws from the RNG), an `In` filter over two colors, a
+    /// `!=` comparison against a nonzero constant, and a predicate that is
+    /// not an "any place non-empty" shape.
+    fn generic_shapes() -> NetCase {
+        let mut b = NetBuilder::new("generic");
+        let src = b.place("src").build();
+        let sink = b.place("sink").build();
+        b.transition("gen", Timing::exponential(1.0))
+            .output_colored(
+                src,
+                1,
+                ColorExpr::Choice(vec![(Color(1), 1.0), (Color(2), 1.0)]),
+            )
+            .build();
+        b.transition("take", Timing::exponential(2.0))
+            .input_filtered(src, 1, ColorFilter::In(vec![Color(1), Color(2)]))
+            .output(sink, 1)
+            .guard(Expr::count(sink).ne(Expr::constant(3)))
+            .build();
+        b.transition("drain", Timing::exponential(3.0))
+            .input(sink, 1)
+            .build();
+        let net = b.build().unwrap();
+        let pred = Expr::count(src).add(Expr::count(sink)).gt_c(1);
+        (net, vec![RewardSpec::Predicate(pred)])
+    }
+
+    fn mm1() -> NetCase {
+        let mut b = NetBuilder::new("mm1");
+        let q = b.place("q").build();
+        b.transition("arrive", Timing::exponential(0.8))
+            .output(q, 1)
+            .build();
+        b.transition("serve", Timing::exponential(1.0))
+            .input(q, 1)
+            .build();
+        (b.build().unwrap(), vec![RewardSpec::PlaceTokens(q)])
+    }
+
+    /// A net past [`SCAN_MAX_TRANSITIONS`], so it lowers to the heap
+    /// scheduler: a ring of places worked by every (memory policy ×
+    /// distribution) re-check opcode, prioritized and weighted immediates,
+    /// inhibitors and threshold guards, with every reward kind.
+    fn heap_shapes() -> NetCase {
+        let mut b = NetBuilder::new("heap-shapes");
+        let ring: Vec<PlaceId> = (0..12)
+            .map(|i| b.place(format!("p{i}")).tokens(i % 3 / 2).build())
+            .collect();
+        let timings = [
+            Timing::exponential(1.5),
+            Timing::deterministic(0.4),
+            Timing::uniform(0.1, 0.9),
+            Timing::erlang(3, 4.0),
+        ];
+        let policies = [
+            MemoryPolicy::RaceEnable,
+            MemoryPolicy::RaceAge,
+            MemoryPolicy::Resample,
+        ];
+        let mut tids = Vec::new();
+        for i in 0..36 {
+            let (from, to) = (ring[i % 12], ring[(i + 1 + i / 12) % 12]);
+            let timing = match i % 6 {
+                5 => Timing::Immediate {
+                    priority: (i % 4) as u8,
+                    weight: 1.0 + i as f64,
+                },
+                k => timings[k % 4],
+            };
+            let mut t = b
+                .transition(format!("t{i}"), timing)
+                .input(from, 1)
+                .output(to, 1)
+                .memory(policies[i % 3]);
+            if i % 7 == 2 {
+                t = t.inhibitor(ring[(i + 6) % 12], 2);
+            }
+            if i % 5 == 1 {
+                t = t.guard(Expr::count(ring[(i + 3) % 12]).lt_c(3));
+            }
+            tids.push(t.build());
+        }
+        let net = b.build().unwrap();
+        let rewards = vec![
+            RewardSpec::PlaceTokens(ring[0]),
+            RewardSpec::Predicate(Expr::count(ring[4]).ge_c(1)),
+            RewardSpec::Throughput(tids[3]),
+            RewardSpec::FiringCount(tids[11]),
+            RewardSpec::PlaceTokens(ring[7]),
+        ];
+        (net, rewards)
+    }
+
+    /// SHA-256 over every word of `lw`'s lowered program, hex-encoded.
+    fn program_digest(lw: &LoweredNet) -> String {
+        let mut words: Vec<u32> = Vec::new();
+        let mut field = |ws: &[u32]| {
+            words.push(ws.len() as u32);
+            words.extend_from_slice(ws);
+        };
+        field(&lw.ops);
+        field(&lw.sec);
+        field(&lw.init_ops);
+        field(&lw.timed);
+        field(
+            &lw.integ_places
+                .iter()
+                .flat_map(|&(p, a)| [p, a])
+                .collect::<Vec<_>>(),
+        );
+        let integ: Vec<u32> = lw
+            .integ
+            .iter()
+            .flat_map(|op| match *op {
+                IntegOp::PredCnt {
+                    place,
+                    need,
+                    lt,
+                    acc,
+                } => vec![0, place, need, lt as u32, acc],
+                IntegOp::AnyNonEmpty { lo, hi, acc } => vec![1, lo, hi, acc],
+                IntegOp::Pred { prog, acc } => vec![2, prog, acc],
+            })
+            .collect();
+        field(&integ);
+        field(&lw.any_places);
+        field(&[lw.scan as u32, lw.colored as u32]);
+        let rewards: Vec<u32> = lw
+            .reward_map
+            .iter()
+            .flat_map(|r| match *r {
+                LoweredReward::Integral(i) => [0, i],
+                LoweredReward::Rate(i) => [1, i],
+                LoweredReward::Count(i) => [2, i],
+            })
+            .collect();
+        field(&rewards);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        sim_core::key::sha256(&bytes)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    }
+
+    /// Lowering emits the same program, word for word, as the two-pass
+    /// compiler it replaced: these digests were captured from that
+    /// compiler's output, so any renumbered condition, reordered re-check
+    /// or changed opcode shows up here before it shows up in a trajectory.
+    #[test]
+    fn lowered_programs_match_pinned_digests() {
+        let cases = [
+            (
+                "node-shapes",
+                node_shapes(),
+                "814b55b007a58f2c3b7d07245b845ad6bb5014fc8efd37be537230a9cdf3fe74",
+            ),
+            (
+                "generic",
+                generic_shapes(),
+                "7485f79c2aa6b1b2d6f0767def86e273938438848ed2db8e633050d756287f4a",
+            ),
+            (
+                "mm1",
+                mm1(),
+                "9d90aa2d579f116ff551e18f98820f3f8a802268e262d1f53ebd4a760540b600",
+            ),
+            (
+                "heap-shapes",
+                heap_shapes(),
+                "119c49606cad236c0f4ee4f2d7e48221510c1c44a2d282ea9581544809c78d8d",
+            ),
+        ];
+        let mut got = Vec::new();
+        for (name, (net, rewards), want) in cases {
+            let sim = sim_with(&net, SimConfig::for_horizon(50.0), &rewards);
+            let digest = program_digest(sim.lowered_net());
+            if digest != want {
+                got.push(format!("{name}: {digest}"));
+            }
+        }
+        assert!(
+            got.is_empty(),
+            "lowered programs changed:\n{}",
+            got.join("\n")
+        );
+    }
+
+    /// The heap net really takes the heap path, and its program runs the
+    /// reference engine's trajectory.
+    #[test]
+    fn heap_shapes_lower_to_the_heap_scheduler() {
+        let (net, rewards) = heap_shapes();
+        let sim = sim_with(&net, SimConfig::for_horizon(40.0).with_trace(64), &rewards);
+        assert!(net.num_transitions() > SCAN_MAX_TRANSITIONS);
+        assert!(!sim.lowered_net().scan);
+        for seed in 0..4 {
+            let (a, b) = (sim.run(seed).unwrap(), sim.run_reference(seed).unwrap());
+            assert_eq!(a.rewards, b.rewards);
+            assert_eq!(a.firing_counts, b.firing_counts);
+            assert_eq!(a.final_marking, b.final_marking);
+            assert_eq!(a.trace, b.trace);
+            assert!(a.total_firings() > 0);
+        }
+    }
+
+    #[test]
+    fn node_scpn_shapes_lower_to_dense_count_ops() {
+        let (net, rewards) = node_shapes();
+        let sim = sim_with(&net, SimConfig::for_horizon(50.0).with_trace(64), &rewards);
+        let lw = sim.lowered_net();
+        let (slow, color_moves) = slow_paths(lw);
         assert!(slow.is_empty(), "slow-path ops left: {slow:?}");
         // Three Const deposits and four Eq withdrawals on `Buffer`.
         assert_eq!(color_moves, 7);
@@ -767,37 +1315,12 @@ mod tests {
         }
     }
 
-    /// The shapes that must stay on the generic path still do: a real
-    /// `Choice` deposit (it draws from the RNG), an `In` filter over two
-    /// colors, a `!=` comparison against a nonzero constant, and a
-    /// predicate that is not an "any place non-empty" shape.
     #[test]
     fn rng_and_multi_color_shapes_stay_generic() {
-        use crate::expr::Expr;
-        let mut b = NetBuilder::new("generic");
-        let src = b.place("src").build();
-        let sink = b.place("sink").build();
-        b.transition("gen", Timing::exponential(1.0))
-            .output_colored(
-                src,
-                1,
-                ColorExpr::Choice(vec![(Color(1), 1.0), (Color(2), 1.0)]),
-            )
-            .build();
-        b.transition("take", Timing::exponential(2.0))
-            .input_filtered(src, 1, ColorFilter::In(vec![Color(1), Color(2)]))
-            .output(sink, 1)
-            .guard(Expr::count(sink).ne(Expr::constant(3)))
-            .build();
-        b.transition("drain", Timing::exponential(3.0))
-            .input(sink, 1)
-            .build();
-        let net = b.build().unwrap();
-        let mut sim = Simulator::new(&net, SimConfig::for_horizon(20.0));
-        sim.reward_predicate(Expr::count(src).add(Expr::count(sink)).gt_c(1))
-            .unwrap();
-        let lw = LoweredNet::build(&sim);
-        let (slow, _) = slow_paths(&lw);
+        let (net, rewards) = generic_shapes();
+        let sim = sim_with(&net, SimConfig::for_horizon(20.0), &rewards);
+        let lw = sim.lowered_net();
+        let (slow, _) = slow_paths(lw);
         for want in ["HDR_GENERIC", "OP_C_FGE", "OP_C_GUARD"] {
             assert!(
                 slow.iter().any(|&(_, s)| s == want),
@@ -818,18 +1341,9 @@ mod tests {
 
     #[test]
     fn sections_are_contiguous_and_cover_the_arena() {
-        let mut b = NetBuilder::new("mm1");
-        let q = b.place("q").build();
-        b.transition("arrive", Timing::exponential(0.8))
-            .output(q, 1)
-            .build();
-        b.transition("serve", Timing::exponential(1.0))
-            .input(q, 1)
-            .build();
-        let net = b.build().unwrap();
-        let mut sim = Simulator::new(&net, SimConfig::for_horizon(10.0));
-        sim.reward_place(crate::ids::PlaceId::from_index(0));
-        let lw = LoweredNet::build(&sim);
+        let (net, rewards) = mm1();
+        let sim = sim_with(&net, SimConfig::for_horizon(10.0), &rewards);
+        let lw = sim.lowered_net();
         assert_eq!(lw.sec.len(), 2 * net.num_transitions() + 1);
         assert_eq!(lw.sec[0], 0);
         assert!(lw.sec.windows(2).all(|w| w[0] <= w[1]));

@@ -3,7 +3,10 @@
 //!
 //! [`LoweredEngine`] runs one replication: `Simulator::run` builds one per
 //! seed and advances it to its horizon in [`Hot::run`], a single fused
-//! loop that executes the net's [`LoweredNet`] micro-op program.
+//! loop that executes the net's [`LoweredNet`] micro-op program. The
+//! program is self-contained: a run starts from a clone of its start
+//! state and reads its ops, side tables and run limits, plus the [`Net`]
+//! for the generic firing path and the debug oracles.
 //!
 //! What makes it fast:
 //!
@@ -40,26 +43,23 @@
 //! **bit-identical** to `Simulator::run_reference` —
 //! `tests/lowered_differential.rs` and the CI repro byte-comparison prove
 //! it, and debug builds additionally shadow the first run per simulator
-//! with the reference engine plus cross-check the incremental enabling
+//! with the reference engine, check its precomputed start state against a
+//! rescan of the initial marking, and cross-check the incremental enabling
 //! state against full rescans on every visited transition.
 
-use super::engine::{
-    effective_token_limit, CompiledSim, SimConfig, SimOutput, Simulator, TimingKind,
-};
+use super::engine::{SimConfig, SimOutput, Simulator};
 use super::lower::{
     dec_f64, IntegOp, LoweredNet, LoweredReward, CNT_INV, HDR_GENERIC, MOV_ADD, MOV_COLOR,
-    OP_C_FGE, OP_C_FLT, OP_C_GUARD, OP_HOOK, OP_RA_DET, OP_RA_ERL, OP_RA_EXP, OP_RA_UNI, OP_RE_DET,
-    OP_RE_ERL, OP_RE_EXP, OP_RE_UNI, OP_RS_DET, OP_RS_ERL, OP_RS_EXP, OP_RS_UNI, RECHECK_STRIDE,
-    TID_IMMEDIATE,
+    NOT_QUEUED, OP_C_FGE, OP_C_FLT, OP_C_GUARD, OP_HOOK, OP_RA_DET, OP_RA_ERL, OP_RA_EXP,
+    OP_RA_UNI, OP_RE_DET, OP_RE_ERL, OP_RE_EXP, OP_RE_UNI, OP_RS_DET, OP_RS_ERL, OP_RS_EXP,
+    OP_RS_UNI, RECHECK_STRIDE, ST_ENABLED, ST_SCHEDULED, TID_IMMEDIATE,
 };
 use super::trace::TraceBuffer;
 use crate::error::SimError;
-use crate::expr::CompiledExpr;
 use crate::ids::{PlaceId, TransitionId};
 use crate::marking::Marking;
 use crate::net::Net;
 use crate::rng::SimRng;
-use crate::timing::MemoryPolicy;
 use crate::token::Color;
 
 /// Assert two engine results are bit-identical (debug oracle).
@@ -80,6 +80,33 @@ pub(super) fn debug_assert_outputs_eq(
         (Err(a), Err(b)) => debug_assert_eq!(a, b, "lowered error diverged"),
         (a, b) => panic!("lowered engine diverged from the reference engine: {a:?} vs {b:?}"),
     }
+}
+
+/// Assert the lowered start state matches a rescan of the initial marking:
+/// each transition's enabled bit, and the enabled immediates in tid order
+/// (debug oracle).
+#[cfg(debug_assertions)]
+pub(super) fn debug_assert_start_state(lw: &LoweredNet, net: &Net) {
+    let marking = net.initial_marking();
+    let st = &lw.start;
+    let mut rescan = Vec::new();
+    for (ti, t) in net.transitions().iter().enumerate() {
+        let enabled = is_enabled_slow(&marking, t);
+        debug_assert_eq!(
+            st.unsat[ti] == 0,
+            enabled,
+            "precomputed start state diverged from rescan for {:?}",
+            t.name
+        );
+        if enabled && t.timing.is_immediate() {
+            rescan.push(ti as u32);
+        }
+    }
+    debug_assert_eq!(
+        st.enabled_imm[..st.imm_len as usize],
+        rescan[..],
+        "precomputed enabled immediates diverged from rescan"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -105,17 +132,6 @@ fn heap_less(a: &HeapEntry, b: &HeapEntry) -> bool {
         std::cmp::Ordering::Equal => (a.tid, a.gen) < (b.tid, b.gen),
     }
 }
-
-const NOT_QUEUED: u32 = u32::MAX;
-
-// Per-transition scheduling state byte: lets the post-firing re-check ops
-// skip settled transitions on a single byte compare.
-/// Transition is enabled (unsatisfied-condition counter is zero).
-const ST_ENABLED: u8 = 0b001;
-/// Transition has a pending event.
-const ST_SCHEDULED: u8 = 0b010;
-/// Transition has the Resample memory policy (static).
-const ST_RESAMPLE: u8 = 0b100;
 
 #[inline]
 fn heap_push(heap: &mut Vec<HeapEntry>, e: HeapEntry) {
@@ -165,35 +181,22 @@ fn heap_pop(heap: &mut Vec<HeapEntry>) -> Option<HeapEntry> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared (immutable) context + the run's mutable state
+// The run's state
 // ---------------------------------------------------------------------------
 
-/// Immutable per-run context, flattened so the hot
-/// loop reads program slices and config scalars without chasing
-/// `LoweredNet`/`SimConfig` pointers per event.
-struct Shared<'x> {
-    /// The op arena (fire sections + recheck sections).
-    ops: &'x [u32],
-    /// Section offset table (`2 * nt + 1` entries).
-    sec: &'x [u32],
-    /// Startup recheck program.
-    init_ops: &'x [u32],
-    /// Timed transitions in ascending tid order (the scan scheduler's
-    /// candidates).
-    timed: &'x [u32],
-    /// Time-averaged token-count rewards as `(place, acc)` pairs.
-    integ_places: &'x [(u32, u32)],
-    /// Predicate reward integration program.
-    integ: &'x [IntegOp],
-    /// Count indices watched by [`IntegOp::AnyNonEmpty`] ops.
-    any_places: &'x [u32],
-    cs: &'x CompiledSim,
-    net: &'x Net,
-    cfg: &'x SimConfig,
-    pred_progs: &'x [Option<CompiledExpr>],
-    max_tokens: usize,
-    warmup: f64,
-    max_zero: u64,
+/// One replication's mutable state: per-transition arenas of length
+/// `nt`, per-condition arenas of length `nc`, the marking, the schedule,
+/// the counters and accumulators. Every vector is owned inline, so the
+/// hot loop reaches each one (the marking's count vector included)
+/// through a single pointer held by `&mut self`. The run's constants ride
+/// along: the net (read only by the generic firing path and the debug
+/// oracles) and the run flags.
+///
+/// The program is not held here: the hot-loop methods take it as their
+/// own `&LoweredNet` argument, so the optimizer knows the loop's stores
+/// never change it.
+struct Hot<'n> {
+    net: &'n Net,
     trace_on: bool,
     /// `REPRO_PROFILE` armed: wrap every fire section and every reward
     /// integration step in a clock read.
@@ -201,25 +204,6 @@ struct Shared<'x> {
     /// Calibrated clock-pair cost subtracted from every profiled sample
     /// (zero when disarmed).
     timer_ns: u64,
-}
-
-impl<'x> Shared<'x> {
-    /// Bounds of transition `ti`'s fire and recheck sections in
-    /// [`Shared::ops`] — `(fire_start, fire_end, recheck_end)`, fetched
-    /// with one bounds-checked access per fired event.
-    #[inline(always)]
-    fn sections(&self, ti: usize) -> (usize, usize, usize) {
-        let s = &self.sec[2 * ti..2 * ti + 3];
-        (s[0] as usize, s[1] as usize, s[2] as usize)
-    }
-}
-
-/// One replication's mutable state: per-transition arenas of length
-/// `nt`, per-condition arenas of length `nc`, the marking, the schedule,
-/// the counters and accumulators. Every vector is owned inline, so the
-/// hot loop reaches each one (the marking's count vector included)
-/// through a single pointer held by `&mut self`.
-struct Hot {
     rng: SimRng,
     now: f64,
     zero: u64,
@@ -249,12 +233,12 @@ struct Hot {
     weights: Vec<f64>,
 }
 
-impl Hot {
+impl Hot<'_> {
     // ---- debug oracles: full-rescan cross-checks ----
 
     #[cfg(debug_assertions)]
-    fn oracle_sched(&self, sh: &Shared<'_>, t2: usize) {
-        let t = sh.net.transition(TransitionId(t2 as u32));
+    fn oracle_sched(&self, t2: usize) {
+        let t = self.net.transition(TransitionId(t2 as u32));
         debug_assert_eq!(
             self.unsat[t2] == 0,
             is_enabled_slow(&self.marking, t),
@@ -268,25 +252,25 @@ impl Hot {
 
     #[cfg(not(debug_assertions))]
     #[inline(always)]
-    fn oracle_sched(&self, _sh: &Shared<'_>, _t2: usize) {}
+    fn oracle_sched(&self, __t2: usize) {}
 
     #[cfg(debug_assertions)]
-    fn oracle_imm_index(&self, sh: &Shared<'_>) {
-        for &tid in &sh.cs.immediates {
-            let in_index = self.imm_pos[tid.index()] != NOT_QUEUED;
-            let enabled = is_enabled_slow(&self.marking, sh.net.transition(tid));
-            debug_assert_eq!(
-                in_index,
-                enabled,
-                "lowered enabled-immediates index diverged for {:?}",
-                sh.net.transition(tid).name
-            );
+    fn oracle_imm_index(&self) {
+        for (ti, t) in self.net.transitions().iter().enumerate() {
+            if t.timing.is_immediate() {
+                debug_assert_eq!(
+                    self.imm_pos[ti] != NOT_QUEUED,
+                    is_enabled_slow(&self.marking, t),
+                    "lowered enabled-immediates index diverged for {:?}",
+                    t.name
+                );
+            }
         }
     }
 
     #[cfg(not(debug_assertions))]
     #[inline(always)]
-    fn oracle_imm_index(&self, _sh: &Shared<'_>) {}
+    fn oracle_imm_index(&self) {}
 
     // ---- enabled-immediates index ----
 
@@ -371,7 +355,7 @@ impl Hot {
     /// valid heap entry (stale entries die here). Neither consumes the
     /// event.
     #[inline(always)]
-    fn next_event<const SCAN: bool>(&mut self, sh: &Shared<'_>) -> Option<(f64, u32)> {
+    fn next_event<const SCAN: bool>(&mut self, lw: &LoweredNet) -> Option<(f64, u32)> {
         if SCAN {
             // Only timed transitions are read: an immediate's clock is
             // always +inf. Unscheduled clocks hold +inf too, so the scan
@@ -384,7 +368,7 @@ impl Hot {
             // which the caller's `time < end` guard retires.
             let mut best_t = f64::INFINITY;
             let mut best_ti = 0u32;
-            for &ti in sh.timed {
+            for &ti in &lw.timed {
                 let at = self.fire_at[ti as usize];
                 let earlier = at < best_t;
                 best_t = if earlier { at } else { best_t };
@@ -414,23 +398,23 @@ impl Hot {
     #[inline(always)]
     fn exec_mov<const GEN: bool>(
         &mut self,
-        sh: &Shared<'_>,
+        lw: &LoweredNet,
         pw: u32,
         m: u32,
     ) -> Result<(), SimError> {
         if GEN && pw & MOV_COLOR != 0 {
-            return self.exec_color_mov(sh, pw, m);
+            return self.exec_color_mov(lw, pw, m);
         }
         if pw & MOV_ADD == 0 {
             self.marking.sub_plain(pw, m);
         } else {
             let p = pw & !MOV_ADD;
             let c = self.marking.add_plain(p, m);
-            if c as usize > sh.max_tokens {
+            if c as usize > lw.max_tokens {
                 return Err(SimError::TokenOverflow {
                     place: p as usize,
                     time: self.now,
-                    limit: sh.cfg.max_tokens_per_place,
+                    limit: lw.token_limit,
                 });
             }
         }
@@ -441,17 +425,17 @@ impl Hot {
     /// (FIFO-oldest first, as the reference engine's filtered withdraw
     /// does), or append it with the per-arc overflow check.
     #[inline(always)]
-    fn exec_color_mov(&mut self, sh: &Shared<'_>, pw: u32, m: u32) -> Result<(), SimError> {
+    fn exec_color_mov(&mut self, lw: &LoweredNet, pw: u32, m: u32) -> Result<(), SimError> {
         let slot = pw & !(MOV_ADD | MOV_COLOR);
         if pw & MOV_ADD == 0 {
             self.marking.withdraw_slot(slot, m);
         } else {
             let (place, c) = self.marking.deposit_slot(slot, m);
-            if c as usize > sh.max_tokens {
+            if c as usize > lw.max_tokens {
                 return Err(SimError::TokenOverflow {
                     place,
                     time: self.now,
-                    limit: sh.cfg.max_tokens_per_place,
+                    limit: lw.token_limit,
                 });
             }
         }
@@ -479,16 +463,16 @@ impl Hot {
     #[inline(always)]
     fn exec_fire<const GEN: bool>(
         &mut self,
-        sh: &Shared<'_>,
+        lw: &LoweredNet,
         ti: usize,
         ops: &[u32],
     ) -> Result<(), SimError> {
-        if !sh.profile_on {
-            return self.exec_fire_inner::<GEN>(sh, ti, ops);
+        if !self.profile_on {
+            return self.exec_fire_inner::<GEN>(lw, ti, ops);
         }
         let t0 = std::time::Instant::now();
-        let res = self.exec_fire_inner::<GEN>(sh, ti, ops);
-        self.profile_ns[ti] += super::profile::sample_ns(t0, sh.timer_ns);
+        let res = self.exec_fire_inner::<GEN>(lw, ti, ops);
+        self.profile_ns[ti] += super::profile::sample_ns(t0, self.timer_ns);
         res
     }
 
@@ -499,7 +483,7 @@ impl Hot {
     #[inline(always)]
     fn exec_fire_inner<const GEN: bool>(
         &mut self,
-        sh: &Shared<'_>,
+        lw: &LoweredNet,
         ti: usize,
         ops: &[u32],
     ) -> Result<(), SimError> {
@@ -508,10 +492,10 @@ impl Hot {
         // tail — runs fully unrolled, skipping the segment iterators (the
         // header test already excludes generic fires).
         if hdr == 0x0001_0001 && ops.len() == 7 {
-            self.exec_mov::<GEN>(sh, ops[1], ops[2])?;
+            self.exec_mov::<GEN>(lw, ops[1], ops[2])?;
             self.exec_cnt(ops[3], ops[4], ops[5] as usize, ops[6]);
             self.firing_counts[ti] += 1;
-            if sh.trace_on {
+            if self.trace_on {
                 self.trace.record(self.now, TransitionId(ti as u32));
             }
             return Ok(());
@@ -520,12 +504,12 @@ impl Hot {
         let n_cnt = ((hdr >> 16) & 0x7fff) as usize;
         let mut pos = 1;
         if GEN && hdr & HDR_GENERIC != 0 {
-            self.fire_generic(sh, ops[pos] as usize)?;
+            self.fire_generic(lw, ops[pos] as usize)?;
             pos += 1;
         }
         debug_assert!(GEN || hdr & HDR_GENERIC == 0);
         for mov in ops[pos..pos + 2 * n_mov].chunks_exact(2) {
-            self.exec_mov::<GEN>(sh, mov[0], mov[1])?;
+            self.exec_mov::<GEN>(lw, mov[0], mov[1])?;
         }
         pos += 2 * n_mov;
         for rec in ops[pos..pos + 4 * n_cnt].chunks_exact(4) {
@@ -537,13 +521,13 @@ impl Hot {
             let w = ops[pc];
             match w & 0xff {
                 OP_HOOK => {
-                    if self.now >= sh.warmup {
+                    if self.now >= lw.warmup {
                         self.acc_c[(w >> 8) as usize] += 1;
                     }
                     pc += 1;
                 }
                 OP_C_FGE if GEN => {
-                    let filter = &sh.cs.filters[ops[pc + 1] as usize];
+                    let filter = &lw.filters[ops[pc + 1] as usize];
                     let n = self.marking.count_matching(PlaceId(ops[pc + 2]), filter);
                     let now_true = n >= ops[pc + 3] as usize;
                     let (ci, tf) = ((w >> 8) as usize, ops[pc + 4]);
@@ -554,7 +538,7 @@ impl Hot {
                     }
                 }
                 OP_C_FLT if GEN => {
-                    let filter = &sh.cs.filters[ops[pc + 1] as usize];
+                    let filter = &lw.filters[ops[pc + 1] as usize];
                     let n = self.marking.count_matching(PlaceId(ops[pc + 2]), filter);
                     let now_true = n < ops[pc + 3] as usize;
                     let (ci, tf) = ((w >> 8) as usize, ops[pc + 4]);
@@ -565,7 +549,7 @@ impl Hot {
                     }
                 }
                 OP_C_GUARD if GEN => {
-                    let prog = &sh.cs.guards[ops[pc + 1] as usize];
+                    let prog = &lw.guards[ops[pc + 1] as usize];
                     let now_true = prog.eval_bool(&self.marking, &mut self.guard_scratch);
                     let (ci, tf) = ((w >> 8) as usize, ops[pc + 2]);
                     pc += 3;
@@ -578,7 +562,7 @@ impl Hot {
             }
         }
         self.firing_counts[ti] += 1;
-        if sh.trace_on {
+        if self.trace_on {
             self.trace.record(self.now, TransitionId(ti as u32));
         }
         Ok(())
@@ -587,8 +571,8 @@ impl Hot {
     /// The generic colored firing path (withdraw per input arc, evaluate
     /// color expressions, deposit per output arc) — byte-for-byte the
     /// reference engine's, including error precedence.
-    fn fire_generic(&mut self, sh: &Shared<'_>, ti: usize) -> Result<(), SimError> {
-        let t = &sh.net.transitions()[ti];
+    fn fire_generic(&mut self, lw: &LoweredNet, ti: usize) -> Result<(), SimError> {
+        let t = &self.net.transitions()[ti];
         self.consumed.clear();
         self.consumed_offsets.clear();
         for arc in &t.inputs {
@@ -610,11 +594,11 @@ impl Hot {
                 );
                 self.marking.deposit(arc.place, c);
             }
-            if self.marking.count(arc.place) > sh.max_tokens {
+            if self.marking.count(arc.place) > lw.max_tokens {
                 return Err(SimError::TokenOverflow {
                     place: arc.place.index(),
                     time: self.now,
-                    limit: sh.cfg.max_tokens_per_place,
+                    limit: lw.token_limit,
                 });
             }
         }
@@ -700,13 +684,13 @@ impl Hot {
     /// with **no opcode dispatch at all**; parameters are only decoded
     /// when a clock actually has to be sampled or cancelled.
     #[inline(always)]
-    fn exec_recheck<const SCAN: bool>(&mut self, sh: &Shared<'_>, ops: &[u32]) {
+    fn exec_recheck<const SCAN: bool>(&mut self, ops: &[u32]) {
         const SETTLED: u8 = ST_ENABLED | ST_SCHEDULED;
         for rec in ops.chunks_exact(RECHECK_STRIDE) {
             let w = rec[0];
             let t2 = (w >> 8) as usize;
             let s = self.sched_state[t2];
-            self.oracle_sched(sh, t2);
+            self.oracle_sched(t2);
             let op = w & 0xff;
             // A fully idle clock is always left alone; an
             // enabled-and-scheduled one only matters to Resample (whose
@@ -775,22 +759,22 @@ impl Hot {
     /// warm-up boundary, attributing the step's wall time to the run's
     /// integration counters when the profiler is armed.
     #[inline(always)]
-    fn integrate(&mut self, sh: &Shared<'_>, until: f64) {
-        if sh.integ_places.is_empty() && sh.integ.is_empty() {
+    fn integrate(&mut self, lw: &LoweredNet, until: f64) {
+        if lw.integ_places.is_empty() && lw.integ.is_empty() {
             return;
         }
-        if !sh.profile_on {
-            return self.integrate_inner(sh, until);
+        if !self.profile_on {
+            return self.integrate_inner(lw, until);
         }
         let t0 = std::time::Instant::now();
-        self.integrate_inner(sh, until);
+        self.integrate_inner(lw, until);
         self.integ_steps += 1;
-        self.integ_ns += super::profile::sample_ns(t0, sh.timer_ns);
+        self.integ_ns += super::profile::sample_ns(t0, self.timer_ns);
     }
 
     #[inline(always)]
-    fn integrate_inner(&mut self, sh: &Shared<'_>, until: f64) {
-        let from = self.now.max(sh.warmup);
+    fn integrate_inner(&mut self, lw: &LoweredNet, until: f64) {
+        let from = self.now.max(lw.warmup);
         let dt = until - from;
         if dt <= 0.0 {
             return;
@@ -798,10 +782,10 @@ impl Hot {
         // Every reward owns its accumulator, so running the place table
         // before the predicate program keeps each sum's addition order.
         let counts = self.marking.counts();
-        for &(place, acc) in sh.integ_places {
+        for &(place, acc) in &lw.integ_places {
             self.acc_f[acc as usize] += counts[place as usize] as f64 * dt;
         }
-        for op in sh.integ {
+        for op in &lw.integ {
             match *op {
                 IntegOp::PredCnt {
                     place,
@@ -815,7 +799,7 @@ impl Hot {
                 }
                 IntegOp::AnyNonEmpty { lo, hi, acc } => {
                     let counts = self.marking.counts();
-                    if sh.any_places[lo as usize..hi as usize]
+                    if lw.any_places[lo as usize..hi as usize]
                         .iter()
                         .any(|&i| counts[i as usize] != 0)
                     {
@@ -823,7 +807,7 @@ impl Hot {
                     }
                 }
                 IntegOp::Pred { prog, acc } => {
-                    let prog = sh.pred_progs[prog as usize]
+                    let prog = lw.preds[prog as usize]
                         .as_ref()
                         .expect("predicate reward has a compiled program");
                     if prog.eval_bool(&self.marking, &mut self.guard_scratch) {
@@ -835,12 +819,12 @@ impl Hot {
     }
 
     #[inline(always)]
-    fn bump_zero(&mut self, sh: &Shared<'_>) -> Result<(), SimError> {
+    fn bump_zero(&mut self, lw: &LoweredNet) -> Result<(), SimError> {
         self.zero += 1;
-        if self.zero > sh.max_zero {
+        if self.zero > lw.max_zero {
             return Err(SimError::ImmediateLivelock {
                 time: self.now,
-                limit: sh.max_zero,
+                limit: lw.max_zero,
             });
         }
         Ok(())
@@ -854,34 +838,34 @@ impl Hot {
     #[inline(always)]
     fn immediates<const SCAN: bool, const GEN: bool>(
         &mut self,
-        sh: &Shared<'_>,
+        lw: &LoweredNet,
     ) -> Result<(), SimError> {
         loop {
-            self.oracle_imm_index(sh);
+            self.oracle_imm_index();
             let chosen = match self.imm_len {
                 0 => return Ok(()),
                 // A lone enabled immediate fires outright: no priority
                 // pass, no conflict set, no RNG draw.
                 1 => self.enabled_imm[0],
-                _ => self.choose_immediate(sh),
+                _ => self.choose_immediate(lw),
             };
             let ti = chosen as usize;
-            let (f0, f1, r1) = sh.sections(ti);
-            self.exec_fire::<GEN>(sh, ti, &sh.ops[f0..f1])?;
-            self.exec_recheck::<SCAN>(sh, &sh.ops[f1..r1]);
-            self.bump_zero(sh)?;
+            let (f0, f1, r1) = lw.sections(ti);
+            self.exec_fire::<GEN>(lw, ti, &lw.ops[f0..f1])?;
+            self.exec_recheck::<SCAN>(&lw.ops[f1..r1]);
+            self.bump_zero(lw)?;
         }
     }
 
     /// Pick the next immediate among several enabled ones: the highest
     /// priority wins; equal-priority conflicts are resolved by weight,
     /// drawing from the RNG only when at least two candidates remain.
-    fn choose_immediate(&mut self, sh: &Shared<'_>) -> u32 {
+    fn choose_immediate(&mut self, lw: &LoweredNet) -> u32 {
         self.candidates.clear();
         let mut best_pri = 0u8;
         for i in 0..self.imm_len as usize {
             let tid = self.enabled_imm[i];
-            let pri = sh.cs.hot[tid as usize].priority;
+            let pri = lw.imm_choice[tid as usize].0;
             if self.candidates.is_empty() || pri > best_pri {
                 best_pri = pri;
                 self.candidates.clear();
@@ -897,54 +881,32 @@ impl Hot {
         self.weights.clear();
         for i in 0..self.candidates.len() {
             self.weights
-                .push(sh.cs.hot[self.candidates[i] as usize].weight);
+                .push(lw.imm_choice[self.candidates[i] as usize].1);
         }
         self.candidates[self.rng.weighted_choice(&self.weights[..])]
     }
 
     // ---- run lifecycle ----
 
-    /// Evaluate every condition from scratch and build the enabled sets
-    /// (start of run only).
-    fn init_conditions(&mut self, cs: &CompiledSim) {
-        for (ci, cond) in cs.conds.iter().enumerate() {
-            let t = cs.eval_cond(&self.marking, &mut self.guard_scratch, cond);
-            self.cond_true[ci] = t;
-            if !t {
-                self.unsat[cond.tid as usize] += 1;
-            }
-        }
-        for (st, &unsat) in self.sched_state.iter_mut().zip(&self.unsat) {
-            if unsat == 0 {
-                *st |= ST_ENABLED;
-            }
-        }
-        for &tid in &cs.immediates {
-            if self.unsat[tid.index()] == 0 {
-                self.imm_insert(tid.0);
-            }
-        }
-    }
-
     /// The pre-loop work: run the startup recheck program
     /// (initial scheduling pass), then the time-zero immediate cascade.
     fn start<const SCAN: bool, const GEN: bool>(
         &mut self,
-        sh: &Shared<'_>,
+        lw: &LoweredNet,
     ) -> Result<(), SimError> {
-        self.exec_recheck::<SCAN>(sh, sh.init_ops);
-        self.immediates::<SCAN, GEN>(sh)
+        self.exec_recheck::<SCAN>(&lw.init_ops);
+        self.immediates::<SCAN, GEN>(lw)
     }
 
     /// Drive the run from post-`start` state to its horizon: the whole
     /// main loop, fused, one instantiation per (scan, colored) pair.
     fn run<const SCAN: bool, const GEN: bool>(
         &mut self,
-        sh: &Shared<'_>,
+        lw: &LoweredNet,
         end: f64,
     ) -> Result<(), SimError> {
         loop {
-            let next = self.next_event::<SCAN>(sh);
+            let next = self.next_event::<SCAN>(lw);
             match next {
                 // `time < end` (not `>=`) mirrors the reference engine's
                 // `e.time < cfg.end_time` guard, including a NaN horizon.
@@ -954,7 +916,7 @@ impl Hot {
                         heap_pop(&mut self.heap);
                         self.gen[ti] += 1;
                     }
-                    self.integrate(sh, time);
+                    self.integrate(lw, time);
                     if time > self.now {
                         self.zero = 0;
                     }
@@ -963,16 +925,16 @@ impl Hot {
                     // fire → zero-bump → recheck → immediates order.
                     self.fire_at[ti] = f64::INFINITY;
                     self.sched_state[ti] &= !ST_SCHEDULED;
-                    let (f0, f1, r1) = sh.sections(ti);
-                    self.exec_fire::<GEN>(sh, ti, &sh.ops[f0..f1])?;
-                    self.bump_zero(sh)?;
-                    self.exec_recheck::<SCAN>(sh, &sh.ops[f1..r1]);
-                    self.immediates::<SCAN, GEN>(sh)?;
+                    let (f0, f1, r1) = lw.sections(ti);
+                    self.exec_fire::<GEN>(lw, ti, &lw.ops[f0..f1])?;
+                    self.bump_zero(lw)?;
+                    self.exec_recheck::<SCAN>(&lw.ops[f1..r1]);
+                    self.immediates::<SCAN, GEN>(lw)?;
                 }
                 _ => {
                     // No more events before the horizon: integrate the
                     // tail and retire.
-                    self.integrate(sh, end);
+                    self.integrate(lw, end);
                     self.now = end;
                     return Ok(());
                 }
@@ -1012,38 +974,30 @@ fn erlang(rng: &mut SimRng, rate: f64, k: u32) -> f64 {
 /// configuration, plus the run's [`Hot`] state.
 pub(super) struct LoweredEngine<'e> {
     lw: &'e LoweredNet,
-    cs: &'e CompiledSim,
-    net: &'e Net,
     cfg: &'e SimConfig,
-    pred_progs: &'e [Option<CompiledExpr>],
-    max_tokens: usize,
-    hot: Hot,
+    hot: Hot<'e>,
 }
 
 impl<'e> LoweredEngine<'e> {
     pub(super) fn new(sim: &'e Simulator<'_>, seed: u64) -> Self {
         let net = sim.net;
-        let cs = &sim.compiled;
         let lw = sim.lowered_net();
         let nt = net.num_transitions();
-        let pred_stack = sim
-            .pred_progs
-            .iter()
-            .flatten()
-            .map(|p| p.stack_needed())
-            .max()
-            .unwrap_or(0);
-        let mut sched_state = vec![0u8; nt];
-        for (ti, h) in cs.hot.iter().enumerate() {
-            if h.kind != TimingKind::Immediate && h.memory == MemoryPolicy::Resample {
-                sched_state[ti] = ST_RESAMPLE;
-            }
-        }
-        let mut hot = Hot {
+        let st = &lw.start;
+        let profile_on = super::profile::armed();
+        let hot = Hot {
+            net,
+            trace_on: sim.cfg.trace_capacity > 0,
+            profile_on,
+            timer_ns: if profile_on {
+                super::profile::timer_cost_ns()
+            } else {
+                0
+            },
             rng: SimRng::seed_from_u64(seed),
             now: 0.0,
             zero: 0,
-            imm_len: 0,
+            imm_len: st.imm_len,
             integ_steps: 0,
             integ_ns: 0,
             marking: net.initial_marking(),
@@ -1051,30 +1005,25 @@ impl<'e> LoweredEngine<'e> {
             fire_at: vec![f64::INFINITY; nt],
             gen: vec![0; nt],
             remaining: vec![f64::NAN; nt],
-            sched_state,
-            cond_true: vec![false; cs.conds.len()],
-            unsat: cs.base_unsat.clone(),
-            enabled_imm: vec![0; cs.immediates.len()],
-            imm_pos: vec![NOT_QUEUED; nt],
+            sched_state: st.sched_state.clone(),
+            cond_true: st.cond_true.clone(),
+            unsat: st.unsat.clone(),
+            enabled_imm: st.enabled_imm.clone(),
+            imm_pos: st.imm_pos.clone(),
             firing_counts: vec![0; nt],
             acc_f: vec![0.0; lw.n_integ],
             acc_c: vec![0; lw.n_count],
             profile_ns: vec![0; nt],
             trace: TraceBuffer::new(sim.cfg.trace_capacity),
-            guard_scratch: Vec::with_capacity(cs.guard_stack.max(pred_stack)),
+            guard_scratch: Vec::with_capacity(lw.stack_len),
             consumed: Vec::with_capacity(8),
             consumed_offsets: Vec::with_capacity(8),
             candidates: Vec::with_capacity(4),
             weights: Vec::with_capacity(4),
         };
-        hot.init_conditions(cs);
         LoweredEngine {
             lw,
-            cs,
-            net,
             cfg: &sim.cfg,
-            pred_progs: &sim.pred_progs,
-            max_tokens: effective_token_limit(&sim.cfg),
             hot,
         }
     }
@@ -1092,32 +1041,8 @@ impl<'e> LoweredEngine<'e> {
 
     /// Drive the run to completion (start + main loop).
     fn drive<const SCAN: bool, const GEN: bool>(mut self) -> Result<SimOutput, SimError> {
-        let profile_on = super::profile::armed();
-        let sh = Shared {
-            ops: &self.lw.ops,
-            sec: &self.lw.sec,
-            init_ops: &self.lw.init_ops,
-            timed: &self.lw.timed,
-            integ_places: &self.lw.integ_places,
-            integ: &self.lw.integ,
-            any_places: &self.lw.any_places,
-            cs: self.cs,
-            net: self.net,
-            cfg: self.cfg,
-            pred_progs: self.pred_progs,
-            max_tokens: self.max_tokens,
-            warmup: self.cfg.warmup,
-            max_zero: self.cfg.max_zero_time_firings,
-            trace_on: self.cfg.trace_capacity > 0,
-            profile_on,
-            timer_ns: if profile_on {
-                super::profile::timer_cost_ns()
-            } else {
-                0
-            },
-        };
-        self.hot.start::<SCAN, GEN>(&sh)?;
-        self.hot.run::<SCAN, GEN>(&sh, self.cfg.end_time)?;
+        self.hot.start::<SCAN, GEN>(self.lw)?;
+        self.hot.run::<SCAN, GEN>(self.lw, self.cfg.end_time)?;
         Ok(self.finalize())
     }
 
@@ -1127,7 +1052,7 @@ impl<'e> LoweredEngine<'e> {
         if super::profile::armed() {
             // Flush the run's profile counters into the process-global
             // table.
-            for (ti, t) in self.net.transitions().iter().enumerate() {
+            for (ti, t) in hot.net.transitions().iter().enumerate() {
                 super::profile::record(&t.name, hot.firing_counts[ti], hot.profile_ns[ti]);
             }
             super::profile::record(

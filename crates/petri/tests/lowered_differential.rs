@@ -317,7 +317,7 @@ fn lowered_differential_wide_net_heap_scheduler() {
     assert_lowered_identical(&sim, "wide-tandem-heap");
 }
 
-/// Error outcomes must match exactly too: an overflowing lane trips the
+/// Error outcomes must match exactly too: an overflowing run trips the
 /// same `TokenOverflow` (place, time, limit) on both engines.
 #[test]
 fn lowered_differential_token_overflow_errors() {

@@ -24,7 +24,9 @@
 //! the surviving links take the rest. Links are liveness-checked before
 //! every chunk, so work is never committed to a worker that died while
 //! idle. TCP hosts that keep failing are quarantined (see
-//! [`crate::fleet::supervisor`]) and skipped.
+//! [`crate::fleet::supervisor`]) and skipped. The quarantine table belongs
+//! to the backend and is shared by its clones, so a service, which keeps
+//! one backend, remembers a flapping host across requests.
 //!
 //! A backend is handed the [`WorkerPool`] it checks links out of and
 //! parks them in, so back-to-back dispatches — adaptive stopping rounds,
@@ -37,7 +39,7 @@
 
 use crate::fleet::chaos::{ChaosConfig, FaultInjector};
 use crate::fleet::pool::{Endpoint, Link, WorkerPool};
-use crate::fleet::supervisor::quarantine;
+use crate::fleet::supervisor::Quarantine;
 use crate::fleet::{fleet_stats, FaultPolicy, FleetStats};
 use crate::remote::protocol::{
     collect_results, drain_chunk, encode_manifest_request, keep_lowest_error,
@@ -71,9 +73,9 @@ pub enum Connector {
 
 impl Connector {
     /// The endpoints to open for a dispatch of `slots` slots: no more
-    /// pipe workers than slots, and every host not in quarantine (if that
-    /// leaves none, the fleet is unavailable).
-    fn endpoints(&self, slots: usize) -> Result<Vec<Endpoint>, ExecError> {
+    /// pipe workers than slots, and every host not in `quarantine` (if
+    /// that leaves none, the fleet is unavailable).
+    fn endpoints(&self, slots: usize, quarantine: &Quarantine) -> Result<Vec<Endpoint>, ExecError> {
         match self {
             Connector::Pipes { links, cmd } => {
                 let cmd = match cmd {
@@ -90,7 +92,7 @@ impl Connector {
             Connector::Tcp { hosts } => {
                 let usable: Vec<Endpoint> = hosts
                     .iter()
-                    .filter(|h| !quarantine().is_quarantined(h))
+                    .filter(|h| !quarantine.is_quarantined(h))
                     .map(|h| Endpoint::Tcp(h.clone()))
                     .collect();
                 if usable.is_empty() {
@@ -145,6 +147,9 @@ pub struct WorkerBackend {
     /// The pool links are checked out of and parked in across dispatches
     /// (`None`: fresh links per dispatch, closed afterwards).
     pub pool: Option<Arc<WorkerPool>>,
+    /// Failure streaks and quarantine windows of this backend's TCP hosts,
+    /// shared by its clones.
+    pub quarantine: Arc<Quarantine>,
     /// Deterministic frame-fault injection (chaos testing); `None` is a
     /// passthrough.
     pub chaos: Option<ChaosConfig>,
@@ -152,7 +157,8 @@ pub struct WorkerBackend {
 
 impl WorkerBackend {
     /// A backend over `connector` with `worker_threads` threads per link,
-    /// parking its links in `pool`, with the default fault policy.
+    /// parking its links in `pool`, with the default fault policy and an
+    /// empty quarantine table.
     pub fn new(connector: Connector, worker_threads: usize, pool: Option<Arc<WorkerPool>>) -> Self {
         WorkerBackend {
             connector,
@@ -160,6 +166,7 @@ impl WorkerBackend {
             connect_timeout: Duration::from_secs(10),
             fault: FaultPolicy::default(),
             pool,
+            quarantine: Arc::default(),
             chaos: None,
         }
     }
@@ -186,7 +193,7 @@ impl WorkerBackend {
             match ep.open(self.connect_timeout) {
                 Ok(link) => return Ok(self.ready(ep, link)),
                 Err(e) => {
-                    record(ep, false);
+                    self.record(ep, false);
                     last = format!("{ep}: {e}");
                 }
             }
@@ -202,7 +209,7 @@ impl WorkerBackend {
             None => match ep.open(self.connect_timeout) {
                 Ok(link) => self.ready(ep, link),
                 Err(e) => {
-                    record(ep, false);
+                    self.record(ep, false);
                     eprintln!("[fleet] {ep}: cannot replace the broken link: {e}");
                     return None;
                 }
@@ -225,7 +232,7 @@ impl WorkerBackend {
     /// its reads (workers heartbeat) and writes (healthy workers drain
     /// their requests promptly).
     fn ready(&self, ep: &Endpoint, link: Link) -> Link {
-        record(ep, true);
+        self.record(ep, true);
         link.set_io_timeout(self.fault.io_timeout);
         link
     }
@@ -302,7 +309,7 @@ impl WorkerBackend {
                         continue;
                     }
                     (Drained::Broken(why), delivered) => {
-                        record(ep, false);
+                        self.record(ep, false);
                         let why = format!("{}: {why}", l.transport().peer());
                         l.discard();
                         self.requeue(chunk, &delivered, &why, job, g);
@@ -404,6 +411,18 @@ impl WorkerBackend {
         None
     }
 
+    /// Charge (or clear) a TCP host's quarantine record. Pipe workers are
+    /// interchangeable and never quarantined.
+    fn record(&self, ep: &Endpoint, ok: bool) {
+        if let Endpoint::Tcp(host) = ep {
+            if ok {
+                self.quarantine.record_success(host);
+            } else {
+                self.quarantine.record_failure(host);
+            }
+        }
+    }
+
     /// The whole dispatch in-process, when there is no fleet to run it.
     fn fall_back(
         &self,
@@ -418,18 +437,6 @@ impl WorkerBackend {
         eprintln!("[fleet] no worker fleet available ({why}); degrading: running the whole dispatch in-process");
         FleetStats::bump(&fleet_stats().fallbacks);
         InProcessBackend::new(self.worker_threads).run_segments(job, manifest, progress)
-    }
-}
-
-/// Charge (or clear) a TCP host's quarantine record. Pipe workers are
-/// interchangeable and never quarantined.
-fn record(ep: &Endpoint, ok: bool) {
-    if let Endpoint::Tcp(host) = ep {
-        if ok {
-            quarantine().record_success(host);
-        } else {
-            quarantine().record_failure(host);
-        }
     }
 }
 
@@ -527,7 +534,7 @@ impl ExecBackend for WorkerBackend {
         if total == 0 {
             return Ok(Vec::new());
         }
-        let endpoints = match self.connector.endpoints(total) {
+        let endpoints = match self.connector.endpoints(total, &self.quarantine) {
             Ok(eps) => eps,
             Err(e) => return self.fall_back(e, job, manifest, progress),
         };
@@ -710,18 +717,18 @@ mod tests {
     #[test]
     fn fully_quarantined_fleet_is_unavailable_or_falls_back() {
         let host = "127.0.0.1:3".to_string();
+        let tcp = || {
+            let hosts = vec![host.clone()];
+            WorkerBackend::new(Connector::Tcp { hosts }, 1, Some(Arc::default()))
+        };
+        let backend = tcp();
+        // Failures charged through a clone land in the backend's table.
+        let clone = backend.clone();
         for _ in 0..QUARANTINE_THRESHOLD {
-            quarantine().record_failure(&host);
+            clone.quarantine.record_failure(&host);
         }
         let job = MulJob { factor: 3 };
         let m = manifest(&job, 4);
-        let backend = WorkerBackend::new(
-            Connector::Tcp {
-                hosts: vec![host.clone()],
-            },
-            1,
-            Some(Arc::default()),
-        );
         let err = backend.run_segments(&job, &m, None).unwrap_err();
         assert!(matches!(err, ExecError::BackendUnavailable(_)), "{err:?}");
         let armed = backend.with_fault(FaultPolicy::default().with_fallback(true));
@@ -731,6 +738,7 @@ mod tests {
                 .run_segments(&job, &m, None)
                 .unwrap()
         );
-        quarantine().record_success(&host);
+        // Another backend keeps its own table.
+        assert!(!tcp().quarantine.is_quarantined(&host));
     }
 }

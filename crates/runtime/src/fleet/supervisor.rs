@@ -12,7 +12,7 @@
 
 use super::{fleet_stats, FaultPolicy, FleetStats};
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Consecutive failures before a key is quarantined.
@@ -27,16 +27,10 @@ struct Offender {
     quarantined_until: Option<Instant>,
 }
 
-/// Process-global table of flapping fleet members.
+/// A table of flapping fleet members; each worker backend owns one.
 #[derive(Debug, Default)]
 pub struct Quarantine {
     inner: Mutex<HashMap<String, Offender>>,
-}
-
-/// The process-global quarantine table.
-pub fn quarantine() -> &'static Quarantine {
-    static TABLE: OnceLock<Quarantine> = OnceLock::new();
-    TABLE.get_or_init(Quarantine::default)
 }
 
 impl Quarantine {
@@ -88,11 +82,6 @@ impl Quarantine {
             None => false,
         }
     }
-
-    #[cfg(test)]
-    fn clear(&self, key: &str) {
-        self.inner.lock().unwrap().remove(key);
-    }
 }
 
 /// Run `attempt_fn` up to `1 + policy.retry_budget` times, sleeping the
@@ -131,13 +120,10 @@ mod tests {
             assert!(!q.record_failure(key), "failure {i} must not quarantine");
             assert!(!q.is_quarantined(key));
         }
-        // Note: this path does not go through the global table, so the
-        // global counter bump is an accepted side effect here.
         assert!(q.record_failure(key), "threshold failure quarantines");
         assert!(q.is_quarantined(key));
         q.record_success(key);
         assert!(!q.is_quarantined(key));
-        q.clear(key);
     }
 
     #[test]
