@@ -1282,7 +1282,7 @@ fn erlang(opts: &Opts) {
         "{:>7} {:>10} {:>10} {:>10} {:>10} {:>12}",
         "stages", "standby", "powerup", "idle", "active", "max |err|"
     );
-    for row in erlang_ablation(0.3, 0.3, stages, 42) {
+    for row in erlang_ablation(0.3, 0.3, stages, 42, &opts.exec.runner()) {
         println!(
             "{:>7} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>12.4}",
             row.stages, row.probs[0], row.probs[1], row.probs[2], row.probs[3], row.max_abs_error
@@ -1299,7 +1299,7 @@ fn memory(opts: &Opts) {
         "policy", "standby", "powerup", "idle", "active", "wakeups"
     );
     let params = CpuModelParams::paper_defaults(0.5, 0.3);
-    for row in memory_ablation(&params, horizon, 7) {
+    for row in memory_ablation(&params, horizon, 7, &opts.exec.runner()) {
         println!(
             "{:>12} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.0}",
             format!("{:?}", row.policy),
@@ -1352,7 +1352,7 @@ fn trigger(opts: &Opts) {
         "mode", "standby", "powerup", "idle", "active", "wakeups", "energy (J)"
     );
     let params = CpuModelParams::paper_defaults(0.3, 0.3);
-    for row in trigger_ablation(&params, horizon, 17) {
+    for row in trigger_ablation(&params, horizon, 17, &opts.exec.runner()) {
         println!(
             "{:>10} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.0} {:>12.2}",
             if row.trigger_driven {

@@ -229,13 +229,14 @@ where
                         }
                     }
                     Err(e) => {
+                        // Stop the other workers' claims first; recording
+                        // the error can wait on the mutex.
+                        cancelled.store(true, Ordering::Relaxed);
                         let mut guard = first_error.lock().expect("error mutex never poisoned");
                         match &*guard {
                             Some((j, _)) if *j <= i => {}
                             _ => *guard = Some((i, e)),
                         }
-                        drop(guard);
-                        cancelled.store(true, Ordering::Relaxed);
                         break;
                     }
                 }
@@ -481,21 +482,33 @@ mod tests {
     #[test]
     fn error_cancels_in_flight_work_promptly() {
         // 512 tasks; flat index 0 is claimed first by construction and
-        // errors. Already-claimed tasks park until the error is raised
-        // (keeping the test independent of scheduler timing on loaded
-        // hosts), then finish; workers must observe the cancellation flag
-        // instead of claiming further work, so only tasks in flight at
-        // error time — at most one per worker, plus a small claim race —
-        // ever execute.
-        let error_raised = AtomicBool::new(false);
+        // errors. The tasks claimed beside it park until the failing
+        // worker's thread has exited — it leaves its claim loop only after
+        // publishing the cancellation — and then finish. So what this
+        // counts is cancellation, not scheduling: however late the host
+        // runs the failing worker, every other worker sees the flag the
+        // moment its parked task ends, and only the tasks in flight at
+        // error time (at most one per other worker) ever execute.
+        static FAILING_WORKER_EXITED: AtomicBool = AtomicBool::new(false);
+        struct MarkExit;
+        impl Drop for MarkExit {
+            fn drop(&mut self) {
+                FAILING_WORKER_EXITED.store(true, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static EXIT_GUARD: std::cell::RefCell<Option<MarkExit>> =
+                const { std::cell::RefCell::new(None) };
+        }
         let executed = AtomicUsize::new(0);
         let total_reps = [512u64];
         let res = Runner::new(4).try_grid(&total_reps, |_p, r| {
             if r == 0 {
-                error_raised.store(true, Ordering::SeqCst);
+                // Dropped with the thread's locals, after its loop ends.
+                EXIT_GUARD.with(|g| *g.borrow_mut() = Some(MarkExit));
                 return Err("first task fails");
             }
-            while !error_raised.load(Ordering::SeqCst) {
+            while !FAILING_WORKER_EXITED.load(Ordering::SeqCst) {
                 std::thread::yield_now();
             }
             executed.fetch_add(1, Ordering::SeqCst);

@@ -110,11 +110,7 @@ pub fn simulate_cpu(params: &CpuSimParams, seed: u64) -> CpuSimResult {
 
     q.schedule_in(rng.exp(params.lambda), Ev::Arrival);
 
-    while let Some(t_next) = q.peek_time() {
-        if t_next >= params.horizon {
-            break;
-        }
-        let (now, ev) = q.pop().expect("peeked");
+    while let Some((now, ev)) = q.pop_before(params.horizon) {
         match ev {
             Ev::Arrival => {
                 jobs_arrived += 1;
@@ -176,6 +172,9 @@ pub fn simulate_cpu(params: &CpuSimParams, seed: u64) -> CpuSimResult {
                 tracker.transition_to(PowerState::Sleep, now);
             }
         }
+        // The next arrival plus at most one of wake-up, service or timer:
+        // the bound the kernel's linear pending set is sized for.
+        debug_assert!(q.pending() <= 2, "{} CPU events pending", q.pending());
     }
 
     let (times, wakeups) = tracker.finish(params.horizon);

@@ -1,16 +1,23 @@
 //! Generic discrete-event simulation kernel: a time-ordered event queue
 //! with stable tie-breaking and eager cancellation.
 //!
-//! `schedule_*` and `pop` are O(log n) binary-heap operations with no
-//! cancellation bookkeeping at all: `cancel` removes its entry from the
-//! heap at once, in O(n). The simulators in this crate keep a handful of
-//! events pending and cancel at most one power-down timer per arrival, so
-//! one short linear pass per cancel is cheaper than a lazy-deletion set
-//! consulted on every pop. Cancelling an event that already fired (or was
-//! already cancelled) finds nothing and leaves no trace.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! The pending set is an unsorted `Vec`. The simulators in this crate keep
+//! very few events pending: the CPU simulator at most 2 (the next arrival
+//! plus one of wake-up, service or threshold timer) and the node simulator
+//! at most 3 (the workload generator, the radio phase, and one of the
+//! CPU's wake-up, service or threshold timer — the timer is cancelled
+//! before the CPU takes work); each simulator `debug_assert!`s its bound
+//! after every event. At that size one linear pass beats any heap:
+//!
+//! * `schedule_*` is an O(1) push;
+//! * `pop` / [`EventQueue::pop_before`] scan for the minimum under the
+//!   total order `(time, priority, seq)` and `swap_remove` it, O(n);
+//! * `cancel` finds its entry by sequence number and `swap_remove`s it,
+//!   O(n). Cancelling an event that already fired (or was already
+//!   cancelled) finds nothing and leaves no trace.
+//!
+//! `seq` is unique, so the order is total: the pop sequence does not
+//! depend on where entries sit in the `Vec`.
 
 /// Handle to a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,27 +30,17 @@ struct Entry<E> {
     payload: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed for min-heap behavior on BinaryHeap (max-heap):
-        // earliest time first; lowest priority value first among equal
-        // times; FIFO among equal (time, priority).
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.priority.cmp(&self.priority))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl<E> Entry<E> {
+    /// True if `self` pops before `other`: earliest time first; lowest
+    /// priority value first among equal times; FIFO among equal
+    /// `(time, priority)`.
+    #[inline]
+    fn precedes(&self, other: &Self) -> bool {
+        self.time
+            .total_cmp(&other.time)
+            .then(self.priority.cmp(&other.priority))
+            .then(self.seq.cmp(&other.seq))
+            .is_lt()
     }
 }
 
@@ -52,7 +49,7 @@ impl<E> PartialOrd for Entry<E> {
 /// Events with equal timestamps pop in scheduling (FIFO) order, which makes
 /// simultaneous-event semantics explicit and runs reproducible.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    events: Vec<Entry<E>>,
     seq: u64,
     now: f64,
 }
@@ -61,7 +58,7 @@ impl<E> EventQueue<E> {
     /// Empty queue starting at time 0.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            events: Vec::new(),
             seq: 0,
             now: 0.0,
         }
@@ -93,7 +90,7 @@ impl<E> EventQueue<E> {
         );
         assert!(time.is_finite(), "event time must be finite");
         let id = EventId(self.seq);
-        self.heap.push(Entry {
+        self.events.push(Entry {
             time,
             priority,
             seq: self.seq,
@@ -119,12 +116,43 @@ impl<E> EventQueue<E> {
     /// (O(n) in pending events). Cancelling an already-fired or
     /// already-cancelled event is a no-op.
     pub fn cancel(&mut self, id: EventId) {
-        self.heap.retain(|e| e.seq != id.0);
+        if let Some(i) = self.events.iter().position(|e| e.seq == id.0) {
+            self.events.swap_remove(i);
+        }
+    }
+
+    /// Index of the next event to pop, if any.
+    #[inline]
+    fn next_index(&self) -> Option<usize> {
+        let mut events = self.events.iter().enumerate();
+        let (mut best, mut first) = events.next()?;
+        for (i, e) in events {
+            if e.precedes(first) {
+                best = i;
+                first = e;
+            }
+        }
+        Some(best)
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        let entry = self.heap.pop()?;
+        // Event times are finite, so every one falls before infinity.
+        self.pop_before(f64::INFINITY)
+    }
+
+    /// Pop the next event if it falls strictly before `horizon`, advancing
+    /// the clock to its timestamp; otherwise leave the queue and the clock
+    /// untouched and return `None`. One scan per event, where
+    /// [`EventQueue::peek_time`] followed by [`EventQueue::pop`] scans
+    /// twice.
+    #[inline]
+    pub fn pop_before(&mut self, horizon: f64) -> Option<(f64, E)> {
+        let i = self.next_index()?;
+        if self.events[i].time >= horizon {
+            return None;
+        }
+        let entry = self.events.swap_remove(i);
         debug_assert!(entry.time >= self.now, "time went backwards");
         self.now = entry.time;
         Some((entry.time, entry.payload))
@@ -132,17 +160,17 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
+        self.next_index().map(|i| self.events[i].time)
     }
 
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.events.len()
     }
 
     /// True if nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.events.is_empty()
     }
 }
 
@@ -201,9 +229,9 @@ mod tests {
         q.cancel(b); // already cancelled
 
         // No residue: the queue holds nothing but what is still pending.
-        assert_eq!(q.heap.len(), 0);
+        assert_eq!(q.events.len(), 0);
         q.schedule_at(3.0, "c");
-        assert_eq!(q.heap.len(), 1);
+        assert_eq!(q.events.len(), 1);
         assert_eq!(q.pop(), Some((3.0, "c")));
     }
 
@@ -270,8 +298,9 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// A naive model of the queue: a flat list of live entries, popped by
-    /// a linear minimum over `(time, priority, seq)`.
+    /// A naive model of the queue: a list of live entries kept sorted by
+    /// `(time, priority, seq)` on every insert, so the next event is always
+    /// at the front — a different algorithm from the queue's linear scan.
     #[derive(Default)]
     struct NaiveQueue {
         live: Vec<(f64, u8, u64)>,
@@ -281,47 +310,58 @@ mod tests {
 
     impl NaiveQueue {
         fn schedule(&mut self, time: f64, priority: u8) -> u64 {
-            self.live.push((time, priority, self.seq));
+            let key = (time, priority, self.seq);
+            let at = self.live.partition_point(|e| {
+                e.0.total_cmp(&key.0)
+                    .then(e.1.cmp(&key.1))
+                    .then(e.2.cmp(&key.2))
+                    .is_lt()
+            });
+            self.live.insert(at, key);
             self.seq += 1;
-            self.seq - 1
+            key.2
         }
         fn cancel(&mut self, seq: u64) {
             self.live.retain(|e| e.2 != seq);
         }
-        fn next(&self) -> Option<usize> {
-            (0..self.live.len()).min_by(|&a, &b| {
-                let (x, y) = (self.live[a], self.live[b]);
-                x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2))
-            })
-        }
         fn peek_time(&self) -> Option<f64> {
-            self.next().map(|i| self.live[i].0)
+            self.live.first().map(|e| e.0)
+        }
+        fn pop_before(&mut self, horizon: f64) -> Option<(f64, u64)> {
+            let &(time, _, seq) = self.live.first()?;
+            if time >= horizon {
+                return None;
+            }
+            self.live.remove(0);
+            self.now = time;
+            Some((time, seq))
         }
         fn pop(&mut self) -> Option<(f64, u64)> {
-            let e = self.live.remove(self.next()?);
-            self.now = e.0;
-            Some((e.0, e.2))
+            self.pop_before(f64::INFINITY)
         }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// Random schedule/cancel/peek/pop sequences — few distinct
-        /// delays and priorities, so exact ties are common, and cancels
-        /// aimed at pending, fired and cancelled events alike — pop in
-        /// the same order as the naive model and agree on `pending()`.
+        /// Random schedule/cancel/peek/pop/pop-before sequences — few
+        /// distinct delays and priorities, so exact ties are common;
+        /// horizons on the same half-second grid, so events exactly at the
+        /// horizon are common; and cancels aimed at pending, fired and
+        /// cancelled events alike — pop in the same order as the naive
+        /// model, at the same clock, and agree on `pending()`.
         #[test]
         fn queue_matches_naive_model(
-            ops in proptest::collection::vec((0u8..5, 0u8..3, 0u8..3, 0usize..64), 1..80)
+            ops in proptest::collection::vec((0u8..6, 0u8..3, 0u8..3, 0usize..64), 1..80)
         ) {
             let mut q: EventQueue<u64> = EventQueue::new();
             let mut model = NaiveQueue::default();
             let mut ids: Vec<EventId> = Vec::new();
             for (kind, delay, priority, pick) in ops {
+                let offset = f64::from(delay) * 0.5;
                 match kind {
                     0 | 1 => {
-                        let time = model.now + f64::from(delay) * 0.5;
+                        let time = model.now + offset;
                         let seq = model.schedule(time, priority);
                         ids.push(q.schedule_at_pri(time, priority, seq));
                     }
@@ -333,7 +373,11 @@ mod tests {
                         }
                     }
                     3 => proptest::prop_assert_eq!(q.peek_time(), model.peek_time()),
-                    _ => proptest::prop_assert_eq!(q.pop(), model.pop()),
+                    4 => proptest::prop_assert_eq!(q.pop(), model.pop()),
+                    _ => {
+                        let horizon = model.now + offset;
+                        proptest::prop_assert_eq!(q.pop_before(horizon), model.pop_before(horizon));
+                    }
                 }
                 proptest::prop_assert_eq!(q.pending(), model.live.len());
                 proptest::prop_assert_eq!(q.now(), model.now);

@@ -314,11 +314,7 @@ pub fn simulate_node(params: &NodeSimParams, seed: u64) -> NodeSimResult {
         q.schedule_in(params.radio_startup, Ev::RadioPhaseDone);
     }
 
-    while let Some(t_next) = q.peek_time() {
-        if t_next >= params.horizon {
-            break;
-        }
-        let (now, ev) = q.pop().expect("peeked");
+    while let Some((now, ev)) = q.pop_before(params.horizon) {
         match ev {
             Ev::GenFire => {
                 events += 1;
@@ -406,6 +402,10 @@ pub fn simulate_node(params: &NodeSimParams, seed: u64) -> NodeSimResult {
             }
             Ev::CpuPdtExpire => cpu.on_pdt_expire(now),
         }
+        // Workload generator, radio phase, and one CPU event (the timer is
+        // cancelled before the CPU takes work): the bound the kernel's
+        // linear pending set is sized for.
+        debug_assert!(q.pending() <= 3, "{} node events pending", q.pending());
     }
 
     let (cpu_times, cpu_wakeups) = cpu.tracker.finish(params.horizon);

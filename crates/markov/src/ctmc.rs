@@ -8,15 +8,21 @@
 //! * **Uniformized power iteration** — `π ← πP` with `P = I + Q/Λ`; sparse,
 //!   memory-light, used for larger chains (e.g. the Erlang phase-type
 //!   expansions of [`crate::phase`]).
+//!
+//! Rates are kept sorted by `(from, to)`, so every sum over them — exit
+//! rates, the power iteration, the balance residual, and the edge lists
+//! [`Ctmc::for_each_rate`] hands out — runs in one fixed order, and two
+//! builds of the same chain solve to the same bits whatever order their
+//! rates were added in.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A CTMC specified by its off-diagonal transition rates.
 #[derive(Debug, Clone)]
 pub struct Ctmc {
     n: usize,
-    /// Off-diagonal rates, aggregated: `(from, to) -> rate`.
-    rates: HashMap<(usize, usize), f64>,
+    /// Off-diagonal rates, aggregated and sorted: `(from, to) -> rate`.
+    rates: BTreeMap<(usize, usize), f64>,
 }
 
 /// Errors from CTMC construction and solving.
@@ -72,7 +78,7 @@ impl Ctmc {
     pub fn new(n: usize) -> Self {
         Ctmc {
             n,
-            rates: HashMap::new(),
+            rates: BTreeMap::new(),
         }
     }
 
@@ -113,7 +119,8 @@ impl Ctmc {
         self.n
     }
 
-    /// Visit every aggregated off-diagonal rate as `(from, to, rate)`.
+    /// Visit every aggregated off-diagonal rate as `(from, to, rate)`, in
+    /// `(from, to)` order.
     pub fn for_each_rate(&self, mut f: impl FnMut(usize, usize, f64)) {
         for (&(from, to), &r) in &self.rates {
             f(from, to, r);
@@ -123,8 +130,7 @@ impl Ctmc {
     /// Total exit rate of a state.
     pub fn exit_rate(&self, s: usize) -> f64 {
         self.rates
-            .iter()
-            .filter(|((f, _), _)| *f == s)
+            .range((s, 0)..=(s, usize::MAX))
             .map(|(_, &r)| r)
             .sum()
     }
@@ -224,27 +230,38 @@ impl Ctmc {
         }
         let lambda = exit.iter().cloned().fold(0.0, f64::max) * 1.02 + 1e-9;
 
-        // Sparse CSR-ish: per-source edge list.
-        let mut edges: Vec<(usize, usize, f64)> = self
-            .rates
-            .iter()
-            .map(|(&(f, t), &r)| (f, t, r / lambda))
-            .collect();
-        edges.sort_unstable_by_key(|e| (e.0, e.1));
+        // P's columns as CSR: `sources[start[t]..start[t + 1]]` are the
+        // `(from, rate / Λ)` entries into `t`, sources ascending, so
+        // gathering `next[t]` adds the same terms in the same order as
+        // scattering the `(from, to)`-sorted edges would.
+        let mut start = vec![0usize; n + 1];
+        for &(_, t) in self.rates.keys() {
+            start[t + 1] += 1;
+        }
+        for t in 0..n {
+            start[t + 1] += start[t];
+        }
+        let mut fill = start.clone();
+        let mut sources = vec![(0usize, 0.0f64); self.rates.len()];
+        for (&(f, t), &r) in &self.rates {
+            sources[fill[t]] = (f, r / lambda);
+            fill[t] += 1;
+        }
+        // P's diagonal.
+        let stay: Vec<f64> = exit.iter().map(|&e| 1.0 - e / lambda).collect();
 
         let mut pi = vec![1.0 / n as f64; n];
         let mut next = vec![0.0; n];
-        for it in 0..max_iters {
+        for _ in 0..max_iters {
             // next = pi * P, with P = I + (Q_offdiag - diag(exit))/lambda.
-            for (i, x) in next.iter_mut().enumerate() {
-                *x = pi[i] * (1.0 - exit[i] / lambda);
-            }
-            for &(f, t, p) in &edges {
-                next[t] += pi[f] * p;
-            }
             let mut diff: f64 = 0.0;
-            for i in 0..n {
-                diff = diff.max((next[i] - pi[i]).abs());
+            for (t, x) in next.iter_mut().enumerate() {
+                let mut acc = pi[t] * stay[t];
+                for &(f, p) in &sources[start[t]..start[t + 1]] {
+                    acc += pi[f] * p;
+                }
+                diff = diff.max((acc - pi[t]).abs());
+                *x = acc;
             }
             std::mem::swap(&mut pi, &mut next);
             if diff < tol {
@@ -253,7 +270,6 @@ impl Ctmc {
                 for p in pi.iter_mut() {
                     *p /= total;
                 }
-                let _ = it;
                 return Ok(pi);
             }
         }
@@ -373,6 +389,35 @@ mod tests {
         assert!(c.try_steady_state_gth().is_none());
         let pi = c.steady_state().unwrap();
         assert!(pi[1] > 0.999, "pi = {pi:?}");
+    }
+
+    #[test]
+    fn power_iteration_ignores_insertion_order() {
+        // 600 states (beyond DENSE_LIMIT, so the power solver runs), three
+        // out-rates per state with values whose sums round differently in
+        // different orders: (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3).
+        let n = 600;
+        let edges: Vec<(usize, usize, f64)> = (0..n)
+            .flat_map(|i| {
+                [
+                    (i, (i + 1) % n, 0.1 * (1 + i % 5) as f64),
+                    (i, (i * 7 + 3) % n, 0.2 + 0.01 * (i % 3) as f64),
+                    (i, (i * 13 + 5) % n, 0.3 / (1 + i % 4) as f64),
+                ]
+            })
+            .filter(|&(f, t, _)| f != t)
+            .collect();
+        let forward = Ctmc::from_rates(n, edges.iter().copied()).unwrap();
+        let reverse = Ctmc::from_rates(n, edges.iter().rev().copied()).unwrap();
+        let a = forward.steady_state().unwrap();
+        let b = reverse.steady_state().unwrap();
+        let bits = |pi: &[f64]| pi.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(
+            forward.balance_residual(&a).to_bits(),
+            reverse.balance_residual(&b).to_bits()
+        );
+        assert!(forward.balance_residual(&a) < 1e-9);
     }
 
     #[test]

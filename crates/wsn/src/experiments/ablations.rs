@@ -32,20 +32,28 @@ pub struct ErlangRow {
 }
 
 /// ABL-ERLANG: sweep the stage count at fixed `(T, D)`.
+///
+/// The DES truth run and each stage count's phase solve are independent
+/// units on `exec`, the largest stage count first so the longest solve
+/// starts at once; rows come back in `stages` order.
 pub fn erlang_ablation(
     power_down_threshold: f64,
     power_up_delay: f64,
     stages: &[u32],
     seed: u64,
+    exec: &Runner,
 ) -> Vec<ErlangRow> {
     // Ground truth from a long DES run.
     let mut des_params = CpuSimParams::paper_defaults(power_down_threshold, power_up_delay);
     des_params.horizon = 50_000.0;
-    let truth = simulate_cpu(&des_params, seed).probabilities();
 
-    stages
-        .iter()
-        .map(|&k| {
+    // `None` is the truth run, `Some(i)` the phase solve for `stages[i]`.
+    let mut units: Vec<Option<usize>> = (0..stages.len()).map(Some).collect();
+    units.sort_unstable_by_key(|u| std::cmp::Reverse(u.map(|i| stages[i])));
+    units.insert(units.len().min(1), None);
+    let probs = exec.map(&units, |unit| match *unit {
+        None => simulate_cpu(&des_params, seed).probabilities(),
+        Some(i) => {
             let sol = solve_phase_cpu(&PhaseCpuConfig {
                 params: CpuMarkovParams {
                     lambda: des_params.lambda,
@@ -53,11 +61,26 @@ pub fn erlang_ablation(
                     power_down_threshold,
                     power_up_delay,
                 },
-                stages: k,
+                stages: stages[i],
                 max_queue: 40,
             })
             .expect("phase chain solvable");
-            let probs = [sol.p_standby, sol.p_powerup, sol.p_idle, sol.p_active];
+            [sol.p_standby, sol.p_powerup, sol.p_idle, sol.p_active]
+        }
+    });
+
+    let mut truth = [0.0; 4];
+    let mut solved = vec![[0.0; 4]; stages.len()];
+    for (unit, p) in units.into_iter().zip(probs) {
+        match unit {
+            None => truth = p,
+            Some(i) => solved[i] = p,
+        }
+    }
+    stages
+        .iter()
+        .zip(solved)
+        .map(|(&k, probs)| {
             let max_abs_error = probs
                 .iter()
                 .zip(truth.iter())
@@ -83,15 +106,20 @@ pub struct MemoryRow {
     pub wakeups: f64,
 }
 
-/// ABL-MEMORY: simulate the CPU net under each memory policy.
-pub fn memory_ablation(params: &CpuModelParams, horizon: f64, seed: u64) -> Vec<MemoryRow> {
-    [
+/// ABL-MEMORY: simulate the CPU net under each memory policy, one
+/// independent run per policy on `exec`.
+pub fn memory_ablation(
+    params: &CpuModelParams,
+    horizon: f64,
+    seed: u64,
+    exec: &Runner,
+) -> Vec<MemoryRow> {
+    let policies = [
         MemoryPolicy::RaceEnable,
         MemoryPolicy::RaceAge,
         MemoryPolicy::Resample,
-    ]
-    .into_iter()
-    .map(|policy| {
+    ];
+    exec.map(&policies, |&policy| {
         let model = build_cpu_model_with_memory(params, policy);
         let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(horizon));
         let r_standby = sim.reward_place(model.places.stand_by);
@@ -111,7 +139,6 @@ pub fn memory_ablation(params: &CpuModelParams, horizon: f64, seed: u64) -> Vec<
             wakeups: out.reward(r_wake),
         }
     })
-    .collect()
 }
 
 /// One row of the seed-sensitivity ablation.
@@ -195,42 +222,45 @@ pub struct TriggerRow {
 /// Schedule-driven arrivals are perfectly regular, so for thresholds below
 /// the period the CPU sleeps exactly once per job; Poisson arrivals bunch,
 /// letting the CPU ride through bursts — the lifetime difference Jung et
-/// al. modeled, here answered with the paper's own Petri machinery.
-pub fn trigger_ablation(params: &CpuModelParams, horizon: f64, seed: u64) -> Vec<TriggerRow> {
-    [true, false]
-        .into_iter()
-        .map(|trigger_driven| {
-            let arrival = if trigger_driven {
-                Timing::exponential(params.lambda)
-            } else {
-                Timing::deterministic(1.0 / params.lambda)
-            };
-            let model = build_cpu_model_with_arrival(params, arrival);
-            let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(horizon));
-            let r_standby = sim.reward_place(model.places.stand_by);
-            let r_powerup = sim.reward_place(model.places.powering_up);
-            let r_idle = sim.reward_place(model.places.idle);
-            let r_active = sim.reward_place(model.places.active);
-            let r_wake = sim.reward_firings(model.transitions.t1);
-            let out = sim.run(seed).expect("CPU net runs");
-            let probs = [
-                out.reward(r_standby),
-                out.reward(r_powerup),
-                out.reward(r_idle),
-                out.reward(r_active),
-            ];
-            let energy_j = energy::PXA271_CPU
-                .average(probs[0], probs[1], probs[2], probs[3])
-                .over_seconds(horizon)
-                .joules();
-            TriggerRow {
-                trigger_driven,
-                probs,
-                wakeups: out.reward(r_wake),
-                energy_j,
-            }
-        })
-        .collect()
+/// al. modeled, here answered with the paper's own Petri machinery. The
+/// two arrival modes run as independent units on `exec`.
+pub fn trigger_ablation(
+    params: &CpuModelParams,
+    horizon: f64,
+    seed: u64,
+    exec: &Runner,
+) -> Vec<TriggerRow> {
+    exec.map(&[true, false], |&trigger_driven| {
+        let arrival = if trigger_driven {
+            Timing::exponential(params.lambda)
+        } else {
+            Timing::deterministic(1.0 / params.lambda)
+        };
+        let model = build_cpu_model_with_arrival(params, arrival);
+        let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(horizon));
+        let r_standby = sim.reward_place(model.places.stand_by);
+        let r_powerup = sim.reward_place(model.places.powering_up);
+        let r_idle = sim.reward_place(model.places.idle);
+        let r_active = sim.reward_place(model.places.active);
+        let r_wake = sim.reward_firings(model.transitions.t1);
+        let out = sim.run(seed).expect("CPU net runs");
+        let probs = [
+            out.reward(r_standby),
+            out.reward(r_powerup),
+            out.reward(r_idle),
+            out.reward(r_active),
+        ];
+        let energy_j = energy::PXA271_CPU
+            .average(probs[0], probs[1], probs[2], probs[3])
+            .over_seconds(horizon)
+            .joules();
+        TriggerRow {
+            trigger_driven,
+            probs,
+            wakeups: out.reward(r_wake),
+            energy_j,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -239,7 +269,7 @@ mod tests {
 
     #[test]
     fn erlang_error_shrinks_with_stages() {
-        let rows = erlang_ablation(0.3, 0.3, &[1, 4, 16], 1);
+        let rows = erlang_ablation(0.3, 0.3, &[1, 4, 16], 1, &Runner::new(2));
         assert_eq!(rows.len(), 3);
         assert!(
             rows[2].max_abs_error < rows[0].max_abs_error,
@@ -254,7 +284,7 @@ mod tests {
         // Race-age lets the threshold accumulate across interruptions, so
         // the CPU sleeps more than under race-enable.
         let params = CpuModelParams::paper_defaults(0.5, 0.001);
-        let rows = memory_ablation(&params, 5000.0, 2);
+        let rows = memory_ablation(&params, 5000.0, 2, &Runner::new(2));
         let by = |p: MemoryPolicy| rows.iter().find(|r| r.policy == p).unwrap();
         let enable = by(MemoryPolicy::RaceEnable);
         let age = by(MemoryPolicy::RaceAge);
@@ -281,7 +311,7 @@ mod tests {
         // per job; Poisson bunching lets some jobs share an awake window,
         // so the trigger-driven CPU wakes fewer times per job.
         let params = CpuModelParams::paper_defaults(0.3, 0.3);
-        let rows = trigger_ablation(&params, 10_000.0, 3);
+        let rows = trigger_ablation(&params, 10_000.0, 3, &Runner::new(2));
         assert_eq!(rows.len(), 2);
         let trigger = rows.iter().find(|r| r.trigger_driven).unwrap();
         let schedule = rows.iter().find(|r| !r.trigger_driven).unwrap();

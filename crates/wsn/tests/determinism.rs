@@ -9,7 +9,9 @@
 
 use des::Workload;
 use sim_core::{Runner, StoppingRule};
-use wsn::experiments::ablations::seed_ablation;
+use wsn::experiments::ablations::{
+    erlang_ablation, memory_ablation, seed_ablation, trigger_ablation,
+};
 use wsn::experiments::cpu_comparison::{run_cpu_comparison, CpuComparisonConfig};
 use wsn::experiments::node_energy::{run_node_sweep, NodeSweepConfig};
 use wsn::experiments::validation::run_validation;
@@ -143,4 +145,22 @@ fn seed_ablation_identical_across_thread_counts() {
     let base = run(1);
     assert_eq!(base, run(2));
     assert_eq!(base, run(8));
+}
+
+#[test]
+fn ablation_tail_identical_across_thread_counts() {
+    // ABL-ERLANG, ABL-MEMORY and ABL-TRIGGER run their independent units
+    // on the executor; the rows must not depend on how many threads ran
+    // them or in which order the units finished.
+    let params = CpuModelParams::paper_defaults(0.3, 0.3);
+    let run = |threads| {
+        let exec = Runner::new(threads);
+        (
+            erlang_ablation(0.3, 0.3, &[1, 4, 16], 42, &exec),
+            memory_ablation(&params, 2000.0, 7, &exec),
+            trigger_ablation(&params, 2000.0, 17, &exec),
+        )
+    };
+    let base = run(1);
+    assert_eq!(base, run(2));
 }

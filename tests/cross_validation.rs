@@ -191,7 +191,13 @@ fn node_energy_petri_vs_des_across_grid() {
 /// quantitative version of "deterministic timers are not Markovian".
 #[test]
 fn erlang_expansion_converges_to_des() {
-    let rows = wsn::experiments::ablations::erlang_ablation(0.3, 0.3, &[1, 32], 11);
+    let rows = wsn::experiments::ablations::erlang_ablation(
+        0.3,
+        0.3,
+        &[1, 32],
+        11,
+        &wsn_petri::sim_core::Runner::new(2),
+    );
     assert!(rows[1].max_abs_error < rows[0].max_abs_error * 0.5);
     assert!(rows[1].max_abs_error < 0.05);
 }
