@@ -58,10 +58,12 @@
 //!   15; 0 disables), and whether workers/connections stay warm in the
 //!   process-global pool across dispatches (default on). An explicit flag
 //!   wins over a differing environment value with a warning.
-//! * `--fixed-reps` — escape hatch: run the stochastic sweeps (fig4–9 /
-//!   tables IV–VI, fig15, validate/open) with the historical fixed
-//!   replication counts instead of the default adaptive `StoppingRule`
-//!   budgets, reproducing the seed numbers exactly.
+//!
+//! Every stochastic sweep (fig4–9 / tables IV–VI, fig15, validate/open)
+//! runs replications per point until its watched 95 % CIs settle, under
+//! `wsn::experiments::paper_rule` (`quick_rule` with `--quick`); the
+//! deterministic closed-node sweeps (fig14, validate/closed) run one
+//! replication per point.
 //!
 //! Chaos (robustness testing) is armed purely from the environment:
 //! setting `REPRO_CHAOS_SEED` (with `REPRO_CHAOS_DROP`/`GARBLE`/`DELAY`
@@ -149,26 +151,19 @@ struct Opts {
     /// The execution backend every experiment runs on, resolved once by
     /// [`resolve_executor`].
     exec: Exec,
-    /// Fixed replication counts for the stochastic sweeps instead of
-    /// the default adaptive budgets.
-    fixed_reps: bool,
 }
 
 impl Opts {
-    /// The one adaptive replication budget shared by every stochastic
-    /// sweep — the open-workload sweeps (fig15, validate/open, watching
-    /// their energy estimates) and the CPU comparison (figs 4–9 / tables
-    /// IV–VI, watching whichever of the DES/Petri energy CIs is widest).
-    /// Sized down under `--quick`; `None` under `--fixed-reps` reproduces
-    /// every historical fixed count (8/point for the CPU comparison)
-    /// exactly.
-    fn adaptive_rule(&self) -> Option<StoppingRule> {
-        if self.fixed_reps {
-            None
-        } else if self.quick {
-            Some(StoppingRule::relative(0.10).with_budget(2, 8, 2))
+    /// The one replication budget shared by every stochastic sweep — the
+    /// open-workload sweeps (fig15, validate/open, watching their energy
+    /// estimates) and the CPU comparison (figs 4–9 / tables IV–VI,
+    /// watching whichever of the DES/Petri energy CIs is widest). Sized
+    /// down under `--quick`.
+    fn rule(&self) -> StoppingRule {
+        if self.quick {
+            wsn::experiments::quick_rule()
         } else {
-            Some(StoppingRule::relative(0.03).with_budget(4, 64, 4))
+            wsn::experiments::paper_rule()
         }
     }
 }
@@ -224,7 +219,6 @@ fn main() {
         _ => {}
     }
     let mut quick = false;
-    let mut fixed_reps = false;
     let mut threads: Option<usize> = None;
     let mut shards: Option<usize> = None;
     let mut hosts: Option<Vec<String>> = None;
@@ -237,7 +231,6 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--fixed-reps" => fixed_reps = true,
             "--retry" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) => retry = Some(n),
                 _ => flag_err("--retry", "a non-negative re-dispatch count"),
@@ -313,12 +306,11 @@ fn main() {
         quick,
         threads,
         exec: resolve_executor(threads, shards, hosts, service, true, fault),
-        fixed_reps,
     };
 
     if targets.is_empty() {
         eprintln!(
-            "usage: repro [--quick] [--threads N] [--shards N] [--hosts a:p,b:p] [--service a:p] [--profile] [--retry N] [--io-timeout SECS] [--pool on|off] [--fixed-reps] <target>...   (try: repro all)\n       repro serve --listen a:p [--http a:p] | repro submit|status|fetch|watch|cancel|trace|stats|stop --service a:p ... | repro cache gc [--cache-dir DIR] [--budget BYTES]"
+            "usage: repro [--quick] [--threads N] [--shards N] [--hosts a:p,b:p] [--service a:p] [--profile] [--retry N] [--io-timeout SECS] [--pool on|off] <target>...   (try: repro all)\n       repro serve --listen a:p [--http a:p] | repro submit|status|fetch|watch|cancel|trace|stats|stop --service a:p ... | repro cache gc [--cache-dir DIR] [--budget BYTES]"
         );
         std::process::exit(2);
     }
@@ -366,11 +358,7 @@ fn main() {
 /// Print one sweep's replication spend (see
 /// [`wsn::report::render_budget_summary`] — shared with the test suite so
 /// the cap-hit accounting itself is covered).
-fn report_budget(
-    points: impl Iterator<Item = (u64, bool)>,
-    rule: Option<&StoppingRule>,
-    watch: &str,
-) {
+fn report_budget(points: impl Iterator<Item = (u64, bool)>, rule: &StoppingRule, watch: &str) {
     println!(
         "{}",
         wsn::report::render_budget_summary(points, rule, watch)
@@ -697,53 +685,10 @@ fn serve_mode(args: &[String]) {
         println!("http {local}");
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
-        // `POST /submit?spec=mm1&...` builds the same canonical manifest
-        // as `repro submit mm1` (same defaults, same seeding), so both
-        // entry points land on the same cache key.
+        // `POST /submit?spec=mm1&...` and `repro submit mm1` share one
+        // spec parser, so both entry points land on the same cache key.
         let spec: std::sync::Arc<sim_runtime::service::SpecParser> =
-            std::sync::Arc::new(|params: &std::collections::BTreeMap<String, String>| {
-                let parse = |key: &str, default: f64| -> Result<f64, String> {
-                    match params.get(key) {
-                        Some(v) => v
-                            .parse::<f64>()
-                            .map_err(|_| format!("{key} must be a number, got {v:?}")),
-                        None => Ok(default),
-                    }
-                };
-                let parse_u64 = |key: &str, default: u64| -> Result<u64, String> {
-                    match params.get(key) {
-                        Some(v) => v
-                            .parse::<u64>()
-                            .map_err(|_| format!("{key} must be an integer, got {v:?}")),
-                        None => Ok(default),
-                    }
-                };
-                match params.get("spec").map(String::as_str) {
-                    Some("mm1") => {
-                        let horizon = parse("horizon", 200.0)?;
-                        let warmup = parse("warmup", 20.0)?;
-                        let reps = parse_u64("reps", 2)?;
-                        let seed = parse_u64("seed", 0xCAFE)?;
-                        // NaN params must be rejected too, hence the
-                        // explicit is_finite checks.
-                        if !horizon.is_finite()
-                            || horizon <= 0.0
-                            || !warmup.is_finite()
-                            || warmup < 0.0
-                            || reps < 1
-                        {
-                            return Err(
-                                "mm1 needs horizon > 0, warmup >= 0 and reps >= 1".to_string()
-                            );
-                        }
-                        Ok(bench::shard::Mm1ReplicationJob::manifest(
-                            horizon, warmup, reps, seed,
-                        ))
-                    }
-                    Some(other) => Err(format!("unknown job spec {other:?} (available: mm1)")),
-                    None => Err("missing spec parameter (available: mm1)".to_string()),
-                }
-            });
+            std::sync::Arc::new(bench::shard::spec_manifest);
         let service = handle.service();
         let thread = std::thread::spawn(move || {
             if let Err(e) = sim_runtime::service::serve_http(service, listener, Some(spec)) {
@@ -810,50 +755,40 @@ fn connect_service(addr: &str) -> ServiceClient {
 }
 
 /// `repro submit --service a:p mm1 [...]`: submit one job, print its id
-/// and disposition (queued / cache-hit / coalesced).
+/// and disposition (queued / cache-hit / coalesced). The spec and its
+/// `--key value` flags are parsed by `bench::shard::spec_manifest`, as the
+/// gateway's `POST /submit?spec=` query is.
 fn submit_mode(args: &[String]) {
     let mut service: Option<String> = None;
-    let mut spec: Option<String> = None;
-    let mut horizon = 200.0f64;
-    let mut warmup = 20.0f64;
-    let mut reps = 2u64;
-    let mut seed = 0xCAFEu64;
+    let mut params = std::collections::BTreeMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--service" => service = Some(take_service_value(&mut it)),
-            "--horizon" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(h) if h > 0.0 => horizon = h,
-                _ => flag_err("--horizon", "a positive number of seconds"),
-            },
-            "--warmup" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(w) if w >= 0.0 => warmup = w,
-                _ => flag_err("--warmup", "a non-negative number of seconds"),
-            },
-            "--reps" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => reps = n,
-                _ => flag_err("--reps", "a positive integer"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(s) => seed = s,
-                _ => flag_err("--seed", "an integer"),
+            flag @ ("--horizon" | "--warmup" | "--reps" | "--seed") => match it.next() {
+                Some(v) => {
+                    params.insert(flag[2..].to_string(), v.clone());
+                }
+                None => flag_err(flag, "a value"),
             },
             other if other.starts_with("--") => {
                 eprintln!("unknown submit flag: {other}");
                 std::process::exit(2);
             }
-            name => spec = Some(name.to_string()),
+            name => {
+                params.insert("spec".to_string(), name.to_string());
+            }
         }
     }
     let addr = require_service(service);
-    let manifest = match spec.as_deref() {
-        Some("mm1") => bench::shard::Mm1ReplicationJob::manifest(horizon, warmup, reps, seed),
-        Some(other) => {
-            eprintln!("unknown job spec {other:?} (available: mm1)");
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("usage: repro submit --service a:p mm1 [--horizon S] [--warmup S] [--reps N] [--seed N]");
+    if !params.contains_key("spec") {
+        eprintln!("usage: repro submit --service a:p mm1 [--horizon S] [--warmup S] [--reps N] [--seed N]");
+        std::process::exit(2);
+    }
+    let manifest = match bench::shard::spec_manifest(&params) {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("[submit] {e}");
             std::process::exit(2);
         }
     };
@@ -1102,7 +1037,7 @@ fn cpu_cfg(opts: &Opts) -> CpuComparisonConfig {
     CpuComparisonConfig {
         horizon: if opts.quick { 300.0 } else { 5000.0 },
         exec: opts.exec.runner(),
-        rule: opts.adaptive_rule(),
+        rule: opts.rule(),
         ..Default::default()
     }
 }
@@ -1146,7 +1081,7 @@ fn cpu_figs(opts: &Opts, pud: f64, states: bool) {
     if states {
         report_budget(
             c.points.iter().map(|p| (p.replications, p.converged)),
-            opts.adaptive_rule().as_ref(),
+            &opts.rule(),
             "the widest energy curve",
         );
     }
@@ -1188,17 +1123,8 @@ fn node_fig(opts: &Opts, workload: Workload, fig: &str) {
     let open = matches!(workload, Workload::Open { .. });
     let cfg = NodeSweepConfig {
         horizon: if opts.quick { 200.0 } else { 900.0 },
-        replications: if open {
-            if opts.quick {
-                2
-            } else {
-                8
-            }
-        } else {
-            1
-        },
         exec: opts.exec.runner(),
-        open_rule: opts.adaptive_rule(),
+        rule: opts.rule(),
         ..Default::default()
     };
     let sweep = run_node_sweep(workload, &FIG14_15_PDT_GRID, &cfg);
@@ -1210,7 +1136,7 @@ fn node_fig(opts: &Opts, workload: Workload, fig: &str) {
     if open {
         report_budget(
             sweep.points.iter().map(|p| (p.replications, p.converged)),
-            cfg.open_rule.as_ref(),
+            &cfg.rule,
             "total energy",
         );
     }
@@ -1317,18 +1243,14 @@ fn validate(opts: &Opts) {
     use wsn::experiments::validation::{render_validation_csv, run_validation};
     let horizon = if opts.quick { 200.0 } else { 900.0 };
     let exec = opts.exec.runner();
-    let open_rule = opts.adaptive_rule();
+    let rule = opts.rule();
     for (name, workload) in [
         ("closed", Workload::Closed { interval: 1.0 }),
         ("open", Workload::Open { rate: 1.0 }),
     ] {
         // The closed model is deterministic: one run per point is exact.
-        // The open model averages adaptively unless --fixed-reps.
-        let rule = match workload {
-            Workload::Closed { .. } => None,
-            Workload::Open { .. } => open_rule.as_ref(),
-        };
-        let rows = run_validation(workload, &FIG14_15_PDT_GRID, horizon, 0xDE5, &exec, rule);
+        // The open model averages under the rule.
+        let rows = run_validation(workload, &FIG14_15_PDT_GRID, horizon, 0xDE5, &exec, &rule);
         let worst = rows.iter().map(|r| r.rel_diff).fold(0.0f64, f64::max);
         let reps: u64 = rows.iter().map(|r| r.replications).sum();
         match write_artifact(

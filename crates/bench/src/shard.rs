@@ -9,7 +9,8 @@
 
 use petri_core::prelude::*;
 use sim_core::wire::{self, Reader, WireError};
-use sim_core::{JobRegistry, PortableJob};
+use sim_core::{JobRegistry, PortableJob, TaskManifest};
+use std::collections::BTreeMap;
 
 /// The registry a `repro --worker` process serves manifests against:
 /// every wsn experiment job plus the self-test jobs below.
@@ -21,6 +22,45 @@ pub fn worker_registry() -> JobRegistry {
     reg.register(CrashJob::KIND, CrashJob::decode_boxed);
     reg.register(EnvCrashJob::KIND, EnvCrashJob::decode_boxed);
     reg
+}
+
+/// Build the manifest of a named submit spec from its parameters — the
+/// one parser behind `repro submit <spec> --key value` and the gateway's
+/// `POST /submit?spec=<spec>&key=value`, so both entry points share
+/// defaults and validation and identical parameters land on one cache
+/// key. `params["spec"]` names the spec; keys a spec does not read are
+/// ignored.
+///
+/// `mm1` reads `horizon` (default 200 s), `warmup` (20 s), `reps` (2) and
+/// `seed` (`0xCAFE`) into [`Mm1ReplicationJob::manifest`]; a horizon or
+/// warm-up that no slot could finish with, or `reps` of 0, is an error.
+pub fn spec_manifest(params: &BTreeMap<String, String>) -> Result<TaskManifest, String> {
+    fn get<T: std::str::FromStr>(
+        params: &BTreeMap<String, String>,
+        key: &str,
+        default: T,
+    ) -> Result<T, String> {
+        match params.get(key) {
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("{key} must be a number, got {v:?}")),
+            None => Ok(default),
+        }
+    }
+    match params.get("spec").map(String::as_str) {
+        Some("mm1") => {
+            let horizon = wire::check_horizon(get(params, "horizon", 200.0)?).map_err(|e| e.0)?;
+            let warmup = wire::check_warmup(get(params, "warmup", 20.0)?).map_err(|e| e.0)?;
+            let reps: u64 = get(params, "reps", 2)?;
+            let seed: u64 = get(params, "seed", 0xCAFE)?;
+            if reps < 1 {
+                return Err("reps must be at least 1".to_string());
+            }
+            Ok(Mm1ReplicationJob::manifest(horizon, warmup, reps, seed))
+        }
+        Some(other) => Err(format!("unknown job spec {other:?} (available: mm1)")),
+        None => Err("missing spec parameter (available: mm1)".to_string()),
+    }
 }
 
 /// Self-test job: one replication of an uncolored M/M/1 net (`point`
@@ -66,8 +106,8 @@ impl Mm1ReplicationJob {
     fn decode_boxed(payload: &[u8]) -> Result<Box<dyn PortableJob>, WireError> {
         let mut r = Reader::new(payload);
         let job = Mm1ReplicationJob {
-            horizon: r.get_f64()?,
-            warmup: r.get_f64()?,
+            horizon: r.get_horizon()?,
+            warmup: r.get_warmup()?,
             mu_grid: r.get_f64s()?,
         };
         r.finish()?;
@@ -295,6 +335,180 @@ impl PortableJob for EnvCrashJob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use des::Workload;
+    use wsn::experiments::jobs::{CpuComparisonJob, NodeSweepJob, SeedAblationJob, ValidationJob};
+    use wsn::CpuModelParams;
+
+    /// One valid job of every kind the worker registry serves, with its
+    /// simulated horizon (and warm-up, for mm1) set to `horizon` where the
+    /// kind has one.
+    fn sample_jobs(horizon: f64, warmup: f64) -> Vec<Box<dyn PortableJob>> {
+        vec![
+            Box::new(CpuComparisonJob {
+                lambda: 1.0,
+                mu: 10.0,
+                horizon,
+                power_up_delay: 0.3,
+                seed: 0x5EED,
+                grid: vec![0.001, 0.5],
+            }),
+            Box::new(NodeSweepJob {
+                workload: Workload::Closed { interval: 1.0 },
+                horizon,
+                grid: vec![0.00177, 1.0],
+            }),
+            Box::new(ValidationJob {
+                workload: Workload::Open { rate: 1.0 },
+                horizon,
+                grid: vec![0.01],
+            }),
+            Box::new(SeedAblationJob {
+                params: CpuModelParams::paper_defaults(0.3, 0.3),
+                horizon,
+            }),
+            Box::new(Mm1ReplicationJob {
+                horizon,
+                warmup,
+                mu_grid: vec![2.0, 5.0],
+            }),
+            Box::new(FailJob {
+                fail_point: 1,
+                fail_rep: 2,
+            }),
+            Box::new(CrashJob {
+                crash_point: 3,
+                crash_rep: 4,
+            }),
+            Box::new(EnvCrashJob {
+                crash_point: 0,
+                crash_rep: 1,
+                env_var: "BENCH_SELFTEST_CRASH_NEVER_SET".into(),
+            }),
+        ]
+    }
+
+    fn payload(job: &dyn PortableJob) -> Vec<u8> {
+        let mut buf = Vec::new();
+        job.encode_payload(&mut buf);
+        buf
+    }
+
+    #[test]
+    fn sample_jobs_cover_every_registered_kind() {
+        let mut sampled: Vec<&str> = sample_jobs(100.0, 10.0).iter().map(|j| j.kind()).collect();
+        let mut registered: Vec<&str> = worker_registry().kinds().collect();
+        sampled.sort_unstable();
+        registered.sort_unstable();
+        assert_eq!(sampled, registered);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// Every decoder reads network bytes (service submissions, TCP
+        /// worker manifests). Random bodies, truncations and one-byte
+        /// flips of valid payloads must decode to an error or to a job
+        /// that re-encodes to exactly the bytes it came from — never a
+        /// panic — and a horizon or warm-up no slot could finish with
+        /// must be refused.
+        #[test]
+        fn job_decoders_survive_hostile_payloads(
+            noise in proptest::collection::vec(0u8..255, 0..96),
+            cut in 0usize..4096,
+            flip in (0usize..4096, 0u8..255),
+            bad in 0usize..5,
+        ) {
+            let reg = worker_registry();
+            let accepted = |kind: &str, body: &[u8]| -> Result<(), proptest::TestCaseError> {
+                if let Ok(job) = reg.decode(kind, body) {
+                    proptest::prop_assert_eq!(job.kind(), kind);
+                    proptest::prop_assert!(
+                        payload(job.as_ref()) == body,
+                        "{kind}: accepted payload re-encodes differently"
+                    );
+                }
+                Ok(())
+            };
+            for job in sample_jobs(100.0, 10.0) {
+                let kind = job.kind();
+                let valid = payload(job.as_ref());
+                proptest::prop_assert!(reg.decode(kind, &valid).is_ok(), "{kind} rejects its own payload");
+                accepted(kind, &noise)?;
+                accepted(kind, &valid[..cut % (valid.len() + 1)])?;
+                let mut flipped = valid.clone();
+                if !flipped.is_empty() {
+                    let at = flip.0 % flipped.len();
+                    flipped[at] = flip.1;
+                }
+                accepted(kind, &flipped)?;
+            }
+            let unrunnable = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -5.0][bad];
+            let timed = [
+                CpuComparisonJob::KIND,
+                NodeSweepJob::KIND,
+                ValidationJob::KIND,
+                SeedAblationJob::KIND,
+                Mm1ReplicationJob::KIND,
+            ];
+            for job in sample_jobs(unrunnable, 10.0) {
+                if timed.contains(&job.kind()) {
+                    proptest::prop_assert!(
+                        reg.decode(job.kind(), &payload(job.as_ref())).is_err(),
+                        "{} accepted horizon {unrunnable}",
+                        job.kind()
+                    );
+                }
+            }
+            if unrunnable != 0.0 {
+                let mm1 = Mm1ReplicationJob { horizon: 100.0, warmup: unrunnable, mu_grid: vec![2.0] };
+                proptest::prop_assert!(
+                    reg.decode(Mm1ReplicationJob::KIND, &payload(&mm1)).is_err(),
+                    "mm1 accepted warm-up {unrunnable}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn spec_manifest_applies_defaults_and_rejects_unrunnable_values() {
+        let params = |pairs: &[(&str, &str)]| -> BTreeMap<String, String> {
+            pairs
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect()
+        };
+        assert_eq!(
+            spec_manifest(&params(&[("spec", "mm1")])).unwrap(),
+            Mm1ReplicationJob::manifest(200.0, 20.0, 2, 0xCAFE)
+        );
+        assert_eq!(
+            spec_manifest(&params(&[
+                ("spec", "mm1"),
+                ("seed", "7"),
+                ("horizon", "50")
+            ]))
+            .unwrap(),
+            Mm1ReplicationJob::manifest(50.0, 20.0, 2, 7)
+        );
+        for (key, value) in [
+            ("horizon", "inf"),
+            ("horizon", "NaN"),
+            ("horizon", "0"),
+            ("warmup", "inf"),
+            ("warmup", "-1"),
+            ("reps", "0"),
+            ("seed", "x"),
+        ] {
+            assert!(
+                spec_manifest(&params(&[("spec", "mm1"), (key, value)])).is_err(),
+                "{key}={value} accepted"
+            );
+        }
+        assert!(spec_manifest(&params(&[("spec", "mm2")]))
+            .unwrap_err()
+            .contains("unknown job spec"));
+        assert!(spec_manifest(&params(&[])).is_err());
+    }
 
     #[test]
     fn registry_contains_experiment_and_selftest_jobs() {

@@ -131,6 +131,31 @@ fn service_verbs_validate_arguments_before_connecting() {
 }
 
 #[test]
+fn submit_rejects_unrunnable_values_before_connecting() {
+    // Nothing listens on port 1: exit 2 (usage) rather than 1 (connect
+    // failure) proves the spec was refused before any connection.
+    for (flag, value) in [
+        ("--horizon", "inf"),
+        ("--horizon", "NaN"),
+        ("--warmup", "inf"),
+        ("--reps", "0"),
+    ] {
+        let (code, _out, err) =
+            run(repro().args(["submit", "--service", "127.0.0.1:1", "mm1", flag, value]));
+        assert_eq!(code, 2, "{flag} {value}: {err}");
+    }
+}
+
+#[test]
+fn fixed_replication_flag_is_gone() {
+    // Every stochastic sweep runs under its stopping rule; there is no
+    // fixed-count switch.
+    let (code, _out, err) = run(repro().args(["--fixed-reps", "fig15"]));
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("unknown flag: --fixed-reps"), "{err}");
+}
+
+#[test]
 fn serve_mode_ignores_the_client_service_env_var() {
     // Regression: REPRO_SERVICE addresses clients at a daemon; a daemon
     // being started in the same shell must keep its explicit --shards

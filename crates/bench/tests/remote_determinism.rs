@@ -84,8 +84,9 @@ proptest! {
     }
 }
 
-/// Colored net (the Fig. 12/13 node SCPN with DVS job colors): the fixed
-/// open-workload sweep driver is bit-identical across hosts.
+/// Colored net (the Fig. 12/13 node SCPN with DVS job colors): the
+/// open-workload sweep driver at a fixed 3-replication budget is
+/// bit-identical across hosts.
 #[test]
 fn colored_node_sweep_driver_identical_across_hosts() {
     let cluster = LocalCluster::spawn(repro_bin(), 4).expect("cluster spawns");
@@ -96,8 +97,8 @@ fn colored_node_sweep_driver_identical_across_hosts() {
             &grid,
             &NodeSweepConfig {
                 horizon: 120.0,
-                replications: 3,
                 exec: exec.runner(),
+                rule: StoppingRule::relative(0.03).with_budget(3, 3, 3),
                 ..Default::default()
             },
         )
@@ -129,7 +130,7 @@ fn adaptive_node_sweep_identical_across_hosts() {
             &NodeSweepConfig {
                 horizon: 100.0,
                 exec: exec.runner(),
-                open_rule: Some(StoppingRule::relative(0.08).with_budget(3, 12, 3)),
+                rule: StoppingRule::relative(0.08).with_budget(3, 12, 3),
                 ..Default::default()
             },
         )
@@ -164,36 +165,29 @@ fn closed_node_sweep_driver_identical_across_hosts() {
     cluster.shutdown();
 }
 
-/// The three-way CPU comparison driver, fixed and adaptive (the adaptive
-/// mode watches the wider of the DES/Petri energy CIs per point).
+/// The three-way CPU comparison driver (its stopping rule watches the
+/// wider of the DES/Petri energy CIs per point), at a fixed 2-replication
+/// budget over the thread grid and adaptively at one thread.
 #[test]
 fn cpu_comparison_driver_identical_across_hosts() {
     let cluster = LocalCluster::spawn(repro_bin(), 4).expect("cluster spawns");
     let grid = [0.001, 0.3, 1.0];
-    let fixed = |exec: Exec| {
-        run_cpu_comparison(
-            0.3,
-            &grid,
-            &CpuComparisonConfig {
-                horizon: 150.0,
-                replications: 2,
-                exec: exec.runner(),
-                ..Default::default()
-            },
-        )
-    };
-    let adaptive = |exec: Exec| {
+    let run = |exec: Exec, rule: StoppingRule| {
         run_cpu_comparison(
             0.3,
             &grid,
             &CpuComparisonConfig {
                 horizon: 150.0,
                 exec: exec.runner(),
-                rule: Some(StoppingRule::relative(0.08).with_budget(2, 8, 2)),
+                rule,
                 ..Default::default()
             },
         )
     };
+    let fixed_rule = StoppingRule::relative(0.08).with_budget(2, 2, 2);
+    let adaptive_rule = StoppingRule::relative(0.08).with_budget(2, 8, 2);
+    let fixed = |exec: Exec| run(exec, fixed_rule);
+    let adaptive = |exec: Exec| run(exec, adaptive_rule);
     let fixed_base = fixed(Exec::in_process(2));
     let adaptive_base = adaptive(Exec::in_process(2));
     for hosts in HOST_GRID {
@@ -213,41 +207,38 @@ fn cpu_comparison_driver_identical_across_hosts() {
     cluster.shutdown();
 }
 
-/// The Petri-vs-DES validation driver, fixed and adaptive.
+/// The Petri-vs-DES validation driver: the single-run closed sweep and the
+/// open sweep under its stopping rule.
 #[test]
 fn validation_driver_identical_across_hosts() {
     let cluster = LocalCluster::spawn(repro_bin(), 4).expect("cluster spawns");
     let grid = [1e-9, 0.01, 1.0];
-    let fixed = |exec: Exec| {
+    let rule = StoppingRule::relative(0.1).with_budget(3, 9, 3);
+    let closed = |exec: Exec| {
         run_validation(
             Workload::Closed { interval: 1.0 },
             &grid,
             100.0,
             9,
             &exec.runner(),
-            None,
+            &rule,
         )
     };
-    let rule = StoppingRule::relative(0.1).with_budget(3, 9, 3);
-    let adaptive = |exec: Exec| {
+    let open = |exec: Exec| {
         run_validation(
             Workload::Open { rate: 1.0 },
             &grid,
             100.0,
             9,
             &exec.runner(),
-            Some(&rule),
+            &rule,
         )
     };
-    let fixed_base = fixed(Exec::in_process(2));
-    let adaptive_base = adaptive(Exec::in_process(2));
+    let closed_base = closed(Exec::in_process(2));
+    let open_base = open(Exec::in_process(2));
     for hosts in HOST_GRID {
-        assert_eq!(fixed_base, fixed(cluster.exec(2, hosts)), "hosts={hosts}");
-        assert_eq!(
-            adaptive_base,
-            adaptive(cluster.exec(1, hosts)),
-            "hosts={hosts}"
-        );
+        assert_eq!(closed_base, closed(cluster.exec(2, hosts)), "hosts={hosts}");
+        assert_eq!(open_base, open(cluster.exec(1, hosts)), "hosts={hosts}");
     }
     cluster.shutdown();
 }

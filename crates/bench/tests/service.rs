@@ -88,80 +88,69 @@ fn every_driver_served_is_identical_to_direct_execution() {
     .expect("daemon spawns");
     let served = svc.exec(2);
 
-    // CPU comparison, fixed and adaptive.
+    // CPU comparison at a fixed 2-replication budget and adaptively.
     let grid = [0.001, 0.3, 1.0];
-    let cpu = |exec: Exec, rule: Option<StoppingRule>| {
+    let cpu = |exec: Exec, rule: StoppingRule| {
         run_cpu_comparison(
             0.3,
             &grid,
             &CpuComparisonConfig {
                 horizon: 150.0,
-                replications: 2,
                 exec: exec.runner(),
                 rule,
                 ..Default::default()
             },
         )
     };
+    let fixed = StoppingRule::relative(0.08).with_budget(2, 2, 2);
     assert_eq!(
-        cpu(Exec::in_process(2), None),
-        cpu(served.clone(), None),
+        cpu(Exec::in_process(2), fixed),
+        cpu(served.clone(), fixed),
         "cpu fixed diverged"
     );
     let rule = StoppingRule::relative(0.08).with_budget(2, 8, 2);
     assert_eq!(
-        cpu(Exec::in_process(1), Some(rule)),
-        cpu(served.clone(), Some(rule)),
+        cpu(Exec::in_process(1), rule),
+        cpu(served.clone(), rule),
         "cpu adaptive diverged"
     );
 
-    // Node sweep: closed (deterministic), open fixed, open adaptive.
-    let node = |exec: Exec, workload: Workload, rule: Option<StoppingRule>, reps: u32| {
+    // Node sweep: closed (deterministic), open at a fixed 3-replication
+    // budget, open adaptive.
+    let node = |exec: Exec, workload: Workload, rule: StoppingRule| {
         run_node_sweep(
             workload,
             &[1e-9, 0.01, 1.0],
             &NodeSweepConfig {
                 horizon: 100.0,
-                replications: reps,
                 exec: exec.runner(),
-                open_rule: rule,
+                rule,
                 ..Default::default()
             },
         )
     };
+    let node_fixed = StoppingRule::relative(0.08).with_budget(3, 3, 3);
+    let closed = Workload::Closed { interval: 1.0 };
     assert_eq!(
-        node(
-            Exec::in_process(2),
-            Workload::Closed { interval: 1.0 },
-            None,
-            1
-        ),
-        node(served.clone(), Workload::Closed { interval: 1.0 }, None, 1),
+        node(Exec::in_process(2), closed, node_fixed),
+        node(served.clone(), closed, node_fixed),
         "closed node sweep diverged"
     );
+    let open = Workload::Open { rate: 1.0 };
     assert_eq!(
-        node(Exec::in_process(1), Workload::Open { rate: 1.0 }, None, 3),
-        node(served.clone(), Workload::Open { rate: 1.0 }, None, 3),
+        node(Exec::in_process(1), open, node_fixed),
+        node(served.clone(), open, node_fixed),
         "open node sweep diverged"
     );
     let open_rule = StoppingRule::relative(0.08).with_budget(3, 9, 3);
     assert_eq!(
-        node(
-            Exec::in_process(1),
-            Workload::Open { rate: 1.0 },
-            Some(open_rule),
-            3
-        ),
-        node(
-            served.clone(),
-            Workload::Open { rate: 1.0 },
-            Some(open_rule),
-            3
-        ),
+        node(Exec::in_process(1), open, open_rule),
+        node(served.clone(), open, open_rule),
         "adaptive node sweep diverged"
     );
 
-    // Validation, fixed closed + adaptive open.
+    // Validation: single-run closed + open under its rule.
+    let vrule = StoppingRule::relative(0.1).with_budget(3, 9, 3);
     let vgrid = [1e-9, 0.01, 1.0];
     assert_eq!(
         run_validation(
@@ -170,7 +159,7 @@ fn every_driver_served_is_identical_to_direct_execution() {
             100.0,
             9,
             &Runner::new(2),
-            None
+            &vrule
         ),
         run_validation(
             Workload::Closed { interval: 1.0 },
@@ -178,11 +167,10 @@ fn every_driver_served_is_identical_to_direct_execution() {
             100.0,
             9,
             &served.runner(),
-            None
+            &vrule
         ),
         "closed validation diverged"
     );
-    let vrule = StoppingRule::relative(0.1).with_budget(3, 9, 3);
     assert_eq!(
         run_validation(
             Workload::Open { rate: 1.0 },
@@ -190,7 +178,7 @@ fn every_driver_served_is_identical_to_direct_execution() {
             100.0,
             9,
             &Runner::new(1),
-            Some(&vrule)
+            &vrule
         ),
         run_validation(
             Workload::Open { rate: 1.0 },
@@ -198,7 +186,7 @@ fn every_driver_served_is_identical_to_direct_execution() {
             100.0,
             9,
             &served.runner(),
-            Some(&vrule)
+            &vrule
         ),
         "adaptive validation diverged"
     );
@@ -229,18 +217,19 @@ fn every_driver_served_is_identical_to_direct_execution() {
     );
 
     // Every dispatch so far executed exactly once; repeat the whole CPU
-    // fixed sweep and the budget must be paid entirely by the cache.
-    // (Cache hits may already have happened above: e.g. an adaptive
-    // sweep's first round re-issues the same manifest as a fixed run of
-    // the same size — exactly the cross-caller dedup the service exists
-    // for.) Repeating a whole driver now must be answered entirely from
-    // the cache: identical results, zero further executions.
+    // fixed-budget sweep and the budget must be paid entirely by the
+    // cache. (Cache hits may already have happened above: e.g. an
+    // adaptive sweep's first round re-issues the same manifest as a
+    // fixed-budget run of the same size — exactly the cross-caller dedup
+    // the service exists for.) Repeating a whole driver now must be
+    // answered entirely from the cache: identical results, zero further
+    // executions.
     let mut client = svc.client();
     let before = client.stats().unwrap();
     assert!(before.executed > 0);
     assert_eq!(
-        cpu(Exec::in_process(2), None),
-        cpu(served.clone(), None),
+        cpu(Exec::in_process(2), fixed),
+        cpu(served.clone(), fixed),
         "cached cpu fixed diverged"
     );
     let after = client.stats().unwrap();

@@ -70,8 +70,9 @@ proptest! {
     }
 }
 
-/// Colored net (the Fig. 12/13 node SCPN with DVS job colors): the fixed
-/// open-workload sweep driver is bit-identical across backends.
+/// Colored net (the Fig. 12/13 node SCPN with DVS job colors): the
+/// open-workload sweep driver at a fixed 3-replication budget is
+/// bit-identical across backends.
 #[test]
 fn colored_node_sweep_driver_identical_across_shards() {
     let grid = [1e-9, 0.00177, 0.1, 10.0];
@@ -81,8 +82,8 @@ fn colored_node_sweep_driver_identical_across_shards() {
             &grid,
             &NodeSweepConfig {
                 horizon: 120.0,
-                replications: 3,
                 exec: exec.runner(),
+                rule: StoppingRule::relative(0.03).with_budget(3, 3, 3),
                 ..Default::default()
             },
         )
@@ -107,7 +108,7 @@ fn adaptive_node_sweep_identical_across_shards() {
             &NodeSweepConfig {
                 horizon: 100.0,
                 exec: exec.runner(),
-                open_rule: Some(StoppingRule::relative(0.08).with_budget(3, 12, 3)),
+                rule: StoppingRule::relative(0.08).with_budget(3, 12, 3),
                 ..Default::default()
             },
         )
@@ -150,8 +151,8 @@ fn cpu_comparison_driver_identical_across_shards() {
             &grid,
             &CpuComparisonConfig {
                 horizon: 150.0,
-                replications: 2,
                 exec: exec.runner(),
+                rule: StoppingRule::relative(0.03).with_budget(2, 2, 2),
                 ..Default::default()
             },
         )
@@ -164,40 +165,37 @@ fn cpu_comparison_driver_identical_across_shards() {
     }
 }
 
-/// The Petri-vs-DES validation driver, fixed and adaptive.
+/// The Petri-vs-DES validation driver: the single-run closed sweep and the
+/// open sweep under its stopping rule.
 #[test]
 fn validation_driver_identical_across_shards() {
     let grid = [1e-9, 0.01, 1.0];
-    let fixed = |exec: Exec| {
+    let rule = StoppingRule::relative(0.1).with_budget(3, 9, 3);
+    let closed = |exec: Exec| {
         run_validation(
             Workload::Closed { interval: 1.0 },
             &grid,
             100.0,
             9,
             &exec.runner(),
-            None,
+            &rule,
         )
     };
-    let rule = StoppingRule::relative(0.1).with_budget(3, 9, 3);
-    let adaptive = |exec: Exec| {
+    let open = |exec: Exec| {
         run_validation(
             Workload::Open { rate: 1.0 },
             &grid,
             100.0,
             9,
             &exec.runner(),
-            Some(&rule),
+            &rule,
         )
     };
-    let fixed_base = fixed(Exec::in_process(2));
-    let adaptive_base = adaptive(Exec::in_process(2));
+    let closed_base = closed(Exec::in_process(2));
+    let open_base = open(Exec::in_process(2));
     for shards in SHARD_GRID {
-        assert_eq!(fixed_base, fixed(sharded(2, shards)), "shards={shards}");
-        assert_eq!(
-            adaptive_base,
-            adaptive(sharded(1, shards)),
-            "shards={shards}"
-        );
+        assert_eq!(closed_base, closed(sharded(2, shards)), "shards={shards}");
+        assert_eq!(open_base, open(sharded(1, shards)), "shards={shards}");
     }
 }
 

@@ -144,6 +144,19 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
+    /// Read a simulated horizon (s), rejecting one no slot could finish:
+    /// non-finite or not positive. Job decoders read every horizon through
+    /// this, so an unrunnable manifest fails at admission instead of
+    /// wedging the worker that runs it.
+    pub fn get_horizon(&mut self) -> Result<f64, WireError> {
+        check_horizon(self.get_f64()?)
+    }
+
+    /// Read a warm-up truncation (s): finite and non-negative.
+    pub fn get_warmup(&mut self) -> Result<f64, WireError> {
+        check_warmup(self.get_f64()?)
+    }
+
     /// Read a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.get_u32()? as usize;
@@ -173,6 +186,28 @@ impl<'a> Reader<'a> {
     pub fn get_f64s(&mut self) -> Result<Vec<f64>, WireError> {
         let n = self.get_count(8, "f64 vector")?;
         (0..n).map(|_| self.get_f64()).collect()
+    }
+}
+
+/// `h` if it is a runnable simulated horizon (finite and positive).
+pub fn check_horizon(h: f64) -> Result<f64, WireError> {
+    if h.is_finite() && h > 0.0 {
+        Ok(h)
+    } else {
+        Err(WireError::new(format!(
+            "horizon must be finite and positive, got {h}"
+        )))
+    }
+}
+
+/// `w` if it is a runnable warm-up truncation (finite and non-negative).
+pub fn check_warmup(w: f64) -> Result<f64, WireError> {
+    if w.is_finite() && w >= 0.0 {
+        Ok(w)
+    } else {
+        Err(WireError::new(format!(
+            "warm-up must be finite and non-negative, got {w}"
+        )))
     }
 }
 
@@ -292,6 +327,23 @@ mod tests {
         let mut r = Reader::new(&buf);
         let _ = r.get_u32().unwrap();
         assert!(r.finish().is_err());
+    }
+
+    #[test]
+    fn horizon_and_warmup_readers_reject_unrunnable_values() {
+        let read = |v: f64| {
+            let mut buf = Vec::new();
+            put_f64(&mut buf, v);
+            let horizon = Reader::new(&buf).get_horizon().ok();
+            let warmup = Reader::new(&buf).get_warmup().ok();
+            (horizon, warmup)
+        };
+        assert_eq!(read(900.0), (Some(900.0), Some(900.0)));
+        assert_eq!(read(0.0), (None, Some(0.0)));
+        assert_eq!(read(-1.0), (None, None));
+        for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(read(v), (None, None), "{v}");
+        }
     }
 
     #[test]

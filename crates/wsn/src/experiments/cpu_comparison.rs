@@ -5,7 +5,8 @@
 //! Figs. 7–9 (energy vs threshold) and Tables IV–VI (Δ-energy statistics)
 //! for the three published Power-Up Delays (0.001 s, 0.3 s, 10 s).
 
-use super::jobs::{decode_obs, CpuComparisonJob, RepOutput, CPU_COMPARISON_WATCH};
+use super::jobs::{CpuComparisonJob, CPU_COMPARISON_WATCH};
+use super::paper_rule;
 use crate::metrics::DeltaEnergyTable;
 use markov::supplementary::{CpuMarkovParams, CpuPowerRates};
 use serde::{Deserialize, Serialize};
@@ -28,11 +29,10 @@ pub struct CpuComparisonPoint {
     pub markov_energy_j: f64,
     /// Petri-net energy over the horizon (J).
     pub petri_energy_j: f64,
-    /// Replications averaged into the two stochastic columns (fixed mode:
-    /// the configured count; adaptive mode: whatever the rule spent).
+    /// Replications the stopping rule spent on the two stochastic columns.
     pub replications: u64,
-    /// Whether the watched energy CIs settled (always `true` in fixed
-    /// mode; in adaptive mode, `false` means the budget ran out first).
+    /// Whether the watched energy CIs settled (`false` means the budget
+    /// ran out first).
     pub converged: bool,
 }
 
@@ -56,25 +56,17 @@ pub struct CpuComparisonConfig {
     pub mu: f64,
     /// Horizon (default 1000 s, Table II).
     pub horizon: f64,
-    /// Independent replications averaged per point for the two stochastic
-    /// methods (DES and Petri) when `rule` is `None`. The Markov column is
-    /// a closed form and needs none. Default 8: enough to resolve the
-    /// Markov model's systematic bias above Monte-Carlo noise at the
-    /// paper's horizon.
-    pub replications: u32,
     /// Base RNG seed.
     pub seed: u64,
     /// Executor for the sweep: threads, plus any plugged-in backend
     /// (worker shards, TCP hosts, a service daemon).
     pub exec: Runner,
-    /// Adaptive replication budget: when set, each threshold point runs
-    /// replications until the 95 % CI of **both** stochastic energy
-    /// curves settles — i.e. the stopping decision tracks whichever of
-    /// the DES and Petri curves has the wider CI at that point (the
-    /// Markov curve is exact and needs no watching). `None` runs the
-    /// historical fixed `replications` per point, bit-exactly — the
-    /// `repro --fixed-reps` escape hatch.
-    pub rule: Option<StoppingRule>,
+    /// Replication budget of the two stochastic methods (DES and Petri):
+    /// each threshold point runs replications until the 95 % CI of
+    /// **both** energy curves settles — i.e. the stopping decision tracks
+    /// whichever curve has the wider CI at that point. The Markov column
+    /// is a closed form and needs none. Default: [`paper_rule`].
+    pub rule: StoppingRule,
 }
 
 impl Default for CpuComparisonConfig {
@@ -83,29 +75,24 @@ impl Default for CpuComparisonConfig {
             lambda: 1.0,
             mu: 10.0,
             horizon: 1000.0,
-            replications: 8,
             seed: 0x5EED,
             exec: Runner::with_default_threads(),
-            rule: None,
+            rule: paper_rule(),
         }
     }
 }
 
 /// Run the comparison for one Power-Up Delay over the given threshold grid.
 ///
-/// The whole `(threshold × replication)` grid is described as a portable
-/// [`CpuComparisonJob`] and scheduled on the configured executor backend —
-/// a 21-point sweep with 8 replications is 168 flat slots, spread over the
-/// in-process pool, `--shards` worker subprocesses or `--hosts` remote
-/// peers — and per-point outputs fold in replication order, so results are
+/// The `(threshold × replication)` grid is described as a portable
+/// [`CpuComparisonJob`] and each round of `cfg.rule` is scheduled on the
+/// configured executor backend — the in-process pool, `--shards` worker
+/// subprocesses or `--hosts` remote peers. Each point runs rounds until
+/// both stochastic energy curves' CIs settle (the effective watch is
+/// whichever curve is wider — see [`CPU_COMPARISON_WATCH`]), and its
+/// observations fold in replication order, so results are
 /// **byte-identical** at any thread, shard and host count. The Markov
 /// column is a closed form and computed once per point.
-///
-/// With `cfg.rule` set, the replication budget is adaptive: each point
-/// runs rounds until both stochastic energy curves' CIs settle (the
-/// effective watch is whichever curve is wider — see
-/// [`CPU_COMPARISON_WATCH`]). With `rule: None` the historical fixed
-/// count (and its sum-then-divide fold) is reproduced exactly.
 pub fn run_cpu_comparison(
     power_up_delay: f64,
     grid: &[f64],
@@ -128,96 +115,32 @@ pub fn run_cpu_comparison(
         power_down_threshold: pdt,
         power_up_delay,
     };
-    let point = |pdt: f64,
-                 sim_probs: [f64; 4],
-                 sim_energy_j: f64,
-                 petri_probs: [f64; 4],
-                 petri_energy_j: f64,
-                 replications: u64,
-                 converged: bool| {
-        let mk = markov(pdt);
-        let sol = mk.solve();
-        CpuComparisonPoint {
-            pdt,
-            sim_probs,
-            markov_probs: [sol.p_standby, sol.p_powerup, sol.p_idle, sol.p_active],
-            petri_probs,
-            sim_energy_j,
-            markov_energy_j: mk.energy_for_duration(&rates, cfg.horizon),
-            petri_energy_j,
-            replications,
-            converged,
-        }
-    };
-
-    let points = match &cfg.rule {
-        Some(rule) => {
-            let adaptive = cfg
-                .exec
-                .run_adaptive_job(&job, grid.len(), rule, &CPU_COMPARISON_WATCH, &seed_of)
-                .unwrap_or_else(|e| panic!("adaptive CPU comparison failed: {e}"));
-            grid.iter()
-                .zip(adaptive)
-                .map(|(&pdt, p)| {
-                    // Welford means of the per-replication observations,
-                    // folded in index order by the adaptive runner.
-                    point(
-                        pdt,
-                        std::array::from_fn(|i| p.stats[i].mean()),
-                        p.stats[4].mean(),
-                        std::array::from_fn(|i| p.stats[5 + i].mean()),
-                        p.stats[9].mean(),
-                        p.replications,
-                        p.converged,
-                    )
-                })
-                .collect()
-        }
-        None => {
-            let reps = cfg.replications.max(1);
-            let reps_per_point = vec![reps as u64; grid.len()];
-            let per_point = cfg
-                .exec
-                .run_job(&job, &reps_per_point, &seed_of)
-                .unwrap_or_else(|e| panic!("CPU comparison grid failed: {e}"));
-            let n = reps as f64;
-            grid.iter()
-                .zip(per_point)
-                .map(|(&pdt, slots)| {
-                    // Replication-index-ordered sum-then-divide fold: the
-                    // historical aggregation, reproduced bit for bit.
-                    let mut sim_probs = [0.0f64; 4];
-                    let mut sim_energy_j = 0.0;
-                    let mut petri_probs = [0.0f64; 4];
-                    let mut petri_energy_j = 0.0;
-                    for bytes in &slots {
-                        let obs = decode_obs(bytes, "cpu-comparison slot")
-                            .unwrap_or_else(|e| panic!("{e}"));
-                        let o = RepOutput::from_obs(&obs).unwrap_or_else(|e| panic!("{e}"));
-                        for (acc, p) in sim_probs.iter_mut().zip(o.sim_probs) {
-                            *acc += p;
-                        }
-                        sim_energy_j += o.sim_energy_j;
-                        for (acc, p) in petri_probs.iter_mut().zip(o.petri_probs) {
-                            *acc += p;
-                        }
-                        petri_energy_j += o.petri_energy_j;
-                    }
-                    sim_probs.iter_mut().for_each(|p| *p /= n);
-                    petri_probs.iter_mut().for_each(|p| *p /= n);
-                    point(
-                        pdt,
-                        sim_probs,
-                        sim_energy_j / n,
-                        petri_probs,
-                        petri_energy_j / n,
-                        reps as u64,
-                        true,
-                    )
-                })
-                .collect()
-        }
-    };
+    let adaptive = cfg
+        .exec
+        .run_adaptive_job(&job, grid.len(), &cfg.rule, &CPU_COMPARISON_WATCH, &seed_of)
+        .unwrap_or_else(|e| panic!("CPU comparison failed: {e}"));
+    let points = grid
+        .iter()
+        .zip(adaptive)
+        .map(|(&pdt, p)| {
+            // Welford means of the per-replication observations, folded
+            // in index order by the adaptive runner.
+            let mean = |i: usize| p.stats[i].mean();
+            let mk = markov(pdt);
+            let sol = mk.solve();
+            CpuComparisonPoint {
+                pdt,
+                sim_probs: std::array::from_fn(mean),
+                markov_probs: [sol.p_standby, sol.p_powerup, sol.p_idle, sol.p_active],
+                petri_probs: std::array::from_fn(|i| mean(5 + i)),
+                sim_energy_j: mean(4),
+                markov_energy_j: mk.energy_for_duration(&rates, cfg.horizon),
+                petri_energy_j: mean(9),
+                replications: p.replications,
+                converged: p.converged,
+            }
+        })
+        .collect();
     CpuComparison {
         power_up_delay,
         horizon: cfg.horizon,
@@ -248,10 +171,13 @@ mod tests {
     use super::*;
     use crate::sweep::fig4_9_pdt_grid;
 
+    /// Eight replications per point, as many as resolve the Markov
+    /// model's systematic bias above Monte-Carlo noise at this horizon.
     fn quick_cfg() -> CpuComparisonConfig {
         CpuComparisonConfig {
             horizon: 2000.0,
             exec: Runner::new(2),
+            rule: StoppingRule::relative(0.03).with_budget(8, 8, 8),
             ..Default::default()
         }
     }
@@ -326,7 +252,7 @@ mod tests {
         let grid = [0.001, 0.25, 1.0];
         let cfg = CpuComparisonConfig {
             horizon: 400.0,
-            rule: Some(StoppingRule::relative(0.05).with_budget(3, 24, 3)),
+            rule: StoppingRule::relative(0.05).with_budget(3, 24, 3),
             ..quick_cfg()
         };
         let c = run_cpu_comparison(0.3, &grid, &cfg);
@@ -341,24 +267,6 @@ mod tests {
         let mut cfg1 = cfg.clone();
         cfg1.exec = Runner::new(1);
         assert_eq!(c, run_cpu_comparison(0.3, &grid, &cfg1));
-    }
-
-    #[test]
-    fn fixed_mode_is_unchanged_by_the_rule_field_default() {
-        // `rule: None` must reproduce the historical fixed fold exactly —
-        // the `--fixed-reps` contract.
-        let grid = [0.001, 0.5];
-        let cfg = CpuComparisonConfig {
-            horizon: 300.0,
-            ..quick_cfg()
-        };
-        let a = run_cpu_comparison(0.3, &grid, &cfg);
-        let b = run_cpu_comparison(0.3, &grid, &cfg);
-        assert_eq!(a, b);
-        for p in &a.points {
-            assert_eq!(p.replications, cfg.replications as u64);
-            assert!(p.converged);
-        }
     }
 
     #[test]

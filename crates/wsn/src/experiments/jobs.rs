@@ -8,7 +8,10 @@
 //! adaptive stopping rounds (`Runner::run_adaptive_job`) — and because the
 //! caller decodes the same bytes whether a slot ran in this process or in a
 //! `repro --worker` shard, driver results are **byte-identical across
-//! backends** by construction.
+//! backends** by construction. Every decoder reads its horizon through
+//! [`Reader::get_horizon`], so a manifest whose slots could never finish
+//! (an infinite, NaN or non-positive horizon) is refused at decode time —
+//! before a service admits it or a worker runs it.
 //!
 //! Binaries that want to serve as workers register every decoder here via
 //! [`register`].
@@ -54,43 +57,6 @@ fn get_workload(r: &mut Reader<'_>) -> Result<Workload, WireError> {
 
 // --- CPU comparison (Figs. 4–9, Tables IV–VI) ----------------------------
 
-/// One replication's worth of stochastic output at one sweep point of the
-/// three-way CPU comparison (the DES and Petri runs share a slot so the
-/// grid stays dense).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct RepOutput {
-    pub sim_probs: [f64; 4],
-    pub sim_energy_j: f64,
-    pub petri_probs: [f64; 4],
-    pub petri_energy_j: f64,
-}
-
-impl RepOutput {
-    pub(crate) fn to_obs(self) -> Vec<f64> {
-        let mut v = Vec::with_capacity(10);
-        v.extend(self.sim_probs);
-        v.push(self.sim_energy_j);
-        v.extend(self.petri_probs);
-        v.push(self.petri_energy_j);
-        v
-    }
-
-    pub(crate) fn from_obs(obs: &[f64]) -> Result<Self, WireError> {
-        if obs.len() != CPU_COMPARISON_OBS_LEN {
-            return Err(WireError::new(format!(
-                "cpu-comparison slot has {} metric(s), expected {CPU_COMPARISON_OBS_LEN}",
-                obs.len()
-            )));
-        }
-        Ok(RepOutput {
-            sim_probs: obs[0..4].try_into().unwrap(),
-            sim_energy_j: obs[4],
-            petri_probs: obs[5..9].try_into().unwrap(),
-            petri_energy_j: obs[9],
-        })
-    }
-}
-
 /// Observation length of a [`CpuComparisonJob`] slot: 4 DES state
 /// fractions, DES energy, 4 Petri state fractions, Petri energy.
 pub const CPU_COMPARISON_OBS_LEN: usize = 10;
@@ -129,7 +95,7 @@ impl CpuComparisonJob {
         let job = CpuComparisonJob {
             lambda: r.get_f64()?,
             mu: r.get_f64()?,
-            horizon: r.get_f64()?,
+            horizon: r.get_horizon()?,
             power_up_delay: r.get_f64()?,
             seed: r.get_u64()?,
             grid: r.get_f64s()?,
@@ -181,14 +147,14 @@ impl PortableJob for CpuComparisonJob {
             self.horizon,
             petri_seed,
         );
-        let out = RepOutput {
-            sim_probs: sim_r.probabilities(),
-            sim_energy_j: sim_r.energy(&PXA271_CPU).joules(),
-            petri_probs: petri_r.probabilities,
-            petri_energy_j: petri_r.energy(&PXA271_CPU, self.horizon).joules(),
-        };
-        let mut bytes = Vec::with_capacity(10 * 8 + 4);
-        wire::put_f64s(&mut bytes, &out.to_obs());
+        // The DES and Petri runs share a slot so the grid stays dense.
+        let mut obs = Vec::with_capacity(CPU_COMPARISON_OBS_LEN);
+        obs.extend(sim_r.probabilities());
+        obs.push(sim_r.energy(&PXA271_CPU).joules());
+        obs.extend(petri_r.probabilities);
+        obs.push(petri_r.energy(&PXA271_CPU, self.horizon).joules());
+        let mut bytes = Vec::with_capacity(CPU_COMPARISON_OBS_LEN * 8 + 4);
+        wire::put_f64s(&mut bytes, &obs);
         Ok(bytes)
     }
 }
@@ -224,7 +190,7 @@ impl NodeSweepJob {
         let mut r = Reader::new(payload);
         let job = NodeSweepJob {
             workload: get_workload(&mut r)?,
-            horizon: r.get_f64()?,
+            horizon: r.get_horizon()?,
             grid: r.get_f64s()?,
         };
         r.finish()?;
@@ -317,7 +283,7 @@ impl ValidationJob {
         let mut r = Reader::new(payload);
         let job = ValidationJob {
             workload: get_workload(&mut r)?,
-            horizon: r.get_f64()?,
+            horizon: r.get_horizon()?,
             grid: r.get_f64s()?,
         };
         r.finish()?;
@@ -381,7 +347,7 @@ impl SeedAblationJob {
                 power_down_threshold: r.get_f64()?,
                 power_up_delay: r.get_f64()?,
             },
-            horizon: r.get_f64()?,
+            horizon: r.get_horizon()?,
         };
         r.finish()?;
         Ok(Box::new(job))
@@ -465,18 +431,6 @@ mod tests {
             let b = back.run_slot(0, 1, 77).unwrap();
             assert_eq!(a, b, "{} diverged after round-trip", job.kind());
         }
-    }
-
-    #[test]
-    fn rep_output_obs_round_trips() {
-        let out = RepOutput {
-            sim_probs: [0.1, 0.2, 0.3, 0.4],
-            sim_energy_j: 12.5,
-            petri_probs: [0.4, 0.3, 0.2, 0.1],
-            petri_energy_j: 11.25,
-        };
-        assert_eq!(RepOutput::from_obs(&out.to_obs()).unwrap(), out);
-        assert!(RepOutput::from_obs(&[1.0; 9]).is_err());
     }
 
     #[test]

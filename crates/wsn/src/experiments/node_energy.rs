@@ -3,6 +3,7 @@
 //! (Sec. VII).
 
 use super::jobs::{decode_obs, NodeSweepJob, NODE_SWEEP_WATCH_TOTAL_J};
+use super::paper_rule;
 use crate::node::NodePetriResult;
 use des::Workload;
 use energy::{NodeBreakdown, CC2420_RADIO, PXA271_CPU};
@@ -22,11 +23,11 @@ pub struct NodeSweepPoint {
     pub radio_wakeups: f64,
     /// Completed cycles.
     pub cycles: f64,
-    /// Replications actually averaged into this point (fixed mode: the
-    /// configured count; adaptive mode: whatever the stopping rule spent).
+    /// Replications averaged into this point: 1 for the deterministic
+    /// closed model, whatever the stopping rule spent for the open one.
     pub replications: u64,
-    /// Whether the point's watched metric settled (always `true` in fixed
-    /// mode; in adaptive mode, `false` means the budget ran out first).
+    /// Whether the point's watched metric settled (always `true` for the
+    /// closed model; `false` means the budget ran out first).
     pub converged: bool,
 }
 
@@ -44,9 +45,6 @@ pub struct NodeSweep {
     pub workload: Workload,
     /// Horizon (s); the paper evaluates 15 min = 900 s.
     pub horizon: f64,
-    /// Replications averaged per point (1 for the deterministic closed
-    /// model).
-    pub replications: u32,
     /// Points in threshold order.
     pub points: Vec<NodeSweepPoint>,
 }
@@ -75,30 +73,24 @@ pub struct OptimumAnalysis {
 pub struct NodeSweepConfig {
     /// Horizon (s).
     pub horizon: f64,
-    /// Fixed replications per point (averaged; use > 1 for the open
-    /// model). Ignored for the open model when `open_rule` is set.
-    pub replications: u32,
     /// Base seed.
     pub seed: u64,
     /// Executor for the sweep: threads, plus any plugged-in backend.
     pub exec: Runner,
-    /// Adaptive replication budget for the *open* (stochastic) model:
-    /// when set, each point runs replications until the 95 % CI of its
-    /// total energy satisfies the rule instead of a fixed count. `None`
-    /// (and the deterministic closed model always) uses
-    /// `replications` — the exact-repro escape hatch behind
-    /// `repro --fixed-reps`.
-    pub open_rule: Option<StoppingRule>,
+    /// Replication budget of the *open* (stochastic) model: each point
+    /// runs replications until the 95 % CI of its total energy satisfies
+    /// the rule. The deterministic closed model ignores it and runs one
+    /// replication per point. Default: [`paper_rule`].
+    pub rule: StoppingRule,
 }
 
 impl Default for NodeSweepConfig {
     fn default() -> Self {
         NodeSweepConfig {
             horizon: 900.0,
-            replications: 1,
             seed: 0xF14,
             exec: Runner::with_default_threads(),
-            open_rule: None,
+            rule: paper_rule(),
         }
     }
 }
@@ -110,27 +102,42 @@ impl Default for NodeSweepConfig {
 /// in-process threads or `--shards` worker subprocesses, byte-identical
 /// either way since per-point averages fold in replication order.
 ///
-/// Replications per point are heterogeneous: the deterministic closed
-/// model needs exactly one, the open model averages `cfg.replications` —
-/// or, with `cfg.open_rule` set, runs adaptive rounds until each point's
+/// The deterministic closed model needs exactly one replication per
+/// point; the open model runs rounds of `cfg.rule` until each point's
 /// total-energy CI settles (spending replications only where the noise
 /// is).
 pub fn run_node_sweep(workload: Workload, grid: &[f64], cfg: &NodeSweepConfig) -> NodeSweep {
-    assert!(cfg.replications >= 1, "need at least one replication");
     let job = NodeSweepJob {
         workload,
         horizon: cfg.horizon,
         grid: grid.to_vec(),
     };
     let seed_of = |_point: usize, r: u64| petri_core::rng::SimRng::child_seed(cfg.seed, r);
-    let points = match (workload, &cfg.open_rule) {
-        (Workload::Open { .. }, Some(rule)) => {
+    let points = match workload {
+        Workload::Closed { .. } => {
+            // The closed model is deterministic, so one replication is
+            // exact.
+            let per_point = cfg
+                .exec
+                .run_job(&job, &vec![1; grid.len()], &seed_of)
+                .unwrap_or_else(|e| panic!("node sweep grid failed: {e}"));
+            grid.iter()
+                .zip(per_point)
+                .map(|(&pdt, slots)| {
+                    let obs =
+                        decode_obs(&slots[0], "node-sweep slot").unwrap_or_else(|e| panic!("{e}"));
+                    let res = job.result_from_obs(&obs).unwrap_or_else(|e| panic!("{e}"));
+                    point_from_mean(pdt, &res, 1, true)
+                })
+                .collect()
+        }
+        Workload::Open { .. } => {
             let adaptive = cfg
                 .exec
                 .run_adaptive_job(
                     &job,
                     grid.len(),
-                    rule,
+                    &cfg.rule,
                     &[NODE_SWEEP_WATCH_TOTAL_J],
                     &seed_of,
                 )
@@ -140,81 +147,11 @@ pub fn run_node_sweep(workload: Workload, grid: &[f64], cfg: &NodeSweepConfig) -
                 .map(|(&pdt, p)| {
                     // Means of the per-replication observations, folded in
                     // index order by the adaptive runner.
-                    let res = NodePetriResult {
-                        cpu_probabilities: std::array::from_fn(|i| p.stats[1 + i].mean()),
-                        radio_probabilities: std::array::from_fn(|i| p.stats[5 + i].mean()),
-                        cpu_wakeups: p.stats[9].mean(),
-                        radio_wakeups: p.stats[10].mean(),
-                        cycles_completed: p.stats[11].mean(),
-                        horizon: cfg.horizon,
-                    };
+                    let means: Vec<f64> = p.stats.iter().map(|w| w.mean()).collect();
+                    let res = job
+                        .result_from_obs(&means)
+                        .unwrap_or_else(|e| panic!("{e}"));
                     point_from_mean(pdt, &res, p.replications, p.converged)
-                })
-                .collect()
-        }
-        _ => {
-            // The closed model is deterministic, so one replication is
-            // exact.
-            let reps = match workload {
-                Workload::Closed { .. } => 1,
-                Workload::Open { .. } => cfg.replications,
-            };
-            let reps_per_point = vec![reps as u64; grid.len()];
-            let per_point = cfg
-                .exec
-                .run_job(&job, &reps_per_point, &seed_of)
-                .unwrap_or_else(|e| panic!("node sweep grid failed: {e}"));
-            grid.iter()
-                .zip(per_point)
-                .map(|(&pdt, slots)| {
-                    // Replication-index-ordered fold (deterministic
-                    // aggregation).
-                    let mut acc = NodeBreakdown::default();
-                    let mut cpu_wakeups = 0.0;
-                    let mut radio_wakeups = 0.0;
-                    let mut cycles = 0.0;
-                    for bytes in &slots {
-                        let obs =
-                            decode_obs(bytes, "node-sweep slot").unwrap_or_else(|e| panic!("{e}"));
-                        let out = job.result_from_obs(&obs).unwrap_or_else(|e| panic!("{e}"));
-                        let b = out.breakdown(&PXA271_CPU, &CC2420_RADIO);
-                        acc.cpu.sleep += b.cpu.sleep;
-                        acc.cpu.wakeup += b.cpu.wakeup;
-                        acc.cpu.idle += b.cpu.idle;
-                        acc.cpu.active += b.cpu.active;
-                        acc.radio.sleep += b.radio.sleep;
-                        acc.radio.wakeup += b.radio.wakeup;
-                        acc.radio.idle += b.radio.idle;
-                        acc.radio.active += b.radio.active;
-                        cpu_wakeups += out.cpu_wakeups;
-                        radio_wakeups += out.radio_wakeups;
-                        cycles += out.cycles_completed;
-                    }
-                    let n = reps as f64;
-                    let scale = 1.0 / n;
-                    let avg = NodeBreakdown {
-                        cpu: energy::ComponentBreakdown {
-                            sleep: acc.cpu.sleep * scale,
-                            wakeup: acc.cpu.wakeup * scale,
-                            idle: acc.cpu.idle * scale,
-                            active: acc.cpu.active * scale,
-                        },
-                        radio: energy::ComponentBreakdown {
-                            sleep: acc.radio.sleep * scale,
-                            wakeup: acc.radio.wakeup * scale,
-                            idle: acc.radio.idle * scale,
-                            active: acc.radio.active * scale,
-                        },
-                    };
-                    NodeSweepPoint {
-                        pdt,
-                        breakdown: avg,
-                        cpu_wakeups: cpu_wakeups / n,
-                        radio_wakeups: radio_wakeups / n,
-                        cycles: cycles / n,
-                        replications: reps as u64,
-                        converged: true,
-                    }
                 })
                 .collect()
         }
@@ -222,13 +159,12 @@ pub fn run_node_sweep(workload: Workload, grid: &[f64], cfg: &NodeSweepConfig) -
     NodeSweep {
         workload,
         horizon: cfg.horizon,
-        replications: cfg.replications,
         points,
     }
 }
 
-/// Build a sweep point from the mean per-replication result of the
-/// adaptive mode.
+/// Build a sweep point from the mean per-replication result (a single
+/// run's result for the closed model).
 fn point_from_mean(
     pdt: f64,
     res: &NodePetriResult,
@@ -279,8 +215,8 @@ mod tests {
     fn quick_cfg() -> NodeSweepConfig {
         NodeSweepConfig {
             horizon: 300.0,
-            replications: 2,
             exec: Runner::new(2),
+            rule: StoppingRule::relative(0.03).with_budget(2, 2, 2),
             ..Default::default()
         }
     }
@@ -322,7 +258,6 @@ mod tests {
         assert!(a.savings_vs_never_pct > 0.0, "{a:?}");
         for p in &sweep.points {
             assert_eq!(p.replications, 2);
-            assert!(p.converged);
         }
     }
 
@@ -331,7 +266,7 @@ mod tests {
         let grid = [1e-9, 0.01, 1.0];
         let cfg = NodeSweepConfig {
             horizon: 150.0,
-            open_rule: Some(StoppingRule::relative(0.08).with_budget(3, 24, 3)),
+            rule: StoppingRule::relative(0.08).with_budget(3, 24, 3),
             ..quick_cfg()
         };
         let sweep = run_node_sweep(Workload::Open { rate: 1.0 }, &grid, &cfg);
@@ -353,7 +288,7 @@ mod tests {
         let grid = [1e-9, 0.01];
         let mut cfg = quick_cfg();
         let plain = run_node_sweep(Workload::Closed { interval: 1.0 }, &grid, &cfg);
-        cfg.open_rule = Some(StoppingRule::relative(0.01).with_budget(4, 64, 4));
+        cfg.rule = StoppingRule::relative(0.01).with_budget(4, 64, 4);
         let ruled = run_node_sweep(Workload::Closed { interval: 1.0 }, &grid, &cfg);
         assert_eq!(plain, ruled);
     }

@@ -6,9 +6,9 @@
 //! agreeing across the full parameter range. The sweep is a portable
 //! [`ValidationJob`] on the executor seam, so it runs unchanged (and
 //! byte-identically) in-process or across worker shards; the open
-//! (stochastic) model can additionally run **adaptive** replications per
-//! point until both energy estimates settle, instead of trusting a single
-//! run.
+//! (stochastic) model runs replications per point under a
+//! [`StoppingRule`] until both energy estimates settle, instead of
+//! trusting a single run.
 
 use super::jobs::{decode_obs, ValidationJob, VALIDATION_WATCH};
 use des::Workload;
@@ -32,25 +32,24 @@ pub struct ValidationRow {
     pub des_wakeups: f64,
     /// Replications averaged into this row.
     pub replications: u64,
-    /// Whether the adaptive rule settled (always `true` in fixed mode).
+    /// Whether the stopping rule settled (always `true` for the closed
+    /// model).
     pub converged: bool,
 }
 
 /// Run the validation sweep over a threshold grid for one workload.
 ///
 /// The closed workload is deterministic in both substrates, so rows should
-/// agree to numerical precision and always use a single replication. For
-/// the open workload, `rule: None` reproduces the historical single-run
-/// rows exactly (the `--fixed-reps` escape hatch), while `rule: Some(_)`
-/// runs adaptive replications per point until the 95 % CI of both the
-/// Petri and DES energy estimates meets the rule.
+/// agree to numerical precision and use a single replication on `seed`;
+/// `rule` is ignored. The open workload runs replications per point until
+/// the 95 % CI of both the Petri and DES energy estimates meets `rule`.
 pub fn run_validation(
     workload: Workload,
     grid: &[f64],
     horizon: f64,
     seed: u64,
     exec: &Runner,
-    rule: Option<&StoppingRule>,
+    rule: &StoppingRule,
 ) -> Vec<ValidationRow> {
     let job = ValidationJob {
         workload,
@@ -67,8 +66,22 @@ pub fn run_validation(
         replications,
         converged,
     };
-    match (workload, rule) {
-        (Workload::Open { .. }, Some(rule)) => {
+    match workload {
+        Workload::Closed { .. } => {
+            // One exact run per point on the constant seed.
+            let per_point = exec
+                .run_job(&job, &vec![1; grid.len()], &|_p, _r| seed)
+                .unwrap_or_else(|e| panic!("validation sweep failed: {e}"));
+            grid.iter()
+                .zip(per_point)
+                .map(|(&pdt, slots)| {
+                    let obs =
+                        decode_obs(&slots[0], "validation slot").unwrap_or_else(|e| panic!("{e}"));
+                    row(pdt, &obs, 1, true)
+                })
+                .collect()
+        }
+        Workload::Open { .. } => {
             let adaptive = exec
                 .run_adaptive_job(&job, grid.len(), rule, &VALIDATION_WATCH, &|_p, r| {
                     petri_core::rng::SimRng::child_seed(seed, r)
@@ -79,23 +92,6 @@ pub fn run_validation(
                 .map(|(&pdt, p)| {
                     let means: Vec<f64> = p.stats.iter().map(|w| w.mean()).collect();
                     row(pdt, &means, p.replications, p.converged)
-                })
-                .collect()
-        }
-        _ => {
-            // One exact (closed) or historical single-seed (open) run per
-            // point: the constant seed table reproduces the pre-adaptive
-            // sweep bit for bit.
-            let reps = vec![1u64; grid.len()];
-            let per_point = exec
-                .run_job(&job, &reps, &|_p, _r| seed)
-                .unwrap_or_else(|e| panic!("validation sweep failed: {e}"));
-            grid.iter()
-                .zip(per_point)
-                .map(|(&pdt, slots)| {
-                    let obs =
-                        decode_obs(&slots[0], "validation slot").unwrap_or_else(|e| panic!("{e}"));
-                    row(pdt, &obs, 1, true)
                 })
                 .collect()
         }
@@ -119,6 +115,7 @@ pub fn render_validation_csv(rows: &[ValidationRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::paper_rule;
 
     fn exec2() -> Runner {
         Runner::new(2)
@@ -132,7 +129,7 @@ mod tests {
             300.0,
             1,
             &exec2(),
-            None,
+            &paper_rule(),
         );
         for r in &rows {
             assert!(r.rel_diff < 0.005, "pdt={}: {:?}", r.pdt, r);
@@ -144,15 +141,16 @@ mod tests {
 
     #[test]
     fn open_model_rows_agree_statistically() {
-        // Single runs with independent seeds: agreement is statistical
-        // (relative Monte-Carlo std of a 5000 s energy estimate ≈ 2-3 %).
+        // Two runs per point with independent seeds: agreement is
+        // statistical (relative Monte-Carlo std of a 5000 s energy
+        // estimate ≈ 2-3 %).
         let rows = run_validation(
             Workload::Open { rate: 1.0 },
             &[0.00177, 0.1],
             5000.0,
             7,
             &exec2(),
-            None,
+            &StoppingRule::relative(0.03).with_budget(2, 2, 2),
         );
         for r in &rows {
             assert!(r.rel_diff < 0.08, "pdt={}: {:?}", r.pdt, r);
@@ -170,7 +168,7 @@ mod tests {
             800.0,
             7,
             &exec2(),
-            Some(&rule),
+            &rule,
         );
         for r in &rows {
             assert!(r.replications >= 3 && r.replications <= 24, "{r:?}");
@@ -183,7 +181,7 @@ mod tests {
             800.0,
             7,
             &Runner::new(1),
-            Some(&rule),
+            &rule,
         );
         assert_eq!(rows, again);
     }
@@ -196,7 +194,7 @@ mod tests {
             100.0,
             1,
             &Runner::new(1),
-            None,
+            &paper_rule(),
         );
         let csv = render_validation_csv(&rows);
         assert_eq!(csv.lines().count(), 2);

@@ -95,16 +95,16 @@ pub fn render_node_sweep_csv(sweep: &NodeSweep) -> String {
 }
 
 /// Render one sweep's replication spend as a single summary line: total
-/// replications, point count, the governing rule (or the `--fixed-reps`
-/// escape hatch), and — crucially — how many points **hit the budget cap
-/// without converging**, so an under-resolved sweep is visible in the
-/// report instead of silently passing as converged.
+/// replications, point count, the governing rule, and — crucially — how
+/// many points **hit the budget cap without converging**, so an
+/// under-resolved sweep is visible in the report instead of silently
+/// passing as converged.
 ///
 /// `points` yields each point's `(replications, converged)`; `watch`
 /// names the metric the rule watched (for the human reader).
 pub fn render_budget_summary(
     points: impl Iterator<Item = (u64, bool)>,
-    rule: Option<&sim_core::StoppingRule>,
+    rule: &sim_core::StoppingRule,
     watch: &str,
 ) -> String {
     let (mut total, mut count, mut unconverged) = (0u64, 0usize, 0usize);
@@ -113,17 +113,12 @@ pub fn render_budget_summary(
         count += 1;
         unconverged += usize::from(!converged);
     }
-    match rule {
-        Some(rule) => format!(
-            "  adaptive budget: {total} replications over {count} points (rule: {:.0}% CI on {watch}, {}..{}; {unconverged} point(s) hit the cap)",
-            rule.relative.unwrap_or_default() * 100.0,
-            rule.min_replications,
-            rule.max_replications,
-        ),
-        None => {
-            format!("  fixed budget: {total} replications over {count} points (--fixed-reps)")
-        }
-    }
+    format!(
+        "  adaptive budget: {total} replications over {count} points (rule: {:.0}% CI on {watch}, {}..{}; {unconverged} point(s) hit the cap)",
+        rule.relative.unwrap_or_default() * 100.0,
+        rule.min_replications,
+        rule.max_replications,
+    )
 }
 
 /// Render Tables VIII/IX.
@@ -225,6 +220,7 @@ mod tests {
             &CpuComparisonConfig {
                 horizon: 100.0,
                 exec: sim_core::Runner::new(1),
+                rule: sim_core::StoppingRule::relative(0.03).with_budget(2, 2, 2),
                 ..Default::default()
             },
         )

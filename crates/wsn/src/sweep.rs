@@ -1,16 +1,9 @@
-//! Parameter-sweep grids and the sweep-level view of the shared executor.
+//! The published Power-Down-Threshold sweep grids.
 //!
-//! Every figure in the paper is a sweep over the Power-Down Threshold. A
-//! single simulation trajectory is inherently sequential, so the right
-//! parallel axes are across sweep points *and* replications — both levels
-//! are one flattened task stream on the [`sim_core::Runner`] executor,
-//! whose backend seam (`sim_core::exec`) runs the same stream in-process
-//! or on any plugged-in backend, such as `repro --worker` subprocesses.
-//! This module keeps the published PDT grids and a thin order-preserving
-//! `parallel_map` compatibility wrapper for single-level closure sweeps
-//! (closures are address-space-bound, so `parallel_map` is always
-//! in-process; the portable experiment drivers in [`crate::experiments`]
-//! shard).
+//! Every figure in the paper is a sweep over the Power-Down Threshold; the
+//! drivers in [`crate::experiments`] run each grid's points and
+//! replications as one flattened task stream on the [`sim_core::Runner`]
+//! executor.
 
 pub use sim_core::default_threads;
 
@@ -29,23 +22,6 @@ pub fn fig4_9_pdt_grid() -> Vec<f64> {
         grid.push(i as f64 * 0.05);
     }
     grid
-}
-
-/// Map `f` over `inputs` using `threads` worker threads; the output
-/// preserves input order. `f` must be `Sync` (called concurrently).
-///
-/// Compatibility shim over [`sim_core::Runner::map`] — a one-replication-
-/// per-point grid on the shared work-stealing executor. Sweeps that also
-/// average replications per point should schedule the whole
-/// `(point × replication)` grid instead (`Runner::grid`), as the experiment
-/// drivers in [`crate::experiments`] do.
-pub fn parallel_map<T, R, F>(inputs: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(&T) -> R + Sync,
-{
-    sim_core::Runner::new(threads).map(inputs, f)
 }
 
 #[cfg(test)]
@@ -67,43 +43,6 @@ mod tests {
         assert_eq!(g.len(), 21);
         assert_eq!(g[0], 0.001);
         assert!((g[20] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let inputs: Vec<u64> = (0..100).collect();
-        let out = parallel_map(&inputs, 8, |&x| x * x);
-        let expect: Vec<u64> = inputs.iter().map(|&x| x * x).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn parallel_map_single_thread_fallback() {
-        let inputs = [1, 2, 3];
-        let out = parallel_map(&inputs, 1, |&x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn parallel_map_empty_input() {
-        let inputs: [u32; 0] = [];
-        let out: Vec<u32> = parallel_map(&inputs, 4, |&x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn parallel_map_uneven_work() {
-        // Work items with wildly different costs still land in order.
-        let inputs: Vec<u64> = (0..32).collect();
-        let out = parallel_map(&inputs, 4, |&x| {
-            let mut acc = 0u64;
-            for i in 0..(x % 7) * 10_000 {
-                acc = acc.wrapping_add(i);
-            }
-            std::hint::black_box(acc);
-            x
-        });
-        assert_eq!(out, inputs);
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn cpu_comparison_points_report_budget_exhaustion() {
         &CpuComparisonConfig {
             horizon: 120.0,
             exec: Runner::new(2),
-            rule: Some(impossible_rule()),
+            rule: impossible_rule(),
             ..Default::default()
         },
     );
@@ -56,21 +56,21 @@ fn validation_rows_report_budget_exhaustion() {
         100.0,
         7,
         &Runner::new(1),
-        Some(&rule),
+        &rule,
     );
     for r in &rows {
         assert!(!r.converged, "{r:?}");
         assert_eq!(r.replications, 4, "{r:?}");
     }
-    // The closed sweep is exact single-run rows: always converged, so the
-    // flag genuinely distinguishes the two regimes.
+    // The closed sweep is exact single-run rows under any rule: always
+    // converged, so the flag genuinely distinguishes the two regimes.
     let closed = run_validation(
         Workload::Closed { interval: 1.0 },
         &[0.01, 1.0],
         100.0,
         7,
         &Runner::new(1),
-        None,
+        &rule,
     );
     assert!(closed.iter().all(|r| r.converged));
 }
@@ -83,7 +83,7 @@ fn node_sweep_points_report_budget_exhaustion() {
         &NodeSweepConfig {
             horizon: 80.0,
             exec: Runner::new(1),
-            open_rule: Some(impossible_rule()),
+            rule: impossible_rule(),
             ..Default::default()
         },
     );
@@ -102,13 +102,13 @@ fn budget_summary_renders_cap_hits_and_fixed_mode() {
         &CpuComparisonConfig {
             horizon: 100.0,
             exec: Runner::new(1),
-            rule: Some(rule),
+            rule,
             ..Default::default()
         },
     );
     let line = render_budget_summary(
         c.points.iter().map(|p| (p.replications, p.converged)),
-        Some(&rule),
+        &rule,
         "the widest energy curve",
     );
     assert!(
@@ -129,23 +129,21 @@ fn budget_summary_renders_cap_hits_and_fixed_mode() {
         &CpuComparisonConfig {
             horizon: 100.0,
             exec: Runner::new(1),
-            rule: Some(easy),
+            rule: easy,
             ..Default::default()
         },
     );
     assert!(c.points.iter().all(|p| p.converged));
     let line = render_budget_summary(
         c.points.iter().map(|p| (p.replications, p.converged)),
-        Some(&easy),
+        &easy,
         "the widest energy curve",
     );
     assert!(line.contains("0 point(s) hit the cap"), "{line}");
 
-    // Fixed mode renders the escape-hatch line.
-    let line = render_budget_summary([(8u64, true), (8, true)].into_iter(), None, "anything");
-    assert!(
-        line.contains("fixed budget: 16 replications over 2 points"),
-        "{line}"
-    );
-    assert!(line.contains("--fixed-reps"), "{line}");
+    // A fixed count is a rule with min = max: its bounds render as n..n.
+    let fixed = StoppingRule::relative(0.03).with_budget(8, 8, 8);
+    let line = render_budget_summary([(8u64, true), (8, false)].into_iter(), &fixed, "anything");
+    assert!(line.contains("16 replications over 2 points"), "{line}");
+    assert!(line.contains("8..8; 1 point(s) hit the cap"), "{line}");
 }

@@ -26,8 +26,8 @@ fn cpu_comparison_identical_across_thread_counts() {
             &grid,
             &CpuComparisonConfig {
                 horizon: 300.0,
-                replications: 3,
                 exec: Runner::new(threads),
+                rule: StoppingRule::relative(0.03).with_budget(3, 3, 3),
                 ..Default::default()
             },
         )
@@ -48,8 +48,8 @@ fn node_sweep_identical_across_thread_counts_open() {
             &grid,
             &NodeSweepConfig {
                 horizon: 150.0,
-                replications: 4,
                 exec: Runner::new(threads),
+                rule: StoppingRule::relative(0.03).with_budget(4, 4, 4),
                 ..Default::default()
             },
         )
@@ -68,7 +68,6 @@ fn node_sweep_identical_across_thread_counts_closed() {
             &grid,
             &NodeSweepConfig {
                 horizon: 150.0,
-                replications: 1,
                 exec: Runner::new(threads),
                 ..Default::default()
             },
@@ -91,7 +90,7 @@ fn node_sweep_adaptive_identical_across_thread_counts() {
             &NodeSweepConfig {
                 horizon: 120.0,
                 exec: Runner::new(threads),
-                open_rule: Some(StoppingRule::relative(0.08).with_budget(3, 18, 3)),
+                rule: StoppingRule::relative(0.08).with_budget(3, 18, 3),
                 ..Default::default()
             },
         )
@@ -111,7 +110,7 @@ fn validation_identical_across_thread_counts() {
             120.0,
             9,
             &Runner::new(threads),
-            None,
+            &wsn::experiments::paper_rule(),
         )
     };
     let base = run(1);
@@ -130,7 +129,7 @@ fn validation_adaptive_identical_across_thread_counts() {
             150.0,
             9,
             &Runner::new(threads),
-            Some(&rule),
+            &rule,
         )
     };
     let base = run(1);

@@ -15,8 +15,10 @@ use wsn_petri::wsn::sweep::fig4_9_pdt_grid;
 
 fn main() {
     // One flattened (threshold × replication) grid per Power-Up Delay on
-    // the shared runtime (SWEEP_THREADS overrides the per-core default;
-    // the numbers are bit-identical either way).
+    // the shared runtime, each point running replications until both
+    // stochastic energy CIs settle (the default `paper_rule` budget).
+    // SWEEP_THREADS overrides the per-core default; the numbers are
+    // bit-identical either way.
     let cfg = CpuComparisonConfig {
         exec: wsn_petri::sim_core::Runner::new(
             wsn_petri::sim_core::env_threads("SWEEP_THREADS")

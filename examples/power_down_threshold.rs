@@ -14,19 +14,20 @@ fn main() {
     // The whole (threshold × replication) grid runs as one flattened task
     // stream on the shared runtime; results are bit-identical for any
     // worker count (SWEEP_THREADS overrides the one-per-core default).
+    // The closed model runs once per threshold; the open model runs
+    // replications until each point's energy CI settles (the default
+    // `paper_rule` budget).
     let threads = wsn_petri::sim_core::env_threads("SWEEP_THREADS")
         .unwrap_or_else(wsn_petri::sim_core::default_threads);
-    for (label, workload, reps) in [
+    for (label, workload) in [
         (
             "closed workload (Fig. 14)",
             Workload::Closed { interval: 1.0 },
-            1,
         ),
-        ("open workload (Fig. 15)", Workload::Open { rate: 1.0 }, 4),
+        ("open workload (Fig. 15)", Workload::Open { rate: 1.0 }),
     ] {
         let cfg = NodeSweepConfig {
             horizon: 900.0, // the paper's 15 minutes
-            replications: reps,
             exec: wsn_petri::sim_core::Runner::new(threads),
             ..Default::default()
         };

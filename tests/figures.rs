@@ -3,11 +3,14 @@
 //! each plot. These are the regression net for the `repro` binary.
 
 use wsn_petri::prelude::*;
+use wsn_petri::sim_core::StoppingRule;
 use wsn_petri::wsn::sweep::{fig4_9_pdt_grid, FIG14_15_PDT_GRID};
 
+/// Eight replications per point at a reduced horizon.
 fn quick_cpu_cfg() -> CpuComparisonConfig {
     CpuComparisonConfig {
         horizon: 2500.0,
+        rule: StoppingRule::relative(0.03).with_budget(8, 8, 8),
         ..Default::default()
     }
 }
@@ -126,7 +129,7 @@ fn fig14_optimum_location_and_savings() {
 fn fig15_optimum_interior() {
     let cfg = NodeSweepConfig {
         horizon: 600.0,
-        replications: 4,
+        rule: StoppingRule::relative(0.03).with_budget(4, 4, 4),
         ..Default::default()
     };
     let sweep = run_node_sweep(Workload::Open { rate: 1.0 }, &FIG14_15_PDT_GRID, &cfg);
