@@ -371,13 +371,26 @@ fn unix_now_ns() -> u64 {
 
 /// A stable per-thread ID for the Chrome `tid` field (the OS thread ID
 /// is not portably readable on stable; a hash of [`std::thread::ThreadId`]
-/// distinguishes lanes just as well).
+/// distinguishes lanes just as well). Computed once per thread: every
+/// span pays for it.
 fn thread_tid() -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    std::thread::current().id().hash(&mut h);
-    // Keep it small-ish for readable trace viewers.
-    h.finish() % 1_000_000
+    thread_local! {
+        static TID: u64 = {
+            use std::hash::{Hash, Hasher};
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            std::thread::current().id().hash(&mut h);
+            // Keep it small-ish for readable trace viewers.
+            h.finish() % 1_000_000
+        };
+    }
+    TID.with(|t| *t)
+}
+
+/// This process's ID for the Chrome `pid` field, read once: every span
+/// pays for it, and `std::process::id` is a system call.
+fn process_id() -> u32 {
+    static PID: OnceLock<u32> = OnceLock::new();
+    *PID.get_or_init(std::process::id)
 }
 
 // --- the handle -------------------------------------------------------------
@@ -506,7 +519,7 @@ impl Obs {
             flat,
             start_ns,
             dur_ns,
-            pid: std::process::id(),
+            pid: process_id(),
             tid: thread_tid(),
         });
     }
@@ -525,7 +538,7 @@ impl Obs {
             flat: aux,
             start_ns: unix_now_ns(),
             dur_ns: value,
-            pid: std::process::id(),
+            pid: process_id(),
             tid: thread_tid(),
         });
     }

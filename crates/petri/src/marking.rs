@@ -37,6 +37,8 @@ pub(crate) struct MarkingLayout {
     slot_color: Vec<Color>,
     /// Place owning each slot.
     slot_place: Vec<u32>,
+    /// The places with a bag, ascending.
+    bagged: Vec<u32>,
 }
 
 impl MarkingLayout {
@@ -56,11 +58,15 @@ impl MarkingLayout {
             }
             slot_off.push(slot_color.len() as u32);
         }
+        let bagged = (0..colored.len() as u32)
+            .filter(|&p| colored[p as usize])
+            .collect();
         MarkingLayout {
             colored,
             slot_off,
             slot_color,
             slot_place,
+            bagged,
         }
     }
 
@@ -376,6 +382,44 @@ impl Marking {
         key
     }
 
+    /// Write this marking's exact state to `out`: the dense count vector
+    /// (place totals, then color slots), then every bag in FIFO order,
+    /// ascending by place. Unlike [`Marking::canonical_key`] the key keeps
+    /// FIFO order, since it decides which token a withdrawal takes: two
+    /// markings with equal keys fire identically, and
+    /// [`Marking::load_memo_key`] restores the marking from its key.
+    pub(crate) fn memo_key(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend_from_slice(&self.counts);
+        for &p in &self.layout.bagged {
+            out.extend(self.bags[p as usize].iter().map(|c| c.0));
+        }
+    }
+
+    /// The memo key without a copy, when the marking has no bags: the
+    /// dense count vector.
+    #[inline]
+    pub(crate) fn plain_memo_key(&self) -> Option<&[u32]> {
+        self.layout.bagged.is_empty().then_some(&self.counts[..])
+    }
+
+    /// Overwrite this marking with the one [`Marking::memo_key`] wrote
+    /// `key` from (same net). A bag's length is its place's total, so the
+    /// key needs no separators.
+    pub(crate) fn load_memo_key(&mut self, key: &[u32]) {
+        let n = self.counts.len();
+        self.counts.copy_from_slice(&key[..n]);
+        let mut pos = n;
+        self.colored_tokens = 0;
+        for &p in &self.layout.bagged {
+            let colors = &key[pos..pos + self.counts[p as usize] as usize];
+            pos += colors.len();
+            self.colored_tokens += colors.iter().filter(|&&c| c != Color::NONE.0).count() as u32;
+            self.bags[p as usize].refill(colors.iter().map(|&c| Color(c)));
+        }
+        debug_assert_eq!(pos, key.len(), "memo key longer than its marking");
+    }
+
     /// Vector of per-place token counts (ignores colors). Handy for
     /// invariant checking and display.
     pub fn count_vector(&self) -> Vec<usize> {
@@ -581,6 +625,40 @@ mod tests {
         assert_eq!(m.canonical_key(), general.canonical_key());
         assert_eq!(m.count_vector(), vec![0, 3]);
         assert_eq!(m.total_tokens(), 3);
+    }
+
+    #[test]
+    fn memo_key_keeps_fifo_order_and_round_trips() {
+        let layout = Arc::new(MarkingLayout::new(
+            vec![false, true, true],
+            &[vec![], vec![Color(1), Color(2)], vec![]],
+        ));
+        let mut a = Marking::with_layout(layout.clone());
+        a.deposit(p(0), Color::NONE);
+        a.deposit(p(1), Color(2));
+        a.deposit(p(1), Color(1));
+        a.deposit(p(2), Color(7));
+        let mut b = Marking::with_layout(layout.clone());
+        b.deposit(p(0), Color::NONE);
+        b.deposit(p(1), Color(1));
+        b.deposit(p(1), Color(2));
+        b.deposit(p(2), Color(7));
+        let (mut ka, mut kb) = (Vec::new(), Vec::new());
+        a.memo_key(&mut ka);
+        b.memo_key(&mut kb);
+        // Totals, two slot counts, then the bags of places 1 and 2.
+        assert_eq!(ka, [1, 2, 1, 1, 1, 2, 1, 7]);
+        assert_eq!(a.plain_memo_key(), None);
+        assert_ne!(ka, kb, "FIFO order is part of the memo key");
+        assert_eq!(a.canonical_key(), b.canonical_key());
+        // Loading a key restores bags, slots and the colored-token count.
+        let mut c = Marking::with_layout(layout);
+        c.deposit(p(2), Color(3));
+        c.load_memo_key(&ka);
+        assert_eq!(c, a);
+        assert_eq!(c.canonical_key(), a.canonical_key());
+        assert_eq!(c.withdraw(p(1), &ColorFilter::Any), Some(Color(2)));
+        assert_eq!(c.count_color(p(1), Color(2)), 0);
     }
 
     #[test]

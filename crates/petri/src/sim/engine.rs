@@ -205,7 +205,7 @@ impl<'a> Simulator<'a> {
         if first {
             super::lowered::debug_assert_start_state(self.lowered_net(), self.net);
         }
-        let out = super::lowered::LoweredEngine::new(self, seed).run();
+        let (out, _) = super::lowered::LoweredEngine::new(self, seed).run();
         if let Ok(o) = &out {
             sim_core::obs::obs().record(sim_core::obs::Metric::EngineRunEvents, o.total_firings());
         }

@@ -2,14 +2,34 @@
 //! engine.
 //!
 //! [`LoweredEngine`] runs one replication: `Simulator::run` builds one per
-//! seed and advances it to its horizon in [`Hot::run`], a single fused
-//! loop that executes the net's [`LoweredNet`] micro-op program. The
-//! program is self-contained: a run starts from a clone of its start
-//! state and reads its ops, side tables and run limits, plus the [`Net`]
-//! for the generic firing path and the debug oracles.
+//! seed and advances it to its horizon in [`Hot::run_memo`], a fused loop
+//! that replays the steps it has recorded and executes the net's
+//! [`LoweredNet`] micro-op program for the rest ([`Hot::run`] is the same
+//! loop without the memo, for a run that gave it up). The program is
+//! self-contained: a run starts from a clone of its start state and reads
+//! its ops, side tables and run limits, plus the [`Net`] for the generic
+//! firing path and the debug oracles.
 //!
 //! What makes it fast:
 //!
+//! * **Replay, not re-interpretation.** A step — one timed firing from a
+//!   tangible marking plus its immediate cascade — depends only on that
+//!   marking and the fired transition, and the paper's nets visit a few
+//!   dozen tangible markings over tens of thousands of firings. The per-run
+//!   [`Memo`] keys each marking exactly (counts, plus every bag in FIFO
+//!   order) and, from a marking's second interpreted step on, records what
+//!   each step did: the fired transitions, the counter hooks, the re-checks
+//!   that acted and the next marking. The next time the run takes that step
+//!   it replays the record: firing counts and trace, hooks, then the acting
+//!   re-checks, which draw clocks exactly as the interpreter would. Token
+//!   moves, condition flips, the re-check walk and the cascade are skipped;
+//!   the marking and enabling state go stale and are restored from the
+//!   target's snapshot only when the run next interprets. Rewards integrate
+//!   over the marking's memoized non-zero terms. This is vanishing-marking
+//!   elimination (Ajmone Marsan, Balbo & Conte, 1984), done lazily on the
+//!   states a run visits. A first visit costs a key and a hash lookup, and
+//!   a run whose states do not repeat, or a net without immediates whose
+//!   steps mostly miss, gives the memo up (see [`super::memo`]).
 //! * **Owned inline state.** [`Hot`] owns every per-run vector (the
 //!   marking and its dense count vector included), so the hot loop reaches
 //!   each one through the single `&mut self` pointer, with no second
@@ -17,9 +37,10 @@
 //! * **Monomorphized ops.** The per-event work is a walk over flat op
 //!   words with parameters inline; distribution sampling, memory-policy
 //!   handling, scan-vs-heap scheduling and colored-vs-dense firing are all
-//!   resolved per net, not per event ([`Hot::run`] is instantiated per
+//!   resolved per net, not per event (the loops are instantiated per
 //!   `(SCAN, GEN)` const-generic pair, selected once in
-//!   [`LoweredEngine::run`]).
+//!   [`LoweredEngine::run`], and the interpreter once more per `REC`, so
+//!   recording costs nothing on steps it does not keep).
 //! * **A timed-only scan.** Small nets find the next event by scanning the
 //!   clocks of their timed transitions only (an immediate's clock is
 //!   always `+inf`), in ascending tid order, with a select-based minimum
@@ -46,6 +67,38 @@
 //! with the reference engine, check its precomputed start state against a
 //! rescan of the initial marking, and cross-check the incremental enabling
 //! state against full rescans on every visited transition.
+//!
+//! A replayed step is bit-identical to the interpreted one
+//! (`sim/tests/memo_differential.rs` covers each rule):
+//!
+//! * **The key is exact.** Withdrawals take the oldest matching token, so
+//!   FIFO order is part of the key ([`Marking::memo_key`]), not the sorted
+//!   colors of `Marking::canonical_key`.
+//! * **Enabling is a function of the marking.** At a tangible marking every
+//!   timed transition is scheduled exactly when it is enabled (each firing
+//!   re-checks every transition that reads a place it touched), so the
+//!   state bytes each re-check sees are the same on every visit. Debug
+//!   builds assert it: whenever the interpreter lands on a known marking,
+//!   its live enabling state must equal the snapshot.
+//! * **Draws stay in order.** A replay runs the acting re-checks through
+//!   the interpreter's own `re_op`/`ra_op`/`rs_op`, with the state byte
+//!   recorded, against the live clocks, so the RNG is drawn at the same
+//!   points and a RaceAge clock's frozen remaining delay is consumed as
+//!   before. A step that drew the RNG for a choice (a weighted immediate
+//!   conflict, a `ColorExpr::Choice` of two or more colors) is recorded as
+//!   never replayable and always interpreted.
+//! * **Rewards add the same products.** A term is `count * dt` or `1.0 *
+//!   dt`, the exact values the full pass adds; the dropped zero terms add
+//!   `+0.0`, which changes no accumulator because every accumulator starts
+//!   at `+0.0` and only grows by non-negative terms (a replay integrates
+//!   up to an event time, so `dt` is finite and `0.0 * dt` is `+0.0`; the
+//!   tail to the horizon runs the full pass). Counter hooks replay
+//!   under the same `now >= warmup` test, and every firing of a step
+//!   shares one instant.
+//! * **Errors are the interpreter's.** A step that overflowed a place never
+//!   completed, so it was never recorded; a replay that would push the
+//!   zero-time firing count past its limit is refused, and the step is
+//!   interpreted so the livelock error comes from the same firing.
 
 use super::engine::{SimConfig, SimOutput, Simulator};
 use super::lower::{
@@ -54,13 +107,17 @@ use super::lower::{
     OP_RA_UNI, OP_RE_DET, OP_RE_ERL, OP_RE_EXP, OP_RE_UNI, OP_RS_DET, OP_RS_ERL, OP_RS_EXP,
     OP_RS_UNI, RECHECK_STRIDE, ST_ENABLED, ST_SCHEDULED, TID_IMMEDIATE,
 };
+use super::memo::{Memo, MemoStats, NONE, NO_REPLAY};
 use super::trace::TraceBuffer;
+use crate::arc::ColorExpr;
 use crate::error::SimError;
 use crate::ids::{PlaceId, TransitionId};
 use crate::marking::Marking;
 use crate::net::Net;
 use crate::rng::SimRng;
 use crate::token::Color;
+use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// Assert two engine results are bit-identical (debug oracle).
 #[cfg(debug_assertions)]
@@ -231,6 +288,18 @@ struct Hot<'n> {
     consumed_offsets: Vec<usize>,
     candidates: Vec<u32>,
     weights: Vec<f64>,
+    /// Step recorder, filled while the interpreter runs a step the memo
+    /// keeps: fired tids in order, counter-hook accumulators, and
+    /// `(op offset, sched_state)` pairs of the re-checks that acted.
+    rec_fired: Vec<u32>,
+    rec_hooks: Vec<u32>,
+    rec_rech: Vec<u32>,
+    /// The step drew the RNG for a choice, so it must never be replayed.
+    rec_rng: bool,
+    /// Profiler: nanoseconds of memo bookkeeping on interpreted steps.
+    memo_ns: u64,
+    /// Profiler: replayed firings per `(immediate, trigger)`.
+    replay_notes: BTreeMap<(u32, u32), u64>,
 }
 
 impl Hot<'_> {
@@ -461,17 +530,17 @@ impl Hot<'_> {
     /// nanosecond counters (flushed to
     /// [`super::profile`] when the run finishes).
     #[inline(always)]
-    fn exec_fire<const GEN: bool>(
+    fn exec_fire<const GEN: bool, const REC: bool>(
         &mut self,
         lw: &LoweredNet,
         ti: usize,
         ops: &[u32],
     ) -> Result<(), SimError> {
         if !self.profile_on {
-            return self.exec_fire_inner::<GEN>(lw, ti, ops);
+            return self.exec_fire_inner::<GEN, REC>(lw, ti, ops);
         }
-        let t0 = std::time::Instant::now();
-        let res = self.exec_fire_inner::<GEN>(lw, ti, ops);
+        let t0 = Instant::now();
+        let res = self.exec_fire_inner::<GEN, REC>(lw, ti, ops);
         self.profile_ns[ti] += super::profile::sample_ns(t0, self.timer_ns);
         res
     }
@@ -480,14 +549,18 @@ impl Hot<'_> {
     /// count-condition segments run with no opcode dispatch; the
     /// dispatched tail carries counter hooks and (in `GEN = true`
     /// instantiations only) the colored/filtered/guard-program slow paths.
+    /// `REC` instantiations also record the fired tid and its hooks.
     #[inline(always)]
-    fn exec_fire_inner<const GEN: bool>(
+    fn exec_fire_inner<const GEN: bool, const REC: bool>(
         &mut self,
         lw: &LoweredNet,
         ti: usize,
         ops: &[u32],
     ) -> Result<(), SimError> {
         let hdr = ops[0];
+        if REC {
+            self.rec_fired.push(ti as u32);
+        }
         // The dominant tiny shape — one move, one count condition, no
         // tail — runs fully unrolled, skipping the segment iterators (the
         // header test already excludes generic fires).
@@ -521,6 +594,9 @@ impl Hot<'_> {
             let w = ops[pc];
             match w & 0xff {
                 OP_HOOK => {
+                    if REC {
+                        self.rec_hooks.push(w >> 8);
+                    }
                     if self.now >= lw.warmup {
                         self.acc_c[(w >> 8) as usize] += 1;
                     }
@@ -586,6 +662,9 @@ impl Hot<'_> {
             }
         }
         for arc in &t.outputs {
+            if matches!(&arc.color, ColorExpr::Choice(pairs) if pairs.len() > 1) {
+                self.rec_rng = true;
+            }
             for _ in 0..arc.multiplicity {
                 let c = arc.color.eval(
                     &self.consumed[..],
@@ -682,11 +761,13 @@ impl Hot<'_> {
     /// transition whose clock may need attention. The common path — the
     /// clock is already settled and nothing changes — walks the section
     /// with **no opcode dispatch at all**; parameters are only decoded
-    /// when a clock actually has to be sampled or cancelled.
+    /// when a clock actually has to be sampled or cancelled. `REC`
+    /// instantiations record each record that acts, by its offset in the
+    /// op arena (`base` is the section's), with the state byte it saw.
     #[inline(always)]
-    fn exec_recheck<const SCAN: bool>(&mut self, ops: &[u32]) {
+    fn exec_recheck<const SCAN: bool, const REC: bool>(&mut self, ops: &[u32], base: usize) {
         const SETTLED: u8 = ST_ENABLED | ST_SCHEDULED;
-        for rec in ops.chunks_exact(RECHECK_STRIDE) {
+        for (i, rec) in ops.chunks_exact(RECHECK_STRIDE).enumerate() {
             let w = rec[0];
             let t2 = (w >> 8) as usize;
             let s = self.sched_state[t2];
@@ -699,57 +780,70 @@ impl Hot<'_> {
             if !active {
                 continue;
             }
-            match op {
-                OP_RE_EXP => {
-                    let rate = dec_f64(rec, 1);
-                    self.re_op::<SCAN>(t2, s, move |r| r.exp(rate));
-                }
-                OP_RE_DET => {
-                    let delay = dec_f64(rec, 1);
-                    self.re_op::<SCAN>(t2, s, move |_| delay);
-                }
-                OP_RE_UNI => {
-                    let (low, high) = (dec_f64(rec, 1), dec_f64(rec, 3));
-                    self.re_op::<SCAN>(t2, s, move |r| r.uniform(low, high));
-                }
-                OP_RE_ERL => {
-                    let (rate, k) = (dec_f64(rec, 1), rec[3]);
-                    self.re_op::<SCAN>(t2, s, move |r| erlang(r, rate, k));
-                }
-                OP_RA_EXP => {
-                    let rate = dec_f64(rec, 1);
-                    self.ra_op::<SCAN>(t2, s, move |r| r.exp(rate));
-                }
-                OP_RA_DET => {
-                    let delay = dec_f64(rec, 1);
-                    self.ra_op::<SCAN>(t2, s, move |_| delay);
-                }
-                OP_RA_UNI => {
-                    let (low, high) = (dec_f64(rec, 1), dec_f64(rec, 3));
-                    self.ra_op::<SCAN>(t2, s, move |r| r.uniform(low, high));
-                }
-                OP_RA_ERL => {
-                    let (rate, k) = (dec_f64(rec, 1), rec[3]);
-                    self.ra_op::<SCAN>(t2, s, move |r| erlang(r, rate, k));
-                }
-                OP_RS_EXP => {
-                    let rate = dec_f64(rec, 1);
-                    self.rs_op::<SCAN>(t2, s, move |r| r.exp(rate));
-                }
-                OP_RS_DET => {
-                    let delay = dec_f64(rec, 1);
-                    self.rs_op::<SCAN>(t2, s, move |_| delay);
-                }
-                OP_RS_UNI => {
-                    let (low, high) = (dec_f64(rec, 1), dec_f64(rec, 3));
-                    self.rs_op::<SCAN>(t2, s, move |r| r.uniform(low, high));
-                }
-                OP_RS_ERL => {
-                    let (rate, k) = (dec_f64(rec, 1), rec[3]);
-                    self.rs_op::<SCAN>(t2, s, move |r| erlang(r, rate, k));
-                }
-                _ => unreachable!("invalid op in recheck section"),
+            if REC {
+                self.rec_rech
+                    .extend([(base + i * RECHECK_STRIDE) as u32, s as u32]);
             }
+            self.recheck_op::<SCAN>(rec, s);
+        }
+    }
+
+    /// Apply one re-check record `rec` that acts, given the state byte
+    /// `s` its transition had: sample, redraw or cancel its clock.
+    #[inline(always)]
+    fn recheck_op<const SCAN: bool>(&mut self, rec: &[u32], s: u8) {
+        let w = rec[0];
+        let t2 = (w >> 8) as usize;
+        match w & 0xff {
+            OP_RE_EXP => {
+                let rate = dec_f64(rec, 1);
+                self.re_op::<SCAN>(t2, s, move |r| r.exp(rate));
+            }
+            OP_RE_DET => {
+                let delay = dec_f64(rec, 1);
+                self.re_op::<SCAN>(t2, s, move |_| delay);
+            }
+            OP_RE_UNI => {
+                let (low, high) = (dec_f64(rec, 1), dec_f64(rec, 3));
+                self.re_op::<SCAN>(t2, s, move |r| r.uniform(low, high));
+            }
+            OP_RE_ERL => {
+                let (rate, k) = (dec_f64(rec, 1), rec[3]);
+                self.re_op::<SCAN>(t2, s, move |r| erlang(r, rate, k));
+            }
+            OP_RA_EXP => {
+                let rate = dec_f64(rec, 1);
+                self.ra_op::<SCAN>(t2, s, move |r| r.exp(rate));
+            }
+            OP_RA_DET => {
+                let delay = dec_f64(rec, 1);
+                self.ra_op::<SCAN>(t2, s, move |_| delay);
+            }
+            OP_RA_UNI => {
+                let (low, high) = (dec_f64(rec, 1), dec_f64(rec, 3));
+                self.ra_op::<SCAN>(t2, s, move |r| r.uniform(low, high));
+            }
+            OP_RA_ERL => {
+                let (rate, k) = (dec_f64(rec, 1), rec[3]);
+                self.ra_op::<SCAN>(t2, s, move |r| erlang(r, rate, k));
+            }
+            OP_RS_EXP => {
+                let rate = dec_f64(rec, 1);
+                self.rs_op::<SCAN>(t2, s, move |r| r.exp(rate));
+            }
+            OP_RS_DET => {
+                let delay = dec_f64(rec, 1);
+                self.rs_op::<SCAN>(t2, s, move |_| delay);
+            }
+            OP_RS_UNI => {
+                let (low, high) = (dec_f64(rec, 1), dec_f64(rec, 3));
+                self.rs_op::<SCAN>(t2, s, move |r| r.uniform(low, high));
+            }
+            OP_RS_ERL => {
+                let (rate, k) = (dec_f64(rec, 1), rec[3]);
+                self.rs_op::<SCAN>(t2, s, move |r| erlang(r, rate, k));
+            }
+            _ => unreachable!("invalid op in recheck section"),
         }
     }
 
@@ -757,26 +851,35 @@ impl Hot<'_> {
 
     /// Integrate time-based rewards over `[now, until)`, clipped to the
     /// warm-up boundary, attributing the step's wall time to the run's
-    /// integration counters when the profiler is armed.
+    /// integration counters when the profiler is armed. `terms` are the
+    /// current state's memoized reward terms, when the live marking is
+    /// stale.
     #[inline(always)]
-    fn integrate(&mut self, lw: &LoweredNet, until: f64) {
+    fn integrate(&mut self, lw: &LoweredNet, until: f64, terms: Option<&[(u32, f64)]>) {
         if lw.integ_places.is_empty() && lw.integ.is_empty() {
             return;
         }
         if !self.profile_on {
-            return self.integrate_inner(lw, until);
+            return self.integrate_inner(lw, until, terms);
         }
-        let t0 = std::time::Instant::now();
-        self.integrate_inner(lw, until);
+        let t0 = Instant::now();
+        self.integrate_inner(lw, until, terms);
         self.integ_steps += 1;
         self.integ_ns += super::profile::sample_ns(t0, self.timer_ns);
     }
 
     #[inline(always)]
-    fn integrate_inner(&mut self, lw: &LoweredNet, until: f64) {
+    fn integrate_inner(&mut self, lw: &LoweredNet, until: f64, terms: Option<&[(u32, f64)]>) {
         let from = self.now.max(lw.warmup);
         let dt = until - from;
         if dt <= 0.0 {
+            return;
+        }
+        if let Some(terms) = terms {
+            // The same products the full pass adds, less its `+ 0.0`s.
+            for &(acc, mult) in terms {
+                self.acc_f[acc as usize] += mult * dt;
+            }
             return;
         }
         // Every reward owns its accumulator, so running the place table
@@ -786,34 +889,53 @@ impl Hot<'_> {
             self.acc_f[acc as usize] += counts[place as usize] as f64 * dt;
         }
         for op in &lw.integ {
-            match *op {
-                IntegOp::PredCnt {
-                    place,
-                    need,
-                    lt,
-                    acc,
-                } => {
-                    if (self.marking.count_raw(place) >= need) != lt {
-                        self.acc_f[acc as usize] += dt;
-                    }
-                }
-                IntegOp::AnyNonEmpty { lo, hi, acc } => {
-                    let counts = self.marking.counts();
-                    if lw.any_places[lo as usize..hi as usize]
-                        .iter()
-                        .any(|&i| counts[i as usize] != 0)
-                    {
-                        self.acc_f[acc as usize] += dt;
-                    }
-                }
-                IntegOp::Pred { prog, acc } => {
-                    let prog = lw.preds[prog as usize]
-                        .as_ref()
-                        .expect("predicate reward has a compiled program");
-                    if prog.eval_bool(&self.marking, &mut self.guard_scratch) {
-                        self.acc_f[acc as usize] += dt;
-                    }
-                }
+            let (holds, acc) = self.predicate(lw, op);
+            if holds {
+                self.acc_f[acc as usize] += dt;
+            }
+        }
+    }
+
+    /// Whether predicate reward `op` holds on the live marking, and its
+    /// accumulator.
+    #[inline(always)]
+    fn predicate(&mut self, lw: &LoweredNet, op: &IntegOp) -> (bool, u32) {
+        match *op {
+            IntegOp::PredCnt {
+                place,
+                need,
+                lt,
+                acc,
+            } => ((self.marking.count_raw(place) >= need) != lt, acc),
+            IntegOp::AnyNonEmpty { lo, hi, acc } => {
+                let counts = self.marking.counts();
+                let any = lw.any_places[lo as usize..hi as usize]
+                    .iter()
+                    .any(|&i| counts[i as usize] != 0);
+                (any, acc)
+            }
+            IntegOp::Pred { prog, acc } => {
+                let prog = lw.preds[prog as usize]
+                    .as_ref()
+                    .expect("predicate reward has a compiled program");
+                (prog.eval_bool(&self.marking, &mut self.guard_scratch), acc)
+            }
+        }
+    }
+
+    /// Append the live marking's reward terms to `out`: `(accumulator,
+    /// multiplier)` per time-based reward, in integration order, with zero
+    /// terms dropped.
+    fn reward_terms(&mut self, lw: &LoweredNet, out: &mut Vec<(u32, f64)>) {
+        for &(place, acc) in &lw.integ_places {
+            let n = self.marking.count_raw(place);
+            if n != 0 {
+                out.push((acc, n as f64));
+            }
+        }
+        for op in &lw.integ {
+            if let (true, acc) = self.predicate(lw, op) {
+                out.push((acc, 1.0));
             }
         }
     }
@@ -836,7 +958,7 @@ impl Hot<'_> {
     /// weighted conflicts, definition order on ties — the reference engine's
     /// `fire_immediates`, with fire → recheck → zero-bump order).
     #[inline(always)]
-    fn immediates<const SCAN: bool, const GEN: bool>(
+    fn immediates<const SCAN: bool, const GEN: bool, const REC: bool>(
         &mut self,
         lw: &LoweredNet,
     ) -> Result<(), SimError> {
@@ -851,8 +973,8 @@ impl Hot<'_> {
             };
             let ti = chosen as usize;
             let (f0, f1, r1) = lw.sections(ti);
-            self.exec_fire::<GEN>(lw, ti, &lw.ops[f0..f1])?;
-            self.exec_recheck::<SCAN>(&lw.ops[f1..r1]);
+            self.exec_fire::<GEN, REC>(lw, ti, &lw.ops[f0..f1])?;
+            self.exec_recheck::<SCAN, REC>(&lw.ops[f1..r1], f1);
             self.bump_zero(lw)?;
         }
     }
@@ -883,6 +1005,7 @@ impl Hot<'_> {
             self.weights
                 .push(lw.imm_choice[self.candidates[i] as usize].1);
         }
+        self.rec_rng = true;
         self.candidates[self.rng.weighted_choice(&self.weights[..])]
     }
 
@@ -894,52 +1017,236 @@ impl Hot<'_> {
         &mut self,
         lw: &LoweredNet,
     ) -> Result<(), SimError> {
-        self.exec_recheck::<SCAN>(&lw.init_ops);
-        self.immediates::<SCAN, GEN>(lw)
+        self.exec_recheck::<SCAN, false>(&lw.init_ops, 0);
+        self.immediates::<SCAN, GEN, false>(lw)
     }
 
-    /// Drive the run from post-`start` state to its horizon: the whole
-    /// main loop, fused, one instantiation per (scan, colored) pair.
+    /// The next event before `end`, taken off the schedule (a heap entry
+    /// is popped and its generation retired). `time < end` (not `>=`)
+    /// mirrors the reference engine's `e.time < cfg.end_time` guard,
+    /// including a NaN horizon.
+    #[inline(always)]
+    fn take_event<const SCAN: bool>(&mut self, lw: &LoweredNet, end: f64) -> Option<(f64, usize)> {
+        match self.next_event::<SCAN>(lw) {
+            Some((time, tid)) if time < end => {
+                if !SCAN {
+                    heap_pop(&mut self.heap);
+                    self.gen[tid as usize] += 1;
+                }
+                Some((time, tid as usize))
+            }
+            _ => None,
+        }
+    }
+
+    /// Advance the clock to the event at `time` and consume transition
+    /// `ti`'s schedule entry (rewards up to `time` are already
+    /// integrated).
+    #[inline(always)]
+    fn enter(&mut self, time: f64, ti: usize) {
+        if time > self.now {
+            self.zero = 0;
+        }
+        self.now = time;
+        self.fire_at[ti] = f64::INFINITY;
+        self.sched_state[ti] &= !ST_SCHEDULED;
+    }
+
+    /// Interpret one step: fire timed transition `ti`, then the reference
+    /// engine's zero-bump → recheck → immediates order. `REC` records it.
+    #[inline(always)]
+    fn step<const SCAN: bool, const GEN: bool, const REC: bool>(
+        &mut self,
+        lw: &LoweredNet,
+        ti: usize,
+    ) -> Result<(), SimError> {
+        let (f0, f1, r1) = lw.sections(ti);
+        self.exec_fire::<GEN, REC>(lw, ti, &lw.ops[f0..f1])?;
+        self.bump_zero(lw)?;
+        self.exec_recheck::<SCAN, REC>(&lw.ops[f1..r1], f1);
+        self.immediates::<SCAN, GEN, REC>(lw)
+    }
+
+    /// Replay a recorded step of trigger `ti` (the clock is already
+    /// entered): the firings' counts, trace entries and zero-time bumps,
+    /// the counter hooks under this firing time's warm-up test, and the
+    /// re-checks that acted, each with the state byte it saw, so the RNG
+    /// draws come in the interpreter's order and live clocks stay live.
+    /// The marking and the enabling state are left stale.
+    #[inline(always)]
+    fn replay<const SCAN: bool>(
+        &mut self,
+        lw: &LoweredNet,
+        ti: usize,
+        fired: &[u32],
+        hooks: &[u32],
+        rech: &[u32],
+    ) {
+        let t0 = self.profile_on.then(Instant::now);
+        self.zero += fired.len() as u64;
+        for &t in fired {
+            self.firing_counts[t as usize] += 1;
+            if self.trace_on {
+                self.trace.record(self.now, TransitionId(t));
+            }
+        }
+        if self.now >= lw.warmup {
+            for &h in hooks {
+                self.acc_c[h as usize] += 1;
+            }
+        }
+        for r in rech.chunks_exact(2) {
+            let off = r[0] as usize;
+            self.recheck_op::<SCAN>(&lw.ops[off..off + RECHECK_STRIDE], r[1] as u8);
+        }
+        if let Some(t0) = t0 {
+            self.profile_ns[ti] += super::profile::sample_ns(t0, self.timer_ns);
+            for &t in &fired[1..] {
+                *self.replay_notes.entry((t, ti as u32)).or_insert(0) += 1;
+            }
+        }
+    }
+
+    /// Bring the marking and the enabling state up to memo state `s`
+    /// after replays left them stale. Clocks were kept live by the
+    /// replays, and the enabled-immediates index is empty at every
+    /// tangible marking.
+    fn materialize(&mut self, m: &Memo, s: u32) {
+        self.marking.load_memo_key(m.key(s));
+        let (cond, unsat, sched) = m
+            .snapshot_of(s)
+            .expect("a replayed step's target has a snapshot");
+        debug_assert_eq!(self.imm_len, 0);
+        debug_assert!(
+            sched
+                .iter()
+                .zip(&self.sched_state)
+                .all(|(a, b)| (a ^ b) & !ST_ENABLED == 0),
+            "replayed clocks diverged from the snapshot's"
+        );
+        self.cond_true.copy_from_slice(cond);
+        self.unsat.copy_from_slice(unsat);
+        self.sched_state.copy_from_slice(sched);
+    }
+
+    /// Add the time since `t0` to the memo bookkeeping counter (profiler).
+    #[inline(always)]
+    fn memo_timed(&mut self, t0: Option<Instant>) {
+        if let Some(t0) = t0 {
+            self.memo_ns += super::profile::sample_ns(t0, self.timer_ns);
+        }
+    }
+
+    /// Drive the run from post-`start` state with the step memo: replay
+    /// each step already recorded from the current state, interpret (and
+    /// on a state's second interpreted step, record) the rest. Returns
+    /// `Ok(false)` when the run gives the memo up, with the live state
+    /// current, and `Ok(true)` once the run has reached its horizon.
+    fn run_memo<const SCAN: bool, const GEN: bool>(
+        &mut self,
+        m: &mut Memo,
+        lw: &LoweredNet,
+        end: f64,
+    ) -> Result<bool, SimError> {
+        let (mut cur, _) = m.land(&self.marking);
+        let mut stale = false;
+        while let Some((time, ti)) = self.take_event::<SCAN>(lw, end) {
+            m.count_step();
+            let e = m.edge(cur, ti);
+            if e < NO_REPLAY {
+                let (next, fired, hooks, rech) = m.edge_data(e);
+                let zero = if time > self.now { 0 } else { self.zero };
+                // A replay that would cross the livelock limit is
+                // interpreted instead, so the error is the interpreter's.
+                if zero + fired.len() as u64 <= lw.max_zero {
+                    self.integrate(lw, time, Some(m.terms(cur)));
+                    self.enter(time, ti);
+                    self.replay::<SCAN>(lw, ti, fired, hooks, rech);
+                    m.count_replay();
+                    cur = next;
+                    stale = true;
+                    continue;
+                }
+                m.count_refused();
+            }
+            let t0 = self.profile_on.then(Instant::now);
+            if stale {
+                self.materialize(m, cur);
+                stale = false;
+            }
+            let record = m.step_out(cur) && e == NONE;
+            if record {
+                m.ensure_terms(cur, |out| self.reward_terms(lw, out));
+                self.rec_fired.clear();
+                self.rec_hooks.clear();
+                self.rec_rech.clear();
+                self.rec_rng = false;
+            }
+            self.memo_timed(t0);
+            self.integrate(lw, time, None);
+            self.enter(time, ti);
+            if record {
+                self.step::<SCAN, GEN, true>(lw, ti)?;
+            } else {
+                self.step::<SCAN, GEN, false>(lw, ti)?;
+            }
+            let t0 = self.profile_on.then(Instant::now);
+            let (next, _) = m.land(&self.marking);
+            #[cfg(debug_assertions)]
+            if let Some(snap) = m.snapshot_of(next) {
+                debug_assert!(
+                    snap == (&self.cond_true[..], &self.unsat[..], &self.sched_state[..]),
+                    "enabling state at a known marking diverged from its snapshot"
+                );
+            }
+            if record {
+                if self.rec_rng {
+                    m.add_no_replay(cur, ti);
+                } else {
+                    m.snapshot(next, &self.cond_true, &self.unsat, &self.sched_state);
+                    m.add_edge(
+                        cur,
+                        ti,
+                        next,
+                        &self.rec_fired,
+                        &self.rec_hooks,
+                        &self.rec_rech,
+                    );
+                }
+            }
+            cur = next;
+            let give_up = m.count_miss();
+            self.memo_timed(t0);
+            if give_up {
+                return Ok(false);
+            }
+        }
+        if stale {
+            self.materialize(m, cur);
+        }
+        self.integrate(lw, end, None);
+        self.now = end;
+        Ok(true)
+    }
+
+    /// Drive the run to its horizon on the interpreter alone (after the
+    /// memo gave up): the whole main loop, fused, one instantiation per
+    /// (scan, colored) pair.
     fn run<const SCAN: bool, const GEN: bool>(
         &mut self,
         lw: &LoweredNet,
         end: f64,
     ) -> Result<(), SimError> {
-        loop {
-            let next = self.next_event::<SCAN>(lw);
-            match next {
-                // `time < end` (not `>=`) mirrors the reference engine's
-                // `e.time < cfg.end_time` guard, including a NaN horizon.
-                Some((time, tid)) if time < end => {
-                    let ti = tid as usize;
-                    if !SCAN {
-                        heap_pop(&mut self.heap);
-                        self.gen[ti] += 1;
-                    }
-                    self.integrate(lw, time);
-                    if time > self.now {
-                        self.zero = 0;
-                    }
-                    self.now = time;
-                    // Consume the schedule entry, then the reference engine's
-                    // fire → zero-bump → recheck → immediates order.
-                    self.fire_at[ti] = f64::INFINITY;
-                    self.sched_state[ti] &= !ST_SCHEDULED;
-                    let (f0, f1, r1) = lw.sections(ti);
-                    self.exec_fire::<GEN>(lw, ti, &lw.ops[f0..f1])?;
-                    self.bump_zero(lw)?;
-                    self.exec_recheck::<SCAN>(&lw.ops[f1..r1]);
-                    self.immediates::<SCAN, GEN>(lw)?;
-                }
-                _ => {
-                    // No more events before the horizon: integrate the
-                    // tail and retire.
-                    self.integrate(lw, end);
-                    self.now = end;
-                    return Ok(());
-                }
-            }
+        while let Some((time, ti)) = self.take_event::<SCAN>(lw, end) {
+            self.integrate(lw, time, None);
+            self.enter(time, ti);
+            self.step::<SCAN, GEN, false>(lw, ti)?;
         }
+        // No more events before the horizon: integrate the tail and
+        // retire.
+        self.integrate(lw, end, None);
+        self.now = end;
+        Ok(())
     }
 }
 
@@ -971,11 +1278,12 @@ fn erlang(rng: &mut SimRng, rate: f64, k: u32) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// One replication of the lowered engine: the net's program and
-/// configuration, plus the run's [`Hot`] state.
+/// configuration, plus the run's [`Hot`] state and step [`Memo`].
 pub(super) struct LoweredEngine<'e> {
     lw: &'e LoweredNet,
     cfg: &'e SimConfig,
     hot: Hot<'e>,
+    memo: Memo,
 }
 
 impl<'e> LoweredEngine<'e> {
@@ -1020,30 +1328,48 @@ impl<'e> LoweredEngine<'e> {
             consumed_offsets: Vec::with_capacity(8),
             candidates: Vec::with_capacity(4),
             weights: Vec::with_capacity(4),
+            rec_fired: Vec::new(),
+            rec_hooks: Vec::new(),
+            rec_rech: Vec::new(),
+            rec_rng: false,
+            memo_ns: 0,
+            replay_notes: BTreeMap::new(),
         };
         LoweredEngine {
             lw,
             cfg: &sim.cfg,
+            memo: Memo::new(
+                nt,
+                st.cond_true.len(),
+                hot.marking.counts().len(),
+                st.enabled_imm.is_empty(),
+            ),
             hot,
         }
     }
 
     /// Run the replication to its horizon on the variant selected by the
-    /// program's feature flags.
-    pub(super) fn run(self) -> Result<SimOutput, SimError> {
-        match (self.lw.scan, self.lw.colored) {
+    /// program's feature flags; also report the run's memo statistics.
+    pub(super) fn run(mut self) -> (Result<SimOutput, SimError>, MemoStats) {
+        let res = match (self.lw.scan, self.lw.colored) {
             (true, false) => self.drive::<true, false>(),
             (true, true) => self.drive::<true, true>(),
             (false, false) => self.drive::<false, false>(),
             (false, true) => self.drive::<false, true>(),
-        }
+        };
+        let stats = self.memo.stats();
+        (res.map(|()| self.finalize()), stats)
     }
 
-    /// Drive the run to completion (start + main loop).
-    fn drive<const SCAN: bool, const GEN: bool>(mut self) -> Result<SimOutput, SimError> {
-        self.hot.start::<SCAN, GEN>(self.lw)?;
-        self.hot.run::<SCAN, GEN>(self.lw, self.cfg.end_time)?;
-        Ok(self.finalize())
+    /// Drive the run to completion: start, the memoized main loop, and the
+    /// interpreter alone for the rest of a run that gave the memo up.
+    fn drive<const SCAN: bool, const GEN: bool>(&mut self) -> Result<(), SimError> {
+        let (lw, end) = (self.lw, self.cfg.end_time);
+        self.hot.start::<SCAN, GEN>(lw)?;
+        if !self.hot.run_memo::<SCAN, GEN>(&mut self.memo, lw, end)? {
+            self.hot.run::<SCAN, GEN>(lw, end)?;
+        }
+        Ok(())
     }
 
     /// Package the finished run's output.
@@ -1052,7 +1378,8 @@ impl<'e> LoweredEngine<'e> {
         if super::profile::armed() {
             // Flush the run's profile counters into the process-global
             // table.
-            for (ti, t) in hot.net.transitions().iter().enumerate() {
+            let names = hot.net.transitions();
+            for (ti, t) in names.iter().enumerate() {
                 super::profile::record(&t.name, hot.firing_counts[ti], hot.profile_ns[ti]);
             }
             super::profile::record(
@@ -1060,6 +1387,16 @@ impl<'e> LoweredEngine<'e> {
                 hot.integ_steps,
                 hot.integ_ns,
             );
+            let stats = self.memo.stats();
+            super::profile::record(super::profile::MEMO_MISS_ROW, stats.misses, hot.memo_ns);
+            for (&(t, trigger), &n) in &hot.replay_notes {
+                super::profile::record_replayed(
+                    &names[t as usize].name,
+                    &names[trigger as usize].name,
+                    n,
+                );
+            }
+            super::profile::record_memo_run(stats.states as u64, stats.misses, stats.gave_up);
         }
         let end = self.cfg.end_time;
         let observed = (end - self.cfg.warmup).max(0.0);

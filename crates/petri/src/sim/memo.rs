@@ -1,0 +1,534 @@
+//! The lowered engine's per-run step memo: the tangible markings one run
+//! has visited, and a record of each step it has interpreted twice.
+//!
+//! A *state* is a tangible marking (no immediate enabled), keyed by
+//! [`Marking::memo_key`]: counts plus every bag in FIFO order. A *step*
+//! is one timed firing from a state plus its immediate cascade, which ends
+//! in the next state. Everything a step does to the marking and the
+//! enabling state depends only on the source state and the fired
+//! transition, so [`super::lowered`] records it once and replays it.
+//!
+//! Everything lives in flat arenas indexed by `u32`:
+//!
+//! * **States.** Each state's key in a key arena, and a std map from a
+//!   key's hash to its state id. A first visit stores the key and nothing
+//!   else. A newcomer whose hash collides with another key's stays out of
+//!   the map, so each of its visits makes a new state: slower, never
+//!   wrong.
+//! * **Per state**, filled in only once a step out of the state is
+//!   recorded: a snapshot of the enabling state (`cond_true`, `unsat`,
+//!   `sched_state`), the reward terms `(accumulator, multiplier)` with
+//!   zero terms dropped, and a row of `nt` edge slots indexed by tid.
+//! * **Edges.** One record per `(state, fired transition)` in one word
+//!   arena: `[next, n_fired, n_hooks, n_rechecks]`, then the fired tids in
+//!   order, the counter-hook accumulators, and `(op offset, sched_state)`
+//!   word pairs for each re-check that acted.
+//!
+//! A miss costs a key and a lookup on top of the interpreter's step, so a
+//! run whose states do not repeat is cheaper without the memo. At step
+//! counts 64, 128, 256, … the run gives the memo up when almost every step
+//! so far found a new state (more than 7/8 of them). A net without
+//! immediate transitions, whose replays each save one firing's
+//! interpretation only, also gives it up when more than half its steps
+//! so far were interpreted: a short tandem line revisits its states but
+//! rarely the same step out of them, and keeping the memo there doubles
+//! the run's cost. A memo past [`MAX_WORDS`] words of keys, edge rows,
+//! records and snapshots gives up regardless.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+use crate::marking::Marking;
+
+/// "Not yet computed" for per-state data, and an empty edge slot.
+pub(super) const NONE: u32 = u32::MAX;
+/// Edge slot of a step that drew the RNG for a choice: always interpreted.
+pub(super) const NO_REPLAY: u32 = u32::MAX - 1;
+
+/// The first step count at which the run judges the memo.
+const FIRST_CHECK: u64 = 64;
+/// Records the first snapshot or edge reserves room for, so a run's
+/// early misses do not regrow the arenas from empty.
+const FIRST_RESERVE: usize = 16;
+/// A memo this large (in 4-byte words, 16 MiB) gives up regardless.
+const MAX_WORDS: usize = 1 << 22;
+
+/// Per-run statistics of the step memo, so tests can assert that the
+/// paths they target ran.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(super) struct MemoStats {
+    /// Tangible markings stored.
+    pub(super) states: usize,
+    /// Recorded, replayable steps.
+    pub(super) edges: usize,
+    /// Recorded steps that drew the RNG for a choice (never replayed).
+    pub(super) rng_edges: usize,
+    /// Steps replayed from a record.
+    pub(super) replayed: u64,
+    /// Steps interpreted while the memo was on.
+    pub(super) misses: u64,
+    /// Replays refused because they would cross the zero-time firing
+    /// limit (the step is interpreted instead).
+    pub(super) refused: u64,
+    /// The run gave the memo up and finished on the interpreter.
+    pub(super) gave_up: bool,
+}
+
+/// Multiply-rotate hasher for state keys and the map over their hashes.
+/// Every interpreted step hashes its landing marking, and a run's own
+/// markings need no flood resistance: std's SipHash costs the tandem rows
+/// of `engine_ab` 3–4 %.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    #[inline]
+    fn add(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl Hasher for KeyHasher {
+    /// A product's high bits depend on every input bit, its low bits only
+    /// on the low ones; the map picks buckets by the low bits.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().unwrap()));
+        }
+        if !words.remainder().is_empty() {
+            let mut last = [0; 8];
+            last[..words.remainder().len()].copy_from_slice(words.remainder());
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
+fn key_hash(key: &[u32]) -> u64 {
+    let mut h = KeyHasher::default();
+    key.hash(&mut h);
+    h.finish()
+}
+
+/// One state's record.
+#[derive(Debug, Clone, Copy)]
+struct State {
+    /// The key is `keys[key..key + key_len]`.
+    key: u32,
+    key_len: u32,
+    /// Snapshot index, or [`NONE`].
+    snap: u32,
+    /// The reward terms are `terms[term..term + n_terms]`; [`NONE`] until
+    /// computed.
+    term: u32,
+    n_terms: u32,
+    /// Start of the state's row in `edge_of`, or [`NONE`].
+    row: u32,
+    /// A step out of the state has already been interpreted.
+    stepped: bool,
+}
+
+/// One run's memo (see the module docs).
+pub(super) struct Memo {
+    nt: usize,
+    nc: usize,
+    /// The net has no immediate transitions.
+    single: bool,
+    ids: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
+    states: Vec<State>,
+    keys: Vec<u32>,
+    snap_cond: Vec<bool>,
+    snap_unsat: Vec<u32>,
+    snap_sched: Vec<u8>,
+    terms: Vec<(u32, f64)>,
+    /// Rows of `nt` slots: an edge offset into `edges`, [`NONE`] or
+    /// [`NO_REPLAY`].
+    edge_of: Vec<u32>,
+    edges: Vec<u32>,
+    scratch: Vec<u32>,
+    steps: u64,
+    /// The step count of the next judgement.
+    next_check: u64,
+    stats: MemoStats,
+}
+
+impl Memo {
+    /// An empty memo for a net of `nt` transitions and `nc` enabling
+    /// conditions whose markings have `counts` count entries.
+    pub(super) fn new(nt: usize, nc: usize, counts: usize, single: bool) -> Self {
+        const STATES: usize = 64;
+        Memo {
+            nt,
+            nc,
+            single,
+            ids: HashMap::with_capacity_and_hasher(STATES, Default::default()),
+            states: Vec::with_capacity(STATES),
+            keys: Vec::with_capacity(STATES * counts),
+            snap_cond: Vec::new(),
+            snap_unsat: Vec::new(),
+            snap_sched: Vec::new(),
+            terms: Vec::with_capacity(STATES),
+            edge_of: Vec::new(),
+            edges: Vec::new(),
+            scratch: Vec::new(),
+            steps: 0,
+            next_check: FIRST_CHECK,
+            stats: MemoStats::default(),
+        }
+    }
+
+    /// The run's statistics so far.
+    pub(super) fn stats(&self) -> MemoStats {
+        MemoStats {
+            states: self.states.len(),
+            ..self.stats
+        }
+    }
+
+    /// The state id of `marking`, inserting it on a first visit; the flag
+    /// says whether it is new.
+    pub(super) fn land(&mut self, marking: &Marking) -> (u32, bool) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let key = match marking.plain_memo_key() {
+            Some(counts) => counts,
+            None => {
+                marking.memo_key(&mut scratch);
+                &scratch[..]
+            }
+        };
+        let landed = self.find_or_insert(key);
+        self.scratch = scratch;
+        landed
+    }
+
+    fn find_or_insert(&mut self, key: &[u32]) -> (u32, bool) {
+        let h = key_hash(key);
+        let s = self.states.len() as u32;
+        match self.ids.get(&h) {
+            Some(&t) if self.key(t) == key => return (t, false),
+            Some(_) => {}
+            None => {
+                self.ids.insert(h, s);
+            }
+        }
+        self.states.push(State {
+            key: self.keys.len() as u32,
+            key_len: key.len() as u32,
+            snap: NONE,
+            term: NONE,
+            n_terms: 0,
+            row: NONE,
+            stepped: false,
+        });
+        self.keys.extend_from_slice(key);
+        (s, true)
+    }
+
+    /// State `s`'s key.
+    #[inline]
+    pub(super) fn key(&self, s: u32) -> &[u32] {
+        let st = &self.states[s as usize];
+        &self.keys[st.key as usize..(st.key + st.key_len) as usize]
+    }
+
+    /// Note one step out of `s`, returning whether an earlier one was
+    /// interpreted (only a state's second interpreted step is recorded, so
+    /// a first visit costs no more than its key).
+    pub(super) fn step_out(&mut self, s: u32) -> bool {
+        std::mem::replace(&mut self.states[s as usize].stepped, true)
+    }
+
+    /// Store the live enabling state as `s`'s snapshot, unless it has one.
+    pub(super) fn snapshot(&mut self, s: u32, cond: &[bool], unsat: &[u32], sched: &[u8]) {
+        let st = &mut self.states[s as usize];
+        if st.snap == NONE {
+            st.snap = (self.snap_sched.len() / self.nt.max(1)) as u32;
+            if self.snap_sched.capacity() == 0 {
+                self.snap_cond.reserve(FIRST_RESERVE * self.nc);
+                self.snap_unsat.reserve(FIRST_RESERVE * self.nt);
+                self.snap_sched.reserve(FIRST_RESERVE * self.nt);
+            }
+            self.snap_cond.extend_from_slice(cond);
+            self.snap_unsat.extend_from_slice(unsat);
+            self.snap_sched.extend_from_slice(sched);
+        }
+    }
+
+    /// State `s`'s snapshot: `cond_true`, `unsat`, `sched_state`.
+    pub(super) fn snapshot_of(&self, s: u32) -> Option<(&[bool], &[u32], &[u8])> {
+        let k = self.states[s as usize].snap;
+        (k != NONE).then(|| {
+            let (c, t) = (k as usize * self.nc, k as usize * self.nt);
+            (
+                &self.snap_cond[c..c + self.nc],
+                &self.snap_unsat[t..t + self.nt],
+                &self.snap_sched[t..t + self.nt],
+            )
+        })
+    }
+
+    /// Compute `s`'s reward terms with `fill` (which appends them), unless
+    /// they are known.
+    pub(super) fn ensure_terms(&mut self, s: u32, fill: impl FnOnce(&mut Vec<(u32, f64)>)) {
+        if self.states[s as usize].term == NONE {
+            let off = self.terms.len();
+            fill(&mut self.terms);
+            let st = &mut self.states[s as usize];
+            st.term = off as u32;
+            st.n_terms = (self.terms.len() - off) as u32;
+        }
+    }
+
+    /// State `s`'s reward terms (known for every state a recorded step
+    /// leaves).
+    #[inline]
+    pub(super) fn terms(&self, s: u32) -> &[(u32, f64)] {
+        let st = &self.states[s as usize];
+        debug_assert_ne!(st.term, NONE, "reward terms of a replayed step's source");
+        &self.terms[st.term as usize..(st.term + st.n_terms) as usize]
+    }
+
+    /// The edge slot of `(s, ti)`: an edge offset, [`NONE`] or
+    /// [`NO_REPLAY`].
+    #[inline]
+    pub(super) fn edge(&self, s: u32, ti: usize) -> u32 {
+        match self.states[s as usize].row {
+            NONE => NONE,
+            row => self.edge_of[row as usize + ti],
+        }
+    }
+
+    /// Edge `e`'s next state, fired tids, hook accumulators and
+    /// `(op offset, sched_state)` re-check pairs.
+    #[inline]
+    pub(super) fn edge_data(&self, e: u32) -> (u32, &[u32], &[u32], &[u32]) {
+        let e = e as usize;
+        let h = &self.edges[e..e + 4];
+        let (nf, nh, nr) = (h[1] as usize, h[2] as usize, h[3] as usize);
+        let body = &self.edges[e + 4..e + 4 + nf + nh + 2 * nr];
+        let (fired, rest) = body.split_at(nf);
+        let (hooks, rech) = rest.split_at(nh);
+        (h[0], fired, hooks, rech)
+    }
+
+    fn slot_mut(&mut self, s: u32, ti: usize) -> &mut u32 {
+        let st = &mut self.states[s as usize];
+        if st.row == NONE {
+            if self.edge_of.capacity() == 0 {
+                self.edge_of.reserve(FIRST_RESERVE * self.nt);
+                self.edges.reserve(FIRST_RESERVE * 8);
+            }
+            st.row = self.edge_of.len() as u32;
+            self.edge_of.resize(self.edge_of.len() + self.nt, NONE);
+        }
+        &mut self.edge_of[st.row as usize + ti]
+    }
+
+    /// Record the step `(s, ti)` ending in `next`.
+    pub(super) fn add_edge(
+        &mut self,
+        s: u32,
+        ti: usize,
+        next: u32,
+        fired: &[u32],
+        hooks: &[u32],
+        rech: &[u32],
+    ) {
+        let e = self.edges.len() as u32;
+        self.edges.extend([
+            next,
+            fired.len() as u32,
+            hooks.len() as u32,
+            (rech.len() / 2) as u32,
+        ]);
+        self.edges.extend_from_slice(fired);
+        self.edges.extend_from_slice(hooks);
+        self.edges.extend_from_slice(rech);
+        *self.slot_mut(s, ti) = e;
+        self.stats.edges += 1;
+    }
+
+    /// Mark the step `(s, ti)` as drawing the RNG for a choice.
+    pub(super) fn add_no_replay(&mut self, s: u32, ti: usize) {
+        *self.slot_mut(s, ti) = NO_REPLAY;
+        self.stats.rng_edges += 1;
+    }
+
+    /// Count one step (replayed or interpreted).
+    #[inline(always)]
+    pub(super) fn count_step(&mut self) {
+        self.steps += 1;
+    }
+
+    #[inline(always)]
+    pub(super) fn count_replay(&mut self) {
+        self.stats.replayed += 1;
+    }
+
+    pub(super) fn count_refused(&mut self) {
+        self.stats.refused += 1;
+    }
+
+    /// Count one interpreted step and decide whether the run gives the
+    /// memo up (judged at the first miss past each checkpoint).
+    pub(super) fn count_miss(&mut self) -> bool {
+        self.stats.misses += 1;
+        if self.steps >= self.next_check {
+            while self.next_check <= self.steps {
+                self.next_check *= 2;
+            }
+            let (s, m, n) = (self.steps, self.stats.misses, self.states.len() as u64);
+            self.stats.gave_up |= 8 * n > 7 * s || (self.single && 2 * m > s);
+        }
+        let words = self.keys.len()
+            + self.edge_of.len()
+            + self.edges.len()
+            + 2 * self.snap_unsat.len()
+            + 10 * self.states.len();
+        self.stats.gave_up |= words > MAX_WORDS;
+        self.stats.gave_up
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::NetBuilder;
+    use crate::ids::PlaceId;
+    use crate::timing::Timing;
+    use crate::token::Color;
+
+    #[test]
+    fn states_are_found_again_by_their_keys() {
+        let mut b = NetBuilder::new("grow");
+        let p = b.place("p").build();
+        b.place("q").build();
+        b.transition("t", Timing::exponential(1.0))
+            .output(p, 1)
+            .build();
+        let net = b.build().unwrap();
+        let mut memo = Memo::new(2, 0, 2, false);
+        let mut m = net.initial_marking();
+        let mut ids = Vec::new();
+        for i in 0..200u32 {
+            m.deposit(PlaceId::from_index((i % 2) as usize), Color::NONE);
+            let (s, new) = memo.land(&m);
+            assert!(new);
+            assert_eq!(s, i);
+            ids.push(m.clone());
+        }
+        for (i, m) in ids.iter().enumerate() {
+            assert_eq!(memo.land(m), (i as u32, false));
+        }
+        assert_eq!(memo.stats().states, 200);
+    }
+
+    #[test]
+    fn a_key_whose_hash_collides_is_a_new_state_on_every_visit() {
+        let mut b = NetBuilder::new("c");
+        let p = b.place("p").build();
+        b.transition("t", Timing::exponential(1.0))
+            .output(p, 1)
+            .build();
+        let net = b.build().unwrap();
+        let mut memo = Memo::new(1, 0, 1, false);
+        let a = net.initial_marking();
+        let mut other = a.clone();
+        other.deposit(p, Color::NONE);
+        assert_eq!(memo.land(&a), (0, true));
+        // Make `other`'s hash name state 0, as a collision would.
+        memo.ids.insert(key_hash(&[1]), 0);
+        assert_eq!(memo.land(&other), (1, true));
+        assert_eq!(memo.land(&other), (2, true));
+        assert_eq!(memo.key(2), [1]);
+        assert_eq!(memo.land(&a), (0, false));
+    }
+
+    #[test]
+    fn edges_round_trip_through_the_arena() {
+        let mut memo = Memo::new(3, 1, 1, false);
+        let mut b = NetBuilder::new("e");
+        let p = b.place("p").build();
+        b.transition("t", Timing::exponential(1.0))
+            .output(p, 1)
+            .build();
+        let net = b.build().unwrap();
+        let (s, _) = memo.land(&net.initial_marking());
+        assert_eq!(memo.edge(s, 1), NONE);
+        memo.add_edge(s, 1, 7, &[1, 0], &[4], &[30, 3, 35, 1]);
+        memo.add_no_replay(s, 2);
+        let e = memo.edge(s, 1);
+        assert_eq!(
+            memo.edge_data(e),
+            (7, &[1, 0][..], &[4][..], &[30, 3, 35, 1][..])
+        );
+        assert_eq!(memo.edge(s, 2), NO_REPLAY);
+        assert_eq!(memo.edge(s, 0), NONE);
+        assert!(!memo.step_out(s));
+        assert!(memo.step_out(s));
+        memo.snapshot(s, &[true], &[0, 1, 0], &[1, 0, 3]);
+        memo.snapshot(s, &[false], &[9, 9, 9], &[0, 0, 0]);
+        assert_eq!(
+            memo.snapshot_of(s),
+            Some((&[true][..], &[0, 1, 0][..], &[1, 0, 3][..]))
+        );
+        memo.ensure_terms(s, |t| t.push((0, 2.0)));
+        memo.ensure_terms(s, |t| t.push((1, 5.0)));
+        assert_eq!(memo.terms(s), [(0, 2.0)]);
+        let st = memo.stats();
+        assert_eq!((st.states, st.edges, st.rng_edges), (1, 1, 1));
+    }
+
+    #[test]
+    fn runs_whose_states_do_not_repeat_give_up_at_a_checkpoint() {
+        let net = {
+            let mut b = NetBuilder::new("m");
+            let p = b.place("p").build();
+            b.transition("t", Timing::exponential(1.0))
+                .output(p, 1)
+                .build();
+            b.build().unwrap()
+        };
+        // Every step lands on a new state: give up at the first check.
+        let mut memo = Memo::new(1, 0, 1, false);
+        let mut m = net.initial_marking();
+        memo.land(&m);
+        for i in 1..=FIRST_CHECK {
+            memo.count_step();
+            m.deposit(PlaceId::from_index(0), Color::NONE);
+            memo.land(&m);
+            assert_eq!(memo.count_miss(), i == FIRST_CHECK, "step {i}");
+        }
+        // A net without immediates may miss at most half its steps.
+        let mut memo = Memo::new(1, 0, 1, true);
+        memo.land(&net.initial_marking());
+        for i in 1..=FIRST_CHECK {
+            memo.count_step();
+            if i % 3 != 0 {
+                assert_eq!(memo.count_miss(), i == FIRST_CHECK, "step {i}");
+            }
+        }
+        // Other nets on known states keep the memo, however many steps
+        // miss.
+        let mut memo = Memo::new(1, 0, 1, false);
+        memo.land(&net.initial_marking());
+        for i in 1..=8192 {
+            memo.count_step();
+            if i % 8 != 0 {
+                assert!(!memo.count_miss(), "step {i}");
+            }
+        }
+    }
+}

@@ -7,10 +7,11 @@
 //!
 //! Two engines implement the semantics below. The **lowered engine**
 //! (`lower.rs` compiles each net to a micro-op program, `lowered.rs`
-//! executes it, one replication per engine) serves every run. The **reference engine**
-//! (`reference.rs`, [`Simulator::run_reference`]) is the seed's
-//! non-incremental core, kept frozen as the oracle the lowered engine must
-//! match bit for bit.
+//! executes it, one replication per engine, and replays the steps a run
+//! repeats from that run's memo in `memo.rs`) serves every run. The
+//! **reference engine** (`reference.rs`, [`Simulator::run_reference`]) is
+//! the seed's non-incremental core, kept frozen as the oracle the lowered
+//! engine must match bit for bit.
 //!
 //! # Semantics
 //!
@@ -31,6 +32,7 @@
 mod engine;
 mod lower;
 mod lowered;
+mod memo;
 pub mod profile;
 mod reference;
 mod rewards;
@@ -39,3 +41,7 @@ mod trace;
 pub use engine::{SimConfig, SimOutput, Simulator};
 pub use rewards::{RewardId, RewardSpec, RewardSpecError};
 pub use trace::TraceEvent;
+
+#[cfg(test)]
+#[path = "tests/memo_differential.rs"]
+mod memo_differential;

@@ -24,6 +24,14 @@
 //! measurement, so the table answers "which transition's firing logic,
 //! or the per-time-step reward work, is hot", not "where does all wall
 //! time go".
+//!
+//! The profiler times the engine's step memo as it runs in production. A
+//! replayed step is one sample charged to the timed transition that
+//! triggered it, rechecks included; the immediates it replays keep exact
+//! firing counts, and their rows carry a note naming the trigger their
+//! time went to. The memo's bookkeeping on interpreted steps lands in
+//! [`MEMO_MISS_ROW`] (one "firing" per miss), and the table ends with one
+//! summary line: states, misses, and the runs that gave the memo up.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -32,6 +40,10 @@ use std::time::Instant;
 /// Name of the row that collects reward integration time (parenthesized so
 /// it cannot collide with a transition name in the paper's nets).
 pub const INTEGRATION_ROW: &str = "(reward integration)";
+
+/// Name of the row that collects the step memo's bookkeeping on
+/// interpreted steps (its "firings" are misses).
+pub const MEMO_MISS_ROW: &str = "(memo miss)";
 
 /// Whether `REPRO_PROFILE` arms the profiler for this process (computed
 /// once; workers inherit the variable through the environment).
@@ -84,11 +96,35 @@ pub struct ProfileRow {
     /// Total nanoseconds spent in this transition's fire section, net of
     /// the calibrated timer cost.
     pub ns: u64,
+    /// Firings replayed by the step memo, per triggering timed transition
+    /// (trigger name ascending): their time is in the trigger's row.
+    pub replayed: Vec<(String, u64)>,
 }
 
-fn table() -> &'static Mutex<BTreeMap<String, (u64, u64)>> {
-    static TABLE: OnceLock<Mutex<BTreeMap<String, (u64, u64)>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(BTreeMap::new()))
+/// The process-global profile: per-row totals, replayed firings per
+/// (transition, trigger), and the step memo's per-run totals.
+#[derive(Default)]
+struct Table {
+    rows: BTreeMap<String, (u64, u64)>,
+    replayed: BTreeMap<(String, String), u64>,
+    memo: MemoTotals,
+}
+
+/// Step memo totals over every profiled run.
+#[derive(Default, Clone, Copy)]
+struct MemoTotals {
+    runs: u64,
+    states: u64,
+    misses: u64,
+    gave_up: u64,
+}
+
+fn table() -> std::sync::MutexGuard<'static, Table> {
+    static TABLE: OnceLock<Mutex<Table>> = OnceLock::new();
+    TABLE
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("profile table poisoned")
 }
 
 /// Fold one finished run's counts into the global table. Zero-work rows
@@ -97,22 +133,48 @@ pub fn record(transition: &str, firings: u64, ns: u64) {
     if firings == 0 && ns == 0 {
         return;
     }
-    let mut t = table().lock().expect("profile table poisoned");
-    let e = t.entry(transition.to_string()).or_insert((0, 0));
+    let mut t = table();
+    let e = t.rows.entry(transition.to_string()).or_insert((0, 0));
     e.0 += firings;
     e.1 += ns;
+}
+
+/// Fold one run's count of `transition` firings that the step memo
+/// replayed within steps triggered by `trigger`.
+pub fn record_replayed(transition: &str, trigger: &str, firings: u64) {
+    let mut t = table();
+    *t.replayed
+        .entry((transition.to_string(), trigger.to_string()))
+        .or_insert(0) += firings;
+}
+
+/// Fold one finished run's step memo totals: states visited, interpreted
+/// steps, and whether the run gave the memo up.
+pub fn record_memo_run(states: u64, misses: u64, gave_up: bool) {
+    let mut t = table();
+    t.memo.runs += 1;
+    t.memo.states += states;
+    t.memo.misses += misses;
+    t.memo.gave_up += gave_up as u64;
 }
 
 /// Snapshot the table, sorted by attributed time descending (name
 /// ascending on ties, for deterministic rendering).
 pub fn snapshot() -> Vec<ProfileRow> {
-    let t = table().lock().expect("profile table poisoned");
+    let t = table();
     let mut rows: Vec<ProfileRow> = t
+        .rows
         .iter()
         .map(|(name, &(firings, ns))| ProfileRow {
             transition: name.clone(),
             firings,
             ns,
+            replayed: t
+                .replayed
+                .range((name.clone(), String::new())..)
+                .take_while(|((tr, _), _)| tr == name)
+                .map(|((_, trigger), &n)| (trigger.clone(), n))
+                .collect(),
         })
         .collect();
     rows.sort_by(|a, b| {
@@ -124,7 +186,7 @@ pub fn snapshot() -> Vec<ProfileRow> {
 
 /// Clear the table (tests; also lets one process profile two phases).
 pub fn reset() {
-    table().lock().expect("profile table poisoned").clear();
+    *table() = Table::default();
 }
 
 /// Render a snapshot as an aligned text table. The header line names the
@@ -155,6 +217,18 @@ pub fn render_table(rows: &[ProfileRow]) -> String {
             "{:name_w$}  {:>12}  {:>14}  {:>10}\n",
             r.transition, r.firings, r.ns, per
         ));
+        for (trigger, n) in &r.replayed {
+            out.push_str(&format!(
+                "  {n} of these firings replayed in {trigger} steps (time counted there)\n"
+            ));
+        }
+    }
+    let memo = table().memo;
+    if memo.runs > 0 {
+        out.push_str(&format!(
+            "step memo: {} states, {} misses, {} of {} runs gave up\n",
+            memo.states, memo.misses, memo.gave_up, memo.runs
+        ));
     }
     out
 }
@@ -176,6 +250,19 @@ mod tests {
         assert_eq!(rows[0].ns, 900);
         assert_eq!(rows[1].transition, "serve");
         assert_eq!((rows[1].firings, rows[1].ns), (15, 600));
+        // Replayed firings attach to their row, per trigger; memo totals
+        // become the table's last line.
+        record_replayed("serve", "arrive", 4);
+        record_replayed("serve", "arrive", 2);
+        record_memo_run(10, 3, false);
+        record_memo_run(52, 7, true);
+        let rows = snapshot();
+        assert_eq!(rows[1].replayed, [("arrive".to_string(), 6)]);
+        assert!(rows[0].replayed.is_empty());
+        assert_eq!(
+            render_table(&rows).lines().last().unwrap(),
+            "step memo: 62 states, 10 misses, 1 of 2 runs gave up"
+        );
         reset();
     }
 
@@ -185,6 +272,7 @@ mod tests {
             transition: "arrive".into(),
             firings: 4,
             ns: 100,
+            replayed: vec![("serve".into(), 3)],
         }];
         let txt = render_table(&rows);
         assert!(txt.contains("transition"));
@@ -196,6 +284,10 @@ mod tests {
             .contains("timer cost per sample"));
         assert!(txt.contains("arrive"));
         assert!(txt.lines().nth(1).unwrap().trim_end().ends_with("25"));
+        assert_eq!(
+            txt.lines().nth(2).unwrap(),
+            "  3 of these firings replayed in serve steps (time counted there)"
+        );
         assert_eq!(render_table(&[]), "engine profile: no transitions fired\n");
     }
 

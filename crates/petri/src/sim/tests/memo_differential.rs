@@ -1,0 +1,393 @@
+//! Differential tests for the lowered engine's step memo: runs that replay
+//! recorded steps must match the reference engine (`run_reference`) **bit
+//! for bit** — rewards, firing counts, final marking, trace and errors —
+//! on 25 seeds per net. Each net targets one path of the memo, and each
+//! test asserts from the run's memo statistics (crate-private, hence an
+//! in-crate module) that the path really ran:
+//!
+//! * steps that draw the RNG for a choice (a weighted immediate conflict,
+//!   a multi-color `ColorExpr::Choice`) are recorded but never replayed;
+//! * markings that differ only in the FIFO order of a colored place are
+//!   distinct states;
+//! * the heap scheduler (more than 32 transitions) and all three memory
+//!   policies replay through the same re-check ops;
+//! * counter hooks and predicate rewards replay under the warm-up test;
+//! * a zero-time livelock crossing the limit on a recorded step, and a
+//!   token overflow, end in the reference engine's error;
+//! * a net whose states never repeat gives the memo up mid-run.
+
+use super::lowered::LoweredEngine;
+use super::memo::MemoStats;
+use crate::prelude::*;
+
+const SEEDS: std::ops::Range<u64> = 0..25;
+
+/// One run on the lowered engine, with its memo statistics.
+fn run_with_memo_stats(sim: &Simulator<'_>, seed: u64) -> (Result<SimOutput, SimError>, MemoStats) {
+    LoweredEngine::new(sim, seed).run()
+}
+
+fn assert_same_result(a: &Result<SimOutput, SimError>, b: &Result<SimOutput, SimError>, ctx: &str) {
+    match (a, b) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.firing_counts, b.firing_counts, "{ctx}: firing counts");
+            let bits = |o: &SimOutput| o.rewards.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "{ctx}: rewards");
+            assert_eq!(a.final_marking, b.final_marking, "{ctx}: final marking");
+            assert_eq!(a.trace, b.trace, "{ctx}: trace");
+            assert_eq!(a.trace_dropped, b.trace_dropped, "{ctx}: trace_dropped");
+            assert_eq!(a.observed_time, b.observed_time, "{ctx}: observed_time");
+        }
+        (Err(a), Err(b)) => assert_eq!(a, b, "{ctx}: errors"),
+        (a, b) => panic!("{ctx}: {a:?} vs {b:?}"),
+    }
+}
+
+/// Run every seed on both engines, assert identical results, and return
+/// the memo statistics summed over the seeds (`gave_up` counts runs).
+fn check(sim: &Simulator<'_>, label: &str) -> (MemoStats, usize) {
+    let mut sum = MemoStats::default();
+    let mut gave_up = 0;
+    for seed in SEEDS {
+        let (memo, stats) = run_with_memo_stats(sim, seed);
+        assert_same_result(
+            &memo,
+            &sim.run_reference(seed),
+            &format!("{label} seed {seed}"),
+        );
+        // The production entry point agrees with itself.
+        assert_same_result(&sim.run(seed), &memo, &format!("{label} seed {seed} (run)"));
+        sum.states += stats.states;
+        sum.edges += stats.edges;
+        sum.rng_edges += stats.rng_edges;
+        sum.replayed += stats.replayed;
+        sum.misses += stats.misses;
+        sum.refused += stats.refused;
+        gave_up += stats.gave_up as usize;
+    }
+    (sum, gave_up)
+}
+
+/// A source feeding a bounded buffer, drained by two equal-priority
+/// immediates that split by weight: every draining step draws the RNG.
+#[test]
+fn weighted_immediate_conflicts_are_never_replayed() {
+    let mut b = NetBuilder::new("weighted");
+    let src = b.place("src").build();
+    let left = b.place("left").build();
+    let right = b.place("right").build();
+    b.transition("gen", Timing::exponential(1.0))
+        .output(src, 1)
+        .build();
+    for (name, out, weight) in [("to_left", left, 1.0), ("to_right", right, 3.0)] {
+        b.transition(
+            name,
+            Timing::Immediate {
+                priority: 1,
+                weight,
+            },
+        )
+        .input(src, 1)
+        .output(out, 1)
+        .build();
+    }
+    b.transition("drain_left", Timing::exponential(2.0))
+        .input(left, 1)
+        .build();
+    b.transition("drain_right", Timing::exponential(2.5))
+        .input(right, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(400.0).with_trace(512));
+    sim.reward_place(left);
+    sim.reward_place(right);
+    let (stats, _) = check(&sim, "weighted");
+    assert!(stats.rng_edges > 0, "{stats:?}");
+    assert!(stats.replayed > 0, "the draining steps replay: {stats:?}");
+}
+
+/// A generator whose token color is a two-way `Choice`: the deposit draws
+/// the RNG, so its steps are interpreted every time.
+#[test]
+fn multi_color_choices_are_never_replayed() {
+    let mut b = NetBuilder::new("choice");
+    let buf = b.place("buf").build();
+    let (c1, c2) = (Color(1), Color(2));
+    b.transition("gen", Timing::exponential(1.0))
+        .output_colored(buf, 1, ColorExpr::Choice(vec![(c1, 1.0), (c2, 2.0)]))
+        .inhibitor(buf, 3)
+        .build();
+    b.transition("fast", Timing::exponential(3.0))
+        .input_filtered(buf, 1, ColorFilter::Eq(c1))
+        .build();
+    b.transition("slow", Timing::exponential(1.5))
+        .input_filtered(buf, 1, ColorFilter::Eq(c2))
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(400.0).with_trace(512));
+    sim.reward_place(buf);
+    let (stats, _) = check(&sim, "choice");
+    assert!(stats.rng_edges > 0, "{stats:?}");
+    assert!(stats.replayed > 0, "the consuming steps replay: {stats:?}");
+}
+
+/// Two colors arrive in random order into a buffer that a consumer drains
+/// oldest first, forwarding the color to color-routed immediates. Buffers
+/// `[1, 2]` and `[2, 1]` hold the same tokens but fire differently, so a
+/// memo keyed on sorted colors would replay the wrong step.
+#[test]
+fn fifo_order_tells_states_apart() {
+    let mut b = NetBuilder::new("fifo");
+    let buf = b.place("buf").build();
+    let out = b.place("out").build();
+    let (c1, c2) = (Color(1), Color(2));
+    for (name, c, rate) in [("gen1", c1, 1.0), ("gen2", c2, 1.3)] {
+        b.transition(name, Timing::exponential(rate))
+            .output_colored(buf, 1, ColorExpr::Const(c))
+            .inhibitor(buf, 2)
+            .build();
+    }
+    b.transition("take", Timing::exponential(2.0))
+        .input(buf, 1)
+        .output_colored(out, 1, ColorExpr::Transfer { arc_index: 0 })
+        .build();
+    let route1 = b
+        .transition("route1", Timing::immediate())
+        .input_filtered(out, 1, ColorFilter::Eq(c1))
+        .build();
+    let route2 = b
+        .transition("route2", Timing::immediate())
+        .input_filtered(out, 1, ColorFilter::Eq(c2))
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(500.0).with_trace(512));
+    sim.reward_firings(route1);
+    sim.reward_firings(route2);
+    let (stats, _) = check(&sim, "fifo");
+    // 7 buffer contents: [], [1], [2], [1, 1], [1, 2], [2, 1], [2, 2].
+    assert!(stats.states >= 7 * SEEDS.count() / 2, "{stats:?}");
+    assert!(stats.replayed > stats.misses, "{stats:?}");
+}
+
+/// One token on a ring of 12 places worked by 36 transitions (the heap
+/// scheduler), cycling every (memory policy × distribution) pair, with
+/// inhibitors, guards and prioritized immediates.
+#[test]
+fn heap_scheduler_and_every_memory_policy_replay() {
+    let mut b = NetBuilder::new("heap-ring");
+    let ring: Vec<PlaceId> = (0..12)
+        .map(|i| b.place(format!("p{i}")).tokens((i == 0) as usize).build())
+        .collect();
+    let timings = [
+        Timing::exponential(1.5),
+        Timing::deterministic(0.4),
+        Timing::uniform(0.1, 0.9),
+        Timing::erlang(3, 4.0),
+    ];
+    let policies = [
+        MemoryPolicy::RaceEnable,
+        MemoryPolicy::RaceAge,
+        MemoryPolicy::Resample,
+    ];
+    for i in 0..36 {
+        let (from, to) = (ring[i % 12], ring[(i + 1 + i / 12) % 12]);
+        let timing = match i % 9 {
+            8 => Timing::immediate_pri((i % 3) as u8),
+            k => timings[k % 4],
+        };
+        let mut t = b
+            .transition(format!("t{i}"), timing)
+            .input(from, 1)
+            .output(to, 1)
+            .memory(policies[i % 3]);
+        if i % 7 == 2 {
+            t = t.inhibitor(ring[(i + 6) % 12], 2);
+        }
+        if i % 5 == 1 {
+            t = t.guard(Expr::count(ring[(i + 3) % 12]).lt_c(2));
+        }
+        t.build();
+    }
+    let net = b.build().unwrap();
+    assert!(net.num_transitions() > 32);
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(300.0).with_trace(256));
+    sim.reward_place(ring[0]);
+    sim.reward_predicate(Expr::count(ring[5]).ge_c(1)).unwrap();
+    let (stats, gave_up) = check(&sim, "heap-ring");
+    assert!(stats.replayed > stats.misses, "{stats:?}");
+    assert_eq!(gave_up, 0);
+}
+
+/// A sleep timer broken by job arrivals under each memory policy: RaceAge
+/// replays keep the frozen remaining delay live, Resample replays redraw.
+#[test]
+fn memory_policies_replay_identically() {
+    for policy in [
+        MemoryPolicy::RaceEnable,
+        MemoryPolicy::RaceAge,
+        MemoryPolicy::Resample,
+    ] {
+        let mut b = NetBuilder::new("timer");
+        let idle = b.place("idle").tokens(1).build();
+        let buf = b.place("buf").build();
+        let slept = b.place("slept").build();
+        b.transition("arrive", Timing::exponential(1.0))
+            .output(buf, 1)
+            .inhibitor(buf, 3)
+            .build();
+        b.transition("serve", Timing::uniform(0.2, 0.6))
+            .input(buf, 1)
+            .memory(policy)
+            .build();
+        b.transition("sleep", Timing::deterministic(0.8))
+            .input(idle, 1)
+            .output(slept, 1)
+            .guard(Expr::count(buf).eq_c(0))
+            .memory(policy)
+            .build();
+        b.transition("wake", Timing::erlang(2, 3.0))
+            .input(slept, 1)
+            .output(idle, 1)
+            .memory(policy)
+            .build();
+        let net = b.build().unwrap();
+        let mut sim = Simulator::new(&net, SimConfig::for_horizon(400.0).with_trace(256));
+        sim.reward_place(buf);
+        sim.reward_place(slept);
+        let (stats, _) = check(&sim, &format!("{policy:?}"));
+        assert!(stats.replayed > 10 * stats.misses, "{policy:?}: {stats:?}");
+    }
+}
+
+/// Counter hooks and every predicate shape, with a warm-up window that
+/// starts after records exist: replays before it must not count.
+#[test]
+fn warm_up_hooks_and_predicates_replay() {
+    let mut b = NetBuilder::new("warm");
+    let q = b.place("q").build();
+    let r = b.place("r").build();
+    let arrive = b
+        .transition("arrive", Timing::exponential(1.0))
+        .output(q, 1)
+        .inhibitor(q, 4)
+        .build();
+    let hop = b
+        .transition("hop", Timing::immediate())
+        .input(q, 1)
+        .output(r, 1)
+        .guard(Expr::count(r).lt_c(2))
+        .build();
+    b.transition("serve", Timing::exponential(1.2))
+        .input(r, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(
+        &net,
+        SimConfig::for_horizon(600.0)
+            .with_warmup(150.0)
+            .with_trace(64),
+    );
+    sim.reward_place(q);
+    sim.reward(RewardSpec::Throughput(arrive)).unwrap();
+    sim.reward_firings(hop);
+    sim.reward_predicate(Expr::count(r).ge_c(2)).unwrap();
+    sim.reward_predicate(Expr::count(q).gt_c(0).or(Expr::count(r).gt_c(0)))
+        .unwrap();
+    // Not a threshold or "any non-empty" shape: the predicate program.
+    sim.reward_predicate(Expr::count(q).add(Expr::count(r)).eq_c(3))
+        .unwrap();
+    let (stats, _) = check(&sim, "warm");
+    assert!(stats.replayed > 10 * stats.misses, "{stats:?}");
+}
+
+/// A token bouncing between two places through zero-delay timed
+/// transitions, with an immediate in one step: time never advances, every
+/// step is recorded after two visits and replayed, and the replay that
+/// would cross the limit is interpreted so the error is the reference's.
+#[test]
+fn livelock_limit_crossed_on_a_recorded_step() {
+    let mut b = NetBuilder::new("bounce");
+    let a = b.place("a").tokens(1).build();
+    let z = b.place("z").build();
+    let y = b.place("y").build();
+    b.transition("az", Timing::deterministic(0.0))
+        .input(a, 1)
+        .output(z, 1)
+        .build();
+    b.transition("zy", Timing::immediate())
+        .input(z, 1)
+        .output(y, 1)
+        .build();
+    b.transition("ya", Timing::deterministic(0.0))
+        .input(y, 1)
+        .output(a, 1)
+        .build();
+    let net = b.build().unwrap();
+    for limit in [999, 1000, 1001] {
+        let mut cfg = SimConfig::for_horizon(1.0).with_trace(16);
+        cfg.max_zero_time_firings = limit;
+        let sim = Simulator::new(&net, cfg);
+        let (stats, _) = check(&sim, &format!("bounce limit {limit}"));
+        assert!(stats.refused > 0 && stats.replayed > 0, "{stats:?}");
+        assert!(matches!(
+            sim.run(0),
+            Err(SimError::ImmediateLivelock { .. })
+        ));
+    }
+}
+
+/// A queue that drifts up to a small token bound after revisiting its
+/// states many times: replays run until the overflowing step, which is
+/// interpreted and never recorded.
+#[test]
+fn token_overflow_after_replays() {
+    let mut b = NetBuilder::new("drift");
+    let q = b.place("q").build();
+    b.transition("arrive", Timing::exponential(1.05))
+        .output(q, 1)
+        .build();
+    b.transition("serve", Timing::exponential(1.0))
+        .input(q, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut cfg = SimConfig::for_horizon(1e7).with_trace(64);
+    cfg.max_tokens_per_place = 12;
+    let mut sim = Simulator::new(&net, cfg);
+    sim.reward_place(q);
+    let (stats, _) = check(&sim, "drift");
+    assert!(stats.replayed > stats.misses, "{stats:?}");
+    for seed in SEEDS {
+        assert!(matches!(sim.run(seed), Err(SimError::TokenOverflow { .. })));
+    }
+}
+
+/// A 64-stage tandem line: almost every step finds a new marking, so each
+/// run gives the memo up after its first check and finishes on the
+/// interpreter.
+#[test]
+fn tandem_64_gives_the_memo_up_mid_run() {
+    let mut b = NetBuilder::new("tandem");
+    let places: Vec<_> = (0..64).map(|i| b.place(format!("p{i}")).build()).collect();
+    b.transition("source", Timing::exponential(1.0))
+        .output(places[0], 1)
+        .build();
+    for i in 0..63 {
+        b.transition(format!("t{i}"), Timing::exponential(2.0))
+            .input(places[i], 1)
+            .output(places[i + 1], 1)
+            .build();
+    }
+    b.transition("sink", Timing::exponential(2.0))
+        .input(places[63], 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(60.0).with_trace(4096));
+    sim.reward_place(places[0]);
+    sim.reward_place(places[63]);
+    let (stats, gave_up) = check(&sim, "tandem/64");
+    assert_eq!(gave_up, SEEDS.count(), "{stats:?}");
+    for seed in SEEDS {
+        let (out, st) = run_with_memo_stats(&sim, seed);
+        assert!(st.misses < out.unwrap().total_firings(), "{st:?}");
+    }
+}

@@ -149,6 +149,12 @@ impl TokenBag {
     pub fn clear(&mut self) {
         self.tokens.clear();
     }
+
+    /// Replace the contents with `colors`, in FIFO order.
+    pub(crate) fn refill(&mut self, colors: impl Iterator<Item = Color>) {
+        self.tokens.clear();
+        self.tokens.extend(colors);
+    }
 }
 
 #[cfg(test)]
