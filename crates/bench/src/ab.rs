@@ -23,6 +23,11 @@ pub struct AbStats {
     pub b_ns: f64,
     /// Median of per-pair `b_ns / a_ns` ratios.
     pub speedup: f64,
+    /// Smallest and largest per-pair ratio: the spread a reader needs to
+    /// tell host drift from a change.
+    pub speedup_min: f64,
+    /// See [`AbStats::speedup_min`].
+    pub speedup_max: f64,
 }
 
 /// The host's CPU model and logical CPU count, for a BENCH file's `host`
@@ -82,11 +87,15 @@ pub fn run_paired(
         a_ns.push(ta);
         b_ns.push(tb);
     }
+    let speedup = median(&mut ratios);
     AbStats {
         pairs,
         a_ns: median(&mut a_ns),
         b_ns: median(&mut b_ns),
-        speedup: median(&mut ratios),
+        speedup,
+        // `median` sorted the ratios.
+        speedup_min: ratios[0],
+        speedup_max: ratios[pairs - 1],
     }
 }
 
@@ -109,8 +118,20 @@ mod tests {
         let stats = run_paired(9, |p| (100.0, p as u64), |p| (250.0, p as u64));
         assert_eq!(stats.pairs, 9);
         assert!((stats.speedup - 2.5).abs() < 1e-12);
+        assert_eq!((stats.speedup_min, stats.speedup_max), (2.5, 2.5));
         assert_eq!(stats.a_ns, 100.0);
         assert_eq!(stats.b_ns, 250.0);
+    }
+
+    #[test]
+    fn spread_is_the_extreme_pair_ratios() {
+        let stats = run_paired(
+            5,
+            |p| (100.0, p as u64),
+            |p| ([200.0, 300.0, 150.0, 250.0, 260.0][p], p as u64),
+        );
+        assert_eq!(stats.speedup, 2.5);
+        assert_eq!((stats.speedup_min, stats.speedup_max), (1.5, 3.0));
     }
 
     #[test]

@@ -125,10 +125,12 @@ fn measure(label: &str, sim: &Simulator<'_>, runs: u64, pairs: usize) -> NetResu
         lowered_ns: stats.a_ns / ev,
         speedup: stats.speedup,
     };
+    // The spread over the pairs tells host drift from a change: one
+    // binary's median alone drifts between processes.
     println!(
         "{label:<16} reference {:7.1} ns/event  lowered {:7.1} ns/event  \
-         median paired speedup {:5.2}x",
-        r.reference_ns, r.lowered_ns, r.speedup,
+         paired speedup min {:5.2}x / median {:5.2}x / max {:5.2}x",
+        r.reference_ns, r.lowered_ns, stats.speedup_min, r.speedup, stats.speedup_max,
     );
     r
 }

@@ -20,6 +20,8 @@
 //! * [`phase`] — Erlang phase-type expansion of the deterministic timers
 //!   (the ABL-ERLANG ablation: how many exponential stages a true Markov
 //!   chain needs to mimic a deterministic delay).
+//! * [`regenerative`] — the exact steady state of the power-managed CPU
+//!   (Welch 1964), the oracle for [`phase`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -31,6 +33,7 @@ pub mod dtmc;
 pub mod linalg;
 pub mod mm1;
 pub mod phase;
+pub mod regenerative;
 pub mod supplementary;
 pub mod uniformization;
 

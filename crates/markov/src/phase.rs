@@ -13,6 +13,11 @@
 //! Plotting error vs `k` quantifies "how non-Markovian" the CPU is, and
 //! shows why the paper needed supplementary variables (and why Petri nets
 //! are the pragmatic tool: no state-space surgery required).
+//!
+//! Chains of up to [`Ctmc::DENSE_LIMIT`] states are solved by GTH; the
+//! larger ones (`k = 16, 32, 64` at the ablation's queue bound) by flow
+//! balance over the chain's stage structure, exact up to rounding. The
+//! closed form of [`crate::regenerative`] is the oracle for both.
 
 use crate::ctmc::{Ctmc, CtmcError};
 use crate::supplementary::{CpuMarkovParams, CpuPowerRates};
@@ -42,6 +47,12 @@ pub struct PhaseCpuSolution {
 }
 
 impl PhaseCpuSolution {
+    /// The four state probabilities as an array
+    /// `[standby, powerup, idle, active]`.
+    pub fn probabilities(&self) -> [f64; 4] {
+        [self.p_standby, self.p_powerup, self.p_idle, self.p_active]
+    }
+
     /// Average power (mW) under the given rates.
     pub fn average_power_mw(&self, rates: &CpuPowerRates) -> f64 {
         self.p_standby * rates.standby
@@ -83,32 +94,63 @@ impl Layout {
     fn total(&self) -> usize {
         1 + self.k * self.q + self.q + self.k
     }
+
+    /// Sum a steady state over the four macro-states.
+    fn macro_states(&self, pi: &[f64]) -> PhaseCpuSolution {
+        let mut sol = PhaseCpuSolution {
+            p_standby: pi[self.standby()],
+            p_powerup: 0.0,
+            p_idle: 0.0,
+            p_active: 0.0,
+        };
+        for s in 1..=self.k {
+            for queue in 1..=self.q {
+                sol.p_powerup += pi[self.powerup(s, queue)];
+            }
+            sol.p_idle += pi[self.idle(s)];
+        }
+        for queue in 1..=self.q {
+            sol.p_active += pi[self.busy(queue)];
+        }
+        sol
+    }
 }
 
-/// Build the phase-type CTMC and solve for the macro-state probabilities.
+/// Per-stage rates `(r_u, r_d)` of the two Erlang timers; a zero-length
+/// timer degenerates to an immediate hop, approximated by a very fast
+/// stage.
+fn stage_rates(cfg: &PhaseCpuConfig) -> (f64, f64) {
+    let p = &cfg.params;
+    let k = cfg.stages as f64;
+    let rate = |delay: f64| if delay > 0.0 { k / delay } else { 1e12 };
+    (rate(p.power_up_delay), rate(p.power_down_threshold))
+}
+
+/// Solve the phase-type chain for the macro-state probabilities: by GTH
+/// on its [`Ctmc`] up to [`Ctmc::DENSE_LIMIT`] states, by flow balance
+/// (`solve_by_flow`, `O(k·q)`) beyond.
 pub fn solve_phase_cpu(cfg: &PhaseCpuConfig) -> Result<PhaseCpuSolution, CtmcError> {
     assert!(cfg.stages >= 1, "need at least one Erlang stage");
     assert!(cfg.max_queue >= 1, "need at least one queue slot");
-    let p = &cfg.params;
-    let lambda = p.lambda;
-    let mu = p.mu;
-    let k = cfg.stages as usize;
-    let q = cfg.max_queue as usize;
-    let lay = Layout { k, q };
-
-    // Per-stage rates; a zero-length timer degenerates to an immediate hop,
-    // approximated by a very fast stage.
-    let stage_rate_up = if p.power_up_delay > 0.0 {
-        k as f64 / p.power_up_delay
-    } else {
-        1e12
+    let lay = Layout {
+        k: cfg.stages as usize,
+        q: cfg.max_queue as usize,
     };
-    let stage_rate_down = if p.power_down_threshold > 0.0 {
-        k as f64 / p.power_down_threshold
-    } else {
-        1e12
-    };
+    if lay.total() > Ctmc::DENSE_LIMIT {
+        return Ok(solve_by_flow(cfg));
+    }
+    Ok(lay.macro_states(&phase_chain(cfg)?.steady_state()?))
+}
 
+/// The phase-type CTMC over [`Layout`]'s states.
+fn phase_chain(cfg: &PhaseCpuConfig) -> Result<Ctmc, CtmcError> {
+    let (lambda, mu) = (cfg.params.lambda, cfg.params.mu);
+    let lay = Layout {
+        k: cfg.stages as usize,
+        q: cfg.max_queue as usize,
+    };
+    let (k, q) = (lay.k, lay.q);
+    let (stage_rate_up, stage_rate_down) = stage_rates(cfg);
     let mut chain = Ctmc::new(lay.total());
 
     // Standby --lambda--> PowerUp(1, 1).
@@ -155,25 +197,71 @@ pub fn solve_phase_cpu(cfg: &PhaseCpuConfig) -> Result<PhaseCpuSolution, CtmcErr
         };
         chain.add_rate(here, next, stage_rate_down)?;
     }
+    Ok(chain)
+}
 
-    let pi = chain.steady_state()?;
+/// Solve the chain in `O(k·q)` by flow balance, with standby's weight
+/// fixed at 1 (`r_u`, `r_d` the stage rates):
+///
+/// * a power-up state is entered only from the state one arrival below
+///   and the stage before, so `U(s,n) = (λU(s,n−1) + r_u·U(s−1,n) +
+///   [s=n=1]·λ) / (λ·[n<q] + r_u)`, row by row over the stages;
+/// * the idle countdown is a chain into standby: `I(k) = λ/r_d` and
+///   `I(s) = I(s+1)(λ+r_d)/r_d`;
+/// * `B(1) = I(1)(λ+r_d)/μ` balances idle stage 1, and the cut above
+///   busy level `n` gives `B(n+1) = (λB(n) + r_u·Σ_{m>n} U(k,m))/μ`.
+///
+/// Every term is a sum of positive products, so nothing cancels (the
+/// elimination in the spirit of Grassmann, Taksar & Heyman, 1985, done
+/// by hand on the chain's stage structure). This replaces uniformized
+/// power iteration, which on the `k = 64` chain needs thousands of sweeps
+/// because the stage rates dwarf `λ`.
+fn solve_by_flow(cfg: &PhaseCpuConfig) -> PhaseCpuSolution {
+    let (lambda, mu) = (cfg.params.lambda, cfg.params.mu);
+    let (k, q) = (cfg.stages as usize, cfg.max_queue as usize);
+    let (r_u, r_d) = stage_rates(cfg);
 
-    let mut sol = PhaseCpuSolution {
-        p_standby: pi[lay.standby()],
-        p_powerup: 0.0,
-        p_idle: 0.0,
-        p_active: 0.0,
-    };
+    // `row[n - 1]` holds U(s, n) for the stage being computed.
+    let mut row = vec![0.0; q];
+    let mut powerup = 0.0;
     for s in 1..=k {
-        for queue in 1..=q {
-            sol.p_powerup += pi[lay.powerup(s, queue)];
+        let mut below = 0.0;
+        for (i, u) in row.iter_mut().enumerate() {
+            let inflow = lambda * below + r_u * *u + if s == 1 && i == 0 { lambda } else { 0.0 };
+            let out = if i + 1 < q { lambda + r_u } else { r_u };
+            *u = inflow / out;
+            powerup += *u;
+            below = *u;
         }
-        sol.p_idle += pi[lay.idle(s)];
     }
-    for queue in 1..=q {
-        sol.p_active += pi[lay.busy(queue)];
+
+    let mut idle_stage = lambda / r_d;
+    let mut idle = idle_stage;
+    for _ in 1..k {
+        idle_stage *= (lambda + r_d) / r_d;
+        idle += idle_stage;
     }
-    Ok(sol)
+
+    // Turn `row` (U(k, ·)) into the flow above each busy level, summed
+    // from the top so nothing is subtracted: `row[n - 1] = Σ_{m>n} U(k, m)`.
+    let mut above = 0.0;
+    for u in row.iter_mut().rev() {
+        (*u, above) = (above, above + *u);
+    }
+    let mut level = idle_stage * (lambda + r_d) / mu;
+    let mut busy = level;
+    for &flow in &row[..q - 1] {
+        level = (lambda * level + r_u * flow) / mu;
+        busy += level;
+    }
+
+    let total = 1.0 + powerup + idle + busy;
+    PhaseCpuSolution {
+        p_standby: 1.0 / total,
+        p_powerup: powerup / total,
+        p_idle: idle / total,
+        p_active: busy / total,
+    }
 }
 
 #[cfg(test)]
@@ -190,6 +278,27 @@ mod tests {
             },
             stages: k,
             max_queue: 30,
+        }
+    }
+
+    /// Past `Ctmc::DENSE_LIMIT` the flow solve agrees with the chain's
+    /// own (uniformized power iteration) steady state.
+    #[test]
+    fn flow_balance_matches_the_ctmc_solver() {
+        for k in [16u32, 32, 64] {
+            let mut c = cfg(0.3, 0.3, k);
+            c.max_queue = 40;
+            let lay = Layout {
+                k: k as usize,
+                q: 40,
+            };
+            assert!(lay.total() > Ctmc::DENSE_LIMIT);
+            let flow = solve_by_flow(&c).probabilities();
+            let pi = phase_chain(&c).unwrap().steady_state().unwrap();
+            let power = lay.macro_states(&pi).probabilities();
+            for (a, b) in flow.iter().zip(power) {
+                assert!((a - b).abs() < 1e-10, "k={k}: {flow:?} vs {power:?}");
+            }
         }
     }
 

@@ -20,16 +20,23 @@
 //!   order) and, from a marking's second interpreted step on, records what
 //!   each step did: the fired transitions, the counter hooks, the re-checks
 //!   that acted and the next marking. The next time the run takes that step
-//!   it replays the record: firing counts and trace, hooks, then the acting
-//!   re-checks, which draw clocks exactly as the interpreter would. Token
-//!   moves, condition flips, the re-check walk and the cascade are skipped;
-//!   the marking and enabling state go stale and are restored from the
-//!   target's snapshot only when the run next interprets. Rewards integrate
-//!   over the marking's memoized non-zero terms. This is vanishing-marking
-//!   elimination (Ajmone Marsan, Balbo & Conte, 1984), done lazily on the
-//!   states a run visits. A first visit costs a key and a hash lookup, and
-//!   a run whose states do not repeat, or a net without immediates whose
-//!   steps mostly miss, gives the memo up (see [`super::memo`]).
+//!   it replays the record: it bumps the step's hit count, writes the trace
+//!   of a traced run, and runs the acting re-checks, each already resolved
+//!   by the state byte it saw (sample Exp(rate) and schedule, schedule at a
+//!   fixed delay, cancel; other re-checks run their op), so clocks are
+//!   drawn exactly as the interpreter would draw them. Firing counts and
+//!   hooks are added as `hits × record` when the memo phase ends, or at
+//!   the warm-up boundary. Token moves, condition flips, the re-check walk
+//!   and the cascade are skipped; the marking and enabling state go stale
+//!   and are restored from the target's snapshot only when the run next
+//!   interprets. A state with a snapshot also keeps its scheduled timed
+//!   transitions, and the next-event scan there reads only those clocks.
+//!   Rewards integrate over the marking's memoized non-zero terms. This is
+//!   vanishing-marking elimination (Ajmone Marsan, Balbo & Conte, 1984),
+//!   done lazily on the states a run visits. A first visit costs a key and
+//!   a hash lookup, and a run whose states do not repeat, or a net without
+//!   immediates whose steps mostly miss, gives the memo up (see
+//!   [`super::memo`]).
 //! * **Owned inline state.** [`Hot`] owns every per-run vector (the
 //!   marking and its dense count vector included), so the hot loop reaches
 //!   each one through the single `&mut self` pointer, with no second
@@ -80,21 +87,27 @@
 //!   state bytes each re-check sees are the same on every visit. Debug
 //!   builds assert it: whenever the interpreter lands on a known marking,
 //!   its live enabling state must equal the snapshot.
-//! * **Draws stay in order.** A replay runs the acting re-checks through
-//!   the interpreter's own `re_op`/`ra_op`/`rs_op`, with the state byte
-//!   recorded, against the live clocks, so the RNG is drawn at the same
-//!   points and a RaceAge clock's frozen remaining delay is consumed as
-//!   before. A step that drew the RNG for a choice (a weighted immediate
-//!   conflict, a `ColorExpr::Choice` of two or more colors) is recorded as
-//!   never replayable and always interpreted.
+//! * **Draws stay in order.** A replay runs the acting re-checks in their
+//!   recorded order against the live clocks: a resolved one does exactly
+//!   what `re_op` does for the state byte it saw, and the rest go through
+//!   the interpreter's own `re_op`/`ra_op`/`rs_op` with that byte. So the
+//!   RNG is drawn at the same points and a RaceAge clock's frozen
+//!   remaining delay is consumed as before. A step that drew the RNG for a
+//!   choice (a weighted immediate conflict, a `ColorExpr::Choice` of two
+//!   or more colors) is recorded as never replayable and always
+//!   interpreted.
 //! * **Rewards add the same products.** A term is `count * dt` or `1.0 *
 //!   dt`, the exact values the full pass adds; the dropped zero terms add
 //!   `+0.0`, which changes no accumulator because every accumulator starts
 //!   at `+0.0` and only grows by non-negative terms (a replay integrates
 //!   up to an event time, so `dt` is finite and `0.0 * dt` is `+0.0`; the
-//!   tail to the horizon runs the full pass). Counter hooks replay
-//!   under the same `now >= warmup` test, and every firing of a step
+//!   tail to the horizon runs the full pass). Replayed counter hooks count
+//!   only past the warm-up boundary (the hits before it are drained
+//!   without them when the run crosses it), and every firing of a step
 //!   shares one instant.
+//! * **The scan finds the same clock.** At a tangible marking the clocks
+//!   not scheduled hold `+inf`, so scanning only the scheduled ones, in
+//!   the same ascending order, finds the same minimum and tie.
 //! * **Errors are the interpreter's.** A step that overflowed a place never
 //!   completed, so it was never recorded; a replay that would push the
 //!   zero-time firing count past its limit is refused, and the step is
@@ -420,24 +433,25 @@ impl Hot<'_> {
         at
     }
 
-    /// Next event: scan the timed clocks (small nets) or surface the next
-    /// valid heap entry (stale entries die here). Neither consumes the
-    /// event.
+    /// Next event: scan the clocks of `timed` (small nets) or surface the
+    /// next valid heap entry (stale entries die here). Neither consumes
+    /// the event.
     #[inline(always)]
-    fn next_event<const SCAN: bool>(&mut self, lw: &LoweredNet) -> Option<(f64, u32)> {
+    fn next_event<const SCAN: bool>(&mut self, timed: &[u32]) -> Option<(f64, u32)> {
         if SCAN {
             // Only timed transitions are read: an immediate's clock is
-            // always +inf. Unscheduled clocks hold +inf too, so the scan
-            // needs no sentinel test, and the min is two selects on one
-            // `<` per clock, with no data-dependent branch. Walking `timed`
-            // in ascending tid order with strict `<` keeps the lowest tid
-            // on ties, matching the heap's `(time, tid)` order (no
-            // reachable schedule time is NaN or -0.0, so `<` agrees with
-            // `total_cmp` here). An all-idle run surfaces `(inf, 0)`,
+            // always +inf. `timed` is every timed transition, or the ones
+            // scheduled at the current memo state; the rest hold +inf. So
+            // the scan needs no sentinel test, and the min is two selects
+            // on one `<` per clock, with no data-dependent branch. Walking
+            // `timed` in ascending tid order with strict `<` keeps the
+            // lowest tid on ties, matching the heap's `(time, tid)` order
+            // (no reachable schedule time is NaN or -0.0, so `<` agrees
+            // with `total_cmp` here). An all-idle run surfaces `(inf, 0)`,
             // which the caller's `time < end` guard retires.
             let mut best_t = f64::INFINITY;
             let mut best_ti = 0u32;
-            for &ti in &lw.timed {
+            for &ti in timed {
                 let at = self.fire_at[ti as usize];
                 let earlier = at < best_t;
                 best_t = if earlier { at } else { best_t };
@@ -762,8 +776,9 @@ impl Hot<'_> {
     /// clock is already settled and nothing changes — walks the section
     /// with **no opcode dispatch at all**; parameters are only decoded
     /// when a clock actually has to be sampled or cancelled. `REC`
-    /// instantiations record each record that acts, by its offset in the
-    /// op arena (`base` is the section's), with the state byte it saw.
+    /// instantiations record each record that acts, resolved by the state
+    /// byte it saw ([`resolve`]), with its offset in the op arena (`base`
+    /// is the section's).
     #[inline(always)]
     fn exec_recheck<const SCAN: bool, const REC: bool>(&mut self, ops: &[u32], base: usize) {
         const SETTLED: u8 = ST_ENABLED | ST_SCHEDULED;
@@ -782,7 +797,7 @@ impl Hot<'_> {
             }
             if REC {
                 self.rec_rech
-                    .extend([(base + i * RECHECK_STRIDE) as u32, s as u32]);
+                    .extend([resolve(rec, s), (base + i * RECHECK_STRIDE) as u32]);
             }
             self.recheck_op::<SCAN>(rec, s);
         }
@@ -1022,12 +1037,12 @@ impl Hot<'_> {
     }
 
     /// The next event before `end`, taken off the schedule (a heap entry
-    /// is popped and its generation retired). `time < end` (not `>=`)
-    /// mirrors the reference engine's `e.time < cfg.end_time` guard,
-    /// including a NaN horizon.
+    /// is popped and its generation retired); a scan reads the clocks of
+    /// `timed`. `time < end` (not `>=`) mirrors the reference engine's
+    /// `e.time < cfg.end_time` guard, including a NaN horizon.
     #[inline(always)]
-    fn take_event<const SCAN: bool>(&mut self, lw: &LoweredNet, end: f64) -> Option<(f64, usize)> {
-        match self.next_event::<SCAN>(lw) {
+    fn take_event<const SCAN: bool>(&mut self, timed: &[u32], end: f64) -> Option<(f64, usize)> {
+        match self.next_event::<SCAN>(timed) {
             Some((time, tid)) if time < end => {
                 if !SCAN {
                     heap_pop(&mut self.heap);
@@ -1068,43 +1083,67 @@ impl Hot<'_> {
     }
 
     /// Replay a recorded step of trigger `ti` (the clock is already
-    /// entered): the firings' counts, trace entries and zero-time bumps,
-    /// the counter hooks under this firing time's warm-up test, and the
-    /// re-checks that acted, each with the state byte it saw, so the RNG
+    /// entered): the zero-time bumps, the trace entries of a traced run,
+    /// and the re-checks that acted, in their recorded order, so the RNG
     /// draws come in the interpreter's order and live clocks stay live.
-    /// The marking and the enabling state are left stale.
+    /// Firing counts and counter hooks are added later from the edge's hit
+    /// count ([`Hot::drain_hits`]). The marking and the enabling state are
+    /// left stale.
     #[inline(always)]
     fn replay<const SCAN: bool>(
         &mut self,
         lw: &LoweredNet,
         ti: usize,
         fired: &[u32],
-        hooks: &[u32],
         rech: &[u32],
     ) {
         let t0 = self.profile_on.then(Instant::now);
         self.zero += fired.len() as u64;
-        for &t in fired {
-            self.firing_counts[t as usize] += 1;
-            if self.trace_on {
+        if self.trace_on {
+            for &t in fired {
                 self.trace.record(self.now, TransitionId(t));
             }
         }
-        if self.now >= lw.warmup {
-            for &h in hooks {
-                self.acc_c[h as usize] += 1;
-            }
-        }
         for r in rech.chunks_exact(2) {
-            let off = r[0] as usize;
-            self.recheck_op::<SCAN>(&lw.ops[off..off + RECHECK_STRIDE], r[1] as u8);
+            // `arg` is the re-checked tid, or for `R_OP` the state byte.
+            let (w, off) = (r[0], r[1] as usize);
+            let arg = (w >> 8) as usize;
+            match w & 0xff {
+                R_EXP => {
+                    let d = self.rng.exp(dec_f64(&lw.ops[off..], 1));
+                    self.schedule::<SCAN>(arg, self.now + d);
+                }
+                R_DET => self.schedule::<SCAN>(arg, self.now + dec_f64(&lw.ops[off..], 1)),
+                R_CANCEL => {
+                    self.cancel::<SCAN>(arg);
+                }
+                _ => self.recheck_op::<SCAN>(&lw.ops[off..off + RECHECK_STRIDE], arg as u8),
+            }
         }
         if let Some(t0) = t0 {
             self.profile_ns[ti] += super::profile::sample_ns(t0, self.timer_ns);
-            for &t in &fired[1..] {
-                *self.replay_notes.entry((t, ti as u32)).or_insert(0) += 1;
-            }
         }
+    }
+
+    /// Add the memo's replays since the last drain to the firing counts,
+    /// the counter hooks when they ran past the warm-up boundary (`warm`),
+    /// and the profiler's replay notes.
+    fn drain_hits(&mut self, m: &mut Memo, warm: bool) {
+        m.drain_hits(warm, |hits, fired, hooks| {
+            for &t in fired {
+                self.firing_counts[t as usize] += hits;
+            }
+            if warm {
+                for &h in hooks {
+                    self.acc_c[h as usize] += hits;
+                }
+            }
+            if self.profile_on {
+                for &t in &fired[1..] {
+                    *self.replay_notes.entry((t, fired[0])).or_insert(0) += hits;
+                }
+            }
+        });
     }
 
     /// Bring the marking and the enabling state up to memo state `s`
@@ -1139,9 +1178,11 @@ impl Hot<'_> {
 
     /// Drive the run from post-`start` state with the step memo: replay
     /// each step already recorded from the current state, interpret (and
-    /// on a state's second interpreted step, record) the rest. Returns
+    /// on a state's second interpreted step, record) the rest. A state
+    /// with a snapshot scans only its scheduled clocks. Returns
     /// `Ok(false)` when the run gives the memo up, with the live state
-    /// current, and `Ok(true)` once the run has reached its horizon.
+    /// current, and `Ok(true)` once the run has reached its horizon;
+    /// either way the replays' counts are drained.
     fn run_memo<const SCAN: bool, const GEN: bool>(
         &mut self,
         m: &mut Memo,
@@ -1150,20 +1191,34 @@ impl Hot<'_> {
     ) -> Result<bool, SimError> {
         let (mut cur, _) = m.land(&self.marking);
         let mut stale = false;
-        while let Some((time, ti)) = self.take_event::<SCAN>(lw, end) {
+        // Replayed hooks count only past the warm-up boundary, so the hits
+        // before it are drained (hooks dropped) when the run crosses it.
+        let mut warm = self.now >= lw.warmup;
+        loop {
+            let timed = match m.scan_list(cur) {
+                Some(list) if SCAN => list,
+                _ => &lw.timed[..],
+            };
+            let Some((time, ti)) = self.take_event::<SCAN>(timed, end) else {
+                break;
+            };
+            if !warm && time >= lw.warmup {
+                self.drain_hits(m, false);
+                warm = true;
+            }
             m.count_step();
             let e = m.edge(cur, ti);
             if e < NO_REPLAY {
-                let (next, fired, hooks, rech) = m.edge_data(e);
+                let step = m.step(e);
                 let zero = if time > self.now { 0 } else { self.zero };
                 // A replay that would cross the livelock limit is
                 // interpreted instead, so the error is the interpreter's.
-                if zero + fired.len() as u64 <= lw.max_zero {
+                if zero + step.fired.len() as u64 <= lw.max_zero {
                     self.integrate(lw, time, Some(m.terms(cur)));
                     self.enter(time, ti);
-                    self.replay::<SCAN>(lw, ti, fired, hooks, rech);
-                    m.count_replay();
-                    cur = next;
+                    self.replay::<SCAN>(lw, ti, step.fired, step.rech);
+                    cur = step.next;
+                    m.hit(e);
                     stale = true;
                     continue;
                 }
@@ -1203,7 +1258,13 @@ impl Hot<'_> {
                 if self.rec_rng {
                     m.add_no_replay(cur, ti);
                 } else {
-                    m.snapshot(next, &self.cond_true, &self.unsat, &self.sched_state);
+                    m.snapshot(
+                        next,
+                        &self.cond_true,
+                        &self.unsat,
+                        &self.sched_state,
+                        &lw.timed,
+                    );
                     m.add_edge(
                         cur,
                         ti,
@@ -1218,12 +1279,14 @@ impl Hot<'_> {
             let give_up = m.count_miss();
             self.memo_timed(t0);
             if give_up {
+                self.drain_hits(m, warm);
                 return Ok(false);
             }
         }
         if stale {
             self.materialize(m, cur);
         }
+        self.drain_hits(m, warm);
         self.integrate(lw, end, None);
         self.now = end;
         Ok(true)
@@ -1237,7 +1300,7 @@ impl Hot<'_> {
         lw: &LoweredNet,
         end: f64,
     ) -> Result<(), SimError> {
-        while let Some((time, ti)) = self.take_event::<SCAN>(lw, end) {
+        while let Some((time, ti)) = self.take_event::<SCAN>(&lw.timed, end) {
             self.integrate(lw, time, None);
             self.enter(time, ti);
             self.step::<SCAN, GEN, false>(lw, ti)?;
@@ -1260,6 +1323,28 @@ fn is_enabled_slow(marking: &Marking, t: &crate::transition::Transition) -> bool
             .iter()
             .all(|a| marking.count_matching(a.place, &a.filter) < a.threshold as usize)
         && t.guard.as_ref().is_none_or(|g| g.eval_bool(marking))
+}
+
+/// Resolved re-check kinds a recorded step stores, in the low byte of
+/// its first word (the re-checked tid above it) with the record's op
+/// offset as the second: sample Exp(rate) and schedule, schedule at a
+/// fixed delay, cancel. Every other re-check is [`R_OP`]: the first word
+/// holds the state byte it saw, and a replay runs the record's op.
+const R_EXP: u32 = 0;
+const R_DET: u32 = 1;
+const R_CANCEL: u32 = 2;
+const R_OP: u32 = 3;
+
+/// The first word a recorded step stores for re-check record `rec`, which
+/// acted on seeing state byte `s` (see [`R_EXP`]).
+fn resolve(rec: &[u32], s: u8) -> u32 {
+    let (w, enabled) = (rec[0], s & ST_ENABLED != 0);
+    match w & 0xff {
+        OP_RE_EXP if enabled => R_EXP | w & !0xff,
+        OP_RE_DET if enabled => R_DET | w & !0xff,
+        OP_RE_EXP | OP_RE_DET | OP_RE_UNI | OP_RE_ERL if !enabled => R_CANCEL | w & !0xff,
+        _ => R_OP | (s as u32) << 8,
+    }
 }
 
 /// Erlang-k delay: sum of k exponential draws (the reference engine's
@@ -1351,14 +1436,35 @@ impl<'e> LoweredEngine<'e> {
     /// Run the replication to its horizon on the variant selected by the
     /// program's feature flags; also report the run's memo statistics.
     pub(super) fn run(mut self) -> (Result<SimOutput, SimError>, MemoStats) {
-        let res = match (self.lw.scan, self.lw.colored) {
+        let res = self.drive_variant();
+        let stats = self.memo.stats();
+        (res.map(|()| self.finalize()), stats)
+    }
+
+    /// Run the variant the program's feature flags select.
+    fn drive_variant(&mut self) -> Result<(), SimError> {
+        match (self.lw.scan, self.lw.colored) {
             (true, false) => self.drive::<true, false>(),
             (true, true) => self.drive::<true, true>(),
             (false, false) => self.drive::<false, false>(),
             (false, true) => self.drive::<false, true>(),
-        };
-        let stats = self.memo.stats();
-        (res.map(|()| self.finalize()), stats)
+        }
+    }
+
+    /// Time this run's firings and keep its replay notes, as an armed
+    /// profiler does, without touching the process-global table.
+    #[cfg(test)]
+    pub(super) fn profiled(mut self) -> Self {
+        self.hot.profile_on = true;
+        self
+    }
+
+    /// Run the replication and hand back its memo for inspection.
+    #[cfg(test)]
+    pub(super) fn run_keeping_memo(mut self) -> (Result<SimOutput, SimError>, Memo) {
+        let res = self.drive_variant();
+        let memo = std::mem::replace(&mut self.memo, Memo::new(0, 0, 0, false));
+        (res.map(|()| self.finalize()), memo)
     }
 
     /// Drive the run to completion: start, the memoized main loop, and the

@@ -17,12 +17,17 @@
 //!   wrong.
 //! * **Per state**, filled in only once a step out of the state is
 //!   recorded: a snapshot of the enabling state (`cond_true`, `unsat`,
-//!   `sched_state`), the reward terms `(accumulator, multiplier)` with
-//!   zero terms dropped, and a row of `nt` edge slots indexed by tid.
-//! * **Edges.** One record per `(state, fired transition)` in one word
-//!   arena: `[next, n_fired, n_hooks, n_rechecks]`, then the fired tids in
-//!   order, the counter-hook accumulators, and `(op offset, sched_state)`
-//!   word pairs for each re-check that acted.
+//!   `sched_state`), the ascending list of the timed transitions scheduled
+//!   there (the replay loop's next-event scan reads only these clocks),
+//!   the reward terms `(accumulator, multiplier)` with zero terms dropped,
+//!   and a row of `nt` edge slots indexed by tid.
+//! * **Edges.** One [`Edge`] per `(state, fired transition)`: the next
+//!   state, a replay hit count, and its lists in one word arena — the
+//!   fired tids in order (the trigger first), the counter-hook
+//!   accumulators, and two words per re-check that acted, resolved by the
+//!   lowered engine when it records the step. Replays only bump the hit
+//!   count; [`Memo::drain_hits`] adds `hits × list` to the run's firing
+//!   and hook counts when the memo phase ends (or at the warm-up boundary).
 //!
 //! A miss costs a key and a lookup on top of the interpreter's step, so a
 //! run whose states do not repeat is cheaper without the memo. At step
@@ -38,6 +43,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
+use super::lower::ST_SCHEDULED;
 use crate::marking::Marking;
 
 /// "Not yet computed" for per-state data, and an empty edge slot.
@@ -70,6 +76,8 @@ pub(super) struct MemoStats {
     /// Replays refused because they would cross the zero-time firing
     /// limit (the step is interpreted instead).
     pub(super) refused: u64,
+    /// Replays drained at the warm-up boundary (their hooks not counted).
+    pub(super) cold_replays: u64,
     /// The run gave the memo up and finished on the interpreter.
     pub(super) gave_up: bool,
 }
@@ -136,8 +144,36 @@ struct State {
     n_terms: u32,
     /// Start of the state's row in `edge_of`, or [`NONE`].
     row: u32,
+    /// The scheduled timed transitions are `scan[scan..scan + n_scan]`;
+    /// known once the state has a snapshot.
+    scan: u32,
+    n_scan: u32,
     /// A step out of the state has already been interpreted.
     stepped: bool,
+}
+
+/// One recorded step.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    next: u32,
+    /// The lists are `words[body..]`: `n_fired` tids, `n_hooks` hook
+    /// accumulators, then `2 * n_rech` re-check words.
+    body: u32,
+    n_fired: u32,
+    n_hooks: u32,
+    n_rech: u32,
+    /// Replays since the last [`Memo::drain_hits`].
+    hits: u64,
+}
+
+/// One recorded step as the replay loop reads it.
+#[derive(Debug, PartialEq)]
+pub(super) struct Step<'m> {
+    pub(super) next: u32,
+    /// The fired tids in order, the trigger first.
+    pub(super) fired: &'m [u32],
+    /// Two words per re-check that acted.
+    pub(super) rech: &'m [u32],
 }
 
 /// One run's memo (see the module docs).
@@ -153,10 +189,12 @@ pub(super) struct Memo {
     snap_unsat: Vec<u32>,
     snap_sched: Vec<u8>,
     terms: Vec<(u32, f64)>,
-    /// Rows of `nt` slots: an edge offset into `edges`, [`NONE`] or
+    scan: Vec<u32>,
+    /// Rows of `nt` slots: an index into `edges`, [`NONE`] or
     /// [`NO_REPLAY`].
     edge_of: Vec<u32>,
-    edges: Vec<u32>,
+    edges: Vec<Edge>,
+    words: Vec<u32>,
     scratch: Vec<u32>,
     steps: u64,
     /// The step count of the next judgement.
@@ -180,8 +218,10 @@ impl Memo {
             snap_unsat: Vec::new(),
             snap_sched: Vec::new(),
             terms: Vec::with_capacity(STATES),
+            scan: Vec::new(),
             edge_of: Vec::new(),
             edges: Vec::new(),
+            words: Vec::new(),
             scratch: Vec::new(),
             steps: 0,
             next_check: FIRST_CHECK,
@@ -230,6 +270,8 @@ impl Memo {
             term: NONE,
             n_terms: 0,
             row: NONE,
+            scan: NONE,
+            n_scan: 0,
             stepped: false,
         });
         self.keys.extend_from_slice(key);
@@ -250,8 +292,16 @@ impl Memo {
         std::mem::replace(&mut self.states[s as usize].stepped, true)
     }
 
-    /// Store the live enabling state as `s`'s snapshot, unless it has one.
-    pub(super) fn snapshot(&mut self, s: u32, cond: &[bool], unsat: &[u32], sched: &[u8]) {
+    /// Store the live enabling state as `s`'s snapshot, unless it has one,
+    /// with the ascending list of the `timed` transitions scheduled there.
+    pub(super) fn snapshot(
+        &mut self,
+        s: u32,
+        cond: &[bool],
+        unsat: &[u32],
+        sched: &[u8],
+        timed: &[u32],
+    ) {
         let st = &mut self.states[s as usize];
         if st.snap == NONE {
             st.snap = (self.snap_sched.len() / self.nt.max(1)) as u32;
@@ -263,7 +313,21 @@ impl Memo {
             self.snap_cond.extend_from_slice(cond);
             self.snap_unsat.extend_from_slice(unsat);
             self.snap_sched.extend_from_slice(sched);
+            st.scan = self.scan.len() as u32;
+            let live = timed
+                .iter()
+                .filter(|&&t| sched[t as usize] & ST_SCHEDULED != 0);
+            self.scan.extend(live);
+            st.n_scan = self.scan.len() as u32 - st.scan;
         }
+    }
+
+    /// The timed transitions scheduled at `s`, ascending, if `s` has a
+    /// snapshot.
+    #[inline]
+    pub(super) fn scan_list(&self, s: u32) -> Option<&[u32]> {
+        let st = &self.states[s as usize];
+        (st.scan != NONE).then(|| &self.scan[st.scan as usize..(st.scan + st.n_scan) as usize])
     }
 
     /// State `s`'s snapshot: `cond_true`, `unsat`, `sched_state`.
@@ -300,7 +364,7 @@ impl Memo {
         &self.terms[st.term as usize..(st.term + st.n_terms) as usize]
     }
 
-    /// The edge slot of `(s, ti)`: an edge offset, [`NONE`] or
+    /// The edge slot of `(s, ti)`: an edge index, [`NONE`] or
     /// [`NO_REPLAY`].
     #[inline]
     pub(super) fn edge(&self, s: u32, ti: usize) -> u32 {
@@ -310,17 +374,45 @@ impl Memo {
         }
     }
 
-    /// Edge `e`'s next state, fired tids, hook accumulators and
-    /// `(op offset, sched_state)` re-check pairs.
+    /// Edge `e`'s next state, fired tids and re-check words.
     #[inline]
-    pub(super) fn edge_data(&self, e: u32) -> (u32, &[u32], &[u32], &[u32]) {
-        let e = e as usize;
-        let h = &self.edges[e..e + 4];
-        let (nf, nh, nr) = (h[1] as usize, h[2] as usize, h[3] as usize);
-        let body = &self.edges[e + 4..e + 4 + nf + nh + 2 * nr];
-        let (fired, rest) = body.split_at(nf);
-        let (hooks, rech) = rest.split_at(nh);
-        (h[0], fired, hooks, rech)
+    pub(super) fn step(&self, e: u32) -> Step<'_> {
+        let ed = &self.edges[e as usize];
+        let (b, nf, nh) = (ed.body as usize, ed.n_fired as usize, ed.n_hooks as usize);
+        Step {
+            next: ed.next,
+            fired: &self.words[b..b + nf],
+            rech: &self.words[b + nf + nh..b + nf + nh + 2 * ed.n_rech as usize],
+        }
+    }
+
+    /// Count one replay of edge `e`.
+    #[inline(always)]
+    pub(super) fn hit(&mut self, e: u32) {
+        self.edges[e as usize].hits += 1;
+        self.stats.replayed += 1;
+    }
+
+    /// Hand every replayed edge's hit count, fired tids and hook
+    /// accumulators to `add`, and zero the counts. `warm` says whether the
+    /// drained replays ran past the warm-up boundary (else they are
+    /// counted as cold).
+    pub(super) fn drain_hits(&mut self, warm: bool, mut add: impl FnMut(u64, &[u32], &[u32])) {
+        for ed in &mut self.edges {
+            if ed.hits == 0 {
+                continue;
+            }
+            let (b, nf, nh) = (ed.body as usize, ed.n_fired as usize, ed.n_hooks as usize);
+            add(
+                ed.hits,
+                &self.words[b..b + nf],
+                &self.words[b + nf..b + nf + nh],
+            );
+            if !warm {
+                self.stats.cold_replays += ed.hits;
+            }
+            ed.hits = 0;
+        }
     }
 
     fn slot_mut(&mut self, s: u32, ti: usize) -> &mut u32 {
@@ -328,7 +420,8 @@ impl Memo {
         if st.row == NONE {
             if self.edge_of.capacity() == 0 {
                 self.edge_of.reserve(FIRST_RESERVE * self.nt);
-                self.edges.reserve(FIRST_RESERVE * 8);
+                self.edges.reserve(FIRST_RESERVE);
+                self.words.reserve(FIRST_RESERVE * 8);
             }
             st.row = self.edge_of.len() as u32;
             self.edge_of.resize(self.edge_of.len() + self.nt, NONE);
@@ -347,15 +440,17 @@ impl Memo {
         rech: &[u32],
     ) {
         let e = self.edges.len() as u32;
-        self.edges.extend([
+        self.edges.push(Edge {
             next,
-            fired.len() as u32,
-            hooks.len() as u32,
-            (rech.len() / 2) as u32,
-        ]);
-        self.edges.extend_from_slice(fired);
-        self.edges.extend_from_slice(hooks);
-        self.edges.extend_from_slice(rech);
+            body: self.words.len() as u32,
+            n_fired: fired.len() as u32,
+            n_hooks: hooks.len() as u32,
+            n_rech: (rech.len() / 2) as u32,
+            hits: 0,
+        });
+        self.words.extend_from_slice(fired);
+        self.words.extend_from_slice(hooks);
+        self.words.extend_from_slice(rech);
         *self.slot_mut(s, ti) = e;
         self.stats.edges += 1;
     }
@@ -370,11 +465,6 @@ impl Memo {
     #[inline(always)]
     pub(super) fn count_step(&mut self) {
         self.steps += 1;
-    }
-
-    #[inline(always)]
-    pub(super) fn count_replay(&mut self) {
-        self.stats.replayed += 1;
     }
 
     pub(super) fn count_refused(&mut self) {
@@ -394,9 +484,11 @@ impl Memo {
         }
         let words = self.keys.len()
             + self.edge_of.len()
-            + self.edges.len()
+            + 10 * self.edges.len()
+            + self.words.len()
+            + self.scan.len()
             + 2 * self.snap_unsat.len()
-            + 10 * self.states.len();
+            + 12 * self.states.len();
         self.stats.gave_up |= words > MAX_WORDS;
         self.stats.gave_up
     }
@@ -467,28 +559,46 @@ mod tests {
         let net = b.build().unwrap();
         let (s, _) = memo.land(&net.initial_marking());
         assert_eq!(memo.edge(s, 1), NONE);
+        assert_eq!(memo.scan_list(s), None);
         memo.add_edge(s, 1, 7, &[1, 0], &[4], &[30, 3, 35, 1]);
+        memo.add_edge(s, 0, 5, &[0], &[], &[]);
         memo.add_no_replay(s, 2);
         let e = memo.edge(s, 1);
         assert_eq!(
-            memo.edge_data(e),
-            (7, &[1, 0][..], &[4][..], &[30, 3, 35, 1][..])
+            memo.step(e),
+            Step {
+                next: 7,
+                fired: &[1, 0],
+                rech: &[30, 3, 35, 1]
+            }
         );
         assert_eq!(memo.edge(s, 2), NO_REPLAY);
-        assert_eq!(memo.edge(s, 0), NONE);
         assert!(!memo.step_out(s));
         assert!(memo.step_out(s));
-        memo.snapshot(s, &[true], &[0, 1, 0], &[1, 0, 3]);
-        memo.snapshot(s, &[false], &[9, 9, 9], &[0, 0, 0]);
+        // Hits drain as (count, fired, hooks), then start over from zero.
+        memo.hit(e);
+        memo.hit(e);
+        let mut drained = Vec::new();
+        memo.drain_hits(false, |n, f, h| drained.push((n, f.to_vec(), h.to_vec())));
+        assert_eq!(drained, [(2, vec![1, 0], vec![4])]);
+        memo.hit(memo.edge(s, 0));
+        drained.clear();
+        memo.drain_hits(true, |n, f, h| drained.push((n, f.to_vec(), h.to_vec())));
+        assert_eq!(drained, [(1, vec![0], vec![])]);
+        memo.snapshot(s, &[true], &[0, 1, 0], &[1, 2, 3], &[0, 1, 2]);
+        memo.snapshot(s, &[false], &[9, 9, 9], &[0, 0, 0], &[0, 1, 2]);
         assert_eq!(
             memo.snapshot_of(s),
-            Some((&[true][..], &[0, 1, 0][..], &[1, 0, 3][..]))
+            Some((&[true][..], &[0, 1, 0][..], &[1, 2, 3][..]))
         );
+        // Only the clocks with ST_SCHEDULED set are scanned.
+        assert_eq!(memo.scan_list(s), Some(&[1, 2][..]));
         memo.ensure_terms(s, |t| t.push((0, 2.0)));
         memo.ensure_terms(s, |t| t.push((1, 5.0)));
         assert_eq!(memo.terms(s), [(0, 2.0)]);
         let st = memo.stats();
-        assert_eq!((st.states, st.edges, st.rng_edges), (1, 1, 1));
+        assert_eq!((st.states, st.edges, st.rng_edges), (1, 2, 1));
+        assert_eq!((st.replayed, st.cold_replays), (3, 2));
     }
 
     #[test]

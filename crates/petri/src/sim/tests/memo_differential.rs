@@ -14,7 +14,12 @@
 //! * counter hooks and predicate rewards replay under the warm-up test;
 //! * a zero-time livelock crossing the limit on a recorded step, and a
 //!   token overflow, end in the reference engine's error;
-//! * a net whose states never repeat gives the memo up mid-run.
+//! * a net whose states never repeat gives the memo up mid-run, and one
+//!   that gives it up after replays drains their counts first;
+//! * a RaceAge clock disabled at a state stays out of that state's scan
+//!   list, and its frozen delay resumes;
+//! * replays before the warm-up boundary count firings but not hooks;
+//! * traced and profiled runs count the same firings as plain ones.
 
 use super::lowered::LoweredEngine;
 use super::memo::MemoStats;
@@ -389,5 +394,193 @@ fn tandem_64_gives_the_memo_up_mid_run() {
     for seed in SEEDS {
         let (out, st) = run_with_memo_stats(&sim, seed);
         assert!(st.misses < out.unwrap().total_firings(), "{st:?}");
+    }
+}
+
+/// A sleep timer under RaceAge, disabled while jobs wait: at those states
+/// its clock is frozen, so it must stay out of their scan lists, and the
+/// replay that re-enables it must resume the frozen delay (the reference
+/// engine checks the times).
+#[test]
+fn race_age_clock_leaves_the_scan_list_and_resumes() {
+    let mut b = NetBuilder::new("race-age");
+    let buf = b.place("buf").build();
+    b.transition("arrive", Timing::exponential(1.0))
+        .output(buf, 1)
+        .inhibitor(buf, 3)
+        .build();
+    b.transition("serve", Timing::exponential(2.5))
+        .input(buf, 1)
+        .build();
+    let tick = b
+        .transition("tick", Timing::deterministic(0.7))
+        .inhibitor(buf, 1)
+        .memory(MemoryPolicy::RaceAge)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(400.0).with_trace(256));
+    sim.reward_firings(tick);
+    let (stats, _) = check(&sim, "race-age");
+    assert!(stats.replayed > 10 * stats.misses, "{stats:?}");
+    let (out, memo) = LoweredEngine::new(&sim, 3).run_keeping_memo();
+    out.unwrap();
+    let mut frozen_states = 0;
+    for s in 0..memo.stats().states as u32 {
+        let Some(list) = memo.scan_list(s) else {
+            continue;
+        };
+        let mut m = net.initial_marking();
+        m.load_memo_key(memo.key(s));
+        let waiting = m.count(buf) > 0;
+        assert_eq!(list.contains(&tick.0), !waiting, "state {s}: {list:?}");
+        frozen_states += waiting as usize;
+    }
+    assert!(frozen_states > 0, "no state with the clock frozen was kept");
+}
+
+/// Counter hooks on a timed and an immediate transition, with a warm-up
+/// boundary the run crosses while replaying: the hits before it add
+/// firings but no hook counts, the hits after it both.
+#[test]
+fn warm_up_boundary_crossed_during_replays() {
+    let mut b = NetBuilder::new("warm-replay");
+    let q = b.place("q").build();
+    let r = b.place("r").build();
+    let arrive = b
+        .transition("arrive", Timing::exponential(1.0))
+        .output(q, 1)
+        .inhibitor(q, 3)
+        .build();
+    let hop = b
+        .transition("hop", Timing::immediate())
+        .input(q, 1)
+        .output(r, 1)
+        .inhibitor(r, 2)
+        .build();
+    b.transition("serve", Timing::exponential(1.5))
+        .input(r, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(
+        &net,
+        SimConfig::for_horizon(500.0)
+            .with_warmup(120.0)
+            .with_trace(64),
+    );
+    sim.reward_firings(arrive);
+    sim.reward(RewardSpec::Throughput(hop)).unwrap();
+    sim.reward_place(r);
+    check(&sim, "warm-replay");
+    for seed in SEEDS {
+        let (_, st) = run_with_memo_stats(&sim, seed);
+        assert!(
+            st.cold_replays > 0 && st.replayed > 2 * st.cold_replays,
+            "seed {seed}: {st:?}"
+        );
+    }
+}
+
+/// A queue that cycles through a few states, replaying, until a
+/// deterministic switch starts an unbounded generator: from then on every
+/// step lands on a new marking and the run gives the memo up. The
+/// replays' firing and hook counts must be drained before the
+/// interpreter finishes the run.
+#[test]
+fn giving_up_after_replays_drains_the_hits_first() {
+    let mut b = NetBuilder::new("switch");
+    let a = b.place("a").tokens(1).build();
+    let z = b.place("z").build();
+    let armed = b.place("armed").tokens(1).build();
+    let on = b.place("on").build();
+    let pile = b.place("pile").build();
+    let ping = b
+        .transition("ping", Timing::exponential(2.0))
+        .input(a, 1)
+        .output(z, 1)
+        .build();
+    b.transition("pong", Timing::exponential(2.0))
+        .input(z, 1)
+        .output(a, 1)
+        .build();
+    b.transition("switch", Timing::deterministic(40.0))
+        .input(armed, 1)
+        .output(on, 1)
+        .build();
+    b.transition("flood", Timing::exponential(40.0))
+        .input(on, 1)
+        .output(on, 1)
+        .output(pile, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(60.0).with_trace(64));
+    sim.reward_firings(ping);
+    sim.reward_place(pile);
+    let (_, gave_up) = check(&sim, "switch");
+    assert_eq!(gave_up, SEEDS.count());
+    for seed in SEEDS {
+        let (out, st) = run_with_memo_stats(&sim, seed);
+        assert!(st.replayed > 0, "seed {seed}: {st:?}");
+        assert!(
+            st.misses < out.unwrap().total_firings(),
+            "seed {seed}: {st:?}"
+        );
+    }
+}
+
+/// The same seeds traced and untraced, profiled and not: the firing
+/// counts (drained from hit counts, or walked per replay for the trace)
+/// and every reward bit agree.
+#[test]
+fn traced_and_profiled_runs_count_the_same_firings() {
+    let mut b = NetBuilder::new("modes");
+    let q = b.place("q").build();
+    let r = b.place("r").build();
+    b.transition("arrive", Timing::exponential(1.0))
+        .output(q, 1)
+        .inhibitor(q, 3)
+        .build();
+    let hop = b
+        .transition("hop", Timing::immediate())
+        .input(q, 1)
+        .output(r, 1)
+        .guard(Expr::count(r).lt_c(2))
+        .build();
+    b.transition("serve", Timing::uniform(0.3, 0.9))
+        .input(r, 1)
+        .build();
+    let net = b.build().unwrap();
+    let sim_with = |trace| {
+        let mut sim = Simulator::new(
+            &net,
+            SimConfig::for_horizon(300.0)
+                .with_warmup(50.0)
+                .with_trace(trace),
+        );
+        sim.reward_place(q);
+        sim.reward_firings(hop);
+        sim
+    };
+    let (plain, traced) = (sim_with(0), sim_with(4096));
+    for seed in SEEDS {
+        let base = run_with_memo_stats(&plain, seed);
+        assert!(base.1.replayed > 0, "{:?}", base.1);
+        let base = base.0.unwrap();
+        let runs = [
+            LoweredEngine::new(&traced, seed).run().0,
+            LoweredEngine::new(&plain, seed).profiled().run().0,
+            LoweredEngine::new(&traced, seed).profiled().run().0,
+        ];
+        for (i, out) in runs.into_iter().enumerate() {
+            let out = out.unwrap();
+            assert_eq!(
+                out.firing_counts, base.firing_counts,
+                "seed {seed} mode {i}"
+            );
+            let bits = |o: &SimOutput| o.rewards.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&base), "seed {seed} mode {i}");
+            if i != 1 {
+                assert_eq!(out.trace.len() as u64, out.total_firings(), "seed {seed}");
+            }
+        }
     }
 }

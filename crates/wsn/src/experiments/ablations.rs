@@ -53,20 +53,18 @@ pub fn erlang_ablation(
     units.insert(units.len().min(1), None);
     let probs = exec.map(&units, |unit| match *unit {
         None => simulate_cpu(&des_params, seed).probabilities(),
-        Some(i) => {
-            let sol = solve_phase_cpu(&PhaseCpuConfig {
-                params: CpuMarkovParams {
-                    lambda: des_params.lambda,
-                    mu: des_params.mu,
-                    power_down_threshold,
-                    power_up_delay,
-                },
-                stages: stages[i],
-                max_queue: 40,
-            })
-            .expect("phase chain solvable");
-            [sol.p_standby, sol.p_powerup, sol.p_idle, sol.p_active]
-        }
+        Some(i) => solve_phase_cpu(&PhaseCpuConfig {
+            params: CpuMarkovParams {
+                lambda: des_params.lambda,
+                mu: des_params.mu,
+                power_down_threshold,
+                power_up_delay,
+            },
+            stages: stages[i],
+            max_queue: 40,
+        })
+        .expect("phase chain solvable")
+        .probabilities(),
     });
 
     let mut truth = [0.0; 4];
