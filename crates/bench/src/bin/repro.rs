@@ -25,39 +25,35 @@
 //! of one CPU-comparison sweep per Power-Up Delay, computed once per
 //! process however many of them a command line names.
 //!
-//! Execution is resolved once and threaded through every experiment:
+//! Execution is chosen by flags alone, parsed once by [`ExecFlags`] (for
+//! `repro serve` too) and threaded through every experiment:
 //!
-//! * `--threads N` (falling back to `REPRO_THREADS`, falling back to one
-//!   worker per core) — worker threads per process;
-//! * `--shards N` (falling back to `REPRO_SHARDS`, falling back to 0 =
-//!   in-process) — worker *subprocesses*: the portable experiment grids
-//!   are partitioned across `N` re-invocations of this binary as
-//!   `repro --worker`, each running `--threads` threads;
-//! * `--hosts a:p,b:p,…` (falling back to `REPRO_HOSTS`) — **remote TCP
-//!   workers**: the grids are partitioned across peers running
-//!   `repro --worker --listen <addr>`;
-//! * `--service a:p` (falling back to `REPRO_SERVICE`) — route every grid
-//!   dispatch through an **experiment service daemon** (`repro serve`):
-//!   its bounded job queue, single-flight dedup and content-addressed
-//!   result cache. Results are **byte-identical** whatever the executor —
+//! * `--threads N` (default one worker per core) — worker threads per
+//!   process;
+//! * `--shards N` (default 0 = in-process) — worker *subprocesses*: the
+//!   portable experiment grids are partitioned across `N` re-invocations
+//!   of this binary as `repro --worker`, each running `--threads` threads;
+//! * `--hosts a:p,b:p,…` — **remote TCP workers**: the grids are
+//!   partitioned across peers running `repro --worker --listen <addr>`;
+//! * `--service a:p` (not for `repro serve`) — route every grid dispatch
+//!   through an **experiment service daemon** (`repro serve`): its
+//!   bounded job queue, single-flight dedup and content-addressed result
+//!   cache. Results are **byte-identical** whatever the executor —
 //!   threads, shards, hosts, or served (cached or fresh).
 //!
-//!   Giving more than one of `--shards`/`--hosts`/`--service` explicitly
-//!   is an error; when one comes from the environment instead, precedence
-//!   is `service > hosts > shards` (warned on stderr).
+//!   Giving more than one of `--shards N≥1`/`--hosts`/`--service` is an
+//!   error.
 //! * `--profile` (exported as `REPRO_PROFILE=1`, so worker subprocesses
 //!   inherit it) — arm the per-transition engine profiler: firing counts
 //!   and attributed nanoseconds per transition, printed as a table on
 //!   stderr after the run and folded into job traces as counter events.
 //!   Observation only — artifacts are byte-identical with or without it
 //!   (CI diffs them).
-//! * `--retry N` / `--io-timeout SECS` / `--pool on|off` (falling back to
-//!   `REPRO_RETRY` / `REPRO_IO_TIMEOUT` / `REPRO_POOL`) — the unified
+//! * `--retry N` / `--io-timeout SECS` / `--pool on|off` — the unified
 //!   fault policy of the multi-process executors: per-chunk re-dispatch
 //!   budget (default 2), the silent-peer IO timeout in seconds (default
 //!   15; 0 disables), and whether workers/connections stay warm in the
-//!   process-global pool across dispatches (default on). An explicit flag
-//!   wins over a differing environment value with a warning.
+//!   process-global pool across dispatches (default on).
 //!
 //! Every stochastic sweep (fig4–9 / tables IV–VI, fig15, validate/open)
 //! runs replications per point until its watched 95 % CIs settle, under
@@ -76,7 +72,7 @@
 //! Service modes (first argument selects them):
 //!
 //! ```text
-//! repro serve --listen ADDR [--http ADDR] [--threads N|--shards N|--hosts ...]
+//! repro serve --listen ADDR [--http ADDR] [--threads N] [--shards N|--hosts ...]
 //!             [--queue-capacity N] [--dispatchers N] [--mem-cache N]
 //!             [--cache-dir DIR|--no-disk-cache]
 //!                                 # daemon; announces "serving <addr>".
@@ -145,11 +141,8 @@ use wsn::CpuModelParams;
 
 struct Opts {
     quick: bool,
-    /// Worker threads, resolved once (`--threads` > `REPRO_THREADS` > one
-    /// per core) and threaded through every experiment config.
-    threads: usize,
-    /// The execution backend every experiment runs on, resolved once by
-    /// [`resolve_executor`].
+    /// The execution backend every experiment runs on, from
+    /// [`ExecFlags::exec`].
     exec: Exec,
 }
 
@@ -219,55 +212,13 @@ fn main() {
         _ => {}
     }
     let mut quick = false;
-    let mut threads: Option<usize> = None;
-    let mut shards: Option<usize> = None;
-    let mut hosts: Option<Vec<String>> = None;
-    let mut service: Option<String> = None;
-    let mut retry: Option<usize> = None;
-    let mut io_timeout: Option<f64> = None;
-    let mut pool: Option<bool> = None;
+    let mut flags = ExecFlags::default();
     let mut targets: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--retry" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => retry = Some(n),
-                _ => flag_err("--retry", "a non-negative re-dispatch count"),
-            },
-            "--io-timeout" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s >= 0.0 && s.is_finite() => io_timeout = Some(s),
-                _ => flag_err("--io-timeout", "seconds (0 disables the timeout)"),
-            },
-            "--pool" => match it.next().and_then(|v| parse_on_off(v)) {
-                Some(b) => pool = Some(b),
-                _ => flag_err("--pool", "on or off"),
-            },
-            // Exported via the environment rather than plumbed through
-            // `Opts` so shard/worker subprocesses profile too.
-            "--profile" => std::env::set_var("REPRO_PROFILE", "1"),
-            "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => threads = Some(n),
-                _ => {
-                    eprintln!("--threads needs a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--shards" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => shards = Some(n),
-                _ => {
-                    eprintln!("--shards needs a non-negative integer (0 = in-process)");
-                    std::process::exit(2);
-                }
-            },
-            "--hosts" => match it.next().map(|v| parse_hosts(v)) {
-                Some(list) if !list.is_empty() => hosts = Some(list),
-                _ => {
-                    eprintln!("--hosts needs a comma-separated host:port list");
-                    std::process::exit(2);
-                }
-            },
-            "--service" => service = Some(take_service_value(&mut it)),
+            flag if flags.take(flag, &mut it) => {}
             other if other.starts_with("--") => {
                 eprintln!("unknown flag: {other}");
                 std::process::exit(2);
@@ -275,37 +226,9 @@ fn main() {
             target => targets.push(target),
         }
     }
-    // Conflicting *explicit* executor selections are an error; mixing an
-    // explicit flag with environment fallbacks resolves by the documented
-    // precedence (service > hosts > shards) with a warning — see
-    // `resolve_executor`.
-    let mut explicit: Vec<&str> = Vec::new();
-    if shards.is_some_and(|n| n >= 1) {
-        explicit.push("--shards");
-    }
-    if hosts.is_some() {
-        explicit.push("--hosts");
-    }
-    if service.is_some() {
-        explicit.push("--service");
-    }
-    if explicit.len() > 1 {
-        eprintln!(
-            "conflicting executor flags: {} select different backends; pass at most one \
-             (when mixed with REPRO_SHARDS/REPRO_HOSTS/REPRO_SERVICE, precedence is \
-             service > hosts > shards)",
-            explicit.join(" and ")
-        );
-        std::process::exit(2);
-    }
-    let threads = threads
-        .or_else(|| sim_core::env_threads("REPRO_THREADS"))
-        .unwrap_or_else(sim_core::default_threads);
-    let fault = resolve_fault(retry, io_timeout, pool);
     let opts = Opts {
         quick,
-        threads,
-        exec: resolve_executor(threads, shards, hosts, service, true, fault),
+        exec: flags.exec(),
     };
 
     if targets.is_empty() {
@@ -365,159 +288,118 @@ fn report_budget(points: impl Iterator<Item = (u64, bool)>, rule: &StoppingRule,
     );
 }
 
-/// Split a comma-separated `host:port` list, dropping empty entries.
-fn parse_hosts(v: &str) -> Vec<String> {
-    v.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(String::from)
-        .collect()
-}
-
-/// The one backend selection, for experiment runs and the daemon alike.
-/// Applies the environment fallbacks (`REPRO_SHARDS`/`REPRO_HOSTS`/
-/// `REPRO_SERVICE`) and the documented executor precedence
-/// `service > hosts > shards > in-process`, then the resolved
-/// `(fault, pool, chaos)` knobs. Conflicts between *explicit* flags were
-/// already rejected at parse time; a cross-source conflict (flag +
-/// environment, or environment + environment) resolves by precedence with
-/// a warning naming the loser.
-fn resolve_executor(
-    threads: usize,
-    cli_shards: Option<usize>,
-    cli_hosts: Option<Vec<String>>,
-    cli_service: Option<String>,
-    consult_service_env: bool,
-    (fault, pool, chaos): (FaultPolicy, bool, Option<ChaosConfig>),
-) -> Exec {
-    let shards = cli_shards
-        .or_else(|| {
-            std::env::var("REPRO_SHARDS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-        })
-        .unwrap_or(0);
-    let hosts = cli_hosts
-        .or_else(|| {
-            std::env::var("REPRO_HOSTS")
-                .ok()
-                .map(|v| parse_hosts(&v))
-                .filter(|l| !l.is_empty())
-        })
-        .unwrap_or_default();
-    // The daemon's own backend selection (`repro serve`) never consults
-    // REPRO_SERVICE: that variable addresses *clients* at a daemon, and a
-    // daemon cannot dispatch onto a service anyway.
-    let service = cli_service.or_else(|| {
-        if consult_service_env {
-            std::env::var("REPRO_SERVICE")
-                .ok()
-                .filter(|s| !s.is_empty())
-        } else {
-            None
-        }
-    });
-    let mut active: Vec<&str> = Vec::new();
-    if service.is_some() {
-        active.push("service");
-    }
-    if !hosts.is_empty() {
-        active.push("hosts");
-    }
-    if shards >= 1 {
-        active.push("shards");
-    }
-    if active.len() > 1 {
-        eprintln!(
-            "[repro] warning: multiple executors configured ({}) via flags + environment; \
-             using {} (precedence service > hosts > shards)",
-            active.join(", "),
-            active[0]
-        );
-    }
-    let base = if let Some(addr) = service {
-        Exec::service(threads, addr)
-    } else if !hosts.is_empty() {
-        Exec::remote(threads, hosts)
-    } else if shards >= 1 {
-        Exec::sharded(threads, shards)
-    } else {
-        Exec::in_process(threads)
-    };
-    base.with_fault(fault).with_pool(pool).with_chaos(chaos)
-}
-
-/// Resolve the unified fault-policy knobs shared by every multi-process
-/// backend: flag > environment (`REPRO_RETRY`/`REPRO_IO_TIMEOUT`/
-/// `REPRO_POOL`) > default, with an explicit flag winning over a differing
-/// environment value with a warning — mirroring `resolve_executor`. Also
-/// arms deterministic chaos from `REPRO_CHAOS_*`; an armed run auto-enables
-/// the in-process fallback so injected fleet death degrades loudly instead
-/// of failing the run.
-fn resolve_fault(
+/// The executor flags `repro` and `repro serve` share. Only
+/// [`ExecFlags::exec`] turns them into an [`Exec`], so both modes choose
+/// and validate a backend the same way.
+#[derive(Default)]
+struct ExecFlags {
+    threads: Option<usize>,
+    shards: usize,
+    hosts: Option<Vec<String>>,
+    service: Option<String>,
     retry: Option<usize>,
     io_timeout: Option<f64>,
     pool: Option<bool>,
-) -> (FaultPolicy, bool, Option<ChaosConfig>) {
-    let mut fault = FaultPolicy::default();
-    fault.retry_budget = pick_knob(
-        "REPRO_RETRY",
-        retry,
-        env_knob::<usize>("REPRO_RETRY"),
-        fault.retry_budget,
-    );
-    let default_secs = fault.io_timeout.map_or(0.0, |d| d.as_secs_f64());
-    let secs = pick_knob(
-        "REPRO_IO_TIMEOUT",
-        io_timeout,
-        env_knob::<f64>("REPRO_IO_TIMEOUT").filter(|s| *s >= 0.0 && s.is_finite()),
-        default_secs,
-    );
-    fault.io_timeout = (secs > 0.0).then(|| std::time::Duration::from_secs_f64(secs));
-    let pool = pick_knob(
-        "REPRO_POOL",
-        pool,
-        std::env::var("REPRO_POOL")
-            .ok()
-            .as_deref()
-            .and_then(parse_on_off),
-        true,
-    );
-    let chaos = ChaosConfig::from_env();
-    if let Some(c) = &chaos {
-        eprintln!(
-            "[repro] chaos armed (seed {}): drop {}‰, garble {}‰, delay {}‰; \
-             enabling in-process fallback",
-            c.seed, c.drop_per_mille, c.garble_per_mille, c.delay_per_mille
-        );
-        fault.fallback = true;
-    }
-    (fault, pool, chaos)
 }
 
-/// One fault knob: flag > environment > default, warning when an explicit
-/// flag overrides a differing environment value.
-fn pick_knob<T: PartialEq + Copy + std::fmt::Display>(
-    var: &str,
-    flag: Option<T>,
-    env: Option<T>,
-    default: T,
-) -> T {
-    match (flag, env) {
-        (Some(f), Some(e)) if f != e => {
-            eprintln!("[repro] warning: {var}={e} overridden by explicit flag ({f})");
-            f
+impl ExecFlags {
+    /// Consume `flag` (and its value from `it`) if it is an executor
+    /// flag, exiting 2 on a bad value; `false` if it is not one.
+    fn take(&mut self, flag: &str, it: &mut std::slice::Iter<'_, String>) -> bool {
+        match flag {
+            "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) if n >= 1 => self.threads = Some(n),
+                _ => flag_err("--threads", "a positive integer"),
+            },
+            "--shards" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) => self.shards = n,
+                _ => flag_err("--shards", "a non-negative integer (0 = in-process)"),
+            },
+            "--hosts" => {
+                let list: Vec<String> = it
+                    .next()
+                    .map(|v| {
+                        v.split(',')
+                            .map(str::trim)
+                            .filter(|s| !s.is_empty())
+                            .map(String::from)
+                            .collect()
+                    })
+                    .unwrap_or_default();
+                if list.is_empty() {
+                    flag_err("--hosts", "a comma-separated host:port list");
+                }
+                self.hosts = Some(list);
+            }
+            "--service" => self.service = Some(take_service_value(it)),
+            "--retry" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) => self.retry = Some(n),
+                _ => flag_err("--retry", "a non-negative re-dispatch count"),
+            },
+            "--io-timeout" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(s) if s >= 0.0 && s.is_finite() => self.io_timeout = Some(s),
+                _ => flag_err("--io-timeout", "seconds (0 disables the timeout)"),
+            },
+            "--pool" => match it.next().and_then(|v| parse_on_off(v)) {
+                Some(b) => self.pool = Some(b),
+                _ => flag_err("--pool", "on or off"),
+            },
+            // Exported via the environment rather than plumbed through
+            // `Exec` so shard/worker subprocesses profile too.
+            "--profile" => std::env::set_var("REPRO_PROFILE", "1"),
+            _ => return false,
         }
-        (Some(f), _) => f,
-        (None, Some(e)) => e,
-        (None, None) => default,
+        true
     }
-}
 
-/// Parse an environment variable with `FromStr`, ignoring unset or
-/// unparseable values (the same leniency as `REPRO_SHARDS`).
-fn env_knob<T: std::str::FromStr>(var: &str) -> Option<T> {
-    std::env::var(var).ok().and_then(|v| v.trim().parse().ok())
+    /// The selected backend with its fault knobs, exiting 2 if more than
+    /// one of `--shards N≥1`, `--hosts` and `--service` was given. Also
+    /// arms deterministic chaos from `REPRO_CHAOS_*`; an armed run
+    /// auto-enables the in-process fallback so injected fleet death
+    /// degrades loudly instead of failing the run.
+    fn exec(self) -> Exec {
+        let threads = self.threads.unwrap_or_else(sim_core::default_threads);
+        let mut chosen: Vec<(&str, Exec)> = Vec::new();
+        if self.shards >= 1 {
+            chosen.push(("--shards", Exec::sharded(threads, self.shards)));
+        }
+        if let Some(hosts) = self.hosts {
+            chosen.push(("--hosts", Exec::remote(threads, hosts)));
+        }
+        if let Some(addr) = self.service {
+            chosen.push(("--service", Exec::service(threads, addr)));
+        }
+        if chosen.len() > 1 {
+            let names: Vec<&str> = chosen.iter().map(|(flag, _)| *flag).collect();
+            eprintln!(
+                "conflicting executor flags: {} select different backends; pass at most one",
+                names.join(" and ")
+            );
+            std::process::exit(2);
+        }
+        let mut fault = FaultPolicy::default();
+        if let Some(n) = self.retry {
+            fault.retry_budget = n;
+        }
+        if let Some(secs) = self.io_timeout {
+            fault.io_timeout = (secs > 0.0).then(|| std::time::Duration::from_secs_f64(secs));
+        }
+        let chaos = ChaosConfig::from_env();
+        if let Some(c) = &chaos {
+            eprintln!(
+                "[repro] chaos armed (seed {}): drop {}‰, garble {}‰, delay {}‰; \
+                 enabling in-process fallback",
+                c.seed, c.drop_per_mille, c.garble_per_mille, c.delay_per_mille
+            );
+            fault.fallback = true;
+        }
+        chosen
+            .pop()
+            .map_or_else(|| Exec::in_process(threads), |(_, exec)| exec)
+            .with_fault(fault)
+            .with_pool(self.pool.unwrap_or(true))
+            .with_chaos(chaos)
+    }
 }
 
 /// Parse an `on`/`off` switch value (also accepting `true`/`false`/`1`/`0`).
@@ -552,17 +434,12 @@ fn parse_bytes(v: &str) -> Option<u64> {
 fn serve_mode(args: &[String]) {
     let mut listen: Option<String> = None;
     let mut http: Option<String> = None;
-    let mut threads: Option<usize> = None;
-    let mut shards: Option<usize> = None;
-    let mut hosts: Option<Vec<String>> = None;
+    let mut flags = ExecFlags::default();
     let mut queue_capacity = 256usize;
     let mut dispatchers = 1usize;
     let mut mem_cache = 64usize;
     let mut cache_dir: Option<std::path::PathBuf> = Some("results/cache".into());
     let mut cache_budget: Option<u64> = None;
-    let mut retry: Option<usize> = None;
-    let mut io_timeout: Option<f64> = None;
-    let mut pool_flag: Option<bool> = None;
     let mut fallback = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -575,18 +452,10 @@ fn serve_mode(args: &[String]) {
                 Some(addr) if !addr.is_empty() => http = Some(addr.clone()),
                 _ => flag_err("--http", "an address (host:port; port 0 = ephemeral)"),
             },
-            "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => threads = Some(n),
-                _ => flag_err("--threads", "a positive integer"),
-            },
-            "--shards" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => shards = Some(n),
-                _ => flag_err("--shards", "a non-negative integer (0 = in-process)"),
-            },
-            "--hosts" => match it.next().map(|v| parse_hosts(v)) {
-                Some(list) if !list.is_empty() => hosts = Some(list),
-                _ => flag_err("--hosts", "a comma-separated host:port list"),
-            },
+            "--service" => {
+                eprintln!("repro serve takes no --service: a daemon cannot dispatch onto a daemon");
+                std::process::exit(2);
+            }
             "--queue-capacity" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => queue_capacity = n,
                 _ => flag_err("--queue-capacity", "a positive integer"),
@@ -608,44 +477,20 @@ fn serve_mode(args: &[String]) {
                 Some(n) if n >= 1 => cache_budget = Some(n),
                 _ => flag_err("--cache-budget", "a positive byte count (suffix k/m/g ok)"),
             },
-            "--retry" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => retry = Some(n),
-                _ => flag_err("--retry", "a non-negative re-dispatch count"),
-            },
-            "--io-timeout" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s >= 0.0 && s.is_finite() => io_timeout = Some(s),
-                _ => flag_err("--io-timeout", "seconds (0 disables the timeout)"),
-            },
-            "--pool" => match it.next().and_then(|v| parse_on_off(v)) {
-                Some(b) => pool_flag = Some(b),
-                _ => flag_err("--pool", "on or off"),
-            },
-            // Environment-exported so shard/worker subprocesses inherit it.
-            "--profile" => std::env::set_var("REPRO_PROFILE", "1"),
             "--fallback" => fallback = true,
+            flag if flags.take(flag, &mut it) => {}
             other => {
                 eprintln!("unknown serve flag: {other}");
                 std::process::exit(2);
             }
         }
     }
-    if shards.is_some_and(|n| n >= 1) && hosts.is_some() {
-        eprintln!(
-            "conflicting executor flags: --shards and --hosts select different backends; \
-             pass at most one (precedence with environment variables is hosts > shards)"
-        );
-        std::process::exit(2);
-    }
+    let mut exec = flags.exec();
+    exec.fault.fallback |= fallback;
     let Some(addr) = listen else {
         eprintln!("usage: repro serve --listen ADDR [--http ADDR] [--threads N] [--shards N | --hosts a:p,b:p] [--profile] [--queue-capacity N] [--dispatchers N] [--mem-cache N] [--cache-dir DIR | --no-disk-cache] [--cache-budget BYTES] [--retry N] [--io-timeout SECS] [--pool on|off] [--fallback]");
         std::process::exit(2);
     };
-    let threads = threads
-        .or_else(|| sim_core::env_threads("REPRO_THREADS"))
-        .unwrap_or_else(sim_core::default_threads);
-    let (mut fault, pool, chaos) = resolve_fault(retry, io_timeout, pool_flag);
-    fault.fallback |= fallback;
-    let exec = resolve_executor(threads, shards, hosts, None, false, (fault, pool, chaos));
     eprintln!(
         "[serve] backend: {}; queue capacity {queue_capacity}; {dispatchers} dispatcher(s); \
          mem cache {mem_cache} entries; disk cache {}{}",
@@ -729,19 +574,9 @@ fn take_service_value(it: &mut std::slice::Iter<'_, String>) -> String {
     }
 }
 
-/// Resolve the client-side daemon address (`--service` or `REPRO_SERVICE`).
+/// The client-side daemon address, which `--service` must give.
 fn require_service(addr: Option<String>) -> String {
-    match addr.or_else(|| {
-        std::env::var("REPRO_SERVICE")
-            .ok()
-            .filter(|s| !s.is_empty())
-    }) {
-        Some(a) => a,
-        None => {
-            eprintln!("this mode needs --service HOST:PORT (or REPRO_SERVICE)");
-            std::process::exit(2);
-        }
-    }
+    addr.unwrap_or_else(|| flag_err("this mode", "--service HOST:PORT"))
 }
 
 fn connect_service(addr: &str) -> ServiceClient {
@@ -1340,8 +1175,14 @@ fn steady(opts: &Opts) {
         let model = wsn::build_cpu_model(&CpuModelParams::paper_defaults(pdt, 0.3));
         let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(horizon));
         let r_standby = sim.reward_place(model.places.stand_by);
-        let a = run_replications_adaptive(&sim, 0x57EAD, &rule, &[r_standby.index()], opts.threads)
-            .expect("CPU net runs");
+        let a = run_replications_adaptive(
+            &sim,
+            0x57EAD,
+            &rule,
+            &[r_standby.index()],
+            opts.exec.threads,
+        )
+        .expect("CPU net runs");
         let ci = a.summary.ci(r_standby.index(), ConfidenceLevel::P95);
         println!(
             "{:>10} {:>12} {:>14.5} {:>14.5} {:>10}",

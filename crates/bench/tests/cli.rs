@@ -1,23 +1,15 @@
 //! CLI contract tests for the `repro` binary: conflicting executor flags
-//! are an explicit error, environment-derived conflicts resolve by the
-//! documented precedence with a warning, the service verbs validate
-//! their arguments before touching the network, and targets that share a
-//! sweep render the same bytes in one process as in separate ones.
+//! are an explicit error, executor settings come from flags alone, the
+//! service verbs validate their arguments before touching the network,
+//! and targets that share a sweep render the same bytes in one process as
+//! in separate ones.
 
 use std::process::Command;
 
 fn repro() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
-    // Isolate from any ambient executor / fault-policy / chaos
-    // configuration.
-    cmd.env_remove("REPRO_SHARDS")
-        .env_remove("REPRO_HOSTS")
-        .env_remove("REPRO_SERVICE")
-        .env_remove("REPRO_THREADS")
-        .env_remove("REPRO_RETRY")
-        .env_remove("REPRO_IO_TIMEOUT")
-        .env_remove("REPRO_POOL")
-        .env_remove("REPRO_CHAOS_SEED");
+    // Isolate from an ambient chaos configuration.
+    cmd.env_remove("REPRO_CHAOS_SEED");
     cmd
 }
 
@@ -43,10 +35,6 @@ fn conflicting_executor_flags_are_an_explicit_error() {
             err.contains("conflicting executor flags"),
             "flags {flags:?}: {err}"
         );
-        assert!(
-            err.contains("service > hosts > shards"),
-            "the precedence must be documented in the error: {err}"
-        );
     }
 }
 
@@ -62,32 +50,22 @@ fn explicit_inprocess_shards_zero_conflicts_with_nothing() {
 }
 
 #[test]
-fn env_derived_conflict_warns_and_applies_precedence() {
-    // REPRO_SHARDS from the environment + --hosts on the CLI: hosts win,
-    // loudly. `params` performs no grid dispatch, so nothing connects.
-    let (code, _out, err) = run(repro()
-        .env("REPRO_SHARDS", "2")
-        .args(["--hosts", "127.0.0.1:9"])
-        .arg("params"));
-    assert_eq!(code, 0, "{err}");
-    assert!(
-        err.contains("warning: multiple executors configured"),
-        "{err}"
-    );
-    assert!(err.contains("precedence service > hosts > shards"), "{err}");
-    assert!(
-        err.contains("executor: remote(hosts=1"),
-        "hosts must win over env shards: {err}"
-    );
-
-    // Same thing with a service address from the environment: it beats
-    // both.
+fn former_executor_env_vars_are_inert() {
+    // Executor settings come from flags alone: variables that once
+    // mirrored them select nothing. `params` makes no dispatch, so the
+    // address is never contacted.
     let (code, _out, err) = run(repro()
         .env("REPRO_SHARDS", "2")
         .env("REPRO_SERVICE", "127.0.0.1:9")
         .arg("params"));
     assert_eq!(code, 0, "{err}");
-    assert!(err.contains("executor: service("), "{err}");
+    assert!(err.contains("executor: in-process("), "{err}");
+    // A client verb needs its daemon address as a flag.
+    let (code, _out, err) = run(repro()
+        .env("REPRO_SERVICE", "127.0.0.1:9")
+        .args(["status", "1"]));
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("--service"), "{err}");
 }
 
 #[test]
@@ -128,6 +106,21 @@ fn service_verbs_validate_arguments_before_connecting() {
     ]));
     assert_eq!(code, 2);
     assert!(err.contains("conflicting executor flags"), "{err}");
+    // serve shares the executor parser but takes no --service: a daemon
+    // cannot dispatch onto a daemon.
+    let (code, _out, err) = run(repro().args([
+        "serve",
+        "--listen",
+        "127.0.0.1:0",
+        "--service",
+        "127.0.0.1:1",
+    ]));
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("--service"), "{err}");
+    // And --fallback is a daemon flag only.
+    let (code, _out, err) = run(repro().args(["--fallback", "params"]));
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("unknown flag: --fallback"), "{err}");
 }
 
 #[test]
@@ -195,36 +188,18 @@ fn fault_flags_reject_garbage_values() {
         assert_eq!(code, 2, "flags {flags:?} must be rejected: {err}");
         assert!(err.contains(needle), "flags {flags:?}: {err}");
     }
-    // The same validation applies to serve mode.
-    let (code, _out, err) =
-        run(repro().args(["serve", "--listen", "127.0.0.1:0", "--cache-budget", "lots"]));
-    assert_eq!(code, 2);
-    assert!(err.contains("--cache-budget needs"), "{err}");
-}
-
-#[test]
-fn fault_env_vars_apply_and_flags_override_with_a_warning() {
-    // Environment alone applies silently.
-    let (code, _out, err) = run(repro().env("REPRO_RETRY", "5").arg("params"));
-    assert_eq!(code, 0, "{err}");
-    assert!(!err.contains("warning: REPRO_RETRY"), "{err}");
-    // A differing explicit flag wins, loudly.
-    let (code, _out, err) = run(repro()
-        .env("REPRO_RETRY", "5")
-        .args(["--retry", "0"])
-        .arg("params"));
-    assert_eq!(code, 0, "{err}");
-    assert!(
-        err.contains("REPRO_RETRY=5 overridden by explicit flag (0)"),
-        "{err}"
-    );
-    // Agreeing sources stay quiet.
-    let (code, _out, err) = run(repro()
-        .env("REPRO_IO_TIMEOUT", "30")
-        .args(["--io-timeout", "30"])
-        .arg("params"));
-    assert_eq!(code, 0, "{err}");
-    assert!(!err.contains("overridden"), "{err}");
+    // The same validation applies to serve mode, whose executor flags go
+    // through the same parser.
+    for (flag, value) in [
+        ("--cache-budget", "lots"),
+        ("--retry", "many"),
+        ("--pool", "maybe"),
+    ] {
+        let (code, _out, err) =
+            run(repro().args(["serve", "--listen", "127.0.0.1:0", flag, value]));
+        assert_eq!(code, 2, "{flag} {value}: {err}");
+        assert!(err.contains(&format!("{flag} needs")), "{err}");
+    }
 }
 
 #[test]

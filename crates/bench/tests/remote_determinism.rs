@@ -18,7 +18,7 @@ use bench::shard::{EnvCrashJob, FailJob, Mm1ReplicationJob};
 use des::Workload;
 use proptest::prelude::*;
 use sim_core::{ExecError, StoppingRule};
-use sim_runtime::Exec;
+use sim_runtime::{Backend, Connector, Exec};
 use wsn::experiments::ablations::seed_ablation;
 use wsn::experiments::cpu_comparison::{run_cpu_comparison, CpuComparisonConfig};
 use wsn::experiments::node_energy::{run_node_sweep, NodeSweepConfig};
@@ -41,7 +41,10 @@ fn cluster_spawns_announces_and_shuts_down() {
         assert!(h.starts_with("127.0.0.1:"), "{h}");
     }
     let exec = cluster.exec(2, 2);
-    assert!(exec.is_remote());
+    assert!(matches!(
+        exec.backend,
+        Backend::Workers(Connector::Tcp { .. })
+    ));
     assert!(exec.label().contains("hosts=2"));
     cluster.shutdown();
 }
@@ -261,6 +264,9 @@ fn seed_ablation_driver_identical_across_hosts() {
 /// flat index — matching the shard suite and `try_grid`.
 #[test]
 fn lowest_index_task_error_wins_across_hosts() {
+    // Failing on purpose: keep the post-mortems out of the shared
+    // flight-record directory.
+    std::env::set_var("REPRO_FLIGHT_DIR", "off");
     let cluster = LocalCluster::spawn(repro_bin(), 4).expect("cluster spawns");
     let job = FailJob {
         fail_point: 1,
@@ -373,6 +379,9 @@ fn externally_killed_idle_peer_is_routed_around() {
 /// connects at all, a protocol error) — never a hang.
 #[test]
 fn all_peers_dead_is_an_error_not_a_hang() {
+    // Failing on purpose: keep the post-mortems out of the shared
+    // flight-record directory.
+    std::env::set_var("REPRO_FLIGHT_DIR", "off");
     let mut cluster = LocalCluster::spawn(repro_bin(), 2).expect("cluster spawns");
     let exec = cluster.exec(1, 2);
     cluster.kill(0);

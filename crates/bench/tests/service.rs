@@ -19,7 +19,7 @@ use bench::shard::{FailJob, Mm1ReplicationJob};
 use des::Workload;
 use sim_core::{ExecError, Runner, StoppingRule, TaskManifest};
 use sim_runtime::service::cache::decode_blob;
-use sim_runtime::{Disposition, Exec, JobState, ServiceError};
+use sim_runtime::{Backend, Disposition, Exec, JobState, ServiceError};
 use wsn::experiments::ablations::seed_ablation;
 use wsn::experiments::cpu_comparison::{run_cpu_comparison, CpuComparisonConfig};
 use wsn::experiments::node_energy::{run_node_sweep, NodeSweepConfig};
@@ -67,7 +67,7 @@ fn service_spawns_announces_and_shuts_down() {
     .expect("daemon spawns");
     assert!(svc.addr().starts_with("127.0.0.1:"), "{}", svc.addr());
     let exec = svc.exec(2);
-    assert!(exec.is_service());
+    assert_eq!(exec.backend, Backend::Service(svc.addr().to_string()));
     assert!(exec.label().contains("service"));
     let stats = svc.client().stats().expect("stats verb");
     assert_eq!(stats.submitted, 0);
@@ -339,6 +339,9 @@ fn disk_cache_survives_a_daemon_restart() {
 
 #[test]
 fn task_errors_propagate_losslessly_and_are_never_cached() {
+    // Failing on purpose: keep the post-mortems out of the shared
+    // flight-record directory.
+    std::env::set_var("REPRO_FLIGHT_DIR", "off");
     let svc = LocalService::spawn(repro_bin(), &["--threads", "1", "--no-disk-cache"])
         .expect("daemon spawns");
     let job = FailJob {

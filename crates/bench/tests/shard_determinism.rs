@@ -215,6 +215,9 @@ fn seed_ablation_driver_identical_across_shards() {
 /// flat index — matching `try_grid`'s lowest-index-wins contract.
 #[test]
 fn lowest_index_task_error_wins_across_shards() {
+    // Failing on purpose: keep the post-mortems out of the shared
+    // flight-record directory.
+    std::env::set_var("REPRO_FLIGHT_DIR", "off");
     let job = FailJob {
         fail_point: 1,
         fail_rep: 1,
@@ -250,6 +253,9 @@ fn lowest_index_task_error_wins_across_shards() {
 /// while the other shards complete normally.
 #[test]
 fn killed_worker_propagates_error() {
+    // Failing on purpose: keep the post-mortems out of the shared
+    // flight-record directory.
+    std::env::set_var("REPRO_FLIGHT_DIR", "off");
     let reps = [2u64, 2, 2, 2]; // 8 slots; 4 shards of 2
                                 // Crash inside the third shard (slots 4..6 → point 2).
     let job = CrashJob {
@@ -284,6 +290,9 @@ fn killed_worker_propagates_error() {
 /// A worker command that is not a protocol speaker at all.
 #[test]
 fn non_protocol_worker_is_a_worker_error() {
+    // Failing on purpose: keep the post-mortems out of the shared
+    // flight-record directory.
+    std::env::set_var("REPRO_FLIGHT_DIR", "off");
     let job = Mm1ReplicationJob {
         horizon: 50.0,
         warmup: 0.0,

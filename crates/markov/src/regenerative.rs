@@ -70,6 +70,8 @@ pub fn cpu_probabilities(params: &CpuMarkovParams, sleep_prob: f64) -> PhaseCpuS
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::birth_death;
+    use crate::mm1::Mm1;
     use crate::phase::{solve_phase_cpu, PhaseCpuConfig};
 
     fn params(t: f64, d: f64) -> CpuMarkovParams {
@@ -111,6 +113,37 @@ mod tests {
         for (a, b) in exact.probabilities().iter().zip(paper.probabilities()) {
             assert!((a - b).abs() < 1e-8, "{exact:?} vs {paper:?}");
         }
+    }
+
+    /// The closed form at its two limits, against the plain queue: a
+    /// threshold no idle period outlasts leaves an M/M/1 server (idle
+    /// whenever empty), and a zero threshold with a negligible power-up
+    /// sends every empty period to standby. π₀ comes from a truncated
+    /// birth–death chain and is checked against `Mm1`.
+    #[test]
+    fn limits_reduce_to_the_plain_queue() {
+        let mm1 = Mm1::new(1.0, 10.0);
+        let pi = birth_death::steady_state(&[mm1.lambda; 200], &[mm1.mu; 200]);
+        assert!(
+            (pi[0] - mm1.p_empty()).abs() < 1e-15,
+            "{} vs {}",
+            pi[0],
+            mm1.p_empty()
+        );
+
+        // Never sleeps: λT = 40, so q = e^{−40}.
+        let p = params(40.0, 0.3);
+        let never = cpu_probabilities(&p, deterministic_sleep_probability(p.lambda, 40.0));
+        assert!((never.p_idle - pi[0]).abs() < 1e-12, "{never:?}");
+        assert!(never.p_standby + never.p_powerup < 1e-12, "{never:?}");
+        assert_eq!(never.p_active, mm1.rho());
+
+        // Sleeps at once: T = 0, so q = 1, and D = 1e-9.
+        let p = params(0.0, 1e-9);
+        let at_once = cpu_probabilities(&p, deterministic_sleep_probability(p.lambda, 0.0));
+        assert!((at_once.p_standby - pi[0]).abs() < 1e-8, "{at_once:?}");
+        assert_eq!(at_once.p_idle, 0.0, "{at_once:?}");
+        assert_eq!(at_once.p_active, mm1.rho());
     }
 
     /// The phase chain at a queue bound where truncation is negligible

@@ -63,37 +63,33 @@ pub(crate) mod frame {
 
 // --- execution configuration --------------------------------------------
 
+/// Where a run's portable jobs execute.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Backend {
+    /// The in-process scoped thread pool.
+    InProcess,
+    /// Worker subprocesses over pipes, or remote TCP workers, through
+    /// the fleet's [`WorkerBackend`].
+    Workers(Connector),
+    /// An experiment service daemon at `host:port`: its job queue,
+    /// single-flight dedup and content-addressed result cache.
+    Service(String),
+}
+
 /// Resolved execution parameters, threaded through every experiment
-/// driver: worker threads, shard count, remote hosts, and (for sharded
-/// runs) the worker command.
-///
-/// `shards == 0` and empty `hosts` means "in-process"; `shards >= 1` fans
-/// out to that many worker subprocesses, each running `threads` worker
-/// threads; a non-empty `hosts` list (which takes precedence over shards)
-/// dispatches to remote TCP workers instead; a `service` address (highest
-/// precedence) routes dispatches through an experiment service daemon —
-/// its job queue, single-flight dedup and content-addressed result cache.
-/// Results are identical in every case — the setting only chooses *where*
-/// (and, on a cache hit, whether) slots execute.
+/// driver: worker threads per process, the backend, and the fault knobs
+/// of the multi-process backends. Results are identical on every
+/// backend — the setting only chooses *where* (and, on a cache hit,
+/// whether) slots execute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Exec {
     /// Worker threads (per process — local, per subprocess, or per remote
     /// peer).
     pub threads: usize,
-    /// Worker subprocesses; 0 = run in-process.
-    pub shards: usize,
-    /// Worker argv override for sharded runs (`None`:
-    /// `current_exe --worker`).
-    pub worker_cmd: Option<Vec<String>>,
-    /// Remote worker addresses (`host:port`); non-empty selects the
-    /// remote TCP backend.
-    pub hosts: Vec<String>,
-    /// Experiment service daemon address (`host:port`); `Some` selects
-    /// the service backend (precedence over `hosts` and `shards`).
-    pub service: Option<String>,
+    /// Where portable jobs run.
+    pub backend: Backend,
     /// Unified fault policy (retry budget, IO timeout, backoff,
-    /// shrink-to-zero fallback) applied to the sharded and remote
-    /// tiers.
+    /// shrink-to-zero fallback) applied to the worker backends.
     pub fault: FaultPolicy,
     /// Keep workers/peers warm in the process default pool
     /// ([`crate::fleet::pool::pool`]) across dispatches (default `true`;
@@ -114,21 +110,21 @@ impl Exec {
     pub fn in_process(threads: usize) -> Self {
         Exec {
             threads: threads.max(1),
-            shards: 0,
-            worker_cmd: None,
-            hosts: Vec::new(),
-            service: None,
+            backend: Backend::InProcess,
             fault: FaultPolicy::default(),
             pool: true,
             chaos: None,
         }
     }
 
-    /// Fan portable jobs out to `shards` worker subprocesses of `threads`
-    /// threads each.
+    /// Fan portable jobs out to `shards` worker subprocesses
+    /// (`current_exe --worker`) of `threads` threads each.
     pub fn sharded(threads: usize, shards: usize) -> Self {
         Exec {
-            shards: shards.max(1),
+            backend: Backend::Workers(Connector::Pipes {
+                links: shards.max(1),
+                cmd: None,
+            }),
             ..Exec::in_process(threads)
         }
     }
@@ -142,7 +138,7 @@ impl Exec {
             "remote execution needs at least one host"
         );
         Exec {
-            hosts,
+            backend: Backend::Workers(Connector::Tcp { hosts }),
             ..Exec::in_process(threads)
         }
     }
@@ -155,15 +151,18 @@ impl Exec {
     pub fn service(threads: usize, addr: String) -> Self {
         assert!(!addr.is_empty(), "service execution needs a daemon address");
         Exec {
-            service: Some(addr),
+            backend: Backend::Service(addr),
             ..Exec::in_process(threads)
         }
     }
 
-    /// Override the worker command line for sharded runs.
+    /// Override the worker command line of a sharded run.
     pub fn with_worker_cmd(mut self, cmd: Vec<String>) -> Self {
         assert!(!cmd.is_empty(), "worker command must have an argv[0]");
-        self.worker_cmd = Some(cmd);
+        match &mut self.backend {
+            Backend::Workers(Connector::Pipes { cmd: slot, .. }) => *slot = Some(cmd),
+            other => panic!("a worker command applies to sharded runs only, not {other:?}"),
+        }
         self
     }
 
@@ -186,61 +185,38 @@ impl Exec {
         self
     }
 
-    /// Whether portable jobs run in worker subprocesses.
-    pub fn is_sharded(&self) -> bool {
-        self.shards >= 1
-    }
-
-    /// Whether portable jobs run on remote TCP workers.
-    pub fn is_remote(&self) -> bool {
-        !self.hosts.is_empty()
-    }
-
-    /// Whether portable jobs are routed through a service daemon.
-    pub fn is_service(&self) -> bool {
-        self.service.is_some()
-    }
-
     /// A core [`Runner`] on this configuration, with the selected backend
     /// built once and plugged in (none for in-process).
     pub fn runner(&self) -> Runner {
         let runner = Runner::new(self.threads);
-        if let Some(addr) = &self.service {
-            return runner.with_backend(Arc::new(ServiceBackend::new(addr.clone(), self.threads)));
+        match &self.backend {
+            Backend::InProcess => runner,
+            Backend::Service(addr) => {
+                runner.with_backend(Arc::new(ServiceBackend::new(addr.clone(), self.threads)))
+            }
+            Backend::Workers(connector) => {
+                let pool = self.pool.then(|| crate::fleet::pool::pool().clone());
+                runner.with_backend(Arc::new(WorkerBackend {
+                    chaos: self.chaos,
+                    ..WorkerBackend::new(connector.clone(), self.threads, pool)
+                        .with_fault(self.fault)
+                }))
+            }
         }
-        let connector = if self.is_remote() {
-            Connector::Tcp {
-                hosts: self.hosts.clone(),
-            }
-        } else if self.is_sharded() {
-            Connector::Pipes {
-                links: self.shards,
-                cmd: self.worker_cmd.clone(),
-            }
-        } else {
-            return runner;
-        };
-        let pool = self.pool.then(|| crate::fleet::pool::pool().clone());
-        runner.with_backend(Arc::new(WorkerBackend {
-            chaos: self.chaos,
-            ..WorkerBackend::new(connector, self.threads, pool).with_fault(self.fault)
-        }))
     }
 
     /// Short description for logs.
     pub fn label(&self) -> String {
-        if let Some(addr) = &self.service {
-            format!("service(addr={addr}, threads={})", self.threads)
-        } else if !self.hosts.is_empty() {
-            format!(
-                "remote(hosts={}, threads={})",
-                self.hosts.len(),
-                self.threads
-            )
-        } else if self.shards >= 1 {
-            format!("sharded(shards={}, threads={})", self.shards, self.threads)
-        } else {
-            format!("in-process(threads={})", self.threads)
+        let threads = self.threads;
+        match &self.backend {
+            Backend::InProcess => format!("in-process(threads={threads})"),
+            Backend::Workers(Connector::Pipes { links, .. }) => {
+                format!("sharded(shards={links}, threads={threads})")
+            }
+            Backend::Workers(Connector::Tcp { hosts }) => {
+                format!("remote(hosts={}, threads={threads})", hosts.len())
+            }
+            Backend::Service(addr) => format!("service(addr={addr}, threads={threads})"),
         }
     }
 }
@@ -300,10 +276,13 @@ pub(crate) mod tests {
     #[test]
     fn exec_config_builds_matching_runner() {
         let e = Exec::in_process(3);
-        assert!(!e.is_sharded());
+        assert_eq!(e.backend, Backend::InProcess);
         assert_eq!(e.runner().threads(), 3);
         let s = Exec::sharded(2, 4);
-        assert!(s.is_sharded());
+        assert!(matches!(
+            s.backend,
+            Backend::Workers(Connector::Pipes { links: 4, .. })
+        ));
         assert!(s.label().contains("shards=4"));
         // Runner built from a sharded Exec dispatches to pipe workers.
         assert!(format!("{:?}", s.runner()).contains("sharded"));

@@ -7,10 +7,10 @@
 //! process, and plugs each one into a core `Runner` as one
 //! `Arc<dyn ExecBackend>`:
 //!
-//! * [`exec::Exec`] — the CLI-side backend *selection* (threads, shards,
-//!   hosts or a service address, plus the fault policy, pool and chaos
-//!   settings); [`Exec::runner`] builds the chosen backend and plugs it
-//!   into a core `Runner`.
+//! * [`exec::Exec`] — the CLI-side backend *selection* (threads, one
+//!   [`exec::Backend`] — in-process, workers or a service address — plus
+//!   the fault policy, pool and chaos settings); [`Exec::runner`] builds
+//!   the chosen backend and plugs it into a core `Runner`.
 //! * [`fleet::backend::WorkerBackend`] — one work queue that partitions a
 //!   manifest across worker links, with **byte-identical** gathers at any
 //!   link × thread count. Its connector is the only per-tier code: spawn
@@ -47,7 +47,7 @@ pub mod remote;
 pub mod service;
 pub mod worker;
 
-pub use exec::Exec;
+pub use exec::{Backend, Exec};
 pub use fleet::backend::{Connector, WorkerBackend};
 pub use fleet::{chaos::ChaosConfig, fleet_stats, FaultPolicy, FleetSnapshot, FleetStats};
 pub use remote::FrameTransport;

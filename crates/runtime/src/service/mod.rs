@@ -167,7 +167,7 @@ impl Service {
     /// [`Service::step`] manually in tests).
     pub fn new(cfg: ServiceConfig, registry: Arc<JobRegistry>) -> Self {
         assert!(
-            !cfg.exec.is_service(),
+            !matches!(cfg.exec.backend, crate::exec::Backend::Service(_)),
             "a service cannot dispatch onto another service (backend loop)"
         );
         let disk = cfg
@@ -1014,6 +1014,9 @@ mod tests {
 
     #[test]
     fn failures_propagate_losslessly_and_are_not_cached() {
+        // Failing on purpose: keep the post-mortem out of the shared
+        // flight-record directory.
+        std::env::set_var("REPRO_FLIGHT_DIR", "off");
         let svc = Service::new(mem_only_cfg(), registry());
         let m = TaskManifest {
             kind: "test-svc-fail".into(),

@@ -653,9 +653,9 @@ mod tests {
         )
     }
 
-    #[test]
-    fn requests_round_trip() {
-        for req in [
+    /// One request of every kind.
+    fn requests() -> Vec<ServiceRequest> {
+        vec![
             ServiceRequest::Submit {
                 threads: 4,
                 manifest: manifest(),
@@ -666,15 +666,12 @@ mod tests {
             ServiceRequest::Stats,
             ServiceRequest::Shutdown,
             ServiceRequest::Trace(JobId(42)),
-        ] {
-            let body = req.encode();
-            assert_eq!(ServiceRequest::decode(&body).unwrap(), req, "{req:?}");
-        }
+        ]
     }
 
-    #[test]
-    fn responses_round_trip() {
-        let errors = [
+    /// One executor error of every kind.
+    fn errors() -> [ExecError; 4] {
+        [
             ExecError::Task {
                 flat_index: 4,
                 point: 1,
@@ -687,7 +684,11 @@ mod tests {
             },
             ExecError::Protocol("garbage".into()),
             ExecError::BackendUnavailable("all peers quarantined".into()),
-        ];
+        ]
+    }
+
+    /// One response of every kind, and a failure for every error kind.
+    fn responses() -> Vec<ServiceResponse> {
         let mut responses = vec![
             ServiceResponse::Submitted {
                 job: JobId(3),
@@ -733,16 +734,143 @@ mod tests {
                 json: "{\"traceEvents\":[]}".into(),
             },
         ];
-        for e in errors {
+        for e in errors() {
             responses.push(ServiceResponse::Failed {
                 job: JobId(1),
                 error: e,
             });
         }
-        for resp in responses {
+        responses
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for req in requests() {
+            let body = req.encode();
+            assert_eq!(ServiceRequest::decode(&body).unwrap(), req, "{req:?}");
+        }
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for resp in responses() {
             let body = resp.encode();
             assert_eq!(ServiceResponse::decode(&body).unwrap(), resp, "{resp:?}");
         }
+    }
+
+    /// Hostile variants of the valid body `valid`: random bytes, the
+    /// truncation to `cut` bytes, `valid` with the byte at `cut` flipped,
+    /// and `valid` with the four bytes from `cut` on overwritten by
+    /// `u32::MAX` (a huge length or count wherever one starts there).
+    fn hostile(valid: &[u8], noise: &[u8], cut: usize, flip: u8) -> [Vec<u8>; 4] {
+        let cut = cut % valid.len();
+        let mut flipped = valid.to_vec();
+        flipped[cut] ^= flip;
+        let mut huge = valid.to_vec();
+        huge.iter_mut().skip(cut).take(4).for_each(|b| *b = 0xFF);
+        [noise.to_vec(), valid[..cut].to_vec(), flipped, huge]
+    }
+
+    // The three decoders face daemon and client bytes. On hostile bodies
+    // each must fail without panicking, or decode a value that re-encodes
+    // to exactly the bytes it consumed (every field is canonical), so no
+    // decoded value is larger than its body. Every strict prefix of a
+    // valid body is an error.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn request_decode_survives_hostile_bodies(
+            pick in 0usize..7,
+            noise in proptest::collection::vec(0u8..255, 0..96),
+            cut in 0usize..4096,
+            flip in 1u8..255,
+        ) {
+            let req = &requests()[pick];
+            let valid = req.encode();
+            proptest::prop_assert_eq!(&ServiceRequest::decode(&valid).unwrap(), req);
+            let [noise, truncated, flipped, huge] = hostile(&valid, &noise, cut, flip);
+            proptest::prop_assert!(ServiceRequest::decode(&truncated).is_err());
+            for body in [&noise, &flipped, &huge] {
+                if let Ok(decoded) = ServiceRequest::decode(body) {
+                    proptest::prop_assert_eq!(&decoded.encode(), body);
+                }
+            }
+        }
+
+        #[test]
+        fn response_decode_survives_hostile_bodies(
+            pick in 0usize..13,
+            noise in proptest::collection::vec(0u8..255, 0..96),
+            cut in 0usize..4096,
+            flip in 1u8..255,
+        ) {
+            let resp = &responses()[pick];
+            let valid = resp.encode();
+            proptest::prop_assert_eq!(&ServiceResponse::decode(&valid).unwrap(), resp);
+            let [noise, truncated, flipped, huge] = hostile(&valid, &noise, cut, flip);
+            proptest::prop_assert!(ServiceResponse::decode(&truncated).is_err());
+            for body in [&noise, &flipped, &huge] {
+                if let Ok(decoded) = ServiceResponse::decode(body) {
+                    proptest::prop_assert_eq!(&decoded.encode(), body);
+                }
+            }
+        }
+
+        #[test]
+        fn exec_error_decode_survives_hostile_bodies(
+            pick in 0usize..4,
+            noise in proptest::collection::vec(0u8..255, 0..96),
+            cut in 0usize..4096,
+            flip in 1u8..255,
+        ) {
+            let mut valid = Vec::new();
+            encode_exec_error(&mut valid, &errors()[pick]);
+            let [noise, truncated, flipped, huge] = hostile(&valid, &noise, cut, flip);
+            proptest::prop_assert!(decode_exec_error(&mut Reader::new(&truncated)).is_err());
+            for body in [&valid, &noise, &flipped, &huge] {
+                let mut r = Reader::new(body);
+                if let Ok(e) = decode_exec_error(&mut r) {
+                    let used = body.len() - r.remaining();
+                    let mut again = Vec::new();
+                    encode_exec_error(&mut again, &e);
+                    proptest::prop_assert_eq!(&again[..], &body[..used]);
+                }
+            }
+        }
+    }
+
+    /// A `u32::MAX` length or count is refused from the bytes left, before
+    /// anything is allocated: the manifest's segment and seed counts go
+    /// through `Reader::get_count`, blobs and strings through the same
+    /// bounds check in `Reader::take`.
+    #[test]
+    fn huge_lengths_are_refused_before_allocating() {
+        let m = manifest();
+        let submit = ServiceRequest::Submit {
+            threads: 1,
+            manifest: m.clone(),
+        }
+        .encode();
+        // tag, version, threads, then the kind and payload fields.
+        let segs_at = 2 + 4 + 4 + m.kind.len() + 4 + m.payload.len();
+        let seeds_at = segs_at + 4 + 24 * m.segments.len();
+        for (at, what) in [(segs_at, "segment list"), (seeds_at, "seed list")] {
+            let mut body = submit.clone();
+            body[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let err = ServiceRequest::decode(&body).unwrap_err();
+            assert!(err.0.contains(what) && err.0.contains("overruns"), "{err}");
+        }
+        // tag and job, then the blob's length.
+        let mut body = ServiceResponse::Result {
+            job: JobId(1),
+            blob: vec![7; 3],
+        }
+        .encode();
+        body[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = ServiceResponse::decode(&body).unwrap_err();
+        assert!(err.0.contains("need 4294967295 byte(s)"), "{err}");
     }
 
     #[test]
