@@ -17,12 +17,14 @@
 //! net, and the paper's node SCPN under closed and open workloads (colored
 //! DVS jobs) with the full reward set `wsn::simulate_node_model` registers
 //! — place averages, radio-state predicates and firing counters — so the
-//! per-time-step reward integration is priced too. The paper's nets and
-//! mm1 revisit a few dozen markings, so their rows measure the engine's
-//! step memo replaying; the tandem lines rarely repeat a step (the 16- and
-//! 64-stage lines rarely even a marking), so each of their runs gives the
-//! memo up at its first check and their rows price that give-up path: the
-//! misses before it, then the plain interpreter.
+//! per-time-step reward integration is priced too. Each row reuses one
+//! simulator, as a sweep point does, so its runs start from the step
+//! record the earlier runs left. The paper's nets and mm1 revisit a few
+//! dozen markings, so their rows measure the engine's step memo
+//! replaying; the tandem lines rarely repeat a step (the 16- and 64-stage
+//! lines rarely even a marking), so each of their runs gives the memo up
+//! at its first check, publishes nothing, and their rows price that
+//! give-up path: the misses before it, then the plain interpreter.
 //!
 //! ```text
 //! cargo run --release -p bench --bin engine_ab [pairs_per_case] [--out FILE]
@@ -149,7 +151,7 @@ fn render_json(results: &[NetResult], pairs: usize) -> String {
         .join(",\n");
     format!(
         r#"{{
-  "what": "Event throughput of the lowered engine (sim/lower.rs + sim/lowered.rs + sim/memo.rs, the one production engine behind Simulator::run). `scalar`: Simulator::run against the reference engine (Simulator::run_reference, the frozen seed algorithm and the semantic oracle). Node nets register the full reward set of wsn::simulate_node_model. mm1 and the paper's nets replay memoized steps; the tandem lines give the step memo up early in every run, so their rows price the give-up path.",
+  "what": "Event throughput of the lowered engine (sim/lower.rs + sim/lowered.rs + sim/memo.rs, the one production engine behind Simulator::run). `scalar`: Simulator::run against the reference engine (Simulator::run_reference, the frozen seed algorithm and the semantic oracle). Node nets register the full reward set of wsn::simulate_node_model. Each row reuses one simulator, so its runs start from the step record earlier runs left. mm1 and the paper's nets replay memoized steps; the tandem lines give the step memo up early in every run, so their rows price the give-up path.",
   "command": "cargo run --release -p bench --bin engine_ab -- {pairs} --out BENCH_engine.json",
   "host": "{host}",
   "methodology": "Paired A/B on the shared bench::ab harness: adjacent interleaved blocks, alternating order, {pairs} pairs per case; ns/event are median block times over the firings of the block, speedup is the median of per-pair ratios. Every pair's two blocks run the same seeds and must agree on a checksum of every firing count and reward bit pattern, so each row compares byte-identical work.",

@@ -125,6 +125,7 @@ use sim_core::StoppingRule;
 use sim_runtime::{ChaosConfig, Exec, FaultPolicy, ServiceClient, ServiceConfig, ServiceHandle};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::path::Path;
 use std::rc::Rc;
 use wsn::experiments::ablations::{
     erlang_ablation, memory_ablation, seed_ablation, trigger_ablation,
@@ -909,7 +910,7 @@ fn cpu_figs(opts: &Opts, pud: f64, states: bool) {
         (d, false) if d < 1.0 => "fig8",
         (_, false) => "fig9",
     };
-    match write_artifact(&format!("{fig}_{kind}.csv"), &csv) {
+    match write_artifact(Path::new("."), &format!("{fig}_{kind}.csv"), &csv) {
         Ok(path) => println!("[{fig}] PUD={pud}s {kind} -> {path}"),
         Err(e) => eprintln!("[{fig}] failed to write artifact: {e}"),
     }
@@ -964,7 +965,7 @@ fn node_fig(opts: &Opts, workload: Workload, fig: &str) {
     };
     let sweep = run_node_sweep(workload, &FIG14_15_PDT_GRID, &cfg);
     let csv = render_node_sweep_csv(&sweep);
-    match write_artifact(&format!("{fig}_breakdown.csv"), &csv) {
+    match write_artifact(Path::new("."), &format!("{fig}_breakdown.csv"), &csv) {
         Ok(path) => println!("[{fig}] {workload:?} -> {path}"),
         Err(e) => eprintln!("[{fig}] failed to write artifact: {e}"),
     }
@@ -1089,6 +1090,7 @@ fn validate(opts: &Opts) {
         let worst = rows.iter().map(|r| r.rel_diff).fold(0.0f64, f64::max);
         let reps: u64 = rows.iter().map(|r| r.replications).sum();
         match write_artifact(
+            Path::new("."),
             &format!("validate_{name}.csv"),
             &render_validation_csv(&rows),
         ) {
@@ -1145,7 +1147,7 @@ fn dot() {
         ("fig12_closed.dot", &closed.net),
         ("fig13_open.dot", &open.net),
     ] {
-        match write_artifact(name, &petri_core::dot::to_dot(net)) {
+        match write_artifact(Path::new("."), name, &petri_core::dot::to_dot(net)) {
             Ok(path) => println!("[dot] {path}"),
             Err(e) => eprintln!("[dot] {name}: {e}"),
         }

@@ -1,5 +1,7 @@
 //! Shared helpers for the benchmark harness and the `repro` binary.
 
+use std::path::Path;
+
 pub mod ab;
 pub mod remote;
 pub mod shard;
@@ -7,11 +9,12 @@ pub mod shard;
 /// Directory where `repro` writes CSV artifacts (created on demand).
 pub const RESULTS_DIR: &str = "results";
 
-/// Write `content` to `results/<name>` (best effort; returns the path).
-pub fn write_artifact(name: &str, content: &str) -> std::io::Result<String> {
-    std::fs::create_dir_all(RESULTS_DIR)?;
+/// Write `content` to `<base>/results/<name>` (best effort; returns the
+/// path relative to `base`).
+pub fn write_artifact(base: &Path, name: &str, content: &str) -> std::io::Result<String> {
+    std::fs::create_dir_all(base.join(RESULTS_DIR))?;
     let path = format!("{RESULTS_DIR}/{name}");
-    std::fs::write(&path, content)?;
+    std::fs::write(base.join(&path), content)?;
     Ok(path)
 }
 
@@ -21,14 +24,11 @@ mod tests {
 
     #[test]
     fn write_artifact_roundtrip() {
-        let dir = std::env::temp_dir().join("bench-artifact-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let old = std::env::current_dir().unwrap();
-        std::env::set_current_dir(&dir).unwrap();
-        let path = write_artifact("x.csv", "a,b\n1,2\n").unwrap();
-        let back = std::fs::read_to_string(&path).unwrap();
-        std::env::set_current_dir(old).unwrap();
-        assert_eq!(back, "a,b\n1,2\n");
+        let dir = std::env::temp_dir().join(format!("bench-artifact-test-{}", std::process::id()));
+        let path = write_artifact(&dir, "x.csv", "a,b\n1,2\n").unwrap();
+        let back = std::fs::read_to_string(dir.join(&path));
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(path, "results/x.csv");
+        assert_eq!(back.unwrap(), "a,b\n1,2\n");
     }
 }

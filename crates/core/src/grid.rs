@@ -168,12 +168,14 @@ where
             .map(|&s| (s, Vec::with_capacity(s.count)))
             .collect();
         let mut flat = 0usize;
+        // Back-to-back slot spans share their boundary reading, so each
+        // slot reads the clock once.
+        let mut span = obs.start(trace);
         for (seg, results) in out.iter_mut() {
             for local in 0..seg.count {
                 let rep = seg.base_rep + local as u64;
-                let span = obs.start(trace);
                 let outcome = task(flat, seg.point, rep);
-                obs.end(span, SLOT, GRID, flat as u64);
+                span = obs.lap(span, SLOT, GRID, flat as u64);
                 results.push(outcome.map_err(|e| (flat, e))?);
                 flat += 1;
                 if let Some(cb) = progress {

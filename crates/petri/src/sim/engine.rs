@@ -1,12 +1,15 @@
 //! The [`Simulator`]: configuration, rewards, and the run entry points.
 //!
-//! A `Simulator` holds a net, its [`SimConfig`] and its reward set. On the
+//! A `Simulator` holds a net (borrowed, or shared through an `Arc` so the
+//! simulator can be kept), its [`SimConfig`] and its reward set. On the
 //! first run it lowers them, in one pass ([`super::lower`]), to a
 //! `LoweredNet`: the micro-op program, the side tables its slow paths
 //! read, and the start state every run clones. That program is shared by
-//! every later run until a reward is added. [`Simulator::run`] is the one
-//! entry point: each call builds one `LoweredEngine` ([`super::lowered`])
-//! and runs one replication on it.
+//! every later run until a reward is added, and so is the step memo's
+//! record ([`super::memo`]): each run starts from the record the earlier
+//! runs left, and a run that kept its memo offers back what it added.
+//! [`Simulator::run`] is the one entry point: each call builds one
+//! `LoweredEngine` ([`super::lowered`]) and runs one replication on it.
 //!
 //! The seed's non-incremental engine is preserved in [`super::reference`]
 //! as the executable specification; [`Simulator::run_reference`] runs it.
@@ -15,13 +18,14 @@
 //! and debug builds shadow the first run of every simulator with it.
 
 use super::lower::LoweredNet;
+use super::memo::SharedRecord;
 use super::rewards::{RewardId, RewardSpec, RewardSpecError};
 use super::trace::TraceEvent;
 use crate::error::SimError;
 use crate::ids::{PlaceId, TransitionId};
 use crate::marking::Marking;
 use crate::net::Net;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Run-independent simulation configuration.
 #[derive(Debug, Clone)]
@@ -110,19 +114,42 @@ impl SimOutput {
 // Simulator
 // ---------------------------------------------------------------------------
 
+/// The net a simulator runs: borrowed from the caller, or shared.
+#[derive(Debug, Clone)]
+enum NetRef<'a> {
+    Borrowed(&'a Net),
+    Shared(Arc<Net>),
+}
+
+impl std::ops::Deref for NetRef<'_> {
+    type Target = Net;
+
+    fn deref(&self) -> &Net {
+        match self {
+            NetRef::Borrowed(net) => net,
+            NetRef::Shared(net) => net,
+        }
+    }
+}
+
 /// A configured, reusable simulator for one net.
 ///
 /// The lowered program (net × rewards × config) is built once, on the
-/// first run, and immutable afterwards. [`Simulator::run`] takes `&self`,
-/// so independent replications can run concurrently on multiple threads.
+/// first run, and immutable afterwards; the step memo's record grows as
+/// runs offer what they added. [`Simulator::run`] takes `&self`, so
+/// independent replications can run concurrently on multiple threads, and
+/// no output depends on which runs came before.
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
-    pub(super) net: &'a Net,
+    net: NetRef<'a>,
     pub(super) cfg: SimConfig,
     pub(super) rewards: Vec<RewardSpec>,
     /// Lazily-built lowered program, shared by every run. Invalidated when
     /// a reward is added.
     pub(super) lowered: OnceLock<LoweredNet>,
+    /// The step memo's record, shared by every run. Dropped with the
+    /// lowered program.
+    pub(super) record: SharedRecord,
     /// Debug builds check the first run per simulator against the
     /// reference engine and its start state against a rescan (cheap,
     /// once-per-net oracles on top of the differential suites).
@@ -130,14 +157,27 @@ pub struct Simulator<'a> {
     pub(super) shadow_once: OnceLock<()>,
 }
 
+impl Simulator<'static> {
+    /// Create a simulator that holds its own share of `net`, so it can be
+    /// kept beyond any borrow (a warm simulator reused across calls).
+    pub fn shared(net: Arc<Net>, cfg: SimConfig) -> Self {
+        Self::with_net(NetRef::Shared(net), cfg)
+    }
+}
+
 impl<'a> Simulator<'a> {
     /// Create a simulator for `net` with the given configuration.
     pub fn new(net: &'a Net, cfg: SimConfig) -> Self {
+        Self::with_net(NetRef::Borrowed(net), cfg)
+    }
+
+    fn with_net(net: NetRef<'a>, cfg: SimConfig) -> Self {
         Simulator {
             net,
             cfg,
             rewards: Vec::new(),
             lowered: OnceLock::new(),
+            record: SharedRecord::default(),
             shadow_once: OnceLock::new(),
         }
     }
@@ -145,17 +185,19 @@ impl<'a> Simulator<'a> {
     /// The lowered program for this simulator, building it on first use.
     pub(super) fn lowered_net(&self) -> &LoweredNet {
         self.lowered
-            .get_or_init(|| LoweredNet::build(self.net, &self.rewards, &self.cfg))
+            .get_or_init(|| LoweredNet::build(&self.net, &self.rewards, &self.cfg))
     }
 
     /// Register a reward measure; the returned id indexes
     /// [`SimOutput::rewards`].
     pub fn reward(&mut self, spec: RewardSpec) -> Result<RewardId, RewardSpecError> {
-        spec.validate(self.net)?;
+        spec.validate(&self.net)?;
         let id = RewardId(self.rewards.len());
         self.rewards.push(spec);
-        // The lowered program bakes the reward set in; rebuild on next run.
+        // The lowered program bakes the reward set in, and the memo's
+        // record its accumulators and op offsets: rebuild both on next run.
         self.lowered.take();
+        self.record.clear();
         Ok(id)
     }
 
@@ -178,7 +220,7 @@ impl<'a> Simulator<'a> {
 
     /// The net this simulator runs.
     pub fn net(&self) -> &Net {
-        self.net
+        &self.net
     }
 
     /// Number of configured rewards.
@@ -192,7 +234,7 @@ impl<'a> Simulator<'a> {
     }
 
     /// Execute one independent run with the given seed on the lowered
-    /// engine.
+    /// engine, starting from the memo record the earlier runs left.
     ///
     /// This is the one site that records engine metrics: each successful
     /// run's event count goes into `engine_run_events` (whose count and
@@ -203,10 +245,12 @@ impl<'a> Simulator<'a> {
         let first = self.shadow_once.set(()).is_ok();
         #[cfg(debug_assertions)]
         if first {
-            super::lowered::debug_assert_start_state(self.lowered_net(), self.net);
+            super::lowered::debug_assert_start_state(self.lowered_net(), &self.net);
         }
-        let (out, _) = super::lowered::LoweredEngine::new(self, seed).run();
+        let engine = super::lowered::LoweredEngine::starting_from(self, seed, self.record.get());
+        let (out, memo) = engine.run_keeping_memo();
         if let Ok(o) = &out {
+            self.record.offer(memo);
             sim_core::obs::obs().record(sim_core::obs::Metric::EngineRunEvents, o.total_firings());
         }
         #[cfg(debug_assertions)]
@@ -221,7 +265,7 @@ impl<'a> Simulator<'a> {
     /// [`super::reference`]). Same seed ⇒ bit-identical output to
     /// [`Simulator::run`]; used by differential tests and benchmarks.
     pub fn run_reference(&self, seed: u64) -> Result<SimOutput, SimError> {
-        super::reference::ReferenceEngine::new(self.net, &self.cfg, &self.rewards, seed).run()
+        super::reference::ReferenceEngine::new(&self.net, &self.cfg, &self.rewards, seed).run()
     }
 }
 

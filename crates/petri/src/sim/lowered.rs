@@ -15,16 +15,18 @@
 //! * **Replay, not re-interpretation.** A step — one timed firing from a
 //!   tangible marking plus its immediate cascade — depends only on that
 //!   marking and the fired transition, and the paper's nets visit a few
-//!   dozen tangible markings over tens of thousands of firings. The per-run
+//!   dozen tangible markings over tens of thousands of firings. The
 //!   [`Memo`] keys each marking exactly (counts, plus every bag in FIFO
 //!   order) and, from a marking's second interpreted step on, records what
 //!   each step did: the fired transitions, the counter hooks, the re-checks
-//!   that acted and the next marking. The next time the run takes that step
-//!   it replays the record: it bumps the step's hit count, writes the trace
-//!   of a traced run, and runs the acting re-checks, each already resolved
-//!   by the state byte it saw (sample Exp(rate) and schedule, schedule at a
-//!   fixed delay, cancel; other re-checks run their op), so clocks are
-//!   drawn exactly as the interpreter would draw them. Firing counts and
+//!   that acted and the next marking. The record is the simulator's, so a
+//!   run starts from what its simulator's earlier runs recorded. The next
+//!   time a run takes a recorded step it replays the record: it bumps the
+//!   step's hit count, writes the trace of a traced run, and runs the
+//!   acting re-checks, each already resolved by the state byte it saw
+//!   (sample Exp(rate) and schedule, schedule at a fixed delay, cancel;
+//!   other re-checks run their op), so clocks are drawn exactly as the
+//!   interpreter would draw them. Firing counts and
 //!   hooks are added as `hits × record` when the memo phase ends, or at
 //!   the warm-up boundary. Token moves, condition flips, the re-check walk
 //!   and the cascade are skipped; the marking and enabling state go stale
@@ -33,7 +35,7 @@
 //!   transitions, and the next-event scan there reads only those clocks.
 //!   Rewards integrate over the marking's memoized non-zero terms. This is
 //!   vanishing-marking elimination (Ajmone Marsan, Balbo & Conte, 1984),
-//!   done lazily on the states a run visits. A first visit costs a key and
+//!   done lazily on the states the runs visit. A first visit costs a key and
 //!   a hash lookup, and a run whose states do not repeat, or a net without
 //!   immediates whose steps mostly miss, gives the memo up (see
 //!   [`super::memo`]).
@@ -120,7 +122,7 @@ use super::lower::{
     OP_RA_UNI, OP_RE_DET, OP_RE_ERL, OP_RE_EXP, OP_RE_UNI, OP_RS_DET, OP_RS_ERL, OP_RS_EXP,
     OP_RS_UNI, RECHECK_STRIDE, ST_ENABLED, ST_SCHEDULED, TID_IMMEDIATE,
 };
-use super::memo::{Memo, MemoStats, NONE, NO_REPLAY};
+use super::memo::{Memo, Record, NONE, NO_REPLAY};
 use super::trace::TraceBuffer;
 use crate::arc::ColorExpr;
 use crate::error::SimError;
@@ -130,6 +132,7 @@ use crate::net::Net;
 use crate::rng::SimRng;
 use crate::token::Color;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Assert two engine results are bit-identical (debug oracle).
@@ -1372,8 +1375,9 @@ pub(super) struct LoweredEngine<'e> {
 }
 
 impl<'e> LoweredEngine<'e> {
-    pub(super) fn new(sim: &'e Simulator<'_>, seed: u64) -> Self {
-        let net = sim.net;
+    /// A run of `sim` on `seed` whose memo starts from the record `rec`.
+    pub(super) fn starting_from(sim: &'e Simulator<'_>, seed: u64, rec: Arc<Record>) -> Self {
+        let net = sim.net();
         let lw = sim.lowered_net();
         let nt = net.num_transitions();
         let st = &lw.start;
@@ -1424,6 +1428,7 @@ impl<'e> LoweredEngine<'e> {
             lw,
             cfg: &sim.cfg,
             memo: Memo::new(
+                rec,
                 nt,
                 st.cond_true.len(),
                 hot.marking.counts().len(),
@@ -1431,14 +1436,6 @@ impl<'e> LoweredEngine<'e> {
             ),
             hot,
         }
-    }
-
-    /// Run the replication to its horizon on the variant selected by the
-    /// program's feature flags; also report the run's memo statistics.
-    pub(super) fn run(mut self) -> (Result<SimOutput, SimError>, MemoStats) {
-        let res = self.drive_variant();
-        let stats = self.memo.stats();
-        (res.map(|()| self.finalize()), stats)
     }
 
     /// Run the variant the program's feature flags select.
@@ -1451,6 +1448,20 @@ impl<'e> LoweredEngine<'e> {
         }
     }
 
+    /// A run of `sim` on `seed` from an empty record (a cold run).
+    #[cfg(test)]
+    pub(super) fn new(sim: &'e Simulator<'_>, seed: u64) -> Self {
+        Self::starting_from(sim, seed, Arc::default())
+    }
+
+    /// Run the replication to its horizon; also report the run's memo
+    /// statistics.
+    #[cfg(test)]
+    pub(super) fn run(self) -> (Result<SimOutput, SimError>, super::memo::MemoStats) {
+        let (res, memo) = self.run_keeping_memo();
+        (res, memo.stats())
+    }
+
     /// Time this run's firings and keep its replay notes, as an armed
     /// profiler does, without touching the process-global table.
     #[cfg(test)]
@@ -1459,12 +1470,18 @@ impl<'e> LoweredEngine<'e> {
         self
     }
 
-    /// Run the replication and hand back its memo for inspection.
-    #[cfg(test)]
+    /// Run the replication to its horizon on the variant selected by the
+    /// program's feature flags, and hand back its memo (the record it
+    /// grew, and its statistics).
     pub(super) fn run_keeping_memo(mut self) -> (Result<SimOutput, SimError>, Memo) {
         let res = self.drive_variant();
-        let memo = std::mem::replace(&mut self.memo, Memo::new(0, 0, 0, false));
-        (res.map(|()| self.finalize()), memo)
+        match res {
+            Ok(()) => {
+                let (out, memo) = self.finalize();
+                (Ok(out), memo)
+            }
+            Err(e) => (Err(e), self.memo),
+        }
     }
 
     /// Drive the run to completion: start, the memoized main loop, and the
@@ -1479,7 +1496,7 @@ impl<'e> LoweredEngine<'e> {
     }
 
     /// Package the finished run's output.
-    fn finalize(self) -> SimOutput {
+    fn finalize(self) -> (SimOutput, Memo) {
         let hot = self.hot;
         if super::profile::armed() {
             // Flush the run's profile counters into the process-global
@@ -1517,7 +1534,7 @@ impl<'e> LoweredEngine<'e> {
                 LoweredReward::Count(i) => hot.acc_c[i as usize] as f64,
             })
             .collect();
-        SimOutput {
+        let out = SimOutput {
             end_time: end,
             observed_time: observed,
             rewards,
@@ -1525,7 +1542,8 @@ impl<'e> LoweredEngine<'e> {
             final_marking: hot.marking,
             trace_dropped: hot.trace.dropped,
             trace: hot.trace.into_events(),
-        }
+        };
+        (out, self.memo)
     }
 }
 

@@ -1,14 +1,17 @@
-//! The lowered engine's per-run step memo: the tangible markings one run
-//! has visited, and a record of each step it has interpreted twice.
+//! The lowered engine's step memo: the tangible markings a simulator's
+//! runs have visited, and a record of each step they interpreted twice.
 //!
 //! A *state* is a tangible marking (no immediate enabled), keyed by
 //! [`Marking::memo_key`]: counts plus every bag in FIFO order. A *step*
 //! is one timed firing from a state plus its immediate cascade, which ends
 //! in the next state. Everything a step does to the marking and the
 //! enabling state depends only on the source state and the fired
-//! transition, so [`super::lowered`] records it once and replays it.
+//! transition, so [`super::lowered`] records it once and replays it. The
+//! record is the lazily built tangible-state graph of vanishing-marking
+//! elimination: a property of the net, not of one run.
 //!
-//! Everything lives in flat arenas indexed by `u32`:
+//! So the record belongs to the simulator. A [`Record`] lives in flat
+//! arenas indexed by `u32`:
 //!
 //! * **States.** Each state's key in a key arena, and a std map from a
 //!   key's hash to its state id. A first visit stores the key and nothing
@@ -22,26 +25,41 @@
 //!   the reward terms `(accumulator, multiplier)` with zero terms dropped,
 //!   and a row of `nt` edge slots indexed by tid.
 //! * **Edges.** One [`Edge`] per `(state, fired transition)`: the next
-//!   state, a replay hit count, and its lists in one word arena — the
-//!   fired tids in order (the trigger first), the counter-hook
-//!   accumulators, and two words per re-check that acted, resolved by the
-//!   lowered engine when it records the step. Replays only bump the hit
-//!   count; [`Memo::drain_hits`] adds `hits × list` to the run's firing
-//!   and hook counts when the memo phase ends (or at the warm-up boundary).
+//!   state, and its lists in one word arena — the fired tids in order
+//!   (the trigger first), the counter-hook accumulators, and two words per
+//!   re-check that acted, resolved by the lowered engine when it records
+//!   the step.
+//!
+//! A run's [`Memo`] starts from the record its simulator's earlier runs
+//! left ([`SharedRecord::get`], an `Arc` clone), and copies it only when
+//! it has something to add; a run that only replays never copies. A run
+//! that finishes without giving the memo up offers its copy back
+//! ([`SharedRecord::offer`]), and the copy replaces the shared record if
+//! it has grown more. Everything else is the run's own: each edge's
+//! replay hit count ([`Memo::drain_hits`] adds `hits × list` to the run's
+//! firing and hook counts when the memo phase ends, or at the warm-up
+//! boundary), the step and miss counters, [`MemoStats`] and the give-up
+//! decision. Records hold only work the marking determines, so replaying
+//! another run's record is the replay this run would have recorded
+//! itself, and no output depends on which run recorded what.
 //!
 //! A miss costs a key and a lookup on top of the interpreter's step, so a
 //! run whose states do not repeat is cheaper without the memo. At step
 //! counts 64, 128, 256, … the run gives the memo up when almost every step
-//! so far found a new state (more than 7/8 of them). A net without
-//! immediate transitions, whose replays each save one firing's
-//! interpretation only, also gives it up when more than half its steps
-//! so far were interpreted: a short tandem line revisits its states but
+//! so far found a state new to the record (more than 7/8 of them). A net
+//! without immediate transitions, whose replays each save one firing's
+//! interpretation only, also gives it up when more than half its steps so
+//! far were interpreted: a short tandem line revisits its states but
 //! rarely the same step out of them, and keeping the memo there doubles
-//! the run's cost. A memo past [`MAX_WORDS`] words of keys, edge rows,
-//! records and snapshots gives up regardless.
+//! the run's cost. Both rules count the run's own new states and misses,
+//! so a run that inherits a large record is judged on what it adds. A
+//! record past [`MAX_WORDS`] words of keys, edge rows, records and
+//! snapshots gives up regardless. A run that gives up offers nothing
+//! back.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::{Arc, Mutex};
 
 use super::lower::ST_SCHEDULED;
 use crate::marking::Marking;
@@ -56,18 +74,22 @@ const FIRST_CHECK: u64 = 64;
 /// Records the first snapshot or edge reserves room for, so a run's
 /// early misses do not regrow the arenas from empty.
 const FIRST_RESERVE: usize = 16;
+/// States a record starts with room for.
+const FIRST_STATES: usize = 64;
 /// A memo this large (in 4-byte words, 16 MiB) gives up regardless.
 const MAX_WORDS: usize = 1 << 22;
 
 /// Per-run statistics of the step memo, so tests can assert that the
-/// paths they target ran.
+/// paths they target ran. Counts of states and records are what the run
+/// added to the record it started from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(super) struct MemoStats {
-    /// Tangible markings stored.
+    /// Tangible markings the run added.
     pub(super) states: usize,
-    /// Recorded, replayable steps.
+    /// Replayable steps the run recorded.
     pub(super) edges: usize,
-    /// Recorded steps that drew the RNG for a choice (never replayed).
+    /// Steps the run recorded as drawing the RNG for a choice (never
+    /// replayed).
     pub(super) rng_edges: usize,
     /// Steps replayed from a record.
     pub(super) replayed: u64,
@@ -83,7 +105,7 @@ pub(super) struct MemoStats {
 }
 
 /// Multiply-rotate hasher for state keys and the map over their hashes.
-/// Every interpreted step hashes its landing marking, and a run's own
+/// Every interpreted step hashes its landing marking, and a net's own
 /// markings need no flood resistance: std's SipHash costs the tandem rows
 /// of `engine_ab` 3–4 %.
 #[derive(Default)]
@@ -162,8 +184,6 @@ struct Edge {
     n_fired: u32,
     n_hooks: u32,
     n_rech: u32,
-    /// Replays since the last [`Memo::drain_hits`].
-    hits: u64,
 }
 
 /// One recorded step as the replay loop reads it.
@@ -176,12 +196,9 @@ pub(super) struct Step<'m> {
     pub(super) rech: &'m [u32],
 }
 
-/// One run's memo (see the module docs).
-pub(super) struct Memo {
-    nt: usize,
-    nc: usize,
-    /// The net has no immediate transitions.
-    single: bool,
+/// The step record a simulator's runs share (see the module docs).
+#[derive(Clone, Debug, Default)]
+pub(super) struct Record {
     ids: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
     states: Vec<State>,
     keys: Vec<u32>,
@@ -195,6 +212,79 @@ pub(super) struct Memo {
     edge_of: Vec<u32>,
     edges: Vec<Edge>,
     words: Vec<u32>,
+    /// Writes that built the record; of two copies, the one that grew more
+    /// is kept.
+    grown: u64,
+}
+
+impl Record {
+    /// The record's size in 4-byte words, roughly.
+    fn size_words(&self) -> usize {
+        self.keys.len()
+            + self.edge_of.len()
+            + 10 * self.edges.len()
+            + self.words.len()
+            + self.scan.len()
+            + 2 * self.snap_unsat.len()
+            + 12 * self.states.len()
+    }
+}
+
+/// The record of one simulator: every run starts from it, and a run that
+/// kept its memo offers its grown copy back. Dropped with the lowered
+/// program when a reward is added.
+#[derive(Debug, Default)]
+pub(super) struct SharedRecord(Mutex<Option<Arc<Record>>>);
+
+impl SharedRecord {
+    fn slot(&self) -> std::sync::MutexGuard<'_, Option<Arc<Record>>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The record a new run starts from (an `Arc` clone).
+    pub(super) fn get(&self) -> Arc<Record> {
+        self.slot().clone().unwrap_or_default()
+    }
+
+    /// Take `memo`'s copy of the record if the run wrote one, kept the
+    /// memo, and grew it more than the record now shared.
+    pub(super) fn offer(&self, memo: Memo) {
+        if !memo.copied || memo.stats.gave_up {
+            return;
+        }
+        let mut slot = self.slot();
+        if slot.as_ref().is_none_or(|r| r.grown < memo.rec.grown) {
+            *slot = Some(memo.rec);
+        }
+    }
+
+    /// Forget the record (its steps belong to a program being replaced).
+    pub(super) fn clear(&mut self) {
+        *self.0.get_mut().unwrap_or_else(|e| e.into_inner()) = None;
+    }
+}
+
+impl Clone for SharedRecord {
+    fn clone(&self) -> Self {
+        SharedRecord(Mutex::new(self.slot().clone()))
+    }
+}
+
+/// One run's view of the step memo: the record it started from (copied on
+/// its first write) and everything that belongs to the run alone.
+pub(super) struct Memo {
+    nt: usize,
+    nc: usize,
+    /// Count entries of the net's markings.
+    counts: usize,
+    /// The net has no immediate transitions.
+    single: bool,
+    rec: Arc<Record>,
+    /// The run has written to its own copy of the record.
+    copied: bool,
+    /// Replays of each edge since the last [`Memo::drain_hits`], indexed
+    /// by edge (grown on demand).
+    hits: Vec<u64>,
     scratch: Vec<u32>,
     steps: u64,
     /// The step count of the next judgement.
@@ -203,25 +293,17 @@ pub(super) struct Memo {
 }
 
 impl Memo {
-    /// An empty memo for a net of `nt` transitions and `nc` enabling
-    /// conditions whose markings have `counts` count entries.
-    pub(super) fn new(nt: usize, nc: usize, counts: usize, single: bool) -> Self {
-        const STATES: usize = 64;
+    /// A run's memo starting from `rec`, for a net of `nt` transitions and
+    /// `nc` enabling conditions whose markings have `counts` count entries.
+    pub(super) fn new(rec: Arc<Record>, nt: usize, nc: usize, counts: usize, single: bool) -> Self {
         Memo {
             nt,
             nc,
+            counts,
             single,
-            ids: HashMap::with_capacity_and_hasher(STATES, Default::default()),
-            states: Vec::with_capacity(STATES),
-            keys: Vec::with_capacity(STATES * counts),
-            snap_cond: Vec::new(),
-            snap_unsat: Vec::new(),
-            snap_sched: Vec::new(),
-            terms: Vec::with_capacity(STATES),
-            scan: Vec::new(),
-            edge_of: Vec::new(),
-            edges: Vec::new(),
-            words: Vec::new(),
+            rec,
+            copied: false,
+            hits: Vec::new(),
             scratch: Vec::new(),
             steps: 0,
             next_check: FIRST_CHECK,
@@ -231,10 +313,24 @@ impl Memo {
 
     /// The run's statistics so far.
     pub(super) fn stats(&self) -> MemoStats {
-        MemoStats {
-            states: self.states.len(),
-            ..self.stats
+        self.stats
+    }
+
+    /// The record for writing: the run's own copy, made on its first write
+    /// (an empty record starts with room for [`FIRST_STATES`] states).
+    fn rec_mut(&mut self) -> &mut Record {
+        let rec = Arc::make_mut(&mut self.rec);
+        if !self.copied {
+            self.copied = true;
+            if rec.states.is_empty() {
+                rec.ids.reserve(FIRST_STATES);
+                rec.states.reserve(FIRST_STATES);
+                rec.keys.reserve(FIRST_STATES * self.counts);
+                rec.terms.reserve(FIRST_STATES);
+            }
         }
+        rec.grown += 1;
+        rec
     }
 
     /// The state id of `marking`, inserting it on a first visit; the flag
@@ -255,16 +351,18 @@ impl Memo {
 
     fn find_or_insert(&mut self, key: &[u32]) -> (u32, bool) {
         let h = key_hash(key);
-        let s = self.states.len() as u32;
-        match self.ids.get(&h) {
+        let s = self.rec.states.len() as u32;
+        let known = match self.rec.ids.get(&h) {
             Some(&t) if self.key(t) == key => return (t, false),
-            Some(_) => {}
-            None => {
-                self.ids.insert(h, s);
-            }
+            Some(_) => true,
+            None => false,
+        };
+        let rec = self.rec_mut();
+        if !known {
+            rec.ids.insert(h, s);
         }
-        self.states.push(State {
-            key: self.keys.len() as u32,
+        rec.states.push(State {
+            key: rec.keys.len() as u32,
             key_len: key.len() as u32,
             snap: NONE,
             term: NONE,
@@ -274,22 +372,26 @@ impl Memo {
             n_scan: 0,
             stepped: false,
         });
-        self.keys.extend_from_slice(key);
+        rec.keys.extend_from_slice(key);
+        self.stats.states += 1;
         (s, true)
     }
 
     /// State `s`'s key.
     #[inline]
     pub(super) fn key(&self, s: u32) -> &[u32] {
-        let st = &self.states[s as usize];
-        &self.keys[st.key as usize..(st.key + st.key_len) as usize]
+        let st = &self.rec.states[s as usize];
+        &self.rec.keys[st.key as usize..(st.key + st.key_len) as usize]
     }
 
     /// Note one step out of `s`, returning whether an earlier one was
     /// interpreted (only a state's second interpreted step is recorded, so
     /// a first visit costs no more than its key).
     pub(super) fn step_out(&mut self, s: u32) -> bool {
-        std::mem::replace(&mut self.states[s as usize].stepped, true)
+        self.rec.states[s as usize].stepped || {
+            self.rec_mut().states[s as usize].stepped = true;
+            false
+        }
     }
 
     /// Store the live enabling state as `s`'s snapshot, unless it has one,
@@ -302,43 +404,46 @@ impl Memo {
         sched: &[u8],
         timed: &[u32],
     ) {
-        let st = &mut self.states[s as usize];
-        if st.snap == NONE {
-            st.snap = (self.snap_sched.len() / self.nt.max(1)) as u32;
-            if self.snap_sched.capacity() == 0 {
-                self.snap_cond.reserve(FIRST_RESERVE * self.nc);
-                self.snap_unsat.reserve(FIRST_RESERVE * self.nt);
-                self.snap_sched.reserve(FIRST_RESERVE * self.nt);
-            }
-            self.snap_cond.extend_from_slice(cond);
-            self.snap_unsat.extend_from_slice(unsat);
-            self.snap_sched.extend_from_slice(sched);
-            st.scan = self.scan.len() as u32;
-            let live = timed
-                .iter()
-                .filter(|&&t| sched[t as usize] & ST_SCHEDULED != 0);
-            self.scan.extend(live);
-            st.n_scan = self.scan.len() as u32 - st.scan;
+        if self.rec.states[s as usize].snap != NONE {
+            return;
         }
+        let (nt, nc) = (self.nt, self.nc);
+        let rec = self.rec_mut();
+        if rec.snap_sched.capacity() == 0 {
+            rec.snap_cond.reserve(FIRST_RESERVE * nc);
+            rec.snap_unsat.reserve(FIRST_RESERVE * nt);
+            rec.snap_sched.reserve(FIRST_RESERVE * nt);
+        }
+        let st = &mut rec.states[s as usize];
+        st.snap = (rec.snap_sched.len() / nt.max(1)) as u32;
+        rec.snap_cond.extend_from_slice(cond);
+        rec.snap_unsat.extend_from_slice(unsat);
+        rec.snap_sched.extend_from_slice(sched);
+        st.scan = rec.scan.len() as u32;
+        let live = timed
+            .iter()
+            .filter(|&&t| sched[t as usize] & ST_SCHEDULED != 0);
+        rec.scan.extend(live);
+        st.n_scan = rec.scan.len() as u32 - st.scan;
     }
 
     /// The timed transitions scheduled at `s`, ascending, if `s` has a
     /// snapshot.
     #[inline]
     pub(super) fn scan_list(&self, s: u32) -> Option<&[u32]> {
-        let st = &self.states[s as usize];
-        (st.scan != NONE).then(|| &self.scan[st.scan as usize..(st.scan + st.n_scan) as usize])
+        let st = &self.rec.states[s as usize];
+        (st.scan != NONE).then(|| &self.rec.scan[st.scan as usize..(st.scan + st.n_scan) as usize])
     }
 
     /// State `s`'s snapshot: `cond_true`, `unsat`, `sched_state`.
     pub(super) fn snapshot_of(&self, s: u32) -> Option<(&[bool], &[u32], &[u8])> {
-        let k = self.states[s as usize].snap;
+        let k = self.rec.states[s as usize].snap;
         (k != NONE).then(|| {
             let (c, t) = (k as usize * self.nc, k as usize * self.nt);
             (
-                &self.snap_cond[c..c + self.nc],
-                &self.snap_unsat[t..t + self.nt],
-                &self.snap_sched[t..t + self.nt],
+                &self.rec.snap_cond[c..c + self.nc],
+                &self.rec.snap_unsat[t..t + self.nt],
+                &self.rec.snap_sched[t..t + self.nt],
             )
         })
     }
@@ -346,12 +451,13 @@ impl Memo {
     /// Compute `s`'s reward terms with `fill` (which appends them), unless
     /// they are known.
     pub(super) fn ensure_terms(&mut self, s: u32, fill: impl FnOnce(&mut Vec<(u32, f64)>)) {
-        if self.states[s as usize].term == NONE {
-            let off = self.terms.len();
-            fill(&mut self.terms);
-            let st = &mut self.states[s as usize];
+        if self.rec.states[s as usize].term == NONE {
+            let rec = self.rec_mut();
+            let off = rec.terms.len();
+            fill(&mut rec.terms);
+            let st = &mut rec.states[s as usize];
             st.term = off as u32;
-            st.n_terms = (self.terms.len() - off) as u32;
+            st.n_terms = (rec.terms.len() - off) as u32;
         }
     }
 
@@ -359,38 +465,48 @@ impl Memo {
     /// leaves).
     #[inline]
     pub(super) fn terms(&self, s: u32) -> &[(u32, f64)] {
-        let st = &self.states[s as usize];
+        let st = &self.rec.states[s as usize];
         debug_assert_ne!(st.term, NONE, "reward terms of a replayed step's source");
-        &self.terms[st.term as usize..(st.term + st.n_terms) as usize]
+        &self.rec.terms[st.term as usize..(st.term + st.n_terms) as usize]
     }
 
     /// The edge slot of `(s, ti)`: an edge index, [`NONE`] or
     /// [`NO_REPLAY`].
     #[inline]
     pub(super) fn edge(&self, s: u32, ti: usize) -> u32 {
-        match self.states[s as usize].row {
+        match self.rec.states[s as usize].row {
             NONE => NONE,
-            row => self.edge_of[row as usize + ti],
+            row => self.rec.edge_of[row as usize + ti],
         }
     }
 
     /// Edge `e`'s next state, fired tids and re-check words.
     #[inline]
     pub(super) fn step(&self, e: u32) -> Step<'_> {
-        let ed = &self.edges[e as usize];
+        let ed = &self.rec.edges[e as usize];
         let (b, nf, nh) = (ed.body as usize, ed.n_fired as usize, ed.n_hooks as usize);
         Step {
             next: ed.next,
-            fired: &self.words[b..b + nf],
-            rech: &self.words[b + nf + nh..b + nf + nh + 2 * ed.n_rech as usize],
+            fired: &self.rec.words[b..b + nf],
+            rech: &self.rec.words[b + nf + nh..b + nf + nh + 2 * ed.n_rech as usize],
         }
     }
 
     /// Count one replay of edge `e`.
     #[inline(always)]
     pub(super) fn hit(&mut self, e: u32) {
-        self.edges[e as usize].hits += 1;
+        match self.hits.get_mut(e as usize) {
+            Some(h) => *h += 1,
+            None => self.first_hit(e),
+        }
         self.stats.replayed += 1;
+    }
+
+    /// Count the first replay of an edge past the end of the hit counts.
+    #[cold]
+    fn first_hit(&mut self, e: u32) {
+        self.hits.resize(self.rec.edges.len(), 0);
+        self.hits[e as usize] = 1;
     }
 
     /// Hand every replayed edge's hit count, fired tids and hook
@@ -398,35 +514,37 @@ impl Memo {
     /// drained replays ran past the warm-up boundary (else they are
     /// counted as cold).
     pub(super) fn drain_hits(&mut self, warm: bool, mut add: impl FnMut(u64, &[u32], &[u32])) {
-        for ed in &mut self.edges {
-            if ed.hits == 0 {
+        for (ed, hits) in self.rec.edges.iter().zip(&mut self.hits) {
+            if *hits == 0 {
                 continue;
             }
             let (b, nf, nh) = (ed.body as usize, ed.n_fired as usize, ed.n_hooks as usize);
             add(
-                ed.hits,
-                &self.words[b..b + nf],
-                &self.words[b + nf..b + nf + nh],
+                *hits,
+                &self.rec.words[b..b + nf],
+                &self.rec.words[b + nf..b + nf + nh],
             );
             if !warm {
-                self.stats.cold_replays += ed.hits;
+                self.stats.cold_replays += *hits;
             }
-            ed.hits = 0;
+            *hits = 0;
         }
     }
 
     fn slot_mut(&mut self, s: u32, ti: usize) -> &mut u32 {
-        let st = &mut self.states[s as usize];
+        let nt = self.nt;
+        let rec = self.rec_mut();
+        let st = &mut rec.states[s as usize];
         if st.row == NONE {
-            if self.edge_of.capacity() == 0 {
-                self.edge_of.reserve(FIRST_RESERVE * self.nt);
-                self.edges.reserve(FIRST_RESERVE);
-                self.words.reserve(FIRST_RESERVE * 8);
+            if rec.edge_of.capacity() == 0 {
+                rec.edge_of.reserve(FIRST_RESERVE * nt);
+                rec.edges.reserve(FIRST_RESERVE);
+                rec.words.reserve(FIRST_RESERVE * 8);
             }
-            st.row = self.edge_of.len() as u32;
-            self.edge_of.resize(self.edge_of.len() + self.nt, NONE);
+            st.row = rec.edge_of.len() as u32;
+            rec.edge_of.resize(rec.edge_of.len() + nt, NONE);
         }
-        &mut self.edge_of[st.row as usize + ti]
+        &mut rec.edge_of[st.row as usize + ti]
     }
 
     /// Record the step `(s, ti)` ending in `next`.
@@ -439,18 +557,18 @@ impl Memo {
         hooks: &[u32],
         rech: &[u32],
     ) {
-        let e = self.edges.len() as u32;
-        self.edges.push(Edge {
+        let rec = self.rec_mut();
+        let e = rec.edges.len() as u32;
+        rec.edges.push(Edge {
             next,
-            body: self.words.len() as u32,
+            body: rec.words.len() as u32,
             n_fired: fired.len() as u32,
             n_hooks: hooks.len() as u32,
             n_rech: (rech.len() / 2) as u32,
-            hits: 0,
         });
-        self.words.extend_from_slice(fired);
-        self.words.extend_from_slice(hooks);
-        self.words.extend_from_slice(rech);
+        rec.words.extend_from_slice(fired);
+        rec.words.extend_from_slice(hooks);
+        rec.words.extend_from_slice(rech);
         *self.slot_mut(s, ti) = e;
         self.stats.edges += 1;
     }
@@ -472,24 +590,18 @@ impl Memo {
     }
 
     /// Count one interpreted step and decide whether the run gives the
-    /// memo up (judged at the first miss past each checkpoint).
+    /// memo up (judged at the first miss past each checkpoint, on the
+    /// states and misses the run added itself).
     pub(super) fn count_miss(&mut self) -> bool {
         self.stats.misses += 1;
         if self.steps >= self.next_check {
             while self.next_check <= self.steps {
                 self.next_check *= 2;
             }
-            let (s, m, n) = (self.steps, self.stats.misses, self.states.len() as u64);
+            let (s, m, n) = (self.steps, self.stats.misses, self.stats.states as u64);
             self.stats.gave_up |= 8 * n > 7 * s || (self.single && 2 * m > s);
         }
-        let words = self.keys.len()
-            + self.edge_of.len()
-            + 10 * self.edges.len()
-            + self.words.len()
-            + self.scan.len()
-            + 2 * self.snap_unsat.len()
-            + 12 * self.states.len();
-        self.stats.gave_up |= words > MAX_WORDS;
+        self.stats.gave_up |= self.rec.size_words() > MAX_WORDS;
         self.stats.gave_up
     }
 }
@@ -497,6 +609,13 @@ impl Memo {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SharedRecord {
+        /// States in the shared record.
+        pub(in crate::sim) fn states(&self) -> usize {
+            self.slot().as_ref().map_or(0, |r| r.states.len())
+        }
+    }
     use crate::builder::NetBuilder;
     use crate::ids::PlaceId;
     use crate::timing::Timing;
@@ -511,7 +630,7 @@ mod tests {
             .output(p, 1)
             .build();
         let net = b.build().unwrap();
-        let mut memo = Memo::new(2, 0, 2, false);
+        let mut memo = Memo::new(Default::default(), 2, 0, 2, false);
         let mut m = net.initial_marking();
         let mut ids = Vec::new();
         for i in 0..200u32 {
@@ -535,13 +654,13 @@ mod tests {
             .output(p, 1)
             .build();
         let net = b.build().unwrap();
-        let mut memo = Memo::new(1, 0, 1, false);
+        let mut memo = Memo::new(Default::default(), 1, 0, 1, false);
         let a = net.initial_marking();
         let mut other = a.clone();
         other.deposit(p, Color::NONE);
         assert_eq!(memo.land(&a), (0, true));
         // Make `other`'s hash name state 0, as a collision would.
-        memo.ids.insert(key_hash(&[1]), 0);
+        Arc::make_mut(&mut memo.rec).ids.insert(key_hash(&[1]), 0);
         assert_eq!(memo.land(&other), (1, true));
         assert_eq!(memo.land(&other), (2, true));
         assert_eq!(memo.key(2), [1]);
@@ -550,7 +669,7 @@ mod tests {
 
     #[test]
     fn edges_round_trip_through_the_arena() {
-        let mut memo = Memo::new(3, 1, 1, false);
+        let mut memo = Memo::new(Default::default(), 3, 1, 1, false);
         let mut b = NetBuilder::new("e");
         let p = b.place("p").build();
         b.transition("t", Timing::exponential(1.0))
@@ -612,7 +731,7 @@ mod tests {
             b.build().unwrap()
         };
         // Every step lands on a new state: give up at the first check.
-        let mut memo = Memo::new(1, 0, 1, false);
+        let mut memo = Memo::new(Default::default(), 1, 0, 1, false);
         let mut m = net.initial_marking();
         memo.land(&m);
         for i in 1..=FIRST_CHECK {
@@ -622,7 +741,7 @@ mod tests {
             assert_eq!(memo.count_miss(), i == FIRST_CHECK, "step {i}");
         }
         // A net without immediates may miss at most half its steps.
-        let mut memo = Memo::new(1, 0, 1, true);
+        let mut memo = Memo::new(Default::default(), 1, 0, 1, true);
         memo.land(&net.initial_marking());
         for i in 1..=FIRST_CHECK {
             memo.count_step();
@@ -632,7 +751,7 @@ mod tests {
         }
         // Other nets on known states keep the memo, however many steps
         // miss.
-        let mut memo = Memo::new(1, 0, 1, false);
+        let mut memo = Memo::new(Default::default(), 1, 0, 1, false);
         memo.land(&net.initial_marking());
         for i in 1..=8192 {
             memo.count_step();
@@ -640,5 +759,90 @@ mod tests {
                 assert!(!memo.count_miss(), "step {i}");
             }
         }
+    }
+
+    /// A net of one place that a generator fills: each token count is a
+    /// new marking.
+    fn pile() -> (crate::net::Net, PlaceId) {
+        let mut b = NetBuilder::new("pile");
+        let p = b.place("p").build();
+        b.transition("t", Timing::exponential(1.0))
+            .output(p, 1)
+            .build();
+        (b.build().unwrap(), p)
+    }
+
+    /// The markings with `0..n` tokens on the pile.
+    fn piles(n: usize) -> Vec<Marking> {
+        let (net, p) = pile();
+        let mut m = net.initial_marking();
+        (0..n)
+            .map(|_| {
+                let here = m.clone();
+                m.deposit(p, Color::NONE);
+                here
+            })
+            .collect()
+    }
+
+    /// A run that only finds known states reads the shared record and never
+    /// copies it. A run that adds one copies it, and its offer replaces the
+    /// shared record unless it gave the memo up or grew less.
+    #[test]
+    fn runs_copy_the_shared_record_on_their_first_write_only() {
+        let ms = piles(5);
+        let shared = SharedRecord::default();
+        let mut first = Memo::new(shared.get(), 1, 0, 1, false);
+        for m in &ms[..3] {
+            first.land(m);
+        }
+        shared.offer(first);
+        assert_eq!(shared.states(), 3);
+        let rec = shared.get();
+        let mut reader = Memo::new(rec.clone(), 1, 0, 1, false);
+        assert_eq!(reader.land(&ms[2]), (2, false));
+        assert!(Arc::ptr_eq(&reader.rec, &rec) && !reader.copied);
+        let mut writer = Memo::new(rec.clone(), 1, 0, 1, false);
+        assert_eq!(writer.land(&ms[3]), (3, true));
+        assert!(!Arc::ptr_eq(&writer.rec, &rec) && writer.copied);
+        assert_eq!((writer.stats().states, rec.states.len()), (1, 3));
+        // Giving up publishes nothing.
+        let mut quitter = Memo::new(shared.get(), 1, 0, 1, false);
+        quitter.land(&ms[4]);
+        quitter.stats.gave_up = true;
+        shared.offer(quitter);
+        assert_eq!(shared.states(), 3);
+        shared.offer(writer);
+        assert_eq!(shared.states(), 4);
+        // A copy of the older record that grew by as much is not taken.
+        let mut stale = Memo::new(rec, 1, 0, 1, false);
+        stale.land(&ms[4]);
+        shared.offer(stale);
+        assert_eq!(shared.states(), 4);
+        assert_eq!(shared.get().states.len(), 4);
+        let mut cleared = shared.clone();
+        cleared.clear();
+        assert_eq!((cleared.states(), shared.states()), (0, 4));
+    }
+
+    /// The give-up rule counts the states the run added: a run that
+    /// inherits a record larger than its first checks and lands on known
+    /// states keeps the memo, however many of its steps miss.
+    #[test]
+    fn an_inherited_record_does_not_count_against_the_run() {
+        let ms = piles(200);
+        let shared = SharedRecord::default();
+        let mut first = Memo::new(shared.get(), 1, 0, 1, false);
+        for m in &ms {
+            first.land(m);
+        }
+        shared.offer(first);
+        let mut warm = Memo::new(shared.get(), 1, 0, 1, false);
+        for i in 1..=4 * FIRST_CHECK {
+            warm.count_step();
+            assert!(!warm.land(&ms[i as usize % 200]).1);
+            assert!(!warm.count_miss(), "step {i}");
+        }
+        assert_eq!(warm.stats().states, 0);
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! Two engines implement the semantics below. The **lowered engine**
 //! (`lower.rs` compiles each net to a micro-op program, `lowered.rs`
-//! executes it, one replication per engine, and replays the steps a run
-//! repeats from that run's memo in `memo.rs`) serves every run. The
+//! executes it, one replication per engine, and replays repeated steps
+//! from the step record in `memo.rs` that a simulator's runs share)
+//! serves every run. The
 //! **reference engine** (`reference.rs`, [`Simulator::run_reference`]) is
 //! the seed's non-incremental core, kept frozen as the oracle the lowered
 //! engine must match bit for bit.

@@ -31,7 +31,9 @@
 //! firing counts, and their rows carry a note naming the trigger their
 //! time went to. The memo's bookkeeping on interpreted steps lands in
 //! [`MEMO_MISS_ROW`] (one "firing" per miss), and the table ends with one
-//! summary line: states, misses, and the runs that gave the memo up.
+//! summary line: the states and misses each run added to its simulator's
+//! record itself, summed over the runs, and the runs that gave the memo
+//! up.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -148,8 +150,9 @@ pub fn record_replayed(transition: &str, trigger: &str, firings: u64) {
         .or_insert(0) += firings;
 }
 
-/// Fold one finished run's step memo totals: states visited, interpreted
-/// steps, and whether the run gave the memo up.
+/// Fold one finished run's step memo totals: the states it added to its
+/// simulator's record, its interpreted steps, and whether it gave the
+/// memo up.
 pub fn record_memo_run(states: u64, misses: u64, gave_up: bool) {
     let mut t = table();
     t.memo.runs += 1;

@@ -20,6 +20,12 @@
 //!   list, and its frozen delay resumes;
 //! * replays before the warm-up boundary count firings but not hooks;
 //! * traced and profiled runs count the same firings as plain ones.
+//!
+//! Those statistics come from cold runs (an empty record each). Every net
+//! is also run warm: on one simulator reused across the seeds, so each run
+//! starts from the record the earlier ones left, on two threads sharing
+//! one simulator, and on a fresh simulator per seed. All must match the
+//! reference engine, so no output depends on which run recorded what.
 
 use super::lowered::LoweredEngine;
 use super::memo::MemoStats;
@@ -52,7 +58,7 @@ fn assert_same_result(a: &Result<SimOutput, SimError>, b: &Result<SimOutput, Sim
 /// the memo statistics summed over the seeds (`gave_up` counts runs).
 fn check(sim: &Simulator<'_>, label: &str) -> (MemoStats, usize) {
     let mut sum = MemoStats::default();
-    let mut gave_up = 0;
+    let (mut gave_up, mut kept) = (0, 0);
     for seed in SEEDS {
         let (memo, stats) = run_with_memo_stats(sim, seed);
         assert_same_result(
@@ -69,8 +75,50 @@ fn check(sim: &Simulator<'_>, label: &str) -> (MemoStats, usize) {
         sum.misses += stats.misses;
         sum.refused += stats.refused;
         gave_up += stats.gave_up as usize;
+        kept += (memo.is_ok() && !stats.gave_up) as usize;
     }
+    check_warm(sim, label, kept > 0);
     (sum, gave_up)
+}
+
+/// A new simulator of `sim`'s net, configuration and rewards.
+fn fresh<'n>(sim: &Simulator<'n>) -> Simulator<'n> {
+    let mut s = sim.clone();
+    s.lowered.take();
+    s.record.clear();
+    s
+}
+
+/// Run every seed on one simulator reused across the seeds, on a fresh
+/// simulator per seed, and on one simulator shared by two threads, and
+/// assert each run matches the reference engine. The reused simulator's
+/// runs start warm exactly when some cold run kept its memo (`kept`): a
+/// run that gives the memo up or fails publishes nothing.
+fn check_warm(sim: &Simulator<'_>, label: &str, kept: bool) {
+    let reference: Vec<_> = SEEDS.map(|seed| sim.run_reference(seed)).collect();
+    let reused = fresh(sim);
+    for (seed, want) in SEEDS.zip(&reference) {
+        let ctx = format!("{label} seed {seed}");
+        assert_same_result(&reused.run(seed), want, &format!("{ctx} (reused)"));
+        assert_same_result(&fresh(sim).run(seed), want, &format!("{ctx} (fresh)"));
+    }
+    assert_eq!(
+        reused.record.states() > 0,
+        kept,
+        "{label}: published record"
+    );
+    let shared = fresh(sim);
+    std::thread::scope(|scope| {
+        for thread in 0..2 {
+            let (shared, reference) = (&shared, &reference);
+            scope.spawn(move || {
+                for (seed, want) in SEEDS.zip(reference) {
+                    let ctx = format!("{label} seed {seed} (thread {thread})");
+                    assert_same_result(&shared.run(seed), want, &ctx);
+                }
+            });
+        }
+    });
 }
 
 /// A source feeding a bounded buffer, drained by two equal-priority
@@ -583,4 +631,83 @@ fn traced_and_profiled_runs_count_the_same_firings() {
             }
         }
     }
+}
+
+/// Two tokens on a ring of 12 places (78 markings), with an immediate
+/// that never fires so the states rule alone judges the memo.
+fn ring_of_two() -> Net {
+    let mut b = NetBuilder::new("ring");
+    let ring: Vec<PlaceId> = (0..12)
+        .map(|i| {
+            b.place(format!("p{i}"))
+                .tokens(2 * (i == 0) as usize)
+                .build()
+        })
+        .collect();
+    for i in 0..12 {
+        b.transition(format!("t{i}"), Timing::exponential(1.0))
+            .input(ring[i], 1)
+            .output(ring[(i + 1) % 12], 1)
+            .build();
+    }
+    let never = b.place("never").build();
+    b.transition("dead", Timing::immediate())
+        .input(never, 1)
+        .output(ring[0], 1)
+        .build();
+    b.build().unwrap()
+}
+
+/// A simulator's record outgrows a run's first checkpoints: a warm run
+/// that carries more states than its first 64 steps keeps the memo, adds
+/// no states, and replays most of its steps, while runs stay identical to
+/// the reference.
+#[test]
+fn a_warm_run_keeps_the_memo_with_a_record_larger_than_its_checks() {
+    let net = ring_of_two();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(300.0));
+    sim.reward_place(PlaceId::from_index(0));
+    // Warm it just past 64 states, so later runs still find steps to add.
+    for seed in SEEDS {
+        sim.run(seed).unwrap();
+        if sim.record.states() > 64 {
+            break;
+        }
+    }
+    assert!(sim.record.states() > 64, "{}", sim.record.states());
+    let (mut misses, mut replayed) = (0, 0);
+    for seed in 100..125 {
+        let engine = LoweredEngine::starting_from(&sim, seed, sim.record.get());
+        let (out, memo) = engine.run_keeping_memo();
+        let st = memo.stats();
+        assert!(!st.gave_up && st.states == 0, "seed {seed}: {st:?}");
+        assert_same_result(&out, &sim.run_reference(seed), &format!("ring seed {seed}"));
+        (misses, replayed) = (misses + st.misses, replayed + st.replayed);
+    }
+    assert!(
+        misses > 0 && replayed > 10 * misses,
+        "{misses} misses, {replayed} replays"
+    );
+}
+
+/// Adding a reward drops the record with the lowered program: the next
+/// run starts cold and records into the new program's accumulators.
+#[test]
+fn a_reward_added_after_runs_starts_the_next_run_cold() {
+    let net = ring_of_two();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(200.0));
+    sim.reward_place(PlaceId::from_index(0));
+    sim.run(1).unwrap();
+    assert!(sim.record.states() > 0);
+    let fired = sim.reward_firings(TransitionId(3));
+    assert_eq!(sim.record.states(), 0);
+    let (out, memo) = LoweredEngine::starting_from(&sim, 2, sim.record.get()).run_keeping_memo();
+    assert!(memo.stats().states > 0, "{:?}", memo.stats());
+    assert_same_result(&out, &sim.run_reference(2), "ring after a reward");
+    assert_same_result(
+        &sim.run(2),
+        &sim.run_reference(2),
+        "ring after a reward (run)",
+    );
+    assert!(sim.run(3).unwrap().reward(fired) > 0.0);
 }

@@ -362,6 +362,104 @@ mod tests {
         )
     }
 
+    /// Hostile variants of the valid body `valid`: random bytes, the
+    /// truncation to `cut` bytes, `valid` with the byte at `cut` flipped,
+    /// and `valid` with the four bytes from `cut` on overwritten by
+    /// `u32::MAX` (a huge length or count wherever one starts there).
+    fn hostile(valid: &[u8], noise: &[u8], cut: usize, flip: u8) -> [Vec<u8>; 4] {
+        let cut = cut % valid.len();
+        let mut flipped = valid.to_vec();
+        flipped[cut] ^= flip;
+        let mut huge = valid.to_vec();
+        huge.iter_mut().skip(cut).take(4).for_each(|b| *b = 0xFF);
+        [noise.to_vec(), valid[..cut].to_vec(), flipped, huge]
+    }
+
+    fn slot_lists() -> [Vec<Vec<u8>>; 3] {
+        [
+            vec![],
+            vec![vec![7; 9]],
+            vec![vec![1, 2, 3], vec![], vec![0xAB; 40]],
+        ]
+    }
+
+    // A blob reaches `decode_blob` from a disk entry another process wrote
+    // and from worker replies; a disk entry reaches `DiskStore::get` from
+    // a shared cache directory. On hostile bytes both must fail without
+    // panicking, or return what re-encodes to exactly the bytes read (the
+    // formats are canonical), so nothing decoded is larger than its input;
+    // a `u32::MAX` count is refused by `Reader::get_count` before any
+    // allocation. Every strict prefix of a valid blob is an error.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn decode_blob_survives_hostile_bodies(
+            pick in 0usize..3,
+            noise in proptest::collection::vec(0u8..255, 0..96),
+            cut in 0usize..4096,
+            flip in 1u8..255,
+        ) {
+            let slots = &slot_lists()[pick];
+            let valid = encode_blob(slots);
+            proptest::prop_assert_eq!(&decode_blob(&valid).unwrap(), slots);
+            let [noise, truncated, flipped, huge] = hostile(&valid, &noise, cut, flip);
+            proptest::prop_assert!(decode_blob(&truncated).is_err());
+            for body in [&noise, &flipped, &huge] {
+                if let Ok(decoded) = decode_blob(body) {
+                    proptest::prop_assert_eq!(&encode_blob(&decoded), body);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn disk_get_survives_hostile_entries(
+            pick in 0usize..3,
+            noise in proptest::collection::vec(0u8..255, 0..96),
+            cut in 0usize..4096,
+            flip in 1u8..255,
+        ) {
+            let dir = std::env::temp_dir().join(format!(
+                "spn-cache-fuzz-{}-{}",
+                std::process::id(),
+                SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            let store = DiskStore::new(&dir);
+            let key = CacheKey::of_manifest(&manifest(0));
+            let blob = encode_blob(&slot_lists()[pick]);
+            store.put(&key, &blob).unwrap();
+            let path = store.path_of(&key);
+            let valid = std::fs::read(&path).unwrap();
+            proptest::prop_assert_eq!(store.get(&key), Some(blob));
+            let mut outcomes = Vec::new();
+            for entry in hostile(&valid, &noise, cut, flip) {
+                std::fs::write(&path, &entry).unwrap();
+                let got = store.get(&key);
+                outcomes.push((entry, got, path.exists()));
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+            let corrupt = outcomes.iter().filter(|(_, got, _)| got.is_none()).count();
+            proptest::prop_assert!(outcomes[1].1.is_none(), "a truncated entry is a miss");
+            proptest::prop_assert_eq!(store.corrupt_deleted(), corrupt as u64);
+            for (entry, got, kept) in outcomes {
+                match got {
+                    Some(blob) => {
+                        proptest::prop_assert!(kept);
+                        proptest::prop_assert_eq!(&entry[..5], &valid[..5]);
+                        proptest::prop_assert_eq!(&encode_blob(&decode_blob(&blob).unwrap()), &entry[5..]);
+                    }
+                    None => proptest::prop_assert!(!kept, "a corrupt entry is deleted"),
+                }
+            }
+        }
+    }
+
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+
     #[test]
     fn blob_round_trips_including_empty_slots() {
         let slots = vec![vec![1u8, 2, 3], vec![], vec![0xFF; 100]];

@@ -153,13 +153,14 @@ const MAX_HEAD: usize = 64 * 1024;
 /// Declared body byte cap → 413.
 const MAX_BODY: usize = 64 * 1024 * 1024;
 
-/// Parse one HTTP/1.1 request off the stream. Returns
-/// `(method, target, body)`; the error is a fully typed response —
-/// 431 for an oversized request line or header section, 413 for an
-/// oversized declared body, 400 for everything malformed — so misbehaving
-/// clients get told what they did instead of a silent close or a
-/// catch-all 400.
-fn read_request(stream: &mut TcpStream) -> Result<(String, String, Vec<u8>), HttpResponse> {
+/// Parse one HTTP/1.1 request off the stream, reading nothing past its
+/// body. Returns `(method, target, body)`; the error is a fully typed
+/// response — 431 for an oversized request line or header section, 413
+/// for an oversized declared body, 400 for everything malformed — so
+/// misbehaving clients get told what they did instead of a silent close or
+/// a catch-all 400. The body buffer grows with the bytes that arrive, not
+/// with the declared length.
+fn read_request(stream: &mut impl Read) -> Result<(String, String, Vec<u8>), HttpResponse> {
     let bad = |msg: String| HttpResponse::error(400, "Bad Request", msg);
     let too_large = |what: &str, cap: usize| {
         HttpResponse::error(
@@ -219,10 +220,17 @@ fn read_request(stream: &mut TcpStream) -> Result<(String, String, Vec<u8>), Htt
             format!("declared body of {content_length} bytes exceeds {MAX_BODY}"),
         ));
     }
-    let mut body = vec![0u8; content_length];
+    let mut body = Vec::new();
     stream
-        .read_exact(&mut body)
+        .take(content_length as u64)
+        .read_to_end(&mut body)
         .map_err(|e| bad(format!("body read failed: {e}")))?;
+    if body.len() < content_length {
+        return Err(bad(format!(
+            "body read failed: connection closed after {} of {content_length} bytes",
+            body.len()
+        )));
+    }
     Ok((method, target, body))
 }
 
@@ -619,5 +627,54 @@ mod tests {
         let (path, params) = split_target("/healthz");
         assert_eq!(path, "/healthz");
         assert!(params.is_empty());
+    }
+
+    /// Well-formed requests of each shape the gateway serves.
+    fn valid_requests() -> [Vec<u8>; 3] {
+        [
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".to_vec(),
+            b"POST /submit?spec=mm1 HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello".to_vec(),
+            b"GET /metrics HTTP/1.1\r\nAccept: */*\r\ncontent-length: 0\r\n\r\n".to_vec(),
+        ]
+    }
+
+    // `read_request` faces raw socket bytes. On random bodies, truncations
+    // and one-byte flips of valid requests it must answer a typed error
+    // or return a request whose body is exactly the bytes after the head,
+    // having read nothing past them. Every strict prefix of a valid request
+    // is an error. The body buffer grows only with bytes that arrived, so
+    // a flipped length digit costs no allocation beyond the input.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn read_request_survives_hostile_bytes(
+            pick in 0usize..3,
+            noise in proptest::collection::vec(0u8..255, 0..160),
+            cut in 0usize..4096,
+            flip in 1u8..255,
+        ) {
+            let valid = &valid_requests()[pick];
+            let mut cursor = std::io::Cursor::new(&valid[..]);
+            proptest::prop_assert!(read_request(&mut cursor).is_ok());
+            proptest::prop_assert_eq!(cursor.position() as usize, valid.len());
+            let cut = cut % valid.len();
+            let truncated = read_request(&mut &valid[..cut]);
+            proptest::prop_assert!(truncated.is_err_and(|e| e.status == 400));
+            let mut flipped = valid.clone();
+            flipped[cut] ^= flip;
+            for bytes in [&noise, &flipped] {
+                let mut cursor = std::io::Cursor::new(&bytes[..]);
+                match read_request(&mut cursor) {
+                    Ok((method, target, body)) => {
+                        let used = cursor.position() as usize;
+                        let head = bytes.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+                        proptest::prop_assert!(!method.is_empty() && !target.is_empty());
+                        proptest::prop_assert_eq!(&body[..], &bytes[head..used]);
+                    }
+                    Err(e) => proptest::prop_assert!([400, 413, 431].contains(&e.status)),
+                }
+            }
+        }
     }
 }

@@ -11,6 +11,7 @@
 //! threshold semantics of the paper.
 
 use petri_core::prelude::*;
+use std::sync::Arc;
 
 /// Parameters of the CPU Petri-net model (mirrors
 /// [`des::CpuSimParams`] so the two substrates are interchangeable).
@@ -238,29 +239,52 @@ impl CpuPetriResult {
     }
 }
 
+/// A warm simulator of the CPU net with the measures a
+/// [`CpuPetriResult`] reads.
+struct CpuSim {
+    sim: Simulator<'static>,
+    /// `[standby, powerup, idle, active]` place averages.
+    states: [RewardId; 4],
+    queue: RewardId,
+    wakeups: RewardId,
+    served: RewardId,
+}
+
 /// Simulate the CPU net for `horizon` seconds with the given seed.
 pub fn simulate_cpu_model(params: &CpuModelParams, horizon: f64, seed: u64) -> CpuPetriResult {
-    let model = build_cpu_model(params);
-    let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(horizon));
-    let r_standby = sim.reward_place(model.places.stand_by);
-    let r_powerup = sim.reward_place(model.places.powering_up);
-    let r_idle = sim.reward_place(model.places.idle);
-    let r_active = sim.reward_place(model.places.active);
-    let r_queue = sim.reward_place(model.places.buffer);
-    let r_wakeups = sim.reward_firings(model.transitions.t1);
-    let r_served = sim.reward_firings(model.transitions.service);
-    let out = sim.run(seed).expect("CPU net cannot livelock or overflow");
-    CpuPetriResult {
-        probabilities: [
-            out.reward(r_standby),
-            out.reward(r_powerup),
-            out.reward(r_idle),
-            out.reward(r_active),
-        ],
-        wakeups: out.reward(r_wakeups),
-        jobs_served: out.reward(r_served),
-        mean_queue: out.reward(r_queue),
-    }
+    run_cpu_model(params, horizon, seed).expect("CPU net cannot livelock or overflow")
+}
+
+/// [`simulate_cpu_model`], on the process's warm simulator of this point
+/// (see [`crate::warm`]), reporting an engine error instead of panicking.
+pub(crate) fn run_cpu_model(
+    params: &CpuModelParams,
+    horizon: f64,
+    seed: u64,
+) -> Result<CpuPetriResult, SimError> {
+    let warm = crate::warm::simulator(crate::warm::cpu_key(params, horizon), || {
+        let CpuModel {
+            net,
+            places: p,
+            transitions: t,
+        } = build_cpu_model(params);
+        let mut sim = Simulator::shared(Arc::new(net), SimConfig::for_horizon(horizon));
+        let states = [p.stand_by, p.powering_up, p.idle, p.active].map(|q| sim.reward_place(q));
+        CpuSim {
+            states,
+            queue: sim.reward_place(p.buffer),
+            wakeups: sim.reward_firings(t.t1),
+            served: sim.reward_firings(t.service),
+            sim,
+        }
+    });
+    let out = warm.sim.run(seed)?;
+    Ok(CpuPetriResult {
+        probabilities: warm.states.map(|r| out.reward(r)),
+        wakeups: out.reward(warm.wakeups),
+        jobs_served: out.reward(warm.served),
+        mean_queue: out.reward(warm.queue),
+    })
 }
 
 #[cfg(test)]

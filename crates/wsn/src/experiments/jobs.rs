@@ -16,7 +16,7 @@
 //! Binaries that want to serve as workers register every decoder here via
 //! [`register`].
 
-use crate::cpu_model::{simulate_cpu_model, CpuModelParams};
+use crate::cpu_model::{run_cpu_model, simulate_cpu_model, CpuModelParams};
 use crate::node::simulate_node_model;
 use des::{simulate_cpu, simulate_node, CpuSimParams, NodeSimParams, Workload};
 use energy::{CC2420_RADIO, PXA271_CPU};
@@ -368,13 +368,9 @@ impl PortableJob for SeedAblationJob {
     }
 
     fn run_slot(&self, _point: usize, _rep: u64, seed: u64) -> Result<Vec<u8>, String> {
-        use petri_core::prelude::*;
-        let model = crate::cpu_model::build_cpu_model(&self.params);
-        let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(self.horizon));
-        let r_standby = sim.reward_place(model.places.stand_by);
-        let out = sim.run(seed).map_err(|e| e.to_string())?;
+        let out = run_cpu_model(&self.params, self.horizon, seed).map_err(|e| e.to_string())?;
         let mut bytes = Vec::with_capacity(12);
-        wire::put_f64s(&mut bytes, &[out.reward(r_standby)]);
+        wire::put_f64s(&mut bytes, &out.probabilities[..1]);
         Ok(bytes)
     }
 }

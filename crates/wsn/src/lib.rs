@@ -25,6 +25,7 @@ pub mod node;
 pub mod report;
 pub mod simple_node;
 pub mod sweep;
+mod warm;
 
 pub use cpu_model::{
     build_cpu_model, build_cpu_model_with_memory, simulate_cpu_model, CpuModel, CpuModelParams,

@@ -25,6 +25,7 @@
 use des::{NodeSimParams, Workload};
 use energy::{ComponentBreakdown, ComponentPower, NodeBreakdown, Power};
 use petri_core::prelude::*;
+use std::sync::Arc;
 
 /// Job color of communication-handling jobs (selects `DVS_3` by default).
 pub const COMM_JOB: Color = Color(3);
@@ -397,42 +398,45 @@ impl NodeModel {
     /// predicates over the stage places, and the wake-up and cycle
     /// counters.
     pub fn register_rewards(&self, sim: &mut Simulator<'_>) -> NodeRewards {
-        let p = &self.places;
-        // CPU state fractions: one token-average per power-state place.
-        let cpu = [p.cpu_sleep, p.cpu_wake, p.cpu_idle, p.cpu_active].map(|q| sim.reward_place(q));
+        register(&self.places, &self.transitions, sim)
+    }
+}
 
-        // Radio state fractions: predicates over the stage places.
-        let r_radio_sleep = sim
-            .reward_predicate(Expr::count(p.wait).gt_c(0))
-            .expect("valid predicate");
-        let r_radio_wake = sim
-            .reward_predicate(
-                Expr::count(p.rx_start)
-                    .gt_c(0)
-                    .or(Expr::count(p.tx_start).gt_c(0)),
-            )
-            .expect("valid predicate");
-        let active_expr = Expr::count(p.rx_listen)
-            .add(Expr::count(p.rx_data))
-            .add(Expr::count(p.rx_handle))
-            .add(Expr::count(p.tx_listen))
-            .add(Expr::count(p.tx_data))
-            .add(Expr::count(p.tx_handle))
-            .gt_c(0);
-        let r_radio_active = sim.reward_predicate(active_expr).expect("valid predicate");
-        let r_radio_idle = sim
-            .reward_predicate(Expr::count(p.comp_handle).gt_c(0))
-            .expect("valid predicate");
+/// [`NodeModel::register_rewards`] on the handles of a model.
+fn register(p: &NodePlaces, t: &NodeTransitions, sim: &mut Simulator<'_>) -> NodeRewards {
+    // CPU state fractions: one token-average per power-state place.
+    let cpu = [p.cpu_sleep, p.cpu_wake, p.cpu_idle, p.cpu_active].map(|q| sim.reward_place(q));
 
-        let t = &self.transitions;
-        NodeRewards {
-            cpu,
-            radio: [r_radio_sleep, r_radio_wake, r_radio_idle, r_radio_active],
-            cpu_wakeups: sim.reward_firings(t.cpu_wakeup),
-            cycles_started: sim.reward_firings(t.cycle_start),
-            comp_done: sim.reward_firings(t.comp_done),
-            cycles_done: sim.reward_firings(t.cycle_done),
-        }
+    // Radio state fractions: predicates over the stage places.
+    let r_radio_sleep = sim
+        .reward_predicate(Expr::count(p.wait).gt_c(0))
+        .expect("valid predicate");
+    let r_radio_wake = sim
+        .reward_predicate(
+            Expr::count(p.rx_start)
+                .gt_c(0)
+                .or(Expr::count(p.tx_start).gt_c(0)),
+        )
+        .expect("valid predicate");
+    let active_expr = Expr::count(p.rx_listen)
+        .add(Expr::count(p.rx_data))
+        .add(Expr::count(p.rx_handle))
+        .add(Expr::count(p.tx_listen))
+        .add(Expr::count(p.tx_data))
+        .add(Expr::count(p.tx_handle))
+        .gt_c(0);
+    let r_radio_active = sim.reward_predicate(active_expr).expect("valid predicate");
+    let r_radio_idle = sim
+        .reward_predicate(Expr::count(p.comp_handle).gt_c(0))
+        .expect("valid predicate");
+
+    NodeRewards {
+        cpu,
+        radio: [r_radio_sleep, r_radio_wake, r_radio_idle, r_radio_active],
+        cpu_wakeups: sim.reward_firings(t.cpu_wakeup),
+        cycles_started: sim.reward_firings(t.cycle_start),
+        comp_done: sim.reward_firings(t.comp_done),
+        cycles_done: sim.reward_firings(t.cycle_done),
     }
 }
 
@@ -450,11 +454,20 @@ impl NodeRewards {
     }
 }
 
-/// Simulate the node SCPN and collect all Fig. 14/15 measures.
+/// Simulate the node SCPN and collect all Fig. 14/15 measures, on the
+/// process's warm simulator of this point (see [`crate::warm`]).
 pub fn simulate_node_model(params: &NodeSimParams, seed: u64) -> NodePetriResult {
-    let model = build_node_model(params);
-    let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(params.horizon));
-    let rewards = model.register_rewards(&mut sim);
+    let warm = crate::warm::simulator(crate::warm::node_key(params), || {
+        let NodeModel {
+            net,
+            places,
+            transitions,
+        } = build_node_model(params);
+        let mut sim = Simulator::shared(Arc::new(net), SimConfig::for_horizon(params.horizon));
+        let rewards = register(&places, &transitions, &mut sim);
+        (sim, rewards)
+    });
+    let (sim, rewards) = &*warm;
     let out = sim.run(seed).expect("node net cannot livelock or overflow");
     rewards.result(&out, params.horizon)
 }
