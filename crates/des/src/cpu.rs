@@ -15,7 +15,7 @@
 //! integrates energy with the Table III rates, giving the solid "Simulation"
 //! curves of Figs. 4–9.
 
-use crate::kernel::{EventId, EventQueue};
+use crate::kernel::Clock;
 use crate::rng::DesRng;
 use energy::{ComponentPower, Energy, PowerState, StateTimes, StateTracker};
 use serde::{Deserialize, Serialize};
@@ -80,14 +80,6 @@ impl CpuSimResult {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Ev {
-    Arrival,
-    ServiceDone,
-    WakeupDone,
-    PdtExpire,
-}
-
 /// Run the CPU simulation for the given seed.
 pub fn simulate_cpu(params: &CpuSimParams, seed: u64) -> CpuSimResult {
     assert!(
@@ -101,80 +93,71 @@ pub fn simulate_cpu(params: &CpuSimParams, seed: u64) -> CpuSimResult {
     assert!(params.horizon > 0.0, "horizon must be positive");
 
     let mut rng = DesRng::seed_from_u64(seed);
-    let mut q: EventQueue<Ev> = EventQueue::new();
+    let mut seq = 0;
     let mut tracker = StateTracker::new(PowerState::Sleep, 0.0);
     let mut buffer: u64 = 0;
-    let mut pdt_timer: Option<EventId> = None;
     let mut jobs_served = 0u64;
     let mut jobs_arrived = 0u64;
 
-    q.schedule_in(rng.exp(params.lambda), Ev::Arrival);
+    // The Poisson arrival stream, and the CPU's one pending event: the end
+    // of its wake-up, of its service or of its idle threshold, by its
+    // power state (idle while it sleeps).
+    let mut arrival = Clock::after(0.0, rng.exp(params.lambda), 0, &mut seq);
+    let mut cpu = Clock::IDLE;
 
-    while let Some((now, ev)) = q.pop_before(params.horizon) {
-        match ev {
-            Ev::Arrival => {
-                jobs_arrived += 1;
-                buffer += 1;
-                // Next arrival (Poisson stream never stops).
-                q.schedule_in(rng.exp(params.lambda), Ev::Arrival);
-                match tracker.state() {
-                    PowerState::Sleep => {
-                        // Begin the fixed power-up; jobs queue meanwhile.
-                        tracker.transition_to(PowerState::Wakeup, now);
-                        q.schedule_in(params.power_up_delay, Ev::WakeupDone);
-                    }
-                    PowerState::Wakeup => {
-                        // Already waking; the job just queues.
-                    }
-                    PowerState::Idle => {
-                        // Cancel the pending power-down and start service.
-                        if let Some(id) = pdt_timer.take() {
-                            q.cancel(id);
-                        }
-                        tracker.transition_to(PowerState::Active, now);
-                        q.schedule_in(rng.exp(params.mu), Ev::ServiceDone);
-                    }
-                    PowerState::Active => {
-                        // Served after the jobs ahead of it.
-                    }
+    loop {
+        let arrives = arrival.precedes(&cpu);
+        let now = if arrives { arrival.time() } else { cpu.time() };
+        if now >= params.horizon {
+            break;
+        }
+        if arrives {
+            jobs_arrived += 1;
+            buffer += 1;
+            // Next arrival (Poisson stream never stops).
+            arrival = Clock::after(now, rng.exp(params.lambda), 0, &mut seq);
+            match tracker.state() {
+                PowerState::Sleep => {
+                    // Begin the fixed power-up; jobs queue meanwhile.
+                    tracker.transition_to(PowerState::Wakeup, now);
+                    cpu = Clock::after(now, params.power_up_delay, 0, &mut seq);
                 }
-            }
-            Ev::WakeupDone => {
-                debug_assert_eq!(tracker.state(), PowerState::Wakeup);
-                if buffer > 0 {
+                PowerState::Idle => {
+                    // Replace the pending power-down with service.
                     tracker.transition_to(PowerState::Active, now);
-                    q.schedule_in(rng.exp(params.mu), Ev::ServiceDone);
-                } else {
-                    // Unreachable under assumption 4 (wake-up only starts on
-                    // an arrival and jobs cannot be cancelled), but kept for
-                    // robustness.
-                    tracker.transition_to(PowerState::Idle, now);
-                    pdt_timer =
-                        Some(q.schedule_in_pri(params.power_down_threshold, 1, Ev::PdtExpire));
+                    cpu = Clock::after(now, rng.exp(params.mu), 0, &mut seq);
                 }
+                // Waking or serving: the job is served after those ahead.
+                PowerState::Wakeup | PowerState::Active => {}
             }
-            Ev::ServiceDone => {
-                debug_assert_eq!(tracker.state(), PowerState::Active);
+            continue;
+        }
+        match tracker.state() {
+            PowerState::Wakeup => {
+                // Wake-up only starts on an arrival and jobs are never
+                // cancelled (assumption 4), so work is waiting.
+                debug_assert!(buffer > 0);
+                tracker.transition_to(PowerState::Active, now);
+                cpu = Clock::after(now, rng.exp(params.mu), 0, &mut seq);
+            }
+            PowerState::Active => {
                 debug_assert!(buffer > 0);
                 buffer -= 1;
                 jobs_served += 1;
-                if buffer > 0 {
-                    q.schedule_in(rng.exp(params.mu), Ev::ServiceDone);
+                cpu = if buffer > 0 {
+                    Clock::after(now, rng.exp(params.mu), 0, &mut seq)
                 } else {
                     tracker.transition_to(PowerState::Idle, now);
-                    pdt_timer =
-                        Some(q.schedule_in_pri(params.power_down_threshold, 1, Ev::PdtExpire));
-                }
+                    // Priority 1: the threshold loses exact ties.
+                    Clock::after(now, params.power_down_threshold, 1, &mut seq)
+                };
             }
-            Ev::PdtExpire => {
-                debug_assert_eq!(tracker.state(), PowerState::Idle);
-                pdt_timer = None;
+            PowerState::Idle => {
                 tracker.transition_to(PowerState::Sleep, now);
+                cpu = Clock::IDLE;
             }
+            PowerState::Sleep => unreachable!("the CPU clock is idle while asleep"),
         }
-        // The next arrival plus at most one of wake-up, service or timer:
-        // the bound the kernel's linear pending set is sized for.
-        debug_assert!(q.pending() <= 2, "{} CPU events pending", q.pending());
     }
 
     let (times, wakeups) = tracker.finish(params.horizon);
@@ -288,5 +271,33 @@ mod tests {
         let mut p = CpuSimParams::paper_defaults(0.1, 0.1);
         p.horizon = 0.0;
         let _ = simulate_cpu(&p, 1);
+    }
+
+    fn with_delays(t: f64, d: f64) {
+        let _ = simulate_cpu(&CpuSimParams::paper_defaults(t, d), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "delays must be non-negative")]
+    fn negative_threshold_rejected() {
+        with_delays(-0.1, 0.3);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative and finite")]
+    fn infinite_threshold_rejected() {
+        with_delays(f64::INFINITY, 0.3);
+    }
+
+    #[test]
+    #[should_panic(expected = "delays must be non-negative")]
+    fn negative_power_up_delay_rejected() {
+        with_delays(0.1, -0.3);
+    }
+
+    #[test]
+    #[should_panic(expected = "delays must be non-negative")]
+    fn nan_power_up_delay_rejected() {
+        with_delays(0.1, f64::NAN);
     }
 }

@@ -4,8 +4,8 @@
 //! (Sec. IV) plus a full node-level simulator used to cross-validate the
 //! Petri-net models:
 //!
-//! * [`kernel`] — generic event queue with exact tie-breaking and
-//!   cancellation.
+//! * `kernel` (crate-private) — one fixed clock per event source, with
+//!   the exact tie-breaking order both simulators share.
 //! * [`cpu`] — the power-managed CPU simulator built strictly from the
 //!   paper's four assumptions (the solid "Simulation" curves of Figs. 4–9).
 //! * [`node`] — the whole sensor node (radio + CPU + closed/open workload),
@@ -16,10 +16,9 @@
 #![deny(unsafe_code)]
 
 pub mod cpu;
-pub mod kernel;
+mod kernel;
 pub mod node;
 pub mod rng;
 
 pub use cpu::{simulate_cpu, CpuSimParams, CpuSimResult};
-pub use kernel::{EventId, EventQueue};
 pub use node::{simulate_node, NodeSimParams, NodeSimResult, Workload};

@@ -26,13 +26,12 @@
 //! `0.000194 + 0.001 + 0.000576 = 0.00177 s` — exactly the optimal PDT the
 //! paper reports for the closed model.
 
-use crate::kernel::{EventId, EventQueue};
+use crate::kernel::Clock;
 use crate::rng::DesRng;
 use energy::{
     ComponentBreakdown, ComponentPower, Energy, NodeBreakdown, PowerState, StateTimes, StateTracker,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Workload generator kind.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -177,88 +176,75 @@ enum Stage {
     TxHandle,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Ev {
-    /// Closed-workload generator fires.
-    GenFire,
-    /// Open-workload Poisson arrival.
-    OpenArrival,
-    /// The current radio phase (startup/listen/data) completed.
-    RadioPhaseDone,
-    /// CPU finished powering up.
-    CpuWakeupDone,
-    /// CPU finished the job at the head of its buffer.
-    CpuServiceDone,
-    /// CPU idle timer expired.
-    CpuPdtExpire,
-}
-
+/// The CPU and its one pending event: the end of its wake-up, of its
+/// service or of its idle threshold, by its power state (idle while it
+/// sleeps).
 struct Cpu {
     tracker: StateTracker,
-    buffer: VecDeque<f64>,
-    pdt_timer: Option<EventId>,
+    /// Duration of the job waking up or in service. The stage chain is
+    /// sequential, so the CPU never holds more than one job.
+    job: Option<f64>,
+    clock: Clock,
     pdt: f64,
     pud: f64,
 }
 
 impl Cpu {
-    /// Add a job; wake or activate the CPU as needed.
-    fn push_job(&mut self, dur: f64, now: f64, q: &mut EventQueue<Ev>) {
-        self.buffer.push_back(dur);
+    /// Hand the CPU a job; wake or activate it as needed.
+    fn push_job(&mut self, dur: f64, now: f64, seq: &mut u64) {
+        self.job = Some(dur);
         match self.tracker.state() {
             PowerState::Sleep => {
                 self.tracker.transition_to(PowerState::Wakeup, now);
-                q.schedule_in(self.pud, Ev::CpuWakeupDone);
+                self.clock = Clock::after(now, self.pud, 0, seq);
             }
-            PowerState::Wakeup | PowerState::Active => {}
-            PowerState::Idle => {
-                if let Some(id) = self.pdt_timer.take() {
-                    q.cancel(id);
-                }
-                self.start_head(now, q);
+            // Replaces the pending power-down with service.
+            PowerState::Idle => self.start(dur, now, seq),
+            // A waking or active CPU holds its one job already.
+            PowerState::Wakeup | PowerState::Active => {
+                unreachable!("a job handed to a CPU that holds one")
             }
         }
     }
 
-    fn start_head(&mut self, now: f64, q: &mut EventQueue<Ev>) {
-        let dur = *self.buffer.front().expect("job available");
+    fn start(&mut self, dur: f64, now: f64, seq: &mut u64) {
         self.tracker.transition_to(PowerState::Active, now);
-        q.schedule_in(dur, Ev::CpuServiceDone);
+        self.clock = Clock::after(now, dur, 0, seq);
     }
 
-    fn on_wakeup_done(&mut self, now: f64, q: &mut EventQueue<Ev>) {
-        debug_assert_eq!(self.tracker.state(), PowerState::Wakeup);
-        if self.buffer.is_empty() {
-            self.go_idle(now, q);
-        } else {
-            self.start_head(now, q);
+    /// The CPU clock fired. Returns true if a job finished (the caller
+    /// advances the system stage).
+    fn fire(&mut self, now: f64, seq: &mut u64) -> bool {
+        match self.tracker.state() {
+            PowerState::Wakeup => {
+                let dur = self.job.expect("a wake-up starts with a job");
+                self.start(dur, now, seq);
+                false
+            }
+            PowerState::Active => {
+                self.job = None;
+                self.tracker.transition_to(PowerState::Idle, now);
+                // Priority 1: the power-down timer loses exact ties against
+                // work-delivering events, so `PDT == gap` keeps the CPU
+                // awake (the boundary the paper's optimum sits on).
+                self.clock = Clock::after(now, self.pdt, 1, seq);
+                true
+            }
+            PowerState::Idle => {
+                self.tracker.transition_to(PowerState::Sleep, now);
+                self.clock = Clock::IDLE;
+                false
+            }
+            PowerState::Sleep => unreachable!("the CPU clock is idle while asleep"),
         }
     }
+}
 
-    /// Returns true — a job finished (the caller advances the system stage).
-    fn on_service_done(&mut self, now: f64, q: &mut EventQueue<Ev>) {
-        debug_assert_eq!(self.tracker.state(), PowerState::Active);
-        self.buffer.pop_front().expect("job being served");
-        if self.buffer.is_empty() {
-            self.go_idle(now, q);
-        } else {
-            self.start_head(now, q);
-        }
-    }
-
-    fn go_idle(&mut self, now: f64, q: &mut EventQueue<Ev>) {
-        self.tracker.transition_to(PowerState::Idle, now);
-        // Priority 1: the power-down timer loses exact ties against
-        // work-delivering events, so `PDT == gap` keeps the CPU awake
-        // (the boundary the paper's optimum sits on).
-        self.pdt_timer = Some(q.schedule_in_pri(self.pdt, 1, Ev::CpuPdtExpire));
-    }
-
-    fn on_pdt_expire(&mut self, now: f64) {
-        debug_assert_eq!(self.tracker.state(), PowerState::Idle);
-        self.pdt_timer = None;
-        self.tracker.transition_to(PowerState::Sleep, now);
-    }
+/// Which clock fires next.
+enum Source {
+    Workload,
+    Radio,
+    Cpu,
 }
 
 /// Run the node simulation for the given seed (only the open workload is
@@ -275,11 +261,11 @@ pub fn simulate_node(params: &NodeSimParams, seed: u64) -> NodeSimResult {
     );
 
     let mut rng = DesRng::seed_from_u64(seed);
-    let mut q: EventQueue<Ev> = EventQueue::new();
+    let mut seq = 0;
     let mut cpu = Cpu {
         tracker: StateTracker::new(PowerState::Sleep, 0.0),
-        buffer: VecDeque::new(),
-        pdt_timer: None,
+        job: None,
+        clock: Clock::IDLE,
         pdt: params.power_down_threshold,
         pud: params.cpu_power_up_delay,
     };
@@ -290,15 +276,14 @@ pub fn simulate_node(params: &NodeSimParams, seed: u64) -> NodeSimResult {
     let mut cycles: u64 = 0;
     let mut events: u64 = 0;
 
-    // Prime the workload.
-    match params.workload {
-        Workload::Closed { interval } => {
-            q.schedule_in(interval, Ev::GenFire);
-        }
-        Workload::Open { rate } => {
-            q.schedule_in(rng.exp(rate), Ev::OpenArrival);
-        }
-    }
+    // The workload generator's next event (closed: the generator firing;
+    // open: the next Poisson arrival) and the end of the current radio
+    // phase (start-up, listening or data).
+    let mut workload = match params.workload {
+        Workload::Closed { interval } => Clock::after(0.0, interval, 0, &mut seq),
+        Workload::Open { rate } => Clock::after(0.0, rng.exp(rate), 0, &mut seq),
+    };
+    let mut radio_phase = Clock::IDLE;
 
     // Local helper: begin a cycle (system leaves Wait).
     fn begin_cycle(
@@ -306,34 +291,43 @@ pub fn simulate_node(params: &NodeSimParams, seed: u64) -> NodeSimResult {
         radio: &mut StateTracker,
         params: &NodeSimParams,
         now: f64,
-        q: &mut EventQueue<Ev>,
-    ) {
+        seq: &mut u64,
+    ) -> Clock {
         debug_assert_eq!(*stage, Stage::Wait);
         *stage = Stage::RxStartup;
         radio.transition_to(PowerState::Wakeup, now);
-        q.schedule_in(params.radio_startup, Ev::RadioPhaseDone);
+        Clock::after(now, params.radio_startup, 0, seq)
     }
 
-    while let Some((now, ev)) = q.pop_before(params.horizon) {
-        match ev {
-            Ev::GenFire => {
+    loop {
+        let (mut source, mut next) = (Source::Workload, workload);
+        if radio_phase.precedes(&next) {
+            (source, next) = (Source::Radio, radio_phase);
+        }
+        if cpu.clock.precedes(&next) {
+            (source, next) = (Source::Cpu, cpu.clock);
+        }
+        let now = next.time();
+        if now >= params.horizon {
+            break;
+        }
+        match source {
+            Source::Workload => {
                 events += 1;
-                begin_cycle(&mut stage, &mut radio, params, now, &mut q);
-            }
-            Ev::OpenArrival => {
-                events += 1;
-                let Workload::Open { rate } = params.workload else {
-                    unreachable!("open arrival under closed workload")
+                workload = match params.workload {
+                    // The closed generator rearms when the cycle ends.
+                    Workload::Closed { .. } => Clock::IDLE,
+                    Workload::Open { rate } => Clock::after(now, rng.exp(rate), 0, &mut seq),
                 };
-                q.schedule_in(rng.exp(rate), Ev::OpenArrival);
                 if stage == Stage::Wait {
-                    begin_cycle(&mut stage, &mut radio, params, now, &mut q);
+                    radio_phase = begin_cycle(&mut stage, &mut radio, params, now, &mut seq);
                 } else {
+                    // Only an open arrival finds the system busy.
                     pending += 1;
                     max_pending = max_pending.max(pending);
                 }
             }
-            Ev::RadioPhaseDone => match stage {
+            Source::Radio => match stage {
                 Stage::RxStartup | Stage::TxStartup => {
                     // Radio is up: start channel listening.
                     radio.transition_to(PowerState::Active, now);
@@ -342,7 +336,7 @@ pub fn simulate_node(params: &NodeSimParams, seed: u64) -> NodeSimResult {
                     } else {
                         Stage::TxListen
                     };
-                    q.schedule_in(params.channel_listen, Ev::RadioPhaseDone);
+                    radio_phase = Clock::after(now, params.channel_listen, 0, &mut seq);
                 }
                 Stage::RxListen | Stage::TxListen => {
                     stage = if stage == Stage::RxListen {
@@ -350,35 +344,37 @@ pub fn simulate_node(params: &NodeSimParams, seed: u64) -> NodeSimResult {
                     } else {
                         Stage::TxData
                     };
-                    q.schedule_in(params.tx_rx_time, Ev::RadioPhaseDone);
+                    radio_phase = Clock::after(now, params.tx_rx_time, 0, &mut seq);
                 }
                 Stage::RxData | Stage::TxData => {
                     // Packet done: hand to the CPU; radio stays active until
                     // the handler completes (Sec. VI-A).
+                    radio_phase = Clock::IDLE;
                     stage = if stage == Stage::RxData {
                         Stage::RxHandle
                     } else {
                         Stage::TxHandle
                     };
-                    cpu.push_job(params.comm_job_duration(), now, &mut q);
+                    cpu.push_job(params.comm_job_duration(), now, &mut seq);
                 }
                 _ => unreachable!("radio phase completion in stage {stage:?}"),
             },
-            Ev::CpuWakeupDone => cpu.on_wakeup_done(now, &mut q),
-            Ev::CpuServiceDone => {
-                cpu.on_service_done(now, &mut q);
+            Source::Cpu => {
+                if !cpu.fire(now, &mut seq) {
+                    continue;
+                }
                 match stage {
                     Stage::RxHandle => {
                         // Packet checked: radio idles; computation begins.
                         radio.transition_to(PowerState::Idle, now);
                         stage = Stage::CompHandle;
-                        cpu.push_job(params.comp_job_duration(), now, &mut q);
+                        cpu.push_job(params.comp_job_duration(), now, &mut seq);
                     }
                     Stage::CompHandle => {
                         // Results ready: wake the radio to transmit.
                         stage = Stage::TxStartup;
                         radio.transition_to(PowerState::Wakeup, now);
-                        q.schedule_in(params.radio_startup, Ev::RadioPhaseDone);
+                        radio_phase = Clock::after(now, params.radio_startup, 0, &mut seq);
                     }
                     Stage::TxHandle => {
                         // Cycle complete: radio sleeps, system waits.
@@ -387,12 +383,13 @@ pub fn simulate_node(params: &NodeSimParams, seed: u64) -> NodeSimResult {
                         cycles += 1;
                         match params.workload {
                             Workload::Closed { interval } => {
-                                q.schedule_in(interval, Ev::GenFire);
+                                workload = Clock::after(now, interval, 0, &mut seq);
                             }
                             Workload::Open { .. } => {
                                 if pending > 0 {
                                     pending -= 1;
-                                    begin_cycle(&mut stage, &mut radio, params, now, &mut q);
+                                    radio_phase =
+                                        begin_cycle(&mut stage, &mut radio, params, now, &mut seq);
                                 }
                             }
                         }
@@ -400,12 +397,7 @@ pub fn simulate_node(params: &NodeSimParams, seed: u64) -> NodeSimResult {
                     _ => unreachable!("CPU completion in stage {stage:?}"),
                 }
             }
-            Ev::CpuPdtExpire => cpu.on_pdt_expire(now),
         }
-        // Workload generator, radio phase, and one CPU event (the timer is
-        // cancelled before the CPU takes work): the bound the kernel's
-        // linear pending set is sized for.
-        debug_assert!(q.pending() <= 3, "{} node events pending", q.pending());
     }
 
     let (cpu_times, cpu_wakeups) = cpu.tracker.finish(params.horizon);
@@ -588,5 +580,50 @@ mod tests {
         assert!((b.total().joules() - total.joules()).abs() < 1e-12);
         // CPU dominates the node budget with these tables.
         assert!(b.cpu.total().joules() > b.radio.total().joules());
+    }
+
+    #[test]
+    fn the_cpu_holds_one_job_under_heavy_load() {
+        // Handing a job to a CPU that holds one panics; drive the node
+        // with events far closer than a cycle.
+        for pdt in [0.0, 0.00177, 0.1] {
+            let mut p = NodeSimParams::paper_defaults(Workload::Open { rate: 20.0 }, pdt);
+            p.horizon = 100.0;
+            for seed in 1..4 {
+                assert!(simulate_node(&p, seed).max_pending > 100);
+            }
+            p.workload = Workload::Closed { interval: 0.01 };
+            assert!(simulate_node(&p, 1).cycles_completed > 100);
+        }
+    }
+
+    fn with_delays(pdt: f64, pud: f64) {
+        let mut p = closed(pdt);
+        p.cpu_power_up_delay = pud;
+        let _ = simulate_node(&p, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold must be non-negative")]
+    fn negative_threshold_rejected() {
+        with_delays(-0.1, 0.253);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative and finite")]
+    fn infinite_threshold_rejected() {
+        with_delays(f64::INFINITY, 0.253);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative and finite")]
+    fn negative_power_up_delay_rejected() {
+        with_delays(0.01, -0.253);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative and finite")]
+    fn nan_power_up_delay_rejected() {
+        with_delays(0.01, f64::NAN);
     }
 }
