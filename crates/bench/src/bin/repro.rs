@@ -299,7 +299,7 @@ struct ExecFlags {
     hosts: Option<Vec<String>>,
     service: Option<String>,
     retry: Option<usize>,
-    io_timeout: Option<f64>,
+    io_timeout: Option<std::time::Duration>,
     pool: Option<bool>,
 }
 
@@ -337,8 +337,12 @@ impl ExecFlags {
                 Some(n) => self.retry = Some(n),
                 _ => flag_err("--retry", "a non-negative re-dispatch count"),
             },
-            "--io-timeout" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s >= 0.0 && s.is_finite() => self.io_timeout = Some(s),
+            "--io-timeout" => match it
+                .next()
+                .and_then(|v| v.parse::<f64>().ok())
+                .and_then(|s| std::time::Duration::try_from_secs_f64(s).ok())
+            {
+                Some(d) => self.io_timeout = Some(d),
                 _ => flag_err("--io-timeout", "seconds (0 disables the timeout)"),
             },
             "--pool" => match it.next().and_then(|v| parse_on_off(v)) {
@@ -382,8 +386,8 @@ impl ExecFlags {
         if let Some(n) = self.retry {
             fault.retry_budget = n;
         }
-        if let Some(secs) = self.io_timeout {
-            fault.io_timeout = (secs > 0.0).then(|| std::time::Duration::from_secs_f64(secs));
+        if let Some(d) = self.io_timeout {
+            fault.io_timeout = (!d.is_zero()).then_some(d);
         }
         let chaos = ChaosConfig::from_env();
         if let Some(c) = &chaos {

@@ -182,6 +182,7 @@ fn fault_flags_reject_garbage_values() {
         (vec!["--retry"], "--retry needs"),
         (vec!["--io-timeout", "-1"], "--io-timeout needs"),
         (vec!["--io-timeout", "soon"], "--io-timeout needs"),
+        (vec!["--io-timeout", "1e30"], "--io-timeout needs"),
         (vec!["--pool", "maybe"], "--pool needs"),
     ] {
         let (code, _out, err) = run(repro().args(&flags).arg("params"));
@@ -193,6 +194,7 @@ fn fault_flags_reject_garbage_values() {
     for (flag, value) in [
         ("--cache-budget", "lots"),
         ("--retry", "many"),
+        ("--io-timeout", "1e30"),
         ("--pool", "maybe"),
     ] {
         let (code, _out, err) =

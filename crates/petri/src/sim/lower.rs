@@ -41,9 +41,9 @@
 //! order, drawing from the RNG at the exact same points — the lowered
 //! engine's outputs are bit-identical to the reference engine's, which
 //! `tests/lowered_differential.rs` proves on every variant. Feature
-//! specialization (scan-vs-heap scheduling, colored-vs-count-only firing)
-//! is selected once per net and baked into const-generic instantiations of
-//! the hot loop, so the per-event path has no dynamic dispatch left.
+//! specialization (colored-vs-count-only firing) is selected once per net
+//! and baked into const-generic instantiations of the hot loop, so the
+//! per-event path has no dynamic dispatch left.
 
 use super::engine::{effective_token_limit, SimConfig};
 use super::rewards::RewardSpec;
@@ -257,12 +257,6 @@ fn arc_test(
     }
 }
 
-/// Transition-count ceiling for the scan scheduler. Below it, the next
-/// event is found by scanning the clocks of the timed transitions in the
-/// run's `fire_at` vector (at 32 transitions the vector is 256 bytes —
-/// four cache lines); above it, a lazy-deletion 4-ary heap takes over.
-pub(super) const SCAN_MAX_TRANSITIONS: usize = 32;
-
 // ---------------------------------------------------------------------------
 // Op encoding
 // ---------------------------------------------------------------------------
@@ -465,10 +459,8 @@ pub(crate) struct LoweredNet {
     /// Startup program: the initial scheduling pass (each timed transition
     /// re-checked once, in definition order), as recheck ops.
     pub(super) init_ops: Vec<u32>,
-    /// Scan scheduling selected (`nt <= SCAN_MAX_TRANSITIONS`).
-    pub(super) scan: bool,
-    /// Timed transitions in ascending tid order: the only clocks the scan
-    /// scheduler reads (an immediate's clock is always `+inf`).
+    /// Timed transitions in ascending tid order: the only clocks the
+    /// next-event scan reads (an immediate's clock is always `+inf`).
     pub(super) timed: Vec<u32>,
     /// Colored/generic features present (color-slot moves, generic fire,
     /// filtered conditions, or guard programs) — selects the hot-loop
@@ -841,7 +833,6 @@ impl LoweredNet {
             ops,
             sec,
             init_ops,
-            scan: nt <= SCAN_MAX_TRANSITIONS,
             timed,
             colored,
             integ_places,
@@ -1116,12 +1107,12 @@ mod tests {
         (b.build().unwrap(), vec![RewardSpec::PlaceTokens(q)])
     }
 
-    /// A net past [`SCAN_MAX_TRANSITIONS`], so it lowers to the heap
-    /// scheduler: a ring of places worked by every (memory policy ×
-    /// distribution) re-check opcode, prioritized and weighted immediates,
-    /// inhibitors and threshold guards, with every reward kind.
-    fn heap_shapes() -> NetCase {
-        let mut b = NetBuilder::new("heap-shapes");
+    /// A net of 36 transitions, wider than any paper net: a ring of places
+    /// worked by every (memory policy × distribution) re-check opcode,
+    /// prioritized and weighted immediates, inhibitors and threshold
+    /// guards, with every reward kind.
+    fn wide_shapes() -> NetCase {
+        let mut b = NetBuilder::new("wide-shapes");
         let ring: Vec<PlaceId> = (0..12)
             .map(|i| b.place(format!("p{i}")).tokens(i % 3 / 2).build())
             .collect();
@@ -1203,7 +1194,7 @@ mod tests {
             .collect();
         field(&integ);
         field(&lw.any_places);
-        field(&[lw.scan as u32, lw.colored as u32]);
+        field(&[lw.colored as u32]);
         let rewards: Vec<u32> = lw
             .reward_map
             .iter()
@@ -1222,31 +1213,32 @@ mod tests {
     }
 
     /// Lowering emits the same program, word for word, as the two-pass
-    /// compiler it replaced: these digests were captured from that
-    /// compiler's output, so any renumbered condition, reordered re-check
-    /// or changed opcode shows up here before it shows up in a trajectory.
+    /// compiler it replaced: these digests hash that compiler's program
+    /// words (re-hashed without the scheduler flag when the heap scheduler
+    /// was removed), so any renumbered condition, reordered re-check or
+    /// changed opcode shows up here before it shows up in a trajectory.
     #[test]
     fn lowered_programs_match_pinned_digests() {
         let cases = [
             (
                 "node-shapes",
                 node_shapes(),
-                "814b55b007a58f2c3b7d07245b845ad6bb5014fc8efd37be537230a9cdf3fe74",
+                "4f42b6b7a09a3799da2aea8c52b23e3e0abc0c89decf5ac24bf28bf625414377",
             ),
             (
                 "generic",
                 generic_shapes(),
-                "7485f79c2aa6b1b2d6f0767def86e273938438848ed2db8e633050d756287f4a",
+                "d38ab97884415fc52a75e672770c0233cbb0a4e6fae07275f516b33779a1ddf9",
             ),
             (
                 "mm1",
                 mm1(),
-                "9d90aa2d579f116ff551e18f98820f3f8a802268e262d1f53ebd4a760540b600",
+                "e5029c52fe8319bee1119ac2d953e602d40a7a982aa603804dcb5d07c5de4a08",
             ),
             (
-                "heap-shapes",
-                heap_shapes(),
-                "119c49606cad236c0f4ee4f2d7e48221510c1c44a2d282ea9581544809c78d8d",
+                "wide-shapes",
+                wide_shapes(),
+                "876043b53d205c2605178a0b5404834f111701dae1b4bc78172361067901a51e",
             ),
         ];
         let mut got = Vec::new();
@@ -1264,14 +1256,12 @@ mod tests {
         );
     }
 
-    /// The heap net really takes the heap path, and its program runs the
-    /// reference engine's trajectory.
+    /// The wide net's program runs the reference engine's trajectory.
     #[test]
-    fn heap_shapes_lower_to_the_heap_scheduler() {
-        let (net, rewards) = heap_shapes();
+    fn wide_shapes_run_the_reference_trajectory() {
+        let (net, rewards) = wide_shapes();
         let sim = sim_with(&net, SimConfig::for_horizon(40.0).with_trace(64), &rewards);
-        assert!(net.num_transitions() > SCAN_MAX_TRANSITIONS);
-        assert!(!sim.lowered_net().scan);
+        assert!(net.num_transitions() > 32);
         for seed in 0..4 {
             let (a, b) = (sim.run(seed).unwrap(), sim.run_reference(seed).unwrap());
             assert_eq!(a.rewards, b.rewards);
@@ -1348,7 +1338,6 @@ mod tests {
         assert_eq!(lw.sec[0], 0);
         assert!(lw.sec.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*lw.sec.last().unwrap() as usize, lw.ops.len());
-        assert!(lw.scan);
         assert!(!lw.colored);
         assert_eq!(lw.n_integ, 1);
         assert_eq!(lw.integ_places, [(0, 0)]);

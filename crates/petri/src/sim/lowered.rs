@@ -45,15 +45,17 @@
 //!   indirection and no aliasing the optimizer has to assume.
 //! * **Monomorphized ops.** The per-event work is a walk over flat op
 //!   words with parameters inline; distribution sampling, memory-policy
-//!   handling, scan-vs-heap scheduling and colored-vs-dense firing are all
-//!   resolved per net, not per event (the loops are instantiated per
-//!   `(SCAN, GEN)` const-generic pair, selected once in
-//!   [`LoweredEngine::run`], and the interpreter once more per `REC`, so
-//!   recording costs nothing on steps it does not keep).
-//! * **A timed-only scan.** Small nets find the next event by scanning the
-//!   clocks of their timed transitions only (an immediate's clock is
-//!   always `+inf`), in ascending tid order, with a select-based minimum
-//!   and no data-dependent branch.
+//!   handling and colored-vs-dense firing are all resolved per net, not
+//!   per event (the loops are instantiated per `GEN` const parameter,
+//!   selected once in [`LoweredEngine::drive_variant`], and the
+//!   interpreter once more per `REC`, so recording costs nothing on steps
+//!   it does not keep).
+//! * **A timed-only scan.** The next event is the earliest clock among the
+//!   net's timed transitions (an immediate's clock is always `+inf`),
+//!   found by a scan in ascending tid order with a select-based minimum
+//!   and no data-dependent branch. The paper's nets have at most 20
+//!   transitions, so the clocks span a few cache lines; at a memo state
+//!   the scan reads only the clocks scheduled there.
 //! * **A one-candidate immediate path.** When exactly one immediate is
 //!   enabled, the cascade fires it outright; the priority pass, the
 //!   conflict set and the weighted RNG draw run only when two or more are
@@ -68,9 +70,9 @@
 //! Each run owns its RNG, marking, schedule, counters and accumulators.
 //! The op program replays the reference engine's exact operation
 //! sequence: same RNG draw order, same comparison order, same error
-//! precedence, same event order (the scan scheduler's min-`(fire_at, tid)`
-//! is provably the heap's valid-pop order). Outputs are therefore
-//! **bit-identical** to `Simulator::run_reference` —
+//! precedence, same event order (the scan's minimum `(fire_at, tid)` over
+//! the live clocks is the reference heap's next valid pop). Outputs are
+//! therefore **bit-identical** to `Simulator::run_reference` —
 //! `tests/lowered_differential.rs` and the CI repro byte-comparison prove
 //! it, and debug builds additionally shadow the first run per simulator
 //! with the reference engine, check its precomputed start state against a
@@ -183,77 +185,6 @@ pub(super) fn debug_assert_start_state(lw: &LoweredNet, net: &Net) {
 }
 
 // ---------------------------------------------------------------------------
-// 4-ary lazy-deletion heap (free functions over the run's heap)
-// ---------------------------------------------------------------------------
-
-/// One pending firing. Entries are never removed on cancellation — the
-/// per-transition generation counter marks them stale, and the main loop
-/// discards stale entries as they surface. Min-order on `(time, tid, gen)`:
-/// ties at the same instant fire in definition order.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    time: f64,
-    tid: u32,
-    gen: u64,
-}
-
-#[inline]
-fn heap_less(a: &HeapEntry, b: &HeapEntry) -> bool {
-    match a.time.total_cmp(&b.time) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => (a.tid, a.gen) < (b.tid, b.gen),
-    }
-}
-
-#[inline]
-fn heap_push(heap: &mut Vec<HeapEntry>, e: HeapEntry) {
-    let mut i = heap.len();
-    heap.push(e);
-    while i > 0 {
-        let parent = (i - 1) / 4;
-        if heap_less(&e, &heap[parent]) {
-            heap[i] = heap[parent];
-            i = parent;
-        } else {
-            break;
-        }
-    }
-    heap[i] = e;
-}
-
-fn heap_pop(heap: &mut Vec<HeapEntry>) -> Option<HeapEntry> {
-    let top = *heap.first()?;
-    let last = heap.pop().expect("non-empty");
-    let n = heap.len();
-    if n == 0 {
-        return Some(top);
-    }
-    let mut i = 0;
-    loop {
-        let c0 = 4 * i + 1;
-        if c0 >= n {
-            break;
-        }
-        let mut smallest = c0;
-        let cend = (c0 + 4).min(n);
-        for c in c0 + 1..cend {
-            if heap_less(&heap[c], &heap[smallest]) {
-                smallest = c;
-            }
-        }
-        if heap_less(&heap[smallest], &last) {
-            heap[i] = heap[smallest];
-            i = smallest;
-        } else {
-            break;
-        }
-    }
-    heap[i] = last;
-    Some(top)
-}
-
-// ---------------------------------------------------------------------------
 // The run's state
 // ---------------------------------------------------------------------------
 
@@ -285,9 +216,7 @@ struct Hot<'n> {
     integ_steps: u64,
     integ_ns: u64,
     marking: Marking,
-    heap: Vec<HeapEntry>,
     fire_at: Vec<f64>,
-    gen: Vec<u64>,
     remaining: Vec<f64>,
     sched_state: Vec<u8>,
     cond_true: Vec<bool>,
@@ -410,70 +339,43 @@ impl Hot<'_> {
     // ---- scheduling ----
 
     #[inline(always)]
-    fn schedule<const SCAN: bool>(&mut self, ti: usize, at: f64) {
+    fn schedule(&mut self, ti: usize, at: f64) {
         self.fire_at[ti] = at;
         self.sched_state[ti] |= ST_SCHEDULED;
-        if !SCAN {
-            self.gen[ti] += 1;
-            let e = HeapEntry {
-                time: at,
-                tid: ti as u32,
-                gen: self.gen[ti],
-            };
-            heap_push(&mut self.heap, e);
-        }
     }
 
     #[inline(always)]
-    fn cancel<const SCAN: bool>(&mut self, ti: usize) -> f64 {
+    fn cancel(&mut self, ti: usize) -> f64 {
         debug_assert_ne!(self.sched_state[ti] & ST_SCHEDULED, 0);
-        if !SCAN {
-            self.gen[ti] += 1;
-        }
         self.sched_state[ti] &= !ST_SCHEDULED;
         let at = self.fire_at[ti];
         self.fire_at[ti] = f64::INFINITY;
         at
     }
 
-    /// Next event: scan the clocks of `timed` (small nets) or surface the
-    /// next valid heap entry (stale entries die here). Neither consumes
-    /// the event.
+    /// Next event: the earliest clock of `timed`, lowest tid on ties. It
+    /// is not consumed.
+    ///
+    /// Only timed transitions are read: an immediate's clock is always
+    /// +inf. `timed` is every timed transition, or the ones scheduled at
+    /// the current memo state; the rest hold +inf. So the scan needs no
+    /// sentinel test, and the min is two selects on one `<` per clock,
+    /// with no data-dependent branch. Walking `timed` in ascending tid
+    /// order with strict `<` keeps the lowest tid on ties, the reference
+    /// engine's `(time, tid)` order (no reachable schedule time is NaN or
+    /// -0.0, so `<` agrees with `total_cmp` here). An all-idle run
+    /// surfaces `(inf, 0)`, which the caller's `time < end` guard retires.
     #[inline(always)]
-    fn next_event<const SCAN: bool>(&mut self, timed: &[u32]) -> Option<(f64, u32)> {
-        if SCAN {
-            // Only timed transitions are read: an immediate's clock is
-            // always +inf. `timed` is every timed transition, or the ones
-            // scheduled at the current memo state; the rest hold +inf. So
-            // the scan needs no sentinel test, and the min is two selects
-            // on one `<` per clock, with no data-dependent branch. Walking
-            // `timed` in ascending tid order with strict `<` keeps the
-            // lowest tid on ties, matching the heap's `(time, tid)` order
-            // (no reachable schedule time is NaN or -0.0, so `<` agrees
-            // with `total_cmp` here). An all-idle run surfaces `(inf, 0)`,
-            // which the caller's `time < end` guard retires.
-            let mut best_t = f64::INFINITY;
-            let mut best_ti = 0u32;
-            for &ti in timed {
-                let at = self.fire_at[ti as usize];
-                let earlier = at < best_t;
-                best_t = if earlier { at } else { best_t };
-                best_ti = if earlier { ti } else { best_ti };
-            }
-            Some((best_t, best_ti))
-        } else {
-            loop {
-                match self.heap.first() {
-                    None => break None,
-                    Some(e) => {
-                        if e.gen == self.gen[e.tid as usize] {
-                            break Some((e.time, e.tid));
-                        }
-                        heap_pop(&mut self.heap);
-                    }
-                }
-            }
+    fn next_event(&self, timed: &[u32]) -> (f64, u32) {
+        let mut best_t = f64::INFINITY;
+        let mut best_ti = 0u32;
+        for &ti in timed {
+            let at = self.fire_at[ti as usize];
+            let earlier = at < best_t;
+            best_t = if earlier { at } else { best_t };
+            best_ti = if earlier { ti } else { best_ti };
         }
+        (best_t, best_ti)
     }
 
     // ---- fire section execution ----
@@ -706,29 +608,19 @@ impl Hot<'_> {
     /// Handle one RaceEnable re-check (caller already skipped settled
     /// states): sample on enable, cancel on disable.
     #[inline(always)]
-    fn re_op<const SCAN: bool>(
-        &mut self,
-        t2: usize,
-        s: u8,
-        sample: impl FnOnce(&mut SimRng) -> f64,
-    ) {
+    fn re_op(&mut self, t2: usize, s: u8, sample: impl FnOnce(&mut SimRng) -> f64) {
         if s & ST_ENABLED != 0 {
             let d = sample(&mut self.rng);
-            self.schedule::<SCAN>(t2, self.now + d);
+            self.schedule(t2, self.now + d);
         } else {
-            self.cancel::<SCAN>(t2);
+            self.cancel(t2);
         }
     }
 
     /// Handle one RaceAge re-check: like RaceEnable, but a disabled clock
     /// freezes its remaining delay and a re-enable restores it.
     #[inline(always)]
-    fn ra_op<const SCAN: bool>(
-        &mut self,
-        t2: usize,
-        s: u8,
-        sample: impl FnOnce(&mut SimRng) -> f64,
-    ) {
+    fn ra_op(&mut self, t2: usize, s: u8, sample: impl FnOnce(&mut SimRng) -> f64) {
         if s & ST_ENABLED != 0 {
             let d = if !self.remaining[t2].is_nan() {
                 let r = self.remaining[t2];
@@ -737,9 +629,9 @@ impl Hot<'_> {
             } else {
                 sample(&mut self.rng)
             };
-            self.schedule::<SCAN>(t2, self.now + d);
+            self.schedule(t2, self.now + d);
         } else {
-            let at = self.cancel::<SCAN>(t2);
+            let at = self.cancel(t2);
             self.remaining[t2] = (at - self.now).max(0.0);
         }
     }
@@ -747,29 +639,18 @@ impl Hot<'_> {
     /// Handle one Resample re-check (caller only skipped fully-idle
     /// states): redraw while enabled-and-scheduled, else schedule/cancel.
     #[inline(always)]
-    fn rs_op<const SCAN: bool>(
-        &mut self,
-        t2: usize,
-        s: u8,
-        sample: impl FnOnce(&mut SimRng) -> f64,
-    ) {
+    fn rs_op(&mut self, t2: usize, s: u8, sample: impl FnOnce(&mut SimRng) -> f64) {
         let enabled = s & ST_ENABLED != 0;
         let scheduled = s & ST_SCHEDULED != 0;
         if enabled && scheduled {
-            if SCAN {
-                // Redraw the clock in place (heap-free bookkeeping).
-                let d = sample(&mut self.rng);
-                self.fire_at[t2] = self.now + d;
-            } else {
-                self.cancel::<false>(t2);
-                let d = sample(&mut self.rng);
-                self.schedule::<false>(t2, self.now + d);
-            }
+            // Redraw the clock in place.
+            let d = sample(&mut self.rng);
+            self.fire_at[t2] = self.now + d;
         } else if enabled {
             let d = sample(&mut self.rng);
-            self.schedule::<SCAN>(t2, self.now + d);
+            self.schedule(t2, self.now + d);
         } else {
-            self.cancel::<SCAN>(t2);
+            self.cancel(t2);
         }
     }
 
@@ -783,7 +664,7 @@ impl Hot<'_> {
     /// byte it saw ([`resolve`]), with its offset in the op arena (`base`
     /// is the section's).
     #[inline(always)]
-    fn exec_recheck<const SCAN: bool, const REC: bool>(&mut self, ops: &[u32], base: usize) {
+    fn exec_recheck<const REC: bool>(&mut self, ops: &[u32], base: usize) {
         const SETTLED: u8 = ST_ENABLED | ST_SCHEDULED;
         for (i, rec) in ops.chunks_exact(RECHECK_STRIDE).enumerate() {
             let w = rec[0];
@@ -802,64 +683,64 @@ impl Hot<'_> {
                 self.rec_rech
                     .extend([resolve(rec, s), (base + i * RECHECK_STRIDE) as u32]);
             }
-            self.recheck_op::<SCAN>(rec, s);
+            self.recheck_op(rec, s);
         }
     }
 
     /// Apply one re-check record `rec` that acts, given the state byte
     /// `s` its transition had: sample, redraw or cancel its clock.
     #[inline(always)]
-    fn recheck_op<const SCAN: bool>(&mut self, rec: &[u32], s: u8) {
+    fn recheck_op(&mut self, rec: &[u32], s: u8) {
         let w = rec[0];
         let t2 = (w >> 8) as usize;
         match w & 0xff {
             OP_RE_EXP => {
                 let rate = dec_f64(rec, 1);
-                self.re_op::<SCAN>(t2, s, move |r| r.exp(rate));
+                self.re_op(t2, s, move |r| r.exp(rate));
             }
             OP_RE_DET => {
                 let delay = dec_f64(rec, 1);
-                self.re_op::<SCAN>(t2, s, move |_| delay);
+                self.re_op(t2, s, move |_| delay);
             }
             OP_RE_UNI => {
                 let (low, high) = (dec_f64(rec, 1), dec_f64(rec, 3));
-                self.re_op::<SCAN>(t2, s, move |r| r.uniform(low, high));
+                self.re_op(t2, s, move |r| r.uniform(low, high));
             }
             OP_RE_ERL => {
                 let (rate, k) = (dec_f64(rec, 1), rec[3]);
-                self.re_op::<SCAN>(t2, s, move |r| erlang(r, rate, k));
+                self.re_op(t2, s, move |r| erlang(r, rate, k));
             }
             OP_RA_EXP => {
                 let rate = dec_f64(rec, 1);
-                self.ra_op::<SCAN>(t2, s, move |r| r.exp(rate));
+                self.ra_op(t2, s, move |r| r.exp(rate));
             }
             OP_RA_DET => {
                 let delay = dec_f64(rec, 1);
-                self.ra_op::<SCAN>(t2, s, move |_| delay);
+                self.ra_op(t2, s, move |_| delay);
             }
             OP_RA_UNI => {
                 let (low, high) = (dec_f64(rec, 1), dec_f64(rec, 3));
-                self.ra_op::<SCAN>(t2, s, move |r| r.uniform(low, high));
+                self.ra_op(t2, s, move |r| r.uniform(low, high));
             }
             OP_RA_ERL => {
                 let (rate, k) = (dec_f64(rec, 1), rec[3]);
-                self.ra_op::<SCAN>(t2, s, move |r| erlang(r, rate, k));
+                self.ra_op(t2, s, move |r| erlang(r, rate, k));
             }
             OP_RS_EXP => {
                 let rate = dec_f64(rec, 1);
-                self.rs_op::<SCAN>(t2, s, move |r| r.exp(rate));
+                self.rs_op(t2, s, move |r| r.exp(rate));
             }
             OP_RS_DET => {
                 let delay = dec_f64(rec, 1);
-                self.rs_op::<SCAN>(t2, s, move |_| delay);
+                self.rs_op(t2, s, move |_| delay);
             }
             OP_RS_UNI => {
                 let (low, high) = (dec_f64(rec, 1), dec_f64(rec, 3));
-                self.rs_op::<SCAN>(t2, s, move |r| r.uniform(low, high));
+                self.rs_op(t2, s, move |r| r.uniform(low, high));
             }
             OP_RS_ERL => {
                 let (rate, k) = (dec_f64(rec, 1), rec[3]);
-                self.rs_op::<SCAN>(t2, s, move |r| erlang(r, rate, k));
+                self.rs_op(t2, s, move |r| erlang(r, rate, k));
             }
             _ => unreachable!("invalid op in recheck section"),
         }
@@ -976,7 +857,7 @@ impl Hot<'_> {
     /// weighted conflicts, definition order on ties — the reference engine's
     /// `fire_immediates`, with fire → recheck → zero-bump order).
     #[inline(always)]
-    fn immediates<const SCAN: bool, const GEN: bool, const REC: bool>(
+    fn immediates<const GEN: bool, const REC: bool>(
         &mut self,
         lw: &LoweredNet,
     ) -> Result<(), SimError> {
@@ -992,7 +873,7 @@ impl Hot<'_> {
             let ti = chosen as usize;
             let (f0, f1, r1) = lw.sections(ti);
             self.exec_fire::<GEN, REC>(lw, ti, &lw.ops[f0..f1])?;
-            self.exec_recheck::<SCAN, REC>(&lw.ops[f1..r1], f1);
+            self.exec_recheck::<REC>(&lw.ops[f1..r1], f1);
             self.bump_zero(lw)?;
         }
     }
@@ -1031,30 +912,18 @@ impl Hot<'_> {
 
     /// The pre-loop work: run the startup recheck program
     /// (initial scheduling pass), then the time-zero immediate cascade.
-    fn start<const SCAN: bool, const GEN: bool>(
-        &mut self,
-        lw: &LoweredNet,
-    ) -> Result<(), SimError> {
-        self.exec_recheck::<SCAN, false>(&lw.init_ops, 0);
-        self.immediates::<SCAN, GEN, false>(lw)
+    fn start<const GEN: bool>(&mut self, lw: &LoweredNet) -> Result<(), SimError> {
+        self.exec_recheck::<false>(&lw.init_ops, 0);
+        self.immediates::<GEN, false>(lw)
     }
 
-    /// The next event before `end`, taken off the schedule (a heap entry
-    /// is popped and its generation retired); a scan reads the clocks of
-    /// `timed`. `time < end` (not `>=`) mirrors the reference engine's
-    /// `e.time < cfg.end_time` guard, including a NaN horizon.
+    /// The next event before `end` among the clocks of `timed`. `time <
+    /// end` (not `>=`) mirrors the reference engine's `e.time <
+    /// cfg.end_time` guard, including a NaN horizon.
     #[inline(always)]
-    fn take_event<const SCAN: bool>(&mut self, timed: &[u32], end: f64) -> Option<(f64, usize)> {
-        match self.next_event::<SCAN>(timed) {
-            Some((time, tid)) if time < end => {
-                if !SCAN {
-                    heap_pop(&mut self.heap);
-                    self.gen[tid as usize] += 1;
-                }
-                Some((time, tid as usize))
-            }
-            _ => None,
-        }
+    fn take_event(&self, timed: &[u32], end: f64) -> Option<(f64, usize)> {
+        let (time, tid) = self.next_event(timed);
+        (time < end).then_some((time, tid as usize))
     }
 
     /// Advance the clock to the event at `time` and consume transition
@@ -1073,7 +942,7 @@ impl Hot<'_> {
     /// Interpret one step: fire timed transition `ti`, then the reference
     /// engine's zero-bump → recheck → immediates order. `REC` records it.
     #[inline(always)]
-    fn step<const SCAN: bool, const GEN: bool, const REC: bool>(
+    fn step<const GEN: bool, const REC: bool>(
         &mut self,
         lw: &LoweredNet,
         ti: usize,
@@ -1081,8 +950,8 @@ impl Hot<'_> {
         let (f0, f1, r1) = lw.sections(ti);
         self.exec_fire::<GEN, REC>(lw, ti, &lw.ops[f0..f1])?;
         self.bump_zero(lw)?;
-        self.exec_recheck::<SCAN, REC>(&lw.ops[f1..r1], f1);
-        self.immediates::<SCAN, GEN, REC>(lw)
+        self.exec_recheck::<REC>(&lw.ops[f1..r1], f1);
+        self.immediates::<GEN, REC>(lw)
     }
 
     /// Replay a recorded step of trigger `ti` (the clock is already
@@ -1093,13 +962,7 @@ impl Hot<'_> {
     /// count ([`Hot::drain_hits`]). The marking and the enabling state are
     /// left stale.
     #[inline(always)]
-    fn replay<const SCAN: bool>(
-        &mut self,
-        lw: &LoweredNet,
-        ti: usize,
-        fired: &[u32],
-        rech: &[u32],
-    ) {
+    fn replay(&mut self, lw: &LoweredNet, ti: usize, fired: &[u32], rech: &[u32]) {
         let t0 = self.profile_on.then(Instant::now);
         self.zero += fired.len() as u64;
         if self.trace_on {
@@ -1114,13 +977,13 @@ impl Hot<'_> {
             match w & 0xff {
                 R_EXP => {
                     let d = self.rng.exp(dec_f64(&lw.ops[off..], 1));
-                    self.schedule::<SCAN>(arg, self.now + d);
+                    self.schedule(arg, self.now + d);
                 }
-                R_DET => self.schedule::<SCAN>(arg, self.now + dec_f64(&lw.ops[off..], 1)),
+                R_DET => self.schedule(arg, self.now + dec_f64(&lw.ops[off..], 1)),
                 R_CANCEL => {
-                    self.cancel::<SCAN>(arg);
+                    self.cancel(arg);
                 }
-                _ => self.recheck_op::<SCAN>(&lw.ops[off..off + RECHECK_STRIDE], arg as u8),
+                _ => self.recheck_op(&lw.ops[off..off + RECHECK_STRIDE], arg as u8),
             }
         }
         if let Some(t0) = t0 {
@@ -1186,7 +1049,7 @@ impl Hot<'_> {
     /// `Ok(false)` when the run gives the memo up, with the live state
     /// current, and `Ok(true)` once the run has reached its horizon;
     /// either way the replays' counts are drained.
-    fn run_memo<const SCAN: bool, const GEN: bool>(
+    fn run_memo<const GEN: bool>(
         &mut self,
         m: &mut Memo,
         lw: &LoweredNet,
@@ -1198,11 +1061,8 @@ impl Hot<'_> {
         // before it are drained (hooks dropped) when the run crosses it.
         let mut warm = self.now >= lw.warmup;
         loop {
-            let timed = match m.scan_list(cur) {
-                Some(list) if SCAN => list,
-                _ => &lw.timed[..],
-            };
-            let Some((time, ti)) = self.take_event::<SCAN>(timed, end) else {
+            let timed = m.scan_list(cur).unwrap_or(&lw.timed);
+            let Some((time, ti)) = self.take_event(timed, end) else {
                 break;
             };
             if !warm && time >= lw.warmup {
@@ -1219,7 +1079,7 @@ impl Hot<'_> {
                 if zero + step.fired.len() as u64 <= lw.max_zero {
                     self.integrate(lw, time, Some(m.terms(cur)));
                     self.enter(time, ti);
-                    self.replay::<SCAN>(lw, ti, step.fired, step.rech);
+                    self.replay(lw, ti, step.fired, step.rech);
                     cur = step.next;
                     m.hit(e);
                     stale = true;
@@ -1244,9 +1104,9 @@ impl Hot<'_> {
             self.integrate(lw, time, None);
             self.enter(time, ti);
             if record {
-                self.step::<SCAN, GEN, true>(lw, ti)?;
+                self.step::<GEN, true>(lw, ti)?;
             } else {
-                self.step::<SCAN, GEN, false>(lw, ti)?;
+                self.step::<GEN, false>(lw, ti)?;
             }
             let t0 = self.profile_on.then(Instant::now);
             let (next, _) = m.land(&self.marking);
@@ -1297,16 +1157,12 @@ impl Hot<'_> {
 
     /// Drive the run to its horizon on the interpreter alone (after the
     /// memo gave up): the whole main loop, fused, one instantiation per
-    /// (scan, colored) pair.
-    fn run<const SCAN: bool, const GEN: bool>(
-        &mut self,
-        lw: &LoweredNet,
-        end: f64,
-    ) -> Result<(), SimError> {
-        while let Some((time, ti)) = self.take_event::<SCAN>(&lw.timed, end) {
+    /// firing variant (dense or colored).
+    fn run<const GEN: bool>(&mut self, lw: &LoweredNet, end: f64) -> Result<(), SimError> {
+        while let Some((time, ti)) = self.take_event(&lw.timed, end) {
             self.integrate(lw, time, None);
             self.enter(time, ti);
-            self.step::<SCAN, GEN, false>(lw, ti)?;
+            self.step::<GEN, false>(lw, ti)?;
         }
         // No more events before the horizon: integrate the tail and
         // retire.
@@ -1398,9 +1254,7 @@ impl<'e> LoweredEngine<'e> {
             integ_steps: 0,
             integ_ns: 0,
             marking: net.initial_marking(),
-            heap: Vec::with_capacity(if lw.scan { 0 } else { nt * 2 }),
             fire_at: vec![f64::INFINITY; nt],
-            gen: vec![0; nt],
             remaining: vec![f64::NAN; nt],
             sched_state: st.sched_state.clone(),
             cond_true: st.cond_true.clone(),
@@ -1440,11 +1294,9 @@ impl<'e> LoweredEngine<'e> {
 
     /// Run the variant the program's feature flags select.
     fn drive_variant(&mut self) -> Result<(), SimError> {
-        match (self.lw.scan, self.lw.colored) {
-            (true, false) => self.drive::<true, false>(),
-            (true, true) => self.drive::<true, true>(),
-            (false, false) => self.drive::<false, false>(),
-            (false, true) => self.drive::<false, true>(),
+        match self.lw.colored {
+            false => self.drive::<false>(),
+            true => self.drive::<true>(),
         }
     }
 
@@ -1486,11 +1338,11 @@ impl<'e> LoweredEngine<'e> {
 
     /// Drive the run to completion: start, the memoized main loop, and the
     /// interpreter alone for the rest of a run that gave the memo up.
-    fn drive<const SCAN: bool, const GEN: bool>(&mut self) -> Result<(), SimError> {
+    fn drive<const GEN: bool>(&mut self) -> Result<(), SimError> {
         let (lw, end) = (self.lw, self.cfg.end_time);
-        self.hot.start::<SCAN, GEN>(lw)?;
-        if !self.hot.run_memo::<SCAN, GEN>(&mut self.memo, lw, end)? {
-            self.hot.run::<SCAN, GEN>(lw, end)?;
+        self.hot.start::<GEN>(lw)?;
+        if !self.hot.run_memo::<GEN>(&mut self.memo, lw, end)? {
+            self.hot.run::<GEN>(lw, end)?;
         }
         Ok(())
     }

@@ -9,8 +9,8 @@
 //!   a multi-color `ColorExpr::Choice`) are recorded but never replayed;
 //! * markings that differ only in the FIFO order of a colored place are
 //!   distinct states;
-//! * the heap scheduler (more than 32 transitions) and all three memory
-//!   policies replay through the same re-check ops;
+//! * a net wider than 32 transitions and all three memory policies replay
+//!   through the same re-check ops;
 //! * counter hooks and predicate rewards replay under the warm-up test;
 //! * a zero-time livelock crossing the limit on a recorded step, and a
 //!   token overflow, end in the reference engine's error;
@@ -222,12 +222,12 @@ fn fifo_order_tells_states_apart() {
     assert!(stats.replayed > stats.misses, "{stats:?}");
 }
 
-/// One token on a ring of 12 places worked by 36 transitions (the heap
-/// scheduler), cycling every (memory policy × distribution) pair, with
-/// inhibitors, guards and prioritized immediates.
+/// One token on a ring of 12 places worked by 36 transitions, cycling
+/// every (memory policy × distribution) pair, with inhibitors, guards and
+/// prioritized immediates.
 #[test]
-fn heap_scheduler_and_every_memory_policy_replay() {
-    let mut b = NetBuilder::new("heap-ring");
+fn wide_ring_and_every_memory_policy_replay() {
+    let mut b = NetBuilder::new("wide-ring");
     let ring: Vec<PlaceId> = (0..12)
         .map(|i| b.place(format!("p{i}")).tokens((i == 0) as usize).build())
         .collect();
@@ -266,7 +266,7 @@ fn heap_scheduler_and_every_memory_policy_replay() {
     let mut sim = Simulator::new(&net, SimConfig::for_horizon(300.0).with_trace(256));
     sim.reward_place(ring[0]);
     sim.reward_predicate(Expr::count(ring[5]).ge_c(1)).unwrap();
-    let (stats, gave_up) = check(&sim, "heap-ring");
+    let (stats, gave_up) = check(&sim, "wide-ring");
     assert!(stats.replayed > stats.misses, "{stats:?}");
     assert_eq!(gave_up, 0);
 }

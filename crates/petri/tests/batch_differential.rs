@@ -3,8 +3,8 @@
 //! `Simulator::run` (one replication per lowered engine) exactly what the
 //! reference engine (`Simulator::run_reference`) gives — **bit for bit** —
 //! across uncolored and colored nets, guards, inhibitors, priorities and
-//! weights, all three memory policies, traces, warm-up windows, the
-//! heap-scheduler fallback, runs that stop mid-way between events, and
+//! weights, all three memory policies, traces, warm-up windows, a net
+//! wider than 32 transitions, runs that stop mid-way between events, and
 //! runs that end in an error.
 //!
 //! Replications never interact and each consumes its RNG exactly as the
@@ -261,11 +261,10 @@ fn batch_differential_immediate_conflicts() {
     assert_batch_identical(&sim, "immediate-conflicts");
 }
 
-/// A 40-stage tandem line: with more than 32 transitions the engine
-/// falls back from the stripe-scan scheduler to the lazy-deletion heap,
-/// so this net keeps the heap path under differential coverage.
+/// A 40-stage tandem line: more than 32 transitions, so the next-event
+/// scan walks 41 clocks where the reference engine pops its heap.
 #[test]
-fn batch_differential_wide_net_heap_scheduler() {
+fn batch_differential_wide_net() {
     const STAGES: usize = 40;
     let mut b = NetBuilder::new("wide-tandem");
     let places: Vec<_> = (0..STAGES)
@@ -287,7 +286,7 @@ fn batch_differential_wide_net_heap_scheduler() {
     let mut sim = Simulator::new(&net, SimConfig::for_horizon(60.0).with_trace(32));
     sim.reward_place(net.place_by_name("p0").unwrap());
     sim.reward_place(net.place_by_name("p20").unwrap());
-    assert_batch_identical(&sim, "wide-tandem-heap");
+    assert_batch_identical(&sim, "wide-tandem");
 }
 
 // --- runs that stop at their own horizon, mid-way between events, and

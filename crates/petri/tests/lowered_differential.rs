@@ -4,9 +4,9 @@
 //! values, final markings, traces, and errors — for every seed, across
 //! every feature the compiler lowers: uncolored and colored nets,
 //! reducible and program-fallback guards, inhibitors, immediate priorities
-//! and weights, multi-token arcs, all three memory policies, the
-//! heap-scheduler fallback for nets of over 32 transitions, traces, and
-//! warm-up windows. Runs stopped at arbitrary horizons and runs that end
+//! and weights, multi-token arcs, all three memory policies, nets of over
+//! 32 transitions (tied clocks and all-idle schedules included), traces,
+//! and warm-up windows. Runs stopped at arbitrary horizons and runs that end
 //! in an error are checked in `batch_differential.rs`.
 //!
 //! Both engines share one RNG and are written to consume draws in the same
@@ -59,7 +59,7 @@ fn assert_lowered_identical(sim: &Simulator<'_>, label: &str) {
     assert_identical_on(sim, label, &seeds);
 }
 
-// --- net shapes (mirroring tests/differential.rs, plus the heap net) ---
+// --- net shapes (mirroring tests/differential.rs, plus the wide nets) ---
 
 #[test]
 fn lowered_differential_mm1_with_traces() {
@@ -288,9 +288,8 @@ fn lowered_differential_tandem_multi_token_arcs() {
     assert_lowered_identical(&sim, "tandem-multi-token");
 }
 
-/// A 40-stage tandem line: more than 32 transitions, so the lowered
-/// engine falls back from the stripe scan to the lazy-deletion heap —
-/// this keeps the heap instantiation under differential coverage.
+/// A 40-stage tandem line: more than 32 transitions, so the next-event
+/// scan walks 41 clocks where the reference engine pops its heap.
 #[test]
 fn lowered_differential_wide_net_heap_scheduler() {
     const STAGES: usize = 40;
@@ -314,7 +313,110 @@ fn lowered_differential_wide_net_heap_scheduler() {
     let mut sim = Simulator::new(&net, SimConfig::for_horizon(60.0).with_trace(32));
     sim.reward_place(net.place_by_name("p0").unwrap());
     sim.reward_place(net.place_by_name("p20").unwrap());
-    assert_lowered_identical(&sim, "wide-tandem-heap");
+    assert_lowered_identical(&sim, "wide-tandem");
+}
+
+/// 42 transitions whose deterministic clocks tie at every multiple of
+/// 0.25: 30 self-loops with delays of 0.25 to 1.0, and two groups of three
+/// that contend for one token and hand it back through an immediate.
+/// Tied clocks fire lowest tid first, so the RaceEnable group's first
+/// member wins every round, and the RaceAge group's members resume with
+/// zero remaining delay and fire one after another at the same instant.
+#[test]
+fn lowered_differential_wide_net_tied_clocks_fire_lowest_tid_first() {
+    let mut b = NetBuilder::new("wide-ties");
+    for i in 0..30 {
+        let p = b.place(format!("a{i}")).tokens(1).build();
+        let delay = 0.25 * (i % 4 + 1) as f64;
+        b.transition(format!("loop{i}"), Timing::deterministic(delay))
+            .input(p, 1)
+            .output(p, 1)
+            .build();
+    }
+    let mut groups = Vec::new();
+    for (name, policy) in [
+        ("enable", MemoryPolicy::RaceEnable),
+        ("age", MemoryPolicy::RaceAge),
+    ] {
+        let shared = b.place(format!("{name}_tok")).tokens(1).build();
+        let members: Vec<TransitionId> = (0..3)
+            .map(|j| {
+                let held = b.place(format!("{name}_held{j}")).build();
+                let t = b
+                    .transition(format!("{name}{j}"), Timing::deterministic(1.0))
+                    .input(shared, 1)
+                    .output(held, 1)
+                    .memory(policy)
+                    .build();
+                b.transition(format!("{name}_back{j}"), Timing::immediate())
+                    .input(held, 1)
+                    .output(shared, 1)
+                    .build();
+                t
+            })
+            .collect();
+        groups.push(members);
+    }
+    let net = b.build().unwrap();
+    assert!(net.num_transitions() > 32);
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(20.0).with_trace(4096));
+    sim.reward_place(net.place_by_name("enable_tok").unwrap());
+    sim.reward_firings(groups[1][2]);
+    assert_identical_on(&sim, "wide-ties", &[0, 1, 2]);
+
+    let out = sim.run(0).unwrap();
+    assert_eq!(out.trace_dropped, 0);
+    let timed: Vec<_> = out
+        .trace
+        .iter()
+        .filter(|e| !net.transition(e.transition).timing.is_immediate())
+        .collect();
+    for w in timed.windows(2) {
+        if w[0].time == w[1].time {
+            assert!(w[0].transition < w[1].transition, "{:?}", w);
+        }
+    }
+    let count = |t: TransitionId| out.firing_counts[t.index()];
+    assert_eq!(count(groups[0][0]), 19);
+    assert_eq!(count(groups[0][1]) + count(groups[0][2]), 0);
+    assert!(groups[1].iter().all(|&t| count(t) == 19));
+}
+
+/// 35 transitions, none of whose 34 timed ones is ever enabled: after the
+/// time-zero immediate the schedule is empty, and the run must still
+/// reach its horizon and integrate the tail.
+#[test]
+fn lowered_differential_wide_net_never_schedules() {
+    let mut b = NetBuilder::new("wide-idle");
+    let start = b.place("start").tokens(1).build();
+    let done = b.place("done").build();
+    let never = b.place("never").build();
+    b.transition("go", Timing::immediate())
+        .input(start, 1)
+        .output(done, 1)
+        .build();
+    let timings = [
+        Timing::exponential(1.0),
+        Timing::deterministic(0.5),
+        Timing::uniform(0.1, 0.9),
+        Timing::erlang(2, 3.0),
+    ];
+    for i in 0..34 {
+        b.transition(format!("t{i}"), timings[i % 4])
+            .input(never, 1)
+            .output(done, 1)
+            .build();
+    }
+    let net = b.build().unwrap();
+    assert!(net.num_transitions() > 32);
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(50.0).with_trace(8));
+    sim.reward_place(done);
+    assert_lowered_identical(&sim, "wide-idle");
+
+    let out = sim.run(0).unwrap();
+    assert_eq!(out.total_firings(), 1);
+    assert_eq!(out.rewards, [1.0]);
+    assert_eq!(out.end_time, 50.0);
 }
 
 /// Error outcomes must match exactly too: an overflowing run trips the

@@ -38,10 +38,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
+/// Seed for the deterministic backoff jitter.
+const BACKOFF_SEED: u64 = 0x5EED_F1EE7;
+
 /// Unified fault-handling policy shared by every execution tier.
 ///
 /// Backoff between retries is exponential with deterministic jitter drawn
-/// from a seeded core [`SimRng`](sim_core::SimRng).
+/// from a core [`SimRng`](sim_core::SimRng) seeded by `BACKOFF_SEED`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
     /// Read/write timeout on TCP links; `None` disables timeouts (pipe
@@ -55,8 +58,6 @@ pub struct FaultPolicy {
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_cap: Duration,
-    /// Seed for the deterministic backoff jitter.
-    pub backoff_seed: u64,
     /// When the fleet shrinks to zero (every retry exhausted, every
     /// peer quarantined), run the undelivered slots in-process instead
     /// of failing the job. Off by default: tests and callers that want
@@ -72,7 +73,6 @@ impl Default for FaultPolicy {
             retry_budget: 2,
             backoff_base: Duration::from_millis(100),
             backoff_cap: Duration::from_secs(5),
-            backoff_seed: 0x5EED_F1EE7,
             fallback: false,
         }
     }
@@ -104,12 +104,6 @@ impl FaultPolicy {
         self
     }
 
-    /// Replace the jitter seed.
-    pub fn with_backoff_seed(mut self, seed: u64) -> Self {
-        self.backoff_seed = seed;
-        self
-    }
-
     /// Deterministic backoff delay before retry `attempt` (0-based) of
     /// the work unit identified by `salt`: exponential growth capped at
     /// [`backoff_cap`](Self::backoff_cap), with seeded jitter in the
@@ -122,12 +116,12 @@ impl FaultPolicy {
             .saturating_mul(1u64.checked_shl(attempt.min(32) as u32).unwrap_or(u64::MAX))
             .min(cap.max(1));
         let mut rng = sim_core::SimRng::seed_from_u64(
-            self.backoff_seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ attempt as u64,
+            BACKOFF_SEED ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ attempt as u64,
         );
         let jitter = rng.next_below(exp / 2 + 1);
         let delay = Duration::from_millis(exp / 2 + jitter);
-        // Every retry tier (sharded, remote, supervisor) sleeps exactly
-        // what this returns, so one recording site covers them all.
+        // Every retry tier (sharded, remote) sleeps exactly what this
+        // returns, so one recording site covers them all.
         sim_core::obs::obs().record_duration(sim_core::obs::Metric::FleetBackoffWait, delay);
         delay
     }
@@ -315,7 +309,7 @@ mod tests {
                 ),
             ),
             (
-                FaultPolicy::default().backoff_seed,
+                BACKOFF_SEED,
                 (
                     [
                         0x2254e8f35aaa1d68,
@@ -366,8 +360,7 @@ mod tests {
             .with_retry_budget(5)
             .with_io_timeout(None)
             .with_fallback(true)
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(8))
-            .with_backoff_seed(9);
+            .with_backoff(Duration::from_millis(1), Duration::from_millis(8));
         assert_eq!(p.retry_budget, 5);
         assert_eq!(p.io_timeout, None);
         assert!(p.fallback);

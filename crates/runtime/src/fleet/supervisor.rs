@@ -1,5 +1,4 @@
-//! Supervisor bookkeeping: the quarantine table for repeat offenders
-//! and the shared retry-with-backoff loop.
+//! Supervisor bookkeeping: the quarantine table for repeat offenders.
 //!
 //! Offenders are identified by a stable string key — a remote peer's
 //! `host:port`, never an anonymous shard subprocess (those are
@@ -10,7 +9,7 @@
 //! checkouts and reconnects skip it, so a flapping peer stops burning
 //! retry budget on every dispatch. Any success clears the record.
 
-use super::{fleet_stats, FaultPolicy, FleetStats};
+use super::{fleet_stats, FleetStats};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -84,30 +83,6 @@ impl Quarantine {
     }
 }
 
-/// Run `attempt_fn` up to `1 + policy.retry_budget` times, sleeping the
-/// policy's backoff between failures. The closure receives the 0-based
-/// attempt index; `salt` de-correlates backoff jitter between
-/// concurrent callers (use the shard index, peer hash, or similar).
-pub fn with_retries<T>(
-    policy: &FaultPolicy,
-    salt: u64,
-    mut attempt_fn: impl FnMut(usize) -> Result<T, String>,
-) -> Result<T, String> {
-    let mut last_err = String::new();
-    for attempt in 0..=policy.retry_budget {
-        match attempt_fn(attempt) {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                last_err = e;
-                if attempt < policy.retry_budget {
-                    std::thread::sleep(policy.backoff_delay(attempt, salt));
-                }
-            }
-        }
-    }
-    Err(last_err)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,32 +99,5 @@ mod tests {
         assert!(q.is_quarantined(key));
         q.record_success(key);
         assert!(!q.is_quarantined(key));
-    }
-
-    #[test]
-    fn retries_honour_the_budget() {
-        let policy = FaultPolicy::default().with_retry_budget(2).with_backoff(
-            std::time::Duration::from_millis(1),
-            std::time::Duration::from_millis(2),
-        );
-        let mut calls = 0;
-        let out: Result<(), String> = with_retries(&policy, 0, |_| {
-            calls += 1;
-            Err("nope".into())
-        });
-        assert_eq!(calls, 3, "1 try + 2 retries");
-        assert_eq!(out.unwrap_err(), "nope");
-
-        let mut calls = 0;
-        let out = with_retries(&policy, 0, |attempt| {
-            calls += 1;
-            if attempt < 1 {
-                Err("transient".into())
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(out.unwrap(), 1);
-        assert_eq!(calls, 2);
     }
 }
