@@ -5,9 +5,11 @@
 //! first run it lowers them, in one pass ([`super::lower`]), to a
 //! `LoweredNet`: the micro-op program, the side tables its slow paths
 //! read, and the start state every run clones. That program is shared by
-//! every later run until a reward is added, and so is the step memo's
-//! record ([`super::memo`]): each run starts from the record the earlier
-//! runs left, and a run that kept its memo offers back what it added.
+//! every later run until a reward is added. The step memo's records
+//! ([`super::memo`]) are kept per program shape in the simulator's
+//! [`MemoRecords`], which [`Simulator::share_memo`] can share with other
+//! simulators: each run starts from the record its shape's earlier runs
+//! left, and a run that kept its memo offers back what it added.
 //! [`Simulator::run`] is the one entry point: each call builds one
 //! `LoweredEngine` ([`super::lowered`]) and runs one replication on it.
 //!
@@ -18,7 +20,7 @@
 //! and debug builds shadow the first run of every simulator with it.
 
 use super::lower::LoweredNet;
-use super::memo::SharedRecord;
+use super::memo::MemoRecords;
 use super::rewards::{RewardId, RewardSpec, RewardSpecError};
 use super::trace::TraceEvent;
 use crate::error::SimError;
@@ -135,7 +137,7 @@ impl std::ops::Deref for NetRef<'_> {
 /// A configured, reusable simulator for one net.
 ///
 /// The lowered program (net × rewards × config) is built once, on the
-/// first run, and immutable afterwards; the step memo's record grows as
+/// first run, and immutable afterwards; the step memo's records grow as
 /// runs offer what they added. [`Simulator::run`] takes `&self`, so
 /// independent replications can run concurrently on multiple threads, and
 /// no output depends on which runs came before.
@@ -147,9 +149,9 @@ pub struct Simulator<'a> {
     /// Lazily-built lowered program, shared by every run. Invalidated when
     /// a reward is added.
     pub(super) lowered: OnceLock<LoweredNet>,
-    /// The step memo's record, shared by every run. Dropped with the
-    /// lowered program.
-    pub(super) record: SharedRecord,
+    /// The step memo's records, one per program shape, shared by every
+    /// run and by the simulators handed the same handle.
+    pub(super) record: MemoRecords,
     /// Debug builds check the first run per simulator against the
     /// reference engine and its start state against a rescan (cheap,
     /// once-per-net oracles on top of the differential suites).
@@ -177,7 +179,7 @@ impl<'a> Simulator<'a> {
             cfg,
             rewards: Vec::new(),
             lowered: OnceLock::new(),
-            record: SharedRecord::default(),
+            record: MemoRecords::new(),
             shadow_once: OnceLock::new(),
         }
     }
@@ -194,11 +196,22 @@ impl<'a> Simulator<'a> {
         spec.validate(&self.net)?;
         let id = RewardId(self.rewards.len());
         self.rewards.push(spec);
-        // The lowered program bakes the reward set in, and the memo's
-        // record its accumulators and op offsets: rebuild both on next run.
+        // The lowered program bakes the reward set in: rebuild it on the
+        // next run. Its shape changes with it, so that run starts from the
+        // new shape's record.
         self.lowered.take();
-        self.record.clear();
         Ok(id)
+    }
+
+    /// Share the step memo's records with every simulator handed
+    /// `records`: a run then starts from the record that runs of any of
+    /// them left for a program of its shape (the same net structure,
+    /// rewards and token bound, whatever its rates, delays and uniform
+    /// bounds), and offers back what it added. Records hold only what the
+    /// marking determines, so sharing changes no output, only how many
+    /// steps each run interprets.
+    pub fn share_memo(&mut self, records: &MemoRecords) {
+        self.record = records.clone();
     }
 
     /// Convenience: time-average token count of a place.
@@ -234,7 +247,8 @@ impl<'a> Simulator<'a> {
     }
 
     /// Execute one independent run with the given seed on the lowered
-    /// engine, starting from the memo record the earlier runs left.
+    /// engine, starting from the memo record the earlier runs of its
+    /// program's shape left.
     ///
     /// This is the one site that records engine metrics: each successful
     /// run's event count goes into `engine_run_events` (whose count and
@@ -247,7 +261,8 @@ impl<'a> Simulator<'a> {
         if first {
             super::lowered::debug_assert_start_state(self.lowered_net(), &self.net);
         }
-        let engine = super::lowered::LoweredEngine::starting_from(self, seed, self.record.get());
+        let rec = self.record.get(&self.lowered_net().shape);
+        let engine = super::lowered::LoweredEngine::starting_from(self, seed, rec);
         let (out, memo) = engine.run_keeping_memo();
         if let Ok(o) = &out {
             self.record.offer(memo);

@@ -54,6 +54,7 @@ use crate::net::{ColorCountAt, Net};
 use crate::timing::{MemoryPolicy, Timing};
 use crate::token::{Color, ColorFilter};
 use crate::transition::Transition;
+use std::sync::Arc;
 
 /// Reduce a bare `count(place) cmp constant` program — or a
 /// `count_color(place, color) cmp constant` one whose color count is dense
@@ -500,6 +501,8 @@ pub(crate) struct LoweredNet {
     /// The token bound reported in overflow errors
     /// ([`SimConfig::max_tokens_per_place`]).
     pub(super) token_limit: usize,
+    /// What a step record of this program depends on ([`shape`]).
+    pub(super) shape: Arc<[u32]>,
 }
 
 impl LoweredNet {
@@ -829,7 +832,7 @@ impl LoweredNet {
         let imm_len = enabled_imm.len() as u32;
         enabled_imm.resize(trans.iter().filter(|t| t.timing.is_immediate()).count(), 0);
 
-        LoweredNet {
+        let mut lw = LoweredNet {
             ops,
             sec,
             init_ops,
@@ -858,8 +861,131 @@ impl LoweredNet {
             max_zero: cfg.max_zero_time_firings,
             max_tokens: effective_token_limit(cfg),
             token_limit: cfg.max_tokens_per_place,
+            shape: Arc::default(),
+        };
+        lw.shape = shape(net, &lw, marking.counts().len());
+        lw
+    }
+}
+
+/// Append `ws` to `out` behind its length.
+fn field(out: &mut Vec<u32>, ws: impl IntoIterator<Item = u32>) {
+    let at = out.len();
+    out.push(0);
+    out.extend(ws);
+    out[at] = (out.len() - at - 1) as u32;
+}
+
+/// Zero the timing parameters (rate, delay, uniform bounds) of each
+/// re-check record in `recs`; an Erlang record keeps its stage count.
+fn zero_timing(recs: &mut [u32]) {
+    for rec in recs.chunks_exact_mut(RECHECK_STRIDE) {
+        // Kinds 0..4 are exponential, deterministic, uniform, Erlang.
+        let uniform = ((rec[0] & 0xff) - OP_RE_EXP) % 4 == 2;
+        rec[1..if uniform { 5 } else { 3 }].fill(0);
+    }
+}
+
+/// The shape of `lw`, lowered from `net` with `counts` count entries per
+/// marking: everything a step record depends on. That is every program
+/// word with each re-check's timing parameters zeroed, the start state,
+/// the immediates' priorities and weights, the run's token bound, the
+/// marking layout, and the text of each slow-path table entry an op reads
+/// (a color filter, a guard or predicate program, the arcs of a transition
+/// that fires generically). Programs of one shape differ only in their rates,
+/// delays and uniform bounds, which no record holds: a replay reads them
+/// from its own program, so such programs share records
+/// ([`super::memo::MemoRecords`]). The words are kept whole rather than
+/// hashed, so two programs share a record only if their shapes are equal.
+fn shape(net: &Net, lw: &LoweredNet, counts: usize) -> Arc<[u32]> {
+    let (nt, st) = (net.num_transitions(), &lw.start);
+    let mut out = Vec::with_capacity(2 * (lw.ops.len() + lw.init_ops.len()) + 16 * nt);
+    out.extend([nt as u32, st.cond_true.len() as u32, counts as u32]);
+    let at = out.len() + 1;
+    field(&mut out, lw.ops.iter().copied());
+    for ti in 0..nt {
+        let (_, f1, r1) = lw.sections(ti);
+        zero_timing(&mut out[at + f1..at + r1]);
+    }
+    field(&mut out, lw.sec.iter().copied());
+    let at = out.len() + 1;
+    field(&mut out, lw.init_ops.iter().copied());
+    zero_timing(&mut out[at..]);
+    field(&mut out, lw.timed.iter().copied());
+    let sizes = [lw.colored as usize, lw.n_integ, lw.n_count, lw.max_tokens];
+    let integ = lw.integ.iter().flat_map(|op| match *op {
+        IntegOp::PredCnt {
+            place,
+            need,
+            lt,
+            acc,
+        } => [0, place, need, lt as u32, acc],
+        IntegOp::AnyNonEmpty { lo, hi, acc } => [1, lo, hi, acc, 0],
+        IntegOp::Pred { prog, acc } => [2, prog, acc, 0, 0],
+    });
+    let rewards = lw.reward_map.iter().flat_map(|r| match *r {
+        LoweredReward::Integral(i) => [0, i],
+        LoweredReward::Rate(i) => [1, i],
+        LoweredReward::Count(i) => [2, i],
+    });
+    let choices = lw.imm_choice.iter().flat_map(|&(prio, w)| {
+        let b = w.to_bits();
+        [prio as u32, b as u32, (b >> 32) as u32]
+    });
+    field(&mut out, sizes.map(|n| n as u32));
+    field(&mut out, lw.integ_places.iter().flat_map(|&(p, a)| [p, a]));
+    field(&mut out, integ);
+    field(&mut out, lw.any_places.iter().copied());
+    field(&mut out, rewards);
+    field(&mut out, st.cond_true.iter().map(|&b| b as u32));
+    field(&mut out, st.unsat.iter().copied());
+    field(&mut out, st.sched_state.iter().map(|&b| b as u32));
+    field(&mut out, st.enabled_imm.iter().copied());
+    field(&mut out, st.imm_pos.iter().copied().chain([st.imm_len]));
+    field(&mut out, choices);
+    for p in net.place_ids() {
+        let slots = net.slot_colors(p).iter().map(|c| c.0);
+        field(&mut out, slots.chain([net.place_may_hold_colors(p) as u32]));
+    }
+    // The slow paths' table entries, as text, in the order the ops that
+    // read them appear: the paper's nets have none, so they format nothing.
+    let mut text = |s: String| field(&mut out, s.into_bytes().chunks(4).map(pack));
+    for (ti, t) in net.transitions().iter().enumerate() {
+        let (f0, f1, _) = lw.sections(ti);
+        let ops = &lw.ops[f0..f1];
+        let mut pc = 1;
+        if ops[0] & HDR_GENERIC != 0 {
+            text(format!("{:?}{:?}", t.inputs, t.outputs));
+            pc += 1;
+        }
+        pc += 2 * (ops[0] & 0xffff) as usize + 4 * (ops[0] >> 16 & 0x7fff) as usize;
+        while pc < ops.len() {
+            pc += match ops[pc] & 0xff {
+                OP_C_FGE | OP_C_FLT => {
+                    text(format!("{:?}", lw.filters[ops[pc + 1] as usize]));
+                    5
+                }
+                OP_C_GUARD => {
+                    text(format!("{:?}", lw.guards[ops[pc + 1] as usize]));
+                    3
+                }
+                _ => 1,
+            };
         }
     }
+    for op in &lw.integ {
+        if let IntegOp::Pred { prog, .. } = *op {
+            text(format!("{:?}", lw.preds[prog as usize]));
+        }
+    }
+    out.into()
+}
+
+/// Up to four bytes as one little-endian word, zero-padded.
+fn pack(bytes: &[u8]) -> u32 {
+    let mut b = [0; 4];
+    b[..bytes.len()].copy_from_slice(bytes);
+    u32::from_le_bytes(b)
 }
 
 /// Emit the monomorphized re-check record for timed transition `t2`
@@ -1254,6 +1380,111 @@ mod tests {
             "lowered programs changed:\n{}",
             got.join("\n")
         );
+    }
+
+    /// The shape ignores the timing parameter words and nothing else: new
+    /// rates, delays and uniform bounds everywhere change the program but
+    /// not its shape, while any op kind, Erlang stage count, memory policy,
+    /// immediate priority or weight, guard program, arc or reward changes
+    /// the shape.
+    #[test]
+    fn the_shape_ignores_timing_parameters_only() {
+        let lower = |net: &Net, rewards: &[RewardSpec]| {
+            let sim = sim_with(net, SimConfig::for_horizon(50.0), rewards);
+            let lw = sim.lowered_net();
+            (lw.ops.clone(), lw.shape.clone())
+        };
+        let (net, rewards) = wide_shapes();
+        let (ops, shape) = lower(&net, &rewards);
+        let mut retimed = net.clone();
+        for t in &mut retimed.transitions {
+            t.timing = match t.timing {
+                Timing::Exponential { rate } => Timing::exponential(rate * 3.0),
+                Timing::Deterministic { delay } => Timing::deterministic(delay + 0.25),
+                Timing::Uniform { low, high } => Timing::uniform(low / 2.0, high * 2.0),
+                Timing::Erlang { k, rate } => Timing::erlang(k, rate + 1.0),
+                imm => imm,
+            };
+        }
+        let (new_ops, new_shape) = lower(&retimed, &rewards);
+        assert_ne!(new_ops, ops);
+        assert_eq!(new_shape, shape);
+        let horizon = sim_with(&net, SimConfig::for_horizon(9.0), &rewards);
+        assert_eq!(
+            horizon.lowered_net().shape,
+            shape,
+            "the horizon is no program word"
+        );
+        // t0 is exponential RaceEnable, t1 deterministic, t2 uniform,
+        // t3 Erlang-3 and t5 immediate.
+        type Edit = fn(&mut Transition);
+        let edits: [(&str, Edit); 7] = [
+            ("exp -> det", |t| t.timing = Timing::deterministic(1.5)),
+            ("det -> uniform", |t| t.timing = Timing::uniform(0.1, 0.4)),
+            ("uniform -> Erlang", |t| t.timing = Timing::erlang(3, 2.0)),
+            ("Erlang stages", |t| t.timing = Timing::erlang(4, 4.0)),
+            ("memory policy", |t| t.memory = MemoryPolicy::RaceAge),
+            ("weight", |t| {
+                t.timing = Timing::Immediate {
+                    priority: 1,
+                    weight: 7.0,
+                }
+            }),
+            ("priority", |t| {
+                t.timing = Timing::Immediate {
+                    priority: 2,
+                    weight: 6.0,
+                }
+            }),
+        ];
+        for ((what, edit), ti) in edits.into_iter().zip([0, 1, 2, 3, 0, 5, 5]) {
+            let mut edited = net.clone();
+            edit(&mut edited.transitions[ti]);
+            assert_ne!(lower(&edited, &rewards).1, shape, "{what}");
+        }
+        let mut fewer = rewards.clone();
+        fewer.pop();
+        let mut swapped = rewards.clone();
+        swapped[2] = RewardSpec::FiringCount(crate::ids::TransitionId(3));
+        let mut moved = rewards.clone();
+        moved[0] = RewardSpec::PlaceTokens(PlaceId(1));
+        for (what, r) in [("fewer", fewer), ("kind", swapped), ("place", moved)] {
+            assert_ne!(lower(&net, &r).1, shape, "reward {what}");
+        }
+        // A slow path's table entry: generic_shapes' guard program
+        // `count(sink) != 3`, whose constant no op word holds.
+        let (net, rewards) = generic_shapes();
+        let mut other = net.clone();
+        other.transitions[1].guard = Some(Expr::count(PlaceId(1)).ne(Expr::constant(4)));
+        let (a, b) = (lower(&net, &rewards), lower(&other, &rewards));
+        assert_eq!(a.0, b.0);
+        assert_ne!(a.1, b.1);
+        // Arcs: mm1 against itself with one more arc of each kind.
+        let arcs = |extra: u8| {
+            let mut b = NetBuilder::new("mm1");
+            let q = b.place("q").build();
+            let mut arrive = b
+                .transition("arrive", Timing::exponential(0.8))
+                .output(q, 1);
+            if extra == 1 {
+                arrive = arrive.inhibitor(q, 9);
+            }
+            arrive.build();
+            let serve = b.transition("serve", Timing::exponential(1.0)).input(q, 1);
+            match extra {
+                2 => serve.output(q, 1),
+                3 => serve.guard(Expr::count(q).lt_c(5)),
+                _ => serve,
+            }
+            .build();
+            lower(&b.build().unwrap(), &[RewardSpec::PlaceTokens(q)]).1
+        };
+        let (net, rewards) = mm1();
+        let plain = lower(&net, &rewards).1;
+        assert_eq!(arcs(0), plain);
+        for extra in 1..=3 {
+            assert_ne!(arcs(extra), plain, "extra arc {extra}");
+        }
     }
 
     /// The wide net's program runs the reference engine's trajectory.

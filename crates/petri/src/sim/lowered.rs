@@ -19,14 +19,16 @@
 //!   [`Memo`] keys each marking exactly (counts, plus every bag in FIFO
 //!   order) and, from a marking's second interpreted step on, records what
 //!   each step did: the fired transitions, the counter hooks, the re-checks
-//!   that acted and the next marking. The record is the simulator's, so a
-//!   run starts from what its simulator's earlier runs recorded. The next
+//!   that acted and the next marking. The record belongs to the program's
+//!   shape, so a run starts from what earlier runs of programs of that
+//!   shape recorded, whatever their rates and delays. The next
 //!   time a run takes a recorded step it replays the record: it bumps the
 //!   step's hit count, writes the trace of a traced run, and runs the
 //!   acting re-checks, each already resolved by the state byte it saw
 //!   (sample Exp(rate) and schedule, schedule at a fixed delay, cancel;
-//!   other re-checks run their op), so clocks are drawn exactly as the
-//!   interpreter would draw them. Firing counts and
+//!   other re-checks run their op), reading the rate or delay from the
+//!   run's own program, so clocks are drawn exactly as the interpreter
+//!   would draw them. Firing counts and
 //!   hooks are added as `hits × record` when the memo phase ends, or at
 //!   the warm-up boundary. Token moves, condition flips, the re-check walk
 //!   and the cascade are skipped; the marking and enabling state go stale

@@ -1,5 +1,5 @@
-//! The lowered engine's step memo: the tangible markings a simulator's
-//! runs have visited, and a record of each step they interpreted twice.
+//! The lowered engine's step memo: the tangible markings runs have
+//! visited, and a record of each step they interpreted twice.
 //!
 //! A *state* is a tangible marking (no immediate enabled), keyed by
 //! [`Marking::memo_key`]: counts plus every bag in FIFO order. A *step*
@@ -8,9 +8,12 @@
 //! enabling state depends only on the source state and the fired
 //! transition, so [`super::lowered`] records it once and replays it. The
 //! record is the lazily built tangible-state graph of vanishing-marking
-//! elimination: a property of the net, not of one run.
+//! elimination: a property of the net's structure, not of one run, and not
+//! of its timing parameters.
 //!
-//! So the record belongs to the simulator. A [`Record`] lives in flat
+//! So a record belongs to a program *shape* (`LoweredNet::shape`: every
+//! program word but the re-checks' rates, delays and uniform bounds). A
+//! [`Record`] remembers the shape it was recorded under and lives in flat
 //! arenas indexed by `u32`:
 //!
 //! * **States.** Each state's key in a key arena, and a std map from a
@@ -27,15 +30,20 @@
 //! * **Edges.** One [`Edge`] per `(state, fired transition)`: the next
 //!   state, and its lists in one word arena — the fired tids in order
 //!   (the trigger first), the counter-hook accumulators, and two words per
-//!   re-check that acted, resolved by the lowered engine when it records
-//!   the step.
+//!   re-check that acted: its resolved kind and its record's op offset. A
+//!   replay reads the rate or delay at that offset from its own program.
 //!
-//! A run's [`Memo`] starts from the record its simulator's earlier runs
-//! left ([`SharedRecord::get`], an `Arc` clone), and copies it only when
-//! it has something to add; a run that only replays never copies. A run
-//! that finishes without giving the memo up offers its copy back
-//! ([`SharedRecord::offer`]), and the copy replaces the shared record if
-//! it has grown more. Everything else is the run's own: each edge's
+//! A simulator's runs share records through its [`MemoRecords`], one
+//! record per shape; simulators handed one `MemoRecords`
+//! (`Simulator::share_memo`) share them too, so the points of a sweep that
+//! differ only in delays and rates replay one record. A run's [`Memo`]
+//! starts from the record of its own program's shape
+//! ([`MemoRecords::get`], an `Arc` clone), or from an empty one, so a
+//! record is never replayed by a program of another shape. It copies the
+//! record only when it has something to add; a run that only replays never
+//! copies. A run that finishes without giving the memo up offers its copy
+//! back ([`MemoRecords::offer`]), and the copy replaces its shape's record
+//! if it has grown more. Everything else is the run's own: each edge's
 //! replay hit count ([`Memo::drain_hits`] adds `hits × list` to the run's
 //! firing and hook counts when the memo phase ends, or at the warm-up
 //! boundary), the step and miss counters, [`MemoStats`] and the give-up
@@ -59,7 +67,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use super::lower::ST_SCHEDULED;
 use crate::marking::Marking;
@@ -78,6 +86,9 @@ const FIRST_RESERVE: usize = 16;
 const FIRST_STATES: usize = 64;
 /// A memo this large (in 4-byte words, 16 MiB) gives up regardless.
 const MAX_WORDS: usize = 1 << 22;
+/// Shapes a [`MemoRecords`] keeps a record of; a new shape past this many
+/// drops the oldest record.
+const MAX_SHAPES: usize = 16;
 
 /// Per-run statistics of the step memo, so tests can assert that the
 /// paths they target ran. Counts of states and records are what the run
@@ -196,9 +207,11 @@ pub(super) struct Step<'m> {
     pub(super) rech: &'m [u32],
 }
 
-/// The step record a simulator's runs share (see the module docs).
+/// The step record of one program shape (see the module docs).
 #[derive(Clone, Debug, Default)]
 pub(super) struct Record {
+    /// The shape of the programs that recorded it and may replay it.
+    shape: Arc<[u32]>,
     ids: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
     states: Vec<State>,
     keys: Vec<u32>,
@@ -230,43 +243,56 @@ impl Record {
     }
 }
 
-/// The record of one simulator: every run starts from it, and a run that
-/// kept its memo offers its grown copy back. Dropped with the lowered
-/// program when a reward is added.
-#[derive(Debug, Default)]
-pub(super) struct SharedRecord(Mutex<Option<Arc<Record>>>);
+/// Step-memo records shared by the runs of every simulator handed this
+/// handle, one record per program shape (see the module docs). Clones
+/// share the records. Keeps at most [`MAX_SHAPES`] of them.
+#[derive(Clone, Debug, Default)]
+pub struct MemoRecords(Arc<Mutex<Vec<Arc<Record>>>>);
 
-impl SharedRecord {
-    fn slot(&self) -> std::sync::MutexGuard<'_, Option<Arc<Record>>> {
+impl MemoRecords {
+    /// A handle with no records yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The number of shapes it holds a record of.
+    pub fn shapes(&self) -> usize {
+        self.slot().len()
+    }
+
+    fn slot(&self) -> MutexGuard<'_, Vec<Arc<Record>>> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The record a new run starts from (an `Arc` clone).
-    pub(super) fn get(&self) -> Arc<Record> {
-        self.slot().clone().unwrap_or_default()
+    /// The record a new run of a program of `shape` starts from (an `Arc`
+    /// clone), or an empty one of that shape.
+    pub(super) fn get(&self, shape: &Arc<[u32]>) -> Arc<Record> {
+        let known = self.slot().iter().find(|r| r.shape == *shape).cloned();
+        known.unwrap_or_else(|| {
+            Arc::new(Record {
+                shape: shape.clone(),
+                ..Record::default()
+            })
+        })
     }
 
-    /// Take `memo`'s copy of the record if the run wrote one, kept the
-    /// memo, and grew it more than the record now shared.
+    /// Take `memo`'s copy of its shape's record if the run wrote one, kept
+    /// the memo, and grew it more than the record now shared.
     pub(super) fn offer(&self, memo: Memo) {
         if !memo.copied || memo.stats.gave_up {
             return;
         }
-        let mut slot = self.slot();
-        if slot.as_ref().is_none_or(|r| r.grown < memo.rec.grown) {
-            *slot = Some(memo.rec);
+        let mut recs = self.slot();
+        match recs.iter_mut().find(|r| r.shape == memo.rec.shape) {
+            Some(r) if r.grown < memo.rec.grown => *r = memo.rec,
+            Some(_) => {}
+            None => {
+                if recs.len() == MAX_SHAPES {
+                    recs.remove(0);
+                }
+                recs.push(memo.rec);
+            }
         }
-    }
-
-    /// Forget the record (its steps belong to a program being replaced).
-    pub(super) fn clear(&mut self) {
-        *self.0.get_mut().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-}
-
-impl Clone for SharedRecord {
-    fn clone(&self) -> Self {
-        SharedRecord(Mutex::new(self.slot().clone()))
     }
 }
 
@@ -610,10 +636,17 @@ impl Memo {
 mod tests {
     use super::*;
 
-    impl SharedRecord {
-        /// States in the shared record.
+    impl Record {
+        /// States in the record.
+        pub(in crate::sim) fn state_count(&self) -> usize {
+            self.states.len()
+        }
+    }
+
+    impl MemoRecords {
+        /// States in the shared records, over every shape.
         pub(in crate::sim) fn states(&self) -> usize {
-            self.slot().as_ref().map_or(0, |r| r.states.len())
+            self.slot().iter().map(|r| r.states.len()).sum()
         }
     }
     use crate::builder::NetBuilder;
@@ -791,14 +824,15 @@ mod tests {
     #[test]
     fn runs_copy_the_shared_record_on_their_first_write_only() {
         let ms = piles(5);
-        let shared = SharedRecord::default();
-        let mut first = Memo::new(shared.get(), 1, 0, 1, false);
+        let shape: Arc<[u32]> = Arc::from([1, 0, 1]);
+        let shared = MemoRecords::new();
+        let mut first = Memo::new(shared.get(&shape), 1, 0, 1, false);
         for m in &ms[..3] {
             first.land(m);
         }
         shared.offer(first);
         assert_eq!(shared.states(), 3);
-        let rec = shared.get();
+        let rec = shared.get(&shape);
         let mut reader = Memo::new(rec.clone(), 1, 0, 1, false);
         assert_eq!(reader.land(&ms[2]), (2, false));
         assert!(Arc::ptr_eq(&reader.rec, &rec) && !reader.copied);
@@ -807,7 +841,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&writer.rec, &rec) && writer.copied);
         assert_eq!((writer.stats().states, rec.states.len()), (1, 3));
         // Giving up publishes nothing.
-        let mut quitter = Memo::new(shared.get(), 1, 0, 1, false);
+        let mut quitter = Memo::new(shared.get(&shape), 1, 0, 1, false);
         quitter.land(&ms[4]);
         quitter.stats.gave_up = true;
         shared.offer(quitter);
@@ -819,10 +853,26 @@ mod tests {
         stale.land(&ms[4]);
         shared.offer(stale);
         assert_eq!(shared.states(), 4);
-        assert_eq!(shared.get().states.len(), 4);
-        let mut cleared = shared.clone();
-        cleared.clear();
-        assert_eq!((cleared.states(), shared.states()), (0, 4));
+        assert_eq!(shared.get(&shape).states.len(), 4);
+        // Clones share the records. A program of another shape starts
+        // from an empty record, and its record is kept beside the first.
+        let clone = shared.clone();
+        let other: Arc<[u32]> = Arc::from([1, 0, 2]);
+        let mut stranger = Memo::new(clone.get(&other), 1, 0, 1, false);
+        assert_eq!(stranger.land(&ms[0]), (0, true));
+        clone.offer(stranger);
+        let lens = |s: &Arc<[u32]>| shared.get(s).states.len();
+        assert_eq!((shared.shapes(), lens(&shape), lens(&other)), (2, 4, 1));
+        // Past MAX_SHAPES shapes, the oldest record is dropped.
+        for k in 0..MAX_SHAPES as u32 - 1 {
+            let mut m = Memo::new(shared.get(&Arc::from([k + 9])), 1, 0, 1, false);
+            m.land(&ms[0]);
+            shared.offer(m);
+        }
+        assert_eq!(
+            (shared.shapes(), lens(&shape), lens(&other)),
+            (MAX_SHAPES, 0, 1)
+        );
     }
 
     /// The give-up rule counts the states the run added: a run that
@@ -831,13 +881,13 @@ mod tests {
     #[test]
     fn an_inherited_record_does_not_count_against_the_run() {
         let ms = piles(200);
-        let shared = SharedRecord::default();
-        let mut first = Memo::new(shared.get(), 1, 0, 1, false);
+        let shared = MemoRecords::new();
+        let mut first = Memo::new(shared.get(&Arc::default()), 1, 0, 1, false);
         for m in &ms {
             first.land(m);
         }
         shared.offer(first);
-        let mut warm = Memo::new(shared.get(), 1, 0, 1, false);
+        let mut warm = Memo::new(shared.get(&Arc::default()), 1, 0, 1, false);
         for i in 1..=4 * FIRST_CHECK {
             warm.count_step();
             assert!(!warm.land(&ms[i as usize % 200]).1);

@@ -8,7 +8,8 @@
 //! Two engines implement the semantics below. The **lowered engine**
 //! (`lower.rs` compiles each net to a micro-op program, `lowered.rs`
 //! executes it, one replication per engine, and replays repeated steps
-//! from the step record in `memo.rs` that a simulator's runs share)
+//! from the step records in `memo.rs`, which a simulator's runs share and
+//! which simulators of one net shape can share through [`MemoRecords`])
 //! serves every run. The
 //! **reference engine** (`reference.rs`, [`Simulator::run_reference`]) is
 //! the seed's non-incremental core, kept frozen as the oracle the lowered
@@ -40,6 +41,7 @@ mod rewards;
 mod trace;
 
 pub use engine::{SimConfig, SimOutput, Simulator};
+pub use memo::MemoRecords;
 pub use rewards::{RewardId, RewardSpec, RewardSpecError};
 pub use trace::TraceEvent;
 

@@ -31,9 +31,10 @@
 //! firing counts, and their rows carry a note naming the trigger their
 //! time went to. The memo's bookkeeping on interpreted steps lands in
 //! [`MEMO_MISS_ROW`] (one "firing" per miss), and the table ends with one
-//! summary line: the states and misses each run added to its simulator's
-//! record itself, summed over the runs, and the runs that gave the memo
-//! up.
+//! summary line: the states each run added to the record of its program's
+//! shape (which every simulator of that shape sharing its records replays)
+//! and the steps it interpreted, summed over the runs, and the runs that
+//! gave the memo up.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -151,8 +152,8 @@ pub fn record_replayed(transition: &str, trigger: &str, firings: u64) {
 }
 
 /// Fold one finished run's step memo totals: the states it added to its
-/// simulator's record, its interpreted steps, and whether it gave the
-/// memo up.
+/// shape's record, its interpreted steps, and whether it gave the memo
+/// up.
 pub fn record_memo_run(states: u64, misses: u64, gave_up: bool) {
     let mut t = table();
     t.memo.runs += 1;

@@ -19,7 +19,10 @@
 //! * a RaceAge clock disabled at a state stays out of that state's scan
 //!   list, and its frozen delay resumes;
 //! * replays before the warm-up boundary count firings but not hooks;
-//! * traced and profiled runs count the same firings as plain ones.
+//! * traced and profiled runs count the same firings as plain ones;
+//! * nets that differ only in a delay and a rate share one record, and a
+//!   net of another shape handed the same records starts from an empty
+//!   one.
 //!
 //! Those statistics come from cold runs (an empty record each). Every net
 //! is also run warm: on one simulator reused across the seeds, so each run
@@ -28,7 +31,8 @@
 //! reference engine, so no output depends on which run recorded what.
 
 use super::lowered::LoweredEngine;
-use super::memo::MemoStats;
+use super::memo::{MemoRecords, MemoStats};
+use crate::builder::TransitionBuilder;
 use crate::prelude::*;
 
 const SEEDS: std::ops::Range<u64> = 0..25;
@@ -85,7 +89,7 @@ fn check(sim: &Simulator<'_>, label: &str) -> (MemoStats, usize) {
 fn fresh<'n>(sim: &Simulator<'n>) -> Simulator<'n> {
     let mut s = sim.clone();
     s.lowered.take();
-    s.record.clear();
+    s.record = MemoRecords::new();
     s
 }
 
@@ -677,7 +681,8 @@ fn a_warm_run_keeps_the_memo_with_a_record_larger_than_its_checks() {
     assert!(sim.record.states() > 64, "{}", sim.record.states());
     let (mut misses, mut replayed) = (0, 0);
     for seed in 100..125 {
-        let engine = LoweredEngine::starting_from(&sim, seed, sim.record.get());
+        let rec = sim.record.get(&sim.lowered_net().shape);
+        let engine = LoweredEngine::starting_from(&sim, seed, rec);
         let (out, memo) = engine.run_keeping_memo();
         let st = memo.stats();
         assert!(!st.gave_up && st.states == 0, "seed {seed}: {st:?}");
@@ -690,8 +695,9 @@ fn a_warm_run_keeps_the_memo_with_a_record_larger_than_its_checks() {
     );
 }
 
-/// Adding a reward drops the record with the lowered program: the next
-/// run starts cold and records into the new program's accumulators.
+/// Adding a reward changes the lowered program's shape: the next run
+/// starts cold and records into the new program's accumulators, beside
+/// the old shape's record.
 #[test]
 fn a_reward_added_after_runs_starts_the_next_run_cold() {
     let net = ring_of_two();
@@ -700,8 +706,9 @@ fn a_reward_added_after_runs_starts_the_next_run_cold() {
     sim.run(1).unwrap();
     assert!(sim.record.states() > 0);
     let fired = sim.reward_firings(TransitionId(3));
-    assert_eq!(sim.record.states(), 0);
-    let (out, memo) = LoweredEngine::starting_from(&sim, 2, sim.record.get()).run_keeping_memo();
+    let rec = sim.record.get(&sim.lowered_net().shape);
+    assert_eq!((rec.state_count(), sim.record.shapes()), (0, 1));
+    let (out, memo) = LoweredEngine::starting_from(&sim, 2, rec).run_keeping_memo();
     assert!(memo.stats().states > 0, "{:?}", memo.stats());
     assert_same_result(&out, &sim.run_reference(2), "ring after a reward");
     assert_same_result(
@@ -710,4 +717,145 @@ fn a_reward_added_after_runs_starts_the_next_run_cold() {
         "ring after a reward (run)",
     );
     assert!(sim.run(3).unwrap().reward(fired) > 0.0);
+}
+
+/// The paper's CPU net in small: Poisson arrivals into a bounded buffer,
+/// a CPU that wakes on the first job (immediate), powers up for a fixed
+/// delay, serves at an exponential rate, and sleeps after `pdt` idle.
+/// `edit` may change the power-down transition before the net is built.
+fn sleepy_cpu(
+    rate: f64,
+    pdt: f64,
+    edit: impl FnOnce(TransitionBuilder<'_>) -> TransitionBuilder<'_>,
+) -> Net {
+    let mut b = NetBuilder::new("sleepy-cpu");
+    let standby = b.place("standby").tokens(1).build();
+    let waking = b.place("waking").build();
+    let idle = b.place("idle").build();
+    let active = b.place("active").build();
+    let buf = b.place("buf").build();
+    b.transition("arrive", Timing::exponential(rate))
+        .output(buf, 1)
+        .inhibitor(buf, 6)
+        .build();
+    b.transition("wake", Timing::immediate_pri(2))
+        .input(standby, 1)
+        .output(waking, 1)
+        .guard(Expr::count(buf).gt_c(0))
+        .build();
+    b.transition("power_up", Timing::deterministic(0.3))
+        .input(waking, 1)
+        .output(idle, 1)
+        .build();
+    b.transition("start", Timing::immediate())
+        .input(idle, 1)
+        .input(buf, 1)
+        .output(active, 1)
+        .build();
+    b.transition("serve", Timing::exponential(2.0))
+        .input(active, 1)
+        .output(idle, 1)
+        .build();
+    edit(
+        b.transition("power_down", Timing::deterministic(pdt))
+            .input(idle, 1)
+            .output(standby, 1),
+    )
+    .build();
+    b.build().unwrap()
+}
+
+/// A simulator of `net` over 300 s with its four CPU-state rewards and
+/// the buffer's mean, on `records`.
+fn sleepy_sim<'n>(net: &'n Net, records: &MemoRecords) -> Simulator<'n> {
+    let mut sim = Simulator::new(net, SimConfig::for_horizon(300.0).with_trace(64));
+    for p in ["standby", "waking", "idle", "active", "buf"] {
+        sim.reward_place(net.place_by_name(p).unwrap());
+    }
+    sim.share_memo(records);
+    sim
+}
+
+/// Run every seed on `sim`'s production path and assert each matches the
+/// reference engine.
+fn check_runs(sim: &Simulator<'_>, label: &str) {
+    for seed in SEEDS {
+        let ctx = format!("{label} seed {seed}");
+        assert_same_result(&sim.run(seed), &sim.run_reference(seed), &ctx);
+    }
+}
+
+/// Two nets that differ only in one deterministic delay and one
+/// exponential rate lower to programs of one shape and share a record:
+/// the second net's first run finds almost every state the first net's
+/// runs recorded, and both match the reference engine.
+#[test]
+fn nets_that_differ_in_a_delay_and_a_rate_share_a_record() {
+    let (slow, fast) = (sleepy_cpu(1.0, 0.4, |t| t), sleepy_cpu(1.4, 0.9, |t| t));
+    let records = MemoRecords::new();
+    let (a, b) = (sleepy_sim(&slow, &records), sleepy_sim(&fast, &records));
+    let (la, lb) = (a.lowered_net(), b.lowered_net());
+    assert_ne!(la.ops, lb.ops, "the programs carry their own parameters");
+    assert_eq!(la.shape, lb.shape);
+    let cold = run_with_memo_stats(&b, 0).1;
+    check_runs(&a, "slow");
+    assert_eq!(records.shapes(), 1);
+    let known = records.states();
+    let (out, memo) =
+        LoweredEngine::starting_from(&b, 0, records.get(&lb.shape)).run_keeping_memo();
+    let warm = memo.stats();
+    assert_same_result(&out, &b.run_reference(0), "fast, first run");
+    assert!(
+        known > 10 && warm.states <= 2,
+        "{known} known, added {warm:?}"
+    );
+    assert!(warm.replayed > 5 * warm.misses, "{warm:?}");
+    assert!(
+        cold.states > 5 * warm.states.max(1),
+        "cold {cold:?}, warm {warm:?}"
+    );
+    check_runs(&b, "fast");
+    assert_eq!(records.shapes(), 1);
+}
+
+/// A net of another shape handed the same records starts from an empty
+/// record: its first run adds exactly what a cold run adds, and every run
+/// matches the reference engine. The other shapes here are the same net
+/// with a RaceAge power-down clock, and with one extra (inhibitor) arc.
+#[test]
+fn a_net_of_another_shape_starts_from_an_empty_record() {
+    let base = sleepy_cpu(1.0, 0.4, |t| t);
+    let others = [
+        (
+            "race-age",
+            sleepy_cpu(1.0, 0.4, |t| t.memory(MemoryPolicy::RaceAge)),
+        ),
+        ("extra arc", {
+            let active = base.place_by_name("active").unwrap();
+            sleepy_cpu(1.0, 0.4, move |t| t.inhibitor(active, 1))
+        }),
+    ];
+    for (label, net) in &others {
+        let records = MemoRecords::new();
+        check_runs(&sleepy_sim(&base, &records), "base");
+        let known = records.states();
+        let sim = sleepy_sim(net, &records);
+        let shape = &sim.lowered_net().shape;
+        assert_ne!(*shape, sleepy_sim(&base, &records).lowered_net().shape);
+        let (out, memo) =
+            LoweredEngine::starting_from(&sim, 0, records.get(shape)).run_keeping_memo();
+        let (shared, cold) = (memo.stats(), run_with_memo_stats(&sim, 0).1);
+        assert_same_result(&out, &sim.run_reference(0), label);
+        assert_eq!(shared, cold, "{label}");
+        assert!(shared.states > 0, "{label}: {shared:?}");
+        check_runs(&sim, label);
+        assert_eq!(records.shapes(), 2, "{label}");
+        assert_eq!(
+            records
+                .get(&sleepy_sim(&base, &records).lowered_net().shape)
+                .state_count(),
+            known,
+            "{label}: the base record is untouched"
+        );
+    }
 }

@@ -291,7 +291,7 @@ fn lowered_differential_tandem_multi_token_arcs() {
 /// A 40-stage tandem line: more than 32 transitions, so the next-event
 /// scan walks 41 clocks where the reference engine pops its heap.
 #[test]
-fn lowered_differential_wide_net_heap_scheduler() {
+fn lowered_differential_wide_net_40_stage_tandem() {
     const STAGES: usize = 40;
     let mut b = NetBuilder::new("wide-tandem");
     let places: Vec<_> = (0..STAGES)

@@ -10,6 +10,7 @@
 //! restarts whenever the CPU re-enters `Idle`, which is precisely the
 //! threshold semantics of the paper.
 
+use crate::warm::Warm;
 use petri_core::prelude::*;
 use std::sync::Arc;
 
@@ -252,23 +253,26 @@ struct CpuSim {
 
 /// Simulate the CPU net for `horizon` seconds with the given seed.
 pub fn simulate_cpu_model(params: &CpuModelParams, horizon: f64, seed: u64) -> CpuPetriResult {
-    run_cpu_model(params, horizon, seed).expect("CPU net cannot livelock or overflow")
+    run_cpu_model(Warm::process(), params, horizon, seed)
+        .expect("CPU net cannot livelock or overflow")
 }
 
-/// [`simulate_cpu_model`], on the process's warm simulator of this point
-/// (see [`crate::warm`]), reporting an engine error instead of panicking.
+/// [`simulate_cpu_model`], on `warm`'s simulator of this point (see
+/// [`crate::warm`]), reporting an engine error instead of panicking.
 pub(crate) fn run_cpu_model(
+    warm: &Warm,
     params: &CpuModelParams,
     horizon: f64,
     seed: u64,
 ) -> Result<CpuPetriResult, SimError> {
-    let warm = crate::warm::simulator(crate::warm::cpu_key(params, horizon), || {
+    let warm = warm.simulator(crate::warm::cpu_key(params, horizon), |records| {
         let CpuModel {
             net,
             places: p,
             transitions: t,
         } = build_cpu_model(params);
         let mut sim = Simulator::shared(Arc::new(net), SimConfig::for_horizon(horizon));
+        sim.share_memo(records);
         let states = [p.stand_by, p.powering_up, p.idle, p.active].map(|q| sim.reward_place(q));
         CpuSim {
             states,

@@ -18,6 +18,7 @@
 
 use crate::cpu_model::{run_cpu_model, simulate_cpu_model, CpuModelParams};
 use crate::node::simulate_node_model;
+use crate::warm::Warm;
 use des::{simulate_cpu, simulate_node, CpuSimParams, NodeSimParams, Workload};
 use energy::{CC2420_RADIO, PXA271_CPU};
 use sim_core::wire::{self, Reader, WireError};
@@ -368,7 +369,8 @@ impl PortableJob for SeedAblationJob {
     }
 
     fn run_slot(&self, _point: usize, _rep: u64, seed: u64) -> Result<Vec<u8>, String> {
-        let out = run_cpu_model(&self.params, self.horizon, seed).map_err(|e| e.to_string())?;
+        let out = run_cpu_model(Warm::process(), &self.params, self.horizon, seed)
+            .map_err(|e| e.to_string())?;
         let mut bytes = Vec::with_capacity(12);
         wire::put_f64s(&mut bytes, &out.probabilities[..1]);
         Ok(bytes)

@@ -22,6 +22,7 @@
 //!   firing-time tie a job-delivering transition wins — this is why the
 //!   optimum sits *at* `PDT = 0.00177 s`, not just above it.
 
+use crate::warm::Warm;
 use des::{NodeSimParams, Workload};
 use energy::{ComponentBreakdown, ComponentPower, NodeBreakdown, Power};
 use petri_core::prelude::*;
@@ -457,13 +458,19 @@ impl NodeRewards {
 /// Simulate the node SCPN and collect all Fig. 14/15 measures, on the
 /// process's warm simulator of this point (see [`crate::warm`]).
 pub fn simulate_node_model(params: &NodeSimParams, seed: u64) -> NodePetriResult {
-    let warm = crate::warm::simulator(crate::warm::node_key(params), || {
+    run_node_model(Warm::process(), params, seed)
+}
+
+/// [`simulate_node_model`] on `warm`'s simulator of this point.
+pub(crate) fn run_node_model(warm: &Warm, params: &NodeSimParams, seed: u64) -> NodePetriResult {
+    let warm = warm.simulator(crate::warm::node_key(params), |records| {
         let NodeModel {
             net,
             places,
             transitions,
         } = build_node_model(params);
         let mut sim = Simulator::shared(Arc::new(net), SimConfig::for_horizon(params.horizon));
+        sim.share_memo(records);
         let rewards = register(&places, &transitions, &mut sim);
         (sim, rewards)
     });

@@ -1,16 +1,25 @@
-//! Warm simulators: one built, lowered and recorded simulator per sweep
-//! point per process.
+//! Warm simulators: one built and lowered simulator per sweep point per
+//! process, and one step-memo record per net shape.
 //!
 //! Every figure is a Power-Down-Threshold sweep, and each point runs many
 //! replications of one fixed net. [`crate::simulate_cpu_model`],
 //! [`crate::simulate_node_model`] and the seed ablation's slots take their
 //! simulator from one process-wide table, keyed by every bit of their
 //! inputs: the model parameters and the horizon. So every replication of a
-//! point shares one net, one lowered program and one step-memo record,
-//! across adaptive rounds, grid threads, worker dispatches (a worker
-//! decodes a fresh job per chunk) and targets that share a point (fig14 and
-//! fig15 with `validate`). A warm simulator's outputs are those of a fresh
-//! one: its memo records hold only work the marking determines.
+//! point shares one net and one lowered program, across adaptive rounds,
+//! grid threads, worker dispatches (a worker decodes a fresh job per
+//! chunk) and targets that share a point (fig14 and fig15 with
+//! `validate`).
+//!
+//! The points of a sweep differ only in delays and rates, so their lowered
+//! programs have one shape, and the step-memo records kept beside the
+//! table are shared by shape (`Simulator::share_memo`), not by point: every
+//! CPU point of figs 4–9 and the seed ablation replays one record, fig14's
+//! closed points another, and fig15's and `validate`'s open points a
+//! third. A point's first run then starts warm too. A warm simulator's
+//! outputs are those of a fresh one: memo records hold only work the
+//! marking determines, and a run replays only a record of its own
+//! program's shape.
 //!
 //! The table keeps at most [`CAPACITY`] simulators and drops the least
 //! recently used one to make room.
@@ -20,6 +29,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use des::{NodeSimParams, Workload};
+use petri_core::sim::MemoRecords;
 
 use crate::cpu_model::CpuModelParams;
 
@@ -146,11 +156,36 @@ impl Table {
     }
 }
 
-/// The process's warm simulator under `key`, built by `build` on a miss.
-pub(crate) fn simulator<T: Any + Send + Sync>(key: Key, build: impl FnOnce() -> T) -> Arc<T> {
-    static TABLE: OnceLock<Mutex<Table>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| Mutex::new(Table::new(CAPACITY)));
-    Table::get_or_build(table, key, build)
+/// One process's warm state: the simulator table, and the step-memo
+/// records its simulators share, one per net shape.
+pub(crate) struct Warm {
+    table: Mutex<Table>,
+    records: MemoRecords,
+}
+
+impl Warm {
+    fn new() -> Self {
+        Warm {
+            table: Mutex::new(Table::new(CAPACITY)),
+            records: MemoRecords::new(),
+        }
+    }
+
+    /// The process's warm state.
+    pub(crate) fn process() -> &'static Warm {
+        static WARM: OnceLock<Warm> = OnceLock::new();
+        WARM.get_or_init(Warm::new)
+    }
+
+    /// The warm simulator under `key`, built by `build` on a miss; `build`
+    /// hands the simulator the shared records.
+    pub(crate) fn simulator<T: Any + Send + Sync>(
+        &self,
+        key: Key,
+        build: impl FnOnce(&MemoRecords) -> T,
+    ) -> Arc<T> {
+        Table::get_or_build(&self.table, key, || build(&self.records))
+    }
 }
 
 #[cfg(test)]
@@ -227,6 +262,35 @@ mod tests {
         let b = Table::get_or_build(&table, cpu[0].clone(), || 2u32);
         let c = Table::get_or_build(&table, cpu[1].clone(), || 3u32);
         assert!(Arc::ptr_eq(&a, &b) && *c == 3);
+    }
+
+    /// Once one point of each of the CPU, closed-node and open-node models
+    /// has run, one shared record exists per model; a second PDT of each
+    /// model adds none, so its simulator resolves to the same record.
+    #[test]
+    fn each_model_shares_one_record_across_its_points() {
+        let warm = Warm::new();
+        let run_point = |pdt: f64| {
+            let cpu = CpuModelParams::paper_defaults(pdt, 0.2);
+            crate::cpu_model::run_cpu_model(&warm, &cpu, 300.0, 1).unwrap();
+            for workload in [
+                Workload::Closed { interval: 1.0 },
+                Workload::Open { rate: 1.0 },
+            ] {
+                let mut p = NodeSimParams::paper_defaults(workload, pdt);
+                p.horizon = 40.0;
+                crate::node::run_node_model(&warm, &p, 1);
+            }
+        };
+        run_point(0.3);
+        assert_eq!(warm.records.shapes(), 3);
+        run_point(0.05);
+        assert_eq!(warm.records.shapes(), 3);
+        assert_eq!(
+            warm.table.lock().unwrap().len(),
+            6,
+            "one simulator per point"
+        );
     }
 
     /// A table never holds more than its capacity, and evicts the least
