@@ -46,8 +46,10 @@
 //! * `--profile` (exported as `REPRO_PROFILE=1`, so worker subprocesses
 //!   inherit it) — arm the per-transition engine profiler: firing counts
 //!   and attributed nanoseconds per transition, printed as a table on
-//!   stderr after the run and folded into job traces as counter events.
-//!   Observation only — artifacts are byte-identical with or without it
+//!   stderr after the run. The table covers this process's engine runs
+//!   only; workers profile their slots but their tables are never
+//!   collected (only the `selftest/mm1` job folds its rows into its job
+//!   trace as counter events). Observation only — artifacts are byte-identical with or without it
 //!   (CI diffs them).
 //! * `--retry N` / `--io-timeout SECS` / `--pool on|off` — the unified
 //!   fault policy of the multi-process executors: per-chunk re-dispatch
@@ -60,14 +62,6 @@
 //! `wsn::experiments::paper_rule` (`quick_rule` with `--quick`); the
 //! deterministic closed-node sweeps (fig14, validate/closed) run one
 //! replication per point.
-//!
-//! Chaos (robustness testing) is armed purely from the environment:
-//! setting `REPRO_CHAOS_SEED` (with `REPRO_CHAOS_DROP`/`GARBLE`/`DELAY`
-//! per-mille frame-fault rates, `REPRO_CHAOS_KILL_AFTER`, and
-//! `REPRO_CHAOS_WORKER_CRASH`/`STALL` worker-side rates) makes every
-//! transport deterministically faulty; the in-process fallback is enabled
-//! automatically so armed runs still complete (loudly) even if the whole
-//! fleet dies. Results stay byte-identical under any armed schedule.
 //!
 //! Service modes (first argument selects them):
 //!
@@ -122,7 +116,7 @@
 use bench::write_artifact;
 use des::Workload;
 use sim_core::StoppingRule;
-use sim_runtime::{ChaosConfig, Exec, FaultPolicy, ServiceClient, ServiceConfig, ServiceHandle};
+use sim_runtime::{Exec, FaultPolicy, ServiceClient, ServiceConfig, ServiceHandle};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::Path;
@@ -358,10 +352,7 @@ impl ExecFlags {
     }
 
     /// The selected backend with its fault knobs, exiting 2 if more than
-    /// one of `--shards N≥1`, `--hosts` and `--service` was given. Also
-    /// arms deterministic chaos from `REPRO_CHAOS_*`; an armed run
-    /// auto-enables the in-process fallback so injected fleet death
-    /// degrades loudly instead of failing the run.
+    /// one of `--shards N≥1`, `--hosts` and `--service` was given.
     fn exec(self) -> Exec {
         let threads = self.threads.unwrap_or_else(sim_core::default_threads);
         let mut chosen: Vec<(&str, Exec)> = Vec::new();
@@ -389,21 +380,11 @@ impl ExecFlags {
         if let Some(d) = self.io_timeout {
             fault.io_timeout = (!d.is_zero()).then_some(d);
         }
-        let chaos = ChaosConfig::from_env();
-        if let Some(c) = &chaos {
-            eprintln!(
-                "[repro] chaos armed (seed {}): drop {}‰, garble {}‰, delay {}‰; \
-                 enabling in-process fallback",
-                c.seed, c.drop_per_mille, c.garble_per_mille, c.delay_per_mille
-            );
-            fault.fallback = true;
-        }
         chosen
             .pop()
             .map_or_else(|| Exec::in_process(threads), |(_, exec)| exec)
             .with_fault(fault)
             .with_pool(self.pool.unwrap_or(true))
-            .with_chaos(chaos)
     }
 }
 

@@ -154,8 +154,8 @@ impl LocalCluster {
     }
 
     /// [`LocalCluster::spawn`] with extra environment variables per worker
-    /// index — how the failure suite arms exactly one worker with an
-    /// [`EnvCrashJob`](crate::shard::EnvCrashJob) trigger.
+    /// index — how the failure suites arm some workers (one, or the whole
+    /// fleet) with a [`CrashJob`](crate::shard::CrashJob)'s variable.
     pub fn spawn_with_env(
         worker_bin: &str,
         n: usize,
@@ -239,9 +239,9 @@ impl LocalService {
         Self::spawn_with_env(repro_bin, extra_args, &[])
     }
 
-    /// [`LocalService::spawn`] with extra environment variables — how the
-    /// chaos suite arms a daemon's transports (`REPRO_CHAOS_*`) without
-    /// leaking the variables into the spawning test process.
+    /// [`LocalService::spawn`] with extra environment variables (such as
+    /// `REPRO_TELEMETRY`) set in the daemon only, not in the spawning
+    /// process.
     pub fn spawn_with_env(
         repro_bin: &str,
         extra_args: &[&str],

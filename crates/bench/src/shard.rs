@@ -20,7 +20,6 @@ pub fn worker_registry() -> JobRegistry {
     reg.register(Mm1ReplicationJob::KIND, Mm1ReplicationJob::decode_boxed);
     reg.register(FailJob::KIND, FailJob::decode_boxed);
     reg.register(CrashJob::KIND, CrashJob::decode_boxed);
-    reg.register(EnvCrashJob::KIND, EnvCrashJob::decode_boxed);
     reg
 }
 
@@ -219,15 +218,29 @@ impl PortableJob for FailJob {
     }
 }
 
-/// Self-test job: **kills its own process** at one `(point, replication)`
-/// slot — the "kill one worker" scenario. Only ever dispatch this through a
-/// sharded backend; in-process it would take the caller down with it.
+/// Self-test job: **kills its own process** at any slot at or after
+/// `(crash_point, crash_rep)` (lexicographic order, like [`FailJob`]) —
+/// but only where it is armed: an empty `env_var` always is, a named one
+/// only in a process where that variable is set. Unarmed, every slot
+/// succeeds with the slot seed as its bytes.
+///
+/// Always armed, it is the "kill a worker mid-shard" probe; only ever
+/// dispatch it then through a sharded backend, since in-process it would
+/// take the caller down with it. Armed by a variable, it is the
+/// kill-one-peer-mid-run probe: a `bench::remote::LocalCluster` starts
+/// some workers with the variable set, they die on whichever chunk they
+/// claim, and the slots they leave are re-dispatched to the survivors or
+/// (the whole fleet armed) run by the in-process fallback of the test
+/// process, which does not set it. The boundary semantics (not a single
+/// slot) make the crash independent of which peer claims which chunk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashJob {
-    /// Crashing point.
+    /// First crashing point.
     pub crash_point: u64,
-    /// Crashing replication.
+    /// First crashing replication within `crash_point`.
     pub crash_rep: u64,
+    /// Environment variable arming the crash; empty means always armed.
+    pub env_var: String,
 }
 
 impl CrashJob {
@@ -239,6 +252,7 @@ impl CrashJob {
         let job = CrashJob {
             crash_point: r.get_u64()?,
             crash_rep: r.get_u64()?,
+            env_var: r.get_str()?.to_string(),
         };
         r.finish()?;
         Ok(Box::new(job))
@@ -253,77 +267,14 @@ impl PortableJob for CrashJob {
     fn encode_payload(&self, buf: &mut Vec<u8>) {
         wire::put_u64(buf, self.crash_point);
         wire::put_u64(buf, self.crash_rep);
-    }
-
-    fn run_slot(&self, point: usize, rep: u64, seed: u64) -> Result<Vec<u8>, String> {
-        if point as u64 == self.crash_point && rep == self.crash_rep {
-            eprintln!("[selftest] crashing worker at ({point}, {rep}) as requested");
-            std::process::exit(3);
-        }
-        let mut bytes = Vec::new();
-        wire::put_f64s(&mut bytes, &[seed as f64]);
-        Ok(bytes)
-    }
-}
-
-/// Self-test job: kills its own process at any slot at or after
-/// `(crash_point, crash_rep)` (lexicographic order, like [`FailJob`]) —
-/// but **only when `env_var` is set in the executing process**. Unarmed,
-/// every slot succeeds with the same bytes [`CrashJob`] would produce.
-///
-/// This is the kill-one-peer-mid-run probe of the remote suite: a
-/// `bench::remote::LocalCluster` starts exactly one worker with the
-/// environment variable set, so that worker dies on whichever chunk it
-/// claims, the remote backend re-dispatches the undelivered slots to the
-/// survivors (which do *not* have the variable), and the gathered bytes
-/// must equal an in-process run bit for bit. The boundary semantics (not
-/// a single slot) make the crash independent of which peer happens to
-/// claim which chunk.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnvCrashJob {
-    /// First crashing point.
-    pub crash_point: u64,
-    /// First crashing replication within `crash_point`.
-    pub crash_rep: u64,
-    /// Environment variable arming the crash.
-    pub env_var: String,
-}
-
-impl EnvCrashJob {
-    /// Registry key.
-    pub const KIND: &'static str = "selftest/env-crash";
-
-    fn decode_boxed(payload: &[u8]) -> Result<Box<dyn PortableJob>, WireError> {
-        let mut r = Reader::new(payload);
-        let job = EnvCrashJob {
-            crash_point: r.get_u64()?,
-            crash_rep: r.get_u64()?,
-            env_var: r.get_str()?.to_string(),
-        };
-        r.finish()?;
-        Ok(Box::new(job))
-    }
-}
-
-impl PortableJob for EnvCrashJob {
-    fn kind(&self) -> &'static str {
-        Self::KIND
-    }
-
-    fn encode_payload(&self, buf: &mut Vec<u8>) {
-        wire::put_u64(buf, self.crash_point);
-        wire::put_u64(buf, self.crash_rep);
         wire::put_str(buf, &self.env_var);
     }
 
     fn run_slot(&self, point: usize, rep: u64, seed: u64) -> Result<Vec<u8>, String> {
         if (point as u64, rep) >= (self.crash_point, self.crash_rep)
-            && std::env::var_os(&self.env_var).is_some()
+            && (self.env_var.is_empty() || std::env::var_os(&self.env_var).is_some())
         {
-            eprintln!(
-                "[selftest] {} armed: crashing worker at ({point}, {rep})",
-                self.env_var
-            );
+            eprintln!("[selftest] crashing worker at ({point}, {rep}) as requested");
             std::process::exit(3);
         }
         let mut bytes = Vec::new();
@@ -378,10 +329,6 @@ mod tests {
             Box::new(CrashJob {
                 crash_point: 3,
                 crash_rep: 4,
-            }),
-            Box::new(EnvCrashJob {
-                crash_point: 0,
-                crash_rep: 1,
                 env_var: "BENCH_SELFTEST_CRASH_NEVER_SET".into(),
             }),
         ]
@@ -522,15 +469,14 @@ mod tests {
             Mm1ReplicationJob::KIND,
             FailJob::KIND,
             CrashJob::KIND,
-            EnvCrashJob::KIND,
         ] {
             assert!(kinds.contains(&k), "missing {k} in {kinds:?}");
         }
     }
 
     #[test]
-    fn env_crash_job_is_inert_without_its_variable() {
-        let job = EnvCrashJob {
+    fn crash_job_is_inert_without_its_variable() {
+        let job = CrashJob {
             crash_point: 0,
             crash_rep: 0,
             env_var: "BENCH_SELFTEST_CRASH_NEVER_SET".into(),
@@ -541,9 +487,7 @@ mod tests {
         // Round-trips through the registry.
         let mut payload = Vec::new();
         job.encode_payload(&mut payload);
-        let back = worker_registry()
-            .decode(EnvCrashJob::KIND, &payload)
-            .unwrap();
+        let back = worker_registry().decode(CrashJob::KIND, &payload).unwrap();
         assert_eq!(
             back.run_slot(1, 1, 7).unwrap(),
             job.run_slot(1, 1, 7).unwrap()

@@ -7,15 +7,21 @@
 //! restarts, reconnections, quarantines, or a loud in-process fallback;
 //! they may never cost a bit of output.
 //!
-//! The injection is seeded (`ChaosConfig`/`REPRO_CHAOS_*`), so a failing
-//! schedule is re-runnable; workers and daemons are the real `repro`
-//! binary (`CARGO_BIN_EXE_repro`), so recovery is exercised over the real
-//! wire protocol end to end.
+//! The injection is seeded (`ChaosConfig`, armed through
+//! `Exec::with_chaos`), so a failing schedule is re-runnable; workers are
+//! the real `repro` binary (`CARGO_BIN_EXE_repro`), so recovery is
+//! exercised over the real wire protocol end to end.
 
-use bench::remote::{LocalCluster, LocalService};
-use bench::shard::Mm1ReplicationJob;
+mod common;
+
+use bench::remote::LocalCluster;
+use bench::shard::{CrashJob, Mm1ReplicationJob};
+use common::InProcessDaemon;
+use des::Workload;
+use sim_core::PortableJob;
 use sim_runtime::{fleet_stats, ChaosConfig, Exec, FaultPolicy};
 use std::time::Duration;
+use wsn::experiments::jobs::{CpuComparisonJob, NodeSweepJob};
 
 fn repro_bin() -> &'static str {
     env!("CARGO_BIN_EXE_repro")
@@ -23,17 +29,6 @@ fn repro_bin() -> &'static str {
 
 fn worker_cmd() -> Vec<String> {
     vec![repro_bin().to_string(), "--worker".to_string()]
-}
-
-/// A unique scratch directory for one test's disk cache.
-fn unique_dir(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "repro-chaos-test-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
 }
 
 /// The fault policy chaos runs use: deep retry budget, fast backoff (the
@@ -60,10 +55,15 @@ fn mm1_job() -> Mm1ReplicationJob {
 /// Run the M/M/1 replication grid on `exec` and return the gathered
 /// result bytes.
 fn run_mm1(exec: Exec, base_seed: u64, reps: &[u64; 3]) -> Vec<Vec<Vec<u8>>> {
-    let job = mm1_job();
+    run(&mm1_job(), exec, base_seed, reps)
+}
+
+/// Run `job`'s replication grid on `exec` and return the gathered result
+/// bytes.
+fn run(job: &dyn PortableJob, exec: Exec, base_seed: u64, reps: &[u64]) -> Vec<Vec<Vec<u8>>> {
     let seed_of = move |p: usize, r: u64| base_seed ^ ((p as u64) << 32) ^ r;
     exec.runner()
-        .run_job(&job, reps, &seed_of)
+        .run_job(job, reps, &seed_of)
         .expect("chaos run completes (retries/fallback absorb the faults)")
 }
 
@@ -173,31 +173,43 @@ fn kill_one_worker_before_every_job_keeps_results_identical() {
     cluster.shutdown();
 }
 
-/// Crash-armed workers (`REPRO_CHAOS_WORKER_CRASH` in the worker
-/// environment, exercising the env-armed crash point in the slot loop)
-/// die mid-job at seeded slots; re-dispatch and, once the whole fleet is
-/// gone, the in-process fallback must keep every job byte-identical.
+/// A whole crash-armed fleet: every worker carries the [`CrashJob`]'s
+/// arming variable, so each dies on the first slot at or past the
+/// mid-grid boundary it claims. Re-dispatch runs out of workers mid-job,
+/// and the in-process fallback (the test process does not set the
+/// variable) must finish every job byte-identically.
 #[test]
 fn crash_armed_workers_degrade_to_identical_results() {
-    let env_of = |_i: usize| {
-        vec![
-            ("REPRO_CHAOS_SEED".to_string(), "11".to_string()),
-            ("REPRO_CHAOS_WORKER_CRASH".to_string(), "120".to_string()),
-        ]
-    };
-    let cluster = LocalCluster::spawn_with_env(repro_bin(), 3, env_of).expect("cluster spawns");
+    const ARM: &str = "BENCH_CHAOS_SELFTEST_CRASH";
+    let cluster =
+        LocalCluster::spawn_with_env(repro_bin(), 3, |_| vec![(ARM.to_string(), "1".to_string())])
+            .expect("cluster spawns");
     let hosts = cluster.hosts();
     let reps = [4u64, 3, 4];
+    let job = CrashJob {
+        crash_point: 1,
+        crash_rep: 1,
+        env_var: ARM.into(),
+    };
+    let before = fleet_stats().snapshot();
     for round in 0..2u64 {
         let seed = 0xCAFE ^ (round << 8);
-        let baseline = run_mm1(Exec::in_process(1), seed, &reps);
-        let out = run_mm1(
+        let baseline = run(&job, Exec::in_process(1), seed, &reps);
+        let out = run(
+            &job,
             Exec::remote(2, hosts.clone()).with_fault(chaos_fault()),
             seed,
             &reps,
         );
         assert_eq!(baseline, out, "round {round} diverged");
     }
+    let after = fleet_stats().snapshot();
+    assert!(
+        after.fallbacks >= before.fallbacks + 2,
+        "both rounds must fall back in-process (before {}, after {})",
+        before.fallbacks,
+        after.fallbacks
+    );
     // Crashed workers cannot take the shutdown frame; Drop reaps them.
 }
 
@@ -236,42 +248,76 @@ fn fleet_shrunk_to_zero_falls_back_in_process_bit_identically() {
     );
 }
 
-/// Service tier: a daemon whose transports are armed purely from the
-/// environment (`REPRO_CHAOS_*`, as a deployment would set them) serves
-/// results byte-identical to direct execution, and its `stats` verb
-/// carries the fleet counters over the versioned wire.
+/// Service tier: a daemon whose backend is armed with frame chaos through
+/// its `ServiceConfig.exec` serves results byte-identical to direct
+/// execution, and its `stats` verb carries the counts over the versioned
+/// wire.
 #[test]
-fn service_tier_bit_identical_with_env_armed_chaos() {
-    let dir = unique_dir("svc");
-    let env = vec![
-        ("REPRO_CHAOS_SEED".to_string(), "7".to_string()),
-        ("REPRO_CHAOS_DROP".to_string(), "40".to_string()),
-        ("REPRO_CHAOS_GARBLE".to_string(), "10".to_string()),
-    ];
-    let svc = LocalService::spawn_with_env(
-        repro_bin(),
-        &[
-            "--threads",
-            "2",
-            "--shards",
-            "2",
-            "--retry",
-            "12",
-            "--io-timeout",
-            "10",
-            "--cache-dir",
-            dir.to_str().unwrap(),
-        ],
-        &env,
-    )
-    .expect("daemon spawns");
+fn service_tier_bit_identical_with_chaos_armed_daemon() {
+    let chaos = ChaosConfig::seeded(7).with_drop(40).with_garble(10);
+    let daemon = InProcessDaemon::start(
+        Exec::sharded(2, 2)
+            .with_worker_cmd(worker_cmd())
+            .with_fault(chaos_fault())
+            .with_chaos(Some(chaos)),
+    );
     let reps = [3u64, 2, 3];
     let baseline = run_mm1(Exec::in_process(1), 0x5E2C, &reps);
-    let out = run_mm1(svc.exec(2), 0x5E2C, &reps);
+    let out = run_mm1(Exec::service(2, daemon.addr.clone()), 0x5E2C, &reps);
     assert_eq!(baseline, out, "service under chaos diverged");
-    let stats = svc.client().stats().expect("stats verb");
+    let stats = daemon.client().stats().expect("stats verb");
     assert_eq!(stats.submitted, 1);
     assert_eq!(stats.executed, 1);
-    svc.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
+    daemon.shutdown();
+}
+
+/// The paper's own jobs — a CPU-comparison sweep (figs 4–9) and open and
+/// closed node sweeps (figs 14/15) at quick horizons — over two pipe
+/// workers with drop, garble and a per-connection kill budget armed
+/// together, must gather exactly the in-process bytes.
+#[test]
+fn paper_jobs_bit_identical_over_chaos_armed_workers() {
+    let cpu = CpuComparisonJob {
+        lambda: 1.0,
+        mu: 10.0,
+        horizon: 300.0,
+        power_up_delay: 0.3,
+        seed: 0x5EED,
+        grid: vec![0.001, 0.3, 2.0],
+    };
+    let node = |workload| NodeSweepJob {
+        workload,
+        horizon: 200.0,
+        grid: vec![0.00177, 0.1, 1.0],
+    };
+    let open = node(Workload::Open { rate: 1.0 });
+    let closed = node(Workload::Closed { interval: 1.0 });
+    let jobs: [&dyn PortableJob; 3] = [&cpu, &open, &closed];
+    let reps = [4u64, 3, 4]; // 11 slots: every chunk outlives a 6-frame budget
+    let chaos = ChaosConfig::seeded(0x9A9E)
+        .with_drop(15)
+        .with_garble(5)
+        .with_kill_after(6);
+    let before = fleet_stats().snapshot();
+    for (i, job) in jobs.into_iter().enumerate() {
+        let baseline = run(job, Exec::in_process(1), 0x9A9E, &reps);
+        let out = run(
+            job,
+            Exec::sharded(2, 2)
+                .with_worker_cmd(worker_cmd())
+                .with_fault(chaos_fault())
+                .with_chaos(Some(chaos)),
+            0x9A9E,
+            &reps,
+        );
+        assert_eq!(baseline, out, "{} (job {i}) diverged", job.kind());
+    }
+    let after = fleet_stats().snapshot();
+    assert!(
+        after.restarts > before.restarts,
+        "a 6-frame budget over 5- and 6-slot chunks must have restarted workers \
+         (before {}, after {})",
+        before.restarts,
+        after.restarts
+    );
 }

@@ -1,16 +1,13 @@
 //! CLI contract tests for the `repro` binary: conflicting executor flags
-//! are an explicit error, executor settings come from flags alone, the
-//! service verbs validate their arguments before touching the network,
-//! and targets that share a sweep render the same bytes in one process as
-//! in separate ones.
+//! are an explicit error, executor settings come from flags alone (and no
+//! environment variable arms the chaos harness), the service verbs
+//! validate their arguments before touching the network, and targets that
+//! share a sweep render the same bytes in one process as in separate ones.
 
 use std::process::Command;
 
 fn repro() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
-    // Isolate from an ambient chaos configuration.
-    cmd.env_remove("REPRO_CHAOS_SEED");
-    cmd
+    Command::new(env!("CARGO_BIN_EXE_repro"))
 }
 
 fn run(cmd: &mut Command) -> (i32, String, String) {
@@ -318,4 +315,28 @@ fn cpu_comparison_targets_share_sweeps_without_changing_bytes() {
         "results/ differ between one and nine processes"
     );
     let _ = std::fs::remove_dir_all(&together);
+}
+
+#[test]
+fn former_chaos_env_vars_are_inert() {
+    // Chaos is armed through the API only: variables that once armed it
+    // (and forced the in-process fallback) change neither the log nor a
+    // byte of a sharded run's artifacts.
+    let flags = ["--quick", "--threads", "1", "--shards", "1", "fig14"];
+    let clean = fresh_cwd("chaos-env-clean");
+    let armed = fresh_cwd("chaos-env-armed");
+    let (code, clean_out, err) = run(repro().current_dir(&clean).args(flags));
+    assert_eq!(code, 0, "{err}");
+    let (code, armed_out, err) = run(repro()
+        .current_dir(&armed)
+        .env("REPRO_CHAOS_SEED", "7")
+        .env("REPRO_CHAOS_DROP", "1000")
+        .args(flags));
+    assert_eq!(code, 0, "{err}");
+    assert!(err.contains("executor: sharded(shards=1"), "{err}");
+    assert!(!err.contains("chaos armed"), "{err}");
+    assert!(clean_out == armed_out, "stdout differs");
+    assert!(results(&clean) == results(&armed), "results/ differ");
+    let _ = std::fs::remove_dir_all(&clean);
+    let _ = std::fs::remove_dir_all(&armed);
 }

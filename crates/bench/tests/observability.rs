@@ -9,16 +9,20 @@
 //! real `repro serve --http` process, and a failing job must leave a
 //! flight-recorder post-mortem behind without altering its error.
 //!
-//! Everything runs against real daemon processes on ephemeral loopback
-//! ports (`bench::remote::LocalService`), because the telemetry switch is
+//! The daemons are real processes on ephemeral loopback ports
+//! (`bench::remote::LocalService`), because the telemetry switch is
 //! latched per process: flipping `REPRO_TELEMETRY` is only honest across
-//! a process boundary.
+//! a process boundary. The chaos progress test serves from the test
+//! process instead, since chaos is armed through the API only.
+
+mod common;
 
 use bench::remote::LocalService;
 use bench::shard::Mm1ReplicationJob;
+use common::InProcessDaemon;
 use des::Workload;
 use sim_runtime::service::cache::decode_blob;
-use sim_runtime::{Exec, JobProgress};
+use sim_runtime::{ChaosConfig, Exec, FaultPolicy, JobProgress};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::process::Command;
@@ -193,32 +197,23 @@ fn artifacts_byte_identical_with_trace_on_and_off() {
     off.shutdown();
 }
 
-/// Progress streaming under chaos: a daemon whose transports drop frames
-/// still delivers a monotone progress sequence ending at `done == total`,
-/// and the result bytes are unchanged. Lost `P` frames are cosmetic —
-/// they may thin the sequence, never corrupt it.
+/// Progress streaming under chaos: a daemon whose worker links drop frames
+/// (armed through its `ServiceConfig.exec`) still delivers a monotone
+/// progress sequence ending at `done == total`, and the result bytes are
+/// unchanged. Lost `P` frames are cosmetic — they may thin the sequence,
+/// never corrupt it.
 #[test]
 fn chaos_armed_fetch_streams_monotone_progress() {
-    let env = vec![
-        ("REPRO_CHAOS_SEED".to_string(), "13".to_string()),
-        ("REPRO_CHAOS_DROP".to_string(), "40".to_string()),
-    ];
-    let svc = LocalService::spawn_with_env(
-        repro_bin(),
-        &[
-            "--threads",
-            "1",
-            "--shards",
-            "1",
-            "--retry",
-            "12",
-            "--io-timeout",
-            "10",
-            "--no-disk-cache",
-        ],
-        &env,
-    )
-    .expect("chaos daemon spawns");
+    let fault = FaultPolicy::default()
+        .with_retry_budget(12)
+        .with_io_timeout(Some(Duration::from_secs(10)))
+        .with_fallback(true);
+    let svc = InProcessDaemon::start(
+        Exec::sharded(1, 1)
+            .with_worker_cmd(vec![repro_bin().to_string(), "--worker".to_string()])
+            .with_fault(fault)
+            .with_chaos(Some(ChaosConfig::seeded(13).with_drop(40))),
+    );
     let manifest = Mm1ReplicationJob::manifest(400.0, 40.0, 3, 0xC4A05);
     let mut client = svc.client();
     let (job, _) = client.submit(&manifest, 1).expect("submit");

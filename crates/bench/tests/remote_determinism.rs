@@ -14,7 +14,7 @@
 //! teardown.
 
 use bench::remote::LocalCluster;
-use bench::shard::{EnvCrashJob, FailJob, Mm1ReplicationJob};
+use bench::shard::{CrashJob, FailJob, Mm1ReplicationJob};
 use des::Workload;
 use proptest::prelude::*;
 use sim_core::{ExecError, StoppingRule};
@@ -317,7 +317,7 @@ fn killed_peer_redispatch_produces_identical_bytes() {
     })
     .expect("cluster spawns");
     let reps = [2u64, 2, 2, 2, 2, 2]; // 12 slots; 3 chunks of 4
-    let job = EnvCrashJob {
+    let job = CrashJob {
         // Boundary (0, 0): the armed worker dies on the first slot of
         // whichever chunk it claims — the kill is schedule-independent.
         crash_point: 0,

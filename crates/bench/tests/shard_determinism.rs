@@ -248,19 +248,22 @@ fn lowest_index_task_error_wins_across_shards() {
     }
 }
 
-/// Kill one worker (the job calls `process::exit` mid-shard): the gather
-/// must surface a worker error attributed to the dead worker's slot range
-/// while the other shards complete normally.
+/// Kill workers mid-run (the job calls `process::exit` from a boundary
+/// slot on): the gather must surface a worker error at the lowest slot a
+/// dead worker left while the other shards complete normally.
 #[test]
 fn killed_worker_propagates_error() {
     // Failing on purpose: keep the post-mortems out of the shared
     // flight-record directory.
     std::env::set_var("REPRO_FLIGHT_DIR", "off");
-    let reps = [2u64, 2, 2, 2]; // 8 slots; 4 shards of 2
-                                // Crash inside the third shard (slots 4..6 → point 2).
+    // 8 slots; 4 shards of 2. Every slot from (2, 0) on crashes, so the
+    // third and fourth shards (slots 4..8) die; the lowest failing flat
+    // index, 4, is the one reported.
+    let reps = [2u64, 2, 2, 2];
     let job = CrashJob {
         crash_point: 2,
         crash_rep: 0,
+        env_var: String::new(),
     };
     let err = sharded(1, 4)
         .runner()
@@ -279,6 +282,7 @@ fn killed_worker_propagates_error() {
     let ok_job = CrashJob {
         crash_point: 99,
         crash_rep: 0,
+        env_var: String::new(),
     };
     let out = sharded(1, 4)
         .runner()

@@ -1,47 +1,24 @@
-//! Deterministic chaos harness: seeded frame-level fault injection and
-//! env-armable worker crash/stall points.
+//! Deterministic chaos harness: seeded frame-level fault injection.
 //!
-//! Two halves, one seed:
+//! [`FaultInjector`] wraps any [`FrameTransport`] and — when armed —
+//! drops or garbles/truncates frames, or kills the connection after N
+//! frames, with every decision drawn from a [`SimRng`] seeded from
+//! `ChaosConfig::seed` and a per-connection counter. The same seed
+//! therefore yields the same fault schedule run-to-run. Every injected
+//! fault is **connection-fatal or stream-corrupting, never silent**:
+//! pipes to shard workers have no read timeout, so a silently swallowed
+//! frame would wedge the drain forever, whereas a failed `send`/`recv`
+//! surfaces as `Drained::Broken` and goes through the ordinary supervisor
+//! retry path.
 //!
-//! * [`FaultInjector`] wraps any [`FrameTransport`] and — when armed —
-//!   drops, delays, garbles/truncates frames or kills the connection
-//!   after N frames, with every decision drawn from a [`SimRng`]
-//!   seeded from `ChaosConfig::seed` and a per-connection counter. The
-//!   same seed therefore yields the same fault schedule run-to-run.
-//!   Every injected fault is **connection-fatal or stream-corrupting,
-//!   never silent**: pipes to shard workers have no read timeout, so a
-//!   silently swallowed frame would wedge the drain forever, whereas a
-//!   failed `send`/`recv` surfaces as `Drained::Broken` and goes through
-//!   the ordinary supervisor retry path.
-//! * Worker-side crash/stall points ([`worker_chaos`]) arm via
-//!   `REPRO_CHAOS_*` environment variables and fire inside the slot
-//!   loop, exercising crash-mid-slot and heartbeat-stall recovery in
-//!   real subprocesses. Decisions mix the process id into the seed so a
-//!   *restarted* worker rolls fresh faults and the fleet makes forward
-//!   progress; result bytes are unaffected by construction (slots are
-//!   seeded pure functions).
-//!
-//! Environment contract (everything disarmed unless `REPRO_CHAOS_SEED`
-//! is set):
-//!
-//! | Variable | Meaning |
-//! |---|---|
-//! | `REPRO_CHAOS_SEED` | master seed; arms the harness |
-//! | `REPRO_CHAOS_DROP` | per-mille chance a frame send/recv fails |
-//! | `REPRO_CHAOS_GARBLE` | per-mille chance a frame body is corrupted |
-//! | `REPRO_CHAOS_DELAY` | per-mille chance a frame is delayed |
-//! | `REPRO_CHAOS_DELAY_MS` | delay duration (default 20 ms) |
-//! | `REPRO_CHAOS_KILL_AFTER` | kill each connection after N frames |
-//! | `REPRO_CHAOS_WORKER_CRASH` | per-mille chance a worker exits(3) before delivering a slot |
-//! | `REPRO_CHAOS_WORKER_STALL` | per-mille chance a worker goes silent mid-slot |
-//! | `REPRO_CHAOS_WORKER_STALL_MS` | stall duration (default 1500 ms) |
+//! Chaos is a test harness, not a production control surface: it is
+//! armed only through the API (`Exec::with_chaos`, or a daemon's
+//! `ServiceConfig.exec`), never from flags or the environment.
 
 use crate::remote::transport::FrameTransport;
 use sim_core::SimRng;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::time::Duration;
 
 /// Frame-fault schedule for a [`FaultInjector`]. Rates are per-mille
 /// (integer, so the config stays `Eq` and embeddable in `Exec`).
@@ -54,10 +31,6 @@ pub struct ChaosConfig {
     /// Per-mille chance a frame body is bit-flipped and truncated (the
     /// receiver sees a protocol violation and abandons the stream).
     pub garble_per_mille: u32,
-    /// Per-mille chance a frame is delayed by [`delay_ms`](Self::delay_ms).
-    pub delay_per_mille: u32,
-    /// Injected delay duration in milliseconds.
-    pub delay_ms: u64,
     /// Fail the connection outright after this many frames.
     pub kill_after: Option<u64>,
 }
@@ -70,8 +43,6 @@ impl ChaosConfig {
             seed,
             drop_per_mille: 0,
             garble_per_mille: 0,
-            delay_per_mille: 0,
-            delay_ms: 20,
             kill_after: None,
         }
     }
@@ -88,45 +59,16 @@ impl ChaosConfig {
         self
     }
 
-    /// Set the per-mille frame-delay rate and duration.
-    pub fn with_delay(mut self, per_mille: u32, ms: u64) -> Self {
-        self.delay_per_mille = per_mille;
-        self.delay_ms = ms;
-        self
-    }
-
     /// Kill each connection after `n` frames.
     pub fn with_kill_after(mut self, n: u64) -> Self {
         self.kill_after = Some(n);
         self
     }
 
-    /// Read the chaos schedule from `REPRO_CHAOS_*` environment
-    /// variables; `None` (fully disarmed) unless `REPRO_CHAOS_SEED` is
-    /// set. Unparsable values disarm their fault rather than erroring —
-    /// chaos is a test harness, not a production control surface.
-    pub fn from_env() -> Option<Self> {
-        let seed = env_u64("REPRO_CHAOS_SEED")?;
-        let mut cfg = ChaosConfig::seeded(seed);
-        cfg.drop_per_mille = env_u64("REPRO_CHAOS_DROP").unwrap_or(0).min(1000) as u32;
-        cfg.garble_per_mille = env_u64("REPRO_CHAOS_GARBLE").unwrap_or(0).min(1000) as u32;
-        cfg.delay_per_mille = env_u64("REPRO_CHAOS_DELAY").unwrap_or(0).min(1000) as u32;
-        cfg.delay_ms = env_u64("REPRO_CHAOS_DELAY_MS").unwrap_or(cfg.delay_ms);
-        cfg.kill_after = env_u64("REPRO_CHAOS_KILL_AFTER");
-        Some(cfg)
-    }
-
     /// Does this schedule actually inject anything?
     pub fn armed(&self) -> bool {
-        self.drop_per_mille > 0
-            || self.garble_per_mille > 0
-            || self.delay_per_mille > 0
-            || self.kill_after.is_some()
+        self.drop_per_mille > 0 || self.garble_per_mille > 0 || self.kill_after.is_some()
     }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
 }
 
 fn chaos_err(what: &str) -> io::Error {
@@ -204,9 +146,6 @@ impl<T: FrameTransport> FrameTransport for FaultInjector<T> {
             if st.rng.chance(st.cfg.drop_per_mille) {
                 return Err(chaos_err("outbound frame dropped"));
             }
-            if st.rng.chance(st.cfg.delay_per_mille) {
-                std::thread::sleep(Duration::from_millis(st.cfg.delay_ms));
-            }
             if st.rng.chance(st.cfg.garble_per_mille) {
                 return self.inner.send(&garble(body));
             }
@@ -225,9 +164,6 @@ impl<T: FrameTransport> FrameTransport for FaultInjector<T> {
             // the undrained stream is never observed).
             if st.rng.chance(st.cfg.drop_per_mille) {
                 return Err(chaos_err("inbound frame dropped"));
-            }
-            if st.rng.chance(st.cfg.delay_per_mille) {
-                std::thread::sleep(Duration::from_millis(st.cfg.delay_ms));
             }
             let got = self.inner.recv()?;
             if let Some(body) = got {
@@ -251,69 +187,6 @@ impl<T: FrameTransport> FrameTransport for FaultInjector<T> {
             None => self.inner.peer(),
         }
     }
-}
-
-// --- worker-side crash/stall points ---------------------------------------
-
-/// Env-armed crash/stall schedule for the worker slot loop.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkerChaos {
-    seed: u64,
-    crash_per_mille: u32,
-    stall_per_mille: u32,
-    stall_ms: u64,
-}
-
-impl WorkerChaos {
-    /// Deterministic per-slot decision stream. The process id is mixed
-    /// in so a restarted worker re-rolls — otherwise a slot whose roll
-    /// says "crash" would crash every replacement worker and the fleet
-    /// could never finish. Byte-identity of results is independent of
-    /// these rolls (seeded pure slots).
-    fn roll(&self, slot_seed: u64, salt: u64) -> SimRng {
-        let mut s = self.seed ^ salt;
-        let a = sim_core::rng::splitmix64(&mut s);
-        let mut s2 = a ^ (std::process::id() as u64) ^ slot_seed;
-        SimRng::seed_from_u64(sim_core::rng::splitmix64(&mut s2))
-    }
-
-    /// Should the worker exit(3) instead of delivering this slot?
-    pub fn roll_crash(&self, slot_seed: u64) -> bool {
-        self.roll(slot_seed, 0xC4A5).chance(self.crash_per_mille)
-    }
-
-    /// Should the worker go silent (heartbeats included) before
-    /// delivering this slot? Returns the stall duration.
-    pub fn roll_stall(&self, slot_seed: u64) -> Option<Duration> {
-        if self.roll(slot_seed, 0x57A1).chance(self.stall_per_mille) {
-            Some(Duration::from_millis(self.stall_ms))
-        } else {
-            None
-        }
-    }
-}
-
-/// The worker-side chaos schedule, armed from the environment once per
-/// process; `None` when `REPRO_CHAOS_SEED` is unset or no worker fault
-/// rate is configured.
-pub fn worker_chaos() -> Option<&'static WorkerChaos> {
-    static CHAOS: OnceLock<Option<WorkerChaos>> = OnceLock::new();
-    CHAOS
-        .get_or_init(|| {
-            let seed = env_u64("REPRO_CHAOS_SEED")?;
-            let crash = env_u64("REPRO_CHAOS_WORKER_CRASH").unwrap_or(0).min(1000) as u32;
-            let stall = env_u64("REPRO_CHAOS_WORKER_STALL").unwrap_or(0).min(1000) as u32;
-            if crash == 0 && stall == 0 {
-                return None;
-            }
-            Some(WorkerChaos {
-                seed,
-                crash_per_mille: crash,
-                stall_per_mille: stall,
-                stall_ms: env_u64("REPRO_CHAOS_WORKER_STALL_MS").unwrap_or(1500),
-            })
-        })
-        .as_ref()
 }
 
 #[cfg(test)]
@@ -385,21 +258,5 @@ mod tests {
         };
         assert_eq!(schedule(0), schedule(0));
         assert_ne!(schedule(0), schedule(1));
-    }
-
-    #[test]
-    fn env_config_arms_only_with_seed() {
-        // Serialised via a lock-free convention: these env vars are not
-        // used elsewhere in the test binary.
-        std::env::remove_var("REPRO_CHAOS_SEED");
-        assert!(ChaosConfig::from_env().is_none());
-        std::env::set_var("REPRO_CHAOS_SEED", "42");
-        std::env::set_var("REPRO_CHAOS_DROP", "15");
-        let cfg = ChaosConfig::from_env().unwrap();
-        assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.drop_per_mille, 15);
-        assert!(cfg.armed());
-        std::env::remove_var("REPRO_CHAOS_SEED");
-        std::env::remove_var("REPRO_CHAOS_DROP");
     }
 }

@@ -18,9 +18,9 @@
 //!   (loudly, and counted in [`FleetStats`]) instead of failing.
 //! * [`chaos`] — a seeded [`FaultInjector`](chaos::FaultInjector) that
 //!   wraps any [`FrameTransport`](crate::remote::transport::FrameTransport)
-//!   and drops/delays/garbles frames deterministically, plus env-armable
-//!   crash/stall points in the worker slot loop. The chaos test suite
-//!   uses it to prove byte-identical gathers under every failure mode.
+//!   and drops/garbles frames or kills the connection deterministically.
+//!   The chaos test suite arms it through `Exec::with_chaos` to prove
+//!   byte-identical gathers under every failure mode.
 //!
 //! Determinism note: replication slots are seeded pure functions, so
 //! *which* worker runs a slot (or how many times it is retried) can never

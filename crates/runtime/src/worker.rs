@@ -154,27 +154,6 @@ fn serve_manifest(
                 }
             }
         });
-        // Env-armable chaos points (REPRO_CHAOS_SEED +
-        // REPRO_CHAOS_WORKER_{CRASH,STALL}): deterministic
-        // per-slot decisions, re-rolled per process so a
-        // restarted worker makes progress. A stall holds the
-        // output mutex, silencing the heartbeat thread too —
-        // exactly the silent-wedge failure the parent's IO
-        // timeout exists to catch.
-        let chaos_check = |flat: usize| {
-            if let Some(chaos) = crate::fleet::chaos::worker_chaos() {
-                let seed = manifest.seeds[flat];
-                if let Some(stall) = chaos.roll_stall(seed) {
-                    eprintln!("[chaos] worker stalling {stall:?} at slot {flat}");
-                    let _gag = out.lock().expect("output mutex never poisoned");
-                    std::thread::sleep(stall);
-                }
-                if chaos.roll_crash(seed) {
-                    eprintln!("[chaos] worker crashing at slot {flat}");
-                    std::process::exit(3);
-                }
-            }
-        };
         let send_result = |flat: usize, bytes: &[u8]| -> Result<(), SlotFailure> {
             let mut body = Vec::with_capacity(bytes.len() + 16);
             wire::put_u8(&mut body, frame::RESULT);
@@ -186,13 +165,16 @@ fn serve_manifest(
             delivered.fetch_add(1, Ordering::Relaxed);
             Ok(())
         };
-        let outcome = run_segments_core(threads, None, &manifest.segments, &|flat, point, rep| {
-            chaos_check(flat);
-            match job.run_slot(point, rep, manifest.seeds[flat]) {
-                Ok(bytes) => send_result(flat, &bytes),
-                Err(message) => Err(SlotFailure::Task(message)),
-            }
-        });
+        let outcome =
+            run_segments_core(
+                threads,
+                None,
+                &manifest.segments,
+                &|flat, point, rep| match job.run_slot(point, rep, manifest.seeds[flat]) {
+                    Ok(bytes) => send_result(flat, &bytes),
+                    Err(message) => Err(SlotFailure::Task(message)),
+                },
+            );
         *finished.lock().expect("heartbeat mutex never poisoned") = true;
         finished_cv.notify_all();
         outcome
